@@ -831,8 +831,10 @@ func (c *Cluster) KillMember(name string) bool {
 // for them.
 func (c *Cluster) Stats() (transport.Stats, bool) { return transport.GetStats(c.tr) }
 
-// SigCacheStats reports the fail-signal fabric's verification-memo
-// counters (both zero for crash-tolerant clusters, which sign nothing).
+// SigCacheStats reports the fail-signal fabric's verification counters:
+// misses is the number of real signature checks its nodes made, hits the
+// number a memo answered — zero, since no node memoises (both zero for
+// crash-tolerant clusters, which sign nothing).
 func (c *Cluster) SigCacheStats() (hits, misses uint64) {
 	if c.fab == nil {
 		return 0, 0

@@ -15,6 +15,9 @@
 //	fsbench -exp churn -seed 7   # sustained-churn sweep (auto-heal, recovery percentiles)
 //	fsbench -exp all -msgs 1000  # the paper's full message count
 //
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of the
+// whole invocation (every exit path flushes them), for go tool pprof.
+//
 // -virtual moves a lane onto the auto-advancing virtual clock: whenever
 // every goroutine is parked on a timer or a simulated delivery, the clock
 // jumps straight to the next deadline, so a simulated protocol-hour costs
@@ -63,8 +66,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -102,6 +108,8 @@ func main() {
 		satSize   = flag.Int("saturate-size", 1024, "payload size in bytes for -exp saturate")
 		satMsgs   = flag.Int("saturate-msgs", 100, "messages per member per ramp step for -exp saturate")
 		satRamp   = flag.String("saturate-ramp", "", "comma-separated per-member send intervals for -exp saturate, fastest last (e.g. 2ms,500us,100us); empty = default ramp")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the invocation ends")
 	)
 	flag.Parse()
 
@@ -186,6 +194,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -transport %q (want %s or %s)\n", *trans, bench.TransportNetsim, bench.TransportTCP)
 		os.Exit(2)
 	}
+	// Runs end the process from many places below; every one of them goes
+	// through exit so the profiles are flushed first.
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	defer stopProfiles()
+	exit := func(code int) {
+		stopProfiles()
+		os.Exit(code)
+	}
+
 	base := bench.Options{
 		MsgsPerMember: *msgs,
 		SendInterval:  *interval,
@@ -226,7 +247,7 @@ func main() {
 		path, err := bench.WriteSeries(*jsonDir, bench.ToSeries(figure, xAxis, substrate, rows))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s series: %v\n", figure, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
@@ -255,7 +276,7 @@ func main() {
 			vr, err := bench.RunVirtualSoak(opts, *simHours)
 			fmt.Print(bench.FormatVirtualSoak(vr, err))
 			if err != nil {
-				os.Exit(1)
+				exit(1)
 			}
 			return
 		}
@@ -302,7 +323,7 @@ func main() {
 			if failed > 125 {
 				failed = 125
 			}
-			os.Exit(failed)
+			exit(failed)
 		}
 	}
 
@@ -329,7 +350,7 @@ func main() {
 			rep, err := bench.RunChaos(opts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "chaos seed %d: %v\n", opts.Seed, err)
-				os.Exit(2)
+				exit(2)
 			}
 			fmt.Print(bench.FormatChaos(rep))
 			if !rep.Passed {
@@ -337,7 +358,7 @@ func main() {
 				replay, err := bench.RunChaos(opts)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "chaos replay of seed %d: %v\n", opts.Seed, err)
-					os.Exit(2)
+					exit(2)
 				}
 				fmt.Printf("chaos seed %d replay: %s (schedule identical: %v, verdict identical: %v)\n",
 					opts.Seed, replay.Verdict,
@@ -360,7 +381,7 @@ func main() {
 			if failed > 125 {
 				failed = 125
 			}
-			os.Exit(failed)
+			exit(failed)
 		}
 	}
 
@@ -383,7 +404,7 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "churn sweep: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		fmt.Print(bench.FormatChurn(rep))
 		if rep.Failed > 0 {
@@ -391,7 +412,7 @@ func main() {
 			if failed > 125 {
 				failed = 125
 			}
-			os.Exit(failed)
+			exit(failed)
 		}
 	}
 
@@ -416,7 +437,7 @@ func main() {
 				d, err := time.ParseDuration(strings.TrimSpace(part))
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "bad -saturate-ramp %q: %v\n", *satRamp, err)
-					os.Exit(2)
+					exit(2)
 				}
 				ramp = append(ramp, d)
 			}
@@ -444,7 +465,7 @@ func main() {
 			path, err := bench.WriteSaturate(*jsonDir, reps)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "writing saturate series: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
@@ -475,7 +496,7 @@ func main() {
 			if failed > 125 {
 				failed = 125
 			}
-			os.Exit(failed)
+			exit(failed)
 		}
 	}
 
@@ -509,7 +530,7 @@ func main() {
 			runSaturate()
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (want fig6, fig7, fig8, saturate, soak, wedge, chaos, churn or all)\n", name)
-			os.Exit(2)
+			exit(2)
 		}
 		fmt.Println()
 	}
@@ -529,6 +550,51 @@ func main() {
 		return
 	}
 	run(*exp)
+}
+
+// startProfiles starts the CPU profile (if asked for) and returns the
+// function that stops it and writes the heap profile (if asked for). The
+// returned function is safe to call more than once.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				if err := cpu.Close(); err != nil {
+					fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+				}
+			}
+			if memPath != "" {
+				if err := writeHeapProfile(memPath); err != nil {
+					fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
+				}
+			}
+		})
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile reports the last collection's live heap
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // parseInts parses "2,4,8"; nil on empty (selects the experiment default).

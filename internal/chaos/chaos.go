@@ -46,7 +46,7 @@ type Options struct {
 	// SendEvery paces each member's workload multicasts (0 = 10ms).
 	SendEvery time.Duration
 	// TraceDir is where a violated seed dumps the merged trace ring
-	// ("" = current directory).
+	// ("" = the OS temp dir).
 	TraceDir string
 	// NoDump disables the violation trace dump.
 	NoDump bool
@@ -948,11 +948,7 @@ func Run(opts Options) (*Report, error) {
 
 	rep.Elapsed = clk.Since(start)
 	if !rep.Passed() && !opts.NoDump {
-		dir := opts.TraceDir
-		if dir == "" {
-			dir = "."
-		}
-		if path, derr := reg.Dump(dir, fmt.Sprintf("chaos-seed%d", opts.Seed)); derr == nil {
+		if path, derr := reg.Dump(opts.TraceDir, fmt.Sprintf("chaos-seed%d", opts.Seed)); derr == nil {
 			rep.DumpPath = path
 			logf("violation: merged trace dumped to %s", path)
 		} else {

@@ -18,7 +18,6 @@ func short(seed int64) Options {
 		Seed:     seed,
 		Duration: 1 * time.Second,
 		Delta:    350 * time.Millisecond,
-		TraceDir: "", // dump into the test's working dir on violation
 	}
 }
 

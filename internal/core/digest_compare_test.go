@@ -79,7 +79,7 @@ func TestFSDigestPayloadRejectsTamperedBody(t *testing.T) {
 	if p.tag != tagFSD || !bytes.Equal(p.outputBytes(), full) {
 		t.Fatalf("decoded %+v", p.tag)
 	}
-	if key, ok := p.dedupeKey(); !ok || key != "f|p|3" {
+	if key, ok := peekKey(good); !ok || key.String() != "f|p|3" {
 		t.Fatalf("dedupe key = %q, %v", key, ok)
 	}
 

@@ -111,9 +111,7 @@ func (d *Directory) DestAddrs(name string) ([]transport.Addr, error) {
 // exactly the pair registered for source. The pair pinning runs first —
 // it is a map lookup and two string compares, so a double claiming the
 // wrong pair never reaches the signature checks. The checks themselves
-// re-marshal nothing (a decoded double carries its wire form) and, when v
-// is a sig.Directory, are memoised: the n receivers of one broadcast
-// output cost one real verification per signature per directory.
+// re-marshal nothing (a decoded double carries its wire form).
 func (d *Directory) VerifyFromFS(source string, dbl sig.Double, v sig.Verifier) error {
 	p, err := d.Lookup(source)
 	if err != nil {

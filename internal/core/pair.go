@@ -40,9 +40,9 @@ type PairConfig struct {
 	// HMAC-SHA256 with a key derived from the identity (test default).
 	NewSigner func(id sig.ID) (sig.Signer, error)
 	// NewVerifier, if set, builds each replica's inbound verifier; it is
-	// called once per replica, so a deployment can give every modeled
-	// node its own verification memo over the shared key material (see
-	// sig.CachedVerifier). Nil means both replicas verify directly
+	// called once per replica, so a deployment can count (see
+	// sig.CachedVerifier) every modeled node's checks apart over the
+	// shared key material. Nil means both replicas verify directly
 	// against Keys.
 	NewVerifier func() sig.Verifier
 	// Delta, Kappa, Sigma, T1, T2, TickInterval, StrictDeadlines,
@@ -192,8 +192,7 @@ func NewPair(cfg PairConfig) (*Pair, error) {
 	}
 
 	if cfg.NewVerifier != nil {
-		// One verifier per replica: the two FSOs are separate nodes, so
-		// their verification memos must not be shared.
+		// One verifier per replica: the two FSOs are separate nodes.
 		leaderCfg.Verifier = cfg.NewVerifier()
 		followerCfg.Verifier = cfg.NewVerifier()
 	}
@@ -256,7 +255,7 @@ func (c *Client) Send(dest, kind string, body []byte) error {
 
 // SendSeq is Send returning the per-client sequence the input was
 // submitted under — the number that appears in the replicas' dedupe keys
-// ("c|<client>|<seq>"), so callers can correlate a submission with the
+// (traced as "c|<client>|<seq>"), so callers can correlate a submission with the
 // order/compare trace events it produces.
 func (c *Client) SendSeq(dest, kind string, body []byte) (uint64, error) {
 	c.mu.Lock()
@@ -283,10 +282,11 @@ func (c *Client) SendSeq(dest, kind string, body []byte) (uint64, error) {
 }
 
 // Receiver is the plain-endpoint counterpart of an FS process's output
-// side: it verifies double signatures, suppresses the duplicate copies
-// produced by the two Compare threads, and dispatches verified outputs and
-// fail-signals to callbacks. It corresponds to the interceptor that
-// "strips signatures and suppresses duplicates" at the invocation layer
+// side: it suppresses the duplicate copies produced by the two Compare
+// threads, verifies the double signatures of the copy it keeps, and
+// dispatches verified outputs and fail-signals to callbacks in the order
+// it accepted them. It corresponds to the interceptor that "strips
+// signatures and suppresses duplicates" at the invocation layer
 // (Section 3.1).
 type Receiver struct {
 	dir      *Directory
@@ -295,8 +295,13 @@ type Receiver struct {
 	onFail   func(source string)
 	ring     *trace.Ring
 
-	mu   sync.Mutex
-	seen map[string]struct{}
+	mu   sync.Mutex // guards gate; acceptance order is the order it is taken in
+	gate gate
+	// handoff serialises the callbacks. An accepting goroutine takes it
+	// before releasing mu, so two links' handler goroutines hand their
+	// outputs to the application in acceptance order, while duplicates
+	// keep probing the gate behind a slow callback.
+	handoff sync.Mutex
 }
 
 // NewReceiver builds a receiver. Either callback may be nil.
@@ -306,7 +311,7 @@ func NewReceiver(dir *Directory, verifier sig.Verifier, onOutput func(string, sm
 		verifier: verifier,
 		onOutput: onOutput,
 		onFail:   onFail,
-		seen:     make(map[string]struct{}),
+		gate:     newGate(),
 	}
 }
 
@@ -315,27 +320,42 @@ func NewReceiver(dir *Directory, verifier sig.Verifier, onOutput func(string, sm
 // into it — the interceptor side of the trace plane.
 func (rc *Receiver) SetTrace(ring *trace.Ring) { rc.ring = ring }
 
-// Handle is the netsim handler for the receiving endpoint.
+// Handle is the transport handler for the receiving endpoint. Like
+// Replica.onNew it asks the gate before the verifier; decoding and
+// verification run outside both locks.
 func (rc *Receiver) Handle(msg transport.Message) {
 	if msg.Kind != MsgOut && msg.Kind != MsgNew {
 		return
 	}
+	k, ok := peekKey(msg.Payload)
+	if !ok || k.kind == keyClient {
+		return
+	}
+	rc.mu.Lock()
+	dup := rc.dupLocked(k)
+	rc.mu.Unlock()
+	if dup {
+		return
+	}
 	p, err := decodeNewPayload(msg.Payload)
-	if err != nil || (p.tag != tagFS && p.tag != tagFSD) {
+	if err != nil {
 		return
 	}
 	if err := rc.dir.VerifyFromFS(p.body.Source, p.dbl, rc.verifier); err != nil {
 		rc.ring.Emit(trace.EvReject, p.body.Seq, 0, p.body.Source)
 		return
 	}
-	key, _ := p.dedupeKey()
+	var out sm.Output
+	if !p.body.FailSignal {
+		out, err = sm.UnmarshalOutput(p.outputBytes())
+	}
+
 	rc.mu.Lock()
-	if _, dup := rc.seen[key]; dup {
-		rc.ring.Emit(trace.EvRxDup, p.body.Seq, 0, p.body.Source)
+	if rc.dupLocked(k) { // the other copy was verified and accepted meanwhile
 		rc.mu.Unlock()
 		return
 	}
-	rc.seen[key] = struct{}{}
+	rc.gate.mark(k)
 	// Accept events are emitted under the lock so the ring's order
 	// matches acceptance order across concurrent link deliveries.
 	if p.body.FailSignal {
@@ -343,19 +363,28 @@ func (rc *Receiver) Handle(msg transport.Message) {
 	} else {
 		rc.ring.Emit(trace.EvRxOutput, p.body.Seq, 0, p.body.Source)
 	}
+	rc.handoff.Lock()
 	rc.mu.Unlock()
+	defer rc.handoff.Unlock()
 
-	if p.body.FailSignal {
+	switch {
+	case p.body.FailSignal:
 		if rc.onFail != nil {
 			rc.onFail(p.body.Source)
 		}
-		return
-	}
-	out, err := sm.UnmarshalOutput(p.outputBytes())
-	if err != nil {
-		return
-	}
-	if rc.onOutput != nil {
+	case err == nil && rc.onOutput != nil:
 		rc.onOutput(p.body.Source, out)
 	}
+}
+
+// dupLocked reports whether k was already accepted, tracing the suppressed
+// copy. Caller holds rc.mu.
+func (rc *Receiver) dupLocked(k wireKey) bool {
+	if !rc.gate.known(k) {
+		return false
+	}
+	if rc.ring != nil {
+		rc.ring.Emit(trace.EvRxDup, k.seq, 0, string(k.source))
+	}
+	return true
 }

@@ -78,7 +78,7 @@ func (q *dmq) len() int {
 
 // relayItem is one queued follower→leader relay.
 type relayItem struct {
-	key string
+	key inputKey
 	e   *irmpEntry
 }
 

@@ -1,6 +1,7 @@
 package failsignal
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -192,8 +193,12 @@ type Replica struct {
 	wg     sync.WaitGroup
 	wd     watchdog
 
-	mu         sync.Mutex
-	seen       map[string]struct{}
+	mu sync.Mutex
+	// gate remembers what this replica has ordered. The leader marks in
+	// order-index order and the follower marks from the fwd stream in the
+	// same order, so the two windows evolve identically: a correct leader
+	// never forwards what its follower's gate calls known.
+	gate       gate
 	ordIdx     uint64 // leader: next order index to assign
 	nextFwdIdx uint64 // follower: next expected order index
 	// icmpOrder lists outstanding ICMP sequences in insertion (= output)
@@ -214,7 +219,7 @@ type Replica struct {
 	lastTick    time.Time
 	icmp        map[uint64]*icmpEntry
 	ecmp        map[uint64]ecmpEntry
-	irmp        map[string]*irmpEntry
+	irmp        map[inputKey]*irmpEntry
 	failed      bool
 	failDbl     sig.Double // cached double-signed fail-signal, set on failure
 	closed      bool
@@ -240,10 +245,10 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		queue:  newDMQ(),
 		relayq: newRelayQueue(),
 		stop:   make(chan struct{}),
-		seen:   make(map[string]struct{}),
+		gate:   newGate(),
 		icmp:   make(map[uint64]*icmpEntry),
 		ecmp:   make(map[uint64]ecmpEntry),
-		irmp:   make(map[string]*irmpEntry),
+		irmp:   make(map[inputKey]*irmpEntry),
 	}
 	r.wd.init(cfg.Clock, r.stop, &r.wg, r.watchFired, cfg.Trace)
 	if t, ok := cfg.Machine.(trace.Traceable); ok && cfg.Trace != nil {
@@ -345,7 +350,7 @@ func (r *Replica) shutdown() {
 		close(e.cancel)
 		r.wd.cancel(e.w)
 	}
-	r.irmp = map[string]*irmpEntry{}
+	r.irmp = map[inputKey]*irmpEntry{}
 	r.mu.Unlock()
 	close(r.stop)
 	r.queue.close()
@@ -381,95 +386,98 @@ func (r *Replica) verifyPayload(p newPayload) error {
 		return p.env.Verify(r.cfg.Verifier)
 	case tagFS, tagFSD:
 		return r.cfg.Dir.VerifyFromFS(p.body.Source, p.dbl, r.cfg.Verifier)
-	case tagTick:
-		return fmt.Errorf("failsignal: tick received outside the fwd link")
 	default:
 		return fmt.Errorf("failsignal: unverifiable tag %d", p.tag)
 	}
 }
 
 // onNew handles an external input (receiveNew), including inputs the
-// leader receives back from its follower as relays after t1.
+// leader receives back from its follower as relays after t1. Identity
+// comes before authenticity: a copy of something this replica already
+// holds is dropped on its key alone, and only a copy that would be
+// admitted pays for decoding and verification.
 func (r *Replica) onNew(msg transport.Message) {
 	if r.replyIfFailed(msg.From) {
 		return
 	}
-	p, err := decodeNewPayload(msg.Payload)
-	if err != nil {
-		r.countRejected()
-		return
-	}
-	if err := r.verifyPayload(p); err != nil {
-		r.countRejected()
-		return
-	}
-	key, ok := p.dedupeKey()
+	k, ok := peekKey(msg.Payload)
 	if !ok {
 		r.countRejected()
 		return
 	}
+	r.mu.Lock()
+	dup := r.dupLocked(k)
+	r.mu.Unlock()
+	if dup {
+		return
+	}
+	p, err := decodeNewPayload(msg.Payload)
+	if err == nil {
+		err = r.verifyPayload(p)
+	}
+	if err != nil {
+		r.countRejected()
+		return
+	}
 	if r.cfg.Role == Leader {
-		r.leaderAccept(key, msg.Payload, p)
+		r.leaderAccept(k, msg.Payload, p)
 	} else {
-		r.followerAccept(key, msg.Payload)
+		r.followerAccept(k, msg.Payload)
 	}
 }
 
-// leaderAccept orders a verified input: mark seen, forward to the
-// follower, and submit to the local DMQ. The forward and the local submit
-// happen under one critical section so the two replicas observe the same
-// total order.
-func (r *Replica) leaderAccept(key string, raw []byte, p newPayload) {
+// dupLocked reports whether this replica already holds k — ordered, or
+// (follower) pooled in the IRMP — and counts the copy as a duplicate if
+// so. Caller holds r.mu.
+func (r *Replica) dupLocked(k wireKey) bool {
+	if !r.gate.known(k) {
+		if _, pending := r.irmp[inputKey{k.kind, string(k.source), k.seq}]; !pending {
+			return false
+		}
+	}
+	r.stats.Duplicates++
+	// Emitted under the lock: ring order must equal protocol order, or a
+	// post-mortem timeline shows inversions that never happened.
+	traceKey(r.cfg.Trace, trace.EvOrderDup, 0, 0, k)
+	return true
+}
+
+// leaderAccept orders a verified input: mark it in the gate, forward to
+// the follower, and submit to the local DMQ. The forward and the local
+// submit happen under one critical section so the two replicas observe the
+// same total order. The gate is asked again because another copy may have
+// been verified and ordered while this one was being checked.
+func (r *Replica) leaderAccept(k wireKey, raw []byte, p newPayload) {
 	r.mu.Lock()
-	if r.failed || r.closed {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.failed || r.closed || r.dupLocked(k) {
 		return
 	}
-	if _, dup := r.seen[key]; dup {
-		r.stats.Duplicates++
-		// Emitted under the lock: ring order must equal protocol order,
-		// or a post-mortem timeline shows inversions that never happened.
-		r.cfg.Trace.Emit(trace.EvOrderDup, 0, 0, key)
-		r.mu.Unlock()
-		return
-	}
-	r.seen[key] = struct{}{}
+	r.gate.mark(k)
 	idx := r.ordIdx
 	r.ordIdx++
 	r.stats.Ordered++
 	fp := fwdPayload{Index: idx, Raw: raw}
 	_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgFwd, fp.marshal())
 	r.queue.push(orderedInput{in: p.toInput(), submitted: r.cfg.Clock.Now()})
-	r.cfg.Trace.Emit(trace.EvOrder, idx, 0, key)
-	r.mu.Unlock()
+	traceKey(r.cfg.Trace, trace.EvOrder, idx, 0, k)
 }
 
-// followerAccept records a directly received input in the IRMP and hands
-// it to the relayer for the t1/t2 escalation, unless the leader has
-// already ordered it.
-func (r *Replica) followerAccept(key string, raw []byte) {
+// followerAccept records a verified, directly received input in the IRMP
+// and hands it to the relayer for the t1/t2 escalation, unless the leader
+// has ordered it (or another copy was pooled) in the meantime. The gate is
+// not marked here: only the leader's order admits an input.
+func (r *Replica) followerAccept(k wireKey, raw []byte) {
 	r.mu.Lock()
-	if r.failed || r.closed {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.failed || r.closed || r.dupLocked(k) {
 		return
 	}
-	if _, dup := r.seen[key]; dup {
-		r.stats.Duplicates++
-		r.cfg.Trace.Emit(trace.EvOrderDup, 0, 0, key)
-		r.mu.Unlock()
-		return
-	}
-	if _, pending := r.irmp[key]; pending {
-		r.stats.Duplicates++
-		r.cfg.Trace.Emit(trace.EvOrderDup, 0, 0, key)
-		r.mu.Unlock()
-		return
-	}
+	key := k.key()
 	e := &irmpEntry{raw: raw, cancel: make(chan struct{}), due: r.cfg.Clock.Now().Add(r.cfg.T1)}
 	r.irmp[key] = e
 	r.relayq.push(relayItem{key: key, e: e})
-	r.cfg.Trace.Emit(trace.EvRelayQueued, 0, 0, key)
-	r.mu.Unlock()
+	traceKey(r.cfg.Trace, trace.EvRelayQueued, 0, 0, key)
 }
 
 // relayLoop is the follower's single relayer: it forwards IRMP entries to
@@ -508,7 +516,7 @@ func (r *Replica) relayLoop() {
 			continue
 		}
 		r.stats.Relayed++
-		r.cfg.Trace.Emit(trace.EvRelaySent, 0, 0, item.key)
+		traceKey(r.cfg.Trace, trace.EvRelaySent, 0, 0, item.key)
 		r.mu.Unlock()
 		_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgRelay, item.e.raw)
 
@@ -525,8 +533,11 @@ func (r *Replica) relayLoop() {
 
 // onFwd handles a leader-ordered input arriving at the follower
 // (receiveDouble). The follower re-verifies authenticity — by A5 a faulty
-// leader cannot forge client or FS signatures — checks order-index
-// continuity, cancels any pending IRMP escalation, and submits the input.
+// leader cannot forge client or FS signatures — unless the forwarded bytes
+// are the very bytes it verified itself on direct receipt and still holds
+// in the IRMP. It then checks order-index continuity, admits the input to
+// its gate exactly as the leader did, cancels any pending IRMP escalation,
+// and submits the input.
 func (r *Replica) onFwd(msg transport.Message) {
 	if r.replyIfFailed(msg.From) {
 		return
@@ -549,14 +560,26 @@ func (r *Replica) onFwd(msg transport.Message) {
 		r.acceptTick(fp, p)
 		return
 	}
-	if err := r.verifyPayload(p); err != nil {
-		r.failSignal(fmt.Sprintf("leader forwarded unauthenticated input: %v", err))
-		return
-	}
-	key, ok := p.dedupeKey()
+	k, ok := peekKey(fp.Raw)
 	if !ok {
 		r.failSignal("leader forwarded input with no identity")
 		return
+	}
+	key := k.key()
+
+	// A leader that substitutes other bytes under a pending key gets no
+	// credit for the copy this node verified: only identical bytes do.
+	var held []byte
+	r.mu.Lock()
+	if e, pending := r.irmp[key]; pending {
+		held = e.raw
+	}
+	r.mu.Unlock()
+	if !bytes.Equal(held, fp.Raw) {
+		if err := r.verifyPayload(p); err != nil {
+			r.failSignal(fmt.Sprintf("leader forwarded unauthenticated input: %v", err))
+			return
+		}
 	}
 
 	r.mu.Lock()
@@ -571,13 +594,15 @@ func (r *Replica) onFwd(msg transport.Message) {
 	}
 	r.nextFwdIdx++
 	r.ordProgress++
-	if _, dup := r.seen[key]; dup {
-		// The leader ordered the same input twice: out-of-spec behaviour.
+	if r.gate.known(k) {
+		// The leader ordered the same input twice, or one a whole window
+		// behind its source: this gate mirrors the leader's, so a correct
+		// leader would have dropped it.
 		r.mu.Unlock()
 		r.failSignal(fmt.Sprintf("leader ordered duplicate input %s", key))
 		return
 	}
-	r.seen[key] = struct{}{}
+	r.gate.mark(k)
 	if e, pending := r.irmp[key]; pending {
 		close(e.cancel)
 		r.wd.cancel(e.w)
@@ -585,7 +610,7 @@ func (r *Replica) onFwd(msg transport.Message) {
 	}
 	r.stats.Ordered++
 	r.queue.push(orderedInput{in: p.toInput(), submitted: r.cfg.Clock.Now()})
-	r.cfg.Trace.Emit(trace.EvOrder, fp.Index, 0, key)
+	traceKey(r.cfg.Trace, trace.EvOrder, fp.Index, 0, key)
 	r.mu.Unlock()
 }
 
@@ -723,7 +748,7 @@ func (r *Replica) compareOutput(seq uint64, out sm.Output, pi time.Duration) {
 		return
 	}
 	e := &icmpEntry{digest: digest, dests: out.To, full: full}
-	e.w = r.wd.arm(watchCompare, "", seq, deadline, r.cmpProgress)
+	e.w = r.wd.arm(watchCompare, inputKey{}, seq, deadline, r.cmpProgress)
 	r.icmp[seq] = e
 	r.icmpOrder = append(r.icmpOrder, seq)
 	r.cfg.Trace.Emit(trace.EvCompareArm, seq, uint64(deadline), "")
@@ -749,7 +774,7 @@ func (r *Replica) watchFired(w *watch) {
 			return // matched or shut down between expiry and firing
 		}
 		if !r.cfg.StrictDeadlines && r.cmpProgress != w.mark {
-			e.w = r.wd.arm(watchCompare, "", w.oseq, w.d, r.cmpProgress)
+			e.w = r.wd.arm(watchCompare, inputKey{}, w.oseq, w.d, r.cmpProgress)
 			r.cfg.Trace.Emit(trace.EvWatchRearm, w.oseq, uint64(w.d), "")
 			r.mu.Unlock()
 			return
@@ -764,6 +789,16 @@ func (r *Replica) watchFired(w *watch) {
 			r.mu.Unlock()
 			return // ordered or shut down between expiry and firing
 		}
+		if r.gate.known(w.key.wire()) {
+			// Still pooled yet known: the source ran a whole window past
+			// this input while it waited, so the leader rightly dropped the
+			// relay as too old to tell from a duplicate. That is loss, not
+			// a leader fault.
+			close(e.cancel)
+			delete(r.irmp, w.key)
+			r.mu.Unlock()
+			return
+		}
 		if !r.cfg.StrictDeadlines && r.ordProgress != w.mark && w.grants < maxOrderGrants {
 			// Unlike the compare stream — whose in-order skip check makes
 			// unbounded re-arming safe — the fwd stream carries no signal
@@ -777,12 +812,12 @@ func (r *Replica) watchFired(w *watch) {
 			nw.grants = w.grants + 1
 			e.w = nw
 			_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgRelay, e.raw)
-			r.cfg.Trace.Emit(trace.EvWatchRearm, uint64(nw.grants), uint64(w.d), w.key)
+			traceKey(r.cfg.Trace, trace.EvWatchRearm, uint64(nw.grants), uint64(w.d), w.key)
 			r.mu.Unlock()
 			return
 		}
 		r.mu.Unlock()
-		r.cfg.Trace.Emit(trace.EvOrderFire, 0, uint64(r.cfg.T2), w.key)
+		traceKey(r.cfg.Trace, trace.EvOrderFire, 0, uint64(r.cfg.T2), w.key)
 		r.failSignal(fmt.Sprintf("leader did not order input %s within t2=%v", w.key, r.cfg.T2))
 	}
 }
@@ -801,9 +836,8 @@ func (r *Replica) onSingle(msg transport.Message) {
 		return
 	}
 	// The candidate's content digest doubles as the comparison key below,
-	// so computing it first lets the verifier skip its own content hash
-	// (and its memo turn repeat verifications of this envelope into a
-	// single real check per directory).
+	// so computing it first lets a memoising verifier skip its own content
+	// hash.
 	digest := sig.Digest(env.Body)
 	if err := env.VerifyDigest(r.cfg.Verifier, digest); err != nil {
 		r.failSignal(fmt.Sprintf("peer single-signature invalid: %v", err))
@@ -942,11 +976,11 @@ func (r *Replica) failSignal(reason string) {
 	}
 	r.failed = true
 	r.cfg.Trace.Emit(trace.EvFailSignal, 0, 0, reason)
-	destSet := make(map[string]struct{})
+	destSet := make(map[string]bool)
 	for _, e := range r.icmp {
 		r.wd.cancel(e.w)
 		for _, d := range e.dests {
-			destSet[d] = struct{}{}
+			destSet[d] = true
 		}
 	}
 	r.icmp = map[uint64]*icmpEntry{}
@@ -955,12 +989,12 @@ func (r *Replica) failSignal(reason string) {
 		close(e.cancel)
 		r.wd.cancel(e.w)
 	}
-	r.irmp = map[string]*irmpEntry{}
+	r.irmp = map[inputKey]*irmpEntry{}
 	for _, w := range r.cfg.Watchers {
-		destSet[w] = struct{}{}
+		destSet[w] = true
 	}
 	if r.cfg.LocalName != "" {
-		destSet[r.cfg.LocalName] = struct{}{}
+		destSet[r.cfg.LocalName] = true
 	}
 	dbl, err := sig.CounterSign(r.cfg.Signer, r.cfg.PeerFailEnv)
 	if err != nil {

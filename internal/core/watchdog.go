@@ -25,7 +25,7 @@ type watch struct {
 	at     int64 // deadline, Unix nanos
 	seq    uint64
 	kind   watchKind
-	key    string        // IRMP input key (watchOrder)
+	key    inputKey      // IRMP input key (watchOrder)
 	oseq   uint64        // output sequence (watchCompare)
 	d      time.Duration // the deadline length, for the failure reason
 	mark   uint64        // peer-progress counter at arm time (re-arm decision)
@@ -125,7 +125,7 @@ func (wd *watchdog) remove(i int) {
 // mark records the caller's peer-progress counter at arm time, so the
 // fire callback can tell a deadline that expired against a silent peer
 // from one that expired while the peer demonstrably kept working.
-func (wd *watchdog) arm(kind watchKind, key string, oseq uint64, d time.Duration, mark uint64) *watch {
+func (wd *watchdog) arm(kind watchKind, key inputKey, oseq uint64, d time.Duration, mark uint64) *watch {
 	wd.mu.Lock()
 	wd.seq++
 	w := &watch{
@@ -172,7 +172,7 @@ func (wd *watchdog) cancel(w *watch) {
 	}
 	wd.mu.Unlock()
 	if disarmed {
-		wd.ring.Emit(trace.EvWatchCancel, w.oseq, 0, w.key)
+		traceKey(wd.ring, trace.EvWatchCancel, w.oseq, 0, w.key)
 	}
 }
 
@@ -201,7 +201,7 @@ func (wd *watchdog) run() {
 
 		if len(due) > 0 {
 			for _, w := range due {
-				wd.ring.Emit(trace.EvWatchFire, w.oseq, uint64(w.d), w.key)
+				traceKey(wd.ring, trace.EvWatchFire, w.oseq, uint64(w.d), w.key)
 				wd.fire(w)
 			}
 			clear(due)

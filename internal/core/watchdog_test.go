@@ -82,9 +82,9 @@ func (f *wdFixture) waitFired(t *testing.T, n int) {
 // re-evaluation.
 func TestWatchdogClockStepFiresDueWatchesInOrder(t *testing.T) {
 	f := newWDFixture(t)
-	f.wd.arm(watchCompare, "", 1, 50*time.Millisecond, 0)
-	f.wd.arm(watchCompare, "", 2, 20*time.Millisecond, 0)
-	f.wd.arm(watchCompare, "", 3, 500*time.Millisecond, 0)
+	f.wd.arm(watchCompare, inputKey{}, 1, 50*time.Millisecond, 0)
+	f.wd.arm(watchCompare, inputKey{}, 2, 20*time.Millisecond, 0)
+	f.wd.arm(watchCompare, inputKey{}, 3, 500*time.Millisecond, 0)
 	f.waitTimerArmed(t)
 	f.clk.Advance(10 * time.Second)
 	f.waitFired(t, 3)
@@ -111,7 +111,7 @@ func TestWatchdogRearmUnderClockStep(t *testing.T) {
 			f.wd.arm(w.kind, w.key, w.oseq+100, 100*time.Millisecond, 0)
 		}
 	}
-	f.wd.arm(watchCompare, "", 1, 100*time.Millisecond, 0)
+	f.wd.arm(watchCompare, inputKey{}, 1, 100*time.Millisecond, 0)
 	f.waitTimerArmed(t)
 	f.clk.Advance(10 * time.Second) // one big step: the original fires, the re-arm must not
 	f.waitFired(t, 1)
@@ -131,8 +131,8 @@ func TestWatchdogRearmUnderClockStep(t *testing.T) {
 // clock past its deadline: it must not fire.
 func TestWatchdogCancelBeatsClockStep(t *testing.T) {
 	f := newWDFixture(t)
-	w := f.wd.arm(watchOrder, "k", 0, 50*time.Millisecond, 0)
-	keep := f.wd.arm(watchOrder, "keep", 0, 80*time.Millisecond, 0)
+	w := f.wd.arm(watchOrder, inputKey{keyClient, "k", 1}, 0, 50*time.Millisecond, 0)
+	keep := f.wd.arm(watchOrder, inputKey{keyClient, "keep", 1}, 0, 80*time.Millisecond, 0)
 	f.waitTimerArmed(t)
 	f.wd.cancel(w)
 	f.clk.Advance(time.Second)
@@ -150,9 +150,9 @@ func TestWatchdogCancelBeatsClockStep(t *testing.T) {
 // without waiting out the stale timer.
 func TestWatchdogEarlierArmPreemptsPendingTimer(t *testing.T) {
 	f := newWDFixture(t)
-	f.wd.arm(watchCompare, "", 1, 10*time.Second, 0)
+	f.wd.arm(watchCompare, inputKey{}, 1, 10*time.Second, 0)
 	f.waitTimerArmed(t)
-	f.wd.arm(watchCompare, "", 2, 20*time.Millisecond, 0)
+	f.wd.arm(watchCompare, inputKey{}, 2, 20*time.Millisecond, 0)
 	// The wake re-arms the timer for the near deadline; let that settle.
 	time.Sleep(2 * time.Millisecond)
 	f.clk.Advance(30 * time.Millisecond)

@@ -235,20 +235,33 @@ func decodeNewPayload(b []byte) (newPayload, error) {
 	return p, nil
 }
 
-// dedupeKey identifies an input for duplicate suppression across the up to
-// four copies a replica may legitimately receive.
-func (p newPayload) dedupeKey() (string, bool) {
-	switch p.tag {
+// peekKey reads an input's identity straight out of a MsgNew payload: the
+// tag, then the first fields of the signed body (ClientInput and OutputBody
+// both open with the source name and its sequence number). It touches a few
+// header bytes, copies nothing, and reads the very bytes decodeNewPayload
+// decodes, so the key probed before verification is the key of the input
+// verified after it. False for ticks and anything it cannot parse.
+func peekKey(b []byte) (wireKey, bool) {
+	r := codec.NewReader(b)
+	tag := r.U8()
+	r.BytesView() // first signer
+	br := codec.NewReader(r.BytesView())
+	k := wireKey{source: br.BytesView(), seq: br.U64()}
+	switch tag {
 	case tagClient:
-		return fmt.Sprintf("c|%s|%d", p.client.Client, p.client.Seq), true
+		k.kind = keyClient
 	case tagFS, tagFSD:
-		if p.body.FailSignal {
-			return "fsig|" + p.body.Source, true
+		k.kind = keyOutput
+		if br.U8()&obFlagFailSignal != 0 {
+			k.kind, k.seq = keyFailSignal, 0
 		}
-		return fmt.Sprintf("f|%s|%d", p.body.Source, p.body.Seq), true
 	default:
-		return "", false
+		return wireKey{}, false
 	}
+	if r.Err() != nil || br.Err() != nil {
+		return wireKey{}, false
+	}
+	return k, true
 }
 
 // outputBytes returns the sm.MarshalOutput encoding a verified FS payload

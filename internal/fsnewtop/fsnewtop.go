@@ -76,12 +76,10 @@ type Fabric struct {
 
 // NewFabric assembles a fabric over one network. The shared key directory
 // is the deployment's verification plane: its copy-on-write snapshot makes
-// registration of new members safe against in-flight verifies. Its own
-// memo is disabled — every modeled node (each FSO, each invocation-layer
-// endpoint) gets a private sig.CachedVerifier instead, so memoisation
-// never crosses a node boundary the real deployment would have to pay:
-// the in-process figures stay faithful to the paper's per-node crypto
-// cost.
+// registration of new members safe against in-flight verifies. Nothing
+// memoises: every modeled node (each FSO, each invocation-layer endpoint)
+// gets a private counting verifier over the shared material, so the
+// in-process figures pay — and report — the paper's per-node crypto cost.
 func NewFabric(net transport.Transport, clk clock.Clock) *Fabric {
 	return &Fabric{
 		Net:    net,
@@ -93,9 +91,12 @@ func NewFabric(net transport.Transport, clk clock.Clock) *Fabric {
 }
 
 // newVerifier builds one modeled node's verifier and tracks it for
-// SigCacheStats.
+// SigCacheStats. It carries no memo (capacity 0): core's admission gate
+// drops every copy of an input a node already holds before verification,
+// so nothing a node verifies repeats and a memo would only be probed,
+// filled and never hit — at several times the cost of the HMAC it guards.
 func (f *Fabric) newVerifier() *sig.CachedVerifier {
-	v := sig.NewCachedVerifier(f.Keys, sig.DefaultCacheEntries)
+	v := sig.NewCachedVerifier(f.Keys, 0)
 	f.mu.Lock()
 	f.verifiers = append(f.verifiers, v)
 	f.mu.Unlock()
@@ -103,8 +104,8 @@ func (f *Fabric) newVerifier() *sig.CachedVerifier {
 }
 
 // dropVerifiers releases a closed member's verifiers so a long-lived
-// fabric with membership churn does not accumulate dead nodes' memos (or
-// keep counting them in SigCacheStats).
+// fabric with membership churn does not accumulate dead nodes' counters
+// in SigCacheStats.
 func (f *Fabric) dropVerifiers(vs []*sig.CachedVerifier) {
 	drop := make(map[*sig.CachedVerifier]bool, len(vs))
 	for _, v := range vs {
@@ -124,10 +125,10 @@ func (f *Fabric) dropVerifiers(vs []*sig.CachedVerifier) {
 	f.mu.Unlock()
 }
 
-// SigCacheStats sums the verification-memo counters across every live
-// node's verifier. Experiments use it to attribute FS overhead to crypto:
-// hits are signature checks a node did not have to re-pay (duplicate
-// copies of an input arriving via the direct, forward, and relay paths).
+// SigCacheStats sums the verification counters across every live node's
+// verifier. Experiments use it to attribute FS overhead to crypto: Misses
+// is the number of real signature checks made; Hits is zero, since no node
+// memoises.
 func (f *Fabric) SigCacheStats() sig.CacheStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -198,7 +199,7 @@ type NSO struct {
 	orb        *orb.ORB
 	pair       *failsignal.Pair
 	client     *failsignal.Client
-	verifiers  []*sig.CachedVerifier // this member's node memos, released on Close
+	verifiers  []*sig.CachedVerifier // this member's node verifiers, released on Close
 	invRing    *trace.Ring
 	deliveries chan newtop.Delivery
 	views      chan newtop.View
@@ -302,7 +303,7 @@ func New(cfg Config) (*NSO, error) {
 		invRing = fab.Trace.Ring(inv)
 	}
 	n.invRing = invRing
-	// The invocation layer runs on the application node: its own memo.
+	// The invocation layer runs on the application node: its own verifier.
 	receiver := failsignal.NewReceiver(fab.Dir, newVerifier(), n.onOutput, n.onFailSignal)
 	receiver.SetTrace(invRing)
 	fab.Net.Register(invAddr, receiver.Handle)

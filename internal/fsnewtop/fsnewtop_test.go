@@ -98,9 +98,10 @@ type cluster struct {
 	cols    map[string]*collector
 }
 
-func newCluster(t *testing.T, n int, tweak func(name string, cfg *Config)) *cluster {
+func newCluster(t *testing.T, n int, tweak func(name string, cfg *Config), opts ...netsim.Option) *cluster {
 	t.Helper()
-	net := netsim.New(clock.NewReal(), netsim.WithDefaultProfile(netsim.Profile{Latency: netsim.Fixed(100 * time.Microsecond)}))
+	opts = append([]netsim.Option{netsim.WithDefaultProfile(netsim.Profile{Latency: netsim.Fixed(100 * time.Microsecond)})}, opts...)
+	net := netsim.New(clock.NewReal(), opts...)
 	t.Cleanup(net.Close)
 	fab := NewFabric(net, clock.NewReal())
 	c := &cluster{fab: fab, nsos: make(map[string]*NSO), cols: make(map[string]*collector)}
@@ -173,14 +174,19 @@ func TestFSNewTOPSymmetricTotalOrder(t *testing.T) {
 	}
 }
 
-// TestFSNewTOPVerificationMemo: in a running cluster each node's memo
-// absorbs the duplicate verifications the FS discipline creates inside
-// one node — the same input arrives at a follower both directly and on
-// the leader's forward link, and fail-signal duplicates fan in from every
-// watcher path. Memos are per modeled node (see Fabric.newVerifier), so
-// the hits measured here are ones a real deployment would also get.
-func TestFSNewTOPVerificationMemo(t *testing.T) {
-	c := newCluster(t, 3, nil)
+// TestFSNewTOPVerifyBudget prices a fault-free run in real signature
+// checks. No node memoises, and none needs to: core's admission gate drops
+// every copy of an input a node already holds before it is verified. Each
+// double-signed output reaches a destination pair six times — four fs.new
+// (two senders × two addresses), the follower's relay, the leader's forward
+// — and costs two checks at the leader plus two at the follower, or four
+// there when the leader forwards the other sender's copy: 4 to 6, where
+// verifying every copy would cost 12. One dispatcher shard serialises the handlers,
+// so no two copies of one input are ever in verification at once and the
+// bound is exact; ticks are off, so everything a pair orders is a client
+// input or another pair's output.
+func TestFSNewTOPVerifyBudget(t *testing.T) {
+	c := newCluster(t, 3, func(name string, cfg *Config) { cfg.TickInterval = time.Hour }, netsim.WithShards(1))
 	c.joinAll(t, "g")
 	const per = 5
 	for i := 0; i < per; i++ {
@@ -190,13 +196,44 @@ func TestFSNewTOPVerificationMemo(t *testing.T) {
 			}
 		}
 	}
-	total := per * len(c.members)
+	deliveries := per * len(c.members)
 	for _, m := range c.members {
-		c.cols[m].waitN(t, total, 30*time.Second)
+		c.cols[m].waitN(t, deliveries, 30*time.Second)
 	}
-	cs := c.fab.SigCacheStats()
-	if cs.Hits == 0 {
-		t.Fatalf("no memo hits after a %d-delivery run: %+v", total*len(c.members), cs)
+	// Let the acknowledgement traffic behind the last delivery drain.
+	var cs sig.CacheStats
+	for settled := 0; settled < 20; {
+		time.Sleep(5 * time.Millisecond)
+		now := c.fab.SigCacheStats()
+		if now == cs {
+			settled++
+		} else {
+			cs, settled = now, 0
+		}
+	}
+	if cs.Hits != 0 || cs.Misses == 0 {
+		t.Fatalf("verification counters %+v: want real checks and no memo", cs)
+	}
+	const clientInputs = 1 + per // this member's join and multicasts
+	for _, m := range c.members {
+		n := c.nsos[m]
+		ls, fs := n.pair.Leader.Stats(), n.pair.Follower.Stats()
+		if ls.Rejected+fs.Rejected != 0 || ls.Ordered != fs.Ordered || ls.Outputs != fs.Outputs {
+			t.Fatalf("%s: leader %+v follower %+v", m, ls, fs)
+		}
+		// n.verifiers: the invocation endpoint's, the leader's, the
+		// follower's, in construction order. Either replica pays one check
+		// per client input and one per candidate from its peer's Compare.
+		pairChecks := n.verifiers[1].CacheStats().Misses + n.verifiers[2].CacheStats().Misses
+		onOutputs := pairChecks - 2*clientInputs - ls.Outputs - fs.Outputs
+		fsInputs := ls.Ordered - clientInputs
+		if fsInputs == 0 || onOutputs < 4*fsInputs || onOutputs > 6*fsInputs {
+			t.Fatalf("%s: %d checks on %d double-signed inputs, want 4 to 6 each", m, onOutputs, fsInputs)
+		}
+	}
+	// 15 per delivery at three members; verifying every copy makes 25.
+	if perDelivery := float64(cs.Misses) / float64(deliveries*len(c.members)); perDelivery > 20 {
+		t.Fatalf("%.1f signature checks per delivery (%+v)", perDelivery, cs)
 	}
 }
 

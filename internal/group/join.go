@@ -227,6 +227,7 @@ func (m *Machine) onState(from string, snap StateSnapshot) {
 		g.asymData[asymKey{d.Origin, d.SenderSeq}] = d
 	}
 	m.groups[snap.Group] = g
+	m.suspectSignalled(g)
 
 	m.trace.Emit(trace.EvStateAck, snap.ViewID, 0, from)
 	m.emit(KindStateAck, []string{from}, StateAck{Group: snap.Group, ViewID: snap.ViewID}.Marshal())

@@ -307,3 +307,45 @@ func TestJoinProtocolDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFailSignalBeforeJoinIsRemembered: the pair below a machine hands it
+// each process's fail-signal exactly once. When that happens before the
+// group exists here — the application's join is still queued behind it —
+// the suspicion must wait for the group, not vanish.
+func TestFailSignalBeforeJoinIsRemembered(t *testing.T) {
+	c := newTCluster(t, SuspectFailSignal, "a", "b", "c")
+	c.drop = func(from, to, kind string) bool { return from == "c" || to == "c" }
+	for _, n := range []string{"a", "b"} {
+		c.submit(n, sm.Input{Kind: failsignal.InputFailSignal, From: "c"})
+	}
+	c.joinAll("g")
+	for _, n := range []string{"a", "b"} {
+		v := c.lastView(n)
+		if v.ViewID != 2 || !reflect.DeepEqual(v.Members, []string{"a", "b"}) {
+			t.Fatalf("%s view after joining with c already signalled = %+v", n, v)
+		}
+	}
+}
+
+// TestFailSignalBeforeSnapshotIsRemembered: a joiner that learnt of a
+// member's fail-signal before its snapshot arrived reports the suspicion
+// with its admission ack, so a coordinator that missed the signal still
+// excludes the dead member.
+func TestFailSignalBeforeSnapshotIsRemembered(t *testing.T) {
+	c := newTCluster(t, SuspectFailSignal, "a", "b", "c")
+	c.joinAll("g")
+	c.addMachine("d", SuspectFailSignal)
+	// c dies; only the joiner-to-be hears its fail-signal.
+	c.drop = func(from, to, kind string) bool { return from == "c" || to == "c" }
+	c.submit("d", sm.Input{Kind: failsignal.InputFailSignal, From: "c"})
+	c.joinExisting("d", "g", []string{"a", "b"})
+	for i := 0; i < 4; i++ {
+		c.tick(1200 * time.Millisecond)
+	}
+	want := []string{"a", "b", "d"}
+	for _, n := range want {
+		if v := c.lastView(n); !reflect.DeepEqual(v.Members, want) {
+			t.Fatalf("%s view = %+v, want %v", n, v, want)
+		}
+	}
+}

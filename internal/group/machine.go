@@ -77,6 +77,11 @@ type Machine struct {
 	// joining tracks admissions this process is seeking into running
 	// groups (joiner side of the dynamic join protocol).
 	joining map[string]*pendingJoin
+	// signalled remembers every process whose verified fail-signal this
+	// machine has been handed. The pair below hands each fail-signal over
+	// exactly once, so one that arrives before the group it concerns
+	// exists here must be kept until that group does.
+	signalled map[string]struct{}
 	// lastHeard tracks process-level peer liveness (SuspectPing mode).
 	lastHeard map[string]time.Time
 	lastPing  time.Time
@@ -98,6 +103,7 @@ func New(cfg Config) *Machine {
 		trace:     cfg.Trace,
 		groups:    make(map[string]*groupState),
 		joining:   make(map[string]*pendingJoin),
+		signalled: make(map[string]struct{}),
 		lastHeard: make(map[string]time.Time),
 	}
 }
@@ -225,6 +231,7 @@ func (m *Machine) dispatch(in sm.Input, depth int) {
 		}
 	case failsignal.InputFailSignal:
 		if m.cfg.Mode == SuspectFailSignal && in.From != "" {
+			m.signalled[in.From] = struct{}{}
 			m.suspectEverywhere(in.From)
 		}
 	case KindBatch:
@@ -274,6 +281,7 @@ func (m *Machine) onJoin(j JoinReq) {
 	g := newGroupState(j.Group, j.Members)
 	m.groups[j.Group] = g
 	m.emitLocal(KindView, ViewNote{Group: g.name, ViewID: g.viewID, Members: g.members}.Marshal())
+	m.suspectSignalled(g)
 }
 
 // onLeave abandons a group. Peers observe the silence (or our fail-signal)
@@ -347,6 +355,19 @@ func (m *Machine) tickSuspector() {
 			m.suspectEverywhere(p)
 		}
 	}
+}
+
+// suspectSignalled applies the fail-signals that arrived before g existed
+// here: a group created or installed with an already-signalled member
+// suspects it from the start.
+func (m *Machine) suspectSignalled(g *groupState) {
+	for _, peer := range sortedKeys(m.signalled) {
+		if g.isMember(peer) && !g.suspects[peer] {
+			g.suspects[peer] = true
+			m.trace.Emit(trace.EvSuspect, 0, 0, peer)
+		}
+	}
+	m.maybePropose(g)
 }
 
 // suspectEverywhere marks peer suspected in every group that contains it

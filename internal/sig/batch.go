@@ -157,7 +157,7 @@ var _ BatchVerifier = (*Directory)(nil)
 func (v *CachedVerifier) VerifyBatchDigest(id ID, count uint32, chain [32]byte, sig []byte) error {
 	data := batchSigData(count, chain)
 	digest := Digest(data[:])
-	return verifyWith(v.dir.snapshot(), v.cache, id, &digest, data[:], sig)
+	return v.verify(id, &digest, data[:], sig)
 }
 
 var _ BatchVerifier = (*CachedVerifier)(nil)

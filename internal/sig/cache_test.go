@@ -284,15 +284,18 @@ func TestCachedVerifierIsolation(t *testing.T) {
 	}
 
 	// capacity <= 0 disables the verifier's memo too, same convention as
-	// NewDirectoryCache.
+	// NewDirectoryCache; it still counts, and every check is a real one.
 	plain := NewCachedVerifier(dir, 0)
 	for i := 0; i < 2; i++ {
 		if err := plain.Verify("a", data, sigBytes); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cs := plain.CacheStats(); cs != (CacheStats{}) {
-		t.Fatalf("memo-disabled verifier recorded %+v", cs)
+	if err := plain.Verify("a", data, []byte("bad")); err == nil {
+		t.Fatal("memo-disabled verifier accepted a bad signature")
+	}
+	if cs := plain.CacheStats(); cs != (CacheStats{Misses: 3}) {
+		t.Fatalf("memo-disabled verifier recorded %+v, want 3 real checks", cs)
 	}
 
 	// Key rotation through the shared directory invalidates both nodes'

@@ -276,24 +276,26 @@ func verifyWith(snap *dirSnapshot, c *verifyCache, id ID, digest *[32]byte, data
 	return nil
 }
 
-// CachedVerifier is a node-local verification memo over a shared
-// Directory's material. In a deployment that models many nodes in one
-// process, sharing one memo through the directory would let one node's
+// CachedVerifier is one modeled node's view of a shared Directory's
+// verification material: it counts the node's signature checks and can hold
+// a node-local memo over them. In a deployment that models many nodes in
+// one process, sharing one memo through the directory would let one node's
 // verification warm another's — a cross-node shortcut no real deployment
-// has. Give each modeled node (each FS replica, each receiving endpoint)
-// its own CachedVerifier over a memo-disabled directory instead:
-// verification material stays shared and copy-on-write, memoisation stays
-// inside the node boundary.
+// has — so each node (each FS replica, each receiving endpoint) gets its
+// own CachedVerifier over a memo-disabled directory: verification material
+// stays shared and copy-on-write, accounting and memoisation stay inside
+// the node boundary.
 type CachedVerifier struct {
-	dir   *Directory
-	cache *verifyCache
+	dir    *Directory
+	cache  *verifyCache
+	checks atomic.Uint64 // checks made with no memo to count them
 }
 
 // NewCachedVerifier wraps dir with a node-local memo of the given
 // capacity. capacity <= 0 disables memoisation — the same convention as
-// NewDirectoryCache, so the verifier degrades to a plain view of dir's
-// material. dir is typically built with NewDirectoryCache(0) so the
-// directory itself does not also memoise.
+// NewDirectoryCache — and the verifier then only counts: every check is a
+// real one and is reported as a miss. dir is typically built with
+// NewDirectoryCache(0) so the directory itself does not also memoise.
 func NewCachedVerifier(dir *Directory, capacity int) *CachedVerifier {
 	v := &CachedVerifier{dir: dir}
 	if capacity > 0 {
@@ -304,21 +306,28 @@ func NewCachedVerifier(dir *Directory, capacity int) *CachedVerifier {
 
 // Verify implements Verifier.
 func (v *CachedVerifier) Verify(id ID, data, sigBytes []byte) error {
-	return verifyWith(v.dir.snapshot(), v.cache, id, nil, data, sigBytes)
+	return v.verify(id, nil, data, sigBytes)
 }
 
 // VerifyDigest implements DigestVerifier; see Directory.VerifyDigest.
 func (v *CachedVerifier) VerifyDigest(id ID, digest [32]byte, data, sigBytes []byte) error {
-	return verifyWith(v.dir.snapshot(), v.cache, id, &digest, data, sigBytes)
+	return v.verify(id, &digest, data, sigBytes)
+}
+
+func (v *CachedVerifier) verify(id ID, digest *[32]byte, data, sigBytes []byte) error {
+	if v.cache == nil {
+		v.checks.Add(1)
+	}
+	return verifyWith(v.dir.snapshot(), v.cache, id, digest, data, sigBytes)
 }
 
 var _ DigestVerifier = (*CachedVerifier)(nil)
 
-// CacheStats returns this node's memo counters (all zero when
-// memoisation is disabled).
+// CacheStats returns this node's counters. Misses is the number of real
+// signature checks the node made, with or without a memo.
 func (v *CachedVerifier) CacheStats() CacheStats {
 	if v.cache == nil {
-		return CacheStats{}
+		return CacheStats{Misses: v.checks.Load()}
 	}
 	return v.cache.stats()
 }
