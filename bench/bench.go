@@ -1,9 +1,12 @@
 // Package bench is the experiment harness for the paper's evaluation
-// (Section 4): it deploys NewTOP or FS-NewTOP clusters over the transport
-// plane — the seeded netsim simulator by default, real TCP sockets with
-// Options.Transport = "tcp" — drives the paper's workload — every member
-// multicasts a fixed number of messages for symmetric total ordering at a
-// regular interval — and measures ordering latency and throughput.
+// (Section 4): it deploys NewTOP or FS-NewTOP through the cluster facade —
+// over the seeded netsim simulator by default, real TCP sockets with
+// Options.Transport = "tcp", one OS process per member with "tcp-procs" —
+// drives the paper's workload — every member multicasts a fixed number of
+// messages for symmetric total ordering at a regular interval — and
+// measures ordering latency and throughput. Every lane brings its members
+// up through cluster.New (cluster.NewSolo in a worker process) and drives
+// each with deploy.RunWorkload, so the lanes differ in substrate only.
 //
 // Three experiment drivers regenerate the figures:
 //
@@ -17,18 +20,16 @@
 package bench
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"time"
 
+	"fsnewtop/cluster"
+	"fsnewtop/deploy"
 	"fsnewtop/internal/clock"
-	"fsnewtop/internal/fsnewtop"
-	"fsnewtop/internal/group"
 	"fsnewtop/internal/metrics"
-	"fsnewtop/internal/newtop"
-	"fsnewtop/internal/orb"
-	"fsnewtop/internal/sig"
 	"fsnewtop/internal/trace"
 	"fsnewtop/transport"
 	"fsnewtop/transport/netsim"
@@ -72,11 +73,8 @@ type Options struct {
 	SendInterval time.Duration
 	// PoolSize is the ORB request pool (0 = the paper's 10).
 	PoolSize int
-	// ServiceTime simulates per-request ORB processing cost on the crash
-	// system's nodes (see orb.Config.ServiceTime). Used by the pool-knee
-	// ablation; zero disables.
-	ServiceTime time.Duration
-	// Delta is δ for FS pairs.
+	// Delta is δ for FS pairs (0 = Members × 0.5 s, 1 s floor; see
+	// deploy.RunSpec.FillDefaults).
 	Delta time.Duration
 	// LANLatency is the pair sync-link latency (must be < Delta).
 	LANLatency time.Duration
@@ -96,81 +94,69 @@ type Options struct {
 	// trajectories stay comparable; NewTOP runs ignore the FS half and
 	// keep only the transport framing.
 	Batch bool
-	// Transport selects the network substrate: "netsim" (default, the
-	// seeded in-process simulator) or "tcp" (real loopback TCP sockets
-	// via transport/tcpnet). Latency/bandwidth/seed options only shape
-	// the simulator; on "tcp" the wire is whatever the host provides, and
-	// results are recorded under that substrate so trajectories never
-	// silently mix.
+	// Transport selects the substrate: "netsim" (default, the seeded
+	// in-process simulator), "tcp" (loopback sockets via transport/tcpnet,
+	// one shared Go runtime) or "tcp-procs" (the same sockets, every member
+	// in its own OS process: this binary re-executed with -worker).
+	// Latency/bandwidth/seed only shape the simulator. Results are recorded
+	// under their substrate so trajectories never silently mix.
 	Transport string
 	// Seed seeds netsim randomness.
 	Seed int64
-	// Clock is the time source for everything the harness measures and
-	// paces: send intervals, latency stamps, throughput windows, the run
-	// timeout and the stall watchdog, plus every protocol timer in the
-	// deployed stacks. Nil selects the wall clock. Virtual builds one.
-	Clock clock.Clock
 	// Virtual runs the experiment on an auto-advancing clock.Virtual owned
-	// by the run: protocol time jumps event-to-event instead of sleeping,
-	// so simulated protocol-hours cost only the computation. Requires the
+	// by the run — send pacing, latency stamps, throughput windows, the run
+	// timeout, the stall watchdog and every protocol timer in the deployed
+	// stacks: protocol time jumps event-to-event instead of sleeping, so
+	// simulated protocol-hours cost only the computation. Requires the
 	// netsim transport — virtual time cannot pace real sockets.
 	Virtual bool
 	// TickInterval paces each member's protocol machine (0 = 5ms).
 	// Accelerated soaks raise it: under virtual time the tick rate sets
 	// the advance count, not the wall duration.
 	TickInterval time.Duration
-	// OrderCheck records every member's delivery order and verifies
-	// delivery equivalence at the end of the run: all members must deliver
-	// the identical (origin, seq) sequence. The soak lanes turn it on; the
-	// mismatch, if any, lands in Result.OrderMismatch.
+	// OrderCheck verifies delivery equivalence at the end of the run: all
+	// members must have delivered the identical (origin, seq) sequence. The
+	// soak lanes turn it on; the mismatch, if any, lands in
+	// Result.OrderMismatch. In-process lanes only.
 	OrderCheck bool
-	// Timeout bounds the whole run.
+	// Timeout bounds the whole run (in-process lanes; a multi-process run
+	// is bounded by the controller's phase timeouts and StallAfter).
 	Timeout time.Duration
 	// StallAfter is the round-progress watchdog window: a run that makes
 	// no delivery at any member for this long while short of Expected is
-	// declared wedged and returns *ErrStalled immediately — with per-node
-	// counts and a trace dump — instead of burning the rest of Timeout.
-	// Zero selects 2×Delta with a 5 s floor (k·Δ with k=2: two full
-	// compare deadlines at the follower, so a stall verdict can never
-	// race a live deadline that would unwedge the run by fail-signalling;
-	// the floor keeps small-Δ runs on a loaded host from declaring
-	// scheduler hiccups to be wedges). Negative disables the watchdog.
+	// declared wedged and fails at once — *ErrStalled with per-node counts
+	// and a trace dump in process, *deploy.ErrStalled across processes —
+	// instead of burning the rest of Timeout. Zero selects
+	// deploy.StallWindow(Delta); negative disables the in-process watchdog
+	// (the controller's always runs, at the default window).
 	StallAfter time.Duration
 	// TraceDir is where stall dumps are written. Empty selects the OS
 	// temp directory.
 	TraceDir string
-	// NoStallDump suppresses writing the trace dump when a stall is
-	// declared (the structured error is still returned).
+	// NoStallDump suppresses writing the trace dump when an in-process
+	// stall is declared (the structured error is still returned).
 	NoStallDump bool
 }
 
-func (o *Options) fillDefaults() {
+// fillDefaults completes the options and returns the run spec they
+// describe — what every lane deploys and drives.
+func (o *Options) fillDefaults() deploy.RunSpec {
 	if o.Members == 0 {
 		o.Members = 3
 	}
-	if o.MsgsPerMember == 0 {
-		o.MsgsPerMember = 50
+	spec := deploy.RunSpec{
+		MsgsPerMember: o.MsgsPerMember,
+		MsgSize:       o.MsgSize,
+		SendInterval:  o.SendInterval,
+		Delta:         o.Delta,
+		TickInterval:  o.TickInterval,
+		PoolSize:      o.PoolSize,
+		CrashTolerant: o.System == SystemNewTOP,
+		RSA:           o.RSA,
+		TraceDir:      o.TraceDir,
 	}
-	if o.MsgSize < 3 {
-		o.MsgSize = 3
-	}
-	if o.SendInterval == 0 {
-		o.SendInterval = 2 * time.Millisecond
-	}
-	if o.Delta == 0 {
-		// δ is generous by default: the compare deadline 2δ+κπ+στ is a
-		// timeout, not a wait, so failure-free benchmark runs pay nothing
-		// for it, while a small δ on a loaded (or single-core) host lets
-		// scheduling noise masquerade as replica failure — the A3/A4
-		// caveat from the paper's concluding remarks. The bound scales
-		// with group size because a single host multiplexes 2n replica
-		// processes: at 25+ members a fixed 1 s deadline made every pair
-		// fail-signal under scheduler pressure.
-		o.Delta = time.Duration(o.Members) * 500 * time.Millisecond
-		if o.Delta < time.Second {
-			o.Delta = time.Second
-		}
-	}
+	spec.FillDefaults(o.Members)
+	o.MsgsPerMember, o.MsgSize = spec.MsgsPerMember, spec.MsgSize
 	if o.LANLatency == 0 {
 		o.LANLatency = 50 * time.Microsecond
 	}
@@ -186,24 +172,25 @@ func (o *Options) fillDefaults() {
 	if o.Transport == "" {
 		o.Transport = TransportNetsim
 	}
-	if o.TickInterval == 0 {
-		o.TickInterval = 5 * time.Millisecond
-	}
 	if o.StallAfter == 0 {
-		o.StallAfter = 2 * o.Delta
-		if o.StallAfter < 5*time.Second {
-			o.StallAfter = 5 * time.Second
-		}
+		o.StallAfter = deploy.StallWindow(spec.Delta)
 	}
+	return spec
 }
 
 // Transport substrate names, as recorded in results and series files.
 const (
-	TransportNetsim = "netsim"
-	TransportTCP    = "tcp"
+	TransportNetsim   = "netsim"
+	TransportTCP      = "tcp"
+	TransportTCPProcs = "tcp-procs"
 )
 
-// newTransport builds the substrate the options select, driven by clk.
+// ErrRefused marks a combination of options no lane can run: nothing was
+// deployed or measured (fsbench exits 2 on it, as on any usage error).
+var ErrRefused = errors.New("bench: refused")
+
+// newTransport builds the in-process substrate the options select, driven
+// by clk.
 func newTransport(opts Options, clk clock.Clock) (transport.Transport, error) {
 	switch opts.Transport {
 	case TransportNetsim:
@@ -221,15 +208,15 @@ func newTransport(opts Options, clk clock.Clock) (transport.Transport, error) {
 	case TransportTCP:
 		return tcpnet.New(tcpnet.Config{Coalesce: opts.Batch})
 	default:
-		return nil, fmt.Errorf("bench: unknown transport %q (want %q or %q)",
-			opts.Transport, TransportNetsim, TransportTCP)
+		return nil, fmt.Errorf("%w: unknown transport %q (want %q, %q or %q)",
+			ErrRefused, opts.Transport, TransportNetsim, TransportTCP, TransportTCPProcs)
 	}
 }
 
 // Result is one experiment run's measurements.
 type Result struct {
 	System        System
-	Transport     string // substrate the run used ("netsim" or "tcp")
+	Transport     string // substrate the run used ("netsim", "tcp" or "tcp-procs")
 	Members       int
 	MsgSize       int
 	MsgsPerMember int
@@ -244,7 +231,8 @@ type Result struct {
 	// Virtual records whether the run used an auto-advancing clock.
 	Virtual bool
 	// Elapsed is the full-run time on the run's clock: wall time normally,
-	// simulated protocol time under Options.Virtual.
+	// simulated protocol time under Options.Virtual. On "tcp-procs" it
+	// spans the whole orchestration, spawn to shutdown.
 	Elapsed time.Duration
 	// WallElapsed is always real wall time; Elapsed/WallElapsed is the
 	// virtual run's speedup.
@@ -260,412 +248,267 @@ type Result struct {
 	// NetMessages and NetBytes are fabric-level traffic totals.
 	NetMessages, NetBytes uint64
 	// NetFrames counts wire frames, when the substrate accounts for them
-	// (both substrates do). NetMessages/NetFrames is the measured
-	// amortization factor; 1.0 with batching off.
+	// (both in-process substrates do). NetMessages/NetFrames is the
+	// measured amortization factor; 1.0 with batching off.
 	NetFrames uint64
 	// SigCacheHits and SigCacheMisses are the FS deployment's
-	// verification-memo counters (zero for NewTOP, which signs nothing):
-	// hits are signature checks the double-signing discipline demanded
-	// that the memo answered without redoing the cryptography.
+	// verification counters (zero for NewTOP, which signs nothing): misses
+	// are real signature checks, hits the ones a memo answered — zero,
+	// since no node memoises.
 	SigCacheHits, SigCacheMisses uint64
 }
 
-// encodeSeq writes the message sequence number into a payload of the
-// configured size (3-byte big-endian when the payload is tiny, like the
-// paper's 3-byte messages; 4-byte otherwise).
-func encodeSeq(seq int, size int) []byte {
-	p := make([]byte, size)
-	if size >= 4 {
-		binary.BigEndian.PutUint32(p, uint32(seq))
-	} else {
-		p[0] = byte(seq >> 16)
-		p[1] = byte(seq >> 8)
-		p[2] = byte(seq)
-	}
-	return p
-}
-
-// decodeSeq recovers the sequence number.
-func decodeSeq(p []byte) int {
-	if len(p) >= 4 {
-		return int(binary.BigEndian.Uint32(p))
-	}
-	if len(p) >= 3 {
-		return int(p[0])<<16 | int(p[1])<<8 | int(p[2])
-	}
-	return -1
-}
-
-// member is one cluster member under measurement.
-type member struct {
-	name string
-	svc  newtop.Service
-
-	mu       sync.Mutex
-	sendTime map[int]time.Time
-	count    int
-	doneAt   time.Time
-	order    []orderEntry // delivery log, kept when Options.OrderCheck
-}
-
-// orderEntry is one delivery in a member's order log.
-type orderEntry struct {
-	origin string
-	seq    int
-}
-
-// Run executes one experiment.
+// Run executes one experiment: bring the members up through the cluster
+// facade, join them into one group, drive each with deploy.RunWorkload,
+// fold the per-member measurements.
 func Run(opts Options) (Result, error) {
-	opts.fillDefaults()
-	clk := opts.Clock
-	var vt *clock.Virtual
-	if opts.Virtual {
-		if opts.Transport != TransportNetsim {
-			return Result{}, fmt.Errorf("bench: Virtual requires Transport %q: virtual time cannot pace real sockets (got %q)",
-				TransportNetsim, opts.Transport)
-		}
-		if v, ok := clk.(*clock.Virtual); ok {
-			vt = v
-		} else if clk == nil {
-			vt = clock.NewVirtual()
-			defer vt.Stop()
-			clk = vt
-		} else {
-			return Result{}, fmt.Errorf("bench: Virtual set but Clock is not a *clock.Virtual")
-		}
-	}
-	if clk == nil {
-		clk = clock.NewReal()
-	}
-	wall := clock.NewReal()
-	net, err := newTransport(opts, clk)
-	if err != nil {
-		return Result{}, err
-	}
-	defer net.Close()
+	res, _, err := run(opts)
+	return res, err
+}
 
+// run is Run, also handing back the per-member measurements it folded.
+func run(opts Options) (Result, []deploy.WorkerStats, error) {
+	spec := opts.fillDefaults()
+	switch {
+	case opts.System != SystemNewTOP && opts.System != SystemFSNewTOP:
+		return Result{}, nil, fmt.Errorf("%w: unknown system %v", ErrRefused, opts.System)
+	case opts.Members < 2:
+		return Result{}, nil, fmt.Errorf("%w: Members %d: a group needs at least two members (on %q: two worker processes)",
+			ErrRefused, opts.Members, TransportTCPProcs)
+	case opts.Virtual && opts.Transport != TransportNetsim:
+		return Result{}, nil, fmt.Errorf("%w: Virtual requires Transport %q (got %q): virtual time cannot pace real sockets, nor gate members in other OS processes",
+			ErrRefused, TransportNetsim, opts.Transport)
+	}
+	if opts.Transport == TransportTCPProcs {
+		return runProcs(opts, spec)
+	}
+
+	wall := clock.NewReal()
+	var clk clock.Clock = wall
+	copts := spec.Options()
+	if opts.Virtual {
+		vt := clock.NewVirtual()
+		defer vt.Stop()
+		clk = vt
+		copts = append(copts, cluster.WithVirtualTime(vt))
+	}
+	tr, err := newTransport(opts, clk)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	defer tr.Close()
 	reg := trace.NewRegistry(0, nil)
 	activeTrace.Store(reg)
-	if vt != nil {
-		// Hold the advance gate across bring-up, so a half-built pair never
-		// watches virtual time leap past its comparison deadline.
-		vt.Busy()
+
+	names := make([]string, opts.Members)
+	for i := range names {
+		names[i] = fmt.Sprintf("m%02d", i)
 	}
-	members, fab, err := buildCluster(opts, net, reg, clk)
-	if vt != nil {
-		vt.Done()
+	copts = append(copts,
+		cluster.WithTransport(tr),
+		cluster.WithMembers(names...),
+		cluster.WithTrace(reg),
+		// On the simulator this shapes the pair's A2 sync link; a real
+		// network ignores it and the wire's own latency applies.
+		cluster.WithSyncLinkProfile(transport.Profile{Latency: transport.Fixed(opts.LANLatency)}),
+	)
+	if opts.Batch {
+		copts = append(copts, cluster.WithBatching())
 	}
+	cl, err := cluster.New(copts...)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
-	defer func() {
-		for _, m := range members {
-			m.svc.Close()
-		}
-	}()
-
-	names := make([]string, len(members))
-	for i, m := range members {
-		names[i] = m.name
-	}
-	for _, m := range members {
-		if err := m.svc.Join("bench", names); err != nil {
-			return Result{}, err
-		}
+	defer cl.Close()
+	if err := cl.JoinAll(spec.Group); err != nil {
+		return Result{}, nil, err
 	}
 
-	expectedPerMember := opts.Members * opts.MsgsPerMember
-	var lat metrics.Histogram
-	var wgRecv sync.WaitGroup
-	stopRecv := make(chan struct{})
-	allDone := make(chan struct{})
-	var doneOnce sync.Once
-	var remaining sync.WaitGroup
-	remaining.Add(len(members))
-
-	for _, m := range members {
-		m := m
-		wgRecv.Add(1)
+	// One workload loop per member, all on the run's clock. ran carries the
+	// index of each member as its loop returns.
+	stats := make([]deploy.WorkerStats, len(names))
+	delivered := make([]atomic.Int64, len(names))
+	stop := make(chan struct{})
+	ran := make(chan int, len(names))
+	start, wallStart := clk.Now(), wall.Now()
+	for i, name := range names {
 		go func() {
-			defer wgRecv.Done()
-			finished := false
-			for {
-				select {
-				case <-stopRecv:
-					return
-				case d := <-m.svc.Deliveries():
-					m.mu.Lock()
-					m.count++
-					if opts.OrderCheck {
-						m.order = append(m.order, orderEntry{origin: d.Origin, seq: decodeSeq(d.Payload)})
-					}
-					if d.Origin == m.name {
-						if seq := decodeSeq(d.Payload); seq >= 0 {
-							if t0, ok := m.sendTime[seq]; ok {
-								lat.Record(clk.Since(t0))
-								delete(m.sendTime, seq)
-							}
-						}
-					}
-					if !finished && m.count >= expectedPerMember {
-						finished = true
-						m.doneAt = clk.Now()
-						remaining.Done()
-					}
-					m.mu.Unlock()
-				case <-m.svc.Views():
-				}
-			}
+			stats[i] = deploy.RunWorkload(clk, cl.Member(name), spec, opts.Members, &delivered[i], stop)
+			ran <- i
 		}()
 	}
-	go func() {
-		remaining.Wait()
-		doneOnce.Do(func() { close(allDone) })
-	}()
-
-	// Workload: each member multicasts MsgsPerMember messages at the
-	// configured regular interval (Section 4's experiment shape).
-	start := clk.Now()
-	wallStart := wall.Now()
-	var wgSend sync.WaitGroup
-	for _, m := range members {
-		m := m
-		wgSend.Add(1)
-		go func() {
-			defer wgSend.Done()
-			for seq := 1; seq <= opts.MsgsPerMember; seq++ {
-				payload := encodeSeq(seq, opts.MsgSize)
-				m.mu.Lock()
-				m.sendTime[seq] = clk.Now()
-				m.mu.Unlock()
-				if err := m.svc.Multicast("bench", group.TotalSym, payload); err != nil {
-					return
-				}
-				<-clk.After(opts.SendInterval)
-			}
-		}()
-	}
-	wgSend.Wait()
 
 	// Round-progress watchdog: the protocol should never go StallAfter
 	// without a delivery while work is outstanding. When it does, snapshot
 	// everything and fail fast with a diagnosis instead of letting the
-	// wall timeout swallow the evidence.
+	// timeout swallow the evidence.
+	progress := func() int {
+		total := 0
+		for i := range delivered {
+			total += int(delivered[i].Load())
+		}
+		return total
+	}
 	stalled := make(chan struct{})
 	stopStall := make(chan struct{})
 	defer close(stopStall)
 	if opts.StallAfter > 0 {
-		progress := func() int {
-			total := 0
-			for _, m := range members {
-				m.mu.Lock()
-				total += m.count
-				m.mu.Unlock()
-			}
-			return total
-		}
 		go stallMonitor(clk, progress, opts.StallAfter, stopStall, stalled)
 	}
 
-	timedOut := false
-	var stallErr *ErrStalled
-	select {
-	case <-allDone:
-	case <-stalled:
-		stallErr = &ErrStalled{
-			System:    opts.System,
-			Transport: opts.Transport,
-			Members:   opts.Members,
-			Expected:  opts.Members * expectedPerMember,
-			Quiet:     opts.StallAfter,
-		}
-		for _, m := range members {
-			m.mu.Lock()
-			count := m.count
-			m.mu.Unlock()
-			mp := MemberProgress{Name: m.name, Delivered: count}
-			if nso, ok := m.svc.(*fsnewtop.NSO); ok {
-				mp.PairFailed = nso.Pair().Failed()
+	var runErr error
+	timeout := clk.NewTimer(opts.Timeout)
+	defer timeout.Stop()
+	returned := 0
+	for returned < len(names) && runErr == nil {
+		select {
+		case i := <-ran:
+			returned++
+			if stats[i].SendError != "" {
+				runErr = fmt.Errorf("bench: %v/%s run (%d members): %s: %s",
+					opts.System, opts.Transport, opts.Members, names[i], stats[i].SendError)
 			}
-			stallErr.Delivered += count
-			stallErr.PerMember = append(stallErr.PerMember, mp)
-		}
-		if !opts.NoStallDump {
-			if path, err := reg.Dump(opts.TraceDir, "stall"); err == nil {
-				stallErr.DumpPath = path
+		case <-stalled:
+			st := &ErrStalled{
+				System:    opts.System,
+				Transport: opts.Transport,
+				Members:   opts.Members,
+				Expected:  opts.Members * opts.Members * opts.MsgsPerMember,
+				Quiet:     opts.StallAfter,
 			}
+			for i, name := range names {
+				n := int(delivered[i].Load())
+				st.Delivered += n
+				st.PerMember = append(st.PerMember, MemberProgress{Name: name, Delivered: n, PairFailed: cl.PairFailed(name)})
+			}
+			if !opts.NoStallDump {
+				if path, err := reg.Dump(opts.TraceDir, "stall"); err == nil {
+					st.DumpPath = path
+				}
+			}
+			runErr = st
+		case <-timeout.C():
+			failed := ""
+			for _, name := range names {
+				if cl.PairFailed(name) {
+					failed += " " + name
+				}
+			}
+			runErr = fmt.Errorf("bench: %v run (%d members) timed out after %v: delivered %d of %d (failed pairs:%s)",
+				opts.System, opts.Members, opts.Timeout, progress(), opts.Members*opts.Members*opts.MsgsPerMember, failed)
 		}
-	case <-clk.After(opts.Timeout):
-		timedOut = true
 	}
 	elapsed := clk.Since(start)
-	close(stopRecv)
-	wgRecv.Wait()
+	close(stop)
+	for ; returned < len(names); returned++ {
+		<-ran
+	}
 
+	res := aggregate(opts, stats)
+	res.Virtual = opts.Virtual
+	res.Elapsed = elapsed
+	res.WallElapsed = wall.Since(wallStart)
+	if opts.OrderCheck {
+		res.OrderMismatch = checkOrder(stats)
+	}
+	if ts, ok := cl.Stats(); ok {
+		res.NetMessages, res.NetBytes = ts.Sent, ts.Bytes
+	}
+	if fc, ok := tr.(interface{ FramesSent() uint64 }); ok {
+		res.NetFrames = fc.FramesSent()
+	}
+	res.SigCacheHits, res.SigCacheMisses = cl.SigCacheStats()
+	return res, stats, runErr
+}
+
+// runProcs is the "tcp-procs" lane: the same spec, brought up and driven
+// by the deploy plane with every member in its own OS process. On error
+// the Result still carries whatever was aggregated before the failure —
+// usually nothing, since workers report stats only at completion.
+func runProcs(opts Options, spec deploy.RunSpec) (Result, []deploy.WorkerStats, error) {
+	if opts.Batch {
+		return Result{}, nil, fmt.Errorf("%w: Batch cannot be armed on Transport %q: a worker binds its transport before the run spec reaches it",
+			ErrRefused, TransportTCPProcs)
+	}
+	dres, err := deploy.Run(deploy.Config{Workers: opts.Members, Spec: spec, StallAfter: max(opts.StallAfter, 0)})
+	err = markRefused(err)
+	res := aggregate(opts, dres.Stats)
+	res.Elapsed = dres.Elapsed
+	return res, dres.Stats, err
+}
+
+// markRefused turns a worker's report that cluster.NewSolo refused the
+// spec (RSA, crash tolerance: neither spans processes) into ErrRefused —
+// nothing ran. The refusal crossed a process boundary, so its text is all
+// there is to recognise it by; any other configure failure stays a failure.
+func markRefused(err error) error {
+	var we *deploy.WorkerError
+	if errors.As(err, &we) && strings.Contains(we.Message, "solo bring-up refused") {
+		return fmt.Errorf("%w: Transport %q: worker %s: %s", ErrRefused, TransportTCPProcs, we.Member, we.Message)
+	}
+	return err
+}
+
+// aggregate folds per-member measurements into one Result: delivery
+// counts, traffic and crypto counters sum; raw latency samples merge into
+// one cluster-wide distribution (exact percentiles, not an average of
+// per-member percentiles); throughput averages each member's
+// expected-per-member over its own completion window.
+func aggregate(opts Options, stats []deploy.WorkerStats) Result {
+	expectedPerMember := opts.Members * opts.MsgsPerMember
 	res := Result{
 		System:        opts.System,
 		Transport:     opts.Transport,
 		Members:       opts.Members,
 		MsgSize:       opts.MsgSize,
 		MsgsPerMember: opts.MsgsPerMember,
-		Latency:       lat.Snapshot(),
-		Virtual:       vt != nil,
-		Elapsed:       elapsed,
-		WallElapsed:   wall.Since(wallStart),
 		Expected:      opts.Members * expectedPerMember,
+		Batch:         opts.Batch,
 	}
-	if opts.OrderCheck {
-		res.OrderMismatch = checkOrder(members)
-	}
+	var lat metrics.Histogram
 	var tput float64
 	counted := 0
-	for _, m := range members {
-		m.mu.Lock()
-		res.Delivered += m.count
-		if !m.doneAt.IsZero() {
-			window := m.doneAt.Sub(start)
-			if window > 0 {
-				tput += float64(expectedPerMember) / window.Seconds()
-				counted++
-			}
+	for _, ws := range stats {
+		res.Delivered += ws.Delivered
+		for _, ns := range ws.LatencyNS {
+			lat.Record(time.Duration(ns))
 		}
-		m.mu.Unlock()
+		if ws.Window > 0 {
+			tput += float64(expectedPerMember) / ws.Window.Seconds()
+			counted++
+		}
+		res.NetMessages += ws.NetMessages
+		res.NetBytes += ws.NetBytes
+		res.SigCacheHits += ws.SigCacheHits
+		res.SigCacheMisses += ws.SigCacheMisses
 	}
+	res.Latency = lat.Snapshot()
 	if counted > 0 {
 		res.Throughput = tput / float64(counted)
 	}
-	res.Batch = opts.Batch
-	if stats, ok := transport.GetStats(net); ok {
-		res.NetMessages = stats.Sent
-		res.NetBytes = stats.Bytes
-	}
-	if fc, ok := net.(interface{ FramesSent() uint64 }); ok {
-		res.NetFrames = fc.FramesSent()
-	}
-	if fab != nil {
-		cs := fab.SigCacheStats()
-		res.SigCacheHits, res.SigCacheMisses = cs.Hits, cs.Misses
-	}
-	if stallErr != nil {
-		return res, stallErr
-	}
-	if timedOut {
-		failed := ""
-		for _, m := range members {
-			if nso, ok := m.svc.(*fsnewtop.NSO); ok && nso.Pair().Failed() {
-				failed += " " + m.name
-			}
-		}
-		return res, fmt.Errorf("bench: %v run (%d members) timed out after %v: delivered %d of %d (failed pairs:%s)",
-			opts.System, opts.Members, opts.Timeout, res.Delivered, res.Expected, failed)
-	}
-	return res, nil
+	return res
 }
 
 // checkOrder verifies delivery equivalence across the members' recorded
 // logs: every member must have delivered the identical (origin, seq)
 // sequence. It returns a description of the first divergence, or "".
-func checkOrder(members []*member) string {
-	if len(members) < 2 {
+func checkOrder(stats []deploy.WorkerStats) string {
+	if len(stats) < 2 {
 		return ""
 	}
-	ref := members[0]
-	for _, m := range members[1:] {
-		n := len(ref.order)
-		if len(m.order) < n {
-			n = len(m.order)
+	ref := stats[0]
+	for _, ws := range stats[1:] {
+		n := len(ref.Order)
+		if len(ws.Order) < n {
+			n = len(ws.Order)
 		}
 		for i := 0; i < n; i++ {
-			if ref.order[i] != m.order[i] {
+			if ref.Order[i] != ws.Order[i] {
 				return fmt.Sprintf("delivery order diverges at index %d: %s saw %s#%d, %s saw %s#%d",
-					i, ref.name, ref.order[i].origin, ref.order[i].seq,
-					m.name, m.order[i].origin, m.order[i].seq)
+					i, ref.Member, ref.Order[i].Origin, ref.Order[i].Seq,
+					ws.Member, ws.Order[i].Origin, ws.Order[i].Seq)
 			}
 		}
 	}
 	return ""
-}
-
-// buildCluster deploys the middleware under test. The returned fabric is
-// non-nil only for FS-NewTOP, whose crypto-plane counters Run reports.
-func buildCluster(opts Options, net transport.Transport, reg *trace.Registry, clk clock.Clock) ([]*member, *fsnewtop.Fabric, error) {
-	names := make([]string, opts.Members)
-	for i := range names {
-		names[i] = fmt.Sprintf("m%02d", i)
-	}
-	members := make([]*member, 0, opts.Members)
-
-	var fab *fsnewtop.Fabric
-	switch opts.System {
-	case SystemNewTOP:
-		naming := orb.NewNaming()
-		for _, name := range names {
-			svc, err := newtop.New(newtop.Config{
-				Name:         name,
-				Net:          net,
-				Naming:       naming,
-				Clock:        clk,
-				Trace:        reg,
-				PoolSize:     opts.PoolSize,
-				ServiceTime:  opts.ServiceTime,
-				TickInterval: opts.TickInterval,
-				GC: group.Config{
-					// Failure-free runs: keep suspicion far away, exactly
-					// as the paper arranged ("false failure suspicions in
-					// NewTOP runs were eliminated").
-					SuspectAfter: time.Hour,
-					ResendAfter:  50 * time.Millisecond,
-				},
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			members = append(members, &member{name: name, svc: svc, sendTime: make(map[int]time.Time)})
-		}
-
-	case SystemFSNewTOP:
-		fab = fsnewtop.NewFabric(net, clk)
-		fab.Trace = reg
-		if opts.RSA {
-			fab.NewSigner = func(id sig.ID) (sig.Signer, error) {
-				return sig.NewRSASigner(id, sig.RSAKeySize, nil)
-			}
-		}
-		// On the simulator this shapes the pair's A2 sync link; a real
-		// network ignores it (transport.Shape no-ops without the
-		// capability) and the wire's own latency applies.
-		lan := &transport.Profile{Latency: transport.Fixed(opts.LANLatency)}
-		for _, name := range names {
-			peers := make([]string, 0, len(names)-1)
-			for _, p := range names {
-				if p != name {
-					peers = append(peers, p)
-				}
-			}
-			fcfg := fsnewtop.Config{
-				Name:         name,
-				Fabric:       fab,
-				Peers:        peers,
-				Delta:        opts.Delta,
-				TickInterval: opts.TickInterval,
-				SyncLink:     lan,
-				PoolSize:     opts.PoolSize,
-				GC: group.Config{
-					ResendAfter: 50 * time.Millisecond,
-				},
-			}
-			if opts.Batch {
-				fcfg.Batch = fsnewtop.BatchConfig{Enabled: true}
-				fcfg.DigestCompareMin = 1 << 10
-			}
-			svc, err := fsnewtop.New(fcfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			members = append(members, &member{name: name, svc: svc, sendTime: make(map[int]time.Time)})
-		}
-	default:
-		return nil, nil, fmt.Errorf("bench: unknown system %v", opts.System)
-	}
-	return members, fab, nil
 }

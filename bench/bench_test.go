@@ -90,23 +90,6 @@ func TestRunLargeMessages(t *testing.T) {
 	}
 }
 
-func TestSeqCodec(t *testing.T) {
-	for _, size := range []int{3, 4, 64, 10240} {
-		for _, seq := range []int{1, 255, 65535, 1 << 20} {
-			p := encodeSeq(seq, size)
-			if len(p) != size {
-				t.Fatalf("size %d: payload length %d", size, len(p))
-			}
-			if got := decodeSeq(p); got != seq {
-				t.Fatalf("size %d seq %d: decoded %d", size, seq, got)
-			}
-		}
-	}
-	if decodeSeq([]byte{1}) != -1 {
-		t.Fatal("short payload decoded")
-	}
-}
-
 func TestSweepAndFormat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -146,26 +129,6 @@ func TestSystemString(t *testing.T) {
 func TestUnknownSystemRejected(t *testing.T) {
 	if _, err := Run(Options{System: System(42)}); err == nil {
 		t.Fatal("unknown system accepted")
-	}
-}
-
-func TestRunBFTBaseline(t *testing.T) {
-	res, err := RunBFT(BFTOptions{F: 1, Requests: 10, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replicas != 4 {
-		t.Fatalf("replicas = %d", res.Replicas)
-	}
-	if res.Latency.Count != 10 {
-		t.Fatalf("latency samples = %d", res.Latency.Count)
-	}
-	// 3-phase agreement: well above 2n messages per ordered request.
-	if res.MessagesPerRequest < 8 {
-		t.Fatalf("messages/request = %.1f, implausibly low for 3-phase BFT", res.MessagesPerRequest)
-	}
-	if res.Throughput <= 0 {
-		t.Fatal("no throughput")
 	}
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -33,9 +32,6 @@ type ChaosOptions struct {
 	// TraceDir receives the merged trace dump when an oracle is violated
 	// ("" = current directory).
 	TraceDir string
-	// Out, when non-nil, receives progress lines (schedule, actions,
-	// verdict).
-	Out io.Writer
 	// Churn arms restart churn: auto-heal runs, the schedule always
 	// contains at least one crash, and every fail-signalled member must be
 	// replaced by a fresh pair admitted via state transfer. Needs at least
@@ -68,14 +64,13 @@ func (o ChaosOptions) toChaos(reg *trace.Registry) (chaos.Options, func(), error
 		Delta:     o.Delta,
 		Transport: o.Transport,
 		TraceDir:  o.TraceDir,
-		Out:       o.Out,
 		Trace:     reg,
 		Churn:     o.Churn,
 		Skew:      o.Skew,
 		Batch:     o.Batch,
 	}
 	if o.Skew && !o.Virtual {
-		return co, nil, fmt.Errorf("bench: chaos Skew faults need Virtual: clock skew only exists on the virtual timeline")
+		return co, nil, fmt.Errorf("%w: chaos Skew faults need Virtual: clock skew only exists on the virtual timeline", ErrRefused)
 	}
 	if !o.Virtual {
 		return co, nil, nil

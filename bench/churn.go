@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -31,8 +30,6 @@ type ChurnOptions struct {
 	Transport string
 	// TraceDir receives trace dumps for violated seeds.
 	TraceDir string
-	// Out, when non-nil, receives per-seed progress lines.
-	Out io.Writer
 	// Virtual runs every seed on its own auto-advancing virtual clock;
 	// remediation timelines and availability are then simulated time.
 	Virtual bool
@@ -75,7 +72,6 @@ func RunChurn(opts ChurnOptions) (ChurnReport, error) {
 			Delta:     opts.Delta,
 			Transport: opts.Transport,
 			TraceDir:  opts.TraceDir,
-			Out:       opts.Out,
 			Churn:     true,
 			Virtual:   opts.Virtual,
 		})

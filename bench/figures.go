@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -13,33 +14,46 @@ type Row struct {
 	FSNewTOP Result
 	// Errs records per-system run failures ("" = ok).
 	NewTOPErr, FSNewTOPErr string
+	// Refused reports that a run at this point was refused before anything
+	// was deployed (ErrRefused): a usage error, not a measurement.
+	Refused bool
+	// NewTOPSkipped reports that the lane has no NewTOP column, so
+	// NewTOPErr is a note for the series file and not a failed run.
+	NewTOPSkipped bool
 }
 
-// sweep runs both systems at every point.
+// procsNewTOPSkip is the Row.NewTOPErr note every multi-process sweep
+// point carries: the crash-tolerant baseline cannot run in this lane.
+const procsNewTOPSkip = "skipped: crash-tolerant NewTOP cannot span processes (in-process ORB naming)"
+
+// sweep runs both systems at every point. On "tcp-procs" cluster.NewSolo
+// refuses the crash baseline in every worker, so the sweep records the
+// skip instead of spawning a fleet per point to be told so.
 func sweep(base Options, xs []int, apply func(*Options, int)) []Row {
 	rows := make([]Row, 0, len(xs))
 	for _, x := range xs {
 		row := Row{X: x}
-
-		o := base
-		o.System = SystemNewTOP
-		apply(&o, x)
-		res, err := Run(o)
-		row.NewTOP = res
-		if err != nil {
-			row.NewTOPErr = err.Error()
+		run := func(sys System) (Result, string) {
+			o := base
+			o.System = sys
+			apply(&o, x)
+			res, err := Run(o)
+			if err == nil {
+				return res, ""
+			}
+			row.Refused = row.Refused || errors.Is(err, ErrRefused)
+			return res, err.Error()
 		}
-
-		o = base
-		o.System = SystemFSNewTOP
-		apply(&o, x)
-		res, err = Run(o)
-		row.FSNewTOP = res
-		if err != nil {
-			row.FSNewTOPErr = err.Error()
+		if base.Transport == TransportTCPProcs {
+			row.NewTOPSkipped, row.NewTOPErr = true, procsNewTOPSkip
+		} else {
+			row.NewTOP, row.NewTOPErr = run(SystemNewTOP)
 		}
-
+		row.FSNewTOP, row.FSNewTOPErr = run(SystemFSNewTOP)
 		rows = append(rows, row)
+		if row.Refused {
+			break // a usage error: the invocation needs fixing, not more points
+		}
 	}
 	return rows
 }
@@ -63,13 +77,16 @@ func RunFig7(base Options, sizes []int) []Row {
 	return sweep(base, sizes, func(o *Options, n int) { o.Members = n })
 }
 
-// RunFig8 regenerates Figure 8: throughput vs message size for a 10-member
-// group, 0k..10k bytes ("0k" = the 3-byte minimum).
+// RunFig8 regenerates Figure 8: throughput vs message size, 0k..10k bytes
+// ("0k" = the 3-byte minimum), for a 10-member group unless base.Members
+// says otherwise (the multi-process lane sizes the group by -procs).
 func RunFig8(base Options, bytes []int) []Row {
 	if bytes == nil {
 		bytes = []int{3, 1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192, 9216, 10240}
 	}
-	base.Members = 10
+	if base.Members == 0 {
+		base.Members = 10
+	}
 	if base.Bandwidth == 0 {
 		// 100 Mb LAN ≈ 12.5 MB/s: gives message size its Figure 8 effect.
 		base.Bandwidth = 12_500_000
@@ -126,6 +143,33 @@ func FormatFig8(rows []Row) string {
 		fmt.Fprintf(&b, "%-8s %14.0f %14.0f %12.0f\n",
 			sizeLabel(r.X), r.NewTOP.Throughput, r.FSNewTOP.Throughput,
 			r.NewTOP.Throughput-r.FSNewTOP.Throughput)
+	}
+	return b.String()
+}
+
+// FormatFig8Procs renders the multi-process Figure 8 table. Unlike
+// FormatFig8 it has no NewTOP column to compare against — that baseline
+// is structurally absent here, not merely errored.
+func FormatFig8Procs(rows []Row) string {
+	var b strings.Builder
+	members := 0
+	for _, r := range rows {
+		if r.FSNewTOP.Members > 0 {
+			members = r.FSNewTOP.Members
+			break
+		}
+	}
+	fmt.Fprintf(&b, "Figure 8 (multi-process) — FS-NewTOP throughput vs message size (%d worker processes, msgs/second)\n", members)
+	fmt.Fprintf(&b, "%-8s %14s %16s %12s\n", "size", "throughput", "latency mean", "delivered")
+	for _, r := range rows {
+		if r.FSNewTOPErr != "" {
+			fmt.Fprintf(&b, "%-8s run error: %s\n", sizeLabel(r.X), r.FSNewTOPErr)
+			continue
+		}
+		fmt.Fprintf(&b, "%-8s %14.0f %16v %6d/%d\n",
+			sizeLabel(r.X), r.FSNewTOP.Throughput,
+			r.FSNewTOP.Latency.Mean.Round(time.Microsecond),
+			r.FSNewTOP.Delivered, r.FSNewTOP.Expected)
 	}
 	return b.String()
 }

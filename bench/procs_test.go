@@ -11,9 +11,9 @@ import (
 
 // TestAggregateProcs checks the fold from per-worker measurements into
 // one Result: sums for counters, exact merge for latency samples, and
-// the per-member-window throughput average the in-process lane uses.
+// the per-member-window throughput average. Every lane folds through it.
 func TestAggregateProcs(t *testing.T) {
-	opts := ProcOptions{Members: 2, MsgsPerMember: 3, MsgSize: 64}
+	opts := Options{System: SystemFSNewTOP, Transport: TransportTCPProcs, Members: 2, MsgsPerMember: 3, MsgSize: 64}
 	stats := []deploy.WorkerStats{
 		{
 			Member: "m00", Delivered: 6, Expected: 6,
@@ -30,7 +30,7 @@ func TestAggregateProcs(t *testing.T) {
 			SigCacheHits: 1, SigCacheMisses: 7,
 		},
 	}
-	res := aggregateProcs(opts, stats)
+	res := aggregate(opts, stats)
 
 	if res.System != SystemFSNewTOP || res.Transport != TransportTCPProcs {
 		t.Errorf("labels = %q/%q, want fs-newtop/tcp-procs", res.System, res.Transport)
@@ -61,7 +61,7 @@ func TestAggregateProcs(t *testing.T) {
 // TestAggregateProcsEmpty: no stats (e.g. a run that failed before any
 // worker finished) must yield zero throughput, not NaN or a panic.
 func TestAggregateProcsEmpty(t *testing.T) {
-	res := aggregateProcs(ProcOptions{Members: 3, MsgsPerMember: 5}, nil)
+	res := aggregate(Options{Members: 3, MsgsPerMember: 5}, nil)
 	if res.Throughput != 0 || res.Delivered != 0 {
 		t.Errorf("empty aggregate = %+v, want zero throughput and deliveries", res)
 	}
@@ -75,8 +75,8 @@ func TestAggregateProcsEmpty(t *testing.T) {
 func TestFormatFig8Procs(t *testing.T) {
 	rows := []Row{
 		{X: 1024, FSNewTOP: Result{Members: 10, Throughput: 123, Delivered: 500, Expected: 500,
-			Latency: metrics.Summary{Count: 500, Mean: 2 * time.Millisecond}}, NewTOPErr: ProcsNewTOPSkip},
-		{X: 2048, FSNewTOPErr: "deploy: worker m03 failed during run phase", NewTOPErr: ProcsNewTOPSkip},
+			Latency: metrics.Summary{Count: 500, Mean: 2 * time.Millisecond}}, NewTOPSkipped: true, NewTOPErr: procsNewTOPSkip},
+		{X: 2048, FSNewTOPErr: "deploy: worker m03 failed during run phase", NewTOPSkipped: true, NewTOPErr: procsNewTOPSkip},
 	}
 	out := FormatFig8Procs(rows)
 	if !strings.Contains(out, "10 worker processes") {

@@ -49,7 +49,7 @@ func RunVirtualSoak(opts Options, hours float64) (VirtualSoakResult, error) {
 	if opts.Delta == 0 {
 		// Virtual time makes δ free: no scheduler noise exists on the
 		// virtual timeline, so the paper-faithful bound does not need the
-		// loaded-host inflation fillDefaults applies.
+		// loaded-host inflation the figure lanes' default applies.
 		opts.Delta = 250 * time.Millisecond
 	}
 	simFor := time.Duration(hours * float64(time.Hour))

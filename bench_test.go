@@ -107,25 +107,6 @@ func BenchmarkFig8MessageSize(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolKneeAblation isolates the Figure 7 thread-pool mechanism:
-// with a per-request ORB service cost, a node's capacity is
-// pool/serviceTime, so throughput rises with group size until the request
-// rate exceeds it — and the knee moves with the pool size.
-func BenchmarkPoolKneeAblation(b *testing.B) {
-	for _, pool := range []int{5, 10, 20} {
-		for _, members := range []int{4, 8, 12} {
-			b.Run(fmt.Sprintf("pool=%d/members=%d", pool, members), func(b *testing.B) {
-				opts := figureOpts(bench.SystemNewTOP, members)
-				opts.MsgsPerMember = 15
-				opts.SendInterval = 3 * time.Millisecond
-				opts.PoolSize = pool
-				opts.ServiceTime = 300 * time.Microsecond
-				runFigure(b, opts)
-			})
-		}
-	}
-}
-
 // BenchmarkDeltaAblation sweeps the sync-link bound δ: the compare
 // deadline 2δ+κπ+στ is a timeout, not a wait, so failure-free latency
 // must be essentially flat in δ — the design property that lets FS-NewTOP
@@ -202,26 +183,4 @@ func BenchmarkFSWithRSA(b *testing.B) {
 	opts.SendInterval = 5 * time.Millisecond
 	opts.RSA = true
 	runFigure(b, opts)
-}
-
-// BenchmarkBFTBaseline measures the related-work comparison point: a
-// 3f+1-replica authenticated three-phase agreement ordering one request,
-// to set against FS-NewTOP's 4f+2-node fail-signal approach. The report
-// includes messages per ordered request — the "at least one extra
-// communication round" cost the introduction cites.
-func BenchmarkBFTBaseline(b *testing.B) {
-	for _, f := range []int{1, 2} {
-		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) {
-			var last bench.BFTResult
-			for i := 0; i < b.N; i++ {
-				res, err := bench.RunBFT(bench.BFTOptions{F: f, Requests: 20, Interval: time.Millisecond})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(float64(last.Latency.Mean.Microseconds())/1000, "ms/msg")
-			b.ReportMetric(last.MessagesPerRequest, "msgs/req")
-		})
-	}
 }

@@ -143,6 +143,24 @@ func WithDelta(d time.Duration) Option {
 	return func(c *config) { c.delta = d }
 }
 
+// defaultDelta is δ when WithDelta is absent or zero.
+const defaultDelta = 150 * time.Millisecond
+
+// newConfig applies the options over the defaults New and NewSolo share.
+func newConfig(opts []Option) *config {
+	cfg := &config{}
+	for _, o := range opts {
+		o(cfg)
+	}
+	if cfg.clk == nil {
+		cfg.clk = clock.NewReal()
+	}
+	if cfg.delta == 0 {
+		cfg.delta = defaultDelta
+	}
+	return cfg
+}
+
 // WithClock substitutes the time source (tests).
 func WithClock(clk clock.Clock) Option {
 	return func(c *config) { c.clk = clk }
@@ -363,10 +381,7 @@ type Cluster struct {
 // New assembles and starts a cluster. Every named member is built,
 // wired to every other, and ready to Join.
 func New(opts ...Option) (*Cluster, error) {
-	cfg := &config{}
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg := newConfig(opts)
 	if len(cfg.members) < 2 {
 		return nil, fmt.Errorf("cluster: need at least two members (WithMembers)")
 	}
@@ -376,12 +391,6 @@ func New(opts ...Option) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: member names must be unique and non-empty (got %q)", n)
 		}
 		seen[n] = true
-	}
-	if cfg.clk == nil {
-		cfg.clk = clock.NewReal()
-	}
-	if cfg.delta == 0 {
-		cfg.delta = 150 * time.Millisecond
 	}
 	if cfg.healEvery == 0 {
 		cfg.healEvery = 50 * time.Millisecond

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
-	"fsnewtop/internal/clock"
 	failsignal "fsnewtop/internal/core"
 	"fsnewtop/internal/faults"
 	"fsnewtop/internal/fsnewtop"
@@ -59,10 +57,7 @@ func MemberAddrs(name string) []transport.Addr {
 //   - No WithAutoHeal: remediation is a deployment-controller concern in
 //     multi-process clusters (respawning a process, not an object).
 func NewSolo(name string, peers []string, opts ...Option) (*Cluster, error) {
-	cfg := &config{}
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg := newConfig(opts)
 	if name == "" {
 		return nil, fmt.Errorf("cluster: solo member needs a name")
 	}
@@ -70,10 +65,10 @@ func NewSolo(name string, peers []string, opts ...Option) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: solo bring-up needs WithTransport (the deployment's shared network)")
 	}
 	if cfg.crash {
-		return nil, fmt.Errorf("cluster: solo bring-up is fail-signal only (the crash baseline's ORB naming cannot span processes)")
+		return nil, fmt.Errorf("cluster: solo bring-up refused: fail-signal only (the crash baseline's ORB naming cannot span processes)")
 	}
 	if cfg.rsa {
-		return nil, fmt.Errorf("cluster: solo bring-up is HMAC-only (RSA keys cannot be derived cross-process; see fsnewtop.DerivedHMACKey)")
+		return nil, fmt.Errorf("cluster: solo bring-up refused: HMAC-only (RSA keys cannot be derived cross-process; see fsnewtop.DerivedHMACKey)")
 	}
 	if cfg.autoHeal {
 		return nil, fmt.Errorf("cluster: solo members cannot auto-heal (respawning a process is the deploy controller's job)")
@@ -84,12 +79,6 @@ func NewSolo(name string, peers []string, opts ...Option) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: solo peer names must be unique, non-empty and distinct from %q (got %q)", name, p)
 		}
 		seen[p] = true
-	}
-	if cfg.clk == nil {
-		cfg.clk = clock.NewReal()
-	}
-	if cfg.delta == 0 {
-		cfg.delta = 150 * time.Millisecond // matching New's default
 	}
 
 	c := &Cluster{

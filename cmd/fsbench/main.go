@@ -22,12 +22,12 @@
 // every goroutine is parked on a timer or a simulated delivery, the clock
 // jumps straight to the next deadline, so a simulated protocol-hour costs
 // only the wall time of the computation in it. It requires the netsim
-// substrate (and refuses -procs: quiescence detection cannot span OS
-// processes). Under -virtual the chaos lane accepts -skew, which adds
-// clock-skew faults — bounded per-member steps and rate errors that
-// correct pairs must ride out — and every red seed is automatically
-// shrunk to its minimal violating schedule prefix. -sim-hours sets the
-// accelerated soak's span of simulated protocol time.
+// substrate (the library refuses tcp and -procs: quiescence detection
+// cannot span sockets or OS processes). Under -virtual the chaos lane
+// accepts -skew, which adds clock-skew faults — bounded per-member steps
+// and rate errors that correct pairs must ride out — and every red seed is
+// automatically shrunk to its minimal violating schedule prefix.
+// -sim-hours sets the accelerated soak's span of simulated protocol time.
 //
 // The chaos lane expands -seed into a deterministic fault schedule
 // (partitions, crash churn, link shaping, value faults on one half of a
@@ -52,16 +52,19 @@
 // BENCH_fig{6,7,8}.json under <dir>, so the perf trajectory stays
 // diffable across changes.
 //
-// With -procs N the fig8 sweep runs through the deploy plane instead:
-// fsbench re-executes itself N times with -worker, one OS process per
-// member, and drives the fleet over stdin/stdout control pipes. That
-// lane is FS-NewTOP over real TCP only — the crash baseline's ORB
-// naming and the RSA key exchange are in-process objects — so -procs
-// refuses every other experiment, -rsa, and an explicit -transport.
-// Its series file is BENCH_fig8_procs.json (substrate "tcp-procs").
+// With -procs N the fig8 sweep runs on the "tcp-procs" substrate: the
+// same bring-up and workload loop, but fsbench re-executes itself N times
+// with -worker, one OS process per member, driven over stdin/stdout
+// control pipes. That lane is FS-NewTOP with HMAC only — the crash
+// baseline's ORB naming and the RSA key exchange are in-process objects,
+// which cluster.NewSolo refuses in every worker. Its series file is
+// BENCH_fig8_procs.json. Flags map onto bench options one to one; a
+// combination no lane can run is refused by the library (bench.ErrRefused)
+// and exits 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -78,9 +81,13 @@ import (
 	"fsnewtop/deploy"
 )
 
+// experiments lists every -exp value but "all" (which runs the three
+// figures).
+var experiments = []string{"fig6", "fig7", "fig8", "saturate", "soak", "wedge", "chaos", "churn"}
+
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig6, fig7, fig8, soak or all")
+		exp       = flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", ")+" or all")
 		msgs      = flag.Int("msgs", 100, "messages per member (paper: 1000)")
 		interval  = flag.Duration("interval", 2*time.Millisecond, "inter-send interval per member")
 		pool      = flag.Int("pool", 0, "ORB request pool size (0 = paper default 10)")
@@ -118,59 +125,34 @@ func main() {
 	// before fsbench's own SIGQUIT handler installs — the worker wires its
 	// own (SIGTERM/SIGINT graceful, SIGQUIT trace dump).
 	if *worker {
-		if err := deploy.RunWorker(deploy.WorkerConfig{}); err != nil {
+		if err := deploy.RunWorker(); err != nil {
 			fmt.Fprintf(os.Stderr, "fsbench worker: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	// The multi-process lane supports exactly one shape. Refuse everything
-	// else loudly rather than silently falling back to in-process runs —
-	// a "distributed" number measured in one address space is worse than
-	// an error.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		os.Exit(2)
+	}
+	if *trans != bench.TransportNetsim && *trans != bench.TransportTCP {
+		usage("unknown -transport %q (want %s or %s)", *trans, bench.TransportNetsim, bench.TransportTCP)
+	}
+	// -procs N is the tcp-procs substrate with N members. What a substrate
+	// can run is the library's call (bench.ErrRefused); settled here are
+	// only which lane reads -procs, and two flags naming two substrates.
+	substrate := *trans
 	if *procs != 0 {
-		fail := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-			os.Exit(2)
-		}
 		if *exp != "fig8" {
-			fail("-procs only supports -exp fig8 (got -exp %s): chaos, churn, soak and the other lanes need in-process fault hooks and shared naming that cannot span OS processes", *exp)
+			usage("-procs only supports -exp fig8 (got -exp %s): no other lane deploys across OS processes, and a \"distributed\" number measured in one address space is worse than an error", *exp)
 		}
-		if *procs < 2 {
-			fail("-procs %d: a distributed run needs at least two worker processes", *procs)
-		}
-		if *rsa {
-			fail("-procs is incompatible with -rsa: RSA keys are exchanged through in-process registries and cannot be derived by independent worker processes (the procs lane authenticates with derived HMAC keys)")
-		}
-		explicitTransport := false
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "transport" {
-				explicitTransport = true
+				usage("-procs chooses its own substrate (%s: real TCP across OS processes); drop -transport", bench.TransportTCPProcs)
 			}
 		})
-		if explicitTransport {
-			fail("-procs chooses its own substrate (%s: real TCP across OS processes); drop -transport", bench.TransportTCPProcs)
-		}
-	}
-
-	// Virtual time only exists where the harness owns every event source.
-	// Refuse the impossible combinations by name instead of letting a
-	// "60x accelerated" run silently pace itself on wall-clock sockets.
-	if *virtual || *skew {
-		fail := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-			os.Exit(2)
-		}
-		if *skew && !*virtual {
-			fail("-skew schedules clock-skew faults, which only exist on the virtual timeline; add -virtual")
-		}
-		if *procs != 0 {
-			fail("-virtual is incompatible with -procs %d: the virtual clock advances by detecting quiescence among this process's goroutines and cannot gate workers in other OS processes", *procs)
-		}
-		if *trans == bench.TransportTCP {
-			fail("-virtual requires -transport %s (got -transport %s): virtual time cannot pace real sockets — kernel delivery happens in wall time, which the virtual clock would leap past", bench.TransportNetsim, *trans)
-		}
+		substrate = bench.TransportTCPProcs
 	}
 
 	// SIGQUIT dumps the active run's protocol trace and keeps going, so a
@@ -190,10 +172,6 @@ func main() {
 		}
 	}()
 
-	if *trans != bench.TransportNetsim && *trans != bench.TransportTCP {
-		fmt.Fprintf(os.Stderr, "unknown -transport %q (want %s or %s)\n", *trans, bench.TransportNetsim, bench.TransportTCP)
-		os.Exit(2)
-	}
 	// Runs end the process from many places below; every one of them goes
 	// through exit so the profiles are flushed first.
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
@@ -206,21 +184,45 @@ func main() {
 		stopProfiles()
 		os.Exit(code)
 	}
+	// exitFailed ends the process with the number of failed runs (capped at
+	// 125), or 2 when the library refused the combination outright.
+	exitFailed := func(failed int, refused bool) {
+		switch {
+		case refused:
+			exit(2)
+		case failed > 125:
+			exit(125)
+		case failed > 0:
+			exit(failed)
+		}
+	}
 
 	base := bench.Options{
+		Members:       *procs,
 		MsgsPerMember: *msgs,
 		SendInterval:  *interval,
 		PoolSize:      *pool,
 		RSA:           *rsa,
 		Batch:         *batch,
-		Transport:     *trans,
+		Transport:     substrate,
+		Virtual:       *virtual,
 		Timeout:       *timeout,
 		Seed:          *seed,
 		TraceDir:      *traceDir,
 		NoStallDump:   !*stallDump,
 	}
 
-	emit := func(figure, xAxis, substrate string, rows []bench.Row) {
+	// figure prints one figure's table, writes its series under -json, and
+	// counts its failed rows.
+	failedRows, refused := 0, false
+	figure := func(name, xAxis string, format func([]bench.Row) string, rows []bench.Row) {
+		fmt.Print(format(rows))
+		for _, r := range rows {
+			if r.FSNewTOPErr != "" || (r.NewTOPErr != "" && !r.NewTOPSkipped) {
+				failedRows++
+			}
+			refused = refused || r.Refused
+		}
 		if *jsonDir == "" {
 			return
 		}
@@ -228,25 +230,26 @@ func main() {
 			// Crypto-fidelity runs get their own series file (e.g.
 			// BENCH_fig8_rsa.json) so they never overwrite the HMAC
 			// trajectory they are compared against.
-			figure += "_rsa"
+			name += "_rsa"
 		}
-		if substrate == bench.TransportTCP {
-			// Real-socket runs likewise get their own files: the series
-			// metadata records the substrate, and the filename keeps a tcp
-			// run from ever overwriting the netsim trajectory. The
-			// multi-process lane needs no suffix here — its figure name
-			// ("fig8_procs") already is the lane.
-			figure += "_tcp"
+		// Real-socket runs likewise get their own files: the series metadata
+		// records the substrate, and the filename keeps a tcp or
+		// multi-process run from ever overwriting the netsim trajectory.
+		switch substrate {
+		case bench.TransportTCP:
+			name += "_tcp"
+		case bench.TransportTCPProcs:
+			name += "_procs"
 		}
 		if *batch {
 			// Batched runs are a different machine: their series sit next to
 			// the unbatched trajectory (BENCH_fig8_batched.json vs
 			// BENCH_fig8.json), never on top of it.
-			figure += "_batched"
+			name += "_batched"
 		}
-		path, err := bench.WriteSeries(*jsonDir, bench.ToSeries(figure, xAxis, substrate, rows))
+		path, err := bench.WriteSeries(*jsonDir, bench.ToSeries(name, xAxis, substrate, rows))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s series: %v\n", figure, err)
+			fmt.Fprintf(os.Stderr, "writing %s series: %v\n", name, err)
 			exit(1)
 		}
 		fmt.Printf("wrote %s\n", path)
@@ -264,7 +267,7 @@ func main() {
 				Seed:        *seed,
 				PoolSize:    *pool,
 				RSA:         *rsa,
-				Transport:   *trans,
+				Transport:   substrate,
 				TraceDir:    *traceDir,
 				NoStallDump: !*stallDump,
 			}
@@ -276,7 +279,7 @@ func main() {
 			vr, err := bench.RunVirtualSoak(opts, *simHours)
 			fmt.Print(bench.FormatVirtualSoak(vr, err))
 			if err != nil {
-				exit(1)
+				exitFailed(1, errors.Is(err, bench.ErrRefused))
 			}
 			return
 		}
@@ -298,7 +301,7 @@ func main() {
 	// *bench.ErrStalled and a trace dump instead of hanging out the wall
 	// timeout. Exit status is the number of failed runs (capped at 125).
 	runWedge := func() {
-		failed := 0
+		failed, refused := 0, false
 		for i := 1; i <= *runs; i++ {
 			opts := base
 			opts.System = bench.SystemFSNewTOP
@@ -315,16 +318,12 @@ func main() {
 			if err != nil {
 				status = err.Error()
 				failed++
+				refused = refused || errors.Is(err, bench.ErrRefused)
 			}
 			fmt.Printf("wedge run %2d/%d: delivered %d/%d in %v: %s\n",
 				i, *runs, res.Delivered, res.Expected, time.Since(start).Round(time.Millisecond), status)
 		}
-		if failed > 0 {
-			if failed > 125 {
-				failed = 125
-			}
-			exit(failed)
-		}
+		exitFailed(failed, refused)
 	}
 
 	// runChaos is the seeded fault-schedule fuzz lane. Each seed expands
@@ -340,7 +339,7 @@ func main() {
 			opts := bench.ChaosOptions{
 				Seed:      *seed + int64(i),
 				Duration:  dur,
-				Transport: *trans,
+				Transport: substrate,
 				TraceDir:  *traceDir,
 				Churn:     *churn,
 				Virtual:   *virtual,
@@ -377,12 +376,7 @@ func main() {
 		if *chaosRuns > 1 {
 			fmt.Printf("chaos sweep: %d/%d seeds passed\n", *chaosRuns-failed, *chaosRuns)
 		}
-		if failed > 0 {
-			if failed > 125 {
-				failed = 125
-			}
-			exit(failed)
-		}
+		exitFailed(failed, false)
 	}
 
 	// runChurn is the sustained-churn lane: consecutive churn seeds (every
@@ -398,7 +392,7 @@ func main() {
 			Seed:      *seed,
 			Runs:      *chaosRuns,
 			Duration:  dur,
-			Transport: *trans,
+			Transport: substrate,
 			TraceDir:  *traceDir,
 			Virtual:   *virtual,
 		})
@@ -407,13 +401,7 @@ func main() {
 			exit(2)
 		}
 		fmt.Print(bench.FormatChurn(rep))
-		if rep.Failed > 0 {
-			failed := rep.Failed
-			if failed > 125 {
-				failed = 125
-			}
-			exit(failed)
-		}
+		exitFailed(rep.Failed, false)
 	}
 
 	// runSaturate ramps offered load on each selected substrate, batching
@@ -471,53 +459,18 @@ func main() {
 		}
 	}
 
-	// runFig8Procs is the distributed fig8 lane: every member its own OS
-	// process (this binary re-executed with -worker), orchestrated by the
-	// deploy controller, aggregated into the same Row/series shapes.
-	runFig8Procs := func() {
-		popts := bench.ProcOptions{
-			Members:       *procs,
-			MsgsPerMember: *msgs,
-			SendInterval:  *interval,
-			PoolSize:      *pool,
-			TraceDir:      *traceDir,
-			Log:           os.Stderr,
-		}
-		rows := bench.RunFig8Procs(popts, parseInts(*sizes))
-		fmt.Print(bench.FormatFig8Procs(rows))
-		emit("fig8_procs", "bytes", bench.TransportTCPProcs, rows)
-		failed := 0
-		for _, r := range rows {
-			if r.FSNewTOPErr != "" {
-				failed++
-			}
-		}
-		if failed > 0 {
-			if failed > 125 {
-				failed = 125
-			}
-			exit(failed)
-		}
-	}
-
 	run := func(name string) {
 		switch name {
 		case "fig6":
-			rows := bench.RunFig6(base, parseInts(*members))
-			fmt.Print(bench.FormatFig6(rows))
-			emit("fig6", "members", *trans, rows)
+			figure("fig6", "members", bench.FormatFig6, bench.RunFig6(base, parseInts(*members)))
 		case "fig7":
-			rows := bench.RunFig7(base, parseInts(*members))
-			fmt.Print(bench.FormatFig7(rows))
-			emit("fig7", "members", *trans, rows)
+			figure("fig7", "members", bench.FormatFig7, bench.RunFig7(base, parseInts(*members)))
 		case "fig8":
-			if *procs != 0 {
-				runFig8Procs()
-				break
+			format := bench.FormatFig8
+			if substrate == bench.TransportTCPProcs {
+				format = bench.FormatFig8Procs
 			}
-			rows := bench.RunFig8(base, parseInts(*sizes))
-			fmt.Print(bench.FormatFig8(rows))
-			emit("fig8", "bytes", *trans, rows)
+			figure("fig8", "bytes", format, bench.RunFig8(base, parseInts(*sizes)))
 		case "soak":
 			runSoak()
 		case "wedge":
@@ -529,15 +482,15 @@ func main() {
 		case "saturate":
 			runSaturate()
 		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want fig6, fig7, fig8, saturate, soak, wedge, chaos, churn or all)\n", name)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s or all)\n", name, strings.Join(experiments, ", "))
 			exit(2)
 		}
 		fmt.Println()
 	}
 
-	banner := *trans
+	banner := substrate
 	if *procs != 0 {
-		banner = fmt.Sprintf("%s procs=%d", bench.TransportTCPProcs, *procs)
+		banner += fmt.Sprintf(" procs=%d", *procs)
 	}
 	if *virtual {
 		banner += " virtual"
@@ -547,9 +500,10 @@ func main() {
 		for _, name := range []string{"fig6", "fig7", "fig8"} {
 			run(name)
 		}
-		return
+	} else {
+		run(*exp)
 	}
-	run(*exp)
+	exitFailed(failedRows, refused)
 }
 
 // startProfiles starts the CPU profile (if asked for) and returns the

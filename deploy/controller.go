@@ -22,34 +22,28 @@ type Config struct {
 	// Command is the worker argv. Empty selects this binary with the
 	// -worker flag — correct for fsbench, whose worker mode is that flag.
 	Command []string
-	// Env is the workers' environment (nil inherits the controller's).
-	Env []string
-	// Spec parameterises the workload; zero fields get bench-compatible
-	// defaults (δ scaled by group size, the usual floors).
+	// Spec parameterises the workload and the members' stacks; zero fields
+	// get RunSpec.FillDefaults' values.
 	Spec RunSpec
-	// StartupTimeout bounds each pre-run phase: spawn → hello,
-	// configure → ready, join → joined. Zero means 60s.
-	StartupTimeout time.Duration
-	// CollectTimeout bounds post-mortem collection (trace dumps from
-	// survivors, exit-status reaping) and graceful shutdown. Zero means
-	// 15s.
-	CollectTimeout time.Duration
 	// StallAfter is the run-phase watchdog window: if the fleet's
 	// aggregate delivery count stops moving for this long while workers
 	// are still owed messages, the run is declared wedged — dumps are
-	// collected and *ErrStalled returned. Zero selects 2×Delta with a 5s
-	// floor (the bench harness's k·Δ discipline, one layer up).
+	// collected and *ErrStalled returned. Zero selects StallWindow(δ).
 	StallAfter time.Duration
-	// Clock is the controller's time source (timeouts, watchdog).
-	// Nil selects the wall clock.
-	Clock clock.Clock
-	// Log receives controller diagnostics. Nil discards them.
-	Log io.Writer
 	// OnRunStart, if set, is called right after the run command is
 	// broadcast, with each member's worker PID — the hook fault tests use
 	// to kill a specific member mid-run.
 	OnRunStart func(pids map[string]int)
 }
+
+const (
+	// startupTimeout bounds each pre-run phase: spawn → hello, configure →
+	// ready, join → joined.
+	startupTimeout = 60 * time.Second
+	// collectTimeout bounds post-mortem collection (trace dumps from
+	// survivors, exit-status reaping) and graceful shutdown.
+	collectTimeout = 15 * time.Second
+)
 
 // Result aggregates one distributed run.
 type Result struct {
@@ -71,47 +65,9 @@ func (c *Config) fillDefaults() error {
 		}
 		c.Command = []string{exe, "-worker"}
 	}
-	if c.StartupTimeout == 0 {
-		c.StartupTimeout = 60 * time.Second
-	}
-	if c.CollectTimeout == 0 {
-		c.CollectTimeout = 15 * time.Second
-	}
-	if c.Spec.Group == "" {
-		c.Spec.Group = "bench"
-	}
-	if c.Spec.MsgsPerMember == 0 {
-		c.Spec.MsgsPerMember = 50
-	}
-	if c.Spec.MsgSize < 3 {
-		c.Spec.MsgSize = 3
-	}
-	if c.Spec.SendInterval == 0 {
-		c.Spec.SendInterval = 2 * time.Millisecond
-	}
-	if c.Spec.Delta == 0 {
-		// Mirror bench.Options: δ scales with group size because one host
-		// multiplexes 2n replica processes, and a tight δ under scheduler
-		// pressure converts scheduling noise into fail-signals.
-		c.Spec.Delta = time.Duration(c.Workers) * 500 * time.Millisecond
-		if c.Spec.Delta < time.Second {
-			c.Spec.Delta = time.Second
-		}
-	}
-	if c.Spec.TickInterval == 0 {
-		c.Spec.TickInterval = 5 * time.Millisecond
-	}
+	c.Spec.FillDefaults(c.Workers)
 	if c.StallAfter == 0 {
-		c.StallAfter = 2 * c.Spec.Delta
-		if c.StallAfter < 5*time.Second {
-			c.StallAfter = 5 * time.Second
-		}
-	}
-	if c.Clock == nil {
-		c.Clock = clock.NewReal()
-	}
-	if c.Log == nil {
-		c.Log = io.Discard
+		c.StallAfter = StallWindow(c.Spec.Delta)
 	}
 	return nil
 }
@@ -255,7 +211,7 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return Result{}, err
 	}
-	c := &controller{cfg: cfg, clk: cfg.Clock, events: make(chan event, 8*cfg.Workers)}
+	c := &controller{cfg: cfg, clk: clock.NewReal(), events: make(chan event, 8*cfg.Workers)}
 	start := c.clk.Now()
 	defer c.killAll()
 
@@ -268,7 +224,7 @@ func Run(cfg Config) (Result, error) {
 		c.procs = append(c.procs, p)
 	}
 
-	if err := c.awaitAll(msgHello, "startup", cfg.StartupTimeout); err != nil {
+	if err := c.awaitAll(msgHello, "startup", startupTimeout); err != nil {
 		return Result{}, err
 	}
 
@@ -286,7 +242,6 @@ func Run(cfg Config) (Result, error) {
 			entries = append(entries, tcpnet.PeerEntry{Addr: string(a), Endpoint: ep})
 		}
 	}
-	fmt.Fprintf(cfg.Log, "deploy: %d workers up, distributing manifest (%d entries)\n", len(c.procs), len(entries))
 
 	spec := cfg.Spec
 	for _, p := range c.procs {
@@ -294,21 +249,20 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, c.workerError(p, "configure", nil)
 		}
 	}
-	if err := c.awaitAll(msgReady, "configure", cfg.StartupTimeout); err != nil {
+	if err := c.awaitAll(msgReady, "configure", startupTimeout); err != nil {
 		return Result{}, err
 	}
 
 	if err := c.broadcast(msgJoin, "join"); err != nil {
 		return Result{}, err
 	}
-	if err := c.awaitAll(msgJoined, "join", cfg.StartupTimeout); err != nil {
+	if err := c.awaitAll(msgJoined, "join", startupTimeout); err != nil {
 		return Result{}, err
 	}
 
 	if err := c.broadcast(msgRun, "run"); err != nil {
 		return Result{}, err
 	}
-	fmt.Fprintf(cfg.Log, "deploy: group %q formed, workload running\n", spec.Group)
 	if cfg.OnRunStart != nil {
 		pids := make(map[string]int, len(c.procs))
 		for _, p := range c.procs {
@@ -339,9 +293,6 @@ func Run(cfg Config) (Result, error) {
 // spawn starts one worker process and its event pump.
 func (c *controller) spawn(member string) (*proc, error) {
 	cmd := exec.Command(c.cfg.Command[0], c.cfg.Command[1:]...)
-	if c.cfg.Env != nil {
-		cmd.Env = c.cfg.Env
-	}
 	tail := &tailBuffer{max: 4096}
 	cmd.Stderr = tail
 	stdin, err := cmd.StdinPipe()
@@ -522,7 +473,7 @@ func (c *controller) totalDelivered() int {
 // everything a post-mortem needs. errMsg is the worker's error control
 // message, when that is what surfaced the failure.
 func (c *controller) workerError(p *proc, phase string, errMsg *Msg) error {
-	c.awaitExit(p, c.cfg.CollectTimeout)
+	c.awaitExit(p, collectTimeout)
 	dumps := c.collectDumps(p)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -564,7 +515,7 @@ func (c *controller) awaitExit(p *proc, timeout time.Duration) {
 }
 
 // collectDumps asks every live worker (minus except) for a trace dump
-// and gathers the paths, bounded by CollectTimeout — post-mortem
+// and gathers the paths, bounded by collectTimeout — post-mortem
 // evidence from the survivors' protocol rings.
 func (c *controller) collectDumps(except *proc) []string {
 	asked := make(map[*proc]bool, len(c.procs))
@@ -577,7 +528,7 @@ func (c *controller) collectDumps(except *proc) []string {
 		}
 	}
 	var paths []string
-	timer := c.clk.NewTimer(c.cfg.CollectTimeout)
+	timer := c.clk.NewTimer(collectTimeout)
 	defer timer.Stop()
 	for len(asked) > 0 {
 		select {
@@ -610,7 +561,7 @@ func (c *controller) shutdownAll() {
 			_ = p.in.send(Msg{Type: msgShutdown})
 		}
 	}
-	c.drainExits(c.cfg.CollectTimeout)
+	c.drainExits(collectTimeout)
 	for _, p := range c.procs {
 		if !p.hasExited() {
 			_ = p.cmd.Process.Signal(syscall.SIGTERM)

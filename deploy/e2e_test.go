@@ -20,7 +20,7 @@ const workerEnvVar = "FSNEWTOP_DEPLOY_WORKER"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnvVar) == "1" {
-		if err := RunWorker(WorkerConfig{}); err != nil {
+		if err := RunWorker(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -42,6 +42,10 @@ func workerEnv() []string {
 	return append(os.Environ(), workerEnvVar+"=1")
 }
 
+// asWorkers makes the processes this test spawns serve the worker side:
+// they inherit the controller's environment.
+func asWorkers(t *testing.T) { t.Setenv(workerEnvVar, "1") }
+
 // TestDeployFourWorkers is the deploy plane's core e2e property: four
 // real OS processes — separate address spaces, real sockets, real pipes —
 // form one FS-NewTOP group and totally order a short fig8-shaped
@@ -50,10 +54,10 @@ func TestDeployFourWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes")
 	}
+	asWorkers(t)
 	cfg := Config{
 		Workers: 4,
 		Command: selfCommand(t),
-		Env:     workerEnv(),
 		Spec: RunSpec{
 			MsgsPerMember: 5,
 			MsgSize:       64,
@@ -99,10 +103,10 @@ func TestDeployWorkerKilledMidRun(t *testing.T) {
 		t.Skip("spawns real worker processes")
 	}
 	victim := "m02"
+	asWorkers(t)
 	cfg := Config{
 		Workers: 4,
 		Command: selfCommand(t),
-		Env:     workerEnv(),
 		Spec: RunSpec{
 			MsgsPerMember: 100,
 			SendInterval:  5 * time.Millisecond,

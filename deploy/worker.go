@@ -7,51 +7,30 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"fsnewtop/cluster"
+	"fsnewtop/internal/clock"
 	"fsnewtop/internal/trace"
 	"fsnewtop/transport/tcpnet"
 )
 
-// WorkerConfig configures one worker process. The zero value is correct
-// for a real worker (control protocol on stdin/stdout, diagnostics on
-// stderr, ephemeral loopback listen); tests substitute pipes.
-type WorkerConfig struct {
-	// In and Out carry the control protocol (default os.Stdin/os.Stdout).
-	In  io.Reader
-	Out io.Writer
-	// Log receives human-readable diagnostics (default os.Stderr).
-	Log io.Writer
-	// Listen is the TCP listen address (default ephemeral loopback).
-	Listen string
-}
-
-// RunWorker hosts one member process end to end: bind, hello, configure
-// (address-book seeding + cluster.NewSolo), join, workload, shutdown. It
-// returns nil on a clean shutdown — whether requested by the controller
+// RunWorker hosts one member process end to end — the control protocol on
+// stdin/stdout, diagnostics on stderr, an ephemeral loopback listener:
+// bind, hello, configure (address-book seeding + cluster.NewSolo), join,
+// workload, shutdown. It returns nil on a clean shutdown — whether requested by the controller
 // or by SIGTERM/SIGINT, both of which deregister the member's addresses
 // from the shared book (tcpnet's Close withdraws them) before exiting —
 // and an error on anything fatal, after reporting it to the controller.
 // SIGQUIT dumps the protocol trace ring and keeps running. A closed
 // control stdin means the controller is gone: the worker cleans up and
 // exits instead of lingering as an orphan.
-func RunWorker(cfg WorkerConfig) error {
-	if cfg.In == nil {
-		cfg.In = os.Stdin
-	}
-	if cfg.Out == nil {
-		cfg.Out = os.Stdout
-	}
-	if cfg.Log == nil {
-		cfg.Log = os.Stderr
-	}
-	out := newMsgWriter(cfg.Out)
+func RunWorker() error {
+	out := newMsgWriter(os.Stdout)
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(cfg.Log, "worker: "+format+"\n", args...)
+		fmt.Fprintf(os.Stderr, "worker: "+format+"\n", args...)
 	}
 
 	term := make(chan os.Signal, 2)
@@ -64,10 +43,10 @@ func RunWorker(cfg WorkerConfig) error {
 	msgs := make(chan Msg, 16)
 	readErr := make(chan error, 1)
 	go func() {
-		readErr <- readMsgs(cfg.In, func(m Msg) { msgs <- m })
+		readErr <- readMsgs(os.Stdin, func(m Msg) { msgs <- m })
 	}()
 
-	tr, err := tcpnet.New(tcpnet.Config{Listen: cfg.Listen})
+	tr, err := tcpnet.New(tcpnet.Config{})
 	if err != nil {
 		_ = out.send(Msg{Type: msgError, Error: err.Error()})
 		return err
@@ -98,16 +77,16 @@ func RunWorker(cfg WorkerConfig) error {
 		spec    RunSpec
 		self    string
 		roster  []string
-		stopRun chan struct{}
+		running bool
+		// delivered is the workload's delivery counter, read by the progress
+		// pulse; ran carries its measurements back to this loop; stopRun,
+		// closed on the way out, ends a workload still in flight.
+		delivered atomic.Int64
+		ran       = make(chan WorkerStats, 1)
+		stopRun   = make(chan struct{})
 	)
-	closeRun := func() {
-		if stopRun != nil {
-			close(stopRun)
-			stopRun = nil
-		}
-	}
 	defer func() {
-		closeRun()
+		close(stopRun)
 		if cl != nil {
 			cl.Close()
 		}
@@ -127,6 +106,16 @@ func RunWorker(cfg WorkerConfig) error {
 				return fmt.Errorf("deploy: control channel closed by controller")
 			}
 			return fmt.Errorf("deploy: control channel: %w", err)
+		case stats := <-ran:
+			if stats.SendError != "" {
+				return fail(fmt.Errorf("deploy: %s: %s", self, stats.SendError))
+			}
+			ts := tr.Stats()
+			stats.NetMessages, stats.NetBytes = ts.Sent, ts.Bytes
+			stats.SigCacheHits, stats.SigCacheMisses = cl.SigCacheStats()
+			if err := out.send(Msg{Type: msgDone, Member: self, Stats: &stats}); err != nil {
+				return err
+			}
 		case m := <-msgs:
 			switch m.Type {
 			case msgConfigure:
@@ -164,12 +153,7 @@ func RunWorker(cfg WorkerConfig) error {
 					return fail(fmt.Errorf("deploy: roster %v does not include this worker's member %q", roster, self))
 				}
 				cl, err = cluster.NewSolo(self, peers,
-					cluster.WithTransport(tr),
-					cluster.WithDelta(spec.Delta),
-					cluster.WithTickInterval(spec.TickInterval),
-					cluster.WithPoolSize(spec.PoolSize),
-					cluster.WithTrace(reg),
-				)
+					append(spec.Options(), cluster.WithTransport(tr), cluster.WithTrace(reg))...)
 				if err != nil {
 					return fail(err)
 				}
@@ -192,11 +176,17 @@ func RunWorker(cfg WorkerConfig) error {
 				if mem == nil {
 					return fail(fmt.Errorf("deploy: run before configure"))
 				}
-				if stopRun != nil {
+				if running {
 					return fail(fmt.Errorf("deploy: duplicate run"))
 				}
-				stopRun = make(chan struct{})
-				go runWorkload(out, tr, cl, mem, self, spec, len(roster), stopRun, logf)
+				running = true
+				go func(mem *cluster.Member, spec RunSpec, self string, members int) {
+					quiet := make(chan struct{})
+					go pulse(out, self, &delivered, quiet)
+					stats := RunWorkload(clock.NewReal(), mem, spec, members, &delivered, stopRun)
+					close(quiet)
+					ran <- stats
+				}(mem, spec, self, len(roster))
 			case msgDump:
 				dir, _ := traceDir.Load().(string)
 				rsp := Msg{Type: msgDumped, Member: self}
@@ -216,136 +206,19 @@ func RunWorker(cfg WorkerConfig) error {
 	}
 }
 
-// runWorkload drives the benchmark workload at one member: multicast
-// MsgsPerMember messages at the configured interval, count deliveries
-// until every member's messages arrived, and ship the measurements. It
-// reports progress on a fixed pulse so the controller's stall watchdog
-// can tell a slow run from a wedged one. It never times out on its own:
-// run-phase deadlines are the controller's job, and a watchdogged worker
-// is still reachable for dump collection.
-func runWorkload(out *msgWriter, tr *tcpnet.Transport, cl *cluster.Cluster, mem *cluster.Member,
-	self string, spec RunSpec, members int, stop <-chan struct{}, logf func(string, ...any)) {
-	expected := members * spec.MsgsPerMember
-	var (
-		mu       sync.Mutex
-		count    int
-		sendTime = make(map[int]time.Time, spec.MsgsPerMember)
-		latency  = make([]int64, 0, spec.MsgsPerMember)
-		doneAt   time.Time
-	)
-	start := time.Now()
-	finished := make(chan struct{})
-
-	// Receiver: count deliveries and record own-origin ordering latency.
-	// It keeps draining after the local target is reached — slower
-	// members are still sending, and an undrained channel would apply
-	// backpressure to their protocol traffic through this member.
-	go func() {
-		done := false
-		for {
-			select {
-			case <-stop:
-				return
-			case d := <-mem.Deliveries():
-				mu.Lock()
-				count++
-				if d.Origin == self {
-					if seq := decodeSeq(d.Payload); seq >= 0 {
-						if t0, ok := sendTime[seq]; ok {
-							latency = append(latency, time.Since(t0).Nanoseconds())
-							delete(sendTime, seq)
-						}
-					}
-				}
-				if !done && count >= expected {
-					done = true
-					doneAt = time.Now()
-					close(finished)
-				}
-				mu.Unlock()
-			case <-mem.Views():
-			}
-		}
-	}()
-
-	// Sender: the paper's workload shape — a regular send interval.
-	go func() {
-		ticker := time.NewTicker(spec.SendInterval)
-		defer ticker.Stop()
-		for seq := 1; seq <= spec.MsgsPerMember; seq++ {
-			payload := encodeSeq(seq, spec.MsgSize)
-			mu.Lock()
-			sendTime[seq] = time.Now()
-			mu.Unlock()
-			if err := mem.Multicast(spec.Group, cluster.TotalSym, payload); err != nil {
-				logf("%s: multicast seq %d: %v", self, seq, err)
-				return
-			}
-			select {
-			case <-ticker.C:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	progress := time.NewTicker(250 * time.Millisecond)
-	defer progress.Stop()
+// pulse reports the workload's delivery count on a fixed wall-clock beat
+// until stop closes, so the controller's stall watchdog can tell a slow
+// run from a wedged one. Run-phase deadlines are the controller's job: a
+// watchdogged worker is still reachable for dump collection.
+func pulse(out *msgWriter, self string, delivered *atomic.Int64, stop <-chan struct{}) {
+	beat := time.NewTicker(250 * time.Millisecond)
+	defer beat.Stop()
 	for {
 		select {
 		case <-stop:
 			return
-		case <-progress.C:
-			mu.Lock()
-			n := count
-			mu.Unlock()
-			_ = out.send(Msg{Type: msgProgress, Member: self, Delivered: n})
-		case <-finished:
-			mu.Lock()
-			stats := WorkerStats{
-				Member:    self,
-				Delivered: count,
-				Expected:  expected,
-				Window:    doneAt.Sub(start),
-				Elapsed:   time.Since(start),
-				LatencyNS: append([]int64(nil), latency...),
-			}
-			mu.Unlock()
-			ts := tr.Stats()
-			stats.NetMessages, stats.NetBytes = ts.Sent, ts.Bytes
-			stats.SigCacheHits, stats.SigCacheMisses = cl.SigCacheStats()
-			_ = out.send(Msg{Type: msgDone, Member: self, Stats: &stats})
-			return
+		case <-beat.C:
+			_ = out.send(Msg{Type: msgProgress, Member: self, Delivered: int(delivered.Load())})
 		}
 	}
-}
-
-// encodeSeq and decodeSeq mirror the bench package's payload framing
-// (3-byte big-endian for the paper's tiny messages, 4-byte otherwise) so
-// a multi-process run measures the same workload bytes as an in-process
-// one. Duplicated rather than imported: bench aggregates deploy results,
-// so deploy cannot import bench.
-func encodeSeq(seq, size int) []byte {
-	p := make([]byte, size)
-	if size >= 4 {
-		p[0] = byte(seq >> 24)
-		p[1] = byte(seq >> 16)
-		p[2] = byte(seq >> 8)
-		p[3] = byte(seq)
-		return p
-	}
-	p[0] = byte(seq >> 16)
-	p[1] = byte(seq >> 8)
-	p[2] = byte(seq)
-	return p
-}
-
-func decodeSeq(p []byte) int {
-	if len(p) >= 4 {
-		return int(p[0])<<24 | int(p[1])<<16 | int(p[2])<<8 | int(p[3])
-	}
-	if len(p) >= 3 {
-		return int(p[0])<<16 | int(p[1])<<8 | int(p[2])
-	}
-	return -1
 }

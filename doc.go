@@ -25,9 +25,7 @@
 //     verified fail-signals into suspicions that cannot be false;
 //   - vote — public 2f+1 application replication with client-side
 //     majority voting (the paper's Figure 4 deployment), composing over
-//     the cluster API;
-//   - internal/bftbase — a 3f+1 authenticated-BFT baseline for the cost
-//     comparison the introduction draws.
+//     the cluster API.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // substitutions, and EXPERIMENTS.md for paper-vs-measured results. The

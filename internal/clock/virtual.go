@@ -30,10 +30,12 @@ import (
 // the driver closes it heuristically by yielding the processor several
 // times and requiring the activity version (bumped by every timer
 // operation and every busy transition) to hold still across the yields.
-// A missed settle is benign — it only stamps a subsequent event at a
-// slightly later virtual instant, indistinguishable from real scheduler
-// jitter — and advances are always bounded by the next armed deadline, so
-// no protocol window (all ≥ milliseconds) can be skipped over.
+// That proof only holds on one P: on a second one, a worker that took a
+// hand-off from a netsim handler is mid-step while the yields come back
+// quiet, time leaps to its peer's compare deadline, and the pair
+// fail-signals a fault nobody injected. So a live Virtual pins
+// GOMAXPROCS to 1 (pinProcs) — a stopgap; ROADMAP item 1 replaces the
+// heuristic. Advances are always bounded by the next armed deadline.
 //
 // The zero value is not usable; call NewVirtual, and Stop when done.
 type Virtual struct {
@@ -74,8 +76,34 @@ func NewVirtual() *Virtual {
 		done:   make(chan struct{}),
 	}
 	v.epoch = v.now
+	pinProcs()
 	go v.drive()
 	return v
+}
+
+// procs serialises the process while any Virtual is live: the first live
+// clock sets GOMAXPROCS to 1, the last Stop restores what it found.
+var procs struct {
+	mu   sync.Mutex
+	live int
+	prev int
+}
+
+func pinProcs() {
+	procs.mu.Lock()
+	defer procs.mu.Unlock()
+	if procs.live == 0 {
+		procs.prev = runtime.GOMAXPROCS(1)
+	}
+	procs.live++
+}
+
+func unpinProcs() {
+	procs.mu.Lock()
+	defer procs.mu.Unlock()
+	if procs.live--; procs.live == 0 {
+		runtime.GOMAXPROCS(procs.prev)
+	}
 }
 
 // Now implements Clock.
@@ -141,8 +169,11 @@ func (v *Virtual) AddGate(idle func() bool) (remove func()) {
 // Stop halts the driver. Armed timers never fire afterwards and Now is
 // frozen. Safe to call multiple times.
 func (v *Virtual) Stop() {
-	v.stopOnce.Do(func() { close(v.stopCh) })
-	<-v.done
+	v.stopOnce.Do(func() {
+		close(v.stopCh)
+		<-v.done
+		unpinProcs()
+	})
 }
 
 // Advances reports how many time jumps the driver has performed.
