@@ -145,15 +145,14 @@ func (m *Machine) acceptData(g *groupState, d DataMsg) {
 		m.trace.Emit(trace.EvRoundOpen, d.TS, d.SenderSeq, d.Origin)
 		g.insertPendingSym(d)
 		// The logical acknowledgement that makes the symmetric protocol
-		// message-intensive: every accepted message is acked to the whole
-		// group. During a view-change flush intake the per-accept acks are
-		// suppressed; the install's consolidated ack covers the batch.
+		// message-intensive: every accepted message is acknowledged to the
+		// whole group — by a fresh promise when the accept moved the clock,
+		// by the standing one otherwise. During a view-change flush intake
+		// the per-accept acks are suppressed; the install's consolidated
+		// ack covers the batch.
 		if !m.quietAcks {
-			ack := AckMsg{Group: g.name, TS: g.clock, SendSeqHW: g.outSeq}
-			m.trace.Emit(trace.EvAckOut, ack.TS, ack.SendSeqHW, "")
-			m.emit(KindAck, g.others(m.cfg.Self), ack.Marshal())
+			m.ackAccept(g)
 		}
-		m.drainSym(g)
 
 	case TotalAsym:
 		g.asymData[asymKey{d.Origin, d.SenderSeq}] = d
@@ -162,6 +161,11 @@ func (m *Machine) acceptData(g *groupState, d DataMsg) {
 		}
 		m.drainAsym(g)
 	}
+	// An accept of any service moves the origin's contiguity watermark,
+	// which can make its gated ack usable (ackHW <= highestContig) and so
+	// raise its effective clock: the symmetric order is re-evaluated in
+	// the same step, never left for a later ack to find.
+	m.drainSym(g)
 }
 
 // tickNacks requests retransmission for any gaps that have outlasted the
@@ -180,32 +184,36 @@ func (m *Machine) tickNacks(g *groupState) {
 		if !g.isMember(origin) || origin == m.cfg.Self {
 			continue
 		}
-		target := s.ackHW
-		for seq := range s.buffered {
-			if seq > target {
-				target = seq
-			}
-		}
-		if target < s.nextSeq {
+		if s.gapTarget() < s.nextSeq {
 			continue // no gap
 		}
 		if !s.lastNack.IsZero() && m.now.Sub(s.lastNack) < m.cfg.ResendAfter {
 			continue
 		}
-		s.lastNack = m.now
-		missing := make([]uint64, 0, maxNackBatch)
-		for seq := s.nextSeq; seq <= target && len(missing) < maxNackBatch; seq++ {
-			if _, have := s.buffered[seq]; !have {
-				missing = append(missing, seq)
-			}
-		}
-		if len(missing) > 0 {
-			m.emit(KindNack, []string{origin}, NackMsg{Group: g.name, Missing: missing}.Marshal())
-		}
+		m.nack(g, origin)
 	}
 }
 
-// onNack retransmits the requested messages from the retention buffer.
+// nack sends origin one NACK listing the sequences missing from its
+// stream, up to maxNackBatch. The list may be empty: the NACK then only
+// asks for the origin's current promise (tickPromise).
+func (m *Machine) nack(g *groupState, origin string) {
+	s := g.stream(origin)
+	s.lastNack = m.now
+	target := s.gapTarget()
+	missing := make([]uint64, 0, maxNackBatch)
+	for seq := s.nextSeq; seq <= target && len(missing) < maxNackBatch; seq++ {
+		if _, have := s.buffered[seq]; !have {
+			missing = append(missing, seq)
+		}
+	}
+	m.emit(KindNack, []string{origin}, NackMsg{Group: g.name, Missing: missing}.Marshal())
+}
+
+// onNack retransmits the requested messages from the retention buffer and
+// tells the requester this member's current promise: a NACK comes from a
+// member whose order is held up on this one, and the promise it is
+// missing may be the copy that was lost (tickPromise).
 func (m *Machine) onNack(from string, n NackMsg) {
 	g, ok := m.groups[n.Group]
 	if !ok || !g.isMember(from) {
@@ -217,4 +225,7 @@ func (m *Machine) onNack(from string, n NackMsg) {
 			m.emit(KindData, []string{from}, d.Marshal())
 		}
 	}
+	ack := g.promise()
+	m.trace.Emit(trace.EvAckOut, ack.TS, ack.SendSeqHW, from)
+	m.emit(KindAck, []string{from}, ack.Marshal())
 }

@@ -24,12 +24,29 @@
 // Symmetric total order: the message-intensive protocol the paper uses for
 // its measurements ("it orders a message only after the message is
 // logically acknowledged by all members"). Messages carry Lamport
-// timestamps; every accepted message is acknowledged to the whole group;
-// a message is delivered once every member's observed clock has passed its
-// timestamp, in (timestamp, origin) order. Acknowledgements carry the
-// acker's send-sequence watermark so that a retransmitted message can
-// never be overtaken (the ack only advances the acker's observed clock
-// once the receiver holds all of the acker's data up to that watermark).
+// timestamps; a message is delivered once every member's observed clock
+// has passed its timestamp, in (timestamp, origin) order. An
+// acknowledgement is a promise — "my future messages carry timestamps
+// above TS" — and carries the acker's send-sequence watermark so that a
+// retransmitted message can never be overtaken (the ack only advances the
+// acker's observed clock once the receiver holds all of the acker's data
+// up to that watermark).
+//
+// A promise is sent once: every accepted message is acknowledged to the
+// whole group, but the acknowledgement leaves only when (clock, send
+// watermark) differs from the one this member last broadcast. Promises
+// stay true because the clock is monotone, a repeat is a no-op at every
+// receiver (onAck ignores TS <= ackTS), and the delivery condition is
+// unchanged, so a standing promise acknowledges as well as a re-sent one;
+// the first acknowledgement for a new clock value still leaves in the
+// accept's own step. Two things an ack per accept did by accident are
+// explicit: tickPromise repairs a lost promise or a lost tail message
+// when the head of the order has stayed blocked for ResendAfter (the
+// blocked member re-announces its promise and asks the laggard for its),
+// and every accept, of any service, re-evaluates the order in its own
+// step. An own data send is not a promise: the ack after it is what
+// carries the new watermark to a member that lost the data. DESIGN.md,
+// "Ordering plane", has the argument.
 //
 // Asymmetric total order: a fixed sequencer (the least member of the
 // current view) assigns global sequence numbers; members deliver in

@@ -2,6 +2,7 @@ package group
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	failsignal "fsnewtop/internal/core"
@@ -34,7 +35,9 @@ type Config struct {
 	// SuspectAfter is the silence threshold in SuspectPing mode.
 	// Default 2s.
 	SuspectAfter time.Duration
-	// ResendAfter paces NACKs for detected gaps. Default 200ms.
+	// ResendAfter paces NACKs for detected gaps, and is how long the head
+	// of the symmetric order may stay blocked before its promise is
+	// re-announced (tickPromise). Default 200ms.
 	ResendAfter time.Duration
 	// ViewRetryAfter bounds how long a member waits on a stalled view
 	// change before (re-)proposing. Default 1s.
@@ -93,6 +96,30 @@ type Machine struct {
 	quietAcks bool
 	// trace is the event ring (nil when the deployment is untraced).
 	trace *trace.Ring
+	// acks counts the symmetric order's acknowledgement decisions
+	// (AckStats). Atomic so an observer may read while the machine steps;
+	// never read by protocol logic.
+	acks struct{ sent, elided, resent atomic.Uint64 }
+}
+
+// AckStats counts what the one-promise rule did with the symmetric
+// order's logical acknowledgements.
+type AckStats struct {
+	// Sent: accepts that broadcast a fresh promise.
+	Sent uint64
+	// Elided: accepts whose acknowledgement would have repeated the
+	// standing promise, so none left.
+	Elided uint64
+	// Resent: tick re-announcements of the standing promise behind a
+	// blocked head (tickPromise). Nonzero means a promise or a message
+	// went missing on the way to or from a peer.
+	Resent uint64
+}
+
+// AckStats returns the acknowledgement counters. Safe to call from any
+// goroutine.
+func (m *Machine) AckStats() AckStats {
+	return AckStats{Sent: m.acks.sent.Load(), Elided: m.acks.elided.Load(), Resent: m.acks.resent.Load()}
 }
 
 // New returns a GC machine for the given configuration.
@@ -293,11 +320,12 @@ func (m *Machine) onLeave(l LeaveReq) {
 }
 
 // onTick advances time-driven behaviour: suspector pings and silence
-// checks, NACK pacing, stalled-view-change retries, and admission
-// progress on both sides of the join protocol.
+// checks, lost-promise repair, NACK pacing, stalled-view-change retries,
+// and admission progress on both sides of the join protocol.
 func (m *Machine) onTick() {
 	for _, name := range sortedKeys(m.groups) {
 		g := m.groups[name]
+		m.tickPromise(g)
 		m.tickNacks(g)
 		m.tickViewChange(g)
 	}

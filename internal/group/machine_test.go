@@ -14,13 +14,14 @@ import (
 // outputs become queued messages, processed FIFO. No goroutines, no real
 // time — ticks are injected explicitly.
 type tCluster struct {
-	t         *testing.T
+	t         testing.TB
 	names     []string
 	machines  map[string]*Machine
 	queue     []routed
 	delivered map[string][]Deliver
 	views     map[string][]ViewNote
 	inputsOf  map[string][]sm.Input // recorded input scripts (determinism replay)
+	emitted   map[string]int        // network outputs by kind, batches unpacked
 	// drop, when set, filters messages: return true to drop.
 	drop func(from, to, kind string) bool
 	now  time.Time
@@ -31,13 +32,13 @@ type routed struct {
 	payload        []byte
 }
 
-func newTCluster(t *testing.T, mode SuspectorMode, names ...string) *tCluster {
+func newTCluster(t testing.TB, mode SuspectorMode, names ...string) *tCluster {
 	return newTClusterBatch(t, mode, BatchConfig{}, names...)
 }
 
 // newTClusterBatch builds a cluster whose machines run with the given
 // batch configuration (zero value = batching off).
-func newTClusterBatch(t *testing.T, mode SuspectorMode, batch BatchConfig, names ...string) *tCluster {
+func newTClusterBatch(t testing.TB, mode SuspectorMode, batch BatchConfig, names ...string) *tCluster {
 	t.Helper()
 	c := &tCluster{
 		t:         t,
@@ -46,6 +47,7 @@ func newTClusterBatch(t *testing.T, mode SuspectorMode, batch BatchConfig, names
 		delivered: make(map[string][]Deliver),
 		views:     make(map[string][]ViewNote),
 		inputsOf:  make(map[string][]sm.Input),
+		emitted:   make(map[string]int),
 		now:       time.Date(2003, 6, 23, 0, 0, 0, 0, time.UTC),
 	}
 	for _, n := range names {
@@ -62,12 +64,27 @@ func (c *tCluster) submit(self string, in sm.Input) {
 	c.inputsOf[self] = append(c.inputsOf[self], in)
 	outs := c.machines[self].Step(in)
 	for _, out := range outs {
+		c.countEmitted(out.Kind, out.Payload)
 		for _, to := range out.To {
 			if to == sm.LocalDelivery {
 				c.handleLocal(self, out.Kind, out.Payload)
 				continue
 			}
 			c.queue = append(c.queue, routed{from: self, to: to, kind: out.Kind, payload: out.Payload})
+		}
+	}
+}
+
+// countEmitted counts one output by kind, looking inside a coalesced
+// batch.
+func (c *tCluster) countEmitted(kind string, payload []byte) {
+	if kind != KindBatch {
+		c.emitted[kind]++
+		return
+	}
+	if bm, err := UnmarshalBatchMsg(payload); err == nil {
+		for _, it := range bm.Items {
+			c.countEmitted(it.Kind, it.Payload)
 		}
 	}
 }

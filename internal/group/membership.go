@@ -319,8 +319,7 @@ func (m *Machine) doInstall(g *groupState, v ViewInstall) {
 	// timestamps exceed it) and becomes effective at each peer once it
 	// holds our data through the send watermark. For a fresh joiner this
 	// also seeds the stream its peers initialised at zero.
-	ack := AckMsg{Group: g.name, TS: g.clock, SendSeqHW: g.outSeq}
-	m.emit(KindAck, g.others(m.cfg.Self), ack.Marshal())
+	m.announce(g)
 
 	// Causal precedence may be satisfiable now that departed members'
 	// entries are ignored; symmetric pending likewise re-evaluates against

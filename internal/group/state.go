@@ -67,6 +67,19 @@ func (s *memberStream) retain(d DataMsg) {
 // highestContig is the highest sender sequence received without gaps.
 func (s *memberStream) highestContig() uint64 { return s.nextSeq - 1 }
 
+// gapTarget is the highest sender sequence known to exist: the best ack's
+// send watermark or the highest buffered out-of-order message. A target
+// at or above nextSeq is a gap.
+func (s *memberStream) gapTarget() uint64 {
+	target := s.ackHW
+	for seq := range s.buffered {
+		if seq > target {
+			target = seq
+		}
+	}
+	return target
+}
+
 // effLastTS is the member's effective observed clock: its last in-order
 // data timestamp, raised by its best ack once the ack's watermark is
 // covered. This gating is what keeps retransmitted messages from being
@@ -131,6 +144,22 @@ type groupState struct {
 	// pendingSym holds accepted symmetric-order messages not yet
 	// deliverable, sorted by (TS, Origin).
 	pendingSym []DataMsg
+	// promised is the (TS, SendSeqHW) of the last acknowledgement this
+	// member broadcast: its standing promise. An accept acknowledges only
+	// when (clock, outSeq) differs from it. Zero in a fresh or
+	// snapshot-installed group, which no accept can match (an accepted
+	// message carries TS >= 1). Protocol state: both replicas of a pair
+	// hold the same value (R1).
+	promised struct{ ts, hw uint64 }
+	// stalled is the blocked head of pendingSym as the last tick saw it,
+	// and since when it has been blocked with no ack of ours leaving (the
+	// tick that first saw it, or the last announce): what tickPromise
+	// measures a lost promise against.
+	stalled struct {
+		origin string
+		seq    uint64
+		since  time.Time
+	}
 
 	// causalD is the causal delivery vector: causalD[self] counts our own
 	// causal sends, causalD[q] counts deliveries from q.
@@ -333,6 +362,13 @@ func (g *groupState) flushPending(candidate []string) []DataMsg {
 		}
 	}
 	return out
+}
+
+// promise is the acknowledgement this member could send now: its future
+// messages carry timestamps above the clock, and a peer may rely on that
+// once it holds this member's data through the send watermark.
+func (g *groupState) promise() AckMsg {
+	return AckMsg{Group: g.name, TS: g.clock, SendSeqHW: g.outSeq}
 }
 
 // insertPendingSym inserts d keeping (TS, Origin) order.

@@ -92,7 +92,8 @@ const (
 	// Note="<group>:<laggard member>". Emitted once per frontier change.
 	EvRoundBlocked
 	// EvAckOut: the machine emitted a logical acknowledgement. A=acked TS,
-	// B=send-sequence high-water mark.
+	// B=send-sequence high-water mark, Note=the one requester it answers
+	// (empty for a broadcast).
 	EvAckOut
 	// EvAckIn: a logical acknowledgement was applied. A=TS, B=HW,
 	// Note=from.
@@ -131,6 +132,14 @@ const (
 	// EvJoinAdmit: a view admitting fresh members installed. A=view id,
 	// B=join count.
 	EvJoinAdmit
+	// EvAckElided: an accept would have repeated the promise this member
+	// last broadcast, so no acknowledgement left. A=promised TS,
+	// B=send-sequence high-water mark.
+	EvAckElided
+	// EvAckResend: a tick re-announced the standing promise because the
+	// head of the symmetric order stayed blocked for a resend interval.
+	// A=promised TS, B=HW, Note="<group>:<laggard member>".
+	EvAckResend
 )
 
 var kindNames = map[Kind]string{
@@ -166,6 +175,8 @@ var kindNames = map[Kind]string{
 	EvStateSnap:    "state-snap",
 	EvStateAck:     "state-ack",
 	EvJoinAdmit:    "join-admit",
+	EvAckElided:    "ack-elided",
+	EvAckResend:    "ack-resend",
 }
 
 // String implements fmt.Stringer.
