@@ -87,12 +87,11 @@ type Options struct {
 	// instead of fast HMAC.
 	RSA bool
 	// Batch arms the batch plane end to end: the FS invocation window
-	// coalesces multicasts into one sign/compare round, pairs compare
-	// large outputs by digest, and the substrate coalesces adjacent
-	// same-link messages into multi-message frames (tcpnet batch frames;
-	// netsim's equivalent framing model). Off by default so existing
-	// trajectories stay comparable; NewTOP runs ignore the FS half and
-	// keep only the transport framing.
+	// coalesces multicasts into one sign/compare round, and the substrate
+	// coalesces adjacent same-link messages into multi-message frames
+	// (tcpnet batch frames; netsim's equivalent framing model). Off by
+	// default so existing trajectories stay comparable; NewTOP runs ignore
+	// the FS half and keep only the transport framing.
 	Batch bool
 	// Transport selects the substrate: "netsim" (default, the seeded
 	// in-process simulator), "tcp" (loopback sockets via transport/tcpnet,

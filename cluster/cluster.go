@@ -230,13 +230,11 @@ func WithTrace(reg *trace.Registry) Option {
 // invocation layer coalesces multicasts submitted within a bounded
 // δ-safe accumulation window into one FS order/sign/compare round (the
 // window's defaults: 64 messages, 256 KiB, 2ms — an idle member still
-// submits immediately, so unbatched latency is unchanged), and pairs
-// compare outputs of 1 KiB or more by digest instead of by body. Off by
-// default: without this option every wire schedule stays byte-identical
-// to the pre-batch-plane system. Receivers always understand batched
-// traffic, so mixed deployments (some members batching, some not) are
-// fine. Ignored (harmless) under WithCrashTolerance, whose members have
-// no FS round to amortize.
+// submits immediately, so unbatched latency is unchanged). Off by
+// default. Receivers always understand batched traffic, so mixed
+// deployments (some members batching, some not) are fine. Ignored
+// (harmless) under WithCrashTolerance, whose members have no FS round to
+// amortize.
 func WithBatching() Option {
 	return func(c *config) { c.batch = true }
 }
@@ -541,7 +539,6 @@ func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
 	}
 	if c.cfg.batch {
 		fcfg.Batch = fsnewtop.BatchConfig{Enabled: true}
-		fcfg.DigestCompareMin = 1 << 10
 	}
 	nso, err := fsnewtop.New(fcfg)
 	if err != nil {

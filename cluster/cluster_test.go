@@ -99,9 +99,8 @@ func TestClusterTCP(t *testing.T) {
 }
 
 // TestClusterBatchedTotalOrder runs the canonical workload with the
-// batch plane armed: coalesced FS rounds and digest-only compares must
-// be invisible to the application — same deliveries, same total order,
-// no fail-signals.
+// batch plane armed: coalesced FS rounds must be invisible to the
+// application — same deliveries, same total order, no fail-signals.
 func TestClusterBatchedTotalOrder(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithMembers("alice", "bob", "carol"),

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -61,7 +62,12 @@ func (m *Member) pump() {
 		case <-m.stop:
 			return
 		case d := <-m.svc.Deliveries():
-			out := Delivery{Group: d.Group, Origin: d.Origin, Ordering: Ordering(d.Service), Payload: d.Payload}
+			// The one copy out of the stack. Below this line a payload is a
+			// view of the transport message it arrived in, and the rule that
+			// makes views safe is that nobody writes to one. The application
+			// is outside that rule — it owns what it is handed — so it is
+			// handed bytes nothing below can reach.
+			out := Delivery{Group: d.Group, Origin: d.Origin, Ordering: Ordering(d.Service), Payload: bytes.Clone(d.Payload)}
 			select {
 			case m.deliveries <- out:
 			case <-m.stop:

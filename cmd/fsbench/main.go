@@ -111,7 +111,7 @@ func main() {
 		virtual   = flag.Bool("virtual", false, "run soak/chaos/churn on the auto-advancing virtual clock (netsim only): simulated protocol time, wall cost = computation only")
 		simHours  = flag.Float64("sim-hours", 1, "simulated protocol-hours for -exp soak -virtual")
 		skew      = flag.Bool("skew", false, "schedule clock-skew faults (per-member steps and drift) in -exp chaos; needs -virtual")
-		batch     = flag.Bool("batch", false, "arm the batch plane: coalesced FS sign/compare rounds, digest-only pair compares, multi-message wire frames (figure lanes write *_batched series; chaos runs the schedule batched)")
+		batch     = flag.Bool("batch", false, "arm the batch plane: coalesced FS sign/compare rounds, multi-message wire frames (figure lanes write *_batched series; chaos runs the schedule batched)")
 		satSize   = flag.Int("saturate-size", 1024, "payload size in bytes for -exp saturate")
 		satMsgs   = flag.Int("saturate-msgs", 100, "messages per member per ramp step for -exp saturate")
 		satRamp   = flag.String("saturate-ramp", "", "comma-separated per-member send intervals for -exp saturate, fastest last (e.g. 2ms,500us,100us); empty = default ramp")

@@ -76,7 +76,7 @@ type Options struct {
 	// layer the cluster only builds on the virtual timeline.
 	Skew bool
 	// Batch arms the batch plane (cluster.WithBatching): coalesced FS
-	// rounds and digest-only pair compares under the full fault schedule.
+	// rounds under the full fault schedule.
 	// The oracles do not change — batching must be invisible to every
 	// fail-silence property, which is exactly what this knob lets the
 	// corpus prove.

@@ -26,27 +26,6 @@ func BenchmarkWriterRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkViewRoundTrip is the zero-copy variant: same wire traffic, but
-// the payload is read through BytesView, as the hash/compare/re-encode
-// paths do.
-func BenchmarkViewRoundTrip(b *testing.B) {
-	payload := make([]byte, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := NewWriter(300)
-		w.String("gc.data")
-		w.U64(uint64(i))
-		w.Bytes32(payload)
-		r := NewReader(w.Bytes())
-		_ = r.String()
-		_ = r.U64()
-		_ = r.BytesView()
-		if err := r.Finish(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSliceWriters(b *testing.B) {
 	members := make([]string, 32)
 	for i := range members {
@@ -67,7 +46,7 @@ func BenchmarkSliceWriters(b *testing.B) {
 func TestAllocBudgets(t *testing.T) {
 	payload := make([]byte, 256)
 
-	// Pre-sized writer + zero-copy read: 1 alloc for the buffer, none to
+	// Pre-sized writer + in-place read: 1 alloc for the buffer, none to
 	// decode.
 	if got := testing.AllocsPerRun(200, func() {
 		w := NewWriter(300)
@@ -77,9 +56,9 @@ func TestAllocBudgets(t *testing.T) {
 		r := NewReader(w.Bytes())
 		_ = r.String()
 		_ = r.U64()
-		_ = r.BytesView()
+		_ = r.Bytes32()
 	}); got > 2 {
-		t.Errorf("pre-sized write + view read: %.1f allocs/op, want <= 2", got)
+		t.Errorf("pre-sized write + in-place read: %.1f allocs/op, want <= 2", got)
 	}
 
 	// Slice writers on a zero-value Writer must pre-size: one buffer
@@ -97,16 +76,16 @@ func TestAllocBudgets(t *testing.T) {
 		t.Errorf("slice writers: %.1f allocs/op, want <= 2 growths", got)
 	}
 
-	// BytesView must not allocate at all.
+	// Bytes32 must not allocate at all.
 	w := NewWriter(300)
 	w.Bytes32(payload)
 	encoded := w.Bytes()
 	if got := testing.AllocsPerRun(200, func() {
 		r := NewReader(encoded)
-		if v := r.BytesView(); len(v) != len(payload) {
+		if v := r.Bytes32(); len(v) != len(payload) {
 			t.Fatal("short view")
 		}
 	}); got > 1 { // the Reader itself may escape
-		t.Errorf("BytesView: %.1f allocs/op, want <= 1", got)
+		t.Errorf("Bytes32: %.1f allocs/op, want <= 1", got)
 	}
 }

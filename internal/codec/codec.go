@@ -240,33 +240,15 @@ func (r *Reader) Time() time.Time {
 // Duration reads a duration written by Writer.Duration.
 func (r *Reader) Duration() time.Duration { return time.Duration(r.I64()) }
 
-// Bytes32 reads a length-prefixed byte string. The result is a copy.
+// Bytes32 reads a length-prefixed byte string without copying: the result
+// is a view of the reader's buffer. Bytes are immutable once they enter
+// the stack (DESIGN.md, "Data path: who owns a byte"), so a decoded
+// message may alias the transport message it came from for as long as it
+// likes; the view's capacity is clipped to its length, so an append by any
+// holder reallocates instead of writing into the bytes that follow. A
+// decoder that keeps a small field out of a large frame copies that field
+// itself, so the frame can be collected.
 func (r *Reader) Bytes32() []byte {
-	n := int(r.U32())
-	if r.err != nil {
-		return nil
-	}
-	if n > MaxBytes {
-		r.err = fmt.Errorf("%w: %d bytes", ErrTooLong, n)
-		return nil
-	}
-	if r.fail(n) {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += n
-	return out
-}
-
-// BytesView reads a length-prefixed byte string without copying: the
-// returned slice aliases the reader's underlying buffer and is valid only
-// as long as that buffer is neither mutated nor recycled. It exists for
-// callers that immediately hash, compare or re-encode the field — the
-// fail-signal output-comparison path does all three — where Bytes32's
-// defensive copy is pure overhead. Callers that retain the field must use
-// Bytes32.
-func (r *Reader) BytesView() []byte {
 	n := int(r.U32())
 	if r.err != nil {
 		return nil

@@ -91,15 +91,41 @@ func TestRoundTripBytesAndStrings(t *testing.T) {
 	}
 }
 
-func TestBytes32IsACopy(t *testing.T) {
+// TestBytes32AliasesAndClips pins the ownership contract: Bytes32 returns a
+// view of the buffer it reads (bytes are immutable once they enter the
+// stack), clipped so that an append by the holder reallocates instead of
+// overwriting the field that follows; the MaxBytes and short-buffer
+// refusals are what they were when it copied.
+func TestBytes32AliasesAndClips(t *testing.T) {
 	w := &Writer{}
 	w.Bytes32([]byte{9, 9, 9})
+	w.Bytes32([]byte{7, 7})
 	buf := w.Bytes()
 	r := NewReader(buf)
 	got := r.Bytes32()
-	buf[4] = 0 // mutate the underlying encoding
-	if got[0] != 9 {
-		t.Fatal("Bytes32 result aliases the input buffer")
+	if len(got) != 3 || &got[0] != &buf[4] {
+		t.Fatal("Bytes32 result does not alias the input buffer")
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("cap = %d, want %d: an append would write into the next field", cap(got), len(got))
+	}
+	_ = append(got, 0xFF)
+	if next := r.Bytes32(); !bytes.Equal(next, []byte{7, 7}) || !bytes.Equal(buf[7:11], []byte{0, 0, 0, 2}) {
+		t.Fatalf("append through a view reached the buffer: next field %v, prefix %v", next, buf[7:11])
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	var huge Writer
+	huge.U32(MaxBytes + 1)
+	r = NewReader(huge.Bytes())
+	if v := r.Bytes32(); v != nil || !errors.Is(r.Err(), ErrTooLong) {
+		t.Fatalf("over-long prefix: %v, %v; want nil, ErrTooLong", v, r.Err())
+	}
+	r = NewReader([]byte{0, 0, 0, 5, 1, 2})
+	if v := r.Bytes32(); v != nil || !errors.Is(r.Err(), ErrShort) {
+		t.Fatalf("short buffer: %v, %v; want nil, ErrShort", v, r.Err())
 	}
 }
 

@@ -57,7 +57,9 @@ func (m *corruptingMachine) Step(in sm.Input) []sm.Output {
 	for i := range outs {
 		m.n++
 		if m.n == m.corrupt && len(outs[i].Payload) > 0 {
-			outs[i].Payload[0] ^= 0xFF
+			bad := append([]byte(nil), outs[i].Payload...) // never in place: it may alias shared input bytes
+			bad[0] ^= 0xFF
+			outs[i].Payload = bad
 		}
 	}
 	return outs

@@ -1,6 +1,7 @@
 package failsignal
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -49,10 +50,12 @@ func (e *env) addFakeFS(name string) *fakeFS {
 	return s
 }
 
-// copies returns the two valid wire copies of one output: the one the
+// copies returns the two valid wire copies of one signed body: the one the
 // source's leader dispatches (follower-signed, leader-counter-signed) and
-// the one its follower dispatches. Same key, different bytes.
-func (s *fakeFS) copies(t *testing.T, body OutputBody) (viaL, viaF []byte) {
+// the one its follower dispatches. Same key, different bytes. full is the
+// output encoding a digest body pins; with none the body travels bare, as a
+// fail-signal does.
+func (s *fakeFS) copies(t *testing.T, body OutputBody, full []byte) (viaL, viaF []byte) {
 	t.Helper()
 	bb := body.Marshal()
 	mint := func(first, second sig.Signer) []byte {
@@ -64,20 +67,29 @@ func (s *fakeFS) copies(t *testing.T, body OutputBody) (viaL, viaF []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return encodeFSPayload(dbl)
+		if full == nil {
+			return encodeFSPayload(dbl)
+		}
+		return encodeFSDigestPayload(dbl, full)
 	}
 	return mint(s.f, s.l), mint(s.l, s.f)
 }
 
 func (s *fakeFS) output(t *testing.T, seq uint64, payload string) (viaL, viaF []byte) {
-	out := sm.MarshalOutput(sm.Output{Kind: "k", To: []string{"x"}, Payload: []byte(payload)})
-	return s.copies(t, OutputBody{Source: s.name, Seq: seq, Output: out})
+	full := sm.MarshalOutput(sm.Output{Kind: "k", To: []string{"x"}, Payload: []byte(payload)})
+	d := sig.Digest(full)
+	return s.copies(t, OutputBody{Source: s.name, Seq: seq, DigestOnly: true, Output: d[:]}, full)
 }
 
-// forge keeps a copy's identity and breaks its last signature byte.
+// forge keeps a copy's identity and bytes and breaks the last byte of its
+// counter-signature.
 func forge(raw []byte) []byte {
 	bad := append([]byte(nil), raw...)
-	bad[len(bad)-1] ^= 0xFF
+	p, err := decodeNewPayload(raw)
+	if err != nil {
+		panic(err)
+	}
+	bad[len(p.dbl.Marshal())] ^= 0xFF // the tag byte, then the double
 	return bad
 }
 
@@ -177,7 +189,7 @@ func TestPeekKeyMatchesDecode(t *testing.T) {
 	client := sig.NewHMACSigner("cl", []byte("k"))
 	env, _ := sig.SignEnvelope(client, ClientInput{Client: "cl", Seq: 42, Kind: "req", Body: []byte("b")}.Marshal())
 	out, _ := src.output(t, 7, "x")
-	fsig, _ := src.copies(t, failSignalBody("src"))
+	fsig, _ := src.copies(t, failSignalBody("src"), nil)
 	for _, c := range []struct {
 		raw  []byte
 		want string
@@ -282,51 +294,90 @@ func TestCopyBehindAuthenticNeverReachesVerifier(t *testing.T) {
 }
 
 // TestFwdUnderPooledKey: what the follower does when the leader's forward
-// names an input the follower itself holds in the IRMP.
+// names an input the follower itself holds in the IRMP, at every size the
+// digest compare is checked at. Only the identical bytes inherit the
+// verification — and the content hash — the follower already paid for.
 func TestFwdUnderPooledKey(t *testing.T) {
 	fwd := func(raw []byte) transport.Message {
 		return transport.Message{From: LeaderAddr("p"), Kind: MsgFwd, Payload: fwdPayload{Index: 0, Raw: raw}.marshal()}
 	}
-	setup := func(t *testing.T) (*Pair, *countingVerifier, chan string, []byte, []byte) {
-		e := newEnv(t)
-		src := e.addFakeFS("src")
-		pair, _, fv, failCh := quietPair(t, e, time.Hour)
-		viaL, viaF := src.output(t, 1, "x")
-		pair.Follower.handle(newMsg(LeaderAddr("src"), viaL))
-		if fv.n.Load() != 2 {
-			t.Fatalf("%d checks pooling one input", fv.n.Load())
-		}
-		return pair, fv, failCh, viaL, viaF
+	// pooled is one follower holding one verified input of the given size.
+	type pooled struct {
+		pair       *Pair
+		fv         *countingVerifier
+		failCh     chan string
+		viaL, viaF []byte
 	}
-
-	t.Run("same bytes are not verified again", func(t *testing.T) {
-		pair, fv, _, viaL, _ := setup(t)
-		pair.Follower.handle(fwd(viaL))
-		if st := pair.Follower.Stats(); st.Ordered != 1 || fv.n.Load() != 2 {
-			t.Fatalf("%+v, %d checks", st, fv.n.Load())
+	atEverySize := func(t *testing.T, check func(t *testing.T, p pooled)) {
+		for _, size := range compareSizes {
+			t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+				e := newEnv(t)
+				src := e.addFakeFS("src")
+				pair, _, fv, failCh := quietPair(t, e, time.Hour)
+				viaL, viaF := src.output(t, 1, strings.Repeat("x", size))
+				pair.Follower.handle(newMsg(LeaderAddr("src"), viaL))
+				if fv.n.Load() != 2 {
+					t.Fatalf("%d checks pooling one input", fv.n.Load())
+				}
+				check(t, pooled{pair, fv, failCh, viaL, viaF})
+			})
 		}
-	})
-	t.Run("the other sender's copy costs one double verify", func(t *testing.T) {
-		pair, fv, _, _, viaF := setup(t)
-		pair.Follower.handle(fwd(viaF))
-		if st := pair.Follower.Stats(); st.Ordered != 1 || fv.n.Load() != 4 {
-			t.Fatalf("%+v, %d checks", st, fv.n.Load())
-		}
-	})
-	t.Run("substituted bytes with a bad signature fail-signal", func(t *testing.T) {
-		pair, _, failCh, _, viaF := setup(t)
-		pair.Follower.handle(fwd(forge(viaF)))
+	}
+	wantFail := func(t *testing.T, p pooled, prefix string) {
+		t.Helper()
 		select {
-		case reason := <-failCh:
-			if !strings.HasPrefix(reason, "leader forwarded unauthenticated input") {
+		case reason := <-p.failCh:
+			if !strings.HasPrefix(reason, prefix) {
 				t.Fatalf("reason = %q", reason)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("follower accepted substituted bytes under a key it had verified")
 		}
-		if pair.Follower.Stats().Ordered != 0 {
+		if p.pair.Follower.Stats().Ordered != 0 {
 			t.Fatal("follower ordered the substituted bytes")
 		}
+	}
+
+	t.Run("same bytes are not verified again", func(t *testing.T) {
+		atEverySize(t, func(t *testing.T, p pooled) {
+			hashed := sig.Digests()
+			p.pair.Follower.handle(fwd(append([]byte(nil), p.viaL...))) // equal bytes, not the same slice
+			if st := p.pair.Follower.Stats(); st.Ordered != 1 || p.fv.n.Load() != 2 {
+				t.Fatalf("%+v, %d checks", st, p.fv.n.Load())
+			}
+			if n := sig.Digests() - hashed; n != 0 {
+				t.Fatalf("%d content hashes spent on bytes the follower had already verified", n)
+			}
+		})
+	})
+	t.Run("the other sender's copy costs one double verify", func(t *testing.T) {
+		atEverySize(t, func(t *testing.T, p pooled) {
+			hashed := sig.Digests()
+			p.pair.Follower.handle(fwd(p.viaF))
+			if st := p.pair.Follower.Stats(); st.Ordered != 1 || p.fv.n.Load() != 4 {
+				t.Fatalf("%+v, %d checks", st, p.fv.n.Load())
+			}
+			if sig.Digests() == hashed {
+				t.Fatal("bytes never seen before were admitted without being hashed against their digest")
+			}
+		})
+	})
+	t.Run("substituted bytes with a bad signature fail-signal", func(t *testing.T) {
+		atEverySize(t, func(t *testing.T, p pooled) {
+			p.pair.Follower.handle(fwd(forge(p.viaF)))
+			wantFail(t, p, "leader forwarded unauthenticated input")
+		})
+	})
+	t.Run("substituted output bytes under the verified double fail-signal", func(t *testing.T) {
+		atEverySize(t, func(t *testing.T, p pooled) {
+			bad := append([]byte(nil), p.viaL...)
+			bad[len(bad)-1] ^= 1 // the last byte of the output beside the double
+			p.pair.Follower.handle(fwd(bad))
+			wantFail(t, p, "undecodable ordered input from leader")
+			if p.fv.n.Load() != 2 {
+				t.Fatalf("%d checks: bytes that miss their digest reached the verifier", p.fv.n.Load())
+			}
+		})
 	})
 }
 

@@ -45,15 +45,13 @@ type PairConfig struct {
 	// shared key material. Nil means both replicas verify directly
 	// against Keys.
 	NewVerifier func() sig.Verifier
-	// Delta, Kappa, Sigma, T1, T2, TickInterval, StrictDeadlines,
-	// DigestCompareMin: see ReplicaConfig. NewPair hands both replicas the
-	// same DigestCompareMin, which is the setting's correctness condition.
-	Delta            time.Duration
-	Kappa, Sigma     float64
-	T1, T2           time.Duration
-	TickInterval     time.Duration
-	StrictDeadlines  bool
-	DigestCompareMin int
+	// Delta, Kappa, Sigma, T1, T2, TickInterval, StrictDeadlines: see
+	// ReplicaConfig.
+	Delta           time.Duration
+	Kappa, Sigma    float64
+	T1, T2          time.Duration
+	TickInterval    time.Duration
+	StrictDeadlines bool
 	// LocalName and Watchers: see ReplicaConfig.
 	LocalName string
 	Watchers  []string
@@ -149,21 +147,20 @@ func NewPair(cfg PairConfig) (*Pair, error) {
 	}
 
 	base := ReplicaConfig{
-		Name:             cfg.Name,
-		Net:              cfg.Net,
-		Clock:            cfg.Clock,
-		Dir:              cfg.Dir,
-		Verifier:         cfg.Keys,
-		Delta:            cfg.Delta,
-		Kappa:            cfg.Kappa,
-		Sigma:            cfg.Sigma,
-		T1:               cfg.T1,
-		T2:               cfg.T2,
-		StrictDeadlines:  cfg.StrictDeadlines,
-		DigestCompareMin: cfg.DigestCompareMin,
-		LocalName:        cfg.LocalName,
-		Watchers:         cfg.Watchers,
-		OnFailSignal:     cfg.OnFailSignal,
+		Name:            cfg.Name,
+		Net:             cfg.Net,
+		Clock:           cfg.Clock,
+		Dir:             cfg.Dir,
+		Verifier:        cfg.Keys,
+		Delta:           cfg.Delta,
+		Kappa:           cfg.Kappa,
+		Sigma:           cfg.Sigma,
+		T1:              cfg.T1,
+		T2:              cfg.T2,
+		StrictDeadlines: cfg.StrictDeadlines,
+		LocalName:       cfg.LocalName,
+		Watchers:        cfg.Watchers,
+		OnFailSignal:    cfg.OnFailSignal,
 	}
 
 	wrap := cfg.WrapMachine
@@ -347,7 +344,7 @@ func (rc *Receiver) Handle(msg transport.Message) {
 	}
 	var out sm.Output
 	if !p.body.FailSignal {
-		out, err = sm.UnmarshalOutput(p.outputBytes())
+		out, err = sm.UnmarshalOutput(p.full)
 	}
 
 	rc.mu.Lock()

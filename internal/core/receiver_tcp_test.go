@@ -41,7 +41,9 @@ func TestReceiverDedupAcrossTCPReconnect(t *testing.T) {
 
 	// One double-signed output of FS process P, as both its FSOs (and a
 	// restarted one) would emit it.
-	body := OutputBody{Source: "P", Seq: 7, Output: sm.MarshalOutput(sm.Output{Kind: "res", Payload: []byte("x")})}
+	full := sm.MarshalOutput(sm.Output{Kind: "res", Payload: []byte("x")})
+	d := sig.Digest(full)
+	body := OutputBody{Source: "P", Seq: 7, DigestOnly: true, Output: d[:]}
 	env, err := sig.SignEnvelope(fSigner, body.Marshal())
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +52,7 @@ func TestReceiverDedupAcrossTCPReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeFSPayload(dbl)
+	payload := encodeFSDigestPayload(dbl, full)
 
 	sink := newAppSink()
 	rc := NewReceiver(dir, keys, sink.onOutput, sink.onFail)

@@ -84,19 +84,6 @@ type ReplicaConfig struct {
 	// Watchers are logical names additionally notified when this replica
 	// emits a fail-signal ("all entities that are expecting a response").
 	Watchers []string
-	// DigestCompareMin, when positive, switches outputs whose encoding is
-	// at least this many bytes to digest-only comparison: the Compare
-	// threads sign and exchange a fixed-size body carrying
-	// sig.Digest(output) instead of the output itself, so the sync-link
-	// byte volume (and the peer's hash-to-verify cost) stops scaling with
-	// payload size. The digests are equal iff the outputs are equal, so
-	// the comparison is exactly as discriminating; the matched output is
-	// dispatched as a tagFSD payload carrying the full bytes alongside the
-	// double-signed digest body. Zero disables (full-body comparison).
-	// Both replicas of a pair must use the same value — a split setting
-	// makes every large output compare unequal, which the pair reports as
-	// divergence (fail-signal), not corruption.
-	DigestCompareMin int
 	// StrictDeadlines restores the paper-literal fixed comparison and t2
 	// deadlines: a deadline that expires fail-signals, full stop. The
 	// default (false) is progress-aware: an expired deadline whose peer
@@ -155,9 +142,9 @@ type ReplicaStats struct {
 type icmpEntry struct {
 	digest [32]byte
 	dests  []string
-	// full, under digest-only comparison, retains the full output bytes
-	// the signed digest body pins: the peer's candidate carries only the
-	// digest, so dispatch must supply the body from the local copy.
+	// full retains the output bytes the signed digest body pins: the
+	// peer's candidate carries only the digest, so dispatch must supply
+	// the bytes from the local copy.
 	full []byte
 	w    *watch
 }
@@ -172,11 +159,14 @@ type ecmpEntry struct {
 }
 
 // irmpEntry is an Internal Received Message Pool entry (follower only):
-// one externally received input not yet ordered by the leader. cancel
-// covers the queued-for-relay stage (relayLoop selects on it); w covers
-// the post-relay t2 deadline.
+// one externally received input not yet ordered by the leader. p is the
+// verified decode of raw (it aliases raw), kept so the leader's forward of
+// the identical bytes costs a compare, not a second decode, hash and
+// verification. cancel covers the queued-for-relay stage (relayLoop
+// selects on it); w covers the post-relay t2 deadline.
 type irmpEntry struct {
 	raw    []byte
+	p      newPayload
 	cancel chan struct{}
 	w      *watch
 	due    time.Time // when the t1 relay falls due
@@ -422,7 +412,7 @@ func (r *Replica) onNew(msg transport.Message) {
 	if r.cfg.Role == Leader {
 		r.leaderAccept(k, msg.Payload, p)
 	} else {
-		r.followerAccept(k, msg.Payload)
+		r.followerAccept(k, msg.Payload, p)
 	}
 }
 
@@ -467,14 +457,14 @@ func (r *Replica) leaderAccept(k wireKey, raw []byte, p newPayload) {
 // and hands it to the relayer for the t1/t2 escalation, unless the leader
 // has ordered it (or another copy was pooled) in the meantime. The gate is
 // not marked here: only the leader's order admits an input.
-func (r *Replica) followerAccept(k wireKey, raw []byte) {
+func (r *Replica) followerAccept(k wireKey, raw []byte, p newPayload) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.failed || r.closed || r.dupLocked(k) {
 		return
 	}
 	key := k.key()
-	e := &irmpEntry{raw: raw, cancel: make(chan struct{}), due: r.cfg.Clock.Now().Add(r.cfg.T1)}
+	e := &irmpEntry{raw: raw, p: p, cancel: make(chan struct{}), due: r.cfg.Clock.Now().Add(r.cfg.T1)}
 	r.irmp[key] = e
 	r.relayq.push(relayItem{key: key, e: e})
 	traceKey(r.cfg.Trace, trace.EvRelayQueued, 0, 0, key)
@@ -532,12 +522,12 @@ func (r *Replica) relayLoop() {
 }
 
 // onFwd handles a leader-ordered input arriving at the follower
-// (receiveDouble). The follower re-verifies authenticity — by A5 a faulty
-// leader cannot forge client or FS signatures — unless the forwarded bytes
-// are the very bytes it verified itself on direct receipt and still holds
-// in the IRMP. It then checks order-index continuity, admits the input to
-// its gate exactly as the leader did, cancels any pending IRMP escalation,
-// and submits the input.
+// (receiveDouble). The follower decodes and re-verifies the input — by A5 a
+// faulty leader cannot forge client or FS signatures — unless the forwarded
+// bytes are the very bytes it verified itself on direct receipt and still
+// holds in the IRMP, in which case that decode stands. It then checks
+// order-index continuity, admits the input to its gate exactly as the
+// leader did, cancels any pending IRMP escalation, and submits the input.
 func (r *Replica) onFwd(msg transport.Message) {
 	if r.replyIfFailed(msg.From) {
 		return
@@ -551,31 +541,35 @@ func (r *Replica) onFwd(msg transport.Message) {
 		r.failSignal(fmt.Sprintf("undecodable fwd from leader: %v", err))
 		return
 	}
-	p, err := decodeNewPayload(fp.Raw)
-	if err != nil {
-		r.failSignal(fmt.Sprintf("undecodable ordered input from leader: %v", err))
-		return
-	}
-	if p.tag == tagTick {
-		r.acceptTick(fp, p)
-		return
-	}
 	k, ok := peekKey(fp.Raw)
 	if !ok {
-		r.failSignal("leader forwarded input with no identity")
+		// Only a tick carries no identity.
+		p, err := decodeNewPayload(fp.Raw)
+		switch {
+		case err != nil:
+			r.failSignal(fmt.Sprintf("undecodable ordered input from leader: %v", err))
+		case p.tag != tagTick:
+			r.failSignal("leader forwarded input with no identity")
+		default:
+			r.acceptTick(fp, p)
+		}
 		return
 	}
 	key := k.key()
 
 	// A leader that substitutes other bytes under a pending key gets no
 	// credit for the copy this node verified: only identical bytes do.
-	var held []byte
 	r.mu.Lock()
-	if e, pending := r.irmp[key]; pending {
-		held = e.raw
-	}
+	held := r.irmp[key] // raw and p are never written after the entry is pooled
 	r.mu.Unlock()
-	if !bytes.Equal(held, fp.Raw) {
+	var p newPayload
+	if held != nil && bytes.Equal(held.raw, fp.Raw) {
+		p = held.p
+	} else {
+		if p, err = decodeNewPayload(fp.Raw); err != nil {
+			r.failSignal(fmt.Sprintf("undecodable ordered input from leader: %v", err))
+			return
+		}
 		if err := r.verifyPayload(p); err != nil {
 			r.failSignal(fmt.Sprintf("leader forwarded unauthenticated input: %v", err))
 			return
@@ -698,21 +692,17 @@ func (r *Replica) compareDeadline(pi, tau time.Duration) time.Duration {
 	return base + time.Duration(r.cfg.Kappa*float64(pi)) + time.Duration(r.cfg.Sigma*float64(tau))
 }
 
-// compareOutput implements the Compare send side for one output: sign it
-// once, forward to the remote Compare, and either match it against an
-// already-received peer candidate or pool it in the ICMP under a deadline.
-// Large outputs (>= DigestCompareMin) compare digest-only: the signed body
-// carries sig.Digest(output) rather than the output, so the sync link and
-// the peer's verification hash a fixed 32 bytes regardless of payload size.
+// compareOutput implements the Compare send side for one output: hash it,
+// sign the digest body, forward that to the remote Compare, and either
+// match it against an already-received peer candidate or pool it in the
+// ICMP under a deadline. The signed body carries sig.Digest(output) and
+// never the output, so the sync link and the peer's verification handle a
+// fixed 32 bytes whatever the payload size; digests are equal iff the
+// outputs are, so the comparison is exactly as discriminating.
 func (r *Replica) compareOutput(seq uint64, out sm.Output, pi time.Duration) {
-	outBytes := sm.MarshalOutput(out)
-	body := OutputBody{Source: r.cfg.Name, Seq: seq, Output: outBytes}
-	var full []byte
-	if min := r.cfg.DigestCompareMin; min > 0 && len(outBytes) >= min {
-		full = outBytes
-		d := sig.Digest(outBytes)
-		body = OutputBody{Source: r.cfg.Name, Seq: seq, DigestOnly: true, Output: d[:]}
-	}
+	full := sm.MarshalOutput(out)
+	d := sig.Digest(full)
+	body := OutputBody{Source: r.cfg.Name, Seq: seq, DigestOnly: true, Output: d[:]}
 	bb := body.Marshal()
 	digest := sig.Digest(bb)
 
@@ -844,7 +834,7 @@ func (r *Replica) onSingle(msg transport.Message) {
 		return
 	}
 	body, err := UnmarshalOutputBody(env.Body)
-	if err != nil || body.Source != r.cfg.Name || body.FailSignal {
+	if err != nil || body.Source != r.cfg.Name || body.FailSignal || !body.DigestOnly {
 		r.failSignal("peer single-signed a malformed candidate")
 		return
 	}
@@ -924,21 +914,16 @@ const maxECMP = 1 << 16
 
 // dispatchMatched counter-signs the peer's candidate — producing the
 // double-signed output that is the valid output form of the FS process —
-// and sends it to every destination. full, when non-nil, is the output
-// encoding a digest-only comparison withheld from the signed body; it
-// rides alongside the double signature in a tagFSD payload.
+// and sends it to every destination. full is the output encoding whose
+// digest the signed body carries; it rides beside the double signature in
+// a tagFSD payload, encoded once and shared by every destination.
 func (r *Replica) dispatchMatched(peerEnv sig.Envelope, dests []string, full []byte) {
 	dbl, err := sig.CounterSign(r.cfg.Signer, peerEnv)
 	if err != nil {
 		r.failSignal(fmt.Sprintf("cannot counter-sign matched output: %v", err))
 		return
 	}
-	var payload []byte
-	if full != nil {
-		payload = encodeFSDigestPayload(dbl, full)
-	} else {
-		payload = encodeFSPayload(dbl)
-	}
+	payload := encodeFSDigestPayload(dbl, full)
 	for _, dest := range dests {
 		r.sendToDest(dest, payload)
 	}

@@ -114,7 +114,8 @@ func TestECMPOverflowTreatedAsFault(t *testing.T) {
 	// The follower's Compare signer floods the leader with candidates.
 	followerSigner := sig.NewHMACSigner(FollowerID("p"), []byte("hmac-key:"+string(FollowerID("p"))))
 	for seq := uint64(1); seq <= maxECMP+2; seq++ {
-		body := OutputBody{Source: "p", Seq: seq, Output: sm.MarshalOutput(sm.Output{Kind: "x"})}
+		d := sig.Digest(sm.MarshalOutput(sm.Output{Kind: "x"}))
+		body := OutputBody{Source: "p", Seq: seq, DigestOnly: true, Output: d[:]}
 		env, err := sig.SignEnvelope(followerSigner, body.Marshal())
 		if err != nil {
 			t.Fatal(err)

@@ -33,9 +33,9 @@ const InputFailSignal = "fs.failsignal"
 // Payload tags distinguishing the contents of a MsgNew payload.
 const (
 	tagClient byte = iota + 1 // single-signed ClientInput
-	tagFS                     // double-signed OutputBody from an FS process
+	tagFS                     // double-signed fail-signal of an FS process (no output travels bare)
 	tagTick                   // leader-generated tick (only on the fwd link)
-	tagFSD                    // double-signed digest-only OutputBody plus the full output it pins
+	tagFSD                    // double-signed digest body plus the output bytes it pins
 )
 
 // ClientInput is a request submitted to an FS process by a plain endpoint.
@@ -50,7 +50,7 @@ type ClientInput struct {
 
 // Marshal returns the canonical encoding of c.
 func (c ClientInput) Marshal() []byte {
-	w := codec.NewWriter(len(c.Body) + len(c.Client) + len(c.Kind) + 24)
+	w := codec.NewWriter(4 + len(c.Client) + 8 + 4 + len(c.Kind) + 4 + len(c.Body))
 	w.String(c.Client)
 	w.U64(c.Seq)
 	w.String(c.Kind)
@@ -69,21 +69,21 @@ func UnmarshalClientInput(b []byte) (ClientInput, error) {
 	return c, nil
 }
 
-// OutputBody is the content that a Compare thread signs: one sequenced
-// output of the wrapped machine, or the process's fail-signal.
+// OutputBody is the content that a Compare thread signs: the digest of one
+// sequenced output of the wrapped machine, or the process's fail-signal.
 type OutputBody struct {
 	Source     string // logical name of the producing FS process
 	Seq        uint64 // output sequence number (0 for fail-signals)
 	FailSignal bool
-	// DigestOnly marks a digest-compare body: Output then holds
-	// sig.Digest(full output bytes) instead of the output itself, so the
-	// sync-link compare cost stops scaling with payload size. The full
-	// bytes travel outside the signed body (see tagFSD) and are checked
-	// against this digest on receipt, which preserves fail-silence: a
-	// valid output still requires both Compare signatures over content
-	// that pins the full body.
+	// DigestOnly is set on every output body: Output holds
+	// sig.Digest(sm.MarshalOutput bytes), never the bytes themselves, so
+	// what the pair compares, signs, exchanges and counter-signs is a fixed
+	// size whatever the payload. The bytes travel once, beside the double
+	// signature (see tagFSD), and are checked against this digest on
+	// receipt, which preserves fail-silence: a valid output still requires
+	// both Compare signatures over content that pins every byte of it.
 	DigestOnly bool
-	Output     []byte // sm.MarshalOutput encoding; digest when DigestOnly; empty for fail-signals
+	Output     []byte // the 32-byte digest; empty for fail-signals
 }
 
 // OutputBody flag bits. The flags byte occupies the slot the encoding
@@ -97,7 +97,7 @@ const (
 // Marshal returns the canonical encoding of o. Canonical matters: output
 // comparison is equality of these bytes.
 func (o OutputBody) Marshal() []byte {
-	w := codec.NewWriter(len(o.Output) + len(o.Source) + 24)
+	w := codec.NewWriter(4 + len(o.Source) + 8 + 1 + 4 + len(o.Output))
 	w.String(o.Source)
 	w.U64(o.Seq)
 	var flags byte
@@ -136,32 +136,33 @@ type newPayload struct {
 	client ClientInput  // tagClient
 	dbl    sig.Double   // tagFS, tagFSD
 	body   OutputBody   // tagFS, tagFSD
-	full   []byte       // tagFSD: the full output bytes the body's digest pins
+	full   []byte       // tagFSD: the output bytes the body's digest pins
 	tick   time.Time    // tagTick
 }
 
 // encodeClientPayload wraps a signed client envelope as a MsgNew payload.
 func encodeClientPayload(env sig.Envelope) []byte {
-	w := codec.NewWriter(len(env.Body) + len(env.Sig) + 32)
+	w := codec.NewWriter(1 + len(env.Marshal()))
 	w.U8(tagClient)
 	env.Encode(w)
 	return w.Bytes()
 }
 
-// encodeFSPayload wraps a double-signed FS output as a MsgNew payload.
+// encodeFSPayload wraps a double-signed fail-signal as a MsgNew payload.
 func encodeFSPayload(dbl sig.Double) []byte {
-	w := codec.NewWriter(len(dbl.Body) + len(dbl.Sig) + len(dbl.SecondSig) + 48)
+	w := codec.NewWriter(1 + len(dbl.Marshal()))
 	w.U8(tagFS)
 	dbl.Encode(w)
 	return w.Bytes()
 }
 
-// encodeFSDigestPayload wraps a double-signed digest-only output plus the
-// full output bytes its digest pins. The signatures cover only the small
-// digest body; the receiver rehashes full and refuses a mismatch, so the
-// full bytes are exactly as tamper-evident as if they were signed directly.
+// encodeFSDigestPayload wraps a double-signed digest body plus the output
+// bytes its digest pins — the one form an FS output travels in. The
+// signatures cover only the small digest body; the receiver rehashes full
+// and refuses a mismatch, so the bytes are exactly as tamper-evident as if
+// they were signed directly.
 func encodeFSDigestPayload(dbl sig.Double, full []byte) []byte {
-	w := codec.NewWriter(len(dbl.Body) + len(dbl.Sig) + len(dbl.SecondSig) + len(full) + 56)
+	w := codec.NewWriter(1 + len(dbl.Marshal()) + 4 + len(full))
 	w.U8(tagFSD)
 	dbl.Encode(w)
 	w.Bytes32(full)
@@ -177,7 +178,7 @@ func encodeTickPayload(now time.Time) []byte {
 }
 
 // decodeNewPayload parses a MsgNew (or fwd-link) payload without verifying
-// signatures; callers verify according to the tag.
+// signatures; callers verify according to the tag. The result aliases b.
 func decodeNewPayload(b []byte) (newPayload, error) {
 	r := codec.NewReader(b)
 	p := newPayload{tag: r.U8()}
@@ -202,10 +203,10 @@ func decodeNewPayload(b []byte) (newPayload, error) {
 		if err != nil {
 			return newPayload{}, err
 		}
-		if p.body.DigestOnly {
-			// A digest-only body must arrive with its full bytes (tagFSD);
-			// alone it names content it does not carry.
-			return newPayload{}, fmt.Errorf("failsignal: digest-only body without its output")
+		if !p.body.FailSignal || p.body.DigestOnly {
+			// Only a fail-signal travels without bytes: a digest body alone
+			// names content it does not carry.
+			return newPayload{}, fmt.Errorf("failsignal: output body without its output")
 		}
 	case tagTick:
 		p.tick = r.Time()
@@ -244,9 +245,9 @@ func decodeNewPayload(b []byte) (newPayload, error) {
 func peekKey(b []byte) (wireKey, bool) {
 	r := codec.NewReader(b)
 	tag := r.U8()
-	r.BytesView() // first signer
-	br := codec.NewReader(r.BytesView())
-	k := wireKey{source: br.BytesView(), seq: br.U64()}
+	r.Bytes32() // first signer
+	br := codec.NewReader(r.Bytes32())
+	k := wireKey{source: br.Bytes32(), seq: br.U64()}
 	switch tag {
 	case tagClient:
 		k.kind = keyClient
@@ -264,16 +265,6 @@ func peekKey(b []byte) (wireKey, bool) {
 	return k, true
 }
 
-// outputBytes returns the sm.MarshalOutput encoding a verified FS payload
-// carries: the signed body's own bytes for tagFS, the digest-pinned full
-// bytes for tagFSD.
-func (p newPayload) outputBytes() []byte {
-	if p.tag == tagFSD {
-		return p.full
-	}
-	return p.body.Output
-}
-
 // toInput converts a verified payload into the sm.Input the machine sees.
 func (p newPayload) toInput() sm.Input {
 	switch p.tag {
@@ -283,7 +274,7 @@ func (p newPayload) toInput() sm.Input {
 		if p.body.FailSignal {
 			return sm.Input{Kind: InputFailSignal, From: p.body.Source}
 		}
-		out, err := sm.UnmarshalOutput(p.outputBytes())
+		out, err := sm.UnmarshalOutput(p.full)
 		if err != nil {
 			// Verified content that fails to decode can only happen if the
 			// sender pair double-signed garbage; surface it as an opaque
@@ -308,7 +299,7 @@ type fwdPayload struct {
 }
 
 func (f fwdPayload) marshal() []byte {
-	w := codec.NewWriter(len(f.Raw) + 16)
+	w := codec.NewWriter(8 + 4 + len(f.Raw))
 	w.U64(f.Index)
 	w.Bytes32(f.Raw)
 	return w.Bytes()

@@ -8,6 +8,7 @@
 package faults
 
 import (
+	"bytes"
 	"sync/atomic"
 	"time"
 
@@ -52,7 +53,13 @@ func (c *CorruptOutput) Step(in sm.Input) []sm.Output {
 	for i := range outs {
 		c.produced++
 		if c.shouldCorrupt() && len(outs[i].Payload) > 0 {
-			outs[i].Payload[0] ^= 0xA5
+			// Flip a copy: the payload may alias the input it was computed
+			// from, and over netsim that input is one slice shared with the
+			// healthy half — a fault that rewrote it would corrupt both
+			// halves alike and compare equal.
+			bad := bytes.Clone(outs[i].Payload)
+			bad[0] ^= 0xA5
+			outs[i].Payload = bad
 			c.injected.Add(1)
 		}
 	}

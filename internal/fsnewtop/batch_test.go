@@ -13,19 +13,15 @@ import (
 )
 
 // batchTweak enables the batch plane with the given window.
-func batchTweak(b BatchConfig, digestMin int) func(string, *Config) {
-	return func(_ string, cfg *Config) {
-		cfg.Batch = b
-		cfg.DigestCompareMin = digestMin
-	}
+func batchTweak(b BatchConfig) func(string, *Config) {
+	return func(_ string, cfg *Config) { cfg.Batch = b }
 }
 
 // TestBatchedClusterTotalOrder runs the symmetric total-order workload
-// with the full batch plane on (window + output coalescing + digest
-// compare) and requires the exact guarantees of the unbatched system:
+// with the full batch plane on (window + output coalescing) and requires the exact guarantees of the unbatched system:
 // identical delivery order everywhere, nothing lost, no fail-signals.
 func TestBatchedClusterTotalOrder(t *testing.T) {
-	c := newCluster(t, 3, batchTweak(BatchConfig{Enabled: true, MaxDelay: 5 * time.Millisecond}, 1024))
+	c := newCluster(t, 3, batchTweak(BatchConfig{Enabled: true, MaxDelay: 5 * time.Millisecond}))
 	c.joinAll(t, "g")
 	const per = 10
 	for i := 0; i < per; i++ {
@@ -137,7 +133,7 @@ func TestBatchWindowCoalescesBursts(t *testing.T) {
 // flush — on the in-flight round's return, or failing that the backstop
 // timer — and deliver everything.
 func TestBatchWindowMaxDelayFlushWhenIdle(t *testing.T) {
-	c := newCluster(t, 3, batchTweak(BatchConfig{Enabled: true, MaxDelay: 25 * time.Millisecond, MaxMsgs: 1 << 20, MaxBytes: 1 << 30}, 0))
+	c := newCluster(t, 3, batchTweak(BatchConfig{Enabled: true, MaxDelay: 25 * time.Millisecond, MaxMsgs: 1 << 20, MaxBytes: 1 << 30}))
 	c.joinAll(t, "g")
 	// First multicast goes out on the idle-pipe rule; the next two land in
 	// a window that only its round's return or the backstop can flush.
@@ -160,7 +156,7 @@ func TestBatchWindowMaxDelayFlushWhenIdle(t *testing.T) {
 func TestBatchWindowFlushesOnFailSignal(t *testing.T) {
 	// A huge MaxDelay and uncapped sizes: nothing but the fail-signal
 	// path can flush this window.
-	c := newCluster(t, 3, batchTweak(BatchConfig{Enabled: true, MaxDelay: time.Hour, MaxMsgs: 1 << 20, MaxBytes: 1 << 30}, 0))
+	c := newCluster(t, 3, batchTweak(BatchConfig{Enabled: true, MaxDelay: time.Hour, MaxMsgs: 1 << 20, MaxBytes: 1 << 30}))
 	c.joinAll(t, "g")
 	n := c.nsos["m00"]
 	// Open a window: the first submission finds the pipe idle and goes out

@@ -174,10 +174,6 @@ type Config struct {
 	// enabled, also turns on the GC machine's output coalescing — the two
 	// halves of the batch plane. Off by default (wire-identical schedules).
 	Batch BatchConfig
-	// DigestCompareMin, when positive, makes the pair compare outputs of
-	// at least this encoded size by digest instead of by body; see
-	// failsignal.ReplicaConfig.DigestCompareMin. 0 = full-body compare.
-	DigestCompareMin int
 	// GC tunes the protocol machine. Self and Mode are set here.
 	GC group.Config
 	// OnFailSignal observes this pair's own failure (test hook).
@@ -335,26 +331,25 @@ func New(cfg Config) (*NSO, error) {
 	}
 
 	pair, err := failsignal.NewPair(failsignal.PairConfig{
-		Name:             cfg.Name,
-		NewMachine:       func() sm.Machine { return group.New(gcCfg) },
-		WrapMachine:      cfg.WrapMachine,
-		Net:              fab.Net,
-		Clock:            clk,
-		Dir:              fab.Dir,
-		Keys:             fab.Keys,
-		NewSigner:        newSigner,
-		NewVerifier:      func() sig.Verifier { return newVerifier() },
-		Delta:            cfg.Delta,
-		Kappa:            cfg.Kappa,
-		Sigma:            cfg.Sigma,
-		TickInterval:     cfg.TickInterval,
-		StrictDeadlines:  cfg.StrictDeadlines,
-		DigestCompareMin: cfg.DigestCompareMin,
-		LocalName:        inv,
-		Watchers:         cfg.Peers,
-		SyncLink:         cfg.SyncLink,
-		OnFailSignal:     cfg.OnFailSignal,
-		Trace:            fab.Trace,
+		Name:            cfg.Name,
+		NewMachine:      func() sm.Machine { return group.New(gcCfg) },
+		WrapMachine:     cfg.WrapMachine,
+		Net:             fab.Net,
+		Clock:           clk,
+		Dir:             fab.Dir,
+		Keys:            fab.Keys,
+		NewSigner:       newSigner,
+		NewVerifier:     func() sig.Verifier { return newVerifier() },
+		Delta:           cfg.Delta,
+		Kappa:           cfg.Kappa,
+		Sigma:           cfg.Sigma,
+		TickInterval:    cfg.TickInterval,
+		StrictDeadlines: cfg.StrictDeadlines,
+		LocalName:       inv,
+		Watchers:        cfg.Peers,
+		SyncLink:        cfg.SyncLink,
+		OnFailSignal:    cfg.OnFailSignal,
+		Trace:           fab.Trace,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -624,5 +625,25 @@ func TestMcastValidation(t *testing.T) {
 	c.run()
 	if got := c.payloads("b"); len(got) != 0 {
 		t.Fatalf("invalid multicasts delivered: %v", got)
+	}
+}
+
+// TestEncodeHintsAreExact is this package's half of the fence internal/core
+// holds over the FS data path: every encoder that carries a payload sizes
+// its writer to the byte, so the payload is copied once and no buffer grows.
+func TestEncodeHintsAreExact(t *testing.T) {
+	for _, size := range []int{16, 8192} {
+		v := bytes.Repeat([]byte("v"), size)
+		data := DataMsg{Group: "g", Origin: "alice", Service: TotalSym, SenderSeq: 7, TS: 9,
+			VC: []VCEntry{{Member: "alice", Count: 3}, {Member: "bob", Count: 4}}, Payload: v}
+		for name, encode := range map[string]func() []byte{
+			"Deliver":  Deliver{Group: "g", Origin: "alice", Service: TotalSym, Payload: v}.Marshal,
+			"DataMsg":  data.Marshal,
+			"McastReq": McastReq{Group: "g", Service: TotalSym, Payload: v}.Marshal,
+		} {
+			if b := encode(); cap(b) != len(b) {
+				t.Errorf("%s at %d B: cap %d, len %d", name, size, cap(b), len(b))
+			}
+		}
 	}
 }

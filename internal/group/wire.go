@@ -1,6 +1,7 @@
 package group
 
 import (
+	"bytes"
 	"fmt"
 
 	"fsnewtop/internal/codec"
@@ -108,7 +109,7 @@ type McastReq struct {
 
 // Marshal returns the canonical encoding.
 func (m McastReq) Marshal() []byte {
-	w := codec.NewWriter(len(m.Payload) + 24)
+	w := codec.NewWriter(4 + len(m.Group) + 1 + 4 + len(m.Payload))
 	w.String(m.Group)
 	w.U8(uint8(m.Service))
 	w.Bytes32(m.Payload)
@@ -142,6 +143,15 @@ type DataMsg struct {
 	TS        uint64 // Lamport timestamp (TotalSym)
 	VC        []VCEntry
 	Payload   []byte
+}
+
+// size is the exact length of d's encoding.
+func (d DataMsg) size() int {
+	n := 4 + len(d.Group) + 4 + len(d.Origin) + 1 + 8 + 8 + 4 + 4 + len(d.Payload)
+	for _, e := range d.VC {
+		n += 4 + len(e.Member) + 8
+	}
+	return n
 }
 
 func (d DataMsg) encode(w *codec.Writer) {
@@ -179,7 +189,7 @@ func decodeDataMsg(r *codec.Reader) DataMsg {
 
 // Marshal returns the canonical encoding.
 func (d DataMsg) Marshal() []byte {
-	w := codec.NewWriter(len(d.Payload) + 64)
+	w := codec.NewWriter(d.size())
 	d.encode(w)
 	return w.Bytes()
 }
@@ -361,10 +371,7 @@ func (v ViewAck) Marshal() []byte {
 	w.U64(v.Epoch)
 	w.U64(v.Clock)
 	w.StringSlice(v.Suspects)
-	w.U32(uint32(len(v.Pending)))
-	for _, d := range v.Pending {
-		d.encode(w)
-	}
+	encodeDataMsgs(w, v.Pending)
 	return w.Bytes()
 }
 
@@ -372,12 +379,7 @@ func (v ViewAck) Marshal() []byte {
 func UnmarshalViewAck(b []byte) (ViewAck, error) {
 	r := codec.NewReader(b)
 	v := ViewAck{Group: r.String(), ViewID: r.U64(), Epoch: r.U64(), Clock: r.U64(), Suspects: r.StringSlice()}
-	n := int(r.U32())
-	if r.Err() == nil && n <= 1<<20 {
-		for i := 0; i < n; i++ {
-			v.Pending = append(v.Pending, decodeDataMsg(r))
-		}
-	}
+	v.Pending = decodeDataMsgs(r)
 	if err := r.Finish(); err != nil {
 		return ViewAck{}, fmt.Errorf("group: decoding view ack: %w", err)
 	}
@@ -412,10 +414,7 @@ func (v ViewInstall) Marshal() []byte {
 	w.U64(v.ClockFloor)
 	w.StringSlice(v.Members)
 	w.StringSlice(v.Joins)
-	w.U32(uint32(len(v.Flush)))
-	for _, d := range v.Flush {
-		d.encode(w)
-	}
+	encodeDataMsgs(w, v.Flush)
 	return w.Bytes()
 }
 
@@ -423,12 +422,7 @@ func (v ViewInstall) Marshal() []byte {
 func UnmarshalViewInstall(b []byte) (ViewInstall, error) {
 	r := codec.NewReader(b)
 	v := ViewInstall{Group: r.String(), ViewID: r.U64(), Epoch: r.U64(), ClockFloor: r.U64(), Members: r.StringSlice(), Joins: r.StringSlice()}
-	n := int(r.U32())
-	if r.Err() == nil && n <= 1<<20 {
-		for i := 0; i < n; i++ {
-			v.Flush = append(v.Flush, decodeDataMsg(r))
-		}
-	}
+	v.Flush = decodeDataMsgs(r)
 	if err := r.Finish(); err != nil {
 		return ViewInstall{}, fmt.Errorf("group: decoding view install: %w", err)
 	}
@@ -524,14 +518,21 @@ func encodeDataMsgs(w *codec.Writer, ds []DataMsg) {
 	}
 }
 
+// decodeDataMsgs reads a count-prefixed run of messages out of a container
+// (view ack, view install, state snapshot). The machine keeps each message
+// for as long as retransmission may need it, and one survivor must not pin
+// the whole container: each payload is a small field of a large frame, so
+// it is copied.
 func decodeDataMsgs(r *codec.Reader) []DataMsg {
 	n := int(r.U32())
 	if r.Err() != nil || n > 1<<20 {
 		return nil
 	}
-	out := make([]DataMsg, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, decodeDataMsg(r))
+	var out []DataMsg
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d := decodeDataMsg(r)
+		d.Payload = bytes.Clone(d.Payload)
+		out = append(out, d)
 	}
 	return out
 }
@@ -641,7 +642,7 @@ type Deliver struct {
 
 // Marshal returns the canonical encoding.
 func (d Deliver) Marshal() []byte {
-	w := codec.NewWriter(len(d.Payload) + 32)
+	w := codec.NewWriter(4 + len(d.Group) + 4 + len(d.Origin) + 1 + 4 + len(d.Payload))
 	w.String(d.Group)
 	w.String(d.Origin)
 	w.U8(uint8(d.Service))

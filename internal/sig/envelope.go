@@ -79,8 +79,11 @@ func (e Envelope) encodeInto(w *codec.Writer) {
 	w.Bytes32(e.Sig)
 }
 
+// wireSize is the exact length of the envelope's wire form.
+func (e Envelope) wireSize() int { return 4 + len(e.Signer) + 4 + len(e.Body) + 4 + len(e.Sig) }
+
 func (e Envelope) encodeSlow() []byte {
-	w := codec.NewWriter(len(e.Body) + len(e.Sig) + len(e.Signer) + 16)
+	w := codec.NewWriter(e.wireSize())
 	e.encodeInto(w)
 	b := w.Bytes()
 	// Clip: the result is cached and shared, so an append by any holder
@@ -98,10 +101,11 @@ func (e Envelope) Marshal() []byte {
 	return e.encodeSlow()
 }
 
-// DecodeEnvelope reads an envelope written by Encode. The decoded envelope
-// caches the exact bytes consumed as its wire form (a view aliasing the
-// reader's buffer), so re-marshaling — e.g. to check a counter-signature —
-// is free and byte-identical to what the sender signed.
+// DecodeEnvelope reads an envelope written by Encode. Body, Sig and the
+// cached wire form (the exact bytes consumed) are all views of the reader's
+// buffer: nothing is copied, and re-marshaling — e.g. to check a
+// counter-signature — is free and byte-identical to what the sender
+// signed.
 func DecodeEnvelope(r *codec.Reader) Envelope {
 	start := r.Pos()
 	e := Envelope{
@@ -193,8 +197,11 @@ func (d Double) encodeDoubleInto(w *codec.Writer) {
 	w.Bytes32(d.SecondSig)
 }
 
+// dblWireSize is the exact length of the double envelope's wire form.
+func (d Double) dblWireSize() int { return d.wireSize() + 4 + len(d.Second) + 4 + len(d.SecondSig) }
+
 func (d Double) encodeSlow() []byte {
-	w := codec.NewWriter(len(d.Body) + len(d.Sig) + len(d.SecondSig) + 32)
+	w := codec.NewWriter(d.dblWireSize())
 	d.encodeDoubleInto(w)
 	b := w.Bytes()
 	return b[:len(b):len(b)] // clipped: cached and shared, see Envelope

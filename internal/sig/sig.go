@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // ID names a signing principal (a node-resident process such as a Compare
@@ -165,4 +166,16 @@ func (s *HMACSigner) AppendSign(dst, data []byte) ([]byte, error) {
 // key candidate-message pools. SHA-256 rather than MD5: comparison keys are
 // internal and gain nothing from scheme fidelity, and collision resistance
 // here protects the self-checking property itself.
-func Digest(data []byte) [32]byte { return sha256.Sum256(data) }
+func Digest(data []byte) [32]byte {
+	digests.Add(1)
+	return sha256.Sum256(data)
+}
+
+// digests counts Digest calls. One content hash per node per message is a
+// promise of the FS data path (a follower does not re-hash bytes it
+// already verified); the regression tests fence it with this counter.
+var digests atomic.Uint64
+
+// Digests returns the number of Digest calls made so far. Test
+// instrumentation, like WireEncodes.
+func Digests() uint64 { return digests.Load() }

@@ -254,3 +254,28 @@ func TestQuickEnvelopeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWireSizesAreExact fences the envelope encoders' writer hints: the
+// wire form is built in a writer of exactly wireSize (dblWireSize) bytes,
+// so a body is copied into it once and the buffer never grows. The result
+// is clipped, which would hide a wrong hint from a cap == len check, so the
+// computed size is compared with what was written.
+func TestWireSizesAreExact(t *testing.T) {
+	a, b, _ := testSigners(t)
+	for _, size := range []int{16, 8192} {
+		env, err := SignEnvelope(a, make([]byte, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(env.Marshal()); got != env.wireSize() {
+			t.Errorf("envelope of a %d B body: wire form %d B, hint %d", size, got, env.wireSize())
+		}
+		dbl, err := CounterSign(b, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(dbl.Marshal()); got != dbl.dblWireSize() {
+			t.Errorf("double of a %d B body: wire form %d B, hint %d", size, got, dbl.dblWireSize())
+		}
+	}
+}

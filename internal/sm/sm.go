@@ -82,7 +82,7 @@ func Tick(now time.Time) Input {
 // MarshalInput encodes an input for transmission (the FS leader forwards
 // every ordered input to the follower in this form).
 func MarshalInput(in Input) []byte {
-	w := codec.NewWriter(len(in.Payload) + len(in.Kind) + len(in.From) + 12)
+	w := codec.NewWriter(4 + len(in.Kind) + 4 + len(in.From) + 4 + len(in.Payload))
 	w.String(in.Kind)
 	w.String(in.From)
 	w.Bytes32(in.Payload)
@@ -107,7 +107,11 @@ func UnmarshalInput(b []byte) (Input, error) {
 // comparison is byte equality over this encoding, so it must be canonical:
 // equal outputs always encode to equal bytes.
 func MarshalOutput(out Output) []byte {
-	w := codec.NewWriter(len(out.Payload) + 24)
+	size := 4 + len(out.Kind) + 4 + 4 + len(out.Payload)
+	for _, to := range out.To {
+		size += 4 + len(to)
+	}
+	w := codec.NewWriter(size)
 	w.String(out.Kind)
 	w.StringSlice(out.To)
 	w.Bytes32(out.Payload)

@@ -357,7 +357,8 @@ func (n *Network) shardFor(key linkKey) *shard {
 // link's dispatcher shard delivers after the profile's delay, preserving
 // per-link send order. Sending to an unknown destination is an error, so
 // that mis-wired deployments fail loudly rather than silently losing
-// protocol traffic.
+// protocol traffic. The payload is delivered by reference: the handler is
+// handed the very slice Send was (transport.Transport's ownership rule).
 func (n *Network) Send(from, to Addr, kind string, payload []byte) error {
 	if n.closed.Load() {
 		return ErrClosed

@@ -65,41 +65,42 @@ func TestBatchFrameRejectsLyingCount(t *testing.T) {
 }
 
 // TestPackGroupsAdjacentSameLinkRuns drives the writer's packer directly:
-// adjacent same-link messages coalesce, a link change or a pre-encoded
-// frame breaks the run, and counts stay message-accurate throughout.
+// adjacent same-link messages coalesce, a link change or an already
+// framed message breaks the run, and counts stay message-accurate
+// throughout.
 func TestPackGroupsAdjacentSameLinkRuns(t *testing.T) {
 	tr := &Transport{epoch: 1}
 	p := &peer{t: tr}
-	pre := tr.encodeFrame("x", "y", "k", []byte("legacy"))
+	legacy := []byte("legacy")
+	pre := tr.frameHead("x", "y", "k", legacy)
 	entries := []outEntry{
 		{item: item("k", "1"), from: "a", to: "b", seq: 1},
 		{item: item("k", "2"), from: "a", to: "b", seq: 2},
 		{item: item("k", "3"), from: "a", to: "c", seq: 3}, // link change breaks the run
-		{frame: pre}, // pre-encoded frame passes through
+		{head: pre, payload: legacy},                       // framed message passes through, payload by reference
 		{item: item("k", "4"), from: "a", to: "c", seq: 5},
 	}
-	bufs, counts := p.pack(entries)
-	if len(bufs) != 4 {
-		t.Fatalf("packed into %d frames, want 4", len(bufs))
+	frames := p.pack(entries)
+	if len(frames) != 4 {
+		t.Fatalf("packed into %d frames, want 4", len(frames))
 	}
-	wantCounts := []int{2, 1, 1, 1}
-	for i, c := range wantCounts {
-		if counts[i] != c {
-			t.Fatalf("counts = %v, want %v", counts, wantCounts)
+	for i, c := range []int{2, 1, 1, 1} {
+		if frames[i].msgs != c {
+			t.Fatalf("frame %d carries %d messages, want %d", i, frames[i].msgs, c)
 		}
 	}
-	if binary.BigEndian.Uint32(bufs[0])&frameBatchFlag == 0 {
+	if binary.BigEndian.Uint32(frames[0].head)&frameBatchFlag == 0 {
 		t.Fatal("first run did not become a batch frame")
 	}
-	if !bytes.Equal(bufs[2], pre) {
-		t.Fatal("pre-encoded frame was not passed through verbatim")
+	if !bytes.Equal(frames[2].head, pre) || &frames[2].body[0] != &legacy[0] {
+		t.Fatal("framed message was not passed through verbatim, payload by reference")
 	}
 	for _, i := range []int{1, 3} {
-		if binary.BigEndian.Uint32(bufs[i])&frameBatchFlag != 0 {
-			t.Fatalf("run of one (frame %d) must travel as a plain frame", i)
+		if binary.BigEndian.Uint32(frames[i].head)&frameBatchFlag != 0 || frames[i].body != nil {
+			t.Fatalf("run of one (frame %d) must travel as a plain frame encoded whole", i)
 		}
 	}
-	_, seq, msgs, err := decodeBatchFrame(bufs[0][4:])
+	_, seq, msgs, err := decodeBatchFrame(frames[0].head[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +123,9 @@ func TestPackRespectsCaps(t *testing.T) {
 	for i := 0; i < coalesceMaxMsgs+1; i++ {
 		entries = append(entries, outEntry{item: item("k", "x"), from: "a", to: "b", seq: uint64(i + 1)})
 	}
-	bufs, counts := p.pack(entries)
-	if len(bufs) != 2 || counts[0] != coalesceMaxMsgs || counts[1] != 1 {
-		t.Fatalf("msg cap: %d frames, counts %v", len(bufs), counts)
+	frames := p.pack(entries)
+	if len(frames) != 2 || frames[0].msgs != coalesceMaxMsgs || frames[1].msgs != 1 {
+		t.Fatalf("msg cap: packed into %+v", frames)
 	}
 
 	big := make([]byte, coalesceMaxBytes)
@@ -133,11 +134,11 @@ func TestPackRespectsCaps(t *testing.T) {
 		{item: item("k", "small"), from: "a", to: "b", seq: 2},
 		{item: item("k", "small2"), from: "a", to: "b", seq: 3},
 	}
-	bufs, counts = p.pack(entries)
-	if len(bufs) != 2 || counts[0] != 1 || counts[1] != 2 {
-		t.Fatalf("byte cap: %d frames, counts %v", len(bufs), counts)
+	frames = p.pack(entries)
+	if len(frames) != 2 || frames[0].msgs != 1 || frames[1].msgs != 2 {
+		t.Fatalf("byte cap: %d frames", len(frames))
 	}
-	if binary.BigEndian.Uint32(bufs[0])&frameBatchFlag != 0 {
+	if binary.BigEndian.Uint32(frames[0].head)&frameBatchFlag != 0 {
 		t.Fatal("oversized run of one must travel as a plain frame")
 	}
 }

@@ -35,18 +35,31 @@ const (
 )
 
 // outEntry is one queued message awaiting the writer. Exactly one of
-// frame/item is set: frame is a fully-encoded single-message frame
-// (coalescing off; its seq is stamped in place at enqueue), item is the
-// encoded kind+payload segment of a coalescable message (coalescing on;
-// the frame header is written at drain time, when the writer knows the
-// run it belongs to).
+// head/item is set: head is a single-message frame minus its payload
+// (coalescing off; its seq is stamped in place at enqueue) and payload is
+// the sender's own slice, queued by reference; item is the encoded
+// kind+payload segment of a coalescable message (coalescing on; the frame
+// header is written at drain time, when the writer knows the run it
+// belongs to).
 type outEntry struct {
-	frame []byte
-	item  []byte
-	from  transport.Addr
-	to    transport.Addr
-	seq   uint64
+	head    []byte
+	payload []byte
+	item    []byte
+	from    transport.Addr
+	to      transport.Addr
+	seq     uint64
 }
+
+// wireFrame is one frame as the vectored write sees it: head, then body.
+// body is a payload sent by reference and is nil for a frame encoded
+// whole. The two are one unit of recovery: a frame is written only when
+// every byte of both went out.
+type wireFrame struct {
+	head, body []byte
+	msgs       int // messages the frame carries, so drops stay message-accurate
+}
+
+func (f wireFrame) size() int64 { return int64(len(f.head) + len(f.body)) }
 
 // peer owns the outbound side of one remote endpoint: a FIFO frame queue
 // drained by a single writer goroutine over one lazily-dialed TCP
@@ -72,11 +85,12 @@ func newPeer(t *Transport, hostport string) *peer {
 	return p
 }
 
-// enqueue appends one encoded frame; it never blocks on the network. The
-// frame's sequence number is stamped here, under the queue lock, so seq
-// order equals wire order: the receiver relies on that to discard frames
-// replayed out of order across a reconnect.
-func (p *peer) enqueue(frame []byte) {
+// enqueue appends one frame — head and the payload it frames — and never
+// blocks on the network. The frame's sequence number is stamped here,
+// under the queue lock, so seq order equals wire order: the receiver
+// relies on that to discard frames replayed out of order across a
+// reconnect.
+func (p *peer) enqueue(head, payload []byte) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -88,8 +102,8 @@ func (p *peer) enqueue(frame []byte) {
 		return
 	}
 	p.seq++
-	binary.BigEndian.PutUint64(frame[seqOffset:], p.seq)
-	p.queue = append(p.queue, outEntry{frame: frame})
+	binary.BigEndian.PutUint64(head[seqOffset:], p.seq)
+	p.queue = append(p.queue, outEntry{head: head, payload: payload})
 	p.mu.Unlock()
 	p.cond.Signal()
 }
@@ -153,52 +167,49 @@ func (p *peer) run() {
 		p.queue = nil
 		p.mu.Unlock()
 
-		bufs, counts := p.pack(entries)
-		if dropped := p.writeBatch(bufs, counts); dropped > 0 {
+		if dropped := p.writeBatch(p.pack(entries)); dropped > 0 {
 			p.t.dropped.Add(uint64(dropped))
 		}
 	}
 }
 
-// pack turns drained queue entries into wire frames. Pre-encoded frames
+// pack turns drained queue entries into wire frames. Framed entries
 // (coalescing off) pass through untouched; coalescable entries are grouped
 // into runs of adjacent messages on the same (From,To) link and each run
 // longer than one becomes a single batch frame — one header, one length
 // prefix, one receiver dispatch for the whole run. Grouping only adjacent
 // same-link messages is what keeps per-link FIFO trivially intact: the
 // wire carries exactly the enqueue order, just with fewer frame
-// boundaries. counts[i] is how many messages bufs[i] carries, so drops
-// stay message-accurate.
-func (p *peer) pack(entries []outEntry) (bufs [][]byte, counts []int) {
-	bufs = make([][]byte, 0, len(entries))
-	counts = make([]int, 0, len(entries))
+// boundaries.
+func (p *peer) pack(entries []outEntry) []wireFrame {
+	frames := make([]wireFrame, 0, len(entries))
 	for i := 0; i < len(entries); {
 		e := entries[i]
-		if e.frame != nil {
-			bufs = append(bufs, e.frame)
-			counts = append(counts, 1)
+		if e.head != nil {
+			frames = append(frames, wireFrame{head: e.head, body: e.payload, msgs: 1})
 			i++
 			continue
 		}
 		j, bytes := i+1, len(e.item)
 		for j < len(entries) && j-i < coalesceMaxMsgs {
 			n := entries[j]
-			if n.frame != nil || n.from != e.from || n.to != e.to || bytes+len(n.item) > coalesceMaxBytes {
+			if n.head != nil || n.from != e.from || n.to != e.to || bytes+len(n.item) > coalesceMaxBytes {
 				break
 			}
 			bytes += len(n.item)
 			j++
 		}
+		f := wireFrame{msgs: j - i}
 		if j == i+1 {
-			bufs = append(bufs, p.t.encodeSingleFrame(e))
+			f.head = p.t.encodeSingleFrame(e)
 		} else {
-			bufs = append(bufs, p.t.encodeBatchFrame(entries[i:j]))
+			f.head = p.t.encodeBatchFrame(entries[i:j])
 		}
-		counts = append(counts, j-i)
+		frames = append(frames, f)
 		i = j
 	}
-	p.t.frames.Add(uint64(len(bufs)))
-	return bufs, counts
+	p.t.frames.Add(uint64(len(frames)))
+	return frames
 }
 
 // writeBatch writes the frames in one vectored write per attempt,
@@ -207,13 +218,13 @@ func (p *peer) pack(entries []outEntry) (bufs [][]byte, counts []int) {
 // resets it — so a connection flapping during a large drain keeps its
 // per-frame resilience (the old one-write-per-frame loop redialed per
 // frame) instead of shedding the whole remainder on the second break.
-// counts[i] is the message count of batch[i]; the return value is how
-// many MESSAGES were dropped. Recovery is frame-granular: a frame the
-// broken connection accepted only partially is resent whole on the fresh
-// one — its receiver died with the connection, so no duplicate can reach
-// a live reader (and the per-link sequence watermark would discard one
-// anyway).
-func (p *peer) writeBatch(batch [][]byte, counts []int) int {
+// The return value is how many MESSAGES were dropped. Recovery is
+// frame-granular: a frame the broken connection accepted only partially —
+// its head but not all of its body included — is resent whole on the
+// fresh one; its receiver died with the connection, so no duplicate can
+// reach a live reader (and the per-link sequence watermark would discard
+// one anyway).
+func (p *peer) writeBatch(batch []wireFrame) int {
 	redial := false
 	for noProgress := 0; len(batch) > 0 && noProgress < 2; noProgress++ {
 		conn := p.ensureConn(redial)
@@ -221,28 +232,28 @@ func (p *peer) writeBatch(batch [][]byte, counts []int) int {
 		if conn == nil {
 			continue
 		}
-		bufs := make(net.Buffers, len(batch))
-		copy(bufs, batch)
+		bufs := make(net.Buffers, 0, 2*len(batch))
+		for _, f := range batch {
+			bufs = append(bufs, f.head)
+			if len(f.body) > 0 {
+				bufs = append(bufs, f.body)
+			}
+		}
 		n, err := bufs.WriteTo(conn)
 		if err == nil {
 			return 0
 		}
-		// Trim the fully-written prefix off the retry batch.
-		progressed := false
-		for n > 0 && len(batch) > 0 && int64(len(batch[0])) <= n {
-			n -= int64(len(batch[0]))
+		// Trim the fully-written frames off the retry batch.
+		for len(batch) > 0 && batch[0].size() <= n {
+			n -= batch[0].size()
 			batch = batch[1:]
-			counts = counts[1:]
-			progressed = true
-		}
-		if progressed {
 			noProgress = -1
 		}
 		p.dropConn(conn)
 	}
 	dropped := 0
-	for _, c := range counts {
-		dropped += c
+	for _, f := range batch {
+		dropped += f.msgs
 	}
 	return dropped
 }

@@ -43,6 +43,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -319,8 +320,11 @@ func (t *Transport) Deregister(addr transport.Addr) {
 	t.linksMu.Unlock()
 }
 
-// Send implements transport.Transport: resolve, frame, and hand the frame
-// to the destination endpoint's writer. It never blocks on the network.
+// Send implements transport.Transport: resolve, build the frame header,
+// and hand header and payload to the destination endpoint's writer. It
+// never blocks on the network. The payload is queued by reference — Send
+// owns it from here on — and reaches the socket in the writer's vectored
+// write without ever being copied into a frame.
 func (t *Transport) Send(from, to transport.Addr, kind string, payload []byte) error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -329,7 +333,7 @@ func (t *Transport) Send(from, to transport.Addr, kind string, payload []byte) e
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownAddr, to)
 	}
-	// Oversized frames must fail loudly here, before the encode allocates:
+	// Oversized frames must fail loudly here, before anything is queued:
 	// written to the wire they would make the receiver sever the whole
 	// connection, silently losing every unrelated message buffered behind
 	// them.
@@ -343,12 +347,9 @@ func (t *Transport) Send(from, to transport.Addr, kind string, payload []byte) e
 	t.sent.Add(1)
 	t.bytes.Add(uint64(len(payload)))
 	if t.coalesce {
-		// The payload is copied into the item segment here, so the caller
-		// may reuse its buffer after Send returns — the same contract the
-		// eager frame encoding gives.
 		p.enqueueItem(from, to, encodeItem(kind, payload))
 	} else {
-		p.enqueue(t.encodeFrame(from, to, kind, payload))
+		p.enqueue(t.frameHead(from, to, kind, payload), payload)
 	}
 	return nil
 }
@@ -479,9 +480,13 @@ func (t *Transport) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
+	// Buffered, so a length prefix — and a run of small frames — is not a
+	// read syscall each; a frame body is still its own allocation, which is
+	// what lets handlers keep the payloads that alias it.
+	br := bufio.NewReaderSize(conn, readBufferSize)
 	var lenBuf [4]byte
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
@@ -491,7 +496,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			return // protocol violation: drop the connection
 		}
 		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
+		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
 		if isBatch {
@@ -653,6 +658,10 @@ func (q *linkQueue) deliver(f inFrame) {
 	h(f.msg)
 }
 
+// readBufferSize is each inbound connection's read buffer: several
+// 8 KiB frames, or a few hundred acknowledgements, per syscall.
+const readBufferSize = 64 << 10
+
 // Frame layout: u32 length prefix (bytes after itself), u64 sender
 // incarnation epoch, u64 sequence number (stamped by peer.enqueue — zero
 // until then), then the codec body.
@@ -674,19 +683,20 @@ func frameSize(from, to transport.Addr, kind string, payload []byte) int {
 	return 8 + 8 + 4 + len(from) + 4 + len(to) + 4 + len(kind) + 4 + len(payload)
 }
 
-// encodeFrame renders one message as a length-prefixed codec frame.
-func (t *Transport) encodeFrame(from, to transport.Addr, kind string, payload []byte) []byte {
-	w := codec.NewWriter(4 + frameSize(from, to, kind, payload))
-	w.U32(0)       // length, patched below
+// frameHead renders everything of one message's frame that is not the
+// payload: the length prefix (which counts the payload), the header, and
+// the payload's own length prefix. Head followed by payload is the frame.
+func (t *Transport) frameHead(from, to transport.Addr, kind string, payload []byte) []byte {
+	size := frameSize(from, to, kind, payload)
+	w := codec.NewWriter(4 + size - len(payload))
+	w.U32(uint32(size))
 	w.U64(t.epoch) // sender incarnation
 	w.U64(0)       // sequence number, patched at enqueue
 	w.String(string(from))
 	w.String(string(to))
 	w.String(kind)
-	w.Bytes32(payload)
-	frame := w.Bytes()
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-	return frame
+	w.U32(uint32(len(payload)))
+	return w.Bytes()
 }
 
 // encodeItem renders one message's kind+payload segment — the unit a
@@ -758,7 +768,7 @@ func decodeBatchFrame(body []byte) (epoch, seq uint64, msgs []transport.Message,
 	msgs = make([]transport.Message, 0, count)
 	for i := uint32(0); i < count; i++ {
 		kind := r.String()
-		payload := r.BytesView()
+		payload := r.Bytes32()
 		msgs = append(msgs, transport.Message{From: from, To: to, Kind: kind, Payload: payload})
 	}
 	if err := r.Finish(); err != nil {
@@ -779,7 +789,7 @@ func decodeFrame(body []byte) (epoch, seq uint64, msg transport.Message, err err
 		To:   transport.Addr(r.String()),
 		Kind: r.String(),
 	}
-	msg.Payload = r.BytesView()
+	msg.Payload = r.Bytes32()
 	if err := r.Finish(); err != nil {
 		return 0, 0, transport.Message{}, fmt.Errorf("tcpnet: decoding frame: %w", err)
 	}

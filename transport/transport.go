@@ -19,6 +19,12 @@
 //     leader→follower link never reordering.
 //   - Handlers run on transport-owned goroutines: they must be quick and
 //     must never block on the network (sending more messages is fine).
+//   - Payload bytes are immutable once they enter the plane: Send takes
+//     ownership of the slice it is given, a delivered payload is the
+//     handler's to keep, and nobody on either side writes to one — a
+//     simulated fabric hands one slice to every destination, and every
+//     decoder above aliases what it is handed (DESIGN.md, "Data path: who
+//     owns a byte").
 //   - Sending to an address that cannot be resolved fails loudly with
 //     ErrUnknownAddr, so mis-wired deployments do not silently lose
 //     protocol traffic.
@@ -42,7 +48,12 @@ import "errors"
 // Addr identifies a transport endpoint (one node-resident process).
 type Addr string
 
-// Message is the unit of delivery.
+// Message is the unit of delivery. Payload belongs to the handler it is
+// delivered to for as long as the handler — or anything decoded from it —
+// keeps a reference: a backend never reuses or rewrites the bytes behind a
+// delivered payload. It is read-only all the same: over a backend that
+// passes payloads by reference, the sender's other destinations hold the
+// same bytes.
 type Message struct {
 	From    Addr
 	To      Addr
@@ -64,7 +75,10 @@ type Transport interface {
 	// at delivery time; subsequent Sends to it fail with ErrUnknownAddr.
 	Deregister(addr Addr)
 	// Send schedules delivery of a message. It never blocks on delivery
-	// and preserves per-link send order.
+	// and preserves per-link send order. Send takes ownership of payload:
+	// the backend queues or delivers the slice itself, not a copy, so the
+	// caller must not write to it again — handing the same slice to
+	// several Sends is fine, reusing it as a scratch buffer is not.
 	Send(from, to Addr, kind string, payload []byte) error
 	// Close shuts the transport down. Pending deliveries may be abandoned.
 	Close()

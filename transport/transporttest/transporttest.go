@@ -9,6 +9,9 @@
 //   - delivery fidelity: From, To, Kind and Payload arrive intact;
 //   - per-link FIFO: messages of one (From,To) direction are delivered in
 //     send order (the Order protocol's leader→follower assumption);
+//   - ownership: a delivered payload is the handler's to keep — decoded
+//     messages alias it for as long as the protocol holds them — and no
+//     later traffic may touch its bytes;
 //   - loud mis-wiring: sending to an unresolvable address fails with
 //     transport.ErrUnknownAddr, including after Deregister;
 //   - close semantics: Send after Close fails with transport.ErrClosed;
@@ -18,6 +21,7 @@
 package transporttest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -56,6 +60,7 @@ func Run(t *testing.T, factory func(t *testing.T) *Deployment) {
 	sub("DeliveryFidelity", testDeliveryFidelity)
 	sub("PerLinkFIFO", testPerLinkFIFO)
 	sub("BurstFIFOFidelity", testBurstFIFOFidelity)
+	sub("RetainedPayloads", testRetainedPayloads)
 	sub("UnknownAddr", testUnknownAddr)
 	sub("DeregisterThenSend", testDeregisterThenSend)
 	sub("CloseSemantics", testCloseSemantics)
@@ -185,6 +190,56 @@ func testBurstFIFOFidelity(t *testing.T, d *Deployment) {
 			want[r.link]++
 		case <-deadline:
 			t.Fatalf("timed out after %d of %d deliveries (per-link progress %v)", received, links*n, want)
+		}
+	}
+}
+
+// testRetainedPayloads pins the receive half of the ownership rule the
+// whole stack decodes in place on: a handler may keep every payload it is
+// handed. It retains 10,000 of them, of mixed sizes, while the traffic that
+// follows keeps arriving, and then checks every byte of every one. A
+// backend that recycled a read buffer, or decoded a later frame over an
+// earlier one, fails it.
+func testRetainedPayloads(t *testing.T, d *Deployment) {
+	const n = 10000
+	fill := func(i int) []byte {
+		b := make([]byte, 1+(i*37)%2048) // a fresh slice per Send: Send owns it
+		for j := range b {
+			b[j] = byte(i + j)
+		}
+		return b
+	}
+	sender, receiver := d.Endpoint(0), d.Endpoint(1)
+	var mu sync.Mutex
+	kept := make([][]byte, 0, n)
+	done := make(chan struct{})
+	receiver.Register("conf/keep-dst", func(m transport.Message) {
+		mu.Lock()
+		kept = append(kept, m.Payload)
+		full := len(kept) == n
+		mu.Unlock()
+		if full {
+			close(done)
+		}
+	})
+	sender.Register("conf/keep-src", func(transport.Message) {})
+	for i := 0; i < n; i++ {
+		if err := sender.Send("conf/keep-src", "conf/keep-dst", "keep", fill(i)); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(waitTimeout):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("%d of %d payloads delivered", len(kept), n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, got := range kept {
+		if want := fill(i); !bytes.Equal(got, want) {
+			t.Fatalf("retained payload %d (%d bytes) changed after delivery", i, len(want))
 		}
 	}
 }
