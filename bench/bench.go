@@ -86,13 +86,6 @@ type Options struct {
 	// RSA selects MD5-with-RSA signing for FS pairs (the paper's scheme)
 	// instead of fast HMAC.
 	RSA bool
-	// Batch arms the batch plane end to end: the FS invocation window
-	// coalesces multicasts into one sign/compare round, and the substrate
-	// coalesces adjacent same-link messages into multi-message frames
-	// (tcpnet batch frames; netsim's equivalent framing model). Off by
-	// default so existing trajectories stay comparable; NewTOP runs ignore
-	// the FS half and keep only the transport framing.
-	Batch bool
 	// Transport selects the substrate: "netsim" (default, the seeded
 	// in-process simulator), "tcp" (loopback sockets via transport/tcpnet,
 	// one shared Go runtime) or "tcp-procs" (the same sockets, every member
@@ -193,19 +186,15 @@ var ErrRefused = errors.New("bench: refused")
 func newTransport(opts Options, clk clock.Clock) (transport.Transport, error) {
 	switch opts.Transport {
 	case TransportNetsim:
-		nopts := []netsim.Option{
+		return netsim.New(clk,
 			netsim.WithSeed(opts.Seed),
 			netsim.WithDefaultProfile(transport.Profile{
 				Latency:        transport.Fixed(opts.NetLatency),
 				BytesPerSecond: opts.Bandwidth,
 			}),
-		}
-		if opts.Batch {
-			nopts = append(nopts, netsim.WithCoalescing())
-		}
-		return netsim.New(clk, nopts...), nil
+		), nil
 	case TransportTCP:
-		return tcpnet.New(tcpnet.Config{Coalesce: opts.Batch})
+		return tcpnet.New(tcpnet.Config{})
 	default:
 		return nil, fmt.Errorf("%w: unknown transport %q (want %q, %q or %q)",
 			ErrRefused, opts.Transport, TransportNetsim, TransportTCP, TransportTCPProcs)
@@ -242,14 +231,8 @@ type Result struct {
 	// Delivered counts total deliveries across members; Expected is
 	// Members² × MsgsPerMember.
 	Delivered, Expected int
-	// Batch records whether the run had the batch plane armed.
-	Batch bool
 	// NetMessages and NetBytes are fabric-level traffic totals.
 	NetMessages, NetBytes uint64
-	// NetFrames counts wire frames, when the substrate accounts for them
-	// (both in-process substrates do). NetMessages/NetFrames is the
-	// measured amortization factor; 1.0 with batching off.
-	NetFrames uint64
 	// SigCacheHits and SigCacheMisses are the FS deployment's
 	// verification counters (zero for NewTOP, which signs nothing): misses
 	// are real signature checks, hits the ones a memo answered — zero,
@@ -311,9 +294,6 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 		// network ignores it and the wire's own latency applies.
 		cluster.WithSyncLinkProfile(transport.Profile{Latency: transport.Fixed(opts.LANLatency)}),
 	)
-	if opts.Batch {
-		copts = append(copts, cluster.WithBatching())
-	}
 	cl, err := cluster.New(copts...)
 	if err != nil {
 		return Result{}, nil, err
@@ -413,9 +393,6 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 	if ts, ok := cl.Stats(); ok {
 		res.NetMessages, res.NetBytes = ts.Sent, ts.Bytes
 	}
-	if fc, ok := tr.(interface{ FramesSent() uint64 }); ok {
-		res.NetFrames = fc.FramesSent()
-	}
 	res.SigCacheHits, res.SigCacheMisses = cl.SigCacheStats()
 	return res, stats, runErr
 }
@@ -425,10 +402,6 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 // the Result still carries whatever was aggregated before the failure —
 // usually nothing, since workers report stats only at completion.
 func runProcs(opts Options, spec deploy.RunSpec) (Result, []deploy.WorkerStats, error) {
-	if opts.Batch {
-		return Result{}, nil, fmt.Errorf("%w: Batch cannot be armed on Transport %q: a worker binds its transport before the run spec reaches it",
-			ErrRefused, TransportTCPProcs)
-	}
 	dres, err := deploy.Run(deploy.Config{Workers: opts.Members, Spec: spec, StallAfter: max(opts.StallAfter, 0)})
 	err = markRefused(err)
 	res := aggregate(opts, dres.Stats)
@@ -462,7 +435,6 @@ func aggregate(opts Options, stats []deploy.WorkerStats) Result {
 		MsgSize:       opts.MsgSize,
 		MsgsPerMember: opts.MsgsPerMember,
 		Expected:      opts.Members * expectedPerMember,
-		Batch:         opts.Batch,
 	}
 	var lat metrics.Histogram
 	var tput float64

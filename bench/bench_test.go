@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fsnewtop/internal/group"
+	"fsnewtop/internal/trace"
 )
 
 // quickOpts returns a small, fast experiment configuration.
@@ -50,20 +53,44 @@ func TestRunFSNewTOP(t *testing.T) {
 	}
 }
 
+// pacedRuns runs both systems at 4 members paced slower than one FS
+// round, and fails if any KindBatch input reached a pair: at that pace
+// every multicast is its own order/sign/compare/counter-sign round, so the
+// two results compare the paper's per-message costs. (Under backlog the
+// accumulation window legitimately amortises the FS round over several
+// multicasts, which is a different claim.)
+func pacedRuns(t *testing.T) (nt, fs Result) {
+	t.Helper()
+	paced := func(sys System) Options {
+		o := quickOpts(sys, 4)
+		o.MsgsPerMember = 8
+		o.SendInterval = 25 * time.Millisecond
+		return o
+	}
+	nt, err := Run(paced(SystemNewTOP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err = Run(paced(SystemFSNewTOP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range activeTrace.Load().Snapshot() {
+		if ev.Kind == trace.EvReissue && ev.Note == group.KindBatch {
+			t.Fatalf("a KindBatch reached %s's pair at %v pacing (FS p99 %v): the run no longer measures per-message cost",
+				ev.Node, paced(SystemFSNewTOP).SendInterval, fs.Latency.P99)
+		}
+	}
+	return nt, fs
+}
+
 // TestFSCostsMoreThanCrash is the paper's headline direction: FS-NewTOP
-// pays latency for the fail-signal guarantee.
+// pays for the fail-signal guarantee.
 func TestFSCostsMoreThanCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	nt, err := Run(quickOpts(SystemNewTOP, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := Run(quickOpts(SystemFSNewTOP, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nt, fs := pacedRuns(t)
 	if fs.Latency.Mean <= nt.Latency.Mean {
 		t.Logf("warning: FS mean %v <= NewTOP mean %v (scheduling noise?)", fs.Latency.Mean, nt.Latency.Mean)
 	}
@@ -140,15 +167,8 @@ func TestMessageAmplification(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	nt, err := Run(quickOpts(SystemNewTOP, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := Run(quickOpts(SystemFSNewTOP, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	multicasts := float64(4 * 10)
+	nt, fs := pacedRuns(t)
+	multicasts := float64(nt.Members * nt.MsgsPerMember)
 	ntPer := float64(nt.NetMessages) / multicasts
 	fsPer := float64(fs.NetMessages) / multicasts
 	t.Logf("messages per multicast: NewTOP %.1f, FS-NewTOP %.1f (x%.1f)", ntPer, fsPer, fsPer/ntPer)

@@ -47,10 +47,6 @@ type ChaosOptions struct {
 	// steps ≤ δ/10 and rate errors ≤ ±500ppm that correct pairs must ride
 	// out). Requires Virtual: skew only exists on the virtual timeline.
 	Skew bool
-	// Batch arms the batch plane (cluster.WithBatching) under the fault
-	// schedule: the oracles are unchanged — batching must be invisible to
-	// every fail-silence property.
-	Batch bool
 }
 
 // toChaos converts to the internal options, building the virtual clock
@@ -67,7 +63,6 @@ func (o ChaosOptions) toChaos(reg *trace.Registry) (chaos.Options, func(), error
 		Trace:     reg,
 		Churn:     o.Churn,
 		Skew:      o.Skew,
-		Batch:     o.Batch,
 	}
 	if o.Skew && !o.Virtual {
 		return co, nil, fmt.Errorf("%w: chaos Skew faults need Virtual: clock skew only exists on the virtual timeline", ErrRefused)

@@ -25,11 +25,7 @@ type SeriesPoint struct {
 	Expected      int     `json:"expected"`
 	NetMessages   uint64  `json:"net_messages"`
 	NetBytes      uint64  `json:"net_bytes"`
-	// NetFrames counts wire frames; net_messages/net_frames is the
-	// batch plane's measured amortization factor (1.0 with batching off).
-	NetFrames uint64  `json:"net_frames,omitempty"`
-	Batch     bool    `json:"batch,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms"`
+	ElapsedMS     float64 `json:"elapsed_ms"`
 	// Verification-memo counters summed across the FS deployment's
 	// per-node verifiers (both zero for NewTOP runs, which sign
 	// nothing). Not omitempty: a measured zero must stay distinguishable
@@ -69,8 +65,6 @@ func toPoint(x int, r Result, errStr string) SeriesPoint {
 		Expected:       r.Expected,
 		NetMessages:    r.NetMessages,
 		NetBytes:       r.NetBytes,
-		NetFrames:      r.NetFrames,
-		Batch:          r.Batch,
 		ElapsedMS:      float64(r.Elapsed.Nanoseconds()) / 1e6,
 		SigCacheHits:   r.SigCacheHits,
 		SigCacheMisses: r.SigCacheMisses,

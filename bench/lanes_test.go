@@ -107,8 +107,6 @@ func TestRefusedCombinations(t *testing.T) {
 				_, err := Run(Options{System: SystemNewTOP, MsgsPerMember: 1, Transport: TransportTCPProcs})
 				return err
 			}},
-		{name: "procs x batch", names: []string{`"tcp-procs"`, "Batch"},
-			run: func() error { _, err := Run(fs(Options{Batch: true, Transport: TransportTCPProcs})); return err }},
 		{name: "procs x one worker", names: []string{`"tcp-procs"`, "Members 1"},
 			run: func() error { _, err := Run(fs(Options{Members: 1, Transport: TransportTCPProcs})); return err }},
 		{name: "skew without virtual", names: []string{"Skew", "Virtual"},

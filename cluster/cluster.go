@@ -106,7 +106,6 @@ type config struct {
 	traceReg     *trace.Registry
 	autoHeal     bool
 	healEvery    time.Duration
-	batch        bool
 }
 
 // Option configures New.
@@ -224,19 +223,6 @@ func WithFaultPlan() Option {
 // builds the members.
 func WithTrace(reg *trace.Registry) Option {
 	return func(c *config) { c.traceReg = reg }
-}
-
-// WithBatching arms the batch plane on every fail-signal member: the
-// invocation layer coalesces multicasts submitted within a bounded
-// δ-safe accumulation window into one FS order/sign/compare round (the
-// window's defaults: 64 messages, 256 KiB, 2ms — an idle member still
-// submits immediately, so unbatched latency is unchanged). Off by
-// default. Receivers always understand batched traffic, so mixed
-// deployments (some members batching, some not) are fine. Ignored
-// (harmless) under WithCrashTolerance, whose members have no FS round to
-// amortize.
-func WithBatching() Option {
-	return func(c *config) { c.batch = true }
 }
 
 // WithAutoHeal arms the self-healing plane: a remediation controller
@@ -523,7 +509,7 @@ func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
 			return sw
 		}
 	}
-	fcfg := fsnewtop.Config{
+	nso, err := fsnewtop.New(fsnewtop.Config{
 		Name:         name,
 		Fabric:       c.fab,
 		Peers:        peers,
@@ -536,11 +522,7 @@ func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
 		GC: group.Config{
 			ViewRetryAfter: c.cfg.viewRetry,
 		},
-	}
-	if c.cfg.batch {
-		fcfg.Batch = fsnewtop.BatchConfig{Enabled: true}
-	}
-	nso, err := fsnewtop.New(fcfg)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"fsnewtop/cluster"
+	"fsnewtop/internal/group"
+	"fsnewtop/internal/trace"
 	"fsnewtop/transport"
 	"fsnewtop/transport/tcpnet"
 )
@@ -98,13 +100,15 @@ func TestClusterTCP(t *testing.T) {
 	runTotalOrder(t, c)
 }
 
-// TestClusterBatchedTotalOrder runs the canonical workload with the
-// batch plane armed: coalesced FS rounds must be invisible to the
-// application — same deliveries, same total order, no fail-signals.
+// TestClusterBatchedTotalOrder runs the canonical workload — a burst from
+// every member, which the accumulation window batches behind each
+// in-flight round — and requires that batching is invisible to the
+// application: same deliveries, same total order, no fail-signals.
 func TestClusterBatchedTotalOrder(t *testing.T) {
+	reg := trace.NewRegistry(0, nil)
 	c, err := cluster.New(
 		cluster.WithMembers("alice", "bob", "carol"),
-		cluster.WithBatching(),
+		cluster.WithTrace(reg),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +119,15 @@ func TestClusterBatchedTotalOrder(t *testing.T) {
 		if c.PairFailed(name) {
 			t.Fatalf("batching caused a fail-signal on %s", name)
 		}
+	}
+	batches := 0
+	for _, ev := range reg.Snapshot() {
+		if ev.Kind == trace.EvReissue && ev.Note == group.KindBatch {
+			batches++
+		}
+	}
+	if batches == 0 {
+		t.Fatal("a burst from every member reached the pairs without a single batch")
 	}
 }
 

@@ -4,8 +4,6 @@
 //	fsbench -exp fig7            # throughput vs group size (2..15)
 //	fsbench -exp fig8            # throughput vs message size (10 members)
 //	fsbench -exp fig8 -procs 10  # same sweep, one OS process per member
-//	fsbench -exp fig8 -batch     # same sweep with the batch plane armed (BENCH_fig8_batched.json)
-//	fsbench -exp saturate        # offered-load ramp to the throughput ceiling, per substrate, batching off and on
 //	fsbench -worker              # internal: deploy-plane worker process
 //	fsbench -exp soak            # large-group scheduler soak (40 members)
 //	fsbench -exp soak -virtual   # time-accelerated soak: simulated protocol-hours in wall seconds
@@ -83,7 +81,7 @@ import (
 
 // experiments lists every -exp value but "all" (which runs the three
 // figures).
-var experiments = []string{"fig6", "fig7", "fig8", "saturate", "soak", "wedge", "chaos", "churn"}
+var experiments = []string{"fig6", "fig7", "fig8", "soak", "wedge", "chaos", "churn"}
 
 func main() {
 	var (
@@ -111,10 +109,6 @@ func main() {
 		virtual   = flag.Bool("virtual", false, "run soak/chaos/churn on the auto-advancing virtual clock (netsim only): simulated protocol time, wall cost = computation only")
 		simHours  = flag.Float64("sim-hours", 1, "simulated protocol-hours for -exp soak -virtual")
 		skew      = flag.Bool("skew", false, "schedule clock-skew faults (per-member steps and drift) in -exp chaos; needs -virtual")
-		batch     = flag.Bool("batch", false, "arm the batch plane: coalesced FS sign/compare rounds, multi-message wire frames (figure lanes write *_batched series; chaos runs the schedule batched)")
-		satSize   = flag.Int("saturate-size", 1024, "payload size in bytes for -exp saturate")
-		satMsgs   = flag.Int("saturate-msgs", 100, "messages per member per ramp step for -exp saturate")
-		satRamp   = flag.String("saturate-ramp", "", "comma-separated per-member send intervals for -exp saturate, fastest last (e.g. 2ms,500us,100us); empty = default ramp")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the invocation ends")
 	)
@@ -203,7 +197,6 @@ func main() {
 		SendInterval:  *interval,
 		PoolSize:      *pool,
 		RSA:           *rsa,
-		Batch:         *batch,
 		Transport:     substrate,
 		Virtual:       *virtual,
 		Timeout:       *timeout,
@@ -240,12 +233,6 @@ func main() {
 			name += "_tcp"
 		case bench.TransportTCPProcs:
 			name += "_procs"
-		}
-		if *batch {
-			// Batched runs are a different machine: their series sit next to
-			// the unbatched trajectory (BENCH_fig8_batched.json vs
-			// BENCH_fig8.json), never on top of it.
-			name += "_batched"
 		}
 		path, err := bench.WriteSeries(*jsonDir, bench.ToSeries(name, xAxis, substrate, rows))
 		if err != nil {
@@ -344,7 +331,6 @@ func main() {
 				Churn:     *churn,
 				Virtual:   *virtual,
 				Skew:      *skew,
-				Batch:     *batch,
 			}
 			rep, err := bench.RunChaos(opts)
 			if err != nil {
@@ -404,61 +390,6 @@ func main() {
 		exitFailed(rep.Failed, false)
 	}
 
-	// runSaturate ramps offered load on each selected substrate, batching
-	// off then on, until achieved ordering throughput stops improving —
-	// the throughput-ceiling lane. An explicit -transport restricts to one
-	// substrate; an explicit -batch restricts to the batched ramp.
-	runSaturate := func() {
-		substrates := []string{bench.TransportNetsim, bench.TransportTCP}
-		modes := []bool{false, true}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "transport":
-				substrates = []string{*trans}
-			case "batch":
-				modes = []bool{*batch}
-			}
-		})
-		var ramp []time.Duration
-		if *satRamp != "" {
-			for _, part := range strings.Split(*satRamp, ",") {
-				d, err := time.ParseDuration(strings.TrimSpace(part))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bad -saturate-ramp %q: %v\n", *satRamp, err)
-					exit(2)
-				}
-				ramp = append(ramp, d)
-			}
-		}
-		var reps []bench.SaturateReport
-		for _, substrate := range substrates {
-			for _, mode := range modes {
-				rep := bench.RunSaturate(bench.SaturateOptions{
-					Transport:     substrate,
-					Batch:         mode,
-					MsgSize:       *satSize,
-					MsgsPerMember: *satMsgs,
-					Intervals:     ramp,
-					Seed:          *seed,
-					Timeout:       *timeout,
-					TraceDir:      *traceDir,
-					NoStallDump:   !*stallDump,
-				})
-				fmt.Print(bench.FormatSaturate(rep))
-				fmt.Println()
-				reps = append(reps, rep)
-			}
-		}
-		if *jsonDir != "" {
-			path, err := bench.WriteSaturate(*jsonDir, reps)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing saturate series: %v\n", err)
-				exit(1)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-
 	run := func(name string) {
 		switch name {
 		case "fig6":
@@ -479,8 +410,6 @@ func main() {
 			runChaos()
 		case "churn":
 			runChurn()
-		case "saturate":
-			runSaturate()
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s or all)\n", name, strings.Join(experiments, ", "))
 			exit(2)

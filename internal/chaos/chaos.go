@@ -75,12 +75,6 @@ type Options struct {
 	// *clock.Virtual — skew is applied through the per-member clock.Skewed
 	// layer the cluster only builds on the virtual timeline.
 	Skew bool
-	// Batch arms the batch plane (cluster.WithBatching): coalesced FS
-	// rounds under the full fault schedule.
-	// The oracles do not change — batching must be invisible to every
-	// fail-silence property, which is exactly what this knob lets the
-	// corpus prove.
-	Batch bool
 	// Schedule, when non-nil, replays this exact schedule instead of
 	// generating one from Seed: the replay path for shrunk schedules
 	// (Minimize) and hand-built regression scenarios. Members, Duration and
@@ -382,9 +376,6 @@ func Run(opts Options) (*Report, error) {
 	}
 	if opts.Churn {
 		clusterOpts = append(clusterOpts, cluster.WithAutoHeal(20*time.Millisecond))
-	}
-	if opts.Batch {
-		clusterOpts = append(clusterOpts, cluster.WithBatching())
 	}
 	c, err := cluster.New(clusterOpts...)
 	if err != nil {

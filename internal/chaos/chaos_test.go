@@ -145,72 +145,6 @@ func TestChaosCorpus(t *testing.T) {
 	}
 }
 
-// TestChaosCorpusBatched replays the pinned corpus with the batch plane
-// armed: coalesced FS rounds and digest-only compares must be invisible
-// to every fail-silence oracle, under the exact schedules that once
-// exposed real view-synchrony bugs. CI runs this under -race.
-func TestChaosCorpusBatched(t *testing.T) {
-	for _, seed := range corpusSeeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			opts := short(seed)
-			opts.Batch = true
-			opts.TraceDir = t.TempDir()
-			rep, err := Run(opts)
-			if err != nil {
-				t.Fatalf("harness error: %v", err)
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("%s: %s", v.Oracle, v.Detail)
-			}
-			if t.Failed() {
-				t.Logf("schedule:\n%s\ntrace dump: %s", rep.Schedule, rep.DumpPath)
-			}
-			fired := 0
-			for _, c := range rep.Conversions {
-				if c.Fired && !c.Converted {
-					t.Errorf("%s: fault fired but never converted (%s)", c.Member, c.Action)
-				}
-				if c.Fired {
-					fired++
-				}
-			}
-			if fired == 0 {
-				t.Error("no fault fired; the corpus seed has gone vacuous")
-			}
-		})
-	}
-}
-
-// TestSameSeedSameVerdictBatched extends the replay property to the
-// batch plane: the accumulation window is paced by the harness clock and
-// flushed on deterministic triggers, so the same seed with batching on
-// must still produce the byte-identical schedule and the same verdict.
-func TestSameSeedSameVerdictBatched(t *testing.T) {
-	const seed = 10
-	var schedules, verdicts [2]string
-	for i := range schedules {
-		opts := short(seed)
-		opts.Batch = true
-		opts.TraceDir = t.TempDir()
-		rep, err := Run(opts)
-		if err != nil {
-			t.Fatalf("run %d harness error: %v", i, err)
-		}
-		schedules[i] = rep.Schedule.String()
-		verdicts[i] = rep.Verdict()
-	}
-	if schedules[0] != schedules[1] {
-		t.Errorf("same seed produced different schedules:\n%s\nvs\n%s", schedules[0], schedules[1])
-	}
-	if verdicts[0] != verdicts[1] {
-		t.Errorf("same seed produced different verdicts: %s vs %s", verdicts[0], verdicts[1])
-	}
-	if verdicts[0] != "PASS" {
-		t.Errorf("seed %d expected to pass batched, got %s", seed, verdicts[0])
-	}
-}
-
 // TestChurnScheduleAlwaysCrashes: a churn schedule must always contain a
 // crash to restart from (plus the headline value fault), stay inside the
 // fault budget, and remain a pure function of its config.

@@ -170,10 +170,6 @@ type Config struct {
 	StrictDeadlines bool
 	// PoolSize is the invocation-side ORB pool size (0 = default 10).
 	PoolSize int
-	// Batch configures the invocation-layer accumulation window and, when
-	// enabled, also turns on the GC machine's output coalescing — the two
-	// halves of the batch plane. Off by default (wire-identical schedules).
-	Batch BatchConfig
 	// GC tunes the protocol machine. Self and Mode are set here.
 	GC group.Config
 	// OnFailSignal observes this pair's own failure (test hook).
@@ -200,23 +196,8 @@ type NSO struct {
 	deliveries chan newtop.Delivery
 	views      chan newtop.View
 	failures   chan string
-
-	// Accumulation-window state (nil/zero unless Config.Batch.Enabled).
-	bcfg     BatchConfig
-	bclk     clock.Clock
-	bdelta   time.Duration // pair δ: the in-flight backstop bound
-	bmu      sync.Mutex
-	bpending []group.BatchItem
-	bbytes   int
-	bwindow  time.Time // when the open window's first message arrived
-	// binflight counts this member's own multicasts submitted to the pair
-	// whose own-origin delivery has not yet come back: the group-commit
-	// clock (see noteOwnDeliver).
-	binflight int
-	bclosed   bool
-	bwake     chan struct{}
-	bstop     chan struct{}
-	bdone     chan struct{}
+	// win is the accumulation window every GC-bound call goes through.
+	win *window
 }
 
 var _ newtop.Service = (*NSO)(nil)
@@ -276,6 +257,7 @@ func New(cfg Config) (*NSO, error) {
 		views:      make(chan newtop.View, 1024),
 		failures:   make(chan string, 64),
 	}
+	n.win = newWindow(clk, cfg.Delta, n.reissue)
 	newVerifier := func() *sig.CachedVerifier {
 		v := fab.newVerifier()
 		n.verifiers = append(n.verifiers, v)
@@ -286,6 +268,7 @@ func New(cfg Config) (*NSO, error) {
 	built := false
 	defer func() {
 		if !built {
+			n.win.close()
 			fab.dropVerifiers(n.verifiers)
 		}
 	}()
@@ -315,24 +298,16 @@ func New(cfg Config) (*NSO, error) {
 	n.client = failsignal.NewClient(inv, invAddr, invSigner, fab.Net, fab.Dir)
 
 	// The GC machine: identical to crash NewTOP's, with the fail-signal
-	// suspector selected. The batch plane enables its output coalescing
-	// alongside the window, so a batched input also leaves as batched
-	// outputs rather than fanning back out into per-message FS rounds.
+	// suspector selected, inside the coalescer — so a batched input also
+	// leaves as batched outputs rather than fanning back out into
+	// per-message FS rounds.
 	gcCfg := cfg.GC
 	gcCfg.Self = cfg.Name
 	gcCfg.Mode = group.SuspectFailSignal
-	if cfg.Batch.Enabled {
-		cfg.Batch.fillDefaults()
-		gcCfg.Batch = group.BatchConfig{
-			Enabled:  true,
-			MaxItems: cfg.Batch.MaxMsgs,
-			MaxBytes: cfg.Batch.MaxBytes,
-		}
-	}
 
 	pair, err := failsignal.NewPair(failsignal.PairConfig{
 		Name:            cfg.Name,
-		NewMachine:      func() sm.Machine { return group.New(gcCfg) },
+		NewMachine:      func() sm.Machine { return coalescer{group.New(gcCfg)} },
 		WrapMachine:     cfg.WrapMachine,
 		Net:             fab.Net,
 		Clock:           clk,
@@ -357,9 +332,9 @@ func New(cfg Config) (*NSO, error) {
 	n.pair = pair
 
 	// The app-side ORB with the wrapping interceptor: calls addressed to
-	// "<name>/gc" are caught on the fly and re-issued as signed inputs to
-	// both FSOs. The invocation layer's code path is unchanged from
-	// crash-tolerant NewTOP.
+	// "<name>/gc" are caught on the fly and re-issued, through the
+	// accumulation window, as signed inputs to both FSOs. The invocation
+	// layer's code path is unchanged from crash-tolerant NewTOP.
 	o, err := orb.New(orb.Config{
 		Addr:     newtop.NodeAddr(cfg.Name),
 		Net:      fab.Net,
@@ -377,37 +352,31 @@ func New(cfg Config) (*NSO, error) {
 			if req.Target != gcRef {
 				return next(req)
 			}
-			if cfg.Batch.Enabled {
-				// The accumulation window owns submission (and with it the
-				// client's sequence order); it reissues inline or batched.
-				if err := n.submitGC(req.Method, req.Arg.Bytes()); err != nil {
-					return orb.Reply{Err: err.Error()}
-				}
-				return orb.Reply{}
-			}
-			seq, err := n.client.SendSeq(cfg.Name, req.Method, req.Arg.Bytes())
-			if err != nil {
-				// No reissue event: recording a submission that never
-				// reached the pair would point a stall post-mortem at
-				// the replicas when the client path failed.
+			if err := n.win.submit(req.Method, req.Arg.Bytes()); err != nil {
 				return orb.Reply{Err: err.Error()}
 			}
-			invRing.Emit(trace.EvReissue, seq, 0, req.Method)
 			return orb.Reply{}
 		}
 	})
 	n.orb = o
-	if cfg.Batch.Enabled {
-		n.bcfg = cfg.Batch
-		n.bclk = clk
-		n.bdelta = cfg.Delta
-		n.bwake = make(chan struct{}, 1)
-		n.bstop = make(chan struct{})
-		n.bdone = make(chan struct{})
-		go n.flushLoop()
-	}
 	built = true
 	return n, nil
+}
+
+// reissue signs one input and submits it to both pair halves, recording
+// the submission in the invocation trace. The window calls it, holding its
+// lock — which is what keeps the client's sequence numbers in submission
+// order.
+func (n *NSO) reissue(kind string, payload []byte) error {
+	seq, err := n.client.SendSeq(n.name, kind, payload)
+	if err != nil {
+		// No reissue event: recording a submission that never reached the
+		// pair would point a stall post-mortem at the replicas when the
+		// client path failed.
+		return err
+	}
+	n.invRing.Emit(trace.EvReissue, seq, 0, kind)
+	return nil
 }
 
 // onOutput receives one verified, de-duplicated FS output addressed to the
@@ -417,14 +386,14 @@ func (n *NSO) onOutput(source string, out sm.Output) {
 }
 
 // onEvent converts one application event, unpacking a coalesced KindBatch
-// envelope one level deep: with the batch plane on, a run of deliveries
-// reaches the invocation layer as a single FS output.
+// envelope one level deep: a run of deliveries reaches the invocation
+// layer as a single FS output.
 func (n *NSO) onEvent(kind string, payload []byte, depth int) {
 	switch kind {
 	case group.KindDeliver:
 		if d, err := group.UnmarshalDeliver(payload); err == nil {
-			if n.bstop != nil && d.Origin == n.name {
-				n.noteOwnDeliver()
+			if d.Origin == n.name {
+				n.win.ownDelivered()
 			}
 			n.deliveries <- newtop.Delivery{Group: d.Group, Origin: d.Origin, Service: d.Service, Payload: d.Payload}
 		}
@@ -446,11 +415,10 @@ func (n *NSO) onEvent(kind string, payload []byte, depth int) {
 // onFailSignal surfaces a fail-signal (usually our own pair's: the
 // invocation layer is in its LocalName destinations) to the application.
 // An open accumulation window is flushed first: whatever reaction the
-// application has to the failure must not queue behind MaxDelay.
+// application has to the failure must not queue behind the window's
+// backstop.
 func (n *NSO) onFailSignal(source string) {
-	if n.bstop != nil {
-		n.flushWindow()
-	}
+	n.win.flush()
 	select {
 	case n.failures <- source:
 	default:
@@ -501,7 +469,7 @@ func (n *NSO) Pair() *failsignal.Pair { return n.pair }
 
 // Close implements newtop.Service.
 func (n *NSO) Close() {
-	n.stopBatching()
+	n.win.close()
 	n.orb.Close()
 	n.pair.Close()
 	n.fab.dropVerifiers(n.verifiers)

@@ -11,6 +11,7 @@ import (
 	"fsnewtop/internal/group"
 	"fsnewtop/internal/newtop"
 	"fsnewtop/internal/sig"
+	"fsnewtop/internal/trace"
 	"fsnewtop/transport"
 	"fsnewtop/transport/netsim"
 )
@@ -76,6 +77,18 @@ func (c *collector) waitN(t *testing.T, n int, d time.Duration) []string {
 	}
 }
 
+// has reports whether payload has been delivered.
+func (c *collector) has(payload string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, d := range c.msgs {
+		if string(d.Payload) == payload {
+			return true
+		}
+	}
+	return false
+}
+
 func (c *collector) lastView() newtop.View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -104,6 +117,7 @@ func newCluster(t *testing.T, n int, tweak func(name string, cfg *Config), opts 
 	net := netsim.New(clock.NewReal(), opts...)
 	t.Cleanup(net.Close)
 	fab := NewFabric(net, clock.NewReal())
+	fab.Trace = trace.NewRegistry(0, nil)
 	c := &cluster{fab: fab, nsos: make(map[string]*NSO), cols: make(map[string]*collector)}
 	for i := 0; i < n; i++ {
 		c.members = append(c.members, fmt.Sprintf("m%02d", i))
@@ -136,6 +150,18 @@ func newCluster(t *testing.T, n int, tweak func(name string, cfg *Config), opts 
 		t.Cleanup(func() { col.stop(); nso.Close() })
 	}
 	return c
+}
+
+// reissued counts the inputs of the given kind the members' invocation
+// layers submitted to their pairs, from the trace's reissue events.
+func (c *cluster) reissued(kind string) int {
+	n := 0
+	for _, ev := range c.fab.Trace.Snapshot() {
+		if ev.Kind == trace.EvReissue && ev.Note == kind {
+			n++
+		}
+	}
+	return n
 }
 
 func (c *cluster) joinAll(t *testing.T, groupName string) {

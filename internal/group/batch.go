@@ -4,22 +4,22 @@ import (
 	"fmt"
 
 	"fsnewtop/internal/codec"
-	"fsnewtop/internal/sm"
 )
 
-// KindBatch is the batch-plane envelope: its payload is a BatchMsg, a
-// versioned list of (kind, payload) items that the machine processes
-// sequentially inside one step. Batches appear in two places: the
+// KindBatch is the batch envelope: its payload is a BatchMsg, a versioned
+// list of (kind, payload) items that the machine processes sequentially
+// inside one step. The machine only ever consumes batches — it never emits
+// one. FS-NewTOP produces them in two places (package fsnewtop): the
 // invocation layer's accumulation window submits one KindBatch input
-// covering several multicast requests, and the machine's own output
-// coalescing merges runs of same-destination outputs into one KindBatch
-// output — so one fail-signal sign/compare/counter-sign round (and one
-// transport frame) amortizes over the whole run.
+// covering several multicast requests, and the wrapper around each pair
+// replica merges runs of same-destination outputs into one KindBatch
+// output, so one fail-signal sign/compare/counter-sign round amortizes
+// over the whole run. Crash-tolerant NewTOP never sees one.
 const KindBatch = "gc.batch"
 
-// batchWireVersion gates the BatchMsg encoding. Batching is off by
-// default; a receiver that sees an unknown version drops the batch rather
-// than guessing, so the format can evolve without silent misdecodes.
+// batchWireVersion gates the BatchMsg encoding: a receiver that sees an
+// unknown version drops the batch rather than guessing, so the format can
+// evolve without silent misdecodes.
 const batchWireVersion = 1
 
 // BatchItem is one (kind, payload) entry of a BatchMsg.
@@ -67,94 +67,4 @@ func UnmarshalBatchMsg(b []byte) (BatchMsg, error) {
 		return BatchMsg{}, fmt.Errorf("group: decoding batch: %w", err)
 	}
 	return m, nil
-}
-
-// BatchConfig bounds the machine's deterministic output coalescing. When
-// Enabled, maximal runs of consecutive step outputs addressed to the
-// identical destination list are merged into one KindBatch output, so the
-// fail-signal wrapper pays one sign/verify/compare round for the run
-// instead of one per output. Coalescing is a pure function of the step's
-// output list and this configuration; both replicas of a pair run the
-// same configuration, so R1 (identical outputs for identical inputs) is
-// preserved by construction.
-type BatchConfig struct {
-	// Enabled turns output coalescing on. Off by default: the wire then
-	// carries exactly the pre-batch-plane message sequence, which is what
-	// keeps the pinned chaos corpus and virtual-time parity schedules
-	// byte-identical.
-	Enabled bool
-	// MaxItems caps the outputs merged into one batch (0 = 64).
-	MaxItems int
-	// MaxBytes caps a batch's summed payload bytes (0 = 256 KiB). An
-	// output larger than the cap on its own passes through unbatched.
-	MaxBytes int
-}
-
-func (b *BatchConfig) fillDefaults() {
-	if b.MaxItems == 0 {
-		b.MaxItems = 64
-	}
-	if b.MaxBytes == 0 {
-		b.MaxBytes = 256 << 10
-	}
-}
-
-// sameDests reports whether two outputs address the identical destination
-// list. Order matters: destination lists are produced deterministically,
-// so positional equality is both correct and cheap.
-func sameDests(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// coalesceOutputs merges runs of consecutive same-destination outputs
-// into KindBatch outputs under cfg's caps. Runs of length one (and
-// outputs that are already batches) pass through untouched, so an
-// unbatchable step costs nothing.
-func coalesceOutputs(outs []sm.Output, cfg BatchConfig) []sm.Output {
-	cfg.fillDefaults()
-	merged := make([]sm.Output, 0, len(outs))
-	for i := 0; i < len(outs); {
-		if outs[i].Kind == KindBatch {
-			merged = append(merged, outs[i])
-			i++
-			continue
-		}
-		run := 1
-		bytes := len(outs[i].Payload)
-		for i+run < len(outs) && run < cfg.MaxItems {
-			next := outs[i+run]
-			if next.Kind == KindBatch || !sameDests(outs[i].To, next.To) {
-				break
-			}
-			if bytes+len(next.Payload) > cfg.MaxBytes {
-				break
-			}
-			bytes += len(next.Payload)
-			run++
-		}
-		if run == 1 {
-			merged = append(merged, outs[i])
-			i++
-			continue
-		}
-		items := make([]BatchItem, run)
-		for j := 0; j < run; j++ {
-			items[j] = BatchItem{Kind: outs[i+j].Kind, Payload: outs[i+j].Payload}
-		}
-		merged = append(merged, sm.Output{
-			Kind:    KindBatch,
-			To:      outs[i].To,
-			Payload: BatchMsg{Items: items}.Marshal(),
-		})
-		i += run
-	}
-	return merged
 }

@@ -44,102 +44,29 @@ func TestBatchMsgRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
-func TestCoalesceOutputsMergesSameDestRuns(t *testing.T) {
-	ab := []string{"a", "b"}
-	cd := []string{"c", "d"}
-	outs := []sm.Output{
-		{Kind: KindData, To: ab, Payload: []byte("1")},
-		{Kind: KindAck, To: ab, Payload: []byte("2")},
-		{Kind: KindData, To: cd, Payload: []byte("3")},
-		{Kind: KindData, To: ab, Payload: []byte("4")},
+// batchOf wraps multicast requests into one KindBatch input — the shape
+// FS-NewTOP's accumulation window submits.
+func batchOf(reqs ...McastReq) sm.Input {
+	items := make([]BatchItem, len(reqs))
+	for i, r := range reqs {
+		items[i] = BatchItem{Kind: KindMcast, Payload: r.Marshal()}
 	}
-	merged := coalesceOutputs(outs, BatchConfig{Enabled: true})
-	if len(merged) != 3 {
-		t.Fatalf("got %d outputs, want 3: %v", len(merged), merged)
-	}
-	if merged[0].Kind != KindBatch || !sameDests(merged[0].To, ab) {
-		t.Fatalf("first output not an ab-batch: %+v", merged[0])
-	}
-	bm, err := UnmarshalBatchMsg(merged[0].Payload)
-	if err != nil {
-		t.Fatalf("decoding merged batch: %v", err)
-	}
-	if len(bm.Items) != 2 || bm.Items[0].Kind != KindData || bm.Items[1].Kind != KindAck {
-		t.Fatalf("bad merged items: %+v", bm.Items)
-	}
-	// The lone cd output and the trailing ab output pass through untouched.
-	if merged[1].Kind != KindData || !sameDests(merged[1].To, cd) {
-		t.Fatalf("second output mangled: %+v", merged[1])
-	}
-	if merged[2].Kind != KindData || string(merged[2].Payload) != "4" {
-		t.Fatalf("third output mangled: %+v", merged[2])
-	}
+	return sm.Input{Kind: KindBatch, Payload: BatchMsg{Items: items}.Marshal()}
 }
 
-func TestCoalesceOutputsRespectsCaps(t *testing.T) {
-	to := []string{"a"}
-	var outs []sm.Output
-	for i := 0; i < 5; i++ {
-		outs = append(outs, sm.Output{Kind: KindData, To: to, Payload: []byte{byte(i)}})
-	}
-	merged := coalesceOutputs(outs, BatchConfig{Enabled: true, MaxItems: 2})
-	// 5 outputs under a 2-item cap: two pairs plus a singleton.
-	if len(merged) != 3 {
-		t.Fatalf("MaxItems=2 over 5 outputs gave %d merged, want 3", len(merged))
-	}
-	if merged[0].Kind != KindBatch || merged[1].Kind != KindBatch || merged[2].Kind != KindData {
-		t.Fatalf("bad shapes: %v %v %v", merged[0].Kind, merged[1].Kind, merged[2].Kind)
-	}
-
-	big := bytes.Repeat([]byte{1}, 100)
-	outs = []sm.Output{
-		{Kind: KindData, To: to, Payload: big},
-		{Kind: KindData, To: to, Payload: big},
-		{Kind: KindData, To: to, Payload: big},
-	}
-	merged = coalesceOutputs(outs, BatchConfig{Enabled: true, MaxBytes: 200})
-	// 3×100B under a 200B cap: one pair plus a singleton.
-	if len(merged) != 2 || merged[0].Kind != KindBatch || merged[1].Kind != KindData {
-		t.Fatalf("MaxBytes cap not honoured: %+v", merged)
-	}
-
-	// A pre-existing batch output is never merged into.
-	outs = []sm.Output{
-		{Kind: KindBatch, To: to, Payload: BatchMsg{}.Marshal()},
-		{Kind: KindData, To: to, Payload: []byte("x")},
-	}
-	merged = coalesceOutputs(outs, BatchConfig{Enabled: true})
-	if len(merged) != 2 || merged[0].Kind != KindBatch || merged[1].Kind != KindData {
-		t.Fatalf("existing batch not passed through: %+v", merged)
-	}
-}
-
-// TestBatchInputFansOutAndCoalesces feeds one KindBatch input carrying
-// several multicast requests (the accumulation window's submission shape)
-// into a batching cluster and checks that (a) every request is delivered
-// everywhere in submission order and (b) the sender's step really did
-// coalesce its outbound traffic into batch envelopes.
-func TestBatchInputFansOutAndCoalesces(t *testing.T) {
-	c := newTClusterBatch(t, SuspectPing, BatchConfig{Enabled: true}, "a", "b", "c")
+// TestBatchInputFansOut feeds one KindBatch input carrying several
+// multicast requests into a cluster and checks that every request is
+// delivered everywhere in submission order, and that the machine itself
+// never emits a batch: only FS-NewTOP's replica wrapper coalesces outputs.
+func TestBatchInputFansOut(t *testing.T) {
+	c := newTCluster(t, SuspectPing, "a", "b", "c")
 	c.joinAll("g")
 
-	var items []BatchItem
+	var reqs []McastReq
 	for i := 0; i < 5; i++ {
-		req := McastReq{Group: "g", Service: TotalSym, Payload: []byte(fmt.Sprintf("m%d", i))}
-		items = append(items, BatchItem{Kind: KindMcast, Payload: req.Marshal()})
+		reqs = append(reqs, McastReq{Group: "g", Service: TotalSym, Payload: []byte(fmt.Sprintf("m%d", i))})
 	}
-	c.submit("a", sm.Input{Kind: KindBatch, Payload: BatchMsg{Items: items}.Marshal()})
-
-	sawBatch := false
-	for _, msg := range c.queue {
-		if msg.kind == KindBatch {
-			sawBatch = true
-		}
-	}
-	if !sawBatch {
-		t.Fatal("five multicasts in one step produced no coalesced KindBatch output")
-	}
-
+	c.submit("a", batchOf(reqs...))
 	c.run()
 	c.tick(100 * time.Millisecond)
 	want := []string{"m0", "m1", "m2", "m3", "m4"}
@@ -148,18 +75,19 @@ func TestBatchInputFansOutAndCoalesces(t *testing.T) {
 			t.Fatalf("%s delivered %v, want %v", n, got, want)
 		}
 	}
+	if n := c.emitted[KindBatch]; n != 0 {
+		t.Fatalf("the machine emitted %d KindBatch outputs, want none", n)
+	}
 }
 
 // TestNestedBatchRefused checks the depth guard: a batch containing a
 // batch is dropped at the inner level rather than recursed into.
 func TestNestedBatchRefused(t *testing.T) {
-	m := New(Config{Self: "a", Batch: BatchConfig{Enabled: true}})
+	m := New(Config{Self: "a"})
 	m.Step(sm.Input{Kind: KindJoin, Payload: JoinReq{Group: "g", Members: []string{"a", "b"}}.Marshal()})
 
-	inner := BatchMsg{Items: []BatchItem{
-		{Kind: KindMcast, Payload: McastReq{Group: "g", Service: Reliable, Payload: []byte("deep")}.Marshal()},
-	}}
-	outer := BatchMsg{Items: []BatchItem{{Kind: KindBatch, Payload: inner.Marshal()}}}
+	inner := batchOf(McastReq{Group: "g", Service: Reliable, Payload: []byte("deep")})
+	outer := BatchMsg{Items: []BatchItem{{Kind: KindBatch, Payload: inner.Payload}}}
 	outs := m.Step(sm.Input{Kind: KindBatch, Payload: outer.Marshal()})
 	if len(outs) != 0 {
 		t.Fatalf("nested batch produced outputs: %+v", outs)
@@ -167,17 +95,31 @@ func TestNestedBatchRefused(t *testing.T) {
 }
 
 // TestBatchedClusterMatchesUnbatched runs the same mixed-service script
-// through a batching and a non-batching cluster and requires identical
-// per-member delivery sequences and final views — batching must be purely
-// an envelope change, invisible to the application.
+// through a cluster that submits each round's multicasts one input at a
+// time and one that submits them as a KindBatch input per member, and
+// requires identical per-member delivery sequences and final views —
+// batching must be purely an envelope change, invisible to the
+// application.
 func TestBatchedClusterMatchesUnbatched(t *testing.T) {
-	drive := func(batch BatchConfig) (map[string][]string, map[string]uint64) {
-		c := newTClusterBatch(t, SuspectPing, batch, "a", "b", "c")
+	drive := func(batched bool) (map[string][]string, map[string]uint64) {
+		c := newTCluster(t, SuspectPing, "a", "b", "c")
 		c.joinAll("g")
 		for i := 0; i < 4; i++ {
-			c.mcast("a", "g", TotalSym, fmt.Sprintf("s%d", i))
-			c.mcast("b", "g", Causal, fmt.Sprintf("c%d", i))
-			c.mcast("c", "g", Reliable, fmt.Sprintf("r%d", i))
+			for _, n := range c.names {
+				reqs := []McastReq{
+					{Group: "g", Service: TotalSym, Payload: []byte(fmt.Sprintf("%s-s%d", n, i))},
+					{Group: "g", Service: Causal, Payload: []byte(fmt.Sprintf("%s-c%d", n, i))},
+					{Group: "g", Service: Reliable, Payload: []byte(fmt.Sprintf("%s-r%d", n, i))},
+				}
+				if batched {
+					c.submit(n, batchOf(reqs...))
+				} else {
+					for _, r := range reqs {
+						c.submit(n, sm.Input{Kind: KindMcast, Payload: r.Marshal()})
+					}
+				}
+			}
+			c.run()
 			c.tick(50 * time.Millisecond)
 		}
 		got := make(map[string][]string)
@@ -189,8 +131,8 @@ func TestBatchedClusterMatchesUnbatched(t *testing.T) {
 		return got, views
 	}
 
-	plainMsgs, plainViews := drive(BatchConfig{})
-	batchMsgs, batchViews := drive(BatchConfig{Enabled: true})
+	plainMsgs, plainViews := drive(false)
+	batchMsgs, batchViews := drive(true)
 	if !reflect.DeepEqual(plainMsgs, batchMsgs) {
 		t.Fatalf("delivery mismatch:\nplain:   %v\nbatched: %v", plainMsgs, batchMsgs)
 	}
@@ -199,15 +141,17 @@ func TestBatchedClusterMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// TestBatchedMachineIsDeterministic replays a batching member's recorded
-// input script through sm.CheckDeterminism: coalescing must be a pure
-// function of the step's outputs (R1 holds with batching on).
+// TestBatchedMachineIsDeterministic replays a member's recorded input
+// script — KindBatch inputs among them — through sm.CheckDeterminism:
+// unpacking a batch must be a pure function of its bytes (R1).
 func TestBatchedMachineIsDeterministic(t *testing.T) {
-	batch := BatchConfig{Enabled: true}
-	c := newTClusterBatch(t, SuspectPing, batch, "a", "b", "c")
+	c := newTCluster(t, SuspectPing, "a", "b", "c")
 	c.joinAll("g")
 	for i := 0; i < 3; i++ {
-		c.mcast("a", "g", TotalSym, fmt.Sprintf("s%d", i))
+		c.submit("a", batchOf(
+			McastReq{Group: "g", Service: TotalSym, Payload: []byte(fmt.Sprintf("s%d", i))},
+			McastReq{Group: "g", Service: TotalAsym, Payload: []byte(fmt.Sprintf("x%d", i))},
+		))
 		c.mcast("b", "g", TotalAsym, fmt.Sprintf("y%d", i))
 		c.tick(100 * time.Millisecond)
 	}
@@ -215,8 +159,8 @@ func TestBatchedMachineIsDeterministic(t *testing.T) {
 	if len(script) < 10 {
 		t.Fatalf("script too small (%d inputs)", len(script))
 	}
-	factory := func() sm.Machine { return New(Config{Self: "a", Mode: SuspectPing, Batch: batch}) }
+	factory := func() sm.Machine { return New(Config{Self: "a", Mode: SuspectPing}) }
 	if err := sm.CheckDeterminism(factory, script); err != nil {
-		t.Fatalf("batched machine is non-deterministic: %v", err)
+		t.Fatalf("machine fed batches is non-deterministic: %v", err)
 	}
 }

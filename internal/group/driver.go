@@ -114,14 +114,13 @@ func (d *Driver) dispatch(outs []sm.Output) {
 				d.cfg.Send(to, out.Kind, out.Payload)
 				continue
 			}
-			d.dispatchLocal(out.Kind, out.Payload, 0)
+			d.dispatchLocal(out.Kind, out.Payload)
 		}
 	}
 }
 
-// dispatchLocal hands one local output to the application callbacks,
-// unpacking coalesced batches one level deep (see coalesceOutputs).
-func (d *Driver) dispatchLocal(kind string, payload []byte, depth int) {
+// dispatchLocal hands one local output to the application callbacks.
+func (d *Driver) dispatchLocal(kind string, payload []byte) {
 	switch kind {
 	case KindDeliver:
 		if d.cfg.OnDeliver != nil {
@@ -133,14 +132,6 @@ func (d *Driver) dispatchLocal(kind string, payload []byte, depth int) {
 		if d.cfg.OnView != nil {
 			if vn, err := UnmarshalViewNote(payload); err == nil {
 				d.cfg.OnView(vn)
-			}
-		}
-	case KindBatch:
-		if depth == 0 {
-			if bm, err := UnmarshalBatchMsg(payload); err == nil {
-				for _, it := range bm.Items {
-					d.dispatchLocal(it.Kind, it.Payload, depth+1)
-				}
 			}
 		}
 	}

@@ -47,10 +47,6 @@ type Config struct {
 	// handoffs). Tracing never influences outputs, so two replicas of one
 	// machine stay output-identical (R1) regardless of their rings.
 	Trace *trace.Ring
-	// Batch configures output coalescing (the batch plane); the zero
-	// value leaves it off and the output stream byte-identical to the
-	// unbatched machine's.
-	Batch BatchConfig
 }
 
 func (c *Config) fillDefaults() {
@@ -169,19 +165,16 @@ func (m *Machine) Step(in sm.Input) []sm.Output {
 	if len(m.outs) == 0 {
 		return nil
 	}
-	outs := m.outs
-	if m.cfg.Batch.Enabled {
-		outs = coalesceOutputs(outs, m.cfg.Batch)
-	}
-	out := make([]sm.Output, len(outs))
-	copy(out, outs)
+	out := make([]sm.Output, len(m.outs))
+	copy(out, m.outs)
 	return out
 }
 
 // dispatch routes one input to its handler, appending effects to m.outs.
 // depth guards batch recursion: a batch's items are dispatched at depth 1,
-// where a nested KindBatch is refused — one level is all the batch plane
-// ever produces, and the bound keeps a malformed batch from recursing.
+// where a nested KindBatch is refused — one level is all the accumulation
+// window ever produces, and the bound keeps a malformed batch from
+// recursing.
 func (m *Machine) dispatch(in sm.Input, depth int) {
 	switch in.Kind {
 	case sm.TickKind:

@@ -22,7 +22,7 @@ type tCluster struct {
 	delivered map[string][]Deliver
 	views     map[string][]ViewNote
 	inputsOf  map[string][]sm.Input // recorded input scripts (determinism replay)
-	emitted   map[string]int        // network outputs by kind, batches unpacked
+	emitted   map[string]int        // network outputs by kind
 	// drop, when set, filters messages: return true to drop.
 	drop func(from, to, kind string) bool
 	now  time.Time
@@ -34,12 +34,6 @@ type routed struct {
 }
 
 func newTCluster(t testing.TB, mode SuspectorMode, names ...string) *tCluster {
-	return newTClusterBatch(t, mode, BatchConfig{}, names...)
-}
-
-// newTClusterBatch builds a cluster whose machines run with the given
-// batch configuration (zero value = batching off).
-func newTClusterBatch(t testing.TB, mode SuspectorMode, batch BatchConfig, names ...string) *tCluster {
 	t.Helper()
 	c := &tCluster{
 		t:         t,
@@ -52,7 +46,7 @@ func newTClusterBatch(t testing.TB, mode SuspectorMode, batch BatchConfig, names
 		now:       time.Date(2003, 6, 23, 0, 0, 0, 0, time.UTC),
 	}
 	for _, n := range names {
-		c.machines[n] = New(Config{Self: n, Mode: mode, Batch: batch})
+		c.machines[n] = New(Config{Self: n, Mode: mode})
 		// Baseline tick so liveness tracking starts at a real instant
 		// rather than the zero time.
 		c.submit(n, sm.Tick(c.now))
@@ -65,7 +59,7 @@ func (c *tCluster) submit(self string, in sm.Input) {
 	c.inputsOf[self] = append(c.inputsOf[self], in)
 	outs := c.machines[self].Step(in)
 	for _, out := range outs {
-		c.countEmitted(out.Kind, out.Payload)
+		c.emitted[out.Kind]++
 		for _, to := range out.To {
 			if to == sm.LocalDelivery {
 				c.handleLocal(self, out.Kind, out.Payload)
@@ -76,21 +70,7 @@ func (c *tCluster) submit(self string, in sm.Input) {
 	}
 }
 
-// countEmitted counts one output by kind, looking inside a coalesced
-// batch.
-func (c *tCluster) countEmitted(kind string, payload []byte) {
-	if kind != KindBatch {
-		c.emitted[kind]++
-		return
-	}
-	if bm, err := UnmarshalBatchMsg(payload); err == nil {
-		for _, it := range bm.Items {
-			c.countEmitted(it.Kind, it.Payload)
-		}
-	}
-}
-
-// handleLocal records one local delivery, unpacking coalesced batches.
+// handleLocal records one local delivery.
 func (c *tCluster) handleLocal(self, kind string, payload []byte) {
 	switch kind {
 	case KindDeliver:
@@ -105,14 +85,8 @@ func (c *tCluster) handleLocal(self, kind string, payload []byte) {
 			c.t.Fatalf("bad view payload: %v", err)
 		}
 		c.views[self] = append(c.views[self], v)
-	case KindBatch:
-		bm, err := UnmarshalBatchMsg(payload)
-		if err != nil {
-			c.t.Fatalf("bad batch payload: %v", err)
-		}
-		for _, it := range bm.Items {
-			c.handleLocal(self, it.Kind, it.Payload)
-		}
+	default:
+		c.t.Fatalf("unexpected local output kind %q", kind)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestPromiseAckBudget(t *testing.T) {
 // (a KindBatch input) that leave the clock unmoved are acknowledged once,
 // not once per item.
 func TestPromiseBatchedAcceptsCollapseToOneAck(t *testing.T) {
-	c := newTClusterBatch(t, SuspectPing, BatchConfig{Enabled: true}, "a", "b")
+	c := newTCluster(t, SuspectPing, "a", "b")
 	c.joinAll("g")
 	for _, n := range c.names {
 		var items []BatchItem

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -148,6 +149,41 @@ func TestNewTOPSymmetricTotalOrder(t *testing.T) {
 		if !reflect.DeepEqual(got[:total], ref[:total]) {
 			t.Fatalf("total order differs between %s and %s", c.members[0], m)
 		}
+	}
+}
+
+// TestNewTOPNeverSeesBatch: batching is FS-NewTOP's alone. A
+// crash-tolerant member under a burst sends every protocol message on its
+// own — no KindBatch ever leaves a NewTOP GC, since it runs the bare
+// machine, which only consumes batches.
+func TestNewTOPNeverSeesBatch(t *testing.T) {
+	c := newCluster(t, 3, group.Config{SuspectAfter: time.Minute})
+	var calls, batches atomic.Int64
+	for _, m := range c.members {
+		c.nsos[m].ORB().AddClientInterceptor(func(next orb.Handler) orb.Handler {
+			return func(req *orb.Request) orb.Reply {
+				calls.Add(1)
+				if req.Method == group.KindBatch {
+					batches.Add(1)
+				}
+				return next(req)
+			}
+		})
+	}
+	c.joinAll(t, "g")
+	const per = 15
+	for i := 0; i < per; i++ {
+		for _, m := range c.members {
+			if err := c.nsos[m].Multicast("g", group.TotalSym, []byte(fmt.Sprintf("%s#%d", m, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, m := range c.members {
+		c.cols[m].waitN(t, per*len(c.members), 20*time.Second)
+	}
+	if n := batches.Load(); n != 0 || calls.Load() == 0 {
+		t.Fatalf("NewTOP sent %d KindBatch invocations among %d", n, calls.Load())
 	}
 }
 

@@ -14,25 +14,13 @@ import (
 // One Network serves every endpoint; a small fixed latency keeps delivery
 // genuinely asynchronous so ordering is earned, not accidental.
 func TestConformance(t *testing.T) {
-	transporttest.Run(t, deployment())
-}
-
-// TestConformanceCoalesced runs the identical contract with the frame-
-// coalescing model on: shared frame deadlines must stay invisible to
-// everything above the wire, exactly as tcpnet's real batch frames must.
-func TestConformanceCoalesced(t *testing.T) {
-	transporttest.Run(t, deployment(netsim.WithCoalescing()))
-}
-
-func deployment(opts ...netsim.Option) func(t *testing.T) *transporttest.Deployment {
-	return func(t *testing.T) *transporttest.Deployment {
-		opts := append([]netsim.Option{netsim.WithDefaultProfile(netsim.Profile{
+	transporttest.Run(t, func(t *testing.T) *transporttest.Deployment {
+		net := netsim.New(clock.NewReal(), netsim.WithDefaultProfile(netsim.Profile{
 			Latency: netsim.Fixed(50 * time.Microsecond),
-		})}, opts...)
-		net := netsim.New(clock.NewReal(), opts...)
+		}))
 		return &transporttest.Deployment{
 			Endpoint: func(int) transport.Transport { return net },
 			Close:    net.Close,
 		}
-	}
+	})
 }

@@ -31,21 +31,7 @@ type linkQueue struct {
 	buf    []pending
 	head   int
 	count  int
-
-	// Coalescing-model state (WithCoalescing): how full the link's
-	// currently-forming frame is. A message arriving on an empty queue
-	// always starts a fresh frame — its predecessors have already
-	// "departed", exactly as in tcpnet's drain-time packing.
-	frameMsgs  int
-	frameBytes int
 }
-
-// coalesceMaxMsgs and coalesceMaxBytes mirror tcpnet's per-frame caps, so
-// the simulated amortization saturates where the real writer's does.
-const (
-	coalesceMaxMsgs  = 64
-	coalesceMaxBytes = 64 << 10
-)
 
 func (lq *linkQueue) front() *pending { return &lq.buf[lq.head] }
 
@@ -98,7 +84,6 @@ type shard struct {
 	done chan struct{}
 
 	sent, delivered, dropped, blocked, bytes atomic.Uint64
-	frames                                   atomic.Uint64
 }
 
 func newShard(n *Network, seed int64) *shard {
@@ -178,31 +163,15 @@ func (sh *shard) heapPopRoot() {
 // clamps it so the link never reorders — a message may not be delivered
 // before its predecessor on the same link, matching TCP-like FIFO and the
 // Order protocol's leader→follower assumption — and appends it to the
-// link's queue. With the coalescing model on, a message whose link still
-// has pending traffic rides the forming frame: its deadline is its
-// predecessor's plus only its own serialization time (ser), no fresh
-// latency draw. It reports whether the caller must wake the dispatcher:
+// link's queue. It reports whether the caller must wake the dispatcher:
 // the entry became the network-earliest deadline of this shard.
-func (sh *shard) scheduleLocked(key linkKey, msg Message, now int64, delay, ser time.Duration) bool {
+func (sh *shard) scheduleLocked(key linkKey, msg Message, now int64, delay time.Duration) bool {
 	lq := sh.links[key]
 	if lq == nil {
 		lq = &linkQueue{pos: -1}
 		sh.links[key] = lq
 	}
-	var at int64
-	if sh.net.coalesce && lq.count > 0 &&
-		lq.frameMsgs < coalesceMaxMsgs && lq.frameBytes+len(msg.Payload) <= coalesceMaxBytes {
-		at = lq.lastAt + int64(ser)
-		lq.frameMsgs++
-		lq.frameBytes += len(msg.Payload)
-	} else {
-		at = now + int64(delay)
-		if at < lq.lastAt {
-			at = lq.lastAt
-		}
-		lq.frameMsgs, lq.frameBytes = 1, len(msg.Payload)
-		sh.frames.Add(1)
-	}
+	at := max(now+int64(delay), lq.lastAt)
 	lq.lastAt = at
 	sh.seq++
 	wasEmpty := lq.count == 0

@@ -133,10 +133,9 @@ type Network struct {
 	reg   atomic.Pointer[registry]
 	regMu sync.Mutex // serializes registry clone-and-swap
 
-	shards   []*shard
-	seed     int64
-	nshards  int
-	coalesce bool
+	shards  []*shard
+	seed    int64
+	nshards int
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -163,18 +162,6 @@ func WithSeed(seed int64) Option {
 // single total delivery order.
 func WithShards(count int) Option {
 	return func(n *Network) { n.nshards = count }
-}
-
-// WithCoalescing models tcpnet's multi-message frames: a message sent
-// while its link still has pending traffic rides the pending frame —
-// sharing that frame's propagation latency instead of drawing its own,
-// paying only its serialization time — until the frame reaches the same
-// message/byte caps tcpnet's writer uses, whereupon the next message
-// starts a fresh frame with a fresh latency draw. Off by default, so
-// existing seeded schedules are untouched. FramesSent reports how many
-// frames the model produced.
-func WithCoalescing() Option {
-	return func(n *Network) { n.coalesce = true }
 }
 
 // New creates a network driven by clk.
@@ -302,17 +289,10 @@ func (n *Network) Partition(groups ...[]Addr) {
 	})
 }
 
-// FramesSent returns how many modeled wire frames the network produced.
-// Without WithCoalescing every message is its own frame; with it, the
-// messages-per-frame ratio is the modeled amortization factor — the
-// simulator-side analogue of tcpnet's FramesSent.
-func (n *Network) FramesSent() uint64 {
-	var f uint64
-	for _, sh := range n.shards {
-		f += sh.frames.Load()
-	}
-	return f
-}
+// FramesSent returns how many wire frames were sent. Every message is its
+// own frame, so it equals messages sent (Stats().Sent); it stays for
+// callers that report frames beside messages, as tcpnet's FramesSent does.
+func (n *Network) FramesSent() uint64 { return n.Stats().Sent }
 
 // Stats returns a snapshot of the network counters, merged across shards.
 func (n *Network) Stats() Stats {
@@ -404,8 +384,7 @@ func (n *Network) Send(from, to Addr, kind string, payload []byte) error {
 		return nil
 	}
 	delay := prof.DelayFor(len(payload), sh.rng)
-	ser := prof.SerializationFor(len(payload))
-	wake := sh.scheduleLocked(key, Message{From: from, To: to, Kind: kind, Payload: payload}, now, delay, ser)
+	wake := sh.scheduleLocked(key, Message{From: from, To: to, Kind: kind, Payload: payload}, now, delay)
 	sh.mu.Unlock()
 	if wake {
 		sh.wakeup()

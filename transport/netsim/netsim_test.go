@@ -437,3 +437,38 @@ func TestManualClockDelivery(t *testing.T) {
 	clk.Advance(time.Second)
 	c.wait(t, 1, 2*time.Second)
 }
+
+// TestFramesEqualMessagesWithoutCoalescing pins FramesSent's meaning:
+// every message is its own frame, so frames equal messages sent.
+func TestFramesEqualMessagesWithoutCoalescing(t *testing.T) {
+	v := clock.NewVirtual()
+	defer v.Stop()
+	n := New(v, WithShards(1), WithDefaultProfile(Profile{Latency: Fixed(time.Millisecond)}))
+	defer n.Close()
+
+	const k = 7
+	done := make(chan struct{})
+	var got int
+	var mu sync.Mutex
+	n.Register("b", func(Message) {
+		mu.Lock()
+		if got++; got == k {
+			close(done)
+		}
+		mu.Unlock()
+	})
+	n.Register("a", func(Message) {})
+	for i := 0; i < k; i++ {
+		if err := n.Send("a", "b", "data", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("deliveries stalled")
+	}
+	if f := n.FramesSent(); f != k {
+		t.Fatalf("FramesSent = %d, want %d (one frame per message)", f, k)
+	}
+}

@@ -14,15 +14,14 @@ import (
 // with a single dispatcher shard and returns the full delivery trajectory:
 // one "virtual-nanos from->to payload" line per delivery, in delivery
 // order. Same seed must mean byte-identical output.
-func virtualTrajectory(t *testing.T, seed int64, opts ...Option) string {
+func virtualTrajectory(t *testing.T, seed int64) string {
 	t.Helper()
 	v := clock.NewVirtual()
 	defer v.Stop()
-	opts = append([]Option{WithSeed(seed), WithShards(1), WithDefaultProfile(Profile{
+	n := New(v, WithSeed(seed), WithShards(1), WithDefaultProfile(Profile{
 		Latency:        Uniform{Min: 100 * time.Microsecond, Max: 2 * time.Millisecond},
 		BytesPerSecond: 1 << 20,
-	})}, opts...)
-	n := New(v, opts...)
+	}))
 	defer n.Close()
 
 	epoch := v.Now()

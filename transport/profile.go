@@ -63,16 +63,8 @@ func (p Profile) DelayFor(n int, r *rand.Rand) time.Duration {
 	if p.Latency != nil {
 		d = p.Latency.Delay(r)
 	}
-	return d + p.SerializationFor(n)
-}
-
-// SerializationFor returns only the bandwidth component of DelayFor: the
-// time n bytes occupy the pipe. Backends that model frame coalescing use
-// it for messages riding an already-delayed frame — the extra bytes still
-// serialize, but pay no fresh propagation latency.
-func (p Profile) SerializationFor(n int) time.Duration {
-	if p.BytesPerSecond <= 0 {
-		return 0
+	if p.BytesPerSecond > 0 {
+		d += time.Duration(float64(n) / float64(p.BytesPerSecond) * float64(time.Second))
 	}
-	return time.Duration(float64(n) / float64(p.BytesPerSecond) * float64(time.Second))
+	return d
 }

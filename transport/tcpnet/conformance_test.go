@@ -13,21 +13,11 @@ import (
 // sharing one address book, exactly how a single-host multi-process
 // deployment is wired.
 func TestConformance(t *testing.T) {
-	transporttest.Run(t, deployment(false))
-}
-
-// TestConformanceCoalesced runs the identical contract with multi-message
-// frames on: coalescing must be invisible to everything above the wire.
-func TestConformanceCoalesced(t *testing.T) {
-	transporttest.Run(t, deployment(true))
-}
-
-func deployment(coalesce bool) func(t *testing.T) *transporttest.Deployment {
-	return func(t *testing.T) *transporttest.Deployment {
+	transporttest.Run(t, func(t *testing.T) *transporttest.Deployment {
 		book := tcpnet.NewAddrBook()
 		eps := make([]*tcpnet.Transport, 4)
 		for i := range eps {
-			tp, err := tcpnet.New(tcpnet.Config{Book: book, Coalesce: coalesce})
+			tp, err := tcpnet.New(tcpnet.Config{Book: book})
 			if err != nil {
 				t.Fatalf("tcpnet.New: %v", err)
 			}
@@ -41,5 +31,5 @@ func deployment(coalesce bool) func(t *testing.T) *transporttest.Deployment {
 				}
 			},
 		}
-	}
+	})
 }

@@ -5,8 +5,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"fsnewtop/transport"
 )
 
 // maxQueuedFrames bounds one peer's outbound queue: past it, new frames
@@ -24,39 +22,12 @@ const maxQueuedFrames = 1 << 17
 // per second while the queue piles up.
 const redialBackoff = time.Second
 
-// coalesceMaxMsgs and coalesceMaxBytes cap one coalesced frame. The byte
-// cap keeps a batch frame comfortably under MaxFrame (a single oversized
-// message forms a run of one and travels as a legacy frame, which Send
-// already size-checked); the message cap bounds how much one corrupt
-// frame can take down with it.
-const (
-	coalesceMaxMsgs  = 64
-	coalesceMaxBytes = 64 << 10
-)
-
-// outEntry is one queued message awaiting the writer. Exactly one of
-// head/item is set: head is a single-message frame minus its payload
-// (coalescing off; its seq is stamped in place at enqueue) and payload is
-// the sender's own slice, queued by reference; item is the encoded
-// kind+payload segment of a coalescable message (coalescing on; the frame
-// header is written at drain time, when the writer knows the run it
-// belongs to).
-type outEntry struct {
-	head    []byte
-	payload []byte
-	item    []byte
-	from    transport.Addr
-	to      transport.Addr
-	seq     uint64
-}
-
-// wireFrame is one frame as the vectored write sees it: head, then body.
-// body is a payload sent by reference and is nil for a frame encoded
-// whole. The two are one unit of recovery: a frame is written only when
-// every byte of both went out.
+// wireFrame is one queued message as the vectored write sees it: head is
+// the frame minus its payload (its seq stamped in place at enqueue), body
+// the sender's own payload, queued by reference. The two are one unit of
+// recovery: a frame is written only when every byte of both went out.
 type wireFrame struct {
 	head, body []byte
-	msgs       int // messages the frame carries, so drops stay message-accurate
 }
 
 func (f wireFrame) size() int64 { return int64(len(f.head) + len(f.body)) }
@@ -71,7 +42,7 @@ type peer struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []outEntry
+	queue    []wireFrame
 	seq      uint64 // last sequence number stamped, guarded by mu
 	closed   bool
 	nextDial time.Time // dials suppressed until then, guarded by mu
@@ -103,28 +74,7 @@ func (p *peer) enqueue(head, payload []byte) {
 	}
 	p.seq++
 	binary.BigEndian.PutUint64(head[seqOffset:], p.seq)
-	p.queue = append(p.queue, outEntry{head: head, payload: payload})
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
-// enqueueItem appends one coalescable message (coalescing mode). The
-// sequence number is assigned here, under the same lock and counter the
-// frame path uses, so seq order still equals wire order regardless of how
-// the writer later groups the entries into frames.
-func (p *peer) enqueueItem(from, to transport.Addr, item []byte) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	if len(p.queue) >= maxQueuedFrames {
-		p.mu.Unlock()
-		p.t.dropped.Add(1)
-		return
-	}
-	p.seq++
-	p.queue = append(p.queue, outEntry{item: item, from: from, to: to, seq: p.seq})
+	p.queue = append(p.queue, wireFrame{head: head, body: payload})
 	p.mu.Unlock()
 	p.cond.Signal()
 }
@@ -163,53 +113,14 @@ func (p *peer) run() {
 			p.mu.Unlock()
 			return
 		}
-		entries := p.queue
+		batch := p.queue
 		p.queue = nil
 		p.mu.Unlock()
 
-		if dropped := p.writeBatch(p.pack(entries)); dropped > 0 {
+		if dropped := p.writeBatch(batch); dropped > 0 {
 			p.t.dropped.Add(uint64(dropped))
 		}
 	}
-}
-
-// pack turns drained queue entries into wire frames. Framed entries
-// (coalescing off) pass through untouched; coalescable entries are grouped
-// into runs of adjacent messages on the same (From,To) link and each run
-// longer than one becomes a single batch frame — one header, one length
-// prefix, one receiver dispatch for the whole run. Grouping only adjacent
-// same-link messages is what keeps per-link FIFO trivially intact: the
-// wire carries exactly the enqueue order, just with fewer frame
-// boundaries.
-func (p *peer) pack(entries []outEntry) []wireFrame {
-	frames := make([]wireFrame, 0, len(entries))
-	for i := 0; i < len(entries); {
-		e := entries[i]
-		if e.head != nil {
-			frames = append(frames, wireFrame{head: e.head, body: e.payload, msgs: 1})
-			i++
-			continue
-		}
-		j, bytes := i+1, len(e.item)
-		for j < len(entries) && j-i < coalesceMaxMsgs {
-			n := entries[j]
-			if n.head != nil || n.from != e.from || n.to != e.to || bytes+len(n.item) > coalesceMaxBytes {
-				break
-			}
-			bytes += len(n.item)
-			j++
-		}
-		f := wireFrame{msgs: j - i}
-		if j == i+1 {
-			f.head = p.t.encodeSingleFrame(e)
-		} else {
-			f.head = p.t.encodeBatchFrame(entries[i:j])
-		}
-		frames = append(frames, f)
-		i = j
-	}
-	p.t.frames.Add(uint64(len(frames)))
-	return frames
 }
 
 // writeBatch writes the frames in one vectored write per attempt,
@@ -218,7 +129,7 @@ func (p *peer) pack(entries []outEntry) []wireFrame {
 // resets it — so a connection flapping during a large drain keeps its
 // per-frame resilience (the old one-write-per-frame loop redialed per
 // frame) instead of shedding the whole remainder on the second break.
-// The return value is how many MESSAGES were dropped. Recovery is
+// The return value is how many messages (frames) were dropped. Recovery is
 // frame-granular: a frame the broken connection accepted only partially —
 // its head but not all of its body included — is resent whole on the
 // fresh one; its receiver died with the connection, so no duplicate can
@@ -251,11 +162,7 @@ func (p *peer) writeBatch(batch []wireFrame) int {
 		}
 		p.dropConn(conn)
 	}
-	dropped := 0
-	for _, f := range batch {
-		dropped += f.msgs
-	}
-	return dropped
+	return len(batch)
 }
 
 // ensureConn returns the live connection, dialing if absent. fresh forces

@@ -127,19 +127,6 @@ type Config struct {
 	DialTimeout time.Duration
 	// MaxFrame bounds accepted frame sizes. Zero means 16 MiB.
 	MaxFrame int
-	// Coalesce enables multi-message frames: when the writer drains its
-	// queue it packs adjacent messages on the same (From,To) link into one
-	// batch frame — one length prefix, one epoch/seq/from/to header and
-	// one receiver dispatch for up to 64 messages — so the per-frame
-	// overhead of the FS protocol's fan-out bursts is paid once per run
-	// instead of once per message. Per-link FIFO is untouched (a batch is
-	// a contiguous slice of the enqueue order) and a batch is one replay
-	// watermark unit: its frame carries the seq of its LAST message, and a
-	// receiver that has seen it drops the whole batch. Off by default —
-	// the wire format then stays byte-identical to the pre-batch-plane
-	// transport. Both ends must agree: a batch frame sent to an old
-	// receiver is a protocol violation that severs the connection.
-	Coalesce bool
 	// ConnsPerPeer is how many parallel TCP connections (each with its
 	// own writer goroutine) this process opens to one remote endpoint.
 	// Links are hashed onto connections by (From,To), so per-link FIFO is
@@ -165,7 +152,6 @@ type Transport struct {
 	dialTimeout  time.Duration
 	maxFrame     int
 	connsPerPeer int
-	coalesce     bool
 	clk          clock.Clock
 	// epoch identifies this Transport incarnation on the wire (its start
 	// time): receivers use it to tell a restarted sender (sequence
@@ -196,7 +182,6 @@ type Transport struct {
 	wg     sync.WaitGroup
 
 	sent, delivered, dropped, bytes atomic.Uint64
-	frames                          atomic.Uint64
 }
 
 var (
@@ -255,7 +240,6 @@ func New(cfg Config) (*Transport, error) {
 	if t.maxFrame == 0 {
 		t.maxFrame = 16 << 20
 	}
-	t.coalesce = cfg.Coalesce
 	t.connsPerPeer = cfg.ConnsPerPeer
 	if t.connsPerPeer == 0 {
 		t.connsPerPeer = 4
@@ -346,18 +330,14 @@ func (t *Transport) Send(from, to transport.Addr, kind string, payload []byte) e
 	}
 	t.sent.Add(1)
 	t.bytes.Add(uint64(len(payload)))
-	if t.coalesce {
-		p.enqueueItem(from, to, encodeItem(kind, payload))
-	} else {
-		p.enqueue(t.frameHead(from, to, kind, payload), payload)
-	}
+	p.enqueue(t.frameHead(from, to, kind, payload), payload)
 	return nil
 }
 
-// FramesSent returns how many wire frames the writers have packed. With
-// Coalesce on it is the number the amortization claim is made of: messages
-// sent divided by frames packed is the measured messages-per-frame factor.
-func (t *Transport) FramesSent() uint64 { return t.frames.Load() }
+// FramesSent returns how many wire frames were sent. Every message is its
+// own frame, so it equals messages sent (Stats().Sent); it stays for
+// callers that report frames beside messages.
+func (t *Transport) FramesSent() uint64 { return t.sent.Load() }
 
 // Stats implements transport.StatsSource.
 func (t *Transport) Stats() transport.Stats {
@@ -490,22 +470,12 @@ func (t *Transport) readLoop(conn net.Conn) {
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
-		isBatch := n&frameBatchFlag != 0
-		n &^= frameBatchFlag
 		if int64(n) > int64(t.maxFrame) { // int64: int(n) can go negative on 32-bit
 			return // protocol violation: drop the connection
 		}
 		body := make([]byte, n)
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
-		}
-		if isBatch {
-			epoch, seq, msgs, err := decodeBatchFrame(body)
-			if err != nil {
-				return
-			}
-			t.linkFor(msgs[0].From, msgs[0].To).push(inFrame{epoch: epoch, seq: seq, msgs: msgs})
-			continue
 		}
 		epoch, seq, msg, err := decodeFrame(body)
 		if err != nil {
@@ -518,14 +488,10 @@ func (t *Transport) readLoop(conn net.Conn) {
 // linkKey identifies one (From,To) direction.
 type linkKey struct{ from, to transport.Addr }
 
-// inFrame is one decoded inbound frame awaiting dispatch. A coalesced
-// frame carries msgs (all on one link, in sender enqueue order) and is one
-// watermark unit under the seq of its last message; a plain frame carries
-// msg and msgs is nil.
+// inFrame is one decoded inbound frame awaiting dispatch.
 type inFrame struct {
 	epoch, seq uint64
 	msg        transport.Message
-	msgs       []transport.Message
 }
 
 // linkQueue dispatches one link's inbound frames, in push order, on a
@@ -618,17 +584,10 @@ func (q *linkQueue) run() {
 // further restarts — far outside any reconnect race window.
 const maxEpochWatermarks = 4
 
-// deliver dispatches one frame through the incarnation watermark. A
-// coalesced frame passes or fails the watermark as a unit: its seq is the
-// last message's, so a replayed batch — which can only replay whole, frame
-// framing is atomic — is discarded entirely, never partially re-delivered.
+// deliver dispatches one frame through the incarnation watermark.
 func (q *linkQueue) deliver(f inFrame) {
-	n, to := 1, f.msg.To
-	if f.msgs != nil {
-		n, to = len(f.msgs), f.msgs[0].To
-	}
 	if f.seq <= q.last[f.epoch] { // dispatcher-private: no lock needed
-		q.t.dropped.Add(uint64(n)) // stale replay from a superseded connection
+		q.t.dropped.Add(1) // stale replay from a superseded connection
 		return
 	}
 	if len(q.last) >= maxEpochWatermarks {
@@ -642,19 +601,13 @@ func (q *linkQueue) deliver(f inFrame) {
 	q.last[f.epoch] = f.seq
 	t := q.t
 	t.mu.Lock()
-	h := t.handlers[to]
+	h := t.handlers[f.msg.To]
 	t.mu.Unlock()
 	if h == nil {
-		t.dropped.Add(uint64(n)) // deregistered (or never here): drop at delivery
+		t.dropped.Add(1) // deregistered (or never here): drop at delivery
 		return
 	}
-	t.delivered.Add(uint64(n))
-	if f.msgs != nil {
-		for _, m := range f.msgs {
-			h(m)
-		}
-		return
-	}
+	t.delivered.Add(1)
 	h(f.msg)
 }
 
@@ -665,16 +618,7 @@ const readBufferSize = 64 << 10
 // Frame layout: u32 length prefix (bytes after itself), u64 sender
 // incarnation epoch, u64 sequence number (stamped by peer.enqueue — zero
 // until then), then the codec body.
-//
-// A coalesced frame sets frameBatchFlag in the length prefix (MaxFrame is
-// capped far below 2 GiB, so bit 31 is free) and replaces the single
-// kind+payload tail with u32 count followed by count kind+payload items,
-// all on the (From,To) link named in the header; its seq is the last
-// item's.
 const seqOffset = 12
-
-// frameBatchFlag marks a coalesced frame in the length prefix.
-const frameBatchFlag = uint32(1) << 31
 
 // frameSize returns the frame body size (everything after the length
 // prefix) without encoding anything: epoch + seq + three u32-prefixed
@@ -697,84 +641,6 @@ func (t *Transport) frameHead(from, to transport.Addr, kind string, payload []by
 	w.String(kind)
 	w.U32(uint32(len(payload)))
 	return w.Bytes()
-}
-
-// encodeItem renders one message's kind+payload segment — the unit a
-// coalesced frame carries per message, and byte-identical to the tail of
-// a plain frame (which is what lets a run of one travel as a legacy frame
-// with the item spliced in raw).
-func encodeItem(kind string, payload []byte) []byte {
-	w := codec.NewWriter(4 + len(kind) + 4 + len(payload))
-	w.String(kind)
-	w.Bytes32(payload)
-	return w.Bytes()
-}
-
-// encodeSingleFrame renders a run-of-one coalescable entry as a plain
-// frame: header plus the item segment verbatim. The seq was assigned at
-// enqueue, so it is written directly instead of patched in later.
-func (t *Transport) encodeSingleFrame(e outEntry) []byte {
-	w := codec.NewWriter(4 + 8 + 8 + 4 + len(e.from) + 4 + len(e.to) + len(e.item))
-	w.U32(0) // length, patched below
-	w.U64(t.epoch)
-	w.U64(e.seq)
-	w.String(string(e.from))
-	w.String(string(e.to))
-	w.Raw(e.item)
-	frame := w.Bytes()
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-	return frame
-}
-
-// encodeBatchFrame renders a run of same-link entries as one coalesced
-// frame carrying the seq of the run's LAST entry — the watermark the
-// whole batch stands or falls by on the receiver.
-func (t *Transport) encodeBatchFrame(run []outEntry) []byte {
-	e := run[0]
-	size := 4 + 8 + 8 + 4 + len(e.from) + 4 + len(e.to) + 4
-	for _, r := range run {
-		size += len(r.item)
-	}
-	w := codec.NewWriter(size)
-	w.U32(0) // length, patched below
-	w.U64(t.epoch)
-	w.U64(run[len(run)-1].seq)
-	w.String(string(e.from))
-	w.String(string(e.to))
-	w.U32(uint32(len(run)))
-	for _, r := range run {
-		w.Raw(r.item)
-	}
-	frame := w.Bytes()
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4)|frameBatchFlag)
-	return frame
-}
-
-// decodeBatchFrame parses one coalesced frame body into its messages, in
-// wire order. Payloads alias body (freshly allocated per frame, never
-// reused), so handlers may retain them.
-func decodeBatchFrame(body []byte) (epoch, seq uint64, msgs []transport.Message, err error) {
-	r := codec.NewReader(body)
-	epoch = r.U64()
-	seq = r.U64()
-	from := transport.Addr(r.String())
-	to := transport.Addr(r.String())
-	count := r.U32()
-	// Each item costs at least its two length prefixes, which bounds any
-	// honest count by the body size — reject before allocating for a lie.
-	if count == 0 || int64(count) > int64(len(body)/8)+1 {
-		return 0, 0, nil, fmt.Errorf("tcpnet: batch frame claims %d items in %d bytes", count, len(body))
-	}
-	msgs = make([]transport.Message, 0, count)
-	for i := uint32(0); i < count; i++ {
-		kind := r.String()
-		payload := r.Bytes32()
-		msgs = append(msgs, transport.Message{From: from, To: to, Kind: kind, Payload: payload})
-	}
-	if err := r.Finish(); err != nil {
-		return 0, 0, nil, fmt.Errorf("tcpnet: decoding batch frame: %w", err)
-	}
-	return epoch, seq, msgs, nil
 }
 
 // decodeFrame parses one frame body (length prefix already consumed). The

@@ -116,13 +116,9 @@ func testPerLinkFIFO(t *testing.T, d *Deployment) {
 }
 
 // testBurstFIFOFidelity hammers several interleaved links with dense
-// back-to-back bursts of mixed-size payloads — the traffic shape that
-// triggers frame coalescing in backends that support it — and requires
-// per-link FIFO and byte-perfect fidelity to survive it. Interleaving the
-// links from one sender forces a coalescing writer to break and restart
-// runs mid-drain; the oversized payloads force it to mix batch and plain
-// frames on one link. Backends without coalescing get a plain stress test
-// of the same contract.
+// back-to-back bursts of mixed-size payloads — the FS protocol's fan-out
+// shape, which drains a writer's queue many frames at a time — and
+// requires per-link FIFO and byte-perfect fidelity to survive it.
 func testBurstFIFOFidelity(t *testing.T, d *Deployment) {
 	const (
 		links = 3
@@ -159,8 +155,8 @@ func testBurstFIFOFidelity(t *testing.T, d *Deployment) {
 		sender.Register(transport.Addr(fmt.Sprintf("conf/burst-src-%d", l)), func(transport.Message) {})
 	}
 
-	// Sizes cycle from tiny through a payload large enough that any
-	// reasonable coalescing byte cap splits or bypasses a run around it.
+	// Sizes cycle from tiny through a payload far larger than a socket
+	// write usually takes at once.
 	sizes := []int{4, 16, 900, 4, 60000, 4, 2048}
 	for seq := 0; seq < n; seq++ {
 		for l := 0; l < links; l++ {
