@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fsnewtop/internal/group"
+	"fsnewtop/internal/trace"
 )
 
 // short returns chaos options sized for CI: a one-second active window
@@ -119,29 +122,113 @@ func TestChaosCorpus(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			opts := short(seed)
 			opts.TraceDir = t.TempDir()
-			rep, err := Run(opts)
-			if err != nil {
-				t.Fatalf("harness error: %v", err)
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("%s: %s", v.Oracle, v.Detail)
-			}
-			if t.Failed() {
-				t.Logf("schedule:\n%s\ntrace dump: %s", rep.Schedule, rep.DumpPath)
-			}
-			fired := 0
-			for _, c := range rep.Conversions {
-				if c.Fired && !c.Converted {
-					t.Errorf("%s: fault fired but never converted (%s)", c.Member, c.Action)
-				}
-				if c.Fired {
-					fired++
-				}
-			}
-			if fired == 0 {
-				t.Error("no fault fired; the corpus seed has gone vacuous")
+			runCorpusSeed(t, opts)
+		})
+	}
+}
+
+// runCorpusSeed runs one corpus seed and fails t on any oracle violation,
+// on a fired fault that never converted, or on a seed gone vacuous.
+func runCorpusSeed(t *testing.T, opts Options) {
+	t.Helper()
+	rep, err := Run(opts)
+	if err != nil {
+		t.Fatalf("harness error: %v", err)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("%s: %s", v.Oracle, v.Detail)
+	}
+	if t.Failed() {
+		t.Logf("schedule:\n%s\ntrace dump: %s", rep.Schedule, rep.DumpPath)
+	}
+	fired := 0
+	for _, c := range rep.Conversions {
+		if c.Fired && !c.Converted {
+			t.Errorf("%s: fault fired but never converted (%s)", c.Member, c.Action)
+		}
+		if c.Fired {
+			fired++
+		}
+	}
+	if fired == 0 {
+		t.Error("no fault fired; the corpus seed has gone vacuous")
+	}
+}
+
+// batched returns short(seed) paced well inside one FS round, so each
+// member's multicasts queue behind its in-flight round and the
+// accumulation window coalesces them into KindBatch submissions. At the
+// default 10ms pace most multicasts go out alone; this pace is what puts
+// batches under the fault schedule. The pace does not enter the schedule
+// generator, so the schedules are the corpus's own. reg collects the
+// run's trace so the caller can prove batches were submitted.
+func batched(seed int64, reg *trace.Registry) Options {
+	opts := short(seed)
+	opts.SendEvery = time.Millisecond
+	opts.Trace = reg
+	return opts
+}
+
+// batchesSubmitted counts the KindBatch submissions the members'
+// invocation layers traced.
+func batchesSubmitted(reg *trace.Registry) int {
+	n := 0
+	for _, ev := range reg.Snapshot() {
+		if ev.Kind == trace.EvReissue && ev.Note == group.KindBatch {
+			n++
+		}
+	}
+	return n
+}
+
+// TestChaosCorpusBatched replays the pinned corpus under a pace that keeps
+// the accumulation window batching: coalesced FS rounds must be invisible
+// to every fail-silence oracle, under the exact schedules that once
+// exposed real view-synchrony bugs. CI runs this under -race.
+func TestChaosCorpusBatched(t *testing.T) {
+	for _, seed := range corpusSeeds {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			reg := trace.NewRegistry(0, nil)
+			opts := batched(seed, reg)
+			opts.TraceDir = t.TempDir()
+			runCorpusSeed(t, opts)
+			if batchesSubmitted(reg) == 0 {
+				t.Error("no member submitted a batch; the batched corpus has gone vacuous")
 			}
 		})
+	}
+}
+
+// TestSameSeedSameVerdictBatched extends the replay property to a run the
+// accumulation window batches: the window is paced by the harness clock
+// and flushed on deterministic triggers, so the same seed under batching
+// must still produce the byte-identical schedule and the same verdict.
+func TestSameSeedSameVerdictBatched(t *testing.T) {
+	const seed = 10
+	var schedules, verdicts [2]string
+	for i := range schedules {
+		reg := trace.NewRegistry(0, nil)
+		opts := batched(seed, reg)
+		opts.TraceDir = t.TempDir()
+		rep, err := Run(opts)
+		if err != nil {
+			t.Fatalf("run %d harness error: %v", i, err)
+		}
+		if batchesSubmitted(reg) == 0 {
+			t.Errorf("run %d: no member submitted a batch", i)
+		}
+		schedules[i] = rep.Schedule.String()
+		verdicts[i] = rep.Verdict()
+	}
+	if schedules[0] != schedules[1] {
+		t.Errorf("same seed produced different schedules:\n%s\nvs\n%s", schedules[0], schedules[1])
+	}
+	if verdicts[0] != verdicts[1] {
+		t.Errorf("same seed produced different verdicts: %s vs %s", verdicts[0], verdicts[1])
+	}
+	if verdicts[0] != "PASS" {
+		t.Errorf("seed %d expected to pass batched, got %s", seed, verdicts[0])
 	}
 }
 

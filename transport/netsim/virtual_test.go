@@ -13,15 +13,17 @@ import (
 // virtualTrajectory runs a fixed scripted workload over a virtual clock
 // with a single dispatcher shard and returns the full delivery trajectory:
 // one "virtual-nanos from->to payload" line per delivery, in delivery
-// order. Same seed must mean byte-identical output.
-func virtualTrajectory(t *testing.T, seed int64) string {
+// order. Same seed must mean byte-identical output. opts apply after the
+// default profile, so they can override it.
+func virtualTrajectory(t *testing.T, seed int64, opts ...Option) string {
 	t.Helper()
 	v := clock.NewVirtual()
 	defer v.Stop()
-	n := New(v, WithSeed(seed), WithShards(1), WithDefaultProfile(Profile{
+	opts = append([]Option{WithSeed(seed), WithShards(1), WithDefaultProfile(Profile{
 		Latency:        Uniform{Min: 100 * time.Microsecond, Max: 2 * time.Millisecond},
 		BytesPerSecond: 1 << 20,
-	}))
+	})}, opts...)
+	n := New(v, opts...)
 	defer n.Close()
 
 	epoch := v.Now()
@@ -82,6 +84,33 @@ func TestVirtualTrajectoryDeterministic(t *testing.T) {
 	}
 	if other := virtualTrajectory(t, 43); other == first {
 		t.Fatal("different seeds produced identical trajectories; jitter is not being drawn")
+	}
+}
+
+// TestVirtualTrajectoryDeterministicCoalesced pins replay when the
+// dispatcher coalesces deliveries: with a fixed a→b latency the whole
+// scripted burst falls due at one virtual instant and is drained as one
+// locked batch, and each delivery's reply draws its jitter in batch
+// order. Same seed must still mean the byte-identical trajectory.
+func TestVirtualTrajectoryDeterministicCoalesced(t *testing.T) {
+	fixedOut := func(n *Network) { n.SetOneWayProfile("a", "b", Profile{Latency: Fixed(time.Millisecond)}) }
+	first := virtualTrajectory(t, 42, fixedOut)
+	instants := map[string]bool{}
+	for _, line := range strings.Split(first, "\n") {
+		if at, rest, _ := strings.Cut(line, " "); strings.HasPrefix(rest, "a->b ") {
+			instants[at] = true
+		}
+	}
+	if len(instants) != 1 {
+		t.Fatalf("burst delivered at %d virtual instants, want 1 coalesced batch", len(instants))
+	}
+	for run := 0; run < 3; run++ {
+		if again := virtualTrajectory(t, 42, fixedOut); again != first {
+			t.Fatalf("same seed produced different trajectories:\n--- run 0\n%s\n--- run %d\n%s", first, run+1, again)
+		}
+	}
+	if other := virtualTrajectory(t, 43, fixedOut); other == first {
+		t.Fatal("different seeds produced identical trajectories; reply jitter is not being drawn")
 	}
 }
 

@@ -13,11 +13,25 @@ import (
 // sharing one address book, exactly how a single-host multi-process
 // deployment is wired.
 func TestConformance(t *testing.T) {
-	transporttest.Run(t, func(t *testing.T) *transporttest.Deployment {
+	transporttest.Run(t, deployment(0))
+}
+
+// TestConformanceCoalesced runs the identical contract with one connection
+// per peer: every link to a peer then shares one queue and one writer, so
+// each drained queue goes out as one vectored write mixing all links'
+// frames. Per-link FIFO and fidelity must survive that coalescing.
+func TestConformanceCoalesced(t *testing.T) {
+	transporttest.Run(t, deployment(1))
+}
+
+// deployment builds four transports with connsPerPeer connections per
+// peer (0 = the default).
+func deployment(connsPerPeer int) func(t *testing.T) *transporttest.Deployment {
+	return func(t *testing.T) *transporttest.Deployment {
 		book := tcpnet.NewAddrBook()
 		eps := make([]*tcpnet.Transport, 4)
 		for i := range eps {
-			tp, err := tcpnet.New(tcpnet.Config{Book: book})
+			tp, err := tcpnet.New(tcpnet.Config{Book: book, ConnsPerPeer: connsPerPeer})
 			if err != nil {
 				t.Fatalf("tcpnet.New: %v", err)
 			}
@@ -31,5 +45,5 @@ func TestConformance(t *testing.T) {
 				}
 			},
 		}
-	})
+	}
 }
