@@ -107,7 +107,7 @@ func TestFSDigestPayloadRejectsTamperedBody(t *testing.T) {
 			rv := &countingVerifier{Verifier: e.keys}
 			sink := newAppSink()
 			rc := NewReceiver(e.dir, rv, sink.onOutput, sink.onFail)
-			pair, lv, fv, failCh := quietPair(t, e, time.Hour)
+			pair, lv, fv, failCh := quietPair(t, e, true)
 			for name, raw := range attacks {
 				if _, err := decodeNewPayload(raw); err == nil {
 					t.Errorf("%s: decoded", name)

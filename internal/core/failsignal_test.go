@@ -782,28 +782,63 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 }
 
+// gatedMachine reports each input it starts stepping on entered and then
+// waits for the test to release the step.
+type gatedMachine struct {
+	entered chan string
+	release chan struct{}
+}
+
+func (m *gatedMachine) Step(in sm.Input) []sm.Output {
+	if in.Kind == "req" {
+		m.entered <- string(in.Payload)
+		<-m.release
+	}
+	return nil
+}
+
+// TestDMQ pins the Delivered Message Queue as the replica's loop runs it:
+// inputs are stepped one at a time in the order they were queued, and a
+// replica that has crashed steps nothing more — the step in progress
+// completes, and the backlog behind it is dropped, not drained.
 func TestDMQ(t *testing.T) {
-	q := newDMQ()
-	q.push(orderedInput{in: sm.Input{Kind: "a"}})
-	q.push(orderedInput{in: sm.Input{Kind: "b"}})
-	if q.len() != 2 {
-		t.Fatalf("len = %d", q.len())
+	e := newEnv(t)
+	m := &gatedMachine{entered: make(chan string, 8), release: make(chan struct{})}
+	cfg := e.pairConfig("p", func() sm.Machine { return silentMachine{} })
+	cfg.Delta = time.Hour // the stalled leader must not look dead to its follower
+	cfg.WrapMachine = func(role Role, inner sm.Machine) sm.Machine {
+		if role == Leader {
+			return m
+		}
+		return inner
 	}
-	oi, ok := q.pop()
-	if !ok || oi.in.Kind != "a" {
-		t.Fatalf("pop = %+v, %v", oi, ok)
+	pair, err := NewPair(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	q.close()
-	// Drains remaining items, then reports closed.
-	if oi, ok := q.pop(); !ok || oi.in.Kind != "b" {
-		t.Fatalf("drain pop = %+v, %v", oi, ok)
+	defer pair.Close()
+	signer := newClientSigner(t, e, "c")
+	for i := 0; i < 5; i++ {
+		pair.Leader.handle(newMsg("c", clientInput(t, signer, uint64(i+1), []byte{'a' + byte(i)})))
 	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("pop on closed empty queue returned ok")
+	for i := 0; i < 3; i++ {
+		select {
+		case got := <-m.entered:
+			if want := string(rune('a' + i)); got != want {
+				t.Fatalf("step %d ran input %q, want %q", i, got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the loop never started step %d", i)
+		}
+		if i < 2 {
+			m.release <- struct{}{}
+		}
 	}
-	q.push(orderedInput{in: sm.Input{Kind: "c"}})
-	if q.len() != 0 {
-		t.Fatal("push after close stored an item")
+	pair.Leader.Crash() // the loop is inside step 3, with two inputs queued behind it
+	close(m.release)
+	pair.Leader.Close()
+	if n := len(m.entered); n != 0 {
+		t.Fatalf("a crashed replica stepped %d more queued inputs", n)
 	}
 }
 

@@ -98,11 +98,15 @@ func newMsg(from transport.Addr, payload []byte) transport.Message {
 }
 
 // quietPair builds a pair whose machine emits nothing, so the only checks
-// its verifiers see are input admissions. t1 is the follower's relay delay.
-func quietPair(t *testing.T, e *env, t1 time.Duration) (*Pair, *countingVerifier, *countingVerifier, chan string) {
+// its verifiers see are input admissions. With holdRelays the leader
+// swallows every fs.relay and δ is an hour, so an input pooled at the
+// follower stays pooled until the test forwards it.
+func quietPair(t *testing.T, e *env, holdRelays bool) (*Pair, *countingVerifier, *countingVerifier, chan string) {
 	t.Helper()
 	cfg := e.pairConfig("p", func() sm.Machine { return silentMachine{} })
-	cfg.T1 = t1
+	if holdRelays {
+		cfg.Delta = time.Hour
+	}
 	vs := []*countingVerifier{{Verifier: e.keys}, {Verifier: e.keys}}
 	next := 0
 	cfg.NewVerifier = func() sig.Verifier { next++; return vs[next-1] }
@@ -113,6 +117,13 @@ func quietPair(t *testing.T, e *env, t1 time.Duration) (*Pair, *countingVerifier
 		t.Fatal(err)
 	}
 	t.Cleanup(pair.Close)
+	if holdRelays {
+		e.net.Register(LeaderAddr("p"), func(msg transport.Message) {
+			if msg.Kind != MsgRelay {
+				pair.Leader.handle(msg)
+			}
+		})
+	}
 	return pair, vs[0], vs[1], failCh
 }
 
@@ -220,7 +231,7 @@ func TestPeekKeyMatchesDecode(t *testing.T) {
 func TestForgedCopyFirstDoesNotPoisonGate(t *testing.T) {
 	e := newEnv(t)
 	src := e.addFakeFS("src")
-	pair, _, _, _ := quietPair(t, e, 0)
+	pair, _, _, _ := quietPair(t, e, false)
 	viaL, viaF := src.output(t, 1, "x")
 
 	pair.Leader.handle(newMsg(LeaderAddr("src"), forge(viaL)))
@@ -259,7 +270,7 @@ func TestForgedCopyFirstDoesNotPoisonGate(t *testing.T) {
 func TestCopyBehindAuthenticNeverReachesVerifier(t *testing.T) {
 	e := newEnv(t)
 	src := e.addFakeFS("src")
-	pair, lv, fv, _ := quietPair(t, e, time.Hour) // no relay: the follower keeps its copy pooled
+	pair, lv, fv, _ := quietPair(t, e, true)
 	viaL, viaF := src.output(t, 1, "x")
 
 	pair.Follower.handle(newMsg(LeaderAddr("src"), viaL))
@@ -313,7 +324,7 @@ func TestFwdUnderPooledKey(t *testing.T) {
 			t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
 				e := newEnv(t)
 				src := e.addFakeFS("src")
-				pair, _, fv, failCh := quietPair(t, e, time.Hour)
+				pair, _, fv, failCh := quietPair(t, e, true)
 				viaL, viaF := src.output(t, 1, strings.Repeat("x", size))
 				pair.Follower.handle(newMsg(LeaderAddr("src"), viaL))
 				if fv.n.Load() != 2 {
@@ -389,7 +400,7 @@ func TestFwdOfKnownOrStaleKeyFailSignals(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := newEnv(t)
 			src := e.addFakeFS("src")
-			pair, _, _, failCh := quietPair(t, e, 0)
+			pair, _, _, failCh := quietPair(t, e, false)
 			for idx, seq := range []uint64{1 + gateWindow, second} {
 				raw, _ := src.output(t, seq, "x")
 				pair.Follower.handle(transport.Message{From: LeaderAddr("p"), Kind: MsgFwd,
@@ -414,9 +425,10 @@ func TestFwdOfKnownOrStaleKeyFailSignals(t *testing.T) {
 func TestPooledInputOvertakenByWindowIsLoss(t *testing.T) {
 	e := newEnv(t)
 	src := e.addFakeFS("src")
-	pair, _, _, failCh := quietPair(t, e, 20*time.Millisecond)
+	pair, _, _, failCh := quietPair(t, e, false)
+	e.net.SetOneWayProfile(FollowerAddr("p"), LeaderAddr("p"), profileWithLatency(20*time.Millisecond))
 	old, _ := src.output(t, 1, "old")
-	pair.Follower.handle(newMsg(LeaderAddr("src"), old)) // pooled, relay due in 20ms
+	pair.Follower.handle(newMsg(LeaderAddr("src"), old)) // pooled; its relay lands in 20ms
 	ahead, _ := src.output(t, 1+gateWindow, "ahead")
 	pair.Leader.handle(newMsg(LeaderAddr("src"), ahead))
 	eventually(t, "follower to order the input that ran ahead", func() bool { return pair.Follower.Stats().Ordered == 1 })
@@ -439,7 +451,7 @@ func TestPooledInputOvertakenByWindowIsLoss(t *testing.T) {
 // leader's and the follower's gates hold the same windows.
 func TestPairGatesEvolveIdentically(t *testing.T) {
 	e := newEnv(t)
-	pair, _, _, failCh := quietPair(t, e, 0)
+	pair, _, _, failCh := quietPair(t, e, false)
 	const perClient = 200
 	for c, name := range []string{"c0", "c1", "c2"} {
 		signer := sig.NewHMACSigner(sig.ID(name), []byte("k"+name))
@@ -529,7 +541,7 @@ func TestDuplicatePathAllocatesNothing(t *testing.T) {
 	e := newEnv(t)
 	const name = "a-source-name-longer-than-any-stack-conversion-buffer"
 	src := e.addFakeFS(name)
-	pair, _, _, _ := quietPair(t, e, time.Hour)
+	pair, _, _, _ := quietPair(t, e, true)
 	viaL, viaF := src.output(t, 1, strings.Repeat("x", 8192))
 	pooled, _ := src.output(t, 2, "y")
 	rc := NewReceiver(e.dir, e.keys, nil, nil)

@@ -45,13 +45,9 @@ type PairConfig struct {
 	// shared key material. Nil means both replicas verify directly
 	// against Keys.
 	NewVerifier func() sig.Verifier
-	// Delta, Kappa, Sigma, T1, T2, TickInterval, StrictDeadlines: see
-	// ReplicaConfig.
-	Delta           time.Duration
-	Kappa, Sigma    float64
-	T1, T2          time.Duration
-	TickInterval    time.Duration
-	StrictDeadlines bool
+	// Delta and TickInterval: see ReplicaConfig.
+	Delta        time.Duration
+	TickInterval time.Duration
 	// LocalName and Watchers: see ReplicaConfig.
 	LocalName string
 	Watchers  []string
@@ -147,20 +143,15 @@ func NewPair(cfg PairConfig) (*Pair, error) {
 	}
 
 	base := ReplicaConfig{
-		Name:            cfg.Name,
-		Net:             cfg.Net,
-		Clock:           cfg.Clock,
-		Dir:             cfg.Dir,
-		Verifier:        cfg.Keys,
-		Delta:           cfg.Delta,
-		Kappa:           cfg.Kappa,
-		Sigma:           cfg.Sigma,
-		T1:              cfg.T1,
-		T2:              cfg.T2,
-		StrictDeadlines: cfg.StrictDeadlines,
-		LocalName:       cfg.LocalName,
-		Watchers:        cfg.Watchers,
-		OnFailSignal:    cfg.OnFailSignal,
+		Name:         cfg.Name,
+		Net:          cfg.Net,
+		Clock:        cfg.Clock,
+		Dir:          cfg.Dir,
+		Verifier:     cfg.Keys,
+		Delta:        cfg.Delta,
+		LocalName:    cfg.LocalName,
+		Watchers:     cfg.Watchers,
+		OnFailSignal: cfg.OnFailSignal,
 	}
 
 	wrap := cfg.WrapMachine

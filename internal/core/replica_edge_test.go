@@ -50,7 +50,7 @@ func TestRelayFIFOPreserved(t *testing.T) {
 
 // TestCompareDeadlineFormula pins the Section 2.2 deadline arithmetic.
 func TestCompareDeadlineFormula(t *testing.T) {
-	r := &Replica{cfg: ReplicaConfig{Role: Leader, Delta: 10 * time.Millisecond, Kappa: 2, Sigma: 2}}
+	r := &Replica{cfg: ReplicaConfig{Role: Leader, Delta: 10 * time.Millisecond}}
 	got := r.compareDeadline(3*time.Millisecond, time.Millisecond)
 	want := 2*10*time.Millisecond + 2*3*time.Millisecond + 2*time.Millisecond
 	if got != want {

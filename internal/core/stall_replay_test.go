@@ -52,21 +52,24 @@ func rampSyncLink(e *env, name string, steps int, stepEvery, stepDelay time.Dura
 	}
 }
 
-// TestCompareStallReplayStrict replays the wedge against the
-// paper-literal deadline discipline: once the sync link's delay exceeds
-// the fixed comparison window, the pair declares itself failed even
-// though its peer keeps producing correct candidates in order. This is
-// the pre-fix behaviour that wedged FS-NewTOP over real sockets (see
-// EXPERIMENTS.md, "The FS-over-TCP round-boundary wedge").
+// TestCompareStallReplayStrict pins what the progress-aware rule still
+// guarantees once the wedge's crawl turns into a real stall: after the
+// pair has ridden out a degrading sync link (every deadline granted fresh
+// windows against a live peer), the peer's candidates stop, and the next
+// output fail-signals the pair within one compare window — 2δ+κπ+στ at
+// the leader — and not before 2δ. The paper-literal fixed-deadline rule
+// that wedged FS-NewTOP over real sockets is gone; its evidence is in
+// EXPERIMENTS.md, "The FS-over-TCP round-boundary wedge".
 func TestCompareStallReplayStrict(t *testing.T) {
 	e := newEnv(t)
-	var failReason atomic.Value
-	cfg := e.pairConfig("P", func() sm.Machine { return newEchoMachine("res", "sinkhole") })
-	cfg.Delta = 60 * time.Millisecond // fixed window ≈ 2δ = 120ms at the leader
-	cfg.StrictDeadlines = true
-	cfg.OnFailSignal = func(reason string) { failReason.Store(reason) }
-	e.dir.RegisterPlain("sinkhole", "sinkhole")
-	e.net.Register("sinkhole", func(transport.Message) {})
+	sink := newAppSink()
+	failAt := make(chan time.Time, 2)
+	cfg := e.pairConfig("P", func() sm.Machine { return newEchoMachine("res", "app") })
+	cfg.Delta = 60 * time.Millisecond // window ≈ 2δ = 120ms at the leader
+	cfg.OnFailSignal = func(string) { failAt <- time.Now() }
+	rc := NewReceiver(e.dir, e.keys, sink.onOutput, sink.onFail)
+	e.dir.RegisterPlain("app", "app")
+	e.net.Register("app", rc.Handle)
 
 	pair, err := NewPair(cfg)
 	if err != nil {
@@ -74,25 +77,45 @@ func TestCompareStallReplayStrict(t *testing.T) {
 	}
 	defer pair.Close()
 
-	// Keep inputs flowing while the sync link degrades 30ms → 300ms.
+	// Keep inputs flowing while the sync link degrades 30ms → 150ms.
+	const inputs = 60
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		feedPair(t, e, "P", 120, 10*time.Millisecond)
+		feedPair(t, e, "P", inputs, 10*time.Millisecond)
 	}()
-	rampSyncLink(e, "P", 10, 120*time.Millisecond, 30*time.Millisecond)
+	rampSyncLink(e, "P", 5, 120*time.Millisecond, 30*time.Millisecond)
 	wg.Wait()
+	sink.waitOutputs(t, inputs, 15*time.Second)
+	eventually(t, "both halves to match every output", func() bool {
+		return pair.Leader.Stats().Matched == inputs && pair.Follower.Stats().Matched == inputs
+	})
+	select {
+	case <-failAt:
+		t.Fatal("pair fail-signalled during the benign crawl")
+	default:
+	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for !pair.Failed() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	// The stall: the link heals, but the follower's candidates stop
+	// reaching the leader.
+	e.net.SetLinkProfile(LeaderAddr("P"), FollowerAddr("P"), transport.Profile{Latency: transport.Fixed(100 * time.Microsecond)})
+	e.net.Register(LeaderAddr("P"), func(msg transport.Message) {
+		if msg.Kind != MsgSingle {
+			pair.Leader.handle(msg)
+		}
+	})
+	sent := time.Now()
+	if err := e.addClient("late").Send("P", "req", []byte("last")); err != nil {
+		t.Fatal(err)
 	}
-	if !pair.Failed() {
-		t.Fatal("strict deadlines: pair should have fail-signalled once the sync link outpaced the fixed window")
-	}
-	if r, _ := failReason.Load().(string); r != "" {
-		t.Logf("strict pair failed as the wedge predicts: %s", r)
+	select {
+	case at := <-failAt:
+		if took := at.Sub(sent); took < 2*cfg.Delta || took > 3*cfg.Delta {
+			t.Fatalf("pair fail-signalled %v after its last input; want one compare window, between 2δ = %v and 3δ", took, 2*cfg.Delta)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pair never fail-signalled after its peer's candidates stopped")
 	}
 }
 

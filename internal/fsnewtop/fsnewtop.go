@@ -158,16 +158,10 @@ type Config struct {
 	Clock clock.Clock
 	// Delta is δ for the pair's synchronous link. 0 = 5ms.
 	Delta time.Duration
-	// Kappa, Sigma: see failsignal.ReplicaConfig (0 = paper's 2).
-	Kappa, Sigma float64
 	// TickInterval paces the leader's ordered tick stream. 0 = 20ms.
 	TickInterval time.Duration
 	// SyncLink, if non-nil, is applied to the pair's leader↔follower link.
 	SyncLink *transport.Profile
-	// StrictDeadlines selects the paper-literal fixed pair deadlines; see
-	// failsignal.ReplicaConfig.StrictDeadlines. Default false
-	// (progress-aware, wedge-immune on congested real networks).
-	StrictDeadlines bool
 	// PoolSize is the invocation-side ORB pool size (0 = default 10).
 	PoolSize int
 	// GC tunes the protocol machine. Self and Mode are set here.
@@ -306,25 +300,22 @@ func New(cfg Config) (*NSO, error) {
 	gcCfg.Mode = group.SuspectFailSignal
 
 	pair, err := failsignal.NewPair(failsignal.PairConfig{
-		Name:            cfg.Name,
-		NewMachine:      func() sm.Machine { return coalescer{group.New(gcCfg)} },
-		WrapMachine:     cfg.WrapMachine,
-		Net:             fab.Net,
-		Clock:           clk,
-		Dir:             fab.Dir,
-		Keys:            fab.Keys,
-		NewSigner:       newSigner,
-		NewVerifier:     func() sig.Verifier { return newVerifier() },
-		Delta:           cfg.Delta,
-		Kappa:           cfg.Kappa,
-		Sigma:           cfg.Sigma,
-		TickInterval:    cfg.TickInterval,
-		StrictDeadlines: cfg.StrictDeadlines,
-		LocalName:       inv,
-		Watchers:        cfg.Peers,
-		SyncLink:        cfg.SyncLink,
-		OnFailSignal:    cfg.OnFailSignal,
-		Trace:           fab.Trace,
+		Name:         cfg.Name,
+		NewMachine:   func() sm.Machine { return coalescer{group.New(gcCfg)} },
+		WrapMachine:  cfg.WrapMachine,
+		Net:          fab.Net,
+		Clock:        clk,
+		Dir:          fab.Dir,
+		Keys:         fab.Keys,
+		NewSigner:    newSigner,
+		NewVerifier:  func() sig.Verifier { return newVerifier() },
+		Delta:        cfg.Delta,
+		TickInterval: cfg.TickInterval,
+		LocalName:    inv,
+		Watchers:     cfg.Peers,
+		SyncLink:     cfg.SyncLink,
+		OnFailSignal: cfg.OnFailSignal,
+		Trace:        fab.Trace,
 	})
 	if err != nil {
 		return nil, err

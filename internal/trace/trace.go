@@ -43,11 +43,11 @@ const (
 	EvOrder Kind = iota + 1
 	// EvOrderDup: an input copy was suppressed as a duplicate. Note=key.
 	EvOrderDup
-	// EvRelayQueued: follower pooled a direct input in the IRMP for the
-	// t1 relay escalation. Note=key.
+	// EvRelayQueued: no longer emitted; the follower relays an input the
+	// moment it pools it (t1 = 0). Kept so later kinds keep their numbers.
 	EvRelayQueued
-	// EvRelaySent: follower relayed an IRMP input to the leader after t1
-	// and armed the t2 deadline. Note=key.
+	// EvRelaySent: follower pooled a direct input in the IRMP, relayed it
+	// to the leader and armed the t2 deadline. Note=key.
 	EvRelaySent
 	// EvCompareArm: a local output entered the ICMP awaiting the peer's
 	// candidate. A=output seq, B=deadline in ns.
