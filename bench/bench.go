@@ -71,13 +71,9 @@ type Options struct {
 	MsgSize int
 	// SendInterval is the regular inter-send gap at each member.
 	SendInterval time.Duration
-	// PoolSize is the ORB request pool (0 = the paper's 10).
-	PoolSize int
 	// Delta is δ for FS pairs (0 = Members × 0.5 s, 1 s floor; see
 	// deploy.RunSpec.FillDefaults).
 	Delta time.Duration
-	// LANLatency is the pair sync-link latency (must be < Delta).
-	LANLatency time.Duration
 	// NetLatency is the inter-member async network latency.
 	NetLatency time.Duration
 	// Bandwidth is the async link bandwidth in bytes/second (0 =
@@ -142,16 +138,12 @@ func (o *Options) fillDefaults() deploy.RunSpec {
 		SendInterval:  o.SendInterval,
 		Delta:         o.Delta,
 		TickInterval:  o.TickInterval,
-		PoolSize:      o.PoolSize,
 		CrashTolerant: o.System == SystemNewTOP,
 		RSA:           o.RSA,
 		TraceDir:      o.TraceDir,
 	}
 	spec.FillDefaults(o.Members)
 	o.MsgsPerMember, o.MsgSize = spec.MsgsPerMember, spec.MsgSize
-	if o.LANLatency == 0 {
-		o.LANLatency = 50 * time.Microsecond
-	}
 	if o.NetLatency == 0 {
 		o.NetLatency = 200 * time.Microsecond
 	}
@@ -169,6 +161,10 @@ func (o *Options) fillDefaults() deploy.RunSpec {
 	}
 	return spec
 }
+
+// lanLatency is the pair sync-link latency on the simulator (the A2 LAN;
+// it must stay well below δ).
+const lanLatency = 50 * time.Microsecond
 
 // Transport substrate names, as recorded in results and series files.
 const (
@@ -292,7 +288,7 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 		cluster.WithTrace(reg),
 		// On the simulator this shapes the pair's A2 sync link; a real
 		// network ignores it and the wire's own latency applies.
-		cluster.WithSyncLinkProfile(transport.Profile{Latency: transport.Fixed(opts.LANLatency)}),
+		cluster.WithSyncLinkProfile(transport.Profile{Latency: transport.Fixed(lanLatency)}),
 	)
 	cl, err := cluster.New(copts...)
 	if err != nil {

@@ -19,18 +19,15 @@ type ChaosOptions struct {
 	// Seed drives the schedule and the netsim randomness; the same seed
 	// replays the byte-identical schedule and the same verdict.
 	Seed int64
-	// Members is the cluster size (0 = 5).
-	Members int
-	// Duration is the active fault window (0 = 10s).
+	// Duration is the active fault window (0 = 10s). The cluster size and
+	// δ are chaos's own defaults.
 	Duration time.Duration
-	// Delta is the pair synchrony bound δ (0 = 250ms).
-	Delta time.Duration
 	// Transport must be TransportNetsim; TransportTCP is refused because
 	// tcpnet implements no fault injection and the schedule would be
 	// vacuous.
 	Transport string
 	// TraceDir receives the merged trace dump when an oracle is violated
-	// ("" = current directory).
+	// ("" = the OS temp directory).
 	TraceDir string
 	// Churn arms restart churn: auto-heal runs, the schedule always
 	// contains at least one crash, and every fail-signalled member must be
@@ -55,9 +52,7 @@ type ChaosOptions struct {
 func (o ChaosOptions) toChaos(reg *trace.Registry) (chaos.Options, func(), error) {
 	co := chaos.Options{
 		Seed:      o.Seed,
-		Members:   o.Members,
 		Duration:  o.Duration,
-		Delta:     o.Delta,
 		Transport: o.Transport,
 		TraceDir:  o.TraceDir,
 		Trace:     reg,

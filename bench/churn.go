@@ -20,12 +20,8 @@ type ChurnOptions struct {
 	Seed int64
 	// Runs is how many consecutive seeds to sweep (0 = 1).
 	Runs int
-	// Members is the cluster size (0 = 5; churn needs at least 5).
-	Members int
 	// Duration is each seed's active fault window (0 = 10s).
 	Duration time.Duration
-	// Delta is the pair synchrony bound δ (0 = 250ms).
-	Delta time.Duration
 	// Transport must be TransportNetsim (fault injection).
 	Transport string
 	// TraceDir receives trace dumps for violated seeds.
@@ -67,9 +63,7 @@ func RunChurn(opts ChurnOptions) (ChurnReport, error) {
 	for i := 0; i < runs; i++ {
 		rep, err := RunChaos(ChaosOptions{
 			Seed:      opts.Seed + int64(i),
-			Members:   opts.Members,
 			Duration:  opts.Duration,
-			Delta:     opts.Delta,
 			Transport: opts.Transport,
 			TraceDir:  opts.TraceDir,
 			Churn:     true,

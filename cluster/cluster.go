@@ -96,11 +96,9 @@ type config struct {
 	rsa          bool
 	crash        bool
 	delta        time.Duration
-	poolSize     int
 	tickInterval time.Duration
 	pingInterval time.Duration
 	suspectAfter time.Duration
-	viewRetry    time.Duration
 	syncLink     *transport.Profile
 	faultPlan    bool
 	traceReg     *trace.Registry
@@ -177,11 +175,6 @@ func WithVirtualTime(v *clock.Virtual) Option {
 	return func(c *config) { c.clk, c.virtual = v, v }
 }
 
-// WithPoolSize sets each member's ORB request pool (0 = the paper's 10).
-func WithPoolSize(n int) Option {
-	return func(c *config) { c.poolSize = n }
-}
-
 // WithTickInterval paces each member's protocol machine ticks.
 func WithTickInterval(d time.Duration) Option {
 	return func(c *config) { c.tickInterval = d }
@@ -192,12 +185,6 @@ func WithTickInterval(d time.Duration) Option {
 // WithCrashTolerance (fail-signal members do not guess).
 func WithPingSuspector(interval, suspectAfter time.Duration) Option {
 	return func(c *config) { c.pingInterval, c.suspectAfter = interval, suspectAfter }
-}
-
-// WithViewRetry bounds how long a member waits on a stalled view change
-// before re-proposing.
-func WithViewRetry(d time.Duration) Option {
-	return func(c *config) { c.viewRetry = d }
 }
 
 // WithSyncLinkProfile shapes each pair's leader↔follower link (the A2
@@ -481,12 +468,10 @@ func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
 			Naming:       c.naming,
 			Clock:        mclk,
 			Trace:        c.cfg.traceReg,
-			PoolSize:     c.cfg.poolSize,
 			TickInterval: c.cfg.tickInterval,
 			GC: group.Config{
-				PingInterval:   c.cfg.pingInterval,
-				SuspectAfter:   c.cfg.suspectAfter,
-				ViewRetryAfter: c.cfg.viewRetry,
+				PingInterval: c.cfg.pingInterval,
+				SuspectAfter: c.cfg.suspectAfter,
 			},
 		})
 		if err != nil {
@@ -516,12 +501,8 @@ func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
 		Clock:        mclk,
 		Delta:        c.cfg.delta,
 		TickInterval: c.cfg.tickInterval,
-		PoolSize:     c.cfg.poolSize,
 		SyncLink:     c.cfg.syncLink,
 		WrapMachine:  wrap,
-		GC: group.Config{
-			ViewRetryAfter: c.cfg.viewRetry,
-		},
 	})
 	if err != nil {
 		return nil, err

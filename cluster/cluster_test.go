@@ -155,7 +155,6 @@ func TestClusterCrashTolerance(t *testing.T) {
 func TestClusterFailSignal(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithMembers("a", "b", "c"),
-		cluster.WithViewRetry(100*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)

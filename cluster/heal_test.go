@@ -99,7 +99,6 @@ func runAddMember(t *testing.T, c *cluster.Cluster) {
 func TestAddMemberNetsim(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithMembers("alice", "bob", "carol"),
-		cluster.WithViewRetry(200*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +118,6 @@ func TestAddMemberTCP(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithTransport(tr),
 		cluster.WithMembers("alice", "bob", "carol"),
-		cluster.WithViewRetry(200*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +134,6 @@ func TestAddMemberTCP(t *testing.T) {
 func TestAutoHealReplacesFailedPair(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithMembers("a", "b", "c"),
-		cluster.WithViewRetry(200*time.Millisecond),
 		cluster.WithAutoHeal(20*time.Millisecond),
 	)
 	if err != nil {
@@ -206,7 +203,6 @@ func TestAutoHealCrashMode(t *testing.T) {
 		cluster.WithMembers("n1", "n2", "n3"),
 		cluster.WithCrashTolerance(),
 		cluster.WithPingSuspector(20*time.Millisecond, 400*time.Millisecond),
-		cluster.WithViewRetry(200*time.Millisecond),
 		cluster.WithAutoHeal(20*time.Millisecond),
 	)
 	if err != nil {
@@ -246,7 +242,6 @@ func TestAutoHealCrashMode(t *testing.T) {
 func TestAutoHealOffByDefault(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithMembers("a", "b", "c"),
-		cluster.WithViewRetry(200*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,6 @@ func TestAutoHealRespawnVirtualClock(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithMembers("a", "b", "c"),
 		cluster.WithVirtualTime(v),
-		cluster.WithViewRetry(200*time.Millisecond),
 		cluster.WithAutoHeal(20*time.Millisecond),
 	)
 	if err != nil {

@@ -83,19 +83,19 @@ import (
 // figures).
 var experiments = []string{"fig6", "fig7", "fig8", "soak", "wedge", "chaos", "churn"}
 
+// runTimeout bounds each in-process run (the wedge lane caps it lower).
+const runTimeout = 5 * time.Minute
+
 func main() {
 	var (
 		exp       = flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", ")+" or all")
 		msgs      = flag.Int("msgs", 100, "messages per member (paper: 1000)")
-		interval  = flag.Duration("interval", 2*time.Millisecond, "inter-send interval per member")
-		pool      = flag.Int("pool", 0, "ORB request pool size (0 = paper default 10)")
 		rsa       = flag.Bool("rsa", false, "sign FS outputs with MD5-and-RSA (the paper's scheme) instead of HMAC")
 		trans     = flag.String("transport", bench.TransportNetsim, "network substrate: netsim (seeded simulator) or tcp (real loopback sockets)")
 		members   = flag.String("members", "", "comma-separated group sizes override (fig6/fig7)")
 		sizes     = flag.String("sizes", "", "comma-separated message sizes override in bytes (fig8)")
 		soakSize  = flag.Int("soak-members", 40, "group size for -exp soak")
 		soakMsgs  = flag.Int("soak-msgs", 5, "messages per member for -exp soak")
-		timeout   = flag.Duration("timeout", 5*time.Minute, "per-run timeout")
 		seed      = flag.Int64("seed", 1, "network randomness seed")
 		jsonDir   = flag.String("json", "", "directory to write BENCH_fig{6,7,8}.json series into")
 		traceDir  = flag.String("trace", "", "directory for protocol trace dumps (stall and SIGQUIT); empty = OS temp dir")
@@ -194,12 +194,10 @@ func main() {
 	base := bench.Options{
 		Members:       *procs,
 		MsgsPerMember: *msgs,
-		SendInterval:  *interval,
-		PoolSize:      *pool,
 		RSA:           *rsa,
 		Transport:     substrate,
 		Virtual:       *virtual,
-		Timeout:       *timeout,
+		Timeout:       runTimeout,
 		Seed:          *seed,
 		TraceDir:      *traceDir,
 		NoStallDump:   !*stallDump,
@@ -252,7 +250,6 @@ func main() {
 			opts := bench.Options{
 				System:      bench.SystemFSNewTOP,
 				Seed:        *seed,
-				PoolSize:    *pool,
 				RSA:         *rsa,
 				Transport:   substrate,
 				TraceDir:    *traceDir,
@@ -296,9 +293,7 @@ func main() {
 			opts.MsgsPerMember = 5
 			opts.MsgSize = 1024
 			opts.Transport = bench.TransportTCP
-			if opts.Timeout > 30*time.Second {
-				opts.Timeout = 30 * time.Second
-			}
+			opts.Timeout = 30 * time.Second
 			start := time.Now()
 			res, err := bench.Run(opts)
 			status := "ok"
@@ -424,7 +419,7 @@ func main() {
 	if *virtual {
 		banner += " virtual"
 	}
-	fmt.Printf("# fsbench: msgs/member=%d interval=%v pool=%d rsa=%v transport=%s\n\n", *msgs, *interval, *pool, *rsa, banner)
+	fmt.Printf("# fsbench: msgs/member=%d rsa=%v transport=%s\n\n", *msgs, *rsa, banner)
 	if *exp == "all" {
 		for _, name := range []string{"fig6", "fig7", "fig8"} {
 			run(name)

@@ -45,7 +45,6 @@ func runFS(fault string) {
 	fmt.Println("== FS-NewTOP: 3 members, each a self-checking pair (6 middleware nodes) ==")
 	c, err := cluster.New(
 		cluster.WithMembers("alice", "bob", "carol"),
-		cluster.WithViewRetry(100*time.Millisecond),
 	)
 	if err != nil {
 		fatal(err)

@@ -62,8 +62,6 @@ type RunSpec struct {
 	Delta time.Duration `json:"delta"`
 	// TickInterval paces each member's protocol machine.
 	TickInterval time.Duration `json:"tick_interval"`
-	// PoolSize is the ORB request pool (0 = the paper's 10).
-	PoolSize int `json:"pool_size"`
 	// CrashTolerant deploys the crash-tolerant NewTOP baseline instead of
 	// FS-NewTOP, with suspicion kept an hour away: the paper's failure-free
 	// runs ("false failure suspicions in NewTOP runs were eliminated").
@@ -128,7 +126,6 @@ func (s RunSpec) Options() []cluster.Option {
 	opts := []cluster.Option{
 		cluster.WithDelta(s.Delta),
 		cluster.WithTickInterval(s.TickInterval),
-		cluster.WithPoolSize(s.PoolSize),
 	}
 	if s.CrashTolerant {
 		opts = append(opts, cluster.WithCrashTolerance(), cluster.WithPingSuspector(0, time.Hour))

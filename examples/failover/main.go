@@ -75,7 +75,6 @@ func actTwo() {
 	fmt.Println("ACT 2 — FS-NewTOP: a real node failure, and mere delay for contrast")
 	c, err := cluster.New(
 		cluster.WithMembers("n1", "n2", "n3"),
-		cluster.WithViewRetry(100*time.Millisecond),
 	)
 	if err != nil {
 		log.Fatal(err)

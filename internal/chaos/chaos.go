@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -50,8 +49,6 @@ type Options struct {
 	TraceDir string
 	// NoDump disables the violation trace dump.
 	NoDump bool
-	// Out, when non-nil, receives human-readable progress lines.
-	Out io.Writer
 	// Trace, when non-nil, substitutes the run's trace registry — the
 	// caller can then dump it on demand (fsbench's SIGQUIT handler) while
 	// the run is in flight. Nil gets a private registry.
@@ -339,14 +336,7 @@ func Run(opts Options) (*Report, error) {
 		return nil, fmt.Errorf("chaos: schedule contains clock-skew actions but the run's clock is not virtual; skew replays need Options.Clock = clock.NewVirtual()")
 	}
 	start := clk.Now()
-	logf := func(format string, args ...any) {
-		if opts.Out != nil {
-			fmt.Fprintf(opts.Out, "chaos: "+format+"\n", args...)
-		}
-	}
-
 	rep := &Report{Schedule: sched}
-	logf("seed %d schedule:\n%s", opts.Seed, strings.TrimRight(sched.String(), "\n"))
 
 	// The netsim shares the run's seed: schedule randomness and network
 	// randomness both replay from the one integer.
@@ -444,7 +434,6 @@ func Run(opts Options) (*Report, error) {
 				case <-stopDrain:
 					return
 				case ev := <-c.HealEvents():
-					logf("heal: %s -> %s groups=%v err=%v", ev.Failed, ev.Replacement, ev.Groups, ev.Err)
 					healMu.Lock()
 					heals = append(heals, healRecord{failed: ev.Failed, replacement: ev.Replacement, err: ev.Err})
 					healMu.Unlock()
@@ -558,7 +547,6 @@ func Run(opts Options) (*Report, error) {
 		if wait := a.At - clk.Since(schedStart); wait > 0 {
 			<-clk.After(wait)
 		}
-		logf("t=%v apply: %s", clk.Since(schedStart).Round(time.Millisecond), a)
 		switch a.Kind {
 		case ActIsolate:
 			c.Isolate(a.A, a.B)
@@ -941,13 +929,8 @@ func Run(opts Options) (*Report, error) {
 	if !rep.Passed() && !opts.NoDump {
 		if path, derr := reg.Dump(opts.TraceDir, fmt.Sprintf("chaos-seed%d", opts.Seed)); derr == nil {
 			rep.DumpPath = path
-			logf("violation: merged trace dumped to %s", path)
-		} else {
-			logf("violation: trace dump failed: %v", derr)
 		}
 	}
-	logf("seed %d verdict: %s (%d conversions, %d violations, %v elapsed)",
-		opts.Seed, rep.Verdict(), len(rep.Conversions), len(rep.Violations), rep.Elapsed.Round(time.Millisecond))
 	return rep, nil
 }
 

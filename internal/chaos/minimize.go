@@ -54,7 +54,6 @@ func Minimize(opts Options) (*ShrinkResult, error) {
 	trial := func(sched Schedule) (*Report, error) {
 		o := opts
 		o.NoDump = true // shrink trials are probes, not artifacts
-		o.Out = nil
 		if callerVirtual {
 			v := clock.NewVirtual()
 			defer v.Stop()

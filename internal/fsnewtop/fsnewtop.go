@@ -156,18 +156,13 @@ type Config struct {
 	// and ORB. The chaos plane's clock-skew faults use it to give each
 	// member its own skewed view of one shared virtual timeline.
 	Clock clock.Clock
-	// Delta is δ for the pair's synchronous link. 0 = 5ms.
+	// Delta is δ for the pair's synchronous link. Required: its default
+	// lives in package cluster alone.
 	Delta time.Duration
 	// TickInterval paces the leader's ordered tick stream. 0 = 20ms.
 	TickInterval time.Duration
 	// SyncLink, if non-nil, is applied to the pair's leader↔follower link.
 	SyncLink *transport.Profile
-	// PoolSize is the invocation-side ORB pool size (0 = default 10).
-	PoolSize int
-	// GC tunes the protocol machine. Self and Mode are set here.
-	GC group.Config
-	// OnFailSignal observes this pair's own failure (test hook).
-	OnFailSignal func(reason string)
 	// WrapMachine, if set, wraps each GC machine replica before its FSO
 	// starts (see failsignal.PairConfig.WrapMachine). The chaos plane
 	// installs runtime-armable faults.Switch wrappers through it, so a
@@ -226,10 +221,10 @@ func New(cfg Config) (*NSO, error) {
 	if cfg.Fabric == nil {
 		return nil, fmt.Errorf("fsnewtop: member %q needs a fabric", cfg.Name)
 	}
-	fab := cfg.Fabric
-	if cfg.Delta == 0 {
-		cfg.Delta = 5 * time.Millisecond
+	if cfg.Delta <= 0 {
+		return nil, fmt.Errorf("fsnewtop: member %q needs δ > 0 (got %v)", cfg.Name, cfg.Delta)
 	}
+	fab := cfg.Fabric
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = 20 * time.Millisecond
 	}
@@ -295,9 +290,7 @@ func New(cfg Config) (*NSO, error) {
 	// suspector selected, inside the coalescer — so a batched input also
 	// leaves as batched outputs rather than fanning back out into
 	// per-message FS rounds.
-	gcCfg := cfg.GC
-	gcCfg.Self = cfg.Name
-	gcCfg.Mode = group.SuspectFailSignal
+	gcCfg := group.Config{Self: cfg.Name, Mode: group.SuspectFailSignal}
 
 	pair, err := failsignal.NewPair(failsignal.PairConfig{
 		Name:         cfg.Name,
@@ -314,7 +307,6 @@ func New(cfg Config) (*NSO, error) {
 		LocalName:    inv,
 		Watchers:     cfg.Peers,
 		SyncLink:     cfg.SyncLink,
-		OnFailSignal: cfg.OnFailSignal,
 		Trace:        fab.Trace,
 	})
 	if err != nil {
@@ -327,11 +319,10 @@ func New(cfg Config) (*NSO, error) {
 	// accumulation window, as signed inputs to both FSOs. The invocation
 	// layer's code path is unchanged from crash-tolerant NewTOP.
 	o, err := orb.New(orb.Config{
-		Addr:     newtop.NodeAddr(cfg.Name),
-		Net:      fab.Net,
-		Naming:   fab.Naming,
-		PoolSize: cfg.PoolSize,
-		Clock:    clk,
+		Addr:   newtop.NodeAddr(cfg.Name),
+		Net:    fab.Net,
+		Naming: fab.Naming,
+		Clock:  clk,
 	})
 	if err != nil {
 		pair.Close()

@@ -135,7 +135,6 @@ func newCluster(t *testing.T, n int, tweak func(name string, cfg *Config), opts 
 			Peers:        peers,
 			Delta:        150 * time.Millisecond,
 			TickInterval: 5 * time.Millisecond,
-			GC:           group.Config{ResendAfter: 20 * time.Millisecond, ViewRetryAfter: 100 * time.Millisecond},
 		}
 		if tweak != nil {
 			tweak(name, &cfg)
@@ -438,6 +437,17 @@ func TestFSNewTOPConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Name: "x"}); err == nil {
 		t.Fatal("fabricless member accepted")
+	}
+	// δ has one default, cluster's: a member built without one is refused,
+	// not given a private bound of its own.
+	net := netsim.New(clock.NewReal())
+	defer net.Close()
+	for _, d := range []time.Duration{0, -time.Millisecond} {
+		nso, err := New(Config{Name: "x", Fabric: NewFabric(net, clock.NewReal()), Delta: d})
+		if err == nil {
+			nso.Close()
+			t.Fatalf("member with δ = %v accepted", d)
+		}
 	}
 }
 

@@ -187,7 +187,7 @@ func (m *Machine) tickNacks(g *groupState) {
 		if s.gapTarget() < s.nextSeq {
 			continue // no gap
 		}
-		if !s.lastNack.IsZero() && m.now.Sub(s.lastNack) < m.cfg.ResendAfter {
+		if !s.lastNack.IsZero() && m.now.Sub(s.lastNack) < resendAfter {
 			continue
 		}
 		m.nack(g, origin)

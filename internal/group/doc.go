@@ -41,7 +41,7 @@
 // the first acknowledgement for a new clock value still leaves in the
 // accept's own step. Two things an ack per accept did by accident are
 // explicit: tickPromise repairs a lost promise or a lost tail message
-// when the head of the order has stayed blocked for ResendAfter (the
+// when the head of the order has stayed blocked for resendAfter (the
 // blocked member re-announces its promise and asks the laggard for its),
 // and every accept, of any service, re-evaluates the order in its own
 // step. An own data send is not a promise: the ack after it is what

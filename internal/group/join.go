@@ -31,7 +31,7 @@ type pendingJoin struct {
 }
 
 // joinerExpiry bounds how long a member keeps re-serving a joiner that
-// stopped asking (it died mid-join), in units of ViewRetryAfter.
+// stopped asking (it died mid-join), in units of viewRetryAfter.
 const joinerExpiry = 8
 
 // onJoinExisting starts seeking admission into a running group through the
@@ -86,7 +86,7 @@ func (m *Machine) onJoinAsk(from string, j JoinAsk) {
 		m.maybePropose(g)
 		return
 	}
-	if js.lastSend.IsZero() || m.now.Sub(js.lastSend) >= m.cfg.ViewRetryAfter || js.sentViewID != g.viewID {
+	if js.lastSend.IsZero() || m.now.Sub(js.lastSend) >= viewRetryAfter || js.sentViewID != g.viewID {
 		m.sendSnapshot(g, from, js)
 	}
 }
@@ -268,7 +268,7 @@ func (m *Machine) tickJoins() {
 			delete(m.joining, name)
 			continue
 		}
-		if m.now.Sub(pj.lastAsk) >= m.cfg.ViewRetryAfter {
+		if m.now.Sub(pj.lastAsk) >= viewRetryAfter {
 			pj.lastAsk = m.now
 			m.emit(KindJoinAsk, pj.contacts, JoinAsk{Group: name}.Marshal())
 		}
@@ -283,7 +283,7 @@ func (m *Machine) tickJoins() {
 		}
 		for _, j := range sortedKeys(g.joiners) {
 			js := g.joiners[j]
-			if !js.lastAsk.IsZero() && m.now.Sub(js.lastAsk) > joinerExpiry*m.cfg.ViewRetryAfter {
+			if !js.lastAsk.IsZero() && m.now.Sub(js.lastAsk) > joinerExpiry*viewRetryAfter {
 				delete(g.joiners, j)
 				continue
 			}
@@ -293,7 +293,7 @@ func (m *Machine) tickJoins() {
 			if js.acked && js.sentViewID == g.viewID {
 				continue // proposal path owns it from here
 			}
-			if js.lastSend.IsZero() || m.now.Sub(js.lastSend) >= m.cfg.ViewRetryAfter {
+			if js.lastSend.IsZero() || m.now.Sub(js.lastSend) >= viewRetryAfter {
 				m.sendSnapshot(g, j, js)
 			}
 		}

@@ -35,13 +35,6 @@ type Config struct {
 	// SuspectAfter is the silence threshold in SuspectPing mode.
 	// Default 2s.
 	SuspectAfter time.Duration
-	// ResendAfter paces NACKs for detected gaps, and is how long the head
-	// of the symmetric order may stay blocked before its promise is
-	// re-announced (tickPromise). Default 200ms.
-	ResendAfter time.Duration
-	// ViewRetryAfter bounds how long a member waits on a stalled view
-	// change before (re-)proposing. Default 1s.
-	ViewRetryAfter time.Duration
 	// Trace, if non-nil, receives the machine's protocol events (round
 	// open/close/blocked, acks, suspicions, view changes, sequencer
 	// handoffs). Tracing never influences outputs, so two replicas of one
@@ -59,13 +52,18 @@ func (c *Config) fillDefaults() {
 	if c.SuspectAfter == 0 {
 		c.SuspectAfter = 2 * time.Second
 	}
-	if c.ResendAfter == 0 {
-		c.ResendAfter = 200 * time.Millisecond
-	}
-	if c.ViewRetryAfter == 0 {
-		c.ViewRetryAfter = time.Second
-	}
 }
+
+const (
+	// resendAfter paces NACKs for detected gaps, and is how long the head
+	// of the symmetric order may stay blocked before its promise is
+	// re-announced (tickPromise).
+	resendAfter = 200 * time.Millisecond
+	// viewRetryAfter bounds how long a member waits on a stalled view
+	// change (or a join on an answer) before (re-)proposing or asking
+	// again.
+	viewRetryAfter = time.Second
+)
 
 // Machine is the deterministic GC state machine. It implements sm.Machine
 // and must be driven single-threaded.

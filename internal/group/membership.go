@@ -350,7 +350,7 @@ func (m *Machine) tickViewChange(g *groupState) {
 		m.maybePropose(g)
 		return
 	}
-	if m.now.Sub(g.change.startedAt) < m.cfg.ViewRetryAfter {
+	if m.now.Sub(g.change.startedAt) < viewRetryAfter {
 		return
 	}
 	if g.coordinator() != m.cfg.Self {

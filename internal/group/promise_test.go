@@ -354,7 +354,7 @@ func TestPromiseRepeatIsNoOp(t *testing.T) {
 
 // TestPromiseLostLastAckIsRepaired: the promise c sent b is lost and
 // nothing follows it. c has delivered and has no reason to speak again; b,
-// whose order is blocked on c, asks for the promise after ResendAfter and
+// whose order is blocked on c, asks for the promise after resendAfter and
 // c's answer releases the message. (An ack per accept never repaired
 // this.)
 func TestPromiseLostLastAckIsRepaired(t *testing.T) {
@@ -376,11 +376,11 @@ func TestPromiseLostLastAckIsRepaired(t *testing.T) {
 	}
 	c.tick(10 * time.Millisecond)
 	if got := c.machines["b"].AckStats().Resent; got != 0 {
-		t.Fatalf("b re-announced %d times before ResendAfter", got)
+		t.Fatalf("b re-announced %d times before resendAfter", got)
 	}
 	c.tick(200 * time.Millisecond)
 	if got := c.payloads("b"); !reflect.DeepEqual(got, []string{"m"}) {
-		t.Fatalf("b delivered %v one ResendAfter after the loss", got)
+		t.Fatalf("b delivered %v one resendAfter after the loss", got)
 	}
 	if got := c.machines["b"].AckStats(); got.Resent != 1 || got.Sent != 1 {
 		t.Fatalf("b's ack counters %+v, want one sent and one re-announced", got)
@@ -448,7 +448,7 @@ func TestPromiseLostTailDataIsRepaired(t *testing.T) {
 // joiner is not a member yet) and whatever the joiner promises until
 // then. Nothing the joiner sends afterwards repeats those promises, so
 // the late member asks for the current one: delivery resumes within one
-// ResendAfter of its install.
+// resendAfter of its install.
 func TestPromiseJoinerAckDroppedInOldViewIsRepaired(t *testing.T) {
 	c := newTCluster(t, SuspectPing, "a", "b", "c")
 	c.joinAll("g")
@@ -484,7 +484,7 @@ func TestPromiseJoinerAckDroppedInOldViewIsRepaired(t *testing.T) {
 	c.tick(10 * time.Millisecond)
 	c.tick(200 * time.Millisecond)
 	if got := c.payloads("b"); !reflect.DeepEqual(got, []string{"pre", "post"}) {
-		t.Fatalf("b delivered %v one ResendAfter after installing", got)
+		t.Fatalf("b delivered %v one resendAfter after installing", got)
 	}
 	if got := c.payloads("d"); !reflect.DeepEqual(got, []string{"post"}) {
 		t.Fatalf("d delivered %v, want [post]", got)

@@ -47,7 +47,7 @@ func (m *Machine) announce(g *groupState) {
 
 // tickPromise repairs what a promise sent once can lose. When the head of
 // pendingSym has stayed blocked on the same laggard's clock for
-// ResendAfter and no acknowledgement left meanwhile, one of two copies
+// resendAfter and no acknowledgement left meanwhile, one of two copies
 // went missing, and this member cannot tell which: its own promise or
 // data on the way to the laggard (the laggard then learns the send
 // watermark from the re-announcement and NACKs the gap), or the laggard's
@@ -74,7 +74,7 @@ func (m *Machine) tickPromise(g *groupState) {
 		st.origin, st.seq, st.since = head.Origin, head.SenderSeq, m.now
 		return
 	}
-	if m.now.Sub(st.since) < m.cfg.ResendAfter {
+	if m.now.Sub(st.since) < resendAfter {
 		return
 	}
 	m.acks.resent.Add(1)

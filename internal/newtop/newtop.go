@@ -187,7 +187,9 @@ type gcServant struct {
 	driver *group.Driver
 }
 
-// Invoke implements orb.Servant (never used: InvokeRequest takes priority).
+// Invoke implements orb.Servant. The ORB dispatches to InvokeRequest
+// instead, which keeps the caller's identity; every GC call is one-way, so
+// the returned value is never read.
 func (s gcServant) Invoke(method string, arg orb.Any) (orb.Any, error) {
 	s.driver.Submit(sm.Input{Kind: method, Payload: arg.Bytes()})
 	return orb.Any{}, nil

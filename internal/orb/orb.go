@@ -1,6 +1,12 @@
 // Package orb is the CORBA-like substrate of Section 3: location-
-// transparent object invocation, request interceptors, a generic value
-// container (the CORBA "any"), and a bounded server-side request pool.
+// transparent one-way object invocation, request interceptors, a generic
+// value container (the CORBA "any"), and a bounded server-side request
+// pool.
+//
+// Every call NewTOP and FS-NewTOP make through it is one-way: GC traffic
+// is a stream of protocol messages, and nothing waits for a result. So
+// the ORB has no reply path — a remote invocation is one request message,
+// and a servant's return value is discarded.
 //
 // The paper relies on four ORB mechanisms, all reproduced here:
 //
@@ -72,18 +78,18 @@ type Request struct {
 	Target ObjectRef
 	Method string
 	Arg    Any
-	OneWay bool
 }
 
-// Reply is an invocation result.
+// Reply is what an interceptor chain makes of a request: a non-empty Err
+// is returned to OneWay's caller as an error.
 type Reply struct {
-	Value Any
-	Err   string
+	Err string
 }
 
 // Servant is a server-side object.
 type Servant interface {
-	// Invoke handles one method call.
+	// Invoke handles one method call. The ORB reports a non-nil error to
+	// the caller of a collocated call and discards the value.
 	Invoke(method string, arg Any) (Any, error)
 }
 
@@ -94,8 +100,8 @@ type ServantFunc func(method string, arg Any) (Any, error)
 func (f ServantFunc) Invoke(method string, arg Any) (Any, error) { return f(method, arg) }
 
 // RequestServant is an optional richer servant interface for objects that
-// need the full request (caller identity, one-way flag). When a servant
-// implements it, dispatch prefers it over Invoke.
+// need the full request (caller identity). When a servant implements it,
+// dispatch prefers it over Invoke.
 type RequestServant interface {
 	InvokeRequest(*Request) Reply
 }
@@ -138,12 +144,11 @@ func (n *Naming) Resolve(ref ObjectRef) (transport.Addr, bool) {
 	return a, ok
 }
 
-// Errors returned by invocation. Timeout and closed wrap the transport
-// error taxonomy, so errors.Is(err, transport.ErrTimeout) and
+// Errors returned by invocation. They wrap the transport error taxonomy,
+// so errors.Is(err, transport.ErrUnknownAddr) and
 // errors.Is(err, transport.ErrClosed) hold across the whole stack.
 var (
 	ErrNoSuchObject = fmt.Errorf("orb: object not found: %w", transport.ErrUnknownAddr)
-	ErrTimeout      = fmt.Errorf("orb: invocation timed out: %w", transport.ErrTimeout)
 	ErrClosed       = fmt.Errorf("orb: ORB closed: %w", transport.ErrClosed)
 )
 
@@ -167,12 +172,9 @@ type Config struct {
 	// With it set, a node's request capacity is PoolSize/ServiceTime —
 	// the mechanism behind the paper's Figure 7 thread-pool knee.
 	ServiceTime time.Duration
-	// InvokeTimeout bounds synchronous invocations. Zero means 5s.
-	InvokeTimeout time.Duration
-	// Clock drives the invocation timeout and simulated service time.
-	// Nil selects the wall clock; tests substitute a manual clock so
-	// timeout paths need no real waiting (the package clock contract:
-	// no protocol code calls time.Now/time.After directly).
+	// Clock drives the simulated service time. Nil selects the wall clock
+	// (the package clock contract: no protocol code calls
+	// time.Now/time.After directly).
 	Clock clock.Clock
 }
 
@@ -185,8 +187,6 @@ type ORB struct {
 
 	mu       sync.Mutex
 	servants map[ObjectRef]Servant
-	pending  map[uint64]chan Reply
-	nextCall uint64
 	closed   bool
 }
 
@@ -198,9 +198,6 @@ func New(cfg Config) (*ORB, error) {
 	if cfg.PoolSize == 0 {
 		cfg.PoolSize = DefaultPoolSize
 	}
-	if cfg.InvokeTimeout == 0 {
-		cfg.InvokeTimeout = 5 * time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewReal()
 	}
@@ -208,7 +205,6 @@ func New(cfg Config) (*ORB, error) {
 		cfg:      cfg,
 		pool:     NewPool(cfg.PoolSize),
 		servants: make(map[ObjectRef]Servant),
-		pending:  make(map[uint64]chan Reply),
 	}
 	cfg.Net.Register(cfg.Addr, o.onMessage)
 	return o, nil
@@ -222,10 +218,6 @@ func (o *ORB) Close() {
 		return
 	}
 	o.closed = true
-	for id, ch := range o.pending {
-		ch <- Reply{Err: ErrClosed.Error()}
-		delete(o.pending, id)
-	}
 	o.mu.Unlock()
 	o.cfg.Net.Deregister(o.cfg.Addr)
 	o.pool.Close()
@@ -254,22 +246,13 @@ func chain(is []Interceptor, base Handler) Handler {
 	return h
 }
 
-// Invoke performs a synchronous invocation of target.method(arg). Location
-// is transparent: collocated objects dispatch directly (still through the
-// interceptor chains); remote objects go over the network and wait for the
-// reply.
-func (o *ORB) Invoke(from, target ObjectRef, method string, arg Any) (Any, error) {
-	req := &Request{From: from, Target: target, Method: method, Arg: arg}
-	rep := chain(o.client, o.transmit)(req)
-	if rep.Err != "" {
-		return Any{}, errors.New(rep.Err)
-	}
-	return rep.Value, nil
-}
-
-// OneWay performs a fire-and-forget invocation (no reply, no result).
+// OneWay invokes target.method(arg) without waiting for a result.
+// Location is transparent: a collocated object is dispatched directly, in
+// the caller's goroutine and still through both interceptor chains, and
+// its error is returned; a remote object is sent one request message, and
+// only a failure to resolve or send it is returned.
 func (o *ORB) OneWay(from, target ObjectRef, method string, arg Any) error {
-	req := &Request{From: from, Target: target, Method: method, Arg: arg, OneWay: true}
+	req := &Request{From: from, Target: target, Method: method, Arg: arg}
 	rep := chain(o.client, o.transmit)(req)
 	if rep.Err != "" {
 		return errors.New(rep.Err)
@@ -294,35 +277,10 @@ func (o *ORB) transmit(req *Request) Reply {
 	if !ok {
 		return Reply{Err: fmt.Sprintf("%v: %q", ErrNoSuchObject, req.Target)}
 	}
-	if req.OneWay {
-		if err := o.cfg.Net.Send(o.cfg.Addr, addr, msgRequest, encodeRequest(0, req)); err != nil {
-			return Reply{Err: err.Error()}
-		}
-		return Reply{}
-	}
-	ch := make(chan Reply, 1)
-	o.mu.Lock()
-	o.nextCall++
-	id := o.nextCall
-	o.pending[id] = ch
-	o.mu.Unlock()
-	if err := o.cfg.Net.Send(o.cfg.Addr, addr, msgRequest, encodeRequest(id, req)); err != nil {
-		o.mu.Lock()
-		delete(o.pending, id)
-		o.mu.Unlock()
+	if err := o.cfg.Net.Send(o.cfg.Addr, addr, msgRequest, encodeRequest(req)); err != nil {
 		return Reply{Err: err.Error()}
 	}
-	timer := o.cfg.Clock.NewTimer(o.cfg.InvokeTimeout)
-	defer timer.Stop()
-	select {
-	case rep := <-ch:
-		return rep
-	case <-timer.C():
-		o.mu.Lock()
-		delete(o.pending, id)
-		o.mu.Unlock()
-		return Reply{Err: fmt.Sprintf("%v: %s.%s", ErrTimeout, req.Target, req.Method)}
-	}
+	return Reply{}
 }
 
 // dispatch builds the innermost server handler around a servant.
@@ -331,107 +289,64 @@ func (o *ORB) dispatch(s Servant) Handler {
 		if rs, ok := s.(RequestServant); ok {
 			return rs.InvokeRequest(req)
 		}
-		v, err := s.Invoke(req.Method, req.Arg)
-		if err != nil {
+		if _, err := s.Invoke(req.Method, req.Arg); err != nil {
 			return Reply{Err: err.Error()}
 		}
-		return Reply{Value: v}
+		return Reply{}
 	}
 }
 
-// Network message kinds.
-const (
-	msgRequest = "orb.req"
-	msgReply   = "orb.rep"
-)
+// msgRequest is the network message kind of a remote invocation.
+const msgRequest = "orb.req"
 
-// onMessage handles inbound ORB traffic. Requests are queued to the worker
-// pool — the paper's "thread pool ... to handle incoming requests" — so at
-// most PoolSize requests are processed concurrently per node.
+// onMessage handles inbound requests. They are queued to the worker pool —
+// the paper's "thread pool ... to handle incoming requests" — so at most
+// PoolSize requests are processed concurrently per node. A request for an
+// object this ORB does not serve is dropped: there is no caller waiting to
+// be told.
 func (o *ORB) onMessage(msg transport.Message) {
-	switch msg.Kind {
-	case msgRequest:
-		id, req, err := decodeRequest(msg.Payload)
-		if err != nil {
-			return
-		}
-		o.pool.Submit(func() {
-			if o.cfg.ServiceTime > 0 {
-				<-o.cfg.Clock.After(o.cfg.ServiceTime)
-			}
-			o.mu.Lock()
-			s, ok := o.servants[req.Target]
-			o.mu.Unlock()
-			var rep Reply
-			if !ok {
-				rep = Reply{Err: fmt.Sprintf("%v: %q", ErrNoSuchObject, req.Target)}
-			} else {
-				rep = chain(o.server, o.dispatch(s))(req)
-			}
-			if !req.OneWay {
-				_ = o.cfg.Net.Send(o.cfg.Addr, msg.From, msgReply, encodeReply(id, rep))
-			}
-		})
-	case msgReply:
-		id, rep, err := decodeReply(msg.Payload)
-		if err != nil {
-			return
+	if msg.Kind != msgRequest {
+		return
+	}
+	req, err := decodeRequest(msg.Payload)
+	if err != nil {
+		return
+	}
+	o.pool.Submit(func() {
+		if o.cfg.ServiceTime > 0 {
+			<-o.cfg.Clock.After(o.cfg.ServiceTime)
 		}
 		o.mu.Lock()
-		ch := o.pending[id]
-		delete(o.pending, id)
+		s, ok := o.servants[req.Target]
 		o.mu.Unlock()
-		if ch != nil {
-			ch <- rep
+		if ok {
+			chain(o.server, o.dispatch(s))(req)
 		}
-	}
+	})
 }
 
 // PoolDepth reports the number of requests queued behind the pool.
 func (o *ORB) PoolDepth() int { return o.pool.Backlog() }
 
-func encodeRequest(id uint64, req *Request) []byte {
+func encodeRequest(req *Request) []byte {
 	w := codec.NewWriter(len(req.Arg.data) + 64)
-	w.U64(id)
 	w.String(string(req.From))
 	w.String(string(req.Target))
 	w.String(req.Method)
-	w.Bool(req.OneWay)
 	w.Bytes32(req.Arg.data)
 	return w.Bytes()
 }
 
-func decodeRequest(b []byte) (uint64, *Request, error) {
+func decodeRequest(b []byte) (*Request, error) {
 	r := codec.NewReader(b)
-	id := r.U64()
 	req := &Request{
 		From:   ObjectRef(r.String()),
 		Target: ObjectRef(r.String()),
 		Method: r.String(),
-		OneWay: r.Bool(),
 	}
 	req.Arg = Any{data: r.Bytes32()}
 	if err := r.Finish(); err != nil {
-		return 0, nil, fmt.Errorf("orb: decoding request: %w", err)
+		return nil, fmt.Errorf("orb: decoding request: %w", err)
 	}
-	return id, req, nil
-}
-
-func encodeReply(id uint64, rep Reply) []byte {
-	w := codec.NewWriter(len(rep.Value.data) + 32)
-	w.U64(id)
-	w.String(rep.Err)
-	w.Bytes32(rep.Value.data)
-	return w.Bytes()
-}
-
-func decodeReply(b []byte) (uint64, Reply, error) {
-	r := codec.NewReader(b)
-	id := r.U64()
-	rep := Reply{Err: r.String()}
-	rep.Value = Any{data: r.Bytes32()}
-	if err := r.Finish(); err != nil {
-		return 0, Reply{}, fmt.Errorf("orb: decoding reply: %w", err)
-	}
-	return id, rep, nil
+	return req, nil
 }

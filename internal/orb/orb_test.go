@@ -22,7 +22,7 @@ func testNet(t *testing.T) *netsim.Network {
 
 func newORB(t *testing.T, net *netsim.Network, naming *Naming, addr netsim.Addr, pool int) *ORB {
 	t.Helper()
-	o, err := New(Config{Addr: addr, Net: net, Naming: naming, PoolSize: pool, InvokeTimeout: 2 * time.Second})
+	o, err := New(Config{Addr: addr, Net: net, Naming: naming, PoolSize: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,21 +30,41 @@ func newORB(t *testing.T, net *netsim.Network, naming *Naming, addr netsim.Addr,
 	return o
 }
 
-// echoServant returns its argument, optionally after a delay.
+// echoServant records every call it handles and refuses method "fail".
 type echoServant struct {
-	delay time.Duration
+	mu    sync.Mutex
+	got   []string // "method:arg" per call, in arrival order
 	calls atomic.Int64
 }
 
 func (e *echoServant) Invoke(method string, arg Any) (Any, error) {
+	e.mu.Lock()
+	e.got = append(e.got, method+":"+string(arg.Bytes()))
+	e.mu.Unlock()
 	e.calls.Add(1)
-	if e.delay > 0 {
-		time.Sleep(e.delay)
-	}
 	if method == "fail" {
 		return Any{}, errors.New("servant says no")
 	}
 	return arg, nil
+}
+
+// received returns the calls handled so far.
+func (e *echoServant) received() []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]string(nil), e.got...)
+}
+
+// waitCalls waits until the servant has handled n calls.
+func waitCalls(t *testing.T, e *echoServant, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for e.calls.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("servant handled %d calls, want %d", e.calls.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestAnyRoundTrip(t *testing.T) {
@@ -72,17 +92,23 @@ func TestAnyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLocalInvocation: a collocated call is dispatched in the caller's
+// goroutine, so the servant has it when OneWay returns, and the servant's
+// error reaches the caller.
 func TestLocalInvocation(t *testing.T) {
 	net := testNet(t)
 	naming := NewNaming()
 	o := newORB(t, net, naming, "node1", 4)
-	o.Register("obj", &echoServant{})
-	got, err := o.Invoke("caller", "obj", "echo", BytesAny([]byte("hi")))
-	if err != nil {
+	srv := &echoServant{}
+	o.Register("obj", srv)
+	if err := o.OneWay("caller", "obj", "echo", BytesAny([]byte("hi"))); err != nil {
 		t.Fatal(err)
 	}
-	if string(got.Bytes()) != "hi" {
-		t.Fatalf("got %q", got.Bytes())
+	if got := srv.received(); fmt.Sprint(got) != "[echo:hi]" {
+		t.Fatalf("servant got %q, want [echo:hi]", got)
+	}
+	if err := o.OneWay("caller", "obj", "fail", Any{}); err == nil || !strings.Contains(err.Error(), "servant says no") {
+		t.Fatalf("err = %v, want the servant's error", err)
 	}
 }
 
@@ -91,26 +117,16 @@ func TestRemoteInvocationLocationTransparent(t *testing.T) {
 	naming := NewNaming()
 	o1 := newORB(t, net, naming, "node1", 4)
 	o2 := newORB(t, net, naming, "node2", 4)
-	o2.Register("remote-obj", &echoServant{})
+	srv := &echoServant{}
+	o2.Register("remote-obj", srv)
 
 	// o1 invokes by reference only; the location comes from naming.
-	got, err := o1.Invoke("caller", "remote-obj", "echo", BytesAny([]byte("over the wire")))
-	if err != nil {
+	if err := o1.OneWay("caller", "remote-obj", "echo", BytesAny([]byte("over the wire"))); err != nil {
 		t.Fatal(err)
 	}
-	if string(got.Bytes()) != "over the wire" {
-		t.Fatalf("got %q", got.Bytes())
-	}
-}
-
-func TestRemoteErrorPropagates(t *testing.T) {
-	net := testNet(t)
-	naming := NewNaming()
-	o1 := newORB(t, net, naming, "node1", 4)
-	o2 := newORB(t, net, naming, "node2", 4)
-	o2.Register("obj", &echoServant{})
-	if _, err := o1.Invoke("caller", "obj", "fail", Any{}); err == nil || !strings.Contains(err.Error(), "servant says no") {
-		t.Fatalf("err = %v", err)
+	waitCalls(t, srv, 1)
+	if got := srv.received(); fmt.Sprint(got) != "[echo:over the wire]" {
+		t.Fatalf("servant got %q", got)
 	}
 }
 
@@ -118,8 +134,8 @@ func TestInvokeUnknownObject(t *testing.T) {
 	net := testNet(t)
 	naming := NewNaming()
 	o := newORB(t, net, naming, "node1", 4)
-	if _, err := o.Invoke("caller", "ghost", "m", Any{}); err == nil {
-		t.Fatal("invocation of unknown object succeeded")
+	if err := o.OneWay("caller", "ghost", "m", Any{}); err == nil || !strings.Contains(err.Error(), ErrNoSuchObject.Error()) {
+		t.Fatalf("err = %v, want %v", err, ErrNoSuchObject)
 	}
 }
 
@@ -133,56 +149,45 @@ func TestOneWayInvocation(t *testing.T) {
 	if err := o1.OneWay("caller", "obj", "echo", BytesAny([]byte("async"))); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.calls.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("one-way call never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestInvokeTimeout(t *testing.T) {
-	net := testNet(t)
-	naming := NewNaming()
-	o1, err := New(Config{Addr: "node1", Net: net, Naming: naming, InvokeTimeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(o1.Close)
-	// Bind a name to an address that silently eats requests.
-	net.Register("blackhole", func(netsim.Message) {})
-	naming.Bind("sink", "blackhole")
-	if _, err := o1.Invoke("caller", "sink", "m", Any{}); !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("err = %v, want timeout", err)
-	}
+	waitCalls(t, srv, 1)
 }
 
 func TestClientInterceptorShortCircuits(t *testing.T) {
 	net := testNet(t)
 	naming := NewNaming()
 	o := newORB(t, net, naming, "node1", 4)
+	var hijacked []string
 	o.AddClientInterceptor(func(next Handler) Handler {
 		return func(req *Request) Reply {
 			if req.Target == "gc" {
-				// The FS-NewTOP pattern: hijack calls to the GC object.
-				return Reply{Value: BytesAny([]byte("intercepted"))}
+				// The FS-NewTOP pattern: hijack calls to the GC object, which
+				// no ORB serves, and report the re-issue's failure back.
+				hijacked = append(hijacked, string(req.Arg.Bytes()))
+				if req.Method == "refuse" {
+					return Reply{Err: "window closed"}
+				}
+				return Reply{}
 			}
 			return next(req)
 		}
 	})
-	o.Register("other", &echoServant{})
-	got, err := o.Invoke("caller", "gc", "submit", Any{})
-	if err != nil {
+	srv := &echoServant{}
+	o.Register("other", srv)
+	if err := o.OneWay("caller", "gc", "submit", BytesAny([]byte("m1"))); err != nil {
 		t.Fatal(err)
 	}
-	if string(got.Bytes()) != "intercepted" {
-		t.Fatalf("got %q", got.Bytes())
+	if err := o.OneWay("caller", "gc", "refuse", BytesAny([]byte("m2"))); err == nil || err.Error() != "window closed" {
+		t.Fatalf("err = %v, want the interceptor's error", err)
+	}
+	if fmt.Sprint(hijacked) != "[m1 m2]" {
+		t.Fatalf("interceptor saw %q", hijacked)
 	}
 	// Other targets flow through untouched.
-	got, err = o.Invoke("caller", "other", "echo", BytesAny([]byte("pass")))
-	if err != nil || string(got.Bytes()) != "pass" {
-		t.Fatalf("pass-through failed: %q, %v", got.Bytes(), err)
+	if err := o.OneWay("caller", "other", "echo", BytesAny([]byte("pass"))); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.received(); fmt.Sprint(got) != "[echo:pass]" {
+		t.Fatalf("pass-through failed: servant got %q", got)
 	}
 }
 
@@ -190,7 +195,9 @@ func TestServerInterceptorObservesAndSuppresses(t *testing.T) {
 	net := testNet(t)
 	naming := NewNaming()
 	o1 := newORB(t, net, naming, "node1", 4)
-	o2 := newORB(t, net, naming, "node2", 4)
+	// One pool worker: requests are served in arrival order, so once the
+	// second has reached the servant the first has been fully handled.
+	o2 := newORB(t, net, naming, "node2", 1)
 	srv := &echoServant{}
 	o2.Register("obj", srv)
 	var seen atomic.Int64
@@ -198,22 +205,20 @@ func TestServerInterceptorObservesAndSuppresses(t *testing.T) {
 		return func(req *Request) Reply {
 			seen.Add(1)
 			if req.Method == "drop" {
-				return Reply{Value: BytesAny(nil)} // suppressed: servant never sees it
+				return Reply{} // suppressed: servant never sees it
 			}
 			return next(req)
 		}
 	})
-	if _, err := o1.Invoke("c", "obj", "drop", Any{}); err != nil {
+	if err := o1.OneWay("c", "obj", "drop", Any{}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.calls.Load() != 0 {
-		t.Fatal("suppressed request reached the servant")
-	}
-	if _, err := o1.Invoke("c", "obj", "echo", Any{}); err != nil {
+	if err := o1.OneWay("c", "obj", "echo", Any{}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.calls.Load() != 1 || seen.Load() != 2 {
-		t.Fatalf("servant calls = %d, interceptor saw = %d", srv.calls.Load(), seen.Load())
+	waitCalls(t, srv, 1)
+	if got := srv.received(); fmt.Sprint(got) != "[echo:]" || seen.Load() != 2 {
+		t.Fatalf("servant got %q, interceptor saw %d", got, seen.Load())
 	}
 }
 
@@ -237,7 +242,7 @@ func TestInterceptorOrdering(t *testing.T) {
 	o.AddClientInterceptor(mk("c2"))
 	o.AddServerInterceptor(mk("s1"))
 	o.Register("obj", &echoServant{})
-	if _, err := o.Invoke("caller", "obj", "echo", Any{}); err != nil {
+	if err := o.OneWay("caller", "obj", "echo", Any{}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -296,52 +301,21 @@ func TestPoolCloseDiscardsQueue(t *testing.T) {
 	}
 }
 
+// TestRequestReplyWireRoundTrip covers the one message the ORB puts on
+// the wire: a request round-trips, and garbage does not decode.
 func TestRequestReplyWireRoundTrip(t *testing.T) {
-	req := &Request{From: "a", Target: "b", Method: "m", OneWay: true, Arg: BytesAny([]byte("zz"))}
-	id, got, err := decodeRequest(encodeRequest(7, req))
-	if err != nil || id != 7 || got.From != "a" || got.Target != "b" || got.Method != "m" || !got.OneWay || string(got.Arg.Bytes()) != "zz" {
-		t.Fatalf("request round trip: %d %+v %v", id, got, err)
+	req := &Request{From: "a", Target: "b", Method: "m", Arg: BytesAny([]byte("zz"))}
+	got, err := decodeRequest(encodeRequest(req))
+	if err != nil || got.From != "a" || got.Target != "b" || got.Method != "m" || string(got.Arg.Bytes()) != "zz" {
+		t.Fatalf("request round trip: %+v %v", got, err)
 	}
-	rid, rep, err := decodeReply(encodeReply(9, Reply{Err: "boom", Value: BytesAny([]byte("v"))}))
-	if err != nil || rid != 9 || rep.Err != "boom" || string(rep.Value.Bytes()) != "v" {
-		t.Fatalf("reply round trip: %d %+v %v", rid, rep, err)
-	}
-	if _, _, err := decodeRequest([]byte{1}); err == nil {
+	if _, err := decodeRequest([]byte{1}); err == nil {
 		t.Fatal("garbage request decoded")
-	}
-	if _, _, err := decodeReply([]byte{1}); err == nil {
-		t.Fatal("garbage reply decoded")
 	}
 }
 
 func TestORBConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
-	}
-}
-
-func TestCloseUnblocksPending(t *testing.T) {
-	net := testNet(t)
-	naming := NewNaming()
-	o1, err := New(Config{Addr: "node1", Net: net, Naming: naming, InvokeTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Register("blackhole", func(netsim.Message) {})
-	naming.Bind("sink", "blackhole")
-	done := make(chan error, 1)
-	go func() {
-		_, err := o1.Invoke("caller", "sink", "m", Any{})
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	o1.Close()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("pending invocation succeeded after Close")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("pending invocation not unblocked by Close")
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestErrorTaxonomy pins the cross-layer error unification: every layer's
-// closed/unknown/timeout sentinel answers to the transport identity, so a
+// closed/unknown sentinel answers to the transport identity, so a
 // caller holding an error from any depth of the stack can classify it
 // with one errors.Is check.
 func TestErrorTaxonomy(t *testing.T) {
@@ -25,7 +25,6 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"tcpnet.ErrClosed", tcpnet.ErrClosed, transport.ErrClosed},
 		{"tcpnet.ErrUnknownAddr", tcpnet.ErrUnknownAddr, transport.ErrUnknownAddr},
 		{"orb.ErrClosed", orb.ErrClosed, transport.ErrClosed},
-		{"orb.ErrTimeout", orb.ErrTimeout, transport.ErrTimeout},
 		{"orb.ErrNoSuchObject", orb.ErrNoSuchObject, transport.ErrUnknownAddr},
 	}
 	for _, c := range cases {

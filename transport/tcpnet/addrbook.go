@@ -20,9 +20,9 @@ import (
 //	  {"addr": "m00#L",    "endpoint": "10.0.0.5:7100"}
 //	]
 //
-// It is the cross-process form of Config.Peers: a deployment controller
-// writes one manifest describing every member's placement, and each
-// worker process seeds its book from it (via a file, a pipe, or the
+// It is how a book learns remote endpoints across processes: a deployment
+// controller writes one manifest describing every member's placement, and
+// each worker process seeds its book from it (via a file, a pipe, or the
 // TCPNET_PEERS environment variable) before starting traffic.
 type PeerEntry struct {
 	Addr     string `json:"addr"`

@@ -13,7 +13,7 @@ import (
 // sharing one address book, exactly how a single-host multi-process
 // deployment is wired.
 func TestConformance(t *testing.T) {
-	transporttest.Run(t, deployment(0))
+	transporttest.Run(t, deployment(tcpnet.New))
 }
 
 // TestConformanceCoalesced runs the identical contract with one connection
@@ -21,17 +21,18 @@ func TestConformance(t *testing.T) {
 // each drained queue goes out as one vectored write mixing all links'
 // frames. Per-link FIFO and fidelity must survive that coalescing.
 func TestConformanceCoalesced(t *testing.T) {
-	transporttest.Run(t, deployment(1))
+	transporttest.Run(t, deployment(func(cfg tcpnet.Config) (*tcpnet.Transport, error) {
+		return tcpnet.NewWithConns(cfg, 1)
+	}))
 }
 
-// deployment builds four transports with connsPerPeer connections per
-// peer (0 = the default).
-func deployment(connsPerPeer int) func(t *testing.T) *transporttest.Deployment {
+// deployment builds four transports with newTransport.
+func deployment(newTransport func(tcpnet.Config) (*tcpnet.Transport, error)) func(t *testing.T) *transporttest.Deployment {
 	return func(t *testing.T) *transporttest.Deployment {
 		book := tcpnet.NewAddrBook()
 		eps := make([]*tcpnet.Transport, 4)
 		for i := range eps {
-			tp, err := tcpnet.New(tcpnet.Config{Book: book, ConnsPerPeer: connsPerPeer})
+			tp, err := newTransport(tcpnet.Config{Book: book})
 			if err != nil {
 				t.Fatalf("tcpnet.New: %v", err)
 			}

@@ -32,10 +32,10 @@ type wireFrame struct {
 
 func (f wireFrame) size() int64 { return int64(len(f.head) + len(f.body)) }
 
-// peer owns the outbound side of one remote endpoint: a FIFO frame queue
-// drained by a single writer goroutine over one lazily-dialed TCP
-// connection. Serializing every link to that endpoint through one writer
-// plus TCP's in-order bytes is what gives tcpnet per-link FIFO delivery.
+// peer owns one outbound connection to a remote endpoint: a FIFO frame
+// queue drained by a single writer goroutine over one lazily-dialed TCP
+// connection. Serializing each link through one writer plus TCP's
+// in-order bytes is what gives tcpnet per-link FIFO delivery.
 type peer struct {
 	t        *Transport
 	hostport string
@@ -187,7 +187,7 @@ func (p *peer) ensureConn(fresh bool) net.Conn {
 	if backingOff {
 		return nil
 	}
-	c, err := net.DialTimeout("tcp", p.hostport, p.t.dialTimeout)
+	c, err := net.DialTimeout("tcp", p.hostport, dialTimeout)
 	if err != nil {
 		p.mu.Lock()
 		p.nextDial = p.t.clk.Now().Add(redialBackoff)

@@ -12,22 +12,23 @@
 // endpoints. Within one process (tests, single-host deployments) the book
 // is shared between Transport instances and registration keeps it current
 // automatically; across processes each side seeds its book with the
-// remote endpoints it must reach (see Config.Peers).
+// remote endpoints it must reach (see AddrBook.LoadPeers).
 //
 // # Ordering and reconnection
 //
-// All traffic from this process to one remote endpoint is serialized
-// through a single writer goroutine and one TCP connection, so per-link
-// (From,To) FIFO — the ordering the Order protocol of internal/core
-// depends on — follows from TCP's in-order bytes. Connections are dialed
-// lazily and re-dialed on send after a failure. Around a reconnect the
-// receiver may briefly read the broken and the fresh connection
-// concurrently; every frame carries the sender's incarnation epoch and a
-// sequence number stamped in enqueue order, and the receiver drops
-// anything at or below the last seq it delivered for that sender
-// incarnation, so within one incarnation the race degrades to message
-// loss (the asynchronous-network model the paper assumes makes the
-// layers above resilient to loss) — never to reordering or duplication.
+// All traffic from this process on one (From,To) link is serialized
+// through one of connsPerPeer writer goroutines and TCP connections to the
+// link's endpoint, so per-link FIFO — the ordering the Order protocol of
+// internal/core depends on — follows from TCP's in-order bytes.
+// Connections are dialed lazily and re-dialed on send after a failure.
+// Around a reconnect the receiver may briefly read the broken and the
+// fresh connection concurrently; every frame carries the sender's
+// incarnation epoch and a sequence number stamped in enqueue order, and
+// the receiver drops anything at or below the last seq it delivered for
+// that sender incarnation, so within one incarnation the race degrades to
+// message loss (the asynchronous-network model the paper assumes makes
+// the layers above resilient to loss) — never to reordering or
+// duplication.
 // A restarted sender carries a fresh epoch with its own watermark, so
 // sequence numbers legitimately restarting are never mistaken for
 // replays; ordering ACROSS incarnations is deliberately not promised (a
@@ -120,39 +121,36 @@ type Config struct {
 	// Book is the deployment's address book. Nil creates a private book
 	// (single-Transport loopback deployments).
 	Book *AddrBook
-	// Peers seeds the book with remote endpoints: address → host:port.
-	// Equivalent to calling Book.Set for each entry before first use.
-	Peers map[transport.Addr]string
-	// DialTimeout bounds each connection attempt. Zero means 2s.
-	DialTimeout time.Duration
-	// MaxFrame bounds accepted frame sizes. Zero means 16 MiB.
-	MaxFrame int
-	// ConnsPerPeer is how many parallel TCP connections (each with its
-	// own writer goroutine) this process opens to one remote endpoint.
-	// Links are hashed onto connections by (From,To), so per-link FIFO is
-	// untouched while one congested stream can no longer head-of-line
-	// block every other link to that endpoint — the failure mode behind
-	// the FS-over-TCP round-boundary wedge: a single shared connection,
-	// saturated by the protocol's fan-out bursts, froze in TCP
-	// flow-control quanta (~200 ms on Linux loopback) and the pair's
-	// "synchronous" fwd/single streams froze with it. Zero means 4.
-	ConnsPerPeer int
-	// Clock is the time source for redial backoff and the incarnation
-	// epoch. Nil selects the wall clock — the right choice for every real
-	// deployment; tests that want to step through backoff windows hand in
-	// a manual clock.
-	Clock clock.Clock
 }
+
+const (
+	// dialTimeout bounds each connection attempt.
+	dialTimeout = 2 * time.Second
+	// maxFrame bounds frame sizes, sent and accepted.
+	maxFrame = 16 << 20
+	// connsPerPeer is how many parallel TCP connections (each with its own
+	// writer goroutine) a process opens to one remote endpoint. Links are
+	// hashed onto connections by (From,To), so per-link FIFO is untouched
+	// while one congested stream can no longer head-of-line block every
+	// other link to that endpoint — the failure mode behind the
+	// FS-over-TCP round-boundary wedge: a single shared connection,
+	// saturated by the protocol's fan-out bursts, froze in TCP flow-control
+	// quanta (~200 ms on Linux loopback) and the pair's "synchronous"
+	// fwd/single streams froze with it.
+	connsPerPeer = 4
+)
 
 // Transport is a TCP-backed transport.Transport for one process.
 type Transport struct {
-	book         *AddrBook
-	advertise    string
-	ln           net.Listener
-	dialTimeout  time.Duration
-	maxFrame     int
-	connsPerPeer int
-	clk          clock.Clock
+	book      *AddrBook
+	advertise string
+	ln        net.Listener
+	// conns and maxFrame are connsPerPeer and maxFrame outside tests,
+	// which narrow them through newTransport.
+	conns    int
+	maxFrame int
+	// clk is the wall clock, for redial backoff and the incarnation epoch.
+	clk clock.Clock
 	// epoch identifies this Transport incarnation on the wire (its start
 	// time): receivers use it to tell a restarted sender (sequence
 	// numbers legitimately restarting) from a reconnect replay.
@@ -204,51 +202,37 @@ var ErrUnknownAddr = fmt.Errorf("tcpnet: %w", transport.ErrUnknownAddr)
 var epochCounter atomic.Uint64
 
 // New starts a Transport: it binds the listener and begins accepting.
-func New(cfg Config) (*Transport, error) {
+func New(cfg Config) (*Transport, error) { return newTransport(cfg, connsPerPeer, maxFrame) }
+
+// newTransport is New with the connection count per peer and the frame
+// bound as parameters.
+func newTransport(cfg Config, conns, frameBound int) (*Transport, error) {
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", cfg.Listen, err)
 	}
+	clk := clock.NewReal()
 	t := &Transport{
-		book:        cfg.Book,
-		advertise:   cfg.Advertise,
-		ln:          ln,
-		dialTimeout: cfg.DialTimeout,
-		maxFrame:    cfg.MaxFrame,
-		clk:         cfg.Clock,
-		epoch:       uint64(cfg.Clock.Now().UnixNano()) + epochCounter.Add(1),
-		handlers:    make(map[transport.Addr]transport.Handler),
-		peers:       make(map[peerKey]*peer),
-		inbound:     make(map[net.Conn]struct{}),
-		links:       make(map[linkKey]*linkQueue),
+		book:      cfg.Book,
+		advertise: cfg.Advertise,
+		ln:        ln,
+		conns:     conns,
+		maxFrame:  frameBound,
+		clk:       clk,
+		epoch:     uint64(clk.Now().UnixNano()) + epochCounter.Add(1),
+		handlers:  make(map[transport.Addr]transport.Handler),
+		peers:     make(map[peerKey]*peer),
+		inbound:   make(map[net.Conn]struct{}),
+		links:     make(map[linkKey]*linkQueue),
 	}
 	if t.book == nil {
 		t.book = NewAddrBook()
 	}
 	if t.advertise == "" {
 		t.advertise = ln.Addr().String()
-	}
-	if t.dialTimeout == 0 {
-		t.dialTimeout = 2 * time.Second
-	}
-	if t.maxFrame == 0 {
-		t.maxFrame = 16 << 20
-	}
-	t.connsPerPeer = cfg.ConnsPerPeer
-	if t.connsPerPeer == 0 {
-		t.connsPerPeer = 4
-	}
-	if t.connsPerPeer < 1 {
-		t.connsPerPeer = 1
-	}
-	for a, hp := range cfg.Peers {
-		t.book.Set(a, hp)
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -322,9 +306,9 @@ func (t *Transport) Send(from, to transport.Addr, kind string, payload []byte) e
 	// connection, silently losing every unrelated message buffered behind
 	// them.
 	if size := frameSize(from, to, kind, payload); size > t.maxFrame {
-		return fmt.Errorf("tcpnet: frame of %d bytes to %q exceeds MaxFrame %d", size, to, t.maxFrame)
+		return fmt.Errorf("tcpnet: frame of %d bytes to %q exceeds the %d-byte frame bound", size, to, t.maxFrame)
 	}
-	p := t.peerFor(hostport, linkShard(from, to, t.connsPerPeer))
+	p := t.peerFor(hostport, linkShard(from, to, t.conns))
 	if p == nil { // Close won the race after the check above
 		return ErrClosed
 	}
@@ -382,7 +366,7 @@ func (t *Transport) Close() {
 }
 
 // peerKey identifies one writer connection to a remote endpoint: links
-// are hashed across ConnsPerPeer shards.
+// are hashed across the transport's conns shards.
 type peerKey struct {
 	hostport string
 	shard    int

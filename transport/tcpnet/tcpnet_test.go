@@ -12,12 +12,12 @@ import (
 // Send, and the link must stay healthy for everything behind it.
 func TestSendRejectsOversizedFrame(t *testing.T) {
 	book := NewAddrBook()
-	a, err := New(Config{Book: book, MaxFrame: 1 << 10})
+	a, err := newTransport(Config{Book: book}, connsPerPeer, 1<<10)
 	if err != nil {
 		t.Fatalf("New a: %v", err)
 	}
 	defer a.Close()
-	b, err := New(Config{Book: book, MaxFrame: 1 << 10})
+	b, err := newTransport(Config{Book: book}, connsPerPeer, 1<<10)
 	if err != nil {
 		t.Fatalf("New b: %v", err)
 	}

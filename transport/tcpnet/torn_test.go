@@ -66,7 +66,7 @@ func TestTornFrameIsResentWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recv.Close()
-	send, err := New(Config{Book: book, ConnsPerPeer: 1})
+	send, err := newTransport(Config{Book: book}, 1, maxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
