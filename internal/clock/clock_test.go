@@ -152,3 +152,27 @@ func TestManualConcurrentAdvanceAndTimer(t *testing.T) {
 	<-done
 	m.Advance(10 * time.Millisecond)
 }
+
+// BenchmarkRealTimerLateness measures how late a Real timer fires on an
+// otherwise idle process: the lateness the replica loop's timer pays on
+// every deadline, and what internal/core's stall rule takes as normal.
+// Run it alone, e.g. go test -run '^$' -bench RealTimerLateness
+// -benchtime 500x ./internal/clock/; late-us is the mean, max-late-us
+// the worst iteration.
+func BenchmarkRealTimerLateness(b *testing.B) {
+	for _, d := range []time.Duration{200 * time.Microsecond, 2300 * time.Microsecond} {
+		b.Run(d.String(), func(b *testing.B) {
+			c := NewReal()
+			var sum, worst time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := c.Now()
+				<-c.NewTimer(d).C()
+				late := c.Since(t0) - d
+				sum += late
+				worst = max(worst, late)
+			}
+			b.ReportMetric(float64(sum)/float64(b.N)/1e3, "late-us")
+			b.ReportMetric(float64(worst)/1e3, "max-late-us")
+		})
+	}
+}

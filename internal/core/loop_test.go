@@ -2,9 +2,11 @@ package failsignal
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"fsnewtop/internal/faults"
 	"fsnewtop/internal/sig"
 	"fsnewtop/internal/sm"
+	"fsnewtop/internal/trace"
 	"fsnewtop/transport"
 	"fsnewtop/transport/netsim"
 )
@@ -268,5 +271,227 @@ func TestCrashedLeaderNoticedAtNextInput(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the follower never noticed its crashed leader")
+	}
+}
+
+// countSteps counts the inputs a machine has stepped.
+type countSteps struct {
+	sm.Machine
+	n atomic.Uint64
+}
+
+func (c *countSteps) Step(in sm.Input) []sm.Output {
+	outs := c.Machine.Step(in)
+	c.n.Add(1)
+	return outs
+}
+
+// silenceRig is a ticking pair on a manual clock, built to watch its
+// follower's silence watch: the tests move the clock only while the
+// follower's loop is quiet, and stop it at every expiry of the watch, so
+// the loop sees each expiry exactly on time unless a test means to stall
+// it.
+type silenceRig struct {
+	t      *testing.T
+	clk    *clock.Manual
+	cfg    PairConfig
+	pair   *Pair
+	bound  time.Duration // the follower's silence bound; its loop's passes take no clock time
+	steps  *countSteps   // the follower's machine
+	ring   *trace.Ring   // the follower's trace
+	failAt chan time.Time
+	reason chan string
+	idx    uint64 // the next order index the test forwards when it plays the leader
+}
+
+func newSilenceRig(t *testing.T) *silenceRig {
+	t.Helper()
+	e := newEnv(t)
+	clk := clock.NewManual()
+	e.clk = clk
+	rig := &silenceRig{t: t, clk: clk, steps: &countSteps{}, failAt: make(chan time.Time, 2), reason: make(chan string, 2)}
+	cfg := e.pairConfig("p", func() sm.Machine { return newEchoMachine("resp") })
+	cfg.TickInterval = 20 * time.Millisecond
+	cfg.WrapMachine = func(role Role, m sm.Machine) sm.Machine {
+		if role == Leader {
+			return m
+		}
+		rig.steps.Machine = m
+		return rig.steps
+	}
+	cfg.OnFailSignal = func(r string) {
+		rig.failAt <- clk.Now()
+		rig.reason <- r
+	}
+	cfg.Trace = trace.NewRegistry(0, clk.Now)
+	pair, err := NewPair(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pair.Close)
+	rig.cfg, rig.pair = cfg, pair
+	rig.bound = cfg.TickInterval + cfg.Delta + timerLateness
+	rig.ring = pair.Follower.cfg.Trace
+	eventually(t, "both loops to aim their timers", func() bool { return clk.Pending() == 2 })
+	return rig
+}
+
+// crashLeader crashes the pair's leader and waits for its tick timer to
+// go. Crashed before its first tick, the leader leaves the test to play
+// it: the fwds the follower gets are then the test's.
+func (rig *silenceRig) crashLeader() {
+	rig.pair.Leader.Crash()
+	eventually(rig.t, "the crashed leader to drop its tick timer", func() bool { return rig.clk.Pending() == 1 })
+}
+
+// settle waits until the follower's loop has stepped every accepted fwd,
+// closed the pass that stepped the last, taken the expired watch at
+// taken (0: none), and aimed its timer at the watch's next expiry.
+func (rig *silenceRig) settle(taken int64) {
+	rig.t.Helper()
+	f := rig.pair.Follower
+	eventually(rig.t, "the follower's loop to settle", func() bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		next := f.wd.next()
+		return f.failed || rig.steps.n.Load() == f.stats.Ordered && f.passStart.IsZero() && next != taken && f.aim == next
+	})
+}
+
+// advanceTo moves the clock to to, stopping at each expiry of the
+// follower's silence watch on the way.
+func (rig *silenceRig) advanceTo(to time.Time) {
+	rig.t.Helper()
+	f := rig.pair.Follower
+	for {
+		f.mu.Lock()
+		at, failed := f.wd.next(), f.failed
+		f.mu.Unlock()
+		if failed || at == 0 || at > to.UnixNano() {
+			break
+		}
+		if d := time.Duration(at - rig.clk.Now().UnixNano()); d > 0 {
+			rig.clk.Advance(d)
+		}
+		rig.settle(at)
+	}
+	if d := to.Sub(rig.clk.Now()); d > 0 {
+		rig.clk.Advance(d)
+	}
+}
+
+// fwdTick delivers the leader's next tick, stamped at, to the follower
+// now, as the leader would send it.
+func (rig *silenceRig) fwdTick(at time.Time) {
+	rig.t.Helper()
+	fp := fwdPayload{Index: rig.idx, Raw: encodeTickPayload(at)}
+	rig.idx++
+	rig.pair.Follower.handle(transport.Message{From: LeaderAddr("p"), Kind: MsgFwd, Payload: fp.marshal()})
+	rig.settle(0)
+}
+
+// expectSilenceFailure advances to one bound after last, checks that the
+// follower holds out until the last nanosecond and then fail-signals,
+// naming the silence and the bound.
+func (rig *silenceRig) expectSilenceFailure(last time.Time) {
+	rig.t.Helper()
+	rig.advanceTo(last.Add(rig.bound - 1))
+	if rig.pair.Follower.Failed() {
+		rig.t.Fatalf("the follower fail-signalled before one bound (%v) of silence", rig.bound)
+	}
+	rig.clk.Advance(1)
+	select {
+	case at := <-rig.failAt:
+		if got := at.Sub(last); got != rig.bound {
+			rig.t.Fatalf("the follower fail-signalled %v after the last fwd, want the bound %v", got, rig.bound)
+		}
+		want := fmt.Sprintf("leader silent for %v since its last fwd (bound %v)", rig.bound, rig.bound)
+		if r := <-rig.reason; r != want {
+			rig.t.Fatalf("reason = %q, want %q", r, want)
+		}
+	case <-time.After(5 * time.Second):
+		rig.t.Fatal("the follower never noticed its silent leader")
+	}
+	if !rig.traced(trace.EvLeaderSilent) {
+		rig.t.Fatal("no leader-silent event in the follower's trace")
+	}
+}
+
+func (rig *silenceRig) traced(kind trace.Kind) bool {
+	for _, ev := range rig.ring.Snapshot() {
+		if ev.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCrashedLeaderNoticedBySilence: with ticks on, an idle follower
+// whose leader crashes needs no input to notice. The leader's last tick
+// is its last fwd, and the follower fail-signals exactly one silence
+// bound (tick interval + δ + loop slack) after it, and not before.
+func TestCrashedLeaderNoticedBySilence(t *testing.T) {
+	rig := newSilenceRig(t)
+	rig.advanceTo(rig.clk.Now().Add(rig.cfg.TickInterval)) // the leader ticks
+	eventually(t, "the leader's tick to reach the follower", func() bool { return rig.pair.Follower.Stats().Ordered == 1 })
+	rig.settle(0)
+	last := rig.clk.Now()
+	rig.crashLeader()
+	rig.expectSilenceFailure(last)
+	if got := rig.pair.Follower.Stats(); got.Relayed != 0 || got.StallRearms != 0 {
+		t.Fatalf("follower stats %+v: it relayed nothing and saw no stall", got)
+	}
+}
+
+// TestLiveLeaderNeverSilent: a leader that ticks every interval, each
+// fwd delayed by anything up to δ on a FIFO link (so that two fwds can
+// arrive the interval plus δ apart), never trips the watch in 1,000
+// intervals; and the watch stayed live, since silence after the last fwd
+// trips it one bound later.
+func TestLiveLeaderNeverSilent(t *testing.T) {
+	rig := newSilenceRig(t)
+	rig.crashLeader()
+	rng := rand.New(rand.NewSource(1))
+	t0, arrived := rig.clk.Now(), rig.clk.Now()
+	for k := 1; k <= 1000; k++ {
+		sent := t0.Add(time.Duration(k) * rig.cfg.TickInterval)
+		delay := []time.Duration{0, rig.cfg.Delta / 2, rig.cfg.Delta}[rng.Intn(3)]
+		if at := sent.Add(delay); at.After(arrived) {
+			arrived = at
+		}
+		rig.advanceTo(arrived)
+		rig.fwdTick(sent)
+		if rig.pair.Follower.Failed() {
+			t.Fatalf("a live leader tripped the watch at interval %d", k)
+		}
+	}
+	if got := rig.pair.Follower.Stats(); got.Ordered != 1000 || got.StallRearms != 0 {
+		t.Fatalf("follower stats %+v, want 1000 ordered ticks and no stall", got)
+	}
+	rig.expectSilenceFailure(arrived)
+}
+
+// TestSilenceWatchRidesOutHostStall: a watch that fires later than the
+// loop can be late on its own means the follower's host stalled (the
+// leader's fwd may be stuck behind the same stall), so the window
+// restarts, counted and traced, instead of blaming the leader. A leader
+// that then sends one fwd and crashes is still noticed one bound after
+// it.
+func TestSilenceWatchRidesOutHostStall(t *testing.T) {
+	rig := newSilenceRig(t)
+	rig.crashLeader()
+	due := rig.clk.Now().Add(rig.bound)
+	rig.clk.Advance(rig.bound + 10*timerLateness) // the expiry is seen 10 slacks late
+	rig.settle(due.UnixNano())
+	if got := rig.pair.Follower.Stats(); rig.pair.Follower.Failed() || got.StallRearms != 1 {
+		t.Fatalf("after a stall the follower failed (%v) or counted %d stall re-arms, want 1", rig.pair.Follower.Failed(), got.StallRearms)
+	}
+	if !rig.traced(trace.EvStallRearm) {
+		t.Fatal("no stall-rearm event in the follower's trace")
+	}
+	rig.fwdTick(rig.clk.Now())
+	rig.expectSilenceFailure(rig.clk.Now())
+	if got := rig.pair.Follower.Stats().StallRearms; got != 1 {
+		t.Fatalf("%d stall re-arms, want the one", got)
 	}
 }

@@ -149,6 +149,7 @@ func NewPair(cfg PairConfig) (*Pair, error) {
 		Dir:          cfg.Dir,
 		Verifier:     cfg.Keys,
 		Delta:        cfg.Delta,
+		TickInterval: cfg.TickInterval,
 		LocalName:    cfg.LocalName,
 		Watchers:     cfg.Watchers,
 		OnFailSignal: cfg.OnFailSignal,
@@ -165,7 +166,6 @@ func NewPair(cfg PairConfig) (*Pair, error) {
 	leaderCfg.Signer = leaderSigner
 	leaderCfg.PeerFailEnv = envByFollower
 	leaderCfg.Machine = wrap(Leader, cfg.NewMachine())
-	leaderCfg.TickInterval = cfg.TickInterval
 
 	followerCfg := base
 	followerCfg.Role = Follower

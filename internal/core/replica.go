@@ -92,8 +92,10 @@ type ReplicaConfig struct {
 	// deadline derives from it: compare 2δ+κπ+στ at the leader and
 	// δ+κπ+στ at the follower, and t2 = 2δ.
 	Delta time.Duration
-	// TickInterval, when non-zero on the leader, injects ordered tick
-	// inputs so the machine can run timers deterministically.
+	// TickInterval, when non-zero, paces the leader's ordered tick inputs
+	// (so the machine can run timers deterministically), and bounds how
+	// long the follower lets its leader's fwd stream stay silent before
+	// fail-signalling (see silenceBound). Both halves need the same value.
 	TickInterval time.Duration
 	// LocalName, when non-empty, is the logical (plain) endpoint that
 	// receives outputs addressed to sm.LocalDelivery.
@@ -119,6 +121,7 @@ type ReplicaStats struct {
 	Matched     uint64 // outputs that compared equal and were dispatched
 	Relayed     uint64 // follower inputs relayed to the leader
 	FailSignals uint64 // fail-signal messages emitted
+	StallRearms uint64 // silence windows restarted after a host stall (follower)
 }
 
 // icmpEntry is an Internal Candidate Message Pool entry: one locally
@@ -172,6 +175,11 @@ type Replica struct {
 	wd       watchdog  // fail-signal deadlines, popped by the loop
 	aim      int64     // what the loop's timer is set for, Unix nanos; 0 when none
 	nextTick time.Time // leader with TickInterval: when the next tick is due
+	// maxPass is the longest pass the loop has taken to step one input and
+	// compare its outputs, timed from the pass's start (passStart, zero
+	// between such passes) to the start of the next.
+	maxPass   time.Duration
+	passStart time.Time
 	// gate remembers what this replica has ordered. The leader marks in
 	// order-index order and the follower marks from the fwd stream in the
 	// same order, so the two windows evolve identically: a correct leader
@@ -195,6 +203,7 @@ type Replica struct {
 	lastPeerSeq uint64 // highest peer candidate sequence seen
 	ordProgress uint64
 	lastTick    time.Time
+	lastFwd     time.Time // follower: when the latest fwd, tick or input, was accepted
 	icmp        map[uint64]*icmpEntry
 	ecmp        map[uint64]ecmpEntry
 	irmp        map[inputKey]*irmpEntry
@@ -226,8 +235,13 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		ecmp: make(map[uint64]ecmpEntry),
 		irmp: make(map[inputKey]*irmpEntry),
 	}
-	if cfg.Role == Leader && cfg.TickInterval > 0 {
-		r.nextTick = cfg.Clock.Now().Add(cfg.TickInterval)
+	if cfg.TickInterval > 0 {
+		if cfg.Role == Leader {
+			r.nextTick = cfg.Clock.Now().Add(cfg.TickInterval)
+		} else {
+			r.lastFwd = cfg.Clock.Now()
+			r.wd.arm(watchSilence, inputKey{}, 0, r.silenceBound(), 0)
+		}
 	}
 	if t, ok := cfg.Machine.(trace.Traceable); ok && cfg.Trace != nil {
 		t.SetTrace(cfg.Trace)
@@ -268,6 +282,10 @@ func (r *Replica) run() {
 			r.aim = 0
 		}
 		now := r.cfg.Clock.Now()
+		if !r.passStart.IsZero() {
+			r.maxPass = max(r.maxPass, now.Sub(r.passStart))
+			r.passStart = time.Time{}
+		}
 		r.tickLocked(now)
 		if w := r.wd.popDue(now.UnixNano()); w != nil {
 			r.mu.Unlock()
@@ -279,6 +297,7 @@ func (r *Replica) run() {
 			steps, r.dmq, next = r.dmq, steps[:0], 0
 		}
 		if next < len(steps) {
+			r.passStart = now
 			r.mu.Unlock()
 			oi := steps[next]
 			next++
@@ -623,6 +642,7 @@ func (r *Replica) onFwd(msg transport.Message) {
 	}
 	r.nextFwdIdx++
 	r.ordProgress++
+	r.lastFwd = r.cfg.Clock.Now()
 	if r.gate.known(k) {
 		// The leader ordered the same input twice, or one a whole window
 		// behind its source: this gate mirrors the leader's, so a correct
@@ -637,7 +657,7 @@ func (r *Replica) onFwd(msg transport.Message) {
 		delete(r.irmp, key)
 	}
 	r.stats.Ordered++
-	r.submitLocked(p.toInput(), r.cfg.Clock.Now())
+	r.submitLocked(p.toInput(), r.lastFwd)
 	traceKey(r.cfg.Trace, trace.EvOrder, fp.Index, 0, key)
 	r.mu.Unlock()
 }
@@ -663,8 +683,9 @@ func (r *Replica) acceptTick(fp fwdPayload, p newPayload) {
 	}
 	r.nextFwdIdx++
 	r.lastTick = p.tick
+	r.lastFwd = r.cfg.Clock.Now()
 	r.stats.Ordered++
-	r.submitLocked(p.toInput(), r.cfg.Clock.Now())
+	r.submitLocked(p.toInput(), r.lastFwd)
 	r.mu.Unlock()
 }
 
@@ -820,8 +841,50 @@ func (r *Replica) watchFired(w *watch) {
 		r.mu.Unlock()
 		traceKey(r.cfg.Trace, trace.EvOrderFire, 0, uint64(w.d), w.key)
 		r.failSignal(fmt.Sprintf("leader did not order input %s within t2=%v", w.key, w.d))
+	case watchSilence:
+		r.mu.Lock()
+		if r.failed || r.closed {
+			r.mu.Unlock()
+			return
+		}
+		now := r.cfg.Clock.Now()
+		bound, silent := r.silenceBound(), now.Sub(r.lastFwd)
+		switch late := time.Duration(now.UnixNano() - w.at); {
+		case silent < bound:
+			r.wd.arm(watchSilence, inputKey{}, 0, bound-silent, 0)
+			r.mu.Unlock()
+		case late > r.loopSlack():
+			// This loop woke later than it can on its own: its host
+			// stalled, and a fwd held up by the same stall may not have
+			// been handled yet. Restart the window rather than blame the
+			// leader.
+			r.wd.arm(watchSilence, inputKey{}, 0, bound, 0)
+			r.stats.StallRearms++
+			r.cfg.Trace.Emit(trace.EvStallRearm, uint64(late), uint64(bound), "")
+			r.mu.Unlock()
+		default:
+			r.mu.Unlock()
+			r.cfg.Trace.Emit(trace.EvLeaderSilent, uint64(silent), uint64(bound), "")
+			r.failSignal(fmt.Sprintf("leader silent for %v since its last fwd (bound %v)", silent, bound))
+		}
 	}
 }
+
+// silenceBound is the longest a correct leader's fwd stream stays silent
+// at its follower. The leader's loop orders a tick every TickInterval,
+// late by at most its loop slack: the pass in progress when the tick
+// comes due (ticks go before the next Step) and its timer's lateness. A2
+// delivers the fwd within δ. Silence for longer is a crashed, failed or
+// stalled leader. Caller holds r.mu.
+func (r *Replica) silenceBound() time.Duration {
+	return r.cfg.TickInterval + r.cfg.Delta + r.loopSlack()
+}
+
+// loopSlack is how late a replica loop can act on a due instant on its
+// own: one pass plus the timer's lateness. The follower steps the same
+// inputs as its leader (R1), so its own longest pass stands for the
+// leader's.
+func (r *Replica) loopSlack() time.Duration { return r.maxPass + timerLateness }
 
 // onSingle implements the Compare receive side: a single-signed candidate
 // from the remote Compare is matched against the local ICMP or pooled in
@@ -918,6 +981,16 @@ func (r *Replica) icmpOldestLocked() (uint64, bool) {
 // deadline may be granted on evidence of leader progress, bounding
 // detection of a selectively-starved input at (1+maxOrderGrants)·t2.
 const maxOrderGrants = 8
+
+// timerLateness is how late the loop's clock timer may fire on a healthy
+// host. clock.BenchmarkRealTimerLateness measures a Real timer in an idle
+// Go 1.24 process on a 2-vCPU Xeon firing 0.85–0.89 ms late on average,
+// the runtime's 1 ms idle netpoll quantum, and the worst of 1,000 fires
+// 1.2–3.8 ms late in seven of eight runs (6.6 ms once). Five quanta leave
+// room for a loaded host. A later wake-up is taken as a stall of the
+// replica's own host (see watchFired), which costs at most one more
+// silence bound.
+const timerLateness = 5 * time.Millisecond
 
 // maxECMP bounds how far ahead of the local machine the peer's candidate
 // stream may run before the peer is considered faulty.

@@ -18,6 +18,10 @@ const (
 	// watchOrder: a relayed IRMP input was not ordered by the leader
 	// within t2.
 	watchOrder
+	// watchSilence (follower with ticks): no fwd arrived from the leader
+	// within the silence bound. One is armed at a time; a fwd does not
+	// touch it, the expiry re-arms it.
+	watchSilence
 )
 
 // watch is one armed fail-signal deadline.

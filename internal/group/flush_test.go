@@ -149,6 +149,91 @@ func TestFlushGapRecoveryAfterViewChange(t *testing.T) {
 	}
 }
 
+// runHolding is run, except that every message hold selects stays in
+// flight: it is returned instead of delivered, for the test to route
+// later.
+func (c *tCluster) runHolding(hold func(routed) bool) []routed {
+	var held []routed
+	for len(c.queue) > 0 {
+		msg := c.queue[0]
+		c.queue = c.queue[1:]
+		if c.drop != nil && c.drop(msg.from, msg.to, msg.kind) {
+			continue
+		}
+		if hold(msg) {
+			held = append(held, msg)
+			continue
+		}
+		c.submit(msg.to, sm.Input{Kind: msg.kind, From: msg.from, Payload: msg.payload})
+	}
+	return held
+}
+
+// TestFlushOlderEpochAckCoversExclusions replays the interleaving of the
+// churn lane's seed 1 (m0 partitioned from m2, m2 fail-signalling while
+// the coordinator collects acks). An ack carries flushPending of the
+// candidate it answered, which adds the retained tail only of origins
+// that candidate excluded. Here c's last multicast reaches b and d but
+// never a; d dies and the coordinator a proposes {a,b,c}; b acks that
+// proposal (its flush has no c1: c was still a member, and b has already
+// delivered c1); c fail-signals before acking, and a proposes {a,b}. If a
+// counts b's older ack for the newer proposal, the install's flush lacks
+// c1 and a delivers b1 without it while b delivered c1 first. The older
+// ack must not count: b re-acks the newer proposal with c's retained
+// tail, and every log agrees.
+func TestFlushOlderEpochAckCoversExclusions(t *testing.T) {
+	c := newTCluster(t, SuspectFailSignal, "a", "b", "c", "d")
+	c.joinAll("g")
+	for _, n := range c.names {
+		c.mcast(n, "g", TotalSym, "w-"+n)
+	}
+
+	// a never hears c's data (nor its retransmissions); d and later c die.
+	deadD, deadC := false, false
+	c.drop = func(from, to, kind string) bool {
+		if deadD && (from == "d" || to == "d") || deadC && (from == "c" || to == "c") {
+			return true
+		}
+		return from == "c" && to == "a" && kind == KindData
+	}
+	c.mcast("c", "g", TotalSym, "c1")
+	c.mcast("b", "g", TotalSym, "b1")
+	if got := c.payloads("b"); got[len(got)-2] != "c1" || got[len(got)-1] != "b1" {
+		t.Fatalf("b should have delivered c1 then b1, got %v", got)
+	}
+	if got := c.payloads("a"); len(got) != 4 {
+		t.Fatalf("a must still be blocked behind the missing c1, delivered %v", got)
+	}
+
+	// d fail-signals; c is already dead and never acks the proposal
+	// {a,b,c}. b's ack stays in flight until a has proposed {a,b}.
+	deadD, deadC = true, true
+	c.submit("a", sm.Input{Kind: failsignal.InputFailSignal, From: "d"})
+	held := c.runHolding(func(m routed) bool { return m.from == "b" && m.to == "a" && m.kind == KindViewAck })
+	if len(held) != 1 {
+		t.Fatalf("held %d acks from b, want its ack of the first proposal", len(held))
+	}
+	c.submit("a", sm.Input{Kind: failsignal.InputFailSignal, From: "c"})
+	c.queue = append(held, c.queue...)
+	c.run()
+	c.tick(300 * time.Millisecond)
+	c.tick(300 * time.Millisecond)
+
+	want := []string{"a", "b"}
+	for _, n := range want {
+		if v := c.lastView(n); !reflect.DeepEqual(v.Members, want) {
+			t.Fatalf("%s view = %+v, want members %v", n, v, want)
+		}
+	}
+	ref := c.payloads("b")
+	if got := ref[len(ref)-2:]; !reflect.DeepEqual(got, []string{"c1", "b1"}) {
+		t.Fatalf("b's tail = %v, want [c1 b1]", got)
+	}
+	if got := c.payloads("a"); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("a delivered %v, want %v (the flush must carry c's retained c1)", got, ref)
+	}
+}
+
 // TestJoinerClockFloor pins the admission freeze and the install's clock
 // floor. While an admission proposal is pending, members must stop
 // delivering: each acked the proposal with its clock, and the install

@@ -33,12 +33,18 @@ func (m *Machine) maybePropose(g *groupState) {
 // members being admitted (not in the current view).
 func (m *Machine) propose(g *groupState, candidate, joins []string) {
 	g.lastEpoch++
+	proposed := map[uint64][]string{}
+	if prev := g.change; prev != nil && prev.acks != nil {
+		proposed = prev.proposed
+	}
+	proposed[g.lastEpoch] = candidate
 	g.change = &viewChange{
 		viewID:    g.viewID + 1,
 		epoch:     g.lastEpoch,
 		members:   candidate,
 		joins:     joins,
 		acks:      make(map[string]ViewAck, len(candidate)),
+		proposed:  proposed,
 		startedAt: m.now,
 	}
 	m.trace.Emit(trace.EvViewPropose, g.change.viewID, g.change.epoch, m.cfg.Self)
@@ -132,12 +138,20 @@ func (m *Machine) onViewAck(from string, v ViewAck) {
 	// Older-epoch acks for the same target view still count: epochs only
 	// disambiguate proposals whose member sets changed, and membership is
 	// re-validated at install time. Requiring exact epochs would livelock
-	// whenever the ack round-trip exceeds the retry interval.
+	// whenever the ack round-trip exceeds the retry interval. But an ack's
+	// flush holds the retained tail only of the origins its own epoch's
+	// candidate excluded, so an older ack counts only when that candidate
+	// excluded every origin this one does (it had no member this one
+	// lacks). Otherwise the flush could miss a message the newly excluded
+	// origin got to some members only, and the fresh proposal, already
+	// sent to the acker, asks again; the ack's suspicions still count.
 	if v.ViewID != c.viewID || v.Epoch > c.epoch || !contains(c.members, from) {
 		return
 	}
-	c.acks[from] = v
-	m.trace.Emit(trace.EvViewAck, v.ViewID, v.Epoch, from)
+	if c.flushCovers(v.Epoch) {
+		c.acks[from] = v
+		m.trace.Emit(trace.EvViewAck, v.ViewID, v.Epoch, from)
+	}
 	// Reverse suspicion sharing: adopt the acker's suspicions. The
 	// fail-signal broadcast is lossy, and a coordinator that missed one
 	// keeps the dead member in its candidate set, waiting on an ack that
@@ -150,6 +164,25 @@ func (m *Machine) onViewAck(from string, v ViewAck) {
 		}
 	}
 	m.checkInstall(g)
+}
+
+// flushCovers reports whether an ack of epoch carries a flush complete for
+// this change: epoch is this change's own, or an earlier proposal of this
+// coordinator whose candidate had no member this one lacks.
+func (c *viewChange) flushCovers(epoch uint64) bool {
+	if epoch == c.epoch {
+		return true
+	}
+	prev, ok := c.proposed[epoch]
+	if !ok {
+		return false
+	}
+	for _, mem := range prev {
+		if !contains(c.members, mem) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkInstall fires the installation once the coordinator holds acks from

@@ -106,7 +106,12 @@ type viewChange struct {
 	joins   []string // proposed admissions (subset of members), sorted
 	// acks maps acked members to their reported pending sets
 	// (coordinator side only).
-	acks      map[string]ViewAck
+	acks map[string]ViewAck
+	// proposed maps every epoch this coordinator proposed for viewID,
+	// this one included, to its candidate membership (coordinator side
+	// only): an older epoch's ack counts only if its flush is complete
+	// for this candidate (see onViewAck).
+	proposed  map[uint64][]string
 	startedAt time.Time
 }
 

@@ -140,6 +140,13 @@ const (
 	// head of the symmetric order stayed blocked for a resend interval.
 	// A=promised TS, B=HW, Note="<group>:<laggard member>".
 	EvAckResend
+	// EvLeaderSilent: a follower heard no fwd from its leader within the
+	// silence bound and fail-signals. A=silence ns, B=bound ns.
+	EvLeaderSilent
+	// EvStallRearm: the silence watch fired later than its loop can be
+	// late on its own, so the follower's host stalled: the window
+	// restarts instead of fail-signalling. A=lateness ns, B=bound ns.
+	EvStallRearm
 )
 
 var kindNames = map[Kind]string{
@@ -177,6 +184,8 @@ var kindNames = map[Kind]string{
 	EvJoinAdmit:    "join-admit",
 	EvAckElided:    "ack-elided",
 	EvAckResend:    "ack-resend",
+	EvLeaderSilent: "leader-silent",
+	EvStallRearm:   "stall-rearm",
 }
 
 // String implements fmt.Stringer.
