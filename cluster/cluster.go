@@ -914,17 +914,13 @@ func (c *Cluster) CanInjectFaults() bool {
 	return ok
 }
 
-// addrsOf enumerates every transport address member name occupies.
+// addrsOf enumerates every transport address member name occupies: its
+// ORB node if it is crash-tolerant, MemberAddrs otherwise.
 func (c *Cluster) addrsOf(name string) []transport.Addr {
-	addrs := []transport.Addr{newtop.NodeAddr(name)}
-	if !c.crash {
-		addrs = append(addrs,
-			failsignal.LeaderAddr(name),
-			failsignal.FollowerAddr(name),
-			fsnewtop.InvAddr(name),
-		)
+	if c.crash {
+		return []transport.Addr{newtop.NodeAddr(name)}
 	}
-	return addrs
+	return MemberAddrs(name)
 }
 
 // Isolate blocks all traffic between members a and b (every address either

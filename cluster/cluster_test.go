@@ -2,13 +2,16 @@ package cluster_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"fsnewtop/cluster"
+	"fsnewtop/internal/clock"
 	"fsnewtop/internal/group"
 	"fsnewtop/internal/trace"
 	"fsnewtop/transport"
+	"fsnewtop/transport/netsim"
 	"fsnewtop/transport/tcpnet"
 )
 
@@ -129,6 +132,63 @@ func TestClusterBatchedTotalOrder(t *testing.T) {
 	if batches == 0 {
 		t.Fatal("a burst from every member reached the pairs without a single batch")
 	}
+}
+
+// TestMemberGoroutineBudget counts what one member adds on a transport the
+// caller owns. An FS member is its pair's two replica loops, the window's
+// backstop loop and the pump: 4, and no ORB pool. A crash member is the
+// ORB's 10 pool workers (the paper's request pool), the GC driver's loop
+// and the pump: 12. None outlive Close.
+func TestMemberGoroutineBudget(t *testing.T) {
+	net := netsim.New(clock.NewReal(), netsim.WithShards(1))
+	defer net.Close()
+	net.Register("warm", func(netsim.Message) {})
+	if err := net.Send("warm", "warm", "warm-up", nil); err != nil { // start the one dispatcher
+		t.Fatal(err)
+	}
+	for net.Stats().Delivered == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	base := stableGoroutines()
+	for _, tc := range []struct {
+		name string
+		opts []cluster.Option
+		per  int
+	}{
+		{"fs", nil, 4},
+		{"crash", []cluster.Option{cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, time.Hour)}, 12},
+	} {
+		names := []string{tc.name + "0", tc.name + "1", tc.name + "2", tc.name + "3"}
+		c, err := cluster.New(append(tc.opts, cluster.WithTransport(net), cluster.WithMembers(names...))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runTotalOrder(t, c)
+		if got, want := stableGoroutines()-base, tc.per*len(names); got != want {
+			c.Close()
+			t.Fatalf("%s: %d members add %d goroutines, want %d (%d each)", tc.name, len(names), got, want, tc.per)
+		}
+		c.Close()
+		if got := stableGoroutines(); got != base {
+			t.Fatalf("%s: %d goroutines outlive Close", tc.name, got-base)
+		}
+	}
+}
+
+// stableGoroutines waits until the goroutine count holds still, so
+// goroutines that are just starting or exiting do not shift a count.
+func stableGoroutines() int {
+	prev, same := -1, 0
+	for i := 0; i < 1000 && same < 5; i++ {
+		n := runtime.NumGoroutine()
+		if n == prev {
+			same++
+		} else {
+			prev, same = n, 0
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return prev
 }
 
 // TestClusterCrashTolerance builds the baseline system and checks the

@@ -12,13 +12,12 @@ import (
 )
 
 // MemberAddrs enumerates every transport address a fail-signal member
-// occupies on the wire: its ORB node, its pair's leader and follower
-// FSOs, and its invocation-layer endpoint. Deployment tooling uses it to
+// occupies on the wire: its pair's leader and follower FSOs and its
+// invocation-layer endpoint. Deployment tooling uses it to
 // expand a member-level placement manifest ("m03 lives at host:port")
 // into the address-book entries a transport needs.
 func MemberAddrs(name string) []transport.Addr {
 	return []transport.Addr{
-		newtop.NodeAddr(name),
 		failsignal.LeaderAddr(name),
 		failsignal.FollowerAddr(name),
 		fsnewtop.InvAddr(name),

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -214,8 +215,8 @@ func TestSoloRefusals(t *testing.T) {
 
 func TestMemberAddrs(t *testing.T) {
 	addrs := MemberAddrs("m07")
-	if len(addrs) != 4 {
-		t.Fatalf("MemberAddrs returned %d addrs, want 4", len(addrs))
+	if len(addrs) != 3 {
+		t.Fatalf("MemberAddrs returned %d addrs, want 3", len(addrs))
 	}
 	seen := make(map[transport.Addr]bool)
 	for _, a := range addrs {
@@ -228,4 +229,28 @@ func TestMemberAddrs(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprintf("%v", addrs)
+}
+
+// TestMemberAddrsGoneAfterClose: a closed member leaves nothing behind on
+// a transport its cluster does not own — every address it occupied
+// refuses traffic as unknown.
+func TestMemberAddrsGoneAfterClose(t *testing.T) {
+	tr := netsim.New(clock.NewReal())
+	defer tr.Close()
+	c, err := New(WithTransport(tr), WithMembers("m00", "m01"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Register("probe", func(netsim.Message) {})
+	for _, a := range MemberAddrs("m00") {
+		if err := tr.Send("probe", a, "probe", nil); err != nil {
+			t.Fatalf("live member: send to %q: %v", a, err)
+		}
+	}
+	c.Close()
+	for _, a := range MemberAddrs("m00") {
+		if err := tr.Send("probe", a, "probe", nil); !errors.Is(err, transport.ErrUnknownAddr) {
+			t.Errorf("closed member: send to %q returned %v, want transport.ErrUnknownAddr", a, err)
+		}
+	}
 }

@@ -21,7 +21,8 @@
 //   - internal/newtop — the crash-tolerant NewTOP middleware (the paper's
 //     baseline), assembled over a CORBA-like ORB substrate (internal/orb);
 //   - internal/fsnewtop — FS-NewTOP: the same GC machine wrapped into
-//     fail-signal pairs via ORB interceptors, with a suspector that turns
+//     fail-signal pairs, its GC-bound calls re-issued into the pair where
+//     the paper's ORB interceptor caught them, with a suspector that turns
 //     verified fail-signals into suspicions that cannot be false;
 //   - vote — public 2f+1 application replication with client-side
 //     majority voting (the paper's Figure 4 deployment), composing over

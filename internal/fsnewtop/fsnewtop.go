@@ -5,16 +5,19 @@
 // failure suspector with one that converts verified fail-signals into
 // suspicions that cannot be false.
 //
-// The wrapping is transparent in the paper's sense: the invocation layer
-// still invokes the member's "<name>/gc" object through the ORB; a client
-// interceptor catches those calls on the fly and re-issues them as signed
-// inputs to both replicas of the FS pair, with the leader FSO ordering
-// them identically for GC and GC'. Returning double-signed outputs are
-// verified, stripped of signatures and de-duplicated before the invocation
-// layer sees them — the interceptor technique of the Eternal system
-// [NMM99, NMM00] that the paper adopts. The GC machine itself (package
-// group) is byte-for-byte the same state machine NewTOP runs; only its
-// suspector mode differs.
+// The wrapping is transparent in the paper's sense: the application API
+// (newtop.Service) is unchanged. The paper catches the invocation layer's
+// ORB calls to the member's "<name>/gc" object on the fly with a client
+// interceptor (the Eternal technique of [NMM99, NMM00]); here the NSO's
+// submit methods — Join, JoinExisting, Multicast — are that interception
+// point. Each marshals its request exactly as crash NewTOP does and
+// re-issues it, through the accumulation window, as a signed input to both
+// replicas of the FS pair, with the leader FSO ordering them identically
+// for GC and GC'. An FS member therefore has no ORB: no call of its ever
+// crossed one. Returning double-signed outputs are verified, stripped of
+// signatures and de-duplicated before the invocation layer sees them. The
+// GC machine itself (package group) is byte-for-byte the same state
+// machine NewTOP runs; only its suspector mode differs.
 //
 // Deployment cost (Section 3.1): masking f Byzantine faults at the
 // application level needs 2f+1 application replicas, each with its own
@@ -32,7 +35,6 @@ import (
 	failsignal "fsnewtop/internal/core"
 	"fsnewtop/internal/group"
 	"fsnewtop/internal/newtop"
-	"fsnewtop/internal/orb"
 	"fsnewtop/internal/sig"
 	"fsnewtop/internal/sm"
 	"fsnewtop/internal/trace"
@@ -55,11 +57,10 @@ func ReplicasRequired(f int) int { return 2*f + 1 }
 // Fabric is the shared deployment substrate for an FS-NewTOP cluster: one
 // per test/benchmark/example deployment.
 type Fabric struct {
-	Net    transport.Transport
-	Naming *orb.Naming
-	Clock  clock.Clock
-	Dir    *failsignal.Directory
-	Keys   *sig.Directory
+	Net   transport.Transport
+	Clock clock.Clock
+	Dir   *failsignal.Directory
+	Keys  *sig.Directory
 	// NewSigner builds signers for Compare threads and invocation layers.
 	// Nil selects HMAC (fast; for benchmarks isolating protocol cost).
 	NewSigner func(id sig.ID) (sig.Signer, error)
@@ -82,11 +83,10 @@ type Fabric struct {
 // in-process figures pay — and report — the paper's per-node crypto cost.
 func NewFabric(net transport.Transport, clk clock.Clock) *Fabric {
 	return &Fabric{
-		Net:    net,
-		Naming: orb.NewNaming(),
-		Clock:  clk,
-		Dir:    failsignal.NewDirectory(),
-		Keys:   sig.NewDirectoryCache(0),
+		Net:   net,
+		Clock: clk,
+		Dir:   failsignal.NewDirectory(),
+		Keys:  sig.NewDirectoryCache(0),
 	}
 }
 
@@ -153,7 +153,7 @@ type Config struct {
 	// member's fail-signal (their GCs must learn of our failure).
 	Peers []string
 	// Clock, if non-nil, overrides the fabric clock for this member's pair
-	// and ORB. The chaos plane's clock-skew faults use it to give each
+	// and window. The chaos plane's clock-skew faults use it to give each
 	// member its own skewed view of one shared virtual timeline.
 	Clock clock.Clock
 	// Delta is δ for the pair's synchronous link. Required: its default
@@ -177,7 +177,6 @@ type Config struct {
 type NSO struct {
 	name       string
 	fab        *Fabric
-	orb        *orb.ORB
 	pair       *failsignal.Pair
 	client     *failsignal.Client
 	verifiers  []*sig.CachedVerifier // this member's node verifiers, released on Close
@@ -187,6 +186,11 @@ type NSO struct {
 	failures   chan string
 	// win is the accumulation window every GC-bound call goes through.
 	win *window
+	// stop is closed by Close: a delivery or view hand-off parked on an
+	// application that stopped draining gives up rather than pin the
+	// transport goroutine that carried it.
+	stop      chan struct{}
+	closeOnce sync.Once
 }
 
 var _ newtop.Service = (*NSO)(nil)
@@ -212,8 +216,8 @@ func InvAddr(member string) transport.Addr { return transport.Addr("addr:" + inv
 func DerivedHMACKey(id sig.ID) []byte { return []byte("hmac-key:" + string(id)) }
 
 // New builds and starts one FS-NewTOP member: the FS pair wrapping its GC
-// machine, the invocation-layer endpoint, and the interceptor that
-// redirects GC-bound ORB calls into the pair.
+// machine, the invocation-layer endpoint, and the accumulation window its
+// submit methods re-issue GC-bound calls through.
 func New(cfg Config) (*NSO, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("fsnewtop: member needs a name")
@@ -245,6 +249,7 @@ func New(cfg Config) (*NSO, error) {
 		deliveries: make(chan newtop.Delivery, 8192),
 		views:      make(chan newtop.View, 1024),
 		failures:   make(chan string, 64),
+		stop:       make(chan struct{}),
 	}
 	n.win = newWindow(clk, cfg.Delta, n.reissue)
 	newVerifier := func() *sig.CachedVerifier {
@@ -313,34 +318,6 @@ func New(cfg Config) (*NSO, error) {
 		return nil, err
 	}
 	n.pair = pair
-
-	// The app-side ORB with the wrapping interceptor: calls addressed to
-	// "<name>/gc" are caught on the fly and re-issued, through the
-	// accumulation window, as signed inputs to both FSOs. The invocation
-	// layer's code path is unchanged from crash-tolerant NewTOP.
-	o, err := orb.New(orb.Config{
-		Addr:   newtop.NodeAddr(cfg.Name),
-		Net:    fab.Net,
-		Naming: fab.Naming,
-		Clock:  clk,
-	})
-	if err != nil {
-		pair.Close()
-		return nil, err
-	}
-	gcRef := newtop.GCRef(cfg.Name)
-	o.AddClientInterceptor(func(next orb.Handler) orb.Handler {
-		return func(req *orb.Request) orb.Reply {
-			if req.Target != gcRef {
-				return next(req)
-			}
-			if err := n.win.submit(req.Method, req.Arg.Bytes()); err != nil {
-				return orb.Reply{Err: err.Error()}
-			}
-			return orb.Reply{}
-		}
-	})
-	n.orb = o
 	built = true
 	return n, nil
 }
@@ -377,11 +354,11 @@ func (n *NSO) onEvent(kind string, payload []byte, depth int) {
 			if d.Origin == n.name {
 				n.win.ownDelivered()
 			}
-			n.deliveries <- newtop.Delivery{Group: d.Group, Origin: d.Origin, Service: d.Service, Payload: d.Payload}
+			newtop.HandOff(n.deliveries, newtop.Delivery{Group: d.Group, Origin: d.Origin, Service: d.Service, Payload: d.Payload}, n.stop)
 		}
 	case group.KindView:
 		if v, err := group.UnmarshalViewNote(payload); err == nil {
-			n.views <- newtop.View{Group: v.Group, ViewID: v.ViewID, Members: v.Members}
+			newtop.HandOff(n.views, newtop.View{Group: v.Group, ViewID: v.ViewID, Members: v.Members}, n.stop)
 		}
 	case group.KindBatch:
 		if depth == 0 {
@@ -410,11 +387,10 @@ func (n *NSO) onFailSignal(source string) {
 // Name implements newtop.Service.
 func (n *NSO) Name() string { return n.name }
 
-// Join implements newtop.Service. The call goes through the ORB exactly as
-// in crash NewTOP; the interceptor reroutes it into the FS pair.
+// Join implements newtop.Service. The request is the one crash NewTOP
+// sends its GC object; it is re-issued into the FS pair instead.
 func (n *NSO) Join(groupName string, members []string) error {
-	payload := group.JoinReq{Group: groupName, Members: members}.Marshal()
-	return n.orb.OneWay(newtop.InvRef(n.name), newtop.GCRef(n.name), group.KindJoin, orb.BytesAny(payload))
+	return n.win.submit(group.KindJoin, group.JoinReq{Group: groupName, Members: members}.Marshal())
 }
 
 // JoinExisting implements newtop.Service: dynamic admission through the
@@ -422,8 +398,7 @@ func (n *NSO) Join(groupName string, members []string) error {
 // input, so the whole join protocol — ask, snapshot install, admission
 // view — runs inside the byte-compared replicas.
 func (n *NSO) JoinExisting(groupName string, contacts []string) error {
-	payload := group.JoinExistingReq{Group: groupName, Contacts: contacts}.Marshal()
-	return n.orb.OneWay(newtop.InvRef(n.name), newtop.GCRef(n.name), group.KindJoinExisting, orb.BytesAny(payload))
+	return n.win.submit(group.KindJoinExisting, group.JoinExistingReq{Group: groupName, Contacts: contacts}.Marshal())
 }
 
 // AddPeer registers one more member as a watcher of this pair's
@@ -433,8 +408,7 @@ func (n *NSO) AddPeer(name string) { n.pair.AddWatcher(name) }
 
 // Multicast implements newtop.Service.
 func (n *NSO) Multicast(groupName string, svc group.Service, payload []byte) error {
-	req := group.McastReq{Group: groupName, Service: svc, Payload: payload}.Marshal()
-	return n.orb.OneWay(newtop.InvRef(n.name), newtop.GCRef(n.name), group.KindMcast, orb.BytesAny(req))
+	return n.win.submit(group.KindMcast, group.McastReq{Group: groupName, Service: svc, Payload: payload}.Marshal())
 }
 
 // Deliveries implements newtop.Service.
@@ -449,10 +423,15 @@ func (n *NSO) FailSignals() <-chan string { return n.failures }
 // Pair exposes the member's FS pair (fault injection in tests).
 func (n *NSO) Pair() *failsignal.Pair { return n.pair }
 
-// Close implements newtop.Service.
+// Close implements newtop.Service: it releases any hand-off parked on the
+// application, then stops the window and the pair and deregisters the
+// invocation endpoint. Idempotent.
 func (n *NSO) Close() {
-	n.win.close()
-	n.orb.Close()
-	n.pair.Close()
-	n.fab.dropVerifiers(n.verifiers)
+	n.closeOnce.Do(func() {
+		close(n.stop)
+		n.win.close()
+		n.pair.Close()
+		n.fab.Net.Deregister(InvAddr(n.name))
+		n.fab.dropVerifiers(n.verifiers)
+	})
 }

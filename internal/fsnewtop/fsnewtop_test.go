@@ -1,6 +1,7 @@
 package fsnewtop
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -8,9 +9,11 @@ import (
 	"time"
 
 	"fsnewtop/internal/clock"
+	failsignal "fsnewtop/internal/core"
 	"fsnewtop/internal/group"
 	"fsnewtop/internal/newtop"
 	"fsnewtop/internal/sig"
+	"fsnewtop/internal/sm"
 	"fsnewtop/internal/trace"
 	"fsnewtop/transport"
 	"fsnewtop/transport/netsim"
@@ -396,21 +399,75 @@ func TestFSNewTOPNoSplitUnderDelay(t *testing.T) {
 	}
 }
 
+// registered reports whether addr has a handler on net, without delivering
+// anything to it: the probe's link is blocked, and netsim refuses an
+// unknown destination before it looks at links.
+func registered(t *testing.T, net *netsim.Network, addr transport.Addr) bool {
+	t.Helper()
+	const probe = transport.Addr("probe")
+	net.Block(probe, addr)
+	defer net.Unblock(probe, addr)
+	err := net.Send(probe, addr, "probe", nil)
+	if err != nil && !errors.Is(err, transport.ErrUnknownAddr) {
+		t.Fatalf("probing %q: %v", addr, err)
+	}
+	return err == nil
+}
+
+// TestFSNewTOPInterceptorTransparency: the NSO's submit methods are the
+// interception point, so an FS member occupies exactly its pair's two
+// addresses and its invocation endpoint — no ORB node — and still
+// delivers through the unchanged application API.
 func TestFSNewTOPInterceptorTransparency(t *testing.T) {
-	// The GC object is never registered with the ORB or naming service:
-	// if multicasts work, they must have been intercepted and rerouted.
 	c := newCluster(t, 2, nil)
-	if _, ok := c.fab.Naming.Resolve(newtop.GCRef("m00")); ok {
-		t.Fatal("GC object registered in naming; interception not proven")
+	net := c.fab.Net.(*netsim.Network)
+	for _, m := range c.members {
+		for _, a := range []transport.Addr{failsignal.LeaderAddr(m), failsignal.FollowerAddr(m), InvAddr(m)} {
+			if !registered(t, net, a) {
+				t.Fatalf("%s: %q not registered", m, a)
+			}
+		}
+		if registered(t, net, newtop.NodeAddr(m)) {
+			t.Fatalf("%s: an FS member registered an ORB node %q", m, newtop.NodeAddr(m))
+		}
 	}
 	c.joinAll(t, "g")
-	if err := c.nsos["m00"].Multicast("g", group.TotalSym, []byte("via-interceptor")); err != nil {
+	if err := c.nsos["m00"].Multicast("g", group.TotalSym, []byte("re-issued")); err != nil {
 		t.Fatal(err)
 	}
 	got := c.cols["m01"].waitN(t, 1, 20*time.Second)
-	if got[0] != "via-interceptor" {
+	if got[0] != "re-issued" {
 		t.Fatalf("delivered %v", got)
 	}
+}
+
+// TestCloseReleasesParkedDelivery: an application that stopped draining
+// pins the transport goroutine handing it an output only until the member
+// closes, and a closed member's invocation endpoint is gone from the
+// network.
+func TestCloseReleasesParkedDelivery(t *testing.T) {
+	net := netsim.New(clock.NewReal())
+	defer net.Close()
+	n, err := New(Config{Name: "m00", Fabric: NewFabric(net, clock.NewReal()), Delta: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(n.deliveries) < cap(n.deliveries) {
+		n.deliveries <- newtop.Delivery{}
+	}
+	out := sm.Output{Kind: group.KindDeliver, Payload: group.Deliver{Group: "g", Origin: "m01", Payload: []byte("x")}.Marshal()}
+	handed := make(chan struct{})
+	go func() { n.onOutput("m01", out); close(handed) }()
+	n.Close()
+	select {
+	case <-handed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("a delivery hand-off stayed parked after Close")
+	}
+	if registered(t, net, InvAddr("m00")) {
+		t.Fatal("the invocation endpoint outlived Close")
+	}
+	n.Close() // idempotent
 }
 
 func TestNodeArithmetic(t *testing.T) {

@@ -82,7 +82,7 @@ func newWindow(clk clock.Clock, delta time.Duration, send func(kind string, payl
 	return w
 }
 
-// submit routes one intercepted GC-bound call. Multicasts may coalesce;
+// submit routes one GC-bound call. Multicasts may coalesce;
 // any other method flushes the window first and goes out directly, so
 // submission order is preserved across kinds (a join never overtakes the
 // multicasts queued before it, nor vice versa). A submission after close

@@ -242,8 +242,8 @@ func TestMulticastAfterCloseFails(t *testing.T) {
 	c.joinAll(t, "g")
 	n := c.nsos[c.members[0]]
 	n.Close()
-	if err := n.Multicast("g", group.TotalSym, []byte("x")); err == nil {
-		t.Fatal("Multicast on a closed member returned nil")
+	if err := n.Multicast("g", group.TotalSym, []byte("x")); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("Multicast on a closed member returned %v, want transport.ErrClosed", err)
 	}
 }
 

@@ -2,6 +2,8 @@ package group
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"fsnewtop/internal/clock"
@@ -27,13 +29,18 @@ type DriverConfig struct {
 	OnView func(ViewNote)
 }
 
-// Driver runs a GC machine as a standalone process: a single-threaded
-// runner fed by external submissions plus a local ticker.
+// Driver runs a GC machine as a standalone process on one goroutine, its
+// loop (see run): external submissions and its own ticks are stepped in
+// arrival order, never concurrently.
 type Driver struct {
-	cfg    DriverConfig
-	runner *sm.Runner
-	stop   chan struct{}
-	done   chan struct{}
+	cfg  DriverConfig
+	wake chan struct{} // cap 1: a new input or a stop
+	done chan struct{} // closed when the loop has returned
+	// closed is set once, under mu; the loop reads it before every step.
+	closed atomic.Bool
+
+	mu    sync.Mutex
+	inbox []sm.Input // inputs the loop has not taken yet
 }
 
 // NewDriver starts a driver.
@@ -50,58 +57,108 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = 20 * time.Millisecond
 	}
-	d := &Driver{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
-	d.runner = sm.NewRunner(cfg.Machine, d.dispatch)
-	go d.tickLoop()
+	d := &Driver{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	go d.run()
 	return d, nil
 }
 
 // Submit feeds one external input (a message from a peer GC) into the
-// machine's queue.
-func (d *Driver) Submit(in sm.Input) { d.runner.Submit(in) }
+// machine's queue. Submissions after Close are dropped.
+func (d *Driver) Submit(in sm.Input) {
+	d.mu.Lock()
+	if !d.closed.Load() {
+		d.inbox = append(d.inbox, in)
+	}
+	d.mu.Unlock()
+	d.kick()
+}
 
 // Join creates a group with a static initial membership.
 func (d *Driver) Join(group string, members []string) {
-	d.runner.Submit(sm.Input{Kind: KindJoin, Payload: JoinReq{Group: group, Members: members}.Marshal()})
+	d.Submit(sm.Input{Kind: KindJoin, Payload: JoinReq{Group: group, Members: members}.Marshal()})
 }
 
 // JoinExisting seeks admission into a running group through the given
 // contacts (current members).
 func (d *Driver) JoinExisting(group string, contacts []string) {
-	d.runner.Submit(sm.Input{Kind: KindJoinExisting, Payload: JoinExistingReq{Group: group, Contacts: contacts}.Marshal()})
-}
-
-// Leave abandons a group.
-func (d *Driver) Leave(group string) {
-	d.runner.Submit(sm.Input{Kind: KindLeave, Payload: LeaveReq{Group: group}.Marshal()})
+	d.Submit(sm.Input{Kind: KindJoinExisting, Payload: JoinExistingReq{Group: group, Contacts: contacts}.Marshal()})
 }
 
 // Multicast requests a multicast with the given service.
 func (d *Driver) Multicast(group string, svc Service, payload []byte) {
-	d.runner.Submit(sm.Input{Kind: KindMcast, Payload: McastReq{Group: group, Service: svc, Payload: payload}.Marshal()})
+	d.Submit(sm.Input{Kind: KindMcast, Payload: McastReq{Group: group, Service: svc, Payload: payload}.Marshal()})
 }
 
-// Backlog reports queued, unprocessed inputs.
-func (d *Driver) Backlog() int { return d.runner.Backlog() }
-
-// Close stops the ticker and the runner.
+// Close stops the loop after the current step and waits for it to return.
+// Queued inputs are discarded. Idempotent.
 func (d *Driver) Close() {
-	close(d.stop)
+	d.mu.Lock()
+	if !d.closed.Load() {
+		d.closed.Store(true)
+		d.inbox = nil
+		d.kick()
+	}
+	d.mu.Unlock()
 	<-d.done
-	d.runner.Close()
 }
 
-func (d *Driver) tickLoop() {
+// kick wakes the loop; a wake already pending covers this one.
+func (d *Driver) kick() {
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
+}
+
+// run is the driver's one goroutine. The inbox is double buffered: the
+// loop takes the whole backlog in one swap and steps it without the lock,
+// checking for Close before every pass. One clock timer paces the ticks:
+// once it has fired, the next swap queues a tick behind the inputs already
+// waiting — the order a separate ticker feeding the same queue gave — and
+// re-arms it. A busy loop polls the timer at each swap; an idle one parks
+// on the wake channel and the timer.
+func (d *Driver) run() {
 	defer close(d.done)
+	var (
+		steps []sm.Input // inputs taken over by the loop
+		next  int        // the next of steps to run
+		due   bool       // the tick timer has fired
+		tm    = d.cfg.Clock.NewTimer(d.cfg.TickInterval)
+	)
+	defer func() { tm.Stop() }()
 	for {
-		t := d.cfg.Clock.NewTimer(d.cfg.TickInterval)
-		select {
-		case <-d.stop:
-			t.Stop()
+		if d.closed.Load() {
 			return
-		case <-t.C():
 		}
-		d.runner.Submit(sm.Tick(d.cfg.Clock.Now()))
+		if next == len(steps) {
+			select {
+			case <-tm.C():
+				due = true
+			default:
+			}
+			d.mu.Lock()
+			if due {
+				d.inbox = append(d.inbox, sm.Tick(d.cfg.Clock.Now()))
+			}
+			clear(steps)
+			steps, d.inbox, next = d.inbox, steps[:0], 0
+			d.mu.Unlock()
+			if due {
+				due = false
+				tm = d.cfg.Clock.NewTimer(d.cfg.TickInterval)
+			}
+			if len(steps) == 0 {
+				select {
+				case <-d.wake:
+				case <-tm.C():
+					due = true
+				}
+				continue
+			}
+		}
+		in := steps[next]
+		next++
+		d.dispatch(d.cfg.Machine.Step(in))
 	}
 }
 

@@ -145,6 +145,97 @@ func TestDriverSuspectsSilentMember(t *testing.T) {
 	}
 }
 
+// soloDriver runs one driver over a single-member group "g", so every
+// multicast is delivered in its own step, in the order it was submitted.
+func soloDriver(t *testing.T, onDeliver func(Deliver)) *Driver {
+	t.Helper()
+	d, err := NewDriver(DriverConfig{
+		Machine:   New(Config{Self: "solo", Mode: SuspectPing, SuspectAfter: time.Hour}),
+		Send:      func(to, kind string, payload []byte) {},
+		OnDeliver: onDeliver,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	d.Join("g", []string{"solo"})
+	return d
+}
+
+// TestDriverProcessesInOrder: the loop steps inputs in submission order,
+// with ticks interleaved and a backlog taken in swaps.
+func TestDriverProcessesInOrder(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	d := soloDriver(t, func(del Deliver) {
+		mu.Lock()
+		got = append(got, string(del.Payload))
+		mu.Unlock()
+	})
+	const n = 500
+	for i := 0; i < n; i++ {
+		d.Multicast("g", Reliable, []byte(fmt.Sprint(i)))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		k := len(got)
+		mu.Unlock()
+		if k == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d delivered", k, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, p := range got {
+		if p != fmt.Sprint(i) {
+			t.Fatalf("delivery %d = %q, want %q", i, p, fmt.Sprint(i))
+		}
+	}
+}
+
+// TestDriverCloseStopsProcessing: Close lets the step in progress finish,
+// steps nothing queued behind it or submitted after it, and is idempotent.
+func TestDriverCloseStopsProcessing(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var got []string
+	d := soloDriver(t, func(del Deliver) {
+		mu.Lock()
+		got = append(got, string(del.Payload))
+		mu.Unlock()
+		if string(del.Payload) == "first" {
+			close(entered)
+			<-release
+		}
+	})
+	d.Multicast("g", Reliable, []byte("first"))
+	d.Multicast("g", Reliable, []byte("queued"))
+	<-entered
+	closed := make(chan struct{})
+	go func() { d.Close(); close(closed) }()
+	for !d.closed.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	d.Multicast("g", Reliable, []byte("after-close"))
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the step in progress")
+	}
+	d.Close() // idempotent: returns at once
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(got, []string{"first"}) {
+		t.Fatalf("delivered %v, want only the step in progress at Close", got)
+	}
+}
+
 func TestDriverValidation(t *testing.T) {
 	if _, err := NewDriver(DriverConfig{}); err == nil {
 		t.Fatal("driver without machine accepted")

@@ -9,8 +9,8 @@
 //     multicast requests into the ORB's generic container and unmarshals
 //     deliveries back out; and
 //   - the Group Communication (GC) service — the deterministic protocol
-//     machine of package group, driven here as a plain single process with
-//     real timers and a ping-based failure suspector.
+//     machine of package group, driven here as a plain single process (one
+//     group.Driver loop) with a ping-based failure suspector.
 //
 // NSO-to-NSO traffic travels as ORB one-way invocations on each member's
 // "<name>/gc" object, so inbound protocol messages flow through the ORB's
@@ -21,6 +21,7 @@ package newtop
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"fsnewtop/internal/clock"
@@ -104,6 +105,11 @@ type NSO struct {
 	driver     *group.Driver
 	deliveries chan Delivery
 	views      chan View
+	// stop is closed by Close: a delivery or view hand-off parked on an
+	// application that stopped draining gives up, so the driver's loop can
+	// return.
+	stop      chan struct{}
+	closeOnce sync.Once
 }
 
 var _ Service = (*NSO)(nil)
@@ -143,6 +149,7 @@ func New(cfg Config) (*NSO, error) {
 		Naming:      cfg.Naming,
 		PoolSize:    cfg.PoolSize,
 		ServiceTime: cfg.ServiceTime,
+		Clock:       cfg.Clock,
 	})
 	if err != nil {
 		return nil, err
@@ -153,6 +160,7 @@ func New(cfg Config) (*NSO, error) {
 		orb:        o,
 		deliveries: make(chan Delivery, deliveryBuffer),
 		views:      make(chan View, deliveryBuffer),
+		stop:       make(chan struct{}),
 	}
 
 	machine := group.New(gcCfg)
@@ -166,10 +174,10 @@ func New(cfg Config) (*NSO, error) {
 			_ = o.OneWay(GCRef(cfg.Name), GCRef(to), kind, orb.BytesAny(payload))
 		},
 		OnDeliver: func(d group.Deliver) {
-			n.deliveries <- Delivery{Group: d.Group, Origin: d.Origin, Service: d.Service, Payload: d.Payload}
+			HandOff(n.deliveries, Delivery{Group: d.Group, Origin: d.Origin, Service: d.Service, Payload: d.Payload}, n.stop)
 		},
 		OnView: func(v group.ViewNote) {
-			n.views <- View{Group: v.Group, ViewID: v.ViewID, Members: v.Members}
+			HandOff(n.views, View{Group: v.Group, ViewID: v.ViewID, Members: v.Members}, n.stop)
 		},
 	})
 	if err != nil {
@@ -179,6 +187,22 @@ func New(cfg Config) (*NSO, error) {
 	n.driver = driver
 	o.Register(GCRef(cfg.Name), gcServant{driver: driver})
 	return n, nil
+}
+
+// HandOff sends v to the application, giving up once stop is closed, so a
+// member's Close never waits on an application that stopped draining. Both
+// NSOs hand over every delivery through it: a send that finds room takes
+// the plain channel path, and only a full channel pays for the select.
+func HandOff[T any](ch chan<- T, v T, stop <-chan struct{}) {
+	select {
+	case ch <- v:
+		return
+	default:
+	}
+	select {
+	case ch <- v:
+	case <-stop:
+	}
 }
 
 // gcServant exposes the GC machine as an ORB object: each one-way
@@ -244,11 +268,12 @@ func (n *NSO) Views() <-chan View { return n.views }
 // ORB exposes the member's ORB (interceptor installation, diagnostics).
 func (n *NSO) ORB() *orb.ORB { return n.orb }
 
-// Close implements Service.
+// Close implements Service: it releases a hand-off parked on the
+// application, then stops the driver and the ORB. Idempotent.
 func (n *NSO) Close() {
-	n.driver.Close()
-	n.orb.Close()
+	n.closeOnce.Do(func() {
+		close(n.stop)
+		n.driver.Close()
+		n.orb.Close()
+	})
 }
-
-// DriverBacklog reports unprocessed GC machine inputs (diagnostics).
-func (n *NSO) DriverBacklog() int { return n.driver.Backlog() }

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"fsnewtop/internal/clock"
 	"fsnewtop/internal/group"
 	"fsnewtop/internal/orb"
+	"fsnewtop/internal/trace"
+	"fsnewtop/transport/netsim"
 )
 
 func TestNewTOPAsymmetricOrderAgreement(t *testing.T) {
@@ -111,9 +114,6 @@ func TestGCServantPlainInvoke(t *testing.T) {
 	if got[0] != "solo" {
 		t.Fatalf("delivered %v", got)
 	}
-	if nso.DriverBacklog() < 0 {
-		t.Fatal("negative backlog")
-	}
 	if nso.Name() != "m00" {
 		t.Fatalf("Name = %q", nso.Name())
 	}
@@ -130,5 +130,43 @@ func TestCallerMemberAttribution(t *testing.T) {
 		if got := callerMember(ref); got != "" {
 			t.Fatalf("non-GC caller %q attributed as member %q", ref, got)
 		}
+	}
+}
+
+// TestCloseWithUndrainedDeliveries: an application that stopped draining
+// does not hang Close. The delivery buffer is full, so once the machine
+// has ordered one more multicast the driver's loop parks handing it over;
+// Close releases it.
+func TestCloseWithUndrainedDeliveries(t *testing.T) {
+	net := netsim.New(clock.NewReal())
+	defer net.Close()
+	reg := trace.NewRegistry(0, nil)
+	nso, err := New(Config{Name: "m00", Net: net, Naming: orb.NewNaming(), Trace: reg, GC: group.Config{SuspectAfter: time.Minute}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(nso.deliveries) < cap(nso.deliveries) {
+		nso.deliveries <- Delivery{}
+	}
+	if err := nso.Join("g", []string{"m00"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nso.Multicast("g", group.TotalSym, []byte("undrained")); err != nil {
+		t.Fatal(err)
+	}
+	// The round closes inside the step whose outputs the loop then hands
+	// to the application.
+	for ordered := false; !ordered; {
+		for _, ev := range reg.Snapshot() {
+			ordered = ordered || ev.Kind == trace.EvRoundClose
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() { nso.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close blocked behind an application that stopped draining")
 	}
 }

@@ -3,16 +3,17 @@
 // value container (the CORBA "any"), and a bounded server-side request
 // pool.
 //
-// Every call NewTOP and FS-NewTOP make through it is one-way: GC traffic
-// is a stream of protocol messages, and nothing waits for a result. So
-// the ORB has no reply path — a remote invocation is one request message,
-// and a servant's return value is discarded.
+// Only crash-tolerant NewTOP runs on it: an FS-NewTOP member re-issues its
+// GC-bound calls into its fail-signal pair directly (package fsnewtop), so
+// it has no ORB. Every call is one-way: GC traffic is a stream of protocol
+// messages, and nothing waits for a result. So the ORB has no reply path —
+// a remote invocation is one request message, and a servant's return
+// value is discarded.
 //
 // The paper relies on four ORB mechanisms, all reproduced here:
 //
 //   - location transparency — an NSO's client "need not reside on the same
-//     host" and, in FS-NewTOP, GC' lives on a different node from the
-//     invocation layer without either noticing;
+//     host";
 //   - interceptors — "a call to NewTOP GC ... is intercepted on the fly"
 //     (the Eternal-style technique of [NMM99, NMM00]) — modelled as
 //     middleware chains on both the client and server sides;
@@ -111,8 +112,8 @@ type Handler func(*Request) Reply
 
 // Interceptor is request middleware. Client interceptors run before a
 // request leaves the caller's ORB; server interceptors run before the
-// servant dispatch. Either may short-circuit by not calling next — this is
-// exactly the hook FS-NewTOP uses to wrap GC transparently (Section 3.1).
+// servant dispatch. Either may short-circuit by not calling next — the hook
+// the paper's FS-NewTOP uses to wrap GC transparently (Section 3.1).
 type Interceptor func(next Handler) Handler
 
 // Naming is the deployment-wide object locator (the naming service). All
@@ -324,9 +325,6 @@ func (o *ORB) onMessage(msg transport.Message) {
 		}
 	})
 }
-
-// PoolDepth reports the number of requests queued behind the pool.
-func (o *ORB) PoolDepth() int { return o.pool.Backlog() }
 
 func encodeRequest(req *Request) []byte {
 	w := codec.NewWriter(len(req.Arg.data) + 64)

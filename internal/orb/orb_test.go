@@ -296,7 +296,10 @@ func TestPoolCloseDiscardsQueue(t *testing.T) {
 		t.Fatal("queued task ran after Close")
 	}
 	p.Submit(func() { ran.Store(true) }) // dropped
-	if p.Backlog() != 0 {
+	p.mu.Lock()
+	queued := len(p.tasks)
+	p.mu.Unlock()
+	if queued != 0 {
 		t.Fatal("submit after close queued a task")
 	}
 }

@@ -44,13 +44,6 @@ func (p *Pool) Submit(task func()) {
 	p.cond.Signal()
 }
 
-// Backlog reports queued (not yet started) tasks.
-func (p *Pool) Backlog() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.tasks)
-}
-
 // Close stops the workers after their current task and discards the queue.
 func (p *Pool) Close() {
 	p.mu.Lock()

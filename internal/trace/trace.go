@@ -34,8 +34,7 @@ import (
 type Kind uint8
 
 // Protocol event kinds. The replica/compare/relay events instrument
-// internal/core, the Rx/Reissue events the fsnewtop interceptor and
-// invocation layer, the Round/Ack/View/Seq events the GC machine in
+// internal/core, the Rx/Reissue events the fsnewtop invocation layer, the Round/Ack/View/Seq events the GC machine in
 // internal/group, and the Watch events the replica watchdog.
 const (
 	// EvOrder: an input entered the total order (leader assigned A=index;
@@ -68,8 +67,8 @@ const (
 	EvFailSignal
 	// EvReject: an inbound message failed authentication or decode.
 	EvReject
-	// EvReissue: the client interceptor re-issued an intercepted GC call
-	// as a signed input to both FSOs. Note=method, A=the client sequence
+	// EvReissue: the invocation layer re-issued a GC-bound call as a
+	// signed input to both FSOs. Note=method, A=the client sequence
 	// the input was submitted under (matches the "c|<client>|<seq>"
 	// dedupe keys in the replicas' order events).
 	EvReissue
