@@ -283,6 +283,21 @@ func (r *Reader) String() string {
 	return s
 }
 
+// Name reads a length-prefixed string that names something the process
+// already knows — a message kind, a member, a signer — and returns the
+// name table's copy of it (see Intern), so decoding a known name allocates
+// nothing. A name the table does not hold is copied, exactly as String
+// would; nothing read from the wire is ever added to the table.
+func (r *Reader) Name() string { return NameOf(r.Bytes32()) }
+
+// sliceCap is how many elements a count-prefixed slice of n elements,
+// each at least size bytes on the wire, may preallocate: no more than the
+// unread bytes can hold, so a corrupt count costs a failed decode, not an
+// allocation sized by the count.
+func (r *Reader) sliceCap(n, size int) int {
+	return min(n, r.Remaining()/size)
+}
+
 // StringSlice reads a count-prefixed slice of strings.
 func (r *Reader) StringSlice() []string {
 	n := int(r.U32())
@@ -293,7 +308,7 @@ func (r *Reader) StringSlice() []string {
 		r.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
 		return nil
 	}
-	out := make([]string, 0, min(n, 1024))
+	out := make([]string, 0, r.sliceCap(n, 4))
 	for i := 0; i < n; i++ {
 		out = append(out, r.String())
 		if r.err != nil {
@@ -301,6 +316,23 @@ func (r *Reader) StringSlice() []string {
 		}
 	}
 	return out
+}
+
+// SkipStringSlice consumes a count-prefixed slice of strings without
+// building it. It fails exactly where StringSlice would, so a decoder that
+// does not read a field still refuses every encoding that decoder refused.
+func (r *Reader) SkipStringSlice() {
+	n := int(r.U32())
+	if r.err != nil {
+		return
+	}
+	if n > MaxBytes {
+		r.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
+		return
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		r.Bytes32()
+	}
 }
 
 // U64Slice reads a count-prefixed slice of uint64s.
@@ -313,7 +345,7 @@ func (r *Reader) U64Slice() []uint64 {
 		r.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
 		return nil
 	}
-	out := make([]uint64, 0, min(n, 1024))
+	out := make([]uint64, 0, r.sliceCap(n, 8))
 	for i := 0; i < n; i++ {
 		out = append(out, r.U64())
 		if r.err != nil {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"fsnewtop/internal/codec"
 	"fsnewtop/internal/sig"
 	"fsnewtop/transport"
 )
@@ -62,6 +63,9 @@ func (d *Directory) RegisterPlain(name string, addr transport.Addr) {
 }
 
 func (d *Directory) register(p ProcInfo) {
+	// The roster is what inputs name: their sources, signers and (for
+	// clients) senders decode against the name table without copying.
+	codec.Intern(p.Name, string(p.CompareIDs[0]), string(p.CompareIDs[1]))
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.procs == nil {

@@ -3,6 +3,7 @@ package failsignal
 import (
 	"strconv"
 
+	"fsnewtop/internal/codec"
 	"fsnewtop/internal/trace"
 )
 
@@ -66,8 +67,9 @@ type wireKey struct {
 }
 
 // key copies the identity out of the payload for callers that retain it.
+// A source on the roster comes from the name table, uncopied.
 func (k wireKey) key() inputKey {
-	return inputKey{kind: k.kind, source: string(k.source), seq: k.seq}
+	return inputKey{kind: k.kind, source: codec.NameOf(k.source), seq: k.seq}
 }
 
 func (k wireKey) String() string { return k.key().String() }

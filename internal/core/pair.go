@@ -292,7 +292,9 @@ type Receiver struct {
 	handoff sync.Mutex
 }
 
-// NewReceiver builds a receiver. Either callback may be nil.
+// NewReceiver builds a receiver. Either callback may be nil. onOutput is
+// handed an output's kind and payload; its destinations, of which this
+// endpoint is one, are checked but not decoded (To is nil).
 func NewReceiver(dir *Directory, verifier sig.Verifier, onOutput func(string, sm.Output), onFail func(string)) *Receiver {
 	return &Receiver{
 		dir:      dir,
@@ -325,17 +327,20 @@ func (rc *Receiver) Handle(msg transport.Message) {
 	if dup {
 		return
 	}
-	p, err := decodeNewPayload(msg.Payload)
-	if err != nil {
+	var p newPayload
+	if err := p.decode(msg.Payload); err != nil {
 		return
 	}
 	if err := rc.dir.VerifyFromFS(p.body.Source, p.dbl, rc.verifier); err != nil {
 		rc.ring.Emit(trace.EvReject, p.body.Seq, 0, p.body.Source)
 		return
 	}
-	var out sm.Output
+	var (
+		in  sm.Input
+		err error
+	)
 	if !p.body.FailSignal {
-		out, err = sm.UnmarshalOutput(p.full)
+		in, err = sm.OutputInput(p.full, p.body.Source)
 	}
 
 	rc.mu.Lock()
@@ -361,7 +366,7 @@ func (rc *Receiver) Handle(msg transport.Message) {
 			rc.onFail(p.body.Source)
 		}
 	case err == nil && rc.onOutput != nil:
-		rc.onOutput(p.body.Source, out)
+		rc.onOutput(p.body.Source, sm.Output{Kind: in.Kind, Payload: in.Payload})
 	}
 }
 

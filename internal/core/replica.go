@@ -148,9 +148,10 @@ type ecmpEntry struct {
 
 // irmpEntry is an Internal Received Message Pool entry (follower only):
 // one externally received input not yet ordered by the leader. p is the
-// verified decode of raw (it aliases raw), kept so the leader's forward of
-// the identical bytes costs a compare, not a second decode, hash and
-// verification. w is its t2 deadline, armed when it is relayed.
+// verified decode of raw (it aliases raw), decoded straight into the entry
+// and kept so the leader's forward of the identical bytes costs a compare,
+// not a second decode, hash and verification. w is its t2 deadline, armed
+// when it is relayed.
 type irmpEntry struct {
 	raw []byte
 	p   newPayload
@@ -204,7 +205,7 @@ type Replica struct {
 	ordProgress uint64
 	lastTick    time.Time
 	lastFwd     time.Time // follower: when the latest fwd, tick or input, was accepted
-	icmp        map[uint64]*icmpEntry
+	icmp        map[uint64]icmpEntry
 	ecmp        map[uint64]ecmpEntry
 	irmp        map[inputKey]*irmpEntry
 	failed      bool
@@ -231,7 +232,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		done: make(chan struct{}),
 		wd:   watchdog{clk: cfg.Clock, ring: cfg.Trace},
 		gate: newGate(),
-		icmp: make(map[uint64]*icmpEntry),
+		icmp: make(map[uint64]icmpEntry),
 		ecmp: make(map[uint64]ecmpEntry),
 		irmp: make(map[inputKey]*irmpEntry),
 	}
@@ -266,6 +267,7 @@ func (r *Replica) run() {
 		steps  []orderedInput // DMQ inputs taken over by the loop
 		next   int            // the next of steps to run
 		outSeq uint64
+		fired  *watch // handled on the last pass, released on this one
 	)
 	defer func() {
 		if tm != nil {
@@ -277,6 +279,10 @@ func (r *Replica) run() {
 		if r.failed || r.closed {
 			r.mu.Unlock()
 			return
+		}
+		if fired != nil {
+			r.wd.release(fired)
+			fired = nil
 		}
 		if tm == nil {
 			r.aim = 0
@@ -290,6 +296,7 @@ func (r *Replica) run() {
 		if w := r.wd.popDue(now.UnixNano()); w != nil {
 			r.mu.Unlock()
 			r.watchFired(w)
+			fired = w
 			continue
 		}
 		if next == len(steps) {
@@ -433,7 +440,7 @@ func (r *Replica) dropPoolsLocked() map[string]bool {
 			dests[d] = true
 		}
 	}
-	r.icmp = map[uint64]*icmpEntry{}
+	r.icmp = map[uint64]icmpEntry{}
 	r.icmpOrder = nil
 	for _, e := range r.irmp {
 		r.wd.cancel(e.w)
@@ -463,7 +470,7 @@ func (r *Replica) handle(msg transport.Message) {
 }
 
 // verifyPayload authenticates a decoded payload according to its tag.
-func (r *Replica) verifyPayload(p newPayload) error {
+func (r *Replica) verifyPayload(p *newPayload) error {
 	switch p.tag {
 	case tagClient:
 		if p.client.Client != string(p.env.Signer) {
@@ -497,19 +504,31 @@ func (r *Replica) onNew(msg transport.Message) {
 	if dup {
 		return
 	}
-	p, err := decodeNewPayload(msg.Payload)
+	if r.cfg.Role == Leader {
+		var p newPayload
+		if r.admit(msg.Payload, &p) {
+			r.leaderAccept(k, msg.Payload, &p)
+		}
+		return
+	}
+	e := &irmpEntry{raw: msg.Payload}
+	if r.admit(msg.Payload, &e.p) {
+		r.followerAccept(k, e)
+	}
+}
+
+// admit decodes raw into p and verifies it, counting a copy that fails
+// either as rejected.
+func (r *Replica) admit(raw []byte, p *newPayload) bool {
+	err := p.decode(raw)
 	if err == nil {
 		err = r.verifyPayload(p)
 	}
 	if err != nil {
 		r.countRejected()
-		return
+		return false
 	}
-	if r.cfg.Role == Leader {
-		r.leaderAccept(k, msg.Payload, p)
-	} else {
-		r.followerAccept(k, msg.Payload, p)
-	}
+	return true
 }
 
 // dupLocked reports whether this replica already holds k — ordered, or
@@ -533,7 +552,7 @@ func (r *Replica) dupLocked(k wireKey) bool {
 // submit happen under one critical section so the two replicas observe the
 // same total order. The gate is asked again because another copy may have
 // been verified and ordered while this one was being checked.
-func (r *Replica) leaderAccept(k wireKey, raw []byte, p newPayload) {
+func (r *Replica) leaderAccept(k wireKey, raw []byte, p *newPayload) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.failed || r.closed || r.dupLocked(k) {
@@ -549,7 +568,7 @@ func (r *Replica) leaderAccept(k wireKey, raw []byte, p newPayload) {
 	traceKey(r.cfg.Trace, trace.EvOrder, idx, 0, k)
 }
 
-// followerAccept records a verified, directly received input in the IRMP,
+// followerAccept records e, a verified, directly received input, in the IRMP,
 // relays it to the leader (t1 = 0) and arms its t2 deadline, unless the
 // leader has ordered it (or another copy was pooled) in the meantime. The
 // relay is sent in the critical section that pools the input, as
@@ -558,19 +577,19 @@ func (r *Replica) leaderAccept(k wireKey, raw []byte, p newPayload) {
 // FIFO is what orders a client's inputs in submission order (e.g. a group
 // join before the multicasts that follow it). The gate is not marked here:
 // only the leader's order admits an input.
-func (r *Replica) followerAccept(k wireKey, raw []byte, p newPayload) {
+func (r *Replica) followerAccept(k wireKey, e *irmpEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.failed || r.closed || r.dupLocked(k) {
 		return
 	}
 	key := k.key()
-	w := r.wd.arm(watchOrder, key, 0, t2PerDelta*r.cfg.Delta, r.ordProgress)
-	r.irmp[key] = &irmpEntry{raw: raw, p: p, w: w}
+	e.w = r.wd.arm(watchOrder, key, 0, t2PerDelta*r.cfg.Delta, r.ordProgress)
+	r.irmp[key] = e
 	r.stats.Relayed++
 	traceKey(r.cfg.Trace, trace.EvRelaySent, 0, 0, key)
-	_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgRelay, raw)
-	if r.aim == 0 || w.at < r.aim {
+	_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgRelay, e.raw)
+	if r.aim == 0 || e.w.at < r.aim {
 		r.kick() // the loop's timer must come forward to this deadline
 	}
 }
@@ -598,14 +617,14 @@ func (r *Replica) onFwd(msg transport.Message) {
 	k, ok := peekKey(fp.Raw)
 	if !ok {
 		// Only a tick carries no identity.
-		p, err := decodeNewPayload(fp.Raw)
-		switch {
+		var p newPayload
+		switch err := p.decode(fp.Raw); {
 		case err != nil:
 			r.failSignal(fmt.Sprintf("undecodable ordered input from leader: %v", err))
 		case p.tag != tagTick:
 			r.failSignal("leader forwarded input with no identity")
 		default:
-			r.acceptTick(fp, p)
+			r.acceptTick(fp, &p)
 		}
 		return
 	}
@@ -616,11 +635,15 @@ func (r *Replica) onFwd(msg transport.Message) {
 	r.mu.Lock()
 	held := r.irmp[key] // raw and p are never written after the entry is pooled
 	r.mu.Unlock()
-	var p newPayload
+	var (
+		p     *newPayload
+		fresh newPayload
+	)
 	if held != nil && bytes.Equal(held.raw, fp.Raw) {
-		p = held.p
+		p = &held.p
 	} else {
-		if p, err = decodeNewPayload(fp.Raw); err != nil {
+		p = &fresh
+		if err = p.decode(fp.Raw); err != nil {
 			r.failSignal(fmt.Sprintf("undecodable ordered input from leader: %v", err))
 			return
 		}
@@ -665,7 +688,7 @@ func (r *Replica) onFwd(msg transport.Message) {
 // acceptTick validates and submits a leader-generated tick. Ticks carry no
 // external signature; the follower enforces index continuity and
 // monotonicity, the only checks available for leader-local events.
-func (r *Replica) acceptTick(fp fwdPayload, p newPayload) {
+func (r *Replica) acceptTick(fp fwdPayload, p *newPayload) {
 	r.mu.Lock()
 	if r.failed || r.closed {
 		r.mu.Unlock()
@@ -763,9 +786,12 @@ func (r *Replica) compareOutput(seq uint64, out sm.Output, pi time.Duration) {
 		r.dispatchMatched(peer.env, out.To, full)
 		return
 	}
-	e := &icmpEntry{digest: digest, dests: out.To, full: full}
-	e.w = r.wd.arm(watchCompare, inputKey{}, seq, deadline, r.cmpProgress)
-	r.icmp[seq] = e
+	r.icmp[seq] = icmpEntry{
+		digest: digest,
+		dests:  out.To,
+		full:   full,
+		w:      r.wd.arm(watchCompare, inputKey{}, seq, deadline, r.cmpProgress),
+	}
 	r.icmpOrder = append(r.icmpOrder, seq)
 	r.cfg.Trace.Emit(trace.EvCompareArm, seq, uint64(deadline), "")
 	r.mu.Unlock()
@@ -798,6 +824,7 @@ func (r *Replica) watchFired(w *watch) {
 		}
 		if r.cmpProgress != w.mark {
 			e.w = r.wd.arm(watchCompare, inputKey{}, w.oseq, w.d, r.cmpProgress)
+			r.icmp[w.oseq] = e
 			r.cfg.Trace.Emit(trace.EvWatchRearm, w.oseq, uint64(w.d), "")
 			r.mu.Unlock()
 			return

@@ -49,6 +49,7 @@ type watchdog struct {
 	ring *trace.Ring
 	h    watchHeap
 	seq  uint64
+	free []*watch // released watches, reused by arm
 }
 
 // arm schedules a deadline d from now and returns its cancellation handle.
@@ -56,7 +57,13 @@ type watchdog struct {
 // expiry can tell a silent peer from one that demonstrably kept working.
 func (wd *watchdog) arm(kind watchKind, key inputKey, oseq uint64, d time.Duration, mark uint64) *watch {
 	wd.seq++
-	w := &watch{
+	var w *watch
+	if n := len(wd.free); n > 0 {
+		w, wd.free = wd.free[n-1], wd.free[:n-1]
+	} else {
+		w = new(watch)
+	}
+	*w = watch{
 		at:   wd.clk.Now().UnixNano() + int64(d),
 		seq:  wd.seq,
 		kind: kind,
@@ -69,17 +76,27 @@ func (wd *watchdog) arm(kind watchKind, key inputKey, oseq uint64, d time.Durati
 	return w
 }
 
-// cancel disarms a watch. nil-safe; idempotent.
+// cancel disarms a watch and releases it. nil-safe; idempotent, and a
+// no-op on a watch already popped (its handler releases that one).
 func (wd *watchdog) cancel(w *watch) {
 	if w == nil || w.pos < 0 {
 		return
 	}
 	heap.Remove(&wd.h, w.pos)
 	traceKey(wd.ring, trace.EvWatchCancel, w.oseq, 0, w.key)
+	wd.release(w)
+}
+
+// release returns a watch to the free list once nothing refers to it: on
+// cancel, or after the loop has handled a popped watch (whose pool entry,
+// if any, has by then been dropped or re-armed with a new watch).
+func (wd *watchdog) release(w *watch) {
+	*w = watch{pos: -1}
+	wd.free = append(wd.free, w)
 }
 
 // popDue removes and returns the earliest watch due at now (Unix nanos),
-// or nil when none is.
+// or nil when none is. The caller releases it once handled.
 func (wd *watchdog) popDue(now int64) *watch {
 	if len(wd.h) == 0 || wd.h[0].at > now {
 		return nil

@@ -61,7 +61,7 @@ func (c ClientInput) Marshal() []byte {
 // UnmarshalClientInput decodes a ClientInput.
 func UnmarshalClientInput(b []byte) (ClientInput, error) {
 	r := codec.NewReader(b)
-	c := ClientInput{Client: r.String(), Seq: r.U64(), Kind: r.String()}
+	c := ClientInput{Client: r.Name(), Seq: r.U64(), Kind: r.Name()}
 	c.Body = r.Bytes32()
 	if err := r.Finish(); err != nil {
 		return ClientInput{}, fmt.Errorf("failsignal: decoding client input: %w", err)
@@ -115,7 +115,7 @@ func (o OutputBody) Marshal() []byte {
 // UnmarshalOutputBody decodes an OutputBody.
 func UnmarshalOutputBody(b []byte) (OutputBody, error) {
 	r := codec.NewReader(b)
-	o := OutputBody{Source: r.String(), Seq: r.U64()}
+	o := OutputBody{Source: r.Name(), Seq: r.U64()}
 	flags := r.U8()
 	o.FailSignal = flags&obFlagFailSignal != 0
 	o.DigestOnly = flags&obFlagDigestOnly != 0
@@ -129,7 +129,9 @@ func UnmarshalOutputBody(b []byte) (OutputBody, error) {
 	return o, nil
 }
 
-// newPayload is the decoded form of a MsgNew payload.
+// newPayload is the decoded form of a MsgNew payload. At ~400 bytes it is
+// decoded into storage its holder owns (decode) and passed by pointer from
+// there on; it is never copied whole on the input path.
 type newPayload struct {
 	tag    byte
 	env    sig.Envelope // tagClient
@@ -180,60 +182,67 @@ func encodeTickPayload(now time.Time) []byte {
 // decodeNewPayload parses a MsgNew (or fwd-link) payload without verifying
 // signatures; callers verify according to the tag. The result aliases b.
 func decodeNewPayload(b []byte) (newPayload, error) {
+	var p newPayload
+	if err := p.decode(b); err != nil {
+		return newPayload{}, err
+	}
+	return p, nil
+}
+
+// decode is decodeNewPayload into p, which it overwrites whole. On an
+// error p holds no meaning.
+func (p *newPayload) decode(b []byte) error {
 	r := codec.NewReader(b)
-	p := newPayload{tag: r.U8()}
+	*p = newPayload{tag: r.U8()}
 	switch p.tag {
 	case tagClient:
 		p.env = sig.DecodeEnvelope(r)
 		if err := r.Finish(); err != nil {
-			return newPayload{}, fmt.Errorf("failsignal: decoding client payload: %w", err)
+			return fmt.Errorf("failsignal: decoding client payload: %w", err)
 		}
 		var err error
-		p.client, err = UnmarshalClientInput(p.env.Body)
-		if err != nil {
-			return newPayload{}, err
+		if p.client, err = UnmarshalClientInput(p.env.Body); err != nil {
+			return err
 		}
 	case tagFS:
 		p.dbl = sig.DecodeDouble(r)
 		if err := r.Finish(); err != nil {
-			return newPayload{}, fmt.Errorf("failsignal: decoding FS payload: %w", err)
+			return fmt.Errorf("failsignal: decoding FS payload: %w", err)
 		}
 		var err error
-		p.body, err = UnmarshalOutputBody(p.dbl.Body)
-		if err != nil {
-			return newPayload{}, err
+		if p.body, err = UnmarshalOutputBody(p.dbl.Body); err != nil {
+			return err
 		}
 		if !p.body.FailSignal || p.body.DigestOnly {
 			// Only a fail-signal travels without bytes: a digest body alone
 			// names content it does not carry.
-			return newPayload{}, fmt.Errorf("failsignal: output body without its output")
+			return fmt.Errorf("failsignal: output body without its output")
 		}
 	case tagTick:
 		p.tick = r.Time()
 		if err := r.Finish(); err != nil {
-			return newPayload{}, fmt.Errorf("failsignal: decoding tick payload: %w", err)
+			return fmt.Errorf("failsignal: decoding tick payload: %w", err)
 		}
 	case tagFSD:
 		p.dbl = sig.DecodeDouble(r)
 		p.full = r.Bytes32()
 		if err := r.Finish(); err != nil {
-			return newPayload{}, fmt.Errorf("failsignal: decoding FS digest payload: %w", err)
+			return fmt.Errorf("failsignal: decoding FS digest payload: %w", err)
 		}
 		var err error
-		p.body, err = UnmarshalOutputBody(p.dbl.Body)
-		if err != nil {
-			return newPayload{}, err
+		if p.body, err = UnmarshalOutputBody(p.dbl.Body); err != nil {
+			return err
 		}
 		if !p.body.DigestOnly || p.body.FailSignal {
-			return newPayload{}, fmt.Errorf("failsignal: digest payload with non-digest body")
+			return fmt.Errorf("failsignal: digest payload with non-digest body")
 		}
 		if d := sig.Digest(p.full); string(d[:]) != string(p.body.Output) {
-			return newPayload{}, fmt.Errorf("failsignal: digest payload body does not match its digest")
+			return fmt.Errorf("failsignal: digest payload body does not match its digest")
 		}
 	default:
-		return newPayload{}, fmt.Errorf("failsignal: unknown payload tag %d", p.tag)
+		return fmt.Errorf("failsignal: unknown payload tag %d", p.tag)
 	}
-	return p, nil
+	return nil
 }
 
 // peekKey reads an input's identity straight out of a MsgNew payload: the
@@ -244,20 +253,20 @@ func decodeNewPayload(b []byte) (newPayload, error) {
 // verified after it. False for ticks and anything it cannot parse.
 func peekKey(b []byte) (wireKey, bool) {
 	r := codec.NewReader(b)
-	tag := r.U8()
-	r.Bytes32() // first signer
-	br := codec.NewReader(r.Bytes32())
-	k := wireKey{source: br.Bytes32(), seq: br.U64()}
-	switch tag {
+	var k wireKey
+	switch r.U8() {
 	case tagClient:
 		k.kind = keyClient
 	case tagFS, tagFSD:
 		k.kind = keyOutput
-		if br.U8()&obFlagFailSignal != 0 {
-			k.kind, k.seq = keyFailSignal, 0
-		}
 	default:
-		return wireKey{}, false
+		return wireKey{}, false // a tick: no body to read (or fail on)
+	}
+	r.Bytes32() // first signer
+	br := codec.NewReader(r.Bytes32())
+	k.source, k.seq = br.Bytes32(), br.U64()
+	if k.kind == keyOutput && br.U8()&obFlagFailSignal != 0 {
+		k.kind, k.seq = keyFailSignal, 0
 	}
 	if r.Err() != nil || br.Err() != nil {
 		return wireKey{}, false
@@ -266,7 +275,9 @@ func peekKey(b []byte) (wireKey, bool) {
 }
 
 // toInput converts a verified payload into the sm.Input the machine sees.
-func (p newPayload) toInput() sm.Input {
+// An FS output is read for its kind and payload only: the destinations it
+// was sent to are checked and skipped, never built.
+func (p *newPayload) toInput() sm.Input {
 	switch p.tag {
 	case tagClient:
 		return sm.Input{Kind: p.client.Kind, From: p.client.Client, Payload: p.client.Body}
@@ -274,14 +285,14 @@ func (p newPayload) toInput() sm.Input {
 		if p.body.FailSignal {
 			return sm.Input{Kind: InputFailSignal, From: p.body.Source}
 		}
-		out, err := sm.UnmarshalOutput(p.full)
+		in, err := sm.OutputInput(p.full, p.body.Source)
 		if err != nil {
 			// Verified content that fails to decode can only happen if the
 			// sender pair double-signed garbage; surface it as an opaque
 			// input so both replicas handle it identically.
 			return sm.Input{Kind: "fs.undecodable", From: p.body.Source}
 		}
-		return sm.Input{Kind: out.Kind, From: p.body.Source, Payload: out.Payload}
+		return in
 	case tagTick:
 		return sm.Input{Kind: sm.TickKind, Payload: sm.EncodeTick(p.tick)}
 	default:

@@ -58,9 +58,11 @@ func UnmarshalBatchMsg(b []byte) (BatchMsg, error) {
 	var m BatchMsg
 	n := int(r.U32())
 	if r.Err() == nil && n <= 1<<20 {
-		m.Items = make([]BatchItem, 0, n)
-		for i := 0; i < n; i++ {
-			m.Items = append(m.Items, BatchItem{Kind: r.String(), Payload: r.Bytes32()})
+		// An item is at least its two length prefixes: a count the bytes
+		// cannot hold sizes no allocation, it fails the decode.
+		m.Items = make([]BatchItem, 0, min(n, r.Remaining()/8))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			m.Items = append(m.Items, BatchItem{Kind: r.Name(), Payload: r.Bytes32()})
 		}
 	}
 	if err := r.Finish(); err != nil {

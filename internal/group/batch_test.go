@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -41,6 +42,22 @@ func TestBatchMsgRejectsUnknownVersion(t *testing.T) {
 	}
 	if _, err := UnmarshalBatchMsg([]byte{batchWireVersion}); err == nil {
 		t.Fatal("decoded a truncated batch")
+	}
+}
+
+// TestBatchCountSizesNoAllocation: a 6-byte batch claiming 2^20 items
+// fails to decode without allocating the 40 MiB its count asks for.
+func TestBatchCountSizesNoAllocation(t *testing.T) {
+	b := []byte{batchWireVersion, 0, 0x10, 0, 0, 0xFF}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalBatchMsg(b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decoded a 6-byte batch claiming 2^20 items")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+		t.Fatalf("a failed batch decode allocated %d bytes", got)
 	}
 }
 

@@ -179,9 +179,9 @@ func (m *Machine) tickNacks(g *groupState) {
 		// the admitting view installs.
 		return
 	}
-	for _, origin := range sortedKeys(g.streams) {
-		s := g.streams[origin]
-		if !g.isMember(origin) || origin == m.cfg.Self {
+	for i, origin := range g.members {
+		s := g.slots[i]
+		if s == nil || origin == m.cfg.Self {
 			continue
 		}
 		if s.gapTarget() < s.nextSeq {
@@ -221,7 +221,7 @@ func (m *Machine) onNack(from string, n NackMsg) {
 	}
 	sort.Slice(n.Missing, func(i, j int) bool { return n.Missing[i] < n.Missing[j] })
 	for _, seq := range n.Missing {
-		if d, have := g.sent[seq]; have {
+		if d, have := g.sent.find(seq); have {
 			m.emit(KindData, []string{from}, d.Marshal())
 		}
 	}

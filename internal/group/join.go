@@ -114,30 +114,23 @@ func (m *Machine) buildSnapshot(g *groupState) StateSnapshot {
 		Members:    append([]string(nil), g.members...),
 		Clock:      g.clock,
 		CausalD:    encodeVC(g.causalD),
-		PendingSym: append([]DataMsg(nil), g.pendingSym...),
+		PendingSym: g.pendingSym.appendTo(nil),
 		CausalPend: append([]DataMsg(nil), g.causalPend...),
 	}
 
-	names := sortedKeys(g.streams)
-	if _, has := g.streams[m.cfg.Self]; !has {
+	names := g.streamNames()
+	if _, has := g.lookupStream(m.cfg.Self); !has {
 		names = mergeSorted(names, []string{m.cfg.Self})
 	}
 	for _, name := range names {
 		st := StreamState{Member: name}
-		if s, has := g.streams[name]; has {
+		if s, has := g.lookupStream(name); has {
 			st.NextSeq = s.nextSeq
 			st.LastDataTS = s.lastDataTS
 			st.AckTS, st.AckHW = s.ackTS, s.ackHW
 			st.SymDelivered = s.symDelivered
 			st.AsymDelivered = s.asymDelivered
-			seqs := make([]uint64, 0, len(s.retained))
-			for seq := range s.retained {
-				seqs = append(seqs, seq)
-			}
-			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-			for _, seq := range seqs {
-				st.Retained = append(st.Retained, s.retained[seq])
-			}
+			st.Retained = s.retained.appendTo(nil)
 		} else {
 			st.NextSeq = 1
 		}
@@ -210,18 +203,22 @@ func (m *Machine) onState(from string, snap StateSnapshot) {
 		s.ackTS, s.ackHW = st.AckTS, st.AckHW
 		s.symDelivered = st.SymDelivered
 		s.asymDelivered = st.AsymDelivered
+		sort.SliceStable(st.Retained, func(i, j int) bool { return st.Retained[i].SenderSeq < st.Retained[j].SenderSeq })
 		for _, d := range st.Retained {
-			s.retained[d.SenderSeq] = d
+			s.retain(d)
 		}
-		g.streams[st.Member] = s
+		g.putStream(st.Member, s)
 	}
-	g.pendingSym = append([]DataMsg(nil), snap.PendingSym...)
-	sort.SliceStable(g.pendingSym, func(i, j int) bool {
-		if g.pendingSym[i].TS != g.pendingSym[j].TS {
-			return g.pendingSym[i].TS < g.pendingSym[j].TS
+	pending := append([]DataMsg(nil), snap.PendingSym...)
+	sort.SliceStable(pending, func(i, j int) bool {
+		if pending[i].TS != pending[j].TS {
+			return pending[i].TS < pending[j].TS
 		}
-		return g.pendingSym[i].Origin < g.pendingSym[j].Origin
+		return pending[i].Origin < pending[j].Origin
 	})
+	for _, d := range pending {
+		g.pendingSym.pushBack(d)
+	}
 	g.causalPend = append([]DataMsg(nil), snap.CausalPend...)
 	for _, d := range snap.AsymData {
 		g.asymData[asymKey{d.Origin, d.SenderSeq}] = d

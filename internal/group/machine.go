@@ -143,9 +143,13 @@ func (m *Machine) emit(kind string, to []string, payload []byte) {
 	m.outs = append(m.outs, sm.Output{Kind: kind, To: to, Payload: payload})
 }
 
+// localTo is the destination list of every local output, shared: an
+// output's To is never written.
+var localTo = []string{sm.LocalDelivery}
+
 // emitLocal queues one output for the local application.
 func (m *Machine) emitLocal(kind string, payload []byte) {
-	m.outs = append(m.outs, sm.Output{Kind: kind, To: []string{sm.LocalDelivery}, Payload: payload})
+	m.outs = append(m.outs, sm.Output{Kind: kind, To: localTo, Payload: payload})
 }
 
 // deliver emits one application delivery.

@@ -304,16 +304,10 @@ func (m *Machine) doInstall(g *groupState, v ViewInstall) {
 	// Settle the pending set: entries at or below the delivered watermark
 	// would be re-offered to a later flush and resurrect as duplicates if
 	// a future admission of the same origin purged the watermark.
-	kept := g.pendingSym[:0]
-	for _, d := range g.pendingSym {
-		if d.SenderSeq > g.stream(d.Origin).symDelivered {
-			kept = append(kept, d)
-		}
-	}
-	g.pendingSym = kept
+	g.pendingSym.filter(func(d *DataMsg) bool { return d.SenderSeq > g.stream(d.Origin).symDelivered })
 
 	g.viewID = v.ViewID
-	g.members = v.Members
+	g.setMembers(v.Members)
 	if v.Epoch > g.lastEpoch {
 		g.lastEpoch = v.Epoch
 	}

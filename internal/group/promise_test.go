@@ -513,7 +513,7 @@ func TestPromiseDrainFollowsEveryAccept(t *testing.T) {
 	if got := c.payloads("b"); len(got) != 0 {
 		t.Fatalf("b delivered %v past a gated ack", got)
 	}
-	d := c.machines["a"].groups["g"].sent[1]
+	d, _ := c.machines["a"].groups["g"].sent.find(1)
 	c.submit("b", sm.Input{Kind: KindData, From: "a", Payload: d.Marshal()})
 	if got := c.payloads("b"); !reflect.DeepEqual(got, []string{"rel", "sym"}) {
 		t.Fatalf("b delivered %v in the step that filled the gap, want [rel sym]", got)

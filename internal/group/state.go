@@ -3,6 +3,8 @@ package group
 import (
 	"sort"
 	"time"
+
+	"fsnewtop/internal/codec"
 )
 
 // sentRetention bounds how many of our own messages we keep per group for
@@ -42,27 +44,21 @@ type memberStream struct {
 	// asymDelivered is the analogous watermark for asymmetric order.
 	asymDelivered uint64
 	// retained keeps this origin's recently delivered symmetric-order
-	// messages (bounded by symRetention) so a view change can offer them
-	// to members the origin never reached.
-	retained map[uint64]DataMsg
+	// messages, ascending, within symRetention sequences of the latest, so
+	// a view change can offer them to members the origin never reached.
+	retained ring
 }
 
 func newMemberStream() *memberStream {
 	return &memberStream{
 		nextSeq:  1,
 		buffered: make(map[uint64]DataMsg),
-		retained: make(map[uint64]DataMsg),
 	}
 }
 
 // retain records one delivered symmetric-order message for later flush
 // repair, pruning the retention window.
-func (s *memberStream) retain(d DataMsg) {
-	s.retained[d.SenderSeq] = d
-	if d.SenderSeq > symRetention {
-		delete(s.retained, d.SenderSeq-symRetention)
-	}
-}
+func (s *memberStream) retain(d DataMsg) { s.retained.retain(d, symRetention) }
 
 // highestContig is the highest sender sequence received without gaps.
 func (s *memberStream) highestContig() uint64 { return s.nextSeq - 1 }
@@ -135,20 +131,30 @@ type joinerState struct {
 type groupState struct {
 	name    string
 	viewID  uint64
-	members []string // sorted, always contains self while joined
+	members []string // sorted, always contains self while joined; set by setMembers
 
 	// Lamport clock (symmetric total order).
 	clock uint64
 	// outSeq numbers our own non-unreliable multicasts, starting at 1.
 	outSeq uint64
-	// streams tracks per-member intake state.
-	streams map[string]*memberStream
-	// sent retains our own messages for retransmission.
-	sent map[uint64]DataMsg
+	// slots holds the intake stream of members[i] at i, indexed by view
+	// slot so the hot path (minEffMember, intake, acks) walks a slice; a
+	// slot is nil until its stream is first used. departed holds the
+	// streams of names that left the view: the view-change flush and the
+	// state snapshot still read them. See stream.
+	slots    []*memberStream
+	departed map[string]*memberStream
+	// othersTo caches others(self) for the current view; nil when stale.
+	// Outputs share it as their destination list, so it is never
+	// written, only replaced.
+	othersTo []string
+	// sent retains our own messages for retransmission, ascending, within
+	// sentRetention sequences of the latest.
+	sent ring
 
 	// pendingSym holds accepted symmetric-order messages not yet
 	// deliverable, sorted by (TS, Origin).
-	pendingSym []DataMsg
+	pendingSym ring
 	// promised is the (TS, SendSeqHW) of the last acknowledgement this
 	// member broadcast: its standing promise. An accept acknowledges only
 	// when (clock, outSeq) differs from it. Zero in a fresh or
@@ -205,49 +211,117 @@ type groupState struct {
 func newGroupState(name string, members []string) *groupState {
 	ms := append([]string(nil), members...)
 	sort.Strings(ms)
-	return &groupState{
+	codec.Intern(name)
+	g := &groupState{
 		name:         name,
 		viewID:       1,
-		members:      ms,
-		streams:      make(map[string]*memberStream),
-		sent:         make(map[uint64]DataMsg),
+		departed:     make(map[string]*memberStream),
 		causalD:      make(map[string]uint64),
 		asymData:     make(map[asymKey]DataMsg),
 		asymByGlobal: make(map[uint64]asymKey),
 		suspects:     make(map[string]bool),
 		joiners:      make(map[string]*joinerState),
 	}
+	g.setMembers(ms)
+	return g
 }
 
-// stream returns (creating if needed) the intake state for member m.
+// setMembers installs a sorted membership: each member's stream moves to
+// its new slot (or out of departed), a name that left takes its stream to
+// departed, and the others cache is dropped. The members are the roster
+// this group's messages name, so they join the name table.
+func (g *groupState) setMembers(ms []string) {
+	codec.Intern(ms...)
+	slots := make([]*memberStream, len(ms))
+	for i, m := range ms {
+		if s, ok := g.lookupStream(m); ok {
+			slots[i] = s
+			delete(g.departed, m)
+		}
+	}
+	for i, m := range g.members {
+		if g.slots[i] != nil && !contains(ms, m) {
+			g.departed[m] = g.slots[i]
+		}
+	}
+	g.members, g.slots, g.othersTo = ms, slots, nil
+}
+
+// slot returns m's index in the current view, or -1.
+func (g *groupState) slot(m string) int {
+	if i := sort.SearchStrings(g.members, m); i < len(g.members) && g.members[i] == m {
+		return i
+	}
+	return -1
+}
+
+// stream returns (creating if needed) the intake state for m: its view
+// slot when m is a member, else its entry among the departed.
 func (g *groupState) stream(m string) *memberStream {
-	s, ok := g.streams[m]
+	if i := g.slot(m); i >= 0 {
+		return g.slotStream(i)
+	}
+	s, ok := g.departed[m]
 	if !ok {
 		s = newMemberStream()
-		g.streams[m] = s
+		g.departed[m] = s
 	}
 	return s
 }
 
-// isMember reports whether m is in the current view.
-func (g *groupState) isMember(m string) bool {
-	for _, x := range g.members {
-		if x == m {
-			return true
-		}
+// slotStream returns (creating if needed) the stream of members[i].
+func (g *groupState) slotStream(i int) *memberStream {
+	if g.slots[i] == nil {
+		g.slots[i] = newMemberStream()
 	}
-	return false
+	return g.slots[i]
 }
 
-// others returns the current members except self, sorted.
-func (g *groupState) others(self string) []string {
-	out := make([]string, 0, len(g.members)-1)
-	for _, m := range g.members {
-		if m != self {
-			out = append(out, m)
+// lookupStream returns m's stream if one exists, creating none.
+func (g *groupState) lookupStream(m string) (*memberStream, bool) {
+	if i := g.slot(m); i >= 0 {
+		return g.slots[i], g.slots[i] != nil
+	}
+	s, ok := g.departed[m]
+	return s, ok
+}
+
+// putStream installs s as m's stream.
+func (g *groupState) putStream(m string, s *memberStream) {
+	if i := g.slot(m); i >= 0 {
+		g.slots[i] = s
+		return
+	}
+	g.departed[m] = s
+}
+
+// streamNames returns the name of every stream that exists — members' and
+// departed — sorted.
+func (g *groupState) streamNames() []string {
+	var names []string
+	for i, m := range g.members {
+		if g.slots[i] != nil {
+			names = append(names, m)
 		}
 	}
-	return out
+	return mergeSorted(names, sortedKeys(g.departed))
+}
+
+// isMember reports whether m is in the current view.
+func (g *groupState) isMember(m string) bool { return g.slot(m) >= 0 }
+
+// others returns the current members except self, sorted. The slice is
+// cached for the view and shared: callers must not modify it.
+func (g *groupState) others(self string) []string {
+	if g.othersTo == nil {
+		g.othersTo = make([]string, 0, len(g.members))
+		for _, m := range g.members {
+			if m != self {
+				g.othersTo = append(g.othersTo, m)
+			}
+		}
+	}
+	return g.othersTo
 }
 
 // sequencer is the asymmetric-order sequencer: the least current member.
@@ -312,7 +386,10 @@ func (g *groupState) ackedJoiners() []string {
 // restarting sequence numbers, and a stale causal count would wedge its
 // vector clocks forever.
 func (g *groupState) purgeMember(name string) {
-	delete(g.streams, name)
+	if i := g.slot(name); i >= 0 {
+		g.slots[i] = nil
+	}
+	delete(g.departed, name)
 	delete(g.causalD, name)
 	for k := range g.asymData {
 		if k.origin == name {
@@ -324,13 +401,7 @@ func (g *groupState) purgeMember(name string) {
 	// could only misdeliver against the new incarnation's counters. (Any
 	// still owed to the surviving members travels in the view's flush,
 	// which is captured before installation purges.)
-	kept := g.pendingSym[:0]
-	for _, d := range g.pendingSym {
-		if d.Origin != name {
-			kept = append(kept, d)
-		}
-	}
-	g.pendingSym = kept
+	g.pendingSym.filter(func(d *DataMsg) bool { return d.Origin != name })
 	keptC := g.causalPend[:0]
 	for _, d := range g.causalPend {
 		if d.Origin != name {
@@ -351,20 +422,13 @@ func (g *groupState) purgeMember(name string) {
 // outputs byte-for-byte, so map-order nondeterminism here would itself
 // read as a value fault.
 func (g *groupState) flushPending(candidate []string) []DataMsg {
-	out := append([]DataMsg(nil), g.pendingSym...)
-	for _, origin := range sortedKeys(g.streams) {
+	out := g.pendingSym.appendTo(nil)
+	for _, origin := range g.streamNames() {
 		if contains(candidate, origin) {
 			continue
 		}
-		s := g.streams[origin]
-		seqs := make([]uint64, 0, len(s.retained))
-		for seq := range s.retained {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			out = append(out, s.retained[seq])
-		}
+		s, _ := g.lookupStream(origin)
+		out = s.retained.appendTo(out)
 	}
 	return out
 }
@@ -376,28 +440,24 @@ func (g *groupState) promise() AckMsg {
 	return AckMsg{Group: g.name, TS: g.clock, SendSeqHW: g.outSeq}
 }
 
-// insertPendingSym inserts d keeping (TS, Origin) order.
+// insertPendingSym inserts d keeping (TS, Origin) order, before the
+// first entry that does not sort below it. A new message usually carries
+// the highest timestamp, so the search runs from the tail.
 func (g *groupState) insertPendingSym(d DataMsg) {
-	i := sort.Search(len(g.pendingSym), func(i int) bool {
-		p := g.pendingSym[i]
-		if p.TS != d.TS {
-			return p.TS > d.TS
+	i := g.pendingSym.len()
+	for i > 0 {
+		p := g.pendingSym.at(i - 1)
+		if p.TS < d.TS || (p.TS == d.TS && p.Origin < d.Origin) {
+			break
 		}
-		return p.Origin >= d.Origin
-	})
-	g.pendingSym = append(g.pendingSym, DataMsg{})
-	copy(g.pendingSym[i+1:], g.pendingSym[i:])
-	g.pendingSym[i] = d
+		i--
+	}
+	g.pendingSym.insert(i, d)
 }
 
 // recordSent retains one of our own messages for retransmission, pruning
 // the retention window.
-func (g *groupState) recordSent(d DataMsg) {
-	g.sent[d.SenderSeq] = d
-	if d.SenderSeq > sentRetention {
-		delete(g.sent, d.SenderSeq-sentRetention)
-	}
-}
+func (g *groupState) recordSent(d DataMsg) { g.sent.retain(d, sentRetention) }
 
 // minEffMember returns the member holding back the symmetric order — the
 // one with the minimum effective observed clock — and that minimum
@@ -407,12 +467,12 @@ func (g *groupState) recordSent(d DataMsg) {
 func (g *groupState) minEffMember(self string) (string, uint64) {
 	minTS := ^uint64(0)
 	who := ""
-	for _, m := range g.members {
+	for i, m := range g.members {
 		var ts uint64
 		if m == self {
 			ts = g.clock
 		} else {
-			ts = g.stream(m).effLastTS()
+			ts = g.slotStream(i).effLastTS()
 		}
 		if ts < minTS {
 			minTS, who = ts, m

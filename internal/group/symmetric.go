@@ -59,11 +59,11 @@ func (m *Machine) announce(g *groupState) {
 // fires.
 func (m *Machine) tickPromise(g *groupState) {
 	st := &g.stalled
-	if g.joining || len(g.pendingSym) == 0 {
+	if g.joining || g.pendingSym.len() == 0 {
 		st.origin, st.seq = "", 0
 		return
 	}
-	head := g.pendingSym[0]
+	head := g.pendingSym.at(0)
 	laggard, minEff := g.minEffMember(m.cfg.Self)
 	if head.TS <= minEff {
 		// Held by the admission freeze, not by a missing promise.
@@ -103,8 +103,8 @@ func (m *Machine) drainSym(g *groupState) {
 	if g.change != nil && len(g.change.joins) > 0 {
 		return
 	}
-	for len(g.pendingSym) > 0 {
-		head := g.pendingSym[0]
+	for g.pendingSym.len() > 0 {
+		head := g.pendingSym.at(0)
 		if laggard, minEff := g.minEffMember(m.cfg.Self); head.TS > minEff {
 			// Emit the stall frontier once per change per group, not once
 			// per re-evaluation: the interesting trace fact is what the
@@ -116,14 +116,15 @@ func (m *Machine) drainSym(g *groupState) {
 			}
 			return
 		}
-		g.pendingSym = g.pendingSym[1:]
 		s := g.stream(head.Origin)
 		if head.SenderSeq <= s.symDelivered {
+			g.pendingSym.dropFront()
 			continue // already delivered via a view-change flush
 		}
 		s.symDelivered = head.SenderSeq
-		s.retain(head)
+		s.retain(*head)
 		m.trace.Emit(trace.EvRoundClose, head.TS, head.SenderSeq, head.Origin)
 		m.deliver(g, head.Origin, TotalSym, head.Payload)
+		g.pendingSym.dropFront()
 	}
 }

@@ -54,6 +54,13 @@ const (
 	KindView = "gc.view"
 )
 
+// The kinds are names every decoder of this package reads over and over.
+func init() {
+	codec.Intern(KindJoin, KindLeave, KindMcast, KindData, KindAck, KindSeq, KindNack,
+		KindPing, KindPong, KindViewProp, KindViewAck, KindViewInstall, KindJoinExisting,
+		KindJoinAsk, KindState, KindStateAck, KindDeliver, KindView, KindBatch)
+}
+
 // JoinReq is the payload of KindJoin.
 type JoinReq struct {
 	Group   string
@@ -71,7 +78,7 @@ func (j JoinReq) Marshal() []byte {
 // UnmarshalJoinReq decodes a JoinReq.
 func UnmarshalJoinReq(b []byte) (JoinReq, error) {
 	r := codec.NewReader(b)
-	j := JoinReq{Group: r.String(), Members: r.StringSlice()}
+	j := JoinReq{Group: r.Name(), Members: r.StringSlice()}
 	if err := r.Finish(); err != nil {
 		return JoinReq{}, fmt.Errorf("group: decoding join: %w", err)
 	}
@@ -93,7 +100,7 @@ func (l LeaveReq) Marshal() []byte {
 // UnmarshalLeaveReq decodes a LeaveReq.
 func UnmarshalLeaveReq(b []byte) (LeaveReq, error) {
 	r := codec.NewReader(b)
-	l := LeaveReq{Group: r.String()}
+	l := LeaveReq{Group: r.Name()}
 	if err := r.Finish(); err != nil {
 		return LeaveReq{}, fmt.Errorf("group: decoding leave: %w", err)
 	}
@@ -119,7 +126,7 @@ func (m McastReq) Marshal() []byte {
 // UnmarshalMcastReq decodes a McastReq.
 func UnmarshalMcastReq(b []byte) (McastReq, error) {
 	r := codec.NewReader(b)
-	m := McastReq{Group: r.String(), Service: Service(r.U8())}
+	m := McastReq{Group: r.Name(), Service: Service(r.U8())}
 	m.Payload = r.Bytes32()
 	if err := r.Finish(); err != nil {
 		return McastReq{}, fmt.Errorf("group: decoding mcast: %w", err)
@@ -170,8 +177,8 @@ func (d DataMsg) encode(w *codec.Writer) {
 
 func decodeDataMsg(r *codec.Reader) DataMsg {
 	d := DataMsg{
-		Group:     r.String(),
-		Origin:    r.String(),
+		Group:     r.Name(),
+		Origin:    r.Name(),
 		Service:   Service(r.U8()),
 		SenderSeq: r.U64(),
 		TS:        r.U64(),
@@ -180,8 +187,8 @@ func decodeDataMsg(r *codec.Reader) DataMsg {
 	if r.Err() != nil || n > 1<<20 {
 		return d
 	}
-	for i := 0; i < n; i++ {
-		d.VC = append(d.VC, VCEntry{Member: r.String(), Count: r.U64()})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d.VC = append(d.VC, VCEntry{Member: r.Name(), Count: r.U64()})
 	}
 	d.Payload = r.Bytes32()
 	return d
@@ -225,7 +232,7 @@ func (a AckMsg) Marshal() []byte {
 // UnmarshalAckMsg decodes an AckMsg.
 func UnmarshalAckMsg(b []byte) (AckMsg, error) {
 	r := codec.NewReader(b)
-	a := AckMsg{Group: r.String(), TS: r.U64(), SendSeqHW: r.U64()}
+	a := AckMsg{Group: r.Name(), TS: r.U64(), SendSeqHW: r.U64()}
 	if err := r.Finish(); err != nil {
 		return AckMsg{}, fmt.Errorf("group: decoding ack: %w", err)
 	}
@@ -265,12 +272,12 @@ func (s SeqMsg) Marshal() []byte {
 // UnmarshalSeqMsg decodes a SeqMsg.
 func UnmarshalSeqMsg(b []byte) (SeqMsg, error) {
 	r := codec.NewReader(b)
-	s := SeqMsg{Group: r.String(), Epoch: r.U64()}
+	s := SeqMsg{Group: r.Name(), Epoch: r.U64()}
 	n := int(r.U32())
 	if r.Err() == nil && n <= 1<<20 {
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			s.Assignments = append(s.Assignments, SeqAssign{
-				Origin:    r.String(),
+				Origin:    r.Name(),
 				SenderSeq: r.U64(),
 				Global:    r.U64(),
 			})
@@ -299,7 +306,7 @@ func (n NackMsg) Marshal() []byte {
 // UnmarshalNackMsg decodes a NackMsg.
 func UnmarshalNackMsg(b []byte) (NackMsg, error) {
 	r := codec.NewReader(b)
-	n := NackMsg{Group: r.String(), Missing: r.U64Slice()}
+	n := NackMsg{Group: r.Name(), Missing: r.U64Slice()}
 	if err := r.Finish(); err != nil {
 		return NackMsg{}, fmt.Errorf("group: decoding nack: %w", err)
 	}
@@ -334,7 +341,7 @@ func (v ViewProp) Marshal() []byte {
 // UnmarshalViewProp decodes a ViewProp.
 func UnmarshalViewProp(b []byte) (ViewProp, error) {
 	r := codec.NewReader(b)
-	v := ViewProp{Group: r.String(), ViewID: r.U64(), Epoch: r.U64(), Members: r.StringSlice(), Joins: r.StringSlice()}
+	v := ViewProp{Group: r.Name(), ViewID: r.U64(), Epoch: r.U64(), Members: r.StringSlice(), Joins: r.StringSlice()}
 	if err := r.Finish(); err != nil {
 		return ViewProp{}, fmt.Errorf("group: decoding view proposal: %w", err)
 	}
@@ -378,7 +385,7 @@ func (v ViewAck) Marshal() []byte {
 // UnmarshalViewAck decodes a ViewAck.
 func UnmarshalViewAck(b []byte) (ViewAck, error) {
 	r := codec.NewReader(b)
-	v := ViewAck{Group: r.String(), ViewID: r.U64(), Epoch: r.U64(), Clock: r.U64(), Suspects: r.StringSlice()}
+	v := ViewAck{Group: r.Name(), ViewID: r.U64(), Epoch: r.U64(), Clock: r.U64(), Suspects: r.StringSlice()}
 	v.Pending = decodeDataMsgs(r)
 	if err := r.Finish(); err != nil {
 		return ViewAck{}, fmt.Errorf("group: decoding view ack: %w", err)
@@ -421,7 +428,7 @@ func (v ViewInstall) Marshal() []byte {
 // UnmarshalViewInstall decodes a ViewInstall.
 func UnmarshalViewInstall(b []byte) (ViewInstall, error) {
 	r := codec.NewReader(b)
-	v := ViewInstall{Group: r.String(), ViewID: r.U64(), Epoch: r.U64(), ClockFloor: r.U64(), Members: r.StringSlice(), Joins: r.StringSlice()}
+	v := ViewInstall{Group: r.Name(), ViewID: r.U64(), Epoch: r.U64(), ClockFloor: r.U64(), Members: r.StringSlice(), Joins: r.StringSlice()}
 	v.Flush = decodeDataMsgs(r)
 	if err := r.Finish(); err != nil {
 		return ViewInstall{}, fmt.Errorf("group: decoding view install: %w", err)
@@ -448,7 +455,7 @@ func (j JoinExistingReq) Marshal() []byte {
 // UnmarshalJoinExistingReq decodes a JoinExistingReq.
 func UnmarshalJoinExistingReq(b []byte) (JoinExistingReq, error) {
 	r := codec.NewReader(b)
-	j := JoinExistingReq{Group: r.String(), Contacts: r.StringSlice()}
+	j := JoinExistingReq{Group: r.Name(), Contacts: r.StringSlice()}
 	if err := r.Finish(); err != nil {
 		return JoinExistingReq{}, fmt.Errorf("group: decoding join-existing: %w", err)
 	}
@@ -471,7 +478,7 @@ func (j JoinAsk) Marshal() []byte {
 // UnmarshalJoinAsk decodes a JoinAsk.
 func UnmarshalJoinAsk(b []byte) (JoinAsk, error) {
 	r := codec.NewReader(b)
-	j := JoinAsk{Group: r.String()}
+	j := JoinAsk{Group: r.Name()}
 	if err := r.Finish(); err != nil {
 		return JoinAsk{}, fmt.Errorf("group: decoding join ask: %w", err)
 	}
@@ -571,7 +578,7 @@ func (s StateSnapshot) Marshal() []byte {
 func UnmarshalStateSnapshot(b []byte) (StateSnapshot, error) {
 	r := codec.NewReader(b)
 	s := StateSnapshot{
-		Group:   r.String(),
+		Group:   r.Name(),
 		ViewID:  r.U64(),
 		Epoch:   r.U64(),
 		Members: r.StringSlice(),
@@ -579,15 +586,15 @@ func UnmarshalStateSnapshot(b []byte) (StateSnapshot, error) {
 	}
 	n := int(r.U32())
 	if r.Err() == nil && n <= 1<<20 {
-		for i := 0; i < n; i++ {
-			s.CausalD = append(s.CausalD, VCEntry{Member: r.String(), Count: r.U64()})
+		for i := 0; i < n && r.Err() == nil; i++ {
+			s.CausalD = append(s.CausalD, VCEntry{Member: r.Name(), Count: r.U64()})
 		}
 	}
 	n = int(r.U32())
 	if r.Err() == nil && n <= 1<<20 {
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			st := StreamState{
-				Member:        r.String(),
+				Member:        r.Name(),
 				NextSeq:       r.U64(),
 				LastDataTS:    r.U64(),
 				AckTS:         r.U64(),
@@ -625,7 +632,7 @@ func (s StateAck) Marshal() []byte {
 // UnmarshalStateAck decodes a StateAck.
 func UnmarshalStateAck(b []byte) (StateAck, error) {
 	r := codec.NewReader(b)
-	s := StateAck{Group: r.String(), ViewID: r.U64()}
+	s := StateAck{Group: r.Name(), ViewID: r.U64()}
 	if err := r.Finish(); err != nil {
 		return StateAck{}, fmt.Errorf("group: decoding state ack: %w", err)
 	}
@@ -653,7 +660,7 @@ func (d Deliver) Marshal() []byte {
 // UnmarshalDeliver decodes a Deliver.
 func UnmarshalDeliver(b []byte) (Deliver, error) {
 	r := codec.NewReader(b)
-	d := Deliver{Group: r.String(), Origin: r.String(), Service: Service(r.U8())}
+	d := Deliver{Group: r.Name(), Origin: r.Name(), Service: Service(r.U8())}
 	d.Payload = r.Bytes32()
 	if err := r.Finish(); err != nil {
 		return Deliver{}, fmt.Errorf("group: decoding deliver: %w", err)
@@ -680,7 +687,7 @@ func (v ViewNote) Marshal() []byte {
 // UnmarshalViewNote decodes a ViewNote.
 func UnmarshalViewNote(b []byte) (ViewNote, error) {
 	r := codec.NewReader(b)
-	v := ViewNote{Group: r.String(), ViewID: r.U64(), Members: r.StringSlice()}
+	v := ViewNote{Group: r.Name(), ViewID: r.U64(), Members: r.StringSlice()}
 	if err := r.Finish(); err != nil {
 		return ViewNote{}, fmt.Errorf("group: decoding view note: %w", err)
 	}

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"fsnewtop/internal/codec"
 )
 
 // ErrSchemeConflict is returned when an identity already registered under
@@ -150,6 +152,7 @@ func (d *Directory) RegisterRSA(id ID, pub *rsa.PublicKey) error {
 	if prev := cur.rsa[id]; prev != nil {
 		epoch = prev.epoch + 1
 	}
+	codec.Intern(string(id))
 	next := cur.clone()
 	next.rsa[id] = &rsaMaterial{pub: pub, epoch: epoch}
 	d.publishLocked(next)
@@ -176,6 +179,7 @@ func (d *Directory) registerHMACTemplate(id ID, tmpl *hmacTemplate) error {
 	if prev := cur.hmac[id]; prev != nil {
 		epoch = prev.epoch + 1
 	}
+	codec.Intern(string(id))
 	next := cur.clone()
 	next.hmac[id] = &hmacMaterial{tmpl: tmpl, epoch: epoch}
 	d.publishLocked(next)

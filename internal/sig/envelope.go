@@ -1,6 +1,8 @@
 package sig
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -36,15 +38,63 @@ type Envelope struct {
 	wire []byte // cached Marshal output; nil if never marshaled
 }
 
-// SignEnvelope signs body as s's identity.
+// SignEnvelope signs body as s's identity. The envelope's wire form is
+// built once, with the signature appended in place (see appendSig), so
+// Sig is a view of it.
 func SignEnvelope(s Signer, body []byte) (Envelope, error) {
-	sigBytes, err := s.Sign(body)
+	e := Envelope{Signer: s.ID(), Body: body}
+	w := codec.NewWriter(e.wireSize() + sigSize(s))
+	wireEncodes.Add(1)
+	w.String(string(e.Signer))
+	w.Bytes32(body)
+	wire, sigBytes, err := appendSig(s, w.Bytes(), body)
 	if err != nil {
 		return Envelope{}, err
 	}
-	e := Envelope{Signer: s.ID(), Body: body, Sig: sigBytes}
-	e.wire = e.encodeSlow()
+	e.Sig, e.wire = sigBytes, wire
 	return e, nil
+}
+
+// AppendSigner is a Signer that can sign into caller storage. HMACSigner
+// is one; SignEnvelope and CounterSign use it to write the signature
+// straight into the wire form instead of allocating it apart and copying.
+type AppendSigner interface {
+	Signer
+	// AppendSign appends the signature over data to dst and returns the
+	// extended slice.
+	AppendSign(dst, data []byte) ([]byte, error)
+}
+
+// sigSize is the signature room a wire form is allocated with: exact for
+// both schemes, so the form is allocated once.
+func sigSize(s Signer) int {
+	if r, ok := s.(*RSASigner); ok {
+		return r.priv.Size()
+	}
+	return sha256.Size
+}
+
+// appendSig appends s's signature over data to wire as a length-prefixed
+// field — the encoding of codec.Writer.Bytes32 — and returns the clipped
+// result plus a view of the signature inside it. The result is cached and
+// shared, so an append by any holder reallocates.
+func appendSig(s Signer, wire, data []byte) (out, sigBytes []byte, err error) {
+	at := len(wire)
+	wire = append(wire, 0, 0, 0, 0)
+	if as, ok := s.(AppendSigner); ok {
+		wire, err = as.AppendSign(wire, data)
+	} else {
+		var sb []byte
+		if sb, err = s.Sign(data); err == nil {
+			wire = append(wire, sb...)
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	binary.BigEndian.PutUint32(wire[at:], uint32(len(wire)-at-4))
+	wire = wire[:len(wire):len(wire)]
+	return wire, wire[at+4:], nil
 }
 
 // Verify checks the envelope's signature.
@@ -105,11 +155,12 @@ func (e Envelope) Marshal() []byte {
 // cached wire form (the exact bytes consumed) are all views of the reader's
 // buffer: nothing is copied, and re-marshaling — e.g. to check a
 // counter-signature — is free and byte-identical to what the sender
-// signed.
+// signed. The signer comes from the name table (a Directory interns every
+// identity it registers), so a known signer costs no allocation.
 func DecodeEnvelope(r *codec.Reader) Envelope {
 	start := r.Pos()
 	e := Envelope{
-		Signer: ID(r.String()),
+		Signer: ID(r.Name()),
 		Body:   r.Bytes32(),
 		Sig:    r.Bytes32(),
 	}
@@ -144,14 +195,20 @@ type Double struct {
 // CounterSign adds s's signature over the single-signed envelope e. The
 // signature covers e's cached wire form when e was signed or decoded by
 // this package, so no re-marshal happens; the double's own wire form is
-// built once, eagerly, because every counter-signed output is sent.
+// built once, eagerly, because every counter-signed output is sent, with
+// the counter-signature appended in place.
 func CounterSign(s Signer, e Envelope) (Double, error) {
-	second, err := s.Sign(e.Marshal())
+	inner := e.Marshal()
+	d := Double{Envelope: e, Second: s.ID()}
+	w := codec.NewWriter(d.dblWireSize() + sigSize(s))
+	wireEncodes.Add(1)
+	w.Raw(inner)
+	w.String(string(d.Second))
+	wire, second, err := appendSig(s, w.Bytes(), inner)
 	if err != nil {
 		return Double{}, err
 	}
-	d := Double{Envelope: e, Second: s.ID(), SecondSig: second}
-	d.dblWire = d.encodeSlow()
+	d.SecondSig, d.dblWire = second, wire
 	return d, nil
 }
 
@@ -223,7 +280,7 @@ func DecodeDouble(r *codec.Reader) Double {
 	start := r.Pos()
 	d := Double{
 		Envelope:  DecodeEnvelope(r),
-		Second:    ID(r.String()),
+		Second:    ID(r.Name()),
 		SecondSig: r.Bytes32(),
 	}
 	d.dblWire = r.Since(start)

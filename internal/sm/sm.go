@@ -50,6 +50,8 @@ const LocalDelivery = "@local"
 // ordered like any other input; their payload is encoded with EncodeTick.
 const TickKind = "@tick"
 
+func init() { codec.Intern(LocalDelivery, TickKind) }
+
 // Machine is a deterministic transducer. Implementations must be
 // single-threaded: Step is never called concurrently, and all state must be
 // confined to the machine.
@@ -93,8 +95,8 @@ func MarshalInput(in Input) []byte {
 func UnmarshalInput(b []byte) (Input, error) {
 	r := codec.NewReader(b)
 	in := Input{
-		Kind: r.String(),
-		From: r.String(),
+		Kind: r.Name(),
+		From: r.Name(),
 	}
 	in.Payload = r.Bytes32()
 	if err := r.Finish(); err != nil {
@@ -121,13 +123,29 @@ func MarshalOutput(out Output) []byte {
 // UnmarshalOutput decodes an output encoded by MarshalOutput.
 func UnmarshalOutput(b []byte) (Output, error) {
 	r := codec.NewReader(b)
-	out := Output{Kind: r.String()}
+	out := Output{Kind: r.Name()}
 	out.To = r.StringSlice()
 	out.Payload = r.Bytes32()
 	if err := r.Finish(); err != nil {
 		return Output{}, fmt.Errorf("sm: decoding output: %w", err)
 	}
 	return out, nil
+}
+
+// OutputInput decodes an output encoded by MarshalOutput as the input it
+// becomes at a machine that receives it from from: its kind and payload.
+// The destinations are checked and skipped, not built, so it refuses
+// exactly the encodings UnmarshalOutput refuses and allocates nothing for
+// a kind in the name table (codec.Intern). The payload aliases b.
+func OutputInput(b []byte, from string) (Input, error) {
+	r := codec.NewReader(b)
+	in := Input{Kind: r.Name(), From: from}
+	r.SkipStringSlice()
+	in.Payload = r.Bytes32()
+	if err := r.Finish(); err != nil {
+		return Input{}, fmt.Errorf("sm: decoding output: %w", err)
+	}
+	return in, nil
 }
 
 // OutputsEqual reports whether two outputs are identical under the

@@ -284,6 +284,19 @@ func (r *Ring) Emit(kind Kind, a, b uint64, note string) {
 	})
 }
 
+// Overwritten returns how many events the ring has lost to wrap-around:
+// all but the last len(slots) it was handed. Nonzero means its history is
+// truncated.
+func (r *Ring) Overwritten() uint64 {
+	if r == nil {
+		return 0
+	}
+	if end, n := r.pos.Load(), uint64(len(r.slots)); end > n {
+		return end - n
+	}
+	return 0
+}
+
 // Snapshot copies the ring's surviving events in emission order. A slot
 // that a concurrent writer has already recycled for a newer sequence is
 // skipped rather than reported out of place.
@@ -370,8 +383,20 @@ func (g *Registry) Snapshot() []NodeEvent {
 
 // WriteTimeline renders the merged timeline, one event per line, with
 // timestamps relative to the first event — the causal view a stall
-// post-mortem reads top to bottom.
+// post-mortem reads top to bottom. A header line per node says how many
+// of its events wrapped out of its ring, so a reader knows where a
+// node's history starts short.
 func (g *Registry) WriteTimeline(w io.Writer) error {
+	if g != nil {
+		g.mu.Lock()
+		rings := append([]*Ring(nil), g.rings...)
+		g.mu.Unlock()
+		for _, r := range rings {
+			if _, err := fmt.Fprintf(w, "# %s: %d events overwritten\n", r.name, r.Overwritten()); err != nil {
+				return err
+			}
+		}
+	}
 	evs := g.Snapshot()
 	if len(evs) == 0 {
 		_, err := fmt.Fprintln(w, "(no trace events)")

@@ -44,6 +44,38 @@ func TestRingKeepsEmissionOrderAndWraps(t *testing.T) {
 	}
 }
 
+// TestOverwrittenCountsWrappedEvents: a 4-slot ring handed 10 events has
+// lost 6, and the timeline's header says so for its node.
+func TestOverwrittenCountsWrappedEvents(t *testing.T) {
+	reg := NewRegistry(4, nil)
+	r, quiet := reg.Ring("n"), reg.Ring("q")
+	for i := 0; i < 10; i++ {
+		if got, want := r.Overwritten(), uint64(max(0, i-4)); got != want {
+			t.Fatalf("after %d emits: Overwritten = %d, want %d", i, got, want)
+		}
+		r.Emit(EvOrder, uint64(i), 0, "")
+	}
+	if got := r.Overwritten(); got != 6 {
+		t.Fatalf("Overwritten = %d, want 6", got)
+	}
+	if got := quiet.Overwritten(); got != 0 {
+		t.Fatalf("an unwrapped ring reports %d overwritten", got)
+	}
+	var nilRing *Ring
+	if nilRing.Overwritten() != 0 {
+		t.Fatal("nil ring reports overwritten events")
+	}
+	var b strings.Builder
+	if err := reg.WriteTimeline(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# n: 6 events overwritten\n", "# q: 0 events overwritten\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("timeline lacks %q:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestRegistryMergesByTime(t *testing.T) {
 	now := time.Date(2003, 6, 23, 0, 0, 0, 0, time.UTC)
 	var mu sync.Mutex
