@@ -65,6 +65,16 @@ func (m *corruptingMachine) Step(in sm.Input) []sm.Output {
 	return outs
 }
 
+// decodeNewPayload is newPayload.decode returning the payload by value,
+// for tests that inspect one decode.
+func decodeNewPayload(b []byte) (newPayload, error) {
+	var p newPayload
+	if err := p.decode(b); err != nil {
+		return newPayload{}, err
+	}
+	return p, nil
+}
+
 // env bundles the common test fixture.
 type env struct {
 	t    *testing.T

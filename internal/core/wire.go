@@ -179,18 +179,9 @@ func encodeTickPayload(now time.Time) []byte {
 	return w.Bytes()
 }
 
-// decodeNewPayload parses a MsgNew (or fwd-link) payload without verifying
-// signatures; callers verify according to the tag. The result aliases b.
-func decodeNewPayload(b []byte) (newPayload, error) {
-	var p newPayload
-	if err := p.decode(b); err != nil {
-		return newPayload{}, err
-	}
-	return p, nil
-}
-
-// decode is decodeNewPayload into p, which it overwrites whole. On an
-// error p holds no meaning.
+// decode parses a MsgNew (or fwd-link) payload into p, which it
+// overwrites whole, without verifying signatures; callers verify according
+// to the tag. The result aliases b. On an error p holds no meaning.
 func (p *newPayload) decode(b []byte) error {
 	r := codec.NewReader(b)
 	*p = newPayload{tag: r.U8()}
@@ -248,7 +239,7 @@ func (p *newPayload) decode(b []byte) error {
 // peekKey reads an input's identity straight out of a MsgNew payload: the
 // tag, then the first fields of the signed body (ClientInput and OutputBody
 // both open with the source name and its sequence number). It touches a few
-// header bytes, copies nothing, and reads the very bytes decodeNewPayload
+// header bytes, copies nothing, and reads the very bytes newPayload.decode
 // decodes, so the key probed before verification is the key of the input
 // verified after it. False for ticks and anything it cannot parse.
 func peekKey(b []byte) (wireKey, bool) {

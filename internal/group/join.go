@@ -119,12 +119,12 @@ func (m *Machine) buildSnapshot(g *groupState) StateSnapshot {
 	}
 
 	names := g.streamNames()
-	if _, has := g.lookupStream(m.cfg.Self); !has {
+	if g.lookupStream(m.cfg.Self) == nil {
 		names = mergeSorted(names, []string{m.cfg.Self})
 	}
 	for _, name := range names {
 		st := StreamState{Member: name}
-		if s, has := g.lookupStream(name); has {
+		if s := g.lookupStream(name); s != nil {
 			st.NextSeq = s.nextSeq
 			st.LastDataTS = s.lastDataTS
 			st.AckTS, st.AckHW = s.ackTS, s.ackHW

@@ -234,7 +234,7 @@ func (g *groupState) setMembers(ms []string) {
 	codec.Intern(ms...)
 	slots := make([]*memberStream, len(ms))
 	for i, m := range ms {
-		if s, ok := g.lookupStream(m); ok {
+		if s := g.lookupStream(m); s != nil {
 			slots[i] = s
 			delete(g.departed, m)
 		}
@@ -277,13 +277,12 @@ func (g *groupState) slotStream(i int) *memberStream {
 	return g.slots[i]
 }
 
-// lookupStream returns m's stream if one exists, creating none.
-func (g *groupState) lookupStream(m string) (*memberStream, bool) {
+// lookupStream returns m's stream, or nil if it has none; it creates none.
+func (g *groupState) lookupStream(m string) *memberStream {
 	if i := g.slot(m); i >= 0 {
-		return g.slots[i], g.slots[i] != nil
+		return g.slots[i]
 	}
-	s, ok := g.departed[m]
-	return s, ok
+	return g.departed[m]
 }
 
 // putStream installs s as m's stream.
@@ -427,8 +426,7 @@ func (g *groupState) flushPending(candidate []string) []DataMsg {
 		if contains(candidate, origin) {
 			continue
 		}
-		s, _ := g.lookupStream(origin)
-		out = s.retained.appendTo(out)
+		out = g.lookupStream(origin).retained.appendTo(out)
 	}
 	return out
 }
