@@ -32,8 +32,9 @@ func (m *syncLinkMeter) Send(from, to transport.Addr, kind string, payload []byt
 // the round put on the leader↔follower link: the forward carries the
 // request once (the t1 = 0 relay a second time when it wins its race with
 // the forward) and the two candidates a digest each. Whole-output compare
-// made it 24,984 synclink-B, 304,437 B and 91 allocs per round where this
-// reads 8,490, 97,740 and 63. Run with -benchtime=1x as a smoke test,
+// made it 24,984 synclink-B, 304,437 B and 91 allocs per round; it reads
+// 16,750, ~96,400 and 33 (53 while names and destination lists were
+// decoded as copies). Run with -benchtime=1x as a smoke test,
 // -benchtime=2000x for the figures.
 func BenchmarkPairRound8K(b *testing.B) {
 	clk := clock.NewReal()
