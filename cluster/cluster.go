@@ -53,39 +53,29 @@ import (
 
 // Ordering selects the delivery quality of one multicast, mirroring the
 // NewTOP service inventory.
-type Ordering uint8
+type Ordering = group.Service
 
 const (
 	// Unreliable is best-effort multicast: no sequencing, no ordering.
-	Unreliable = Ordering(group.Unreliable)
+	Unreliable = group.Unreliable
 	// Reliable delivers each message exactly once per member, in
 	// per-sender order.
-	Reliable = Ordering(group.Reliable)
+	Reliable = group.Reliable
 	// Causal delivers messages respecting potential causality.
-	Causal = Ordering(group.Causal)
+	Causal = group.Causal
 	// TotalSym is the symmetric (decentralised) total order protocol.
-	TotalSym = Ordering(group.TotalSym)
+	TotalSym = group.TotalSym
 	// TotalAsym is the asymmetric (fixed-sequencer) total order protocol.
-	TotalAsym = Ordering(group.TotalAsym)
+	TotalAsym = group.TotalAsym
 )
 
-// String implements fmt.Stringer.
-func (o Ordering) String() string { return group.Service(o).String() }
-
-// Delivery is one message handed to the application, in delivery order.
-type Delivery struct {
-	Group    string
-	Origin   string // logical name of the sending member
-	Ordering Ordering
-	Payload  []byte
-}
+// Delivery is one message handed to the application, in delivery order:
+// Group, Origin (the sending member), Ordering and Payload, which is the
+// application's own.
+type Delivery = newtop.Delivery
 
 // View is one installed membership view.
-type View struct {
-	Group   string
-	ViewID  uint64
-	Members []string
-}
+type View = newtop.View
 
 // config collects the options.
 type config struct {
@@ -213,15 +203,15 @@ func WithTrace(reg *trace.Registry) Option {
 }
 
 // WithAutoHeal arms the self-healing plane: a remediation controller
-// watches for member failures — a verified fail-signal from a member's
-// own pair, or (under WithCrashTolerance) exclusion from a
-// majority-installed view — and for each failure closes the dead stack,
-// spawns a fresh replacement pair under a new generation name
-// ("alice~2"), transfers group state to it, and rejoins it into every
-// group bootstrapped through JoinAll. Each remediation is reported on
+// watches for verified fail-signals from members' own pairs and for each
+// failure closes the dead stack, spawns a fresh replacement pair under a
+// new generation name ("alice~2"), transfers group state to it, and
+// rejoins it into every group bootstrapped through JoinAll. Each remediation is reported on
 // HealEvents. checkEvery paces the failure scan (0 = 50ms). Off by
 // default: without this option a failed member stays failed, exactly as
-// in the paper's static deployments.
+// in the paper's static deployments. Fail-signal members only: New refuses
+// it together with WithCrashTolerance, whose only evidence of failure is a
+// suspicion that may be false.
 func WithAutoHeal(checkEvery time.Duration) Option {
 	return func(c *config) { c.autoHeal = true; c.healEvery = checkEvery }
 }
@@ -333,16 +323,6 @@ type Cluster struct {
 	groups map[string]bool
 	// gen counts replacement generations per base member name.
 	gen map[string]int
-	// crashSuspects and seenInView implement crash-mode failure
-	// detection: a member that appeared in an installed view of a tracked
-	// group and is later missing from a majority-sized view is suspect.
-	// maxView gates the evidence per group: every member reports the same
-	// group-global view sequence, so anything at or below the highest
-	// ViewID already processed is a stale replay from a slower member's
-	// stream and must not re-suspect a freshly admitted replacement.
-	crashSuspects map[string]bool
-	seenInView    map[string]map[string]bool
-	maxView       map[string]uint64
 
 	healEvents chan HealEvent
 	healStop   chan struct{}
@@ -363,6 +343,9 @@ func New(opts ...Option) (*Cluster, error) {
 		}
 		seen[n] = true
 	}
+	if cfg.autoHeal && cfg.crash {
+		return nil, fmt.Errorf("cluster: WithAutoHeal refused under WithCrashTolerance: remediation acts only on verified fail-signals, and a crash-stop member's exclusion from a view may be a false suspicion")
+	}
 	if cfg.healEvery == 0 {
 		cfg.healEvery = 50 * time.Millisecond
 	}
@@ -380,17 +363,14 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		tr:            cfg.tr,
-		crash:         cfg.crash,
-		cfg:           cfg,
-		names:         append([]string(nil), cfg.members...),
-		members:       make(map[string]*Member, len(cfg.members)),
-		groups:        make(map[string]bool),
-		gen:           make(map[string]int),
-		crashSuspects: make(map[string]bool),
-		seenInView:    make(map[string]map[string]bool),
-		maxView:       make(map[string]uint64),
-		skews:         make(map[string]*clock.Skewed),
+		tr:      cfg.tr,
+		crash:   cfg.crash,
+		cfg:     cfg,
+		names:   append([]string(nil), cfg.members...),
+		members: make(map[string]*Member, len(cfg.members)),
+		groups:  make(map[string]bool),
+		gen:     make(map[string]int),
+		skews:   make(map[string]*clock.Skewed),
 	}
 	if c.tr == nil {
 		c.tr = netsim.New(cfg.clk, netsim.WithDefaultProfile(transport.Profile{
@@ -447,10 +427,6 @@ func New(opts ...Option) (*Cluster, error) {
 // transport. peers is the roster the member watches (FS mode: those
 // members are notified by its pair's fail-signal).
 func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
-	var onView func(View)
-	if c.cfg.autoHeal && c.crash {
-		onView = c.noteView
-	}
 	// Under virtual time, each member runs on its own skewed view of the
 	// one shared timeline (unskewed until a chaos action says otherwise).
 	mclk := c.cfg.clk
@@ -477,7 +453,7 @@ func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newMember(name, svc, nil, onView), nil
+		return &Member{name: name, svc: svc}, nil
 	}
 
 	var wrap func(role failsignal.Role, m sm.Machine) sm.Machine
@@ -512,7 +488,7 @@ func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
 		c.switches[name] = halves
 		c.mu.Unlock()
 	}
-	return newMember(name, nso, nso, onView), nil
+	return &Member{name: name, svc: nso, nso: nso}, nil
 }
 
 // Names returns the current live roster, in admission order. Members
@@ -645,69 +621,16 @@ func (c *Cluster) healLoop() {
 	}
 }
 
-// detectFailures returns the live members currently known failed: pairs
-// that fail-signalled (FS mode — local, partition-immune truth), or
-// members excluded from a majority view (crash mode, recorded by
-// noteView).
+// detectFailures returns the live members whose pairs have fail-signalled:
+// local, partition-immune truth.
 func (c *Cluster) detectFailures() []string {
-	c.mu.RLock()
-	names := append([]string(nil), c.names...)
-	c.mu.RUnlock()
 	var victims []string
-	if c.crash {
-		c.mu.Lock()
-		for _, name := range names {
-			if c.crashSuspects[name] {
-				delete(c.crashSuspects, name)
-				victims = append(victims, name)
-			}
-		}
-		c.mu.Unlock()
-		return victims
-	}
-	for _, name := range names {
+	for _, name := range c.Names() {
 		if c.PairFailed(name) {
 			victims = append(victims, name)
 		}
 	}
 	return victims
-}
-
-// noteView records crash-mode exclusion evidence: a member that appeared
-// in an installed view of a tracked group and is later missing from a
-// majority-sized view is suspect. The majority guard keeps a partitioned
-// minority's (possibly false) suspicions from triggering remediation —
-// only the surviving majority side may declare a member dead.
-func (c *Cluster) noteView(v View) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.groups[v.Group] {
-		return
-	}
-	if v.ViewID <= c.maxView[v.Group] {
-		return // stale replay from a slower member's view stream
-	}
-	c.maxView[v.Group] = v.ViewID
-	seen := c.seenInView[v.Group]
-	if seen == nil {
-		seen = make(map[string]bool)
-		c.seenInView[v.Group] = seen
-	}
-	for _, m := range v.Members {
-		seen[m] = true
-	}
-	if 2*len(v.Members) <= len(c.names) {
-		return // not a majority view: no exclusion authority
-	}
-	inView := make(map[string]bool, len(v.Members))
-	for _, m := range v.Members {
-		inView[m] = true
-	}
-	for _, name := range c.names {
-		if seen[name] && !inView[name] {
-			c.crashSuspects[name] = true
-		}
-	}
 }
 
 // baseName strips a replacement-generation suffix ("alice~3" → "alice").
@@ -721,9 +644,7 @@ func baseName(name string) string {
 }
 
 // heal replaces one failed member: retire it from the roster, close its
-// stack (crash mode: a falsely suspected member is shot before being
-// replaced, turning the suspicion true), spawn a fresh-generation
-// replacement, and admit it into every tracked group. The replacement
+// stack, spawn a fresh-generation replacement, and admit it into every tracked group. The replacement
 // gets a new name — a pair that has fail-signalled answers everything
 // with its fail-signal forever, so reusing the name would poison the
 // newcomer's traffic.
@@ -760,7 +681,7 @@ func (c *Cluster) heal(victim string) {
 	sort.Strings(groups)
 	c.mu.Unlock()
 
-	m.close()
+	m.svc.Close()
 	_, err := c.AddMember(replacement, groups...)
 	ev := HealEvent{Failed: victim, Replacement: replacement, Groups: groups, Err: err}
 	if err != nil {
@@ -783,14 +704,13 @@ func (c *Cluster) heal(victim string) {
 
 // KillMember abruptly shuts down name's entire middleware stack — the
 // crash-stop fault. For crash-tolerant clusters this is the canonical
-// kill (the ping suspector, and with WithAutoHeal the remediation
-// controller, take it from there). For fail-signal clusters it models
-// both pair nodes dying at once — outside the paper's fault hypothesis,
-// so nothing will detect it; prefer CrashLeader/CrashFollower, which the
+// kill (the ping suspector takes it from there). For fail-signal clusters
+// it models both pair nodes dying at once — outside the paper's fault
+// hypothesis, so nothing will detect it; prefer CrashLeader/CrashFollower, which the
 // pair converts into a verified fail-signal.
 func (c *Cluster) KillMember(name string) bool {
 	if m := c.Member(name); m != nil {
-		m.close()
+		m.svc.Close()
 		return true
 	}
 	return false
@@ -977,7 +897,7 @@ func (c *Cluster) Close() {
 	}
 	c.mu.Unlock()
 	for _, m := range members {
-		m.close()
+		m.svc.Close()
 	}
 	if c.ownsTr && c.tr != nil {
 		c.tr.Close()

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,10 +136,10 @@ func TestClusterBatchedTotalOrder(t *testing.T) {
 }
 
 // TestMemberGoroutineBudget counts what one member adds on a transport the
-// caller owns. An FS member is its pair's two replica loops, the window's
-// backstop loop and the pump: 4, and no ORB pool. A crash member is the
-// ORB's 10 pool workers (the paper's request pool), the GC driver's loop
-// and the pump: 12. None outlive Close.
+// caller owns. An FS member is its pair's two replica loops and the
+// window's backstop loop: 3, and no ORB pool. A crash member is the ORB's
+// 10 pool workers (the paper's request pool) and the GC driver's loop: 11.
+// Nothing stands between an NSO and the application. None outlive Close.
 func TestMemberGoroutineBudget(t *testing.T) {
 	net := netsim.New(clock.NewReal(), netsim.WithShards(1))
 	defer net.Close()
@@ -155,8 +156,8 @@ func TestMemberGoroutineBudget(t *testing.T) {
 		opts []cluster.Option
 		per  int
 	}{
-		{"fs", nil, 4},
-		{"crash", []cluster.Option{cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, time.Hour)}, 12},
+		{"fs", nil, 3},
+		{"crash", []cluster.Option{cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, time.Hour)}, 11},
 	} {
 		names := []string{tc.name + "0", tc.name + "1", tc.name + "2", tc.name + "3"}
 		c, err := cluster.New(append(tc.opts, cluster.WithTransport(net), cluster.WithMembers(names...))...)
@@ -192,19 +193,31 @@ func stableGoroutines() int {
 }
 
 // TestClusterCrashTolerance builds the baseline system and checks the
-// fail-signal helpers refuse.
+// fail-signal helpers refuse, a crash member has no fail-signal stream,
+// and auto-heal is refused: a crash member's exclusion from a view may be
+// a false suspicion, and remediation acts only on verified fail-signals.
 func TestClusterCrashTolerance(t *testing.T) {
-	c, err := cluster.New(
+	opts := []cluster.Option{
 		cluster.WithMembers("n1", "n2"),
 		cluster.WithCrashTolerance(),
 		cluster.WithPingSuspector(20*time.Millisecond, time.Hour),
-	)
+	}
+	if c, err := cluster.New(append(opts, cluster.WithAutoHeal(0))...); err == nil {
+		c.Close()
+		t.Fatal("New accepted WithAutoHeal under WithCrashTolerance")
+	} else if !strings.Contains(err.Error(), "fail-signal") {
+		t.Fatalf("refusal does not say why: %v", err)
+	}
+	c, err := cluster.New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if c.CrashFollower("n1") || c.InjectFailSignal("n2") {
 		t.Fatal("crash-tolerant members have no FS pair to fault")
+	}
+	if c.Member("n1").FailSignals() != nil {
+		t.Fatal("a crash member's fail-signal stream must be the nil channel")
 	}
 	runTotalOrder(t, c)
 }

@@ -195,47 +195,6 @@ func TestAutoHealReplacesFailedPair(t *testing.T) {
 	awaitPayload(t, c.Member("b"), "from-heal")
 }
 
-// TestAutoHealCrashMode exercises the crash-stop detection path: the
-// kill leaves no fail-signal, so remediation keys off exclusion from a
-// majority-installed view of the tracked group.
-func TestAutoHealCrashMode(t *testing.T) {
-	c, err := cluster.New(
-		cluster.WithMembers("n1", "n2", "n3"),
-		cluster.WithCrashTolerance(),
-		cluster.WithPingSuspector(20*time.Millisecond, 400*time.Millisecond),
-		cluster.WithAutoHeal(20*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.JoinAll("g"); err != nil {
-		t.Fatal(err)
-	}
-	if !c.KillMember("n3") {
-		t.Fatal("KillMember refused")
-	}
-
-	var ev cluster.HealEvent
-	select {
-	case ev = <-c.HealEvents():
-	case <-time.After(60 * time.Second):
-		t.Fatal("auto-heal controller never remediated the killed member")
-	}
-	if ev.Failed != "n3" || ev.Replacement != "n3~2" || ev.Err != nil {
-		t.Fatalf("heal event = %+v", ev)
-	}
-	r := c.Member("n3~2")
-	if r == nil {
-		t.Fatal("replacement member not reachable through the facade")
-	}
-	awaitViewWith(t, r, 3, "n3~2")
-	if err := r.Multicast("g", cluster.TotalSym, []byte("from-heal")); err != nil {
-		t.Fatal(err)
-	}
-	awaitPayload(t, c.Member("n1"), "from-heal")
-}
-
 // TestAutoHealOffByDefault: without WithAutoHeal a failed member stays
 // failed — no controller, no events, no replacement — exactly the
 // paper's static deployments.

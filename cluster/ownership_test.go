@@ -30,13 +30,25 @@ func nextDelivery(t *testing.T, m *cluster.Member) cluster.Delivery {
 // Two members overwrite every byte of a delivery, the sender's own copy
 // among them, while a third, cut off when the message was sent, has yet to
 // receive it: the retransmission it then asks the sender for, and every
-// later delivery, carry what was sent.
+// later delivery, carry what was sent. Each NSO makes its own copy out, so
+// the test runs on both kinds of member.
 func TestApplicationMayScribbleOnDelivery(t *testing.T) {
-	c, err := cluster.New(
-		cluster.WithMembers("a", "b", "c"),
-		cluster.WithCrashTolerance(),
-		cluster.WithPingSuspector(20*time.Millisecond, time.Hour), // the cut must not become a view change
-	)
+	for _, tc := range []struct {
+		name string
+		opts []cluster.Option
+	}{
+		{"fs", nil},
+		{"crash", []cluster.Option{
+			cluster.WithCrashTolerance(),
+			cluster.WithPingSuspector(20*time.Millisecond, time.Hour), // the cut must not become a view change
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { scribbleOnDelivery(t, tc.opts) })
+	}
+}
+
+func scribbleOnDelivery(t *testing.T, opts []cluster.Option) {
+	c, err := cluster.New(append(opts, cluster.WithMembers("a", "b", "c"))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +70,7 @@ func TestApplicationMayScribbleOnDelivery(t *testing.T) {
 		if !bytes.Equal(d.Payload, first) {
 			t.Fatalf("%s delivered %d bytes, want the %d sent", name, len(d.Payload), len(first))
 		}
-		for i := range d.Payload {
-			d.Payload[i] = 0xEE // the application owns it
-		}
-		_ = append(d.Payload, "and may grow it"...)
+		scribble(d)
 	}
 
 	c.Heal("a", "c")
@@ -69,16 +78,29 @@ func TestApplicationMayScribbleOnDelivery(t *testing.T) {
 	if err := c.Member("a").Multicast("g", cluster.Reliable, append([]byte(nil), second...)); err != nil {
 		t.Fatal(err)
 	}
+	// c scribbles on each delivery before it reads the next.
 	for _, want := range [][]byte{first, second} {
-		if d := nextDelivery(t, c.Member("c")); d.Origin != "a" || !bytes.Equal(d.Payload, want) {
-			t.Fatalf("c delivered %d bytes from %s (%.16q...), want the %d sent: a scribble reached the retransmission",
+		d := nextDelivery(t, c.Member("c"))
+		if d.Origin != "a" || !bytes.Equal(d.Payload, want) {
+			t.Fatalf("c delivered %d bytes from %s (%.16q...), want the %d sent: a scribble reached the retransmission or the next delivery",
 				len(d.Payload), d.Origin, d.Payload, len(want))
 		}
+		scribble(d)
 	}
 	for _, name := range []string{"a", "b"} {
 		if d := nextDelivery(t, c.Member(name)); !bytes.Equal(d.Payload, second) {
 			t.Fatalf("%s delivered %q after the scribble, want %q", name, d.Payload, second)
 		}
+	}
+}
+
+// scribble overwrites every byte the application was handed, up to the
+// slice's capacity — what an application reusing a delivered payload as a
+// scratch buffer does.
+func scribble(d cluster.Delivery) {
+	p := d.Payload[:cap(d.Payload)]
+	for i := range p {
+		p[i] = 0xEE
 	}
 }
 

@@ -564,7 +564,7 @@ func (r *Replica) leaderAccept(k wireKey, raw []byte, p *newPayload) {
 	r.stats.Ordered++
 	fp := fwdPayload{Index: idx, Raw: raw}
 	_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgFwd, fp.marshal())
-	r.submitLocked(p.toInput(), r.cfg.Clock.Now())
+	r.submitLocked(p.toInput(r.cfg.LocalName), r.cfg.Clock.Now())
 	traceKey(r.cfg.Trace, trace.EvOrder, idx, 0, k)
 }
 
@@ -680,7 +680,7 @@ func (r *Replica) onFwd(msg transport.Message) {
 		delete(r.irmp, key)
 	}
 	r.stats.Ordered++
-	r.submitLocked(p.toInput(), r.lastFwd)
+	r.submitLocked(p.toInput(r.cfg.LocalName), r.lastFwd)
 	traceKey(r.cfg.Trace, trace.EvOrder, fp.Index, 0, key)
 	r.mu.Unlock()
 }
@@ -708,7 +708,7 @@ func (r *Replica) acceptTick(fp fwdPayload, p *newPayload) {
 	r.lastTick = p.tick
 	r.lastFwd = r.cfg.Clock.Now()
 	r.stats.Ordered++
-	r.submitLocked(p.toInput(), r.lastFwd)
+	r.submitLocked(p.toInput(r.cfg.LocalName), r.lastFwd)
 	r.mu.Unlock()
 }
 

@@ -266,12 +266,20 @@ func peekKey(b []byte) (wireKey, bool) {
 }
 
 // toInput converts a verified payload into the sm.Input the machine sees.
-// An FS output is read for its kind and payload only: the destinations it
-// was sent to are checked and skipped, never built.
-func (p *newPayload) toInput() sm.Input {
+// An input from the replica's own plain endpoint (local, its LocalName) is
+// presented as a local call, From "" — how crash NewTOP's invocation layer
+// reaches its GC — so the machine can tell its own application's requests
+// from any other client's. An FS output is read for its kind and payload
+// only: the destinations it was sent to are checked and skipped, never
+// built.
+func (p *newPayload) toInput(local string) sm.Input {
 	switch p.tag {
 	case tagClient:
-		return sm.Input{Kind: p.client.Kind, From: p.client.Client, Payload: p.client.Body}
+		from := p.client.Client
+		if from == local {
+			from = ""
+		}
+		return sm.Input{Kind: p.client.Kind, From: from, Payload: p.client.Body}
 	case tagFS, tagFSD:
 		if p.body.FailSignal {
 			return sm.Input{Kind: InputFailSignal, From: p.body.Source}

@@ -246,8 +246,8 @@ func New(cfg Config) (*NSO, error) {
 	n := &NSO{
 		name:       cfg.Name,
 		fab:        fab,
-		deliveries: make(chan newtop.Delivery, 8192),
-		views:      make(chan newtop.View, 1024),
+		deliveries: make(chan newtop.Delivery, newtop.ChannelBuffer),
+		views:      make(chan newtop.View, newtop.ChannelBuffer),
 		failures:   make(chan string, 64),
 		stop:       make(chan struct{}),
 	}
@@ -354,7 +354,7 @@ func (n *NSO) onEvent(kind string, payload []byte, depth int) {
 			if d.Origin == n.name {
 				n.win.ownDelivered()
 			}
-			newtop.HandOff(n.deliveries, newtop.Delivery{Group: d.Group, Origin: d.Origin, Service: d.Service, Payload: d.Payload}, n.stop)
+			newtop.HandOff(n.deliveries, newtop.NewDelivery(d), n.stop)
 		}
 	case group.KindView:
 		if v, err := group.UnmarshalViewNote(payload); err == nil {

@@ -1,6 +1,7 @@
 package fsnewtop
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -119,6 +120,12 @@ func newCluster(t *testing.T, n int, tweak func(name string, cfg *Config), opts 
 	opts = append([]netsim.Option{netsim.WithDefaultProfile(netsim.Profile{Latency: netsim.Fixed(100 * time.Microsecond)})}, opts...)
 	net := netsim.New(clock.NewReal(), opts...)
 	t.Cleanup(net.Close)
+	return newClusterOn(t, net, n, tweak)
+}
+
+// newClusterOn builds n members named m00, m01, ... on net.
+func newClusterOn(t *testing.T, net transport.Transport, n int, tweak func(name string, cfg *Config)) *cluster {
+	t.Helper()
 	fab := NewFabric(net, clock.NewReal())
 	fab.Trace = trace.NewRegistry(0, nil)
 	c := &cluster{fab: fab, nsos: make(map[string]*NSO), cols: make(map[string]*collector)}
@@ -468,6 +475,144 @@ func TestCloseReleasesParkedDelivery(t *testing.T) {
 		t.Fatal("the invocation endpoint outlived Close")
 	}
 	n.Close() // idempotent
+}
+
+// TestDeliveryIsTheApplicationsOwn: the invocation layer makes the one copy
+// out of the stack. An output arrives as a view of the transport message
+// that carried it; the delivery built from it must share no byte with that
+// message, so an application scribbling on its payload cannot reach the
+// stack, nor the stack the application.
+func TestDeliveryIsTheApplicationsOwn(t *testing.T) {
+	net := netsim.New(clock.NewReal())
+	defer net.Close()
+	n, err := New(Config{Name: "m00", Fabric: NewFabric(net, clock.NewReal()), Delta: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	wire := group.Deliver{Group: "g", Origin: "m01", Service: group.Reliable, Payload: []byte("payload")}.Marshal()
+	kept := bytes.Clone(wire)
+	n.onOutput("m01", sm.Output{Kind: group.KindDeliver, Payload: wire})
+	d := <-n.Deliveries()
+	if d.Group != "g" || d.Origin != "m01" || d.Ordering != group.Reliable || string(d.Payload) != "payload" {
+		t.Fatalf("delivery = %+v", d)
+	}
+	p := d.Payload[:cap(d.Payload)]
+	for i := range p {
+		p[i] = 0xEE
+	}
+	if !bytes.Equal(wire, kept) {
+		t.Fatal("a scribble on the delivered payload reached the message it arrived in")
+	}
+}
+
+// wiretap records the input payloads one address submits to FS pairs.
+type wiretap struct {
+	transport.Transport
+	from transport.Addr
+	mu   sync.Mutex
+	sent [][]byte
+}
+
+func (w *wiretap) Send(from, to transport.Addr, kind string, payload []byte) error {
+	if from == w.from && kind == failsignal.MsgNew {
+		w.mu.Lock()
+		w.sent = append(w.sent, payload)
+		w.mu.Unlock()
+	}
+	return w.Transport.Send(from, to, kind, payload)
+}
+
+// waitOrdered waits until both halves of member's pair have ordered the
+// client input key ("c|<client>|<seq>").
+func (c *cluster) waitOrdered(t *testing.T, member, key string) {
+	t.Helper()
+	halves := map[string]bool{string(failsignal.LeaderID(member)): true, string(failsignal.FollowerID(member)): true}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := 0
+		for _, ev := range c.fab.Trace.Snapshot() {
+			if ev.Kind == trace.EvOrder && ev.Note == key && halves[ev.Node] {
+				n++
+			}
+		}
+		if n >= 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s's pair never ordered %s", member, key)
+		}
+	}
+}
+
+// TestGCObeysOnlyItsOwnInvocationLayer: a member's GC takes join and
+// multicast requests only from its own invocation layer. Another member's
+// invocation identity can sign inputs every pair verifies, and anyone can
+// replay a member's signed request into another pair; neither may make a
+// GC multicast. Nothing forged is delivered, genuine multicasts sent
+// afterwards are, and no pair fail-signals.
+func TestGCObeysOnlyItsOwnInvocationLayer(t *testing.T) {
+	tr := netsim.New(clock.NewReal(), netsim.WithDefaultProfile(netsim.Profile{Latency: netsim.Fixed(100 * time.Microsecond)}))
+	defer tr.Close()
+	tap := &wiretap{Transport: tr, from: InvAddr("m00")}
+	c := newClusterOn(t, tap, 3, nil)
+	c.joinAll(t, "g")
+	if err := c.nsos["m00"].Multicast("g", group.TotalSym, []byte("genuine-m00")); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range c.members {
+		c.cols[m].waitN(t, 1, 20*time.Second)
+	}
+	var seq uint64
+	for _, ev := range c.fab.Trace.Snapshot() {
+		if ev.Node == invName("m00") && ev.Kind == trace.EvReissue && ev.Note == group.KindMcast {
+			seq = ev.A
+		}
+	}
+	tap.mu.Lock()
+	signed := tap.sent[len(tap.sent)-1] // the multicast's request, as m00's pair received it
+	tap.mu.Unlock()
+
+	// m01's invocation identity asks m00's pair to multicast.
+	forged := group.McastReq{Group: "g", Service: group.TotalSym, Payload: []byte("forged-by-m01")}.Marshal()
+	fseq, err := c.nsos["m01"].client.SendSeq("m00", group.KindMcast, forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stranger replays m00's signed request into m01's pair.
+	const mallory = transport.Addr("mallory")
+	tr.Register(mallory, func(transport.Message) {})
+	for _, a := range []transport.Addr{failsignal.LeaderAddr("m01"), failsignal.FollowerAddr("m01")} {
+		if err := tr.Send(mallory, a, failsignal.MsgNew, signed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.waitOrdered(t, "m00", fmt.Sprintf("c|%s|%d", invName("m01"), fseq))
+	c.waitOrdered(t, "m01", fmt.Sprintf("c|%s|%d", invName("m00"), seq))
+
+	// Each target's next genuine multicast is ordered after the forgery, so
+	// once it is delivered everywhere a forged one would have been too.
+	for _, m := range []string{"m00", "m01"} {
+		if err := c.nsos[m].Multicast("g", group.TotalSym, []byte("after-"+m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range c.members {
+		for deadline := time.Now().Add(20 * time.Second); !c.cols[m].has("after-m00") || !c.cols[m].has("after-m01"); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never delivered the genuine multicasts: %v", m, c.cols[m].payloads())
+			}
+		}
+		c.cols[m].mu.Lock()
+		for _, d := range c.cols[m].msgs {
+			if string(d.Payload) == "forged-by-m01" || (string(d.Payload) == "genuine-m00" && d.Origin != "m00") {
+				t.Errorf("%s delivered a forgery: %q from %s", m, d.Payload, d.Origin)
+			}
+		}
+		c.cols[m].mu.Unlock()
+		if c.nsos[m].Pair().Failed() || c.cols[m].failCount() != 0 {
+			t.Errorf("%s: a forged request made a pair fail-signal", m)
+		}
+	}
 }
 
 func TestNodeArithmetic(t *testing.T) {

@@ -23,11 +23,6 @@ const (
 	maxBatchBytes = 1 << 20
 )
 
-// windowMaxDelay bounds how long an open window may wait with no round in
-// flight — a backstop for the flush-on-return path, not the pacing clock.
-// With a round in flight the bound stretches to δ.
-const windowMaxDelay = 2 * time.Millisecond
-
 // errClosed is what a submission to a closed member returns.
 var errClosed = fmt.Errorf("fsnewtop: member closed: %w", transport.ErrClosed)
 
@@ -41,11 +36,12 @@ var errClosed = fmt.Errorf("fsnewtop: member closed: %w", transport.ErrClosed)
 // input, so the pair pays one order/sign/compare/counter-sign round for
 // the whole backlog. Batch size therefore tracks the backlog the ordering
 // pipeline actually built up, with no rate tuning. Backstops: a size cap
-// flushes inline; an open window waits at most windowMaxDelay with nothing
-// in flight and δ with a round in flight (a round slower than the pair's
-// own synchrony bound means the pair is stalled, and the window is forced
-// open rather than trusting a return that may never come); a fail-signal
-// flushes at once.
+// flushes inline; an open window waits at most δ (a round slower than the
+// pair's own synchrony bound means the pair is stalled, and the window is
+// forced open rather than trusting a return that may never come); a
+// fail-signal flushes at once. An open window always has a round in
+// flight: a multicast waits only behind one, and every path that ends the
+// last one in flight flushes the window.
 type window struct {
 	// send signs and submits one input to both pair halves.
 	send  func(kind string, payload []byte) error
@@ -197,11 +193,7 @@ func (w *window) flushLoop() {
 		var wait time.Duration
 		armed := false
 		if len(w.pending) > 0 {
-			bound := windowMaxDelay
-			if w.inflight > 0 && w.delta > bound {
-				bound = w.delta
-			}
-			wait = w.opened.Add(bound).Sub(w.clk.Now())
+			wait = w.opened.Add(w.delta).Sub(w.clk.Now())
 			if wait <= 0 {
 				w.inflight = 0
 				w.keepFlushLocked()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -157,8 +158,8 @@ func TestBatchWindowCapsFlushInline(t *testing.T) {
 }
 
 // TestBatchWindowMaxDelayFlushWhenIdle covers the backstop: a window whose
-// round never returns still flushes — at δ, not windowMaxDelay, because a
-// round is in flight — and the flush resets the in-flight count.
+// round never returns flushes at δ and not a nanosecond before, and the
+// flush resets the in-flight count.
 func TestBatchWindowMaxDelayFlushWhenIdle(t *testing.T) {
 	const delta = 50 * time.Millisecond
 	w, subs, clk := newTestWindow(t, delta)
@@ -166,11 +167,11 @@ func TestBatchWindowMaxDelayFlushWhenIdle(t *testing.T) {
 		mcast(t, w, []byte{byte(i)})
 	}
 	waitFor(t, "the backstop timer", func() bool { return clk.Pending() == 1 })
-	clk.Advance(windowMaxDelay)
-	if n := w.pendingLen(); n != 2 {
-		t.Fatalf("window flushed at windowMaxDelay with a round in flight (%d pending)", n)
+	clk.Advance(delta - time.Nanosecond)
+	if p, n := clk.Pending(), w.pendingLen(); p != 1 || n != 2 {
+		t.Fatalf("window flushed before δ (%d timers armed, %d pending)", p, n)
 	}
-	clk.Advance(delta - windowMaxDelay)
+	clk.Advance(time.Nanosecond)
 	waitFor(t, "the δ backstop flush", func() bool { return w.pendingLen() == 0 })
 	want := []string{group.KindMcast, fmt.Sprintf("%s×2", group.KindBatch)}
 	if got := subs.kinds(t); !reflect.DeepEqual(got, want) {
@@ -181,6 +182,56 @@ func TestBatchWindowMaxDelayFlushWhenIdle(t *testing.T) {
 	w.mu.Unlock()
 	if inflight != 2 {
 		t.Fatalf("in flight after the backstop flush = %d, want the batch's 2 (the stalled round forgotten)", inflight)
+	}
+}
+
+// TestWindowOpenOnlyBehindARound checks the invariant that makes δ the
+// window's only backstop: whenever a multicast is pending, a round is in
+// flight. Random sequences of multicasts, joins, own deliveries (stale ones
+// included), fail-signal flushes, backstop expiries and failing sends run
+// on a manual clock, and the invariant is checked after every step.
+func TestWindowOpenOnlyBehindARound(t *testing.T) {
+	const delta = 50 * time.Millisecond
+	broken := errors.New("pair unreachable")
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w, subs, clk := newTestWindow(t, delta)
+		for step := 0; step < 300; step++ {
+			subs.setFail(nil)
+			if rng.Intn(10) == 0 {
+				subs.setFail(broken)
+			}
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 50:
+				op = "multicast"
+				_ = w.submit(group.KindMcast, make([]byte, rng.Intn(64)))
+			case r < 55:
+				op = "join"
+				_ = w.submit(group.KindJoin, nil)
+			case r < 80:
+				op = "own delivery"
+				w.ownDelivered()
+			case r < 88:
+				op = "fail-signal flush"
+				w.flush()
+			default:
+				op = "backstop"
+				subs.setFail(nil)
+				if w.pendingLen() > 0 {
+					waitFor(t, "the backstop timer", func() bool { return clk.Pending() == 1 })
+				}
+				clk.Advance(delta)
+				waitFor(t, "the backstop flush", func() bool { return w.pendingLen() == 0 })
+			}
+			w.mu.Lock()
+			pending, inflight := len(w.pending), w.inflight
+			w.mu.Unlock()
+			if pending > 0 && inflight == 0 {
+				t.Fatalf("seed %d step %d (%s): %d multicasts pending with no round in flight", seed, step, op, pending)
+			}
+		}
+		w.close()
 	}
 }
 

@@ -179,6 +179,15 @@ func (m *Machine) Step(in sm.Input) []sm.Output {
 // recursing.
 func (m *Machine) dispatch(in sm.Input, depth int) {
 	switch in.Kind {
+	case KindJoin, KindJoinExisting, KindMcast:
+		// Requests are the local application's alone. One attributed to
+		// anyone else — a peer GC, another member's invocation layer, a
+		// replayed input — is dropped.
+		if in.From != "" {
+			return
+		}
+	}
+	switch in.Kind {
 	case sm.TickKind:
 		if t, err := sm.DecodeTick(in.Payload); err == nil {
 			if t.After(m.now) {
@@ -189,10 +198,6 @@ func (m *Machine) dispatch(in sm.Input, depth int) {
 	case KindJoin:
 		if j, err := UnmarshalJoinReq(in.Payload); err == nil {
 			m.onJoin(j)
-		}
-	case KindLeave:
-		if l, err := UnmarshalLeaveReq(in.Payload); err == nil {
-			m.onLeave(l)
 		}
 	case KindMcast:
 		if req, err := UnmarshalMcastReq(in.Payload); err == nil {
@@ -304,14 +309,6 @@ func (m *Machine) onJoin(j JoinReq) {
 	m.groups[j.Group] = g
 	m.emitLocal(KindView, ViewNote{Group: g.name, ViewID: g.viewID, Members: g.members}.Marshal())
 	m.suspectSignalled(g)
-}
-
-// onLeave abandons a group. Peers observe the silence (or our fail-signal)
-// and reconfigure; a graceful leave protocol is not part of the paper's
-// system.
-func (m *Machine) onLeave(l LeaveReq) {
-	delete(m.groups, l.Group)
-	delete(m.joining, l.Group)
 }
 
 // onTick advances time-driven behaviour: suspector pings and silence

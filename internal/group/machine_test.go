@@ -495,15 +495,6 @@ func TestAsymmetricResequencingAfterSequencerRemoval(t *testing.T) {
 	}
 }
 
-func TestLeaveStopsParticipation(t *testing.T) {
-	c := newTCluster(t, SuspectPing, "a", "b")
-	c.joinAll("g")
-	c.submit("b", sm.Input{Kind: KindLeave, Payload: LeaveReq{Group: "g"}.Marshal()})
-	if got := c.machines["b"].Groups(); len(got) != 0 {
-		t.Fatalf("b still in groups %v", got)
-	}
-}
-
 func TestStaleAndInvalidMembershipMessagesIgnored(t *testing.T) {
 	c := newTCluster(t, SuspectPing, "a", "b", "c")
 	c.joinAll("g")

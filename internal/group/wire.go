@@ -12,8 +12,6 @@ import (
 const (
 	// KindJoin (local) creates a group with a static initial membership.
 	KindJoin = "gc.join"
-	// KindLeave (local) announces a graceful departure from a group.
-	KindLeave = "gc.leave"
 	// KindMcast (local) requests a multicast with a given service.
 	KindMcast = "gc.mcast"
 	// KindData carries one multicast message between GC processes.
@@ -56,7 +54,7 @@ const (
 
 // The kinds are names every decoder of this package reads over and over.
 func init() {
-	codec.Intern(KindJoin, KindLeave, KindMcast, KindData, KindAck, KindSeq, KindNack,
+	codec.Intern(KindJoin, KindMcast, KindData, KindAck, KindSeq, KindNack,
 		KindPing, KindPong, KindViewProp, KindViewAck, KindViewInstall, KindJoinExisting,
 		KindJoinAsk, KindState, KindStateAck, KindDeliver, KindView, KindBatch)
 }
@@ -83,28 +81,6 @@ func UnmarshalJoinReq(b []byte) (JoinReq, error) {
 		return JoinReq{}, fmt.Errorf("group: decoding join: %w", err)
 	}
 	return j, nil
-}
-
-// LeaveReq is the payload of KindLeave.
-type LeaveReq struct {
-	Group string
-}
-
-// Marshal returns the canonical encoding.
-func (l LeaveReq) Marshal() []byte {
-	w := codec.NewWriter(16)
-	w.String(l.Group)
-	return w.Bytes()
-}
-
-// UnmarshalLeaveReq decodes a LeaveReq.
-func UnmarshalLeaveReq(b []byte) (LeaveReq, error) {
-	r := codec.NewReader(b)
-	l := LeaveReq{Group: r.Name()}
-	if err := r.Finish(); err != nil {
-		return LeaveReq{}, fmt.Errorf("group: decoding leave: %w", err)
-	}
-	return l, nil
 }
 
 // McastReq is the payload of KindMcast.

@@ -19,6 +19,7 @@
 package newtop
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -32,12 +33,13 @@ import (
 	"fsnewtop/transport"
 )
 
-// Delivery is one message handed to the application.
+// Delivery is one message handed to the application, in delivery order.
+// Its Payload is the application's own (see NewDelivery).
 type Delivery struct {
-	Group   string
-	Origin  string // logical name of the sending member
-	Service group.Service
-	Payload []byte
+	Group    string
+	Origin   string // logical name of the sending member
+	Ordering group.Service
+	Payload  []byte
 }
 
 // View is one installed membership view.
@@ -70,8 +72,10 @@ type Service interface {
 	Close()
 }
 
-// deliveryBuffer sizes the delivery and view channels.
-const deliveryBuffer = 8192
+// ChannelBuffer sizes both NSOs' delivery and view channels, which are
+// the application's channels: deep enough that an application draining in
+// bursts does not stall the protocol, which a full channel backpressures.
+const ChannelBuffer = 8192
 
 // Config configures one crash-tolerant NSO.
 type Config struct {
@@ -158,8 +162,8 @@ func New(cfg Config) (*NSO, error) {
 	n := &NSO{
 		name:       cfg.Name,
 		orb:        o,
-		deliveries: make(chan Delivery, deliveryBuffer),
-		views:      make(chan View, deliveryBuffer),
+		deliveries: make(chan Delivery, ChannelBuffer),
+		views:      make(chan View, ChannelBuffer),
 		stop:       make(chan struct{}),
 	}
 
@@ -174,7 +178,7 @@ func New(cfg Config) (*NSO, error) {
 			_ = o.OneWay(GCRef(cfg.Name), GCRef(to), kind, orb.BytesAny(payload))
 		},
 		OnDeliver: func(d group.Deliver) {
-			HandOff(n.deliveries, Delivery{Group: d.Group, Origin: d.Origin, Service: d.Service, Payload: d.Payload}, n.stop)
+			HandOff(n.deliveries, NewDelivery(d), n.stop)
 		},
 		OnView: func(v group.ViewNote) {
 			HandOff(n.views, View{Group: v.Group, ViewID: v.ViewID, Members: v.Members}, n.stop)
@@ -187,6 +191,16 @@ func New(cfg Config) (*NSO, error) {
 	n.driver = driver
 	o.Register(GCRef(cfg.Name), gcServant{driver: driver})
 	return n, nil
+}
+
+// NewDelivery converts a machine delivery into the application's, making
+// the one copy out of the stack. Below this line a payload is a view of the
+// message it arrived in — which the machine may keep for retransmission —
+// and the rule that makes views safe is that nobody writes to one. The
+// application is outside that rule: it owns what it is handed, so it is
+// handed bytes nothing below can reach.
+func NewDelivery(d group.Deliver) Delivery {
+	return Delivery{Group: d.Group, Origin: d.Origin, Ordering: d.Service, Payload: bytes.Clone(d.Payload)}
 }
 
 // HandOff sends v to the application, giving up once stop is closed, so a

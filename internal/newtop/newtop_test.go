@@ -218,7 +218,7 @@ func TestNewTOPDeliveryMetadata(t *testing.T) {
 	c.cols["m01"].mu.Lock()
 	d := c.cols["m01"].msgs[0]
 	c.cols["m01"].mu.Unlock()
-	if d.Group != "g" || d.Origin != "m00" || d.Service != group.Reliable {
+	if d.Group != "g" || d.Origin != "m00" || d.Ordering != group.Reliable {
 		t.Fatalf("delivery metadata = %+v", d)
 	}
 }
