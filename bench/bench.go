@@ -98,10 +98,6 @@ type Options struct {
 	// simulated protocol-hours cost only the computation. Requires the
 	// netsim transport — virtual time cannot pace real sockets.
 	Virtual bool
-	// TickInterval paces each member's protocol machine (0 = 5ms).
-	// Accelerated soaks raise it: under virtual time the tick rate sets
-	// the advance count, not the wall duration.
-	TickInterval time.Duration
 	// OrderCheck verifies delivery equivalence at the end of the run: all
 	// members must have delivered the identical (origin, seq) sequence. The
 	// soak lanes turn it on; the mismatch, if any, lands in
@@ -137,7 +133,6 @@ func (o *Options) fillDefaults() deploy.RunSpec {
 		MsgSize:       o.MsgSize,
 		SendInterval:  o.SendInterval,
 		Delta:         o.Delta,
-		TickInterval:  o.TickInterval,
 		CrashTolerant: o.System == SystemNewTOP,
 		RSA:           o.RSA,
 		TraceDir:      o.TraceDir,

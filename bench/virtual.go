@@ -39,13 +39,6 @@ func RunVirtualSoak(opts Options, hours float64) (VirtualSoakResult, error) {
 	if opts.SendInterval == 0 {
 		opts.SendInterval = 500 * time.Millisecond
 	}
-	if opts.TickInterval == 0 {
-		// Protocol ticks dominate the virtual advance count; at 50ms each
-		// simulated hour costs 72k tick deadlines per member instead of
-		// 720k. Liveness is unaffected: ticks only pace retransmission and
-		// order-grant housekeeping.
-		opts.TickInterval = 50 * time.Millisecond
-	}
 	if opts.Delta == 0 {
 		// Virtual time makes δ free: no scheduler noise exists on the
 		// virtual timeline, so the paper-faithful bound does not need the

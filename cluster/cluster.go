@@ -86,14 +86,12 @@ type config struct {
 	rsa          bool
 	crash        bool
 	delta        time.Duration
-	tickInterval time.Duration
 	pingInterval time.Duration
 	suspectAfter time.Duration
 	syncLink     *transport.Profile
 	faultPlan    bool
 	traceReg     *trace.Registry
 	autoHeal     bool
-	healEvery    time.Duration
 }
 
 // Option configures New.
@@ -165,11 +163,6 @@ func WithVirtualTime(v *clock.Virtual) Option {
 	return func(c *config) { c.clk, c.virtual = v, v }
 }
 
-// WithTickInterval paces each member's protocol machine ticks.
-func WithTickInterval(d time.Duration) Option {
-	return func(c *config) { c.tickInterval = d }
-}
-
 // WithPingSuspector tunes the crash-stop failure suspector: ping every
 // interval, suspect after silence. Only meaningful with
 // WithCrashTolerance (fail-signal members do not guess).
@@ -207,14 +200,17 @@ func WithTrace(reg *trace.Registry) Option {
 // failure closes the dead stack, spawns a fresh replacement pair under a
 // new generation name ("alice~2"), transfers group state to it, and
 // rejoins it into every group bootstrapped through JoinAll. Each remediation is reported on
-// HealEvents. checkEvery paces the failure scan (0 = 50ms). Off by
+// HealEvents. The controller scans for failures every healEvery. Off by
 // default: without this option a failed member stays failed, exactly as
 // in the paper's static deployments. Fail-signal members only: New refuses
 // it together with WithCrashTolerance, whose only evidence of failure is a
 // suspicion that may be false.
-func WithAutoHeal(checkEvery time.Duration) Option {
-	return func(c *config) { c.autoHeal = true; c.healEvery = checkEvery }
+func WithAutoHeal() Option {
+	return func(c *config) { c.autoHeal = true }
 }
+
+// healEvery paces the auto-heal controller's failure scan.
+const healEvery = 20 * time.Millisecond
 
 // HealEvent reports one remediation performed by the auto-heal
 // controller (WithAutoHeal).
@@ -346,9 +342,6 @@ func New(opts ...Option) (*Cluster, error) {
 	if cfg.autoHeal && cfg.crash {
 		return nil, fmt.Errorf("cluster: WithAutoHeal refused under WithCrashTolerance: remediation acts only on verified fail-signals, and a crash-stop member's exclusion from a view may be a false suspicion")
 	}
-	if cfg.healEvery == 0 {
-		cfg.healEvery = 50 * time.Millisecond
-	}
 	if cfg.virtual != nil {
 		if cfg.tr != nil {
 			if _, ok := cfg.tr.(*netsim.Network); !ok {
@@ -439,12 +432,11 @@ func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
 	}
 	if c.crash {
 		svc, err := newtop.New(newtop.Config{
-			Name:         name,
-			Net:          c.tr,
-			Naming:       c.naming,
-			Clock:        mclk,
-			Trace:        c.cfg.traceReg,
-			TickInterval: c.cfg.tickInterval,
+			Name:   name,
+			Net:    c.tr,
+			Naming: c.naming,
+			Clock:  mclk,
+			Trace:  c.cfg.traceReg,
 			GC: group.Config{
 				PingInterval: c.cfg.pingInterval,
 				SuspectAfter: c.cfg.suspectAfter,
@@ -471,14 +463,13 @@ func (c *Cluster) buildMember(name string, peers []string) (*Member, error) {
 		}
 	}
 	nso, err := fsnewtop.New(fsnewtop.Config{
-		Name:         name,
-		Fabric:       c.fab,
-		Peers:        peers,
-		Clock:        mclk,
-		Delta:        c.cfg.delta,
-		TickInterval: c.cfg.tickInterval,
-		SyncLink:     c.cfg.syncLink,
-		WrapMachine:  wrap,
+		Name:        name,
+		Fabric:      c.fab,
+		Peers:       peers,
+		Clock:       mclk,
+		Delta:       c.cfg.delta,
+		SyncLink:    c.cfg.syncLink,
+		WrapMachine: wrap,
 	})
 	if err != nil {
 		return nil, err
@@ -603,12 +594,12 @@ func (c *Cluster) AddMember(name string, groups ...string) (*Member, error) {
 // events.
 func (c *Cluster) HealEvents() <-chan HealEvent { return c.healEvents }
 
-// healLoop is the remediation controller: it scans for failed members on
-// the configured cadence and replaces each with a fresh-generation pair.
+// healLoop is the remediation controller: it scans for failed members
+// every healEvery and replaces each with a fresh-generation pair.
 func (c *Cluster) healLoop() {
 	defer close(c.healDone)
 	for {
-		t := c.cfg.clk.NewTimer(c.cfg.healEvery)
+		t := c.cfg.clk.NewTimer(healEvery)
 		select {
 		case <-c.healStop:
 			t.Stop()

@@ -136,9 +136,10 @@ func TestClusterBatchedTotalOrder(t *testing.T) {
 }
 
 // TestMemberGoroutineBudget counts what one member adds on a transport the
-// caller owns. An FS member is its pair's two replica loops and the
-// window's backstop loop: 3, and no ORB pool. A crash member is the ORB's
-// 10 pool workers (the paper's request pool) and the GC driver's loop: 11.
+// caller owns. An FS member is its pair's two replica loops: 2, with no
+// ORB pool and no loop for the window's backstop (a clock callback). A
+// crash member is the ORB's 10 pool workers (the paper's request pool) and
+// the GC driver's loop: 11.
 // Nothing stands between an NSO and the application. None outlive Close.
 func TestMemberGoroutineBudget(t *testing.T) {
 	net := netsim.New(clock.NewReal(), netsim.WithShards(1))
@@ -156,7 +157,7 @@ func TestMemberGoroutineBudget(t *testing.T) {
 		opts []cluster.Option
 		per  int
 	}{
-		{"fs", nil, 3},
+		{"fs", nil, 2},
 		{"crash", []cluster.Option{cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, time.Hour)}, 11},
 	} {
 		names := []string{tc.name + "0", tc.name + "1", tc.name + "2", tc.name + "3"}
@@ -202,7 +203,7 @@ func TestClusterCrashTolerance(t *testing.T) {
 		cluster.WithCrashTolerance(),
 		cluster.WithPingSuspector(20*time.Millisecond, time.Hour),
 	}
-	if c, err := cluster.New(append(opts, cluster.WithAutoHeal(0))...); err == nil {
+	if c, err := cluster.New(append(opts, cluster.WithAutoHeal())...); err == nil {
 		c.Close()
 		t.Fatal("New accepted WithAutoHeal under WithCrashTolerance")
 	} else if !strings.Contains(err.Error(), "fail-signal") {

@@ -134,7 +134,7 @@ func TestAddMemberTCP(t *testing.T) {
 func TestAutoHealReplacesFailedPair(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithMembers("a", "b", "c"),
-		cluster.WithAutoHeal(20*time.Millisecond),
+		cluster.WithAutoHeal(),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -114,7 +114,6 @@ func TestBytesBudget8K(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithMembers("a", "b", "c", "d"),
 		cluster.WithDelta(500*time.Millisecond), // a loaded test host must not look like a dead peer
-		cluster.WithTickInterval(time.Hour),     // ticks are not part of a multicast's cost
 	)
 	if err != nil {
 		t.Fatal(err)

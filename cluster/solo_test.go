@@ -66,7 +66,6 @@ func newSoloHarness(t *testing.T, names ...string) *soloHarness {
 		c, err := NewSolo(name, peers,
 			WithTransport(h.trs[name]),
 			WithDelta(2*time.Second), // generous: single host multiplexes every pair
-			WithTickInterval(5*time.Millisecond),
 		)
 		if err != nil {
 			t.Fatalf("NewSolo(%s): %v", name, err)
@@ -191,7 +190,7 @@ func TestSoloRefusals(t *testing.T) {
 		{"no transport", nil, "WithTransport"},
 		{"crash mode", []Option{WithTransport(tr), WithCrashTolerance()}, "fail-signal only"},
 		{"rsa", []Option{WithTransport(tr), WithRSA()}, "HMAC-only"},
-		{"auto-heal", []Option{WithTransport(tr), WithAutoHeal(0)}, "auto-heal"},
+		{"auto-heal", []Option{WithTransport(tr), WithAutoHeal()}, "auto-heal"},
 	} {
 		_, err := NewSolo("a", []string{"b"}, tc.opts...)
 		if err == nil {

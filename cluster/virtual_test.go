@@ -73,7 +73,7 @@ func TestAutoHealRespawnVirtualClock(t *testing.T) {
 	c, err := cluster.New(
 		cluster.WithMembers("a", "b", "c"),
 		cluster.WithVirtualTime(v),
-		cluster.WithAutoHeal(20*time.Millisecond),
+		cluster.WithAutoHeal(),
 	)
 	if err != nil {
 		t.Fatal(err)

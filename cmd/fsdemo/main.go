@@ -117,7 +117,6 @@ func runSplit() {
 		cluster.WithMembers("alice", "bob", "carol"),
 		cluster.WithCrashTolerance(),
 		cluster.WithPingSuspector(20*time.Millisecond, 150*time.Millisecond),
-		cluster.WithTickInterval(5*time.Millisecond),
 	)
 	if err != nil {
 		fatal(err)

@@ -60,8 +60,6 @@ type RunSpec struct {
 	SendInterval time.Duration `json:"send_interval"`
 	// Delta is δ for each member's fail-signal pair.
 	Delta time.Duration `json:"delta"`
-	// TickInterval paces each member's protocol machine.
-	TickInterval time.Duration `json:"tick_interval"`
 	// CrashTolerant deploys the crash-tolerant NewTOP baseline instead of
 	// FS-NewTOP, with suspicion kept an hour away: the paper's failure-free
 	// runs ("false failure suspicions in NewTOP runs were eliminated").
@@ -102,9 +100,6 @@ func (s *RunSpec) FillDefaults(members int) {
 			s.Delta = time.Second
 		}
 	}
-	if s.TickInterval == 0 {
-		s.TickInterval = 5 * time.Millisecond
-	}
 }
 
 // StallWindow is the default round-progress watchdog window for pairs
@@ -125,7 +120,6 @@ func StallWindow(delta time.Duration) time.Duration {
 func (s RunSpec) Options() []cluster.Option {
 	opts := []cluster.Option{
 		cluster.WithDelta(s.Delta),
-		cluster.WithTickInterval(s.TickInterval),
 	}
 	if s.CrashTolerant {
 		opts = append(opts, cluster.WithCrashTolerance(), cluster.WithPingSuspector(0, time.Hour))

@@ -365,7 +365,7 @@ func Run(opts Options) (*Report, error) {
 		cluster.WithTrace(reg),
 	}
 	if opts.Churn {
-		clusterOpts = append(clusterOpts, cluster.WithAutoHeal(20*time.Millisecond))
+		clusterOpts = append(clusterOpts, cluster.WithAutoHeal())
 	}
 	c, err := cluster.New(clusterOpts...)
 	if err != nil {

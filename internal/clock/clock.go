@@ -22,6 +22,9 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 	// NewTimer returns a stoppable timer that fires once after d.
 	NewTimer(d time.Duration) Timer
+	// AfterFunc calls f once after d, never inside the AfterFunc call
+	// (each implementation says where). The returned Timer's C is nil.
+	AfterFunc(d time.Duration, f func()) Timer
 	// Since returns the time elapsed since t.
 	Since(t time.Time) time.Duration
 }
@@ -31,7 +34,7 @@ type Timer interface {
 	// C returns the channel on which the expiry time is delivered.
 	C() <-chan time.Time
 	// Stop prevents the timer from firing. It reports whether the timer
-	// was still pending.
+	// was still pending; it does not wait for a started AfterFunc's f.
 	Stop() bool
 }
 
@@ -53,6 +56,9 @@ func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // NewTimer implements Clock.
 func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+
+// AfterFunc implements Clock: f runs on its own goroutine (time.AfterFunc).
+func (Real) AfterFunc(d time.Duration, f func()) Timer { return realTimer{time.AfterFunc(d, f)} }
 
 type realTimer struct{ t *time.Timer }
 
@@ -107,8 +113,19 @@ func (m *Manual) NewTimer(d time.Duration) Timer {
 	return t
 }
 
+// AfterFunc implements Clock: f runs inside Advance, in deadline order
+// with every other timer. A d ≤ 0 is due at the next Advance.
+func (m *Manual) AfterFunc(d time.Duration, f func()) Timer {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := &manualTimer{clock: m, when: m.now.Add(max(d, 0)), f: f}
+	m.waiters = append(m.waiters, t)
+	return t
+}
+
 // Advance moves the clock forward by d, firing every timer whose deadline
-// is reached, in deadline order.
+// is reached, in deadline order. AfterFunc callbacks run without the
+// clock's lock, so they may use the clock.
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
 	target := m.now.Add(d)
@@ -119,7 +136,13 @@ func (m *Manual) Advance(d time.Duration) {
 		}
 		m.now = next.when
 		next.fired = true
-		next.ch <- m.now
+		if next.f == nil {
+			next.ch <- m.now
+			continue
+		}
+		m.mu.Unlock()
+		next.f()
+		m.mu.Lock()
 	}
 	m.now = target
 	m.mu.Unlock()
@@ -162,7 +185,8 @@ func (m *Manual) Pending() int {
 type manualTimer struct {
 	clock *Manual
 	when  time.Time
-	ch    chan time.Time
+	ch    chan time.Time // nil for an AfterFunc timer
+	f     func()         // an AfterFunc timer's callback
 	fired bool
 }
 

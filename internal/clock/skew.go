@@ -58,14 +58,22 @@ func (s *Skewed) After(d time.Duration) <-chan time.Time { return s.NewTimer(d).
 // NewTimer implements Clock. The local duration d is converted to the base
 // timeline at the current drift rate; later Step or SetDrift calls do not
 // re-aim it.
-func (s *Skewed) NewTimer(d time.Duration) Timer {
+func (s *Skewed) NewTimer(d time.Duration) Timer { return s.base.NewTimer(s.baseDuration(d)) }
+
+// AfterFunc implements Clock, converting d as NewTimer does.
+func (s *Skewed) AfterFunc(d time.Duration, f func()) Timer {
+	return s.base.AfterFunc(s.baseDuration(d), f)
+}
+
+// baseDuration is local duration d on the base timeline at the current drift.
+func (s *Skewed) baseDuration(d time.Duration) time.Duration {
 	s.mu.Lock()
 	drift := s.drift
 	s.mu.Unlock()
 	if d > 0 && drift != 0 {
 		d = time.Duration(float64(d) / (1 + drift))
 	}
-	return s.base.NewTimer(d)
+	return d
 }
 
 // Step jumps the local clock by d (negative d steps it backwards). Armed

@@ -19,7 +19,8 @@ import (
 //   - the busy gate: a counter of "runnable participants". Components
 //     bracket non-clock work with Busy/Done (netsim brackets every Send and
 //     every dispatcher delivery batch; cluster brackets member
-//     construction). Time cannot move while the counter is non-zero.
+//     construction; the driver brackets every AfterFunc callback). Time
+//     cannot move while the counter is non-zero.
 //   - idle gates: registered predicates that report whether a subsystem's
 //     internal queues are drained *and* covered by an armed timer (netsim
 //     registers one per Network: every shard's earliest pending delivery
@@ -121,14 +122,26 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time { return v.NewTimer(d)
 
 // NewTimer implements Clock.
 func (v *Virtual) NewTimer(d time.Duration) Timer {
-	v.mu.Lock()
 	t := &VirtualTimer{clock: v, ch: make(chan time.Time, 1)}
 	if d <= 0 {
+		v.mu.Lock()
 		t.fired = true
 		t.ch <- v.now
 		v.mu.Unlock()
 		return t
 	}
+	return v.arm(t, d)
+}
+
+// AfterFunc implements Clock: f runs on the driver goroutine with the busy
+// gate held, so time cannot move until it returns. A d ≤ 0 is due now.
+func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
+	return v.arm(&VirtualTimer{clock: v, f: f}, max(d, 0))
+}
+
+// arm pushes t onto the heap, due d from now, and nudges the driver.
+func (v *Virtual) arm(t *VirtualTimer, d time.Duration) *VirtualTimer {
+	v.mu.Lock()
 	v.seq++
 	t.when, t.seq, t.pos = v.now.Add(d), v.seq, len(v.heap)
 	v.heap = append(v.heap, t)
@@ -234,7 +247,8 @@ func (v *Virtual) quiet() bool {
 
 // tryAdvance performs one settle-check-advance attempt. On success it
 // jumps time to the earliest armed deadline and fires every timer due at
-// that instant, in arm order.
+// that instant, in arm order; an AfterFunc callback runs on this
+// goroutine, without the lock and holding the busy gate.
 func (v *Virtual) tryAdvance() {
 	ver := v.version.Load()
 	for i := 0; i < settleRounds; i++ {
@@ -257,20 +271,29 @@ func (v *Virtual) tryAdvance() {
 		t := v.heap[0]
 		v.removeLocked(t)
 		t.fired = true
-		t.ch <- target
+		if t.f == nil {
+			t.ch <- target
+			continue
+		}
+		v.Busy()
+		v.mu.Unlock()
+		t.f()
+		v.Done()
+		v.mu.Lock()
 	}
 	v.mu.Unlock()
 	v.advances.Add(1)
 	v.bump() // the fired timers' owners are waking; re-examine soon
 }
 
-// VirtualTimer is the Timer implementation returned by Virtual.NewTimer.
+// VirtualTimer is the Timer implementation of Virtual.
 type VirtualTimer struct {
 	clock *Virtual
 	when  time.Time
 	seq   uint64
-	pos   int // heap index, -1 once fired/stopped
-	ch    chan time.Time
+	pos   int            // heap index, -1 once fired/stopped
+	ch    chan time.Time // nil for an AfterFunc timer
+	f     func()         // an AfterFunc timer's callback
 	fired bool
 }
 

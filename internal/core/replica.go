@@ -115,6 +115,7 @@ type ReplicaConfig struct {
 // ReplicaStats counts observable replica events; retrieve with Stats.
 type ReplicaStats struct {
 	Ordered     uint64 // inputs accepted into the DMQ
+	Ticks       uint64 // of Ordered, the leader's ticks (ordered or accepted)
 	Duplicates  uint64 // inputs suppressed by deduplication
 	Rejected    uint64 // inputs dropped for failed authentication or decode
 	Outputs     uint64 // machine outputs produced
@@ -708,6 +709,7 @@ func (r *Replica) acceptTick(fp fwdPayload, p *newPayload) {
 	r.lastTick = p.tick
 	r.lastFwd = r.cfg.Clock.Now()
 	r.stats.Ordered++
+	r.stats.Ticks++
 	r.submitLocked(p.toInput(r.cfg.LocalName), r.lastFwd)
 	r.mu.Unlock()
 }
@@ -723,6 +725,7 @@ func (r *Replica) tickLocked(now time.Time) {
 	idx := r.ordIdx
 	r.ordIdx++
 	r.stats.Ordered++
+	r.stats.Ticks++
 	fp := fwdPayload{Index: idx, Raw: encodeTickPayload(now)}
 	_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgFwd, fp.marshal())
 	r.dmq = append(r.dmq, orderedInput{in: sm.Tick(now), submitted: now})

@@ -159,8 +159,6 @@ type Config struct {
 	// Delta is δ for the pair's synchronous link. Required: its default
 	// lives in package cluster alone.
 	Delta time.Duration
-	// TickInterval paces the leader's ordered tick stream. 0 = 20ms.
-	TickInterval time.Duration
 	// SyncLink, if non-nil, is applied to the pair's leader↔follower link.
 	SyncLink *transport.Profile
 	// WrapMachine, if set, wraps each GC machine replica before its FSO
@@ -229,9 +227,6 @@ func New(cfg Config) (*NSO, error) {
 		return nil, fmt.Errorf("fsnewtop: member %q needs δ > 0 (got %v)", cfg.Name, cfg.Delta)
 	}
 	fab := cfg.Fabric
-	if cfg.TickInterval == 0 {
-		cfg.TickInterval = 20 * time.Millisecond
-	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = fab.Clock
@@ -262,7 +257,6 @@ func New(cfg Config) (*NSO, error) {
 	built := false
 	defer func() {
 		if !built {
-			n.win.close()
 			fab.dropVerifiers(n.verifiers)
 		}
 	}()
@@ -308,7 +302,7 @@ func New(cfg Config) (*NSO, error) {
 		NewSigner:    newSigner,
 		NewVerifier:  func() sig.Verifier { return newVerifier() },
 		Delta:        cfg.Delta,
-		TickInterval: cfg.TickInterval,
+		TickInterval: group.TickInterval,
 		LocalName:    inv,
 		Watchers:     cfg.Peers,
 		SyncLink:     cfg.SyncLink,

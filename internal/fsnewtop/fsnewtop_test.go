@@ -140,11 +140,10 @@ func newClusterOn(t *testing.T, net transport.Transport, n int, tweak func(name 
 			}
 		}
 		cfg := Config{
-			Name:         name,
-			Fabric:       fab,
-			Peers:        peers,
-			Delta:        150 * time.Millisecond,
-			TickInterval: 5 * time.Millisecond,
+			Name:   name,
+			Fabric: fab,
+			Peers:  peers,
+			Delta:  150 * time.Millisecond,
 		}
 		if tweak != nil {
 			tweak(name, &cfg)
@@ -218,10 +217,12 @@ func TestFSNewTOPSymmetricTotalOrder(t *testing.T) {
 // there when the leader forwards the other sender's copy: 4 to 6, where
 // verifying every copy would cost 12. One dispatcher shard serialises the handlers,
 // so no two copies of one input are ever in verification at once and the
-// bound is exact; ticks are off, so everything a pair orders is a client
-// input or another pair's output.
+// bound is exact. Ticks carry no signature and are counted apart
+// (ReplicaStats.Ticks): everything else a pair orders is a client input or
+// another pair's output. The halves' tick counts may differ by the one
+// still in flight to the follower.
 func TestFSNewTOPVerifyBudget(t *testing.T) {
-	c := newCluster(t, 3, func(name string, cfg *Config) { cfg.TickInterval = time.Hour }, netsim.WithShards(1))
+	c := newCluster(t, 3, nil, netsim.WithShards(1))
 	c.joinAll(t, "g")
 	const per = 5
 	for i := 0; i < per; i++ {
@@ -253,7 +254,7 @@ func TestFSNewTOPVerifyBudget(t *testing.T) {
 	for _, m := range c.members {
 		n := c.nsos[m]
 		ls, fs := n.pair.Leader.Stats(), n.pair.Follower.Stats()
-		if ls.Rejected+fs.Rejected != 0 || ls.Ordered != fs.Ordered || ls.Outputs != fs.Outputs {
+		if ls.Rejected+fs.Rejected != 0 || ls.Ordered-ls.Ticks != fs.Ordered-fs.Ticks || ls.Outputs != fs.Outputs || ls.Ticks == 0 {
 			t.Fatalf("%s: leader %+v follower %+v", m, ls, fs)
 		}
 		// n.verifiers: the invocation endpoint's, the leader's, the
@@ -261,7 +262,7 @@ func TestFSNewTOPVerifyBudget(t *testing.T) {
 		// per client input and one per candidate from its peer's Compare.
 		pairChecks := n.verifiers[1].CacheStats().Misses + n.verifiers[2].CacheStats().Misses
 		onOutputs := pairChecks - 2*clientInputs - ls.Outputs - fs.Outputs
-		fsInputs := ls.Ordered - clientInputs
+		fsInputs := ls.Ordered - ls.Ticks - clientInputs
 		if fsInputs == 0 || onOutputs < 4*fsInputs || onOutputs > 6*fsInputs {
 			t.Fatalf("%s: %d checks on %d double-signed inputs, want 4 to 6 each", m, onOutputs, fsInputs)
 		}

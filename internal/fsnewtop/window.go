@@ -59,23 +59,13 @@ type window struct {
 	// err is a background flush's failure, kept for the next submission.
 	err    error
 	closed bool
-	wake   chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
+	// backstop is the open window's δ deadline, a clock callback to expire.
+	backstop clock.Timer
 }
 
-// newWindow starts a window and its backstop loop.
+// newWindow returns an empty window; it runs no goroutine of its own.
 func newWindow(clk clock.Clock, delta time.Duration, send func(kind string, payload []byte) error) *window {
-	w := &window{
-		send:  send,
-		clk:   clk,
-		delta: delta,
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go w.flushLoop()
-	return w
+	return &window{send: send, clk: clk, delta: delta}
 }
 
 // submit routes one GC-bound call. Multicasts may coalesce;
@@ -106,16 +96,12 @@ func (w *window) submit(kind string, payload []byte) error {
 	}
 	if len(w.pending) == 0 {
 		w.opened = w.clk.Now()
+		w.backstop = w.clk.AfterFunc(w.delta, w.expire)
 	}
 	w.pending = append(w.pending, group.BatchItem{Kind: kind, Payload: payload})
 	w.bytes += len(payload)
 	if len(w.pending) >= maxBatchMsgs || w.bytes >= maxBatchBytes {
 		return w.flushLocked()
-	}
-	// Wake the flush loop so it arms (or re-arms) the backstop timer.
-	select {
-	case w.wake <- struct{}{}:
-	default:
 	}
 	return nil
 }
@@ -127,6 +113,7 @@ func (w *window) flushLocked() error {
 	if len(w.pending) == 0 {
 		return nil
 	}
+	w.backstop.Stop()
 	items := w.pending
 	w.pending, w.bytes = nil, 0
 	if len(items) == 1 {
@@ -182,60 +169,37 @@ func (w *window) flush() {
 	w.mu.Unlock()
 }
 
-// flushLoop enforces the backstop deadline. Submissions that hit a size
-// cap flush inline and simply leave the loop nothing to do. A backstop
-// flush resets the in-flight count rather than trusting a stalled round's
-// bookkeeping.
-func (w *window) flushLoop() {
-	defer close(w.done)
-	for {
-		w.mu.Lock()
-		var wait time.Duration
-		armed := false
-		if len(w.pending) > 0 {
-			wait = w.opened.Add(w.delta).Sub(w.clk.Now())
-			if wait <= 0 {
-				w.inflight = 0
-				w.keepFlushLocked()
-				w.mu.Unlock()
-				continue
-			}
-			armed = true
-		}
-		w.mu.Unlock()
-		if !armed {
-			select {
-			case <-w.stop:
-				return
-			case <-w.wake:
-			}
-			continue
-		}
-		t := w.clk.NewTimer(wait)
-		select {
-		case <-w.stop:
-			t.Stop()
-			return
-		case <-w.wake:
-			t.Stop()
-		case <-t.C():
-		}
+// expire is the backstop: a window open for δ flushes, and the in-flight
+// count resets rather than trusting a stalled round's bookkeeping. A
+// callback that lost a race with a flush finds no window, or a younger one
+// not yet due, which keeps its own deadline (re-armed here, as is one a
+// skewed clock woke a hair early).
+func (w *window) expire() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.pending) == 0 {
+		return
 	}
+	if wait := w.opened.Add(w.delta).Sub(w.clk.Now()); wait > 0 {
+		w.backstop.Stop()
+		w.backstop = w.clk.AfterFunc(wait, w.expire)
+		return
+	}
+	w.inflight = 0
+	w.keepFlushLocked()
 }
 
 // close flushes any remainder, so a clean Close does not strand accepted
-// submissions, and stops the backstop loop. Later submissions fail.
+// submissions. Later submissions fail, and a backstop still in flight
+// finds the window empty.
 func (w *window) close() {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return
 	}
 	w.flushLocked() // nobody is left to report a failure to
 	w.closed = true
-	w.mu.Unlock()
-	close(w.stop)
-	<-w.done
 }
 
 // coalescer wraps one GC machine replica of the pair: it merges maximal

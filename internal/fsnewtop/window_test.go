@@ -185,6 +185,36 @@ func TestBatchWindowMaxDelayFlushWhenIdle(t *testing.T) {
 	}
 }
 
+// TestWindowStaleBackstopSparesYoungWindow: a backstop callback that lost
+// the race with a flush — it was already running when the window emptied
+// and reopened — must not flush the younger window, which keeps its own
+// deadline δ after it opened.
+func TestWindowStaleBackstopSparesYoungWindow(t *testing.T) {
+	const delta = 50 * time.Millisecond
+	w, subs, clk := newTestWindow(t, delta)
+	mcast(t, w, []byte("a")) // the round in flight
+	mcast(t, w, []byte("b")) // opens the window
+	clk.Advance(delta / 2)
+	w.ownDelivered() // the round returns: "b" goes out, the window empties
+	mcast(t, w, []byte("c"))
+	clk.Advance(delta / 2) // the first window's deadline
+	w.expire()             // its callback, arriving late
+	if n := w.pendingLen(); n != 1 {
+		t.Fatalf("a stale backstop flushed a window open for δ/2 (%d pending, the pair saw %v)", n, subs.kinds(t))
+	}
+	if p := clk.Pending(); p != 1 {
+		t.Fatalf("%d backstops armed for the young window, want 1", p)
+	}
+	clk.Advance(delta/2 - time.Nanosecond)
+	if n := w.pendingLen(); n != 1 {
+		t.Fatal("the young window flushed before its own δ")
+	}
+	clk.Advance(time.Nanosecond)
+	if n := w.pendingLen(); n != 0 {
+		t.Fatal("the young window outlived its own δ")
+	}
+}
+
 // TestWindowOpenOnlyBehindARound checks the invariant that makes δ the
 // window's only backstop: whenever a multicast is pending, a round is in
 // flight. Random sequences of multicasts, joins, own deliveries (stale ones

@@ -10,6 +10,11 @@ import (
 	"fsnewtop/internal/sm"
 )
 
+// TickInterval is the protocol's one tick: crash NewTOP's driver steps a
+// tick input this often, and an FS-NewTOP pair's leader orders one tick
+// into its total order this often.
+const TickInterval = 20 * time.Millisecond
+
 // DriverConfig wires a GC machine to its environment when it runs as a
 // plain (crash-prone) process — the original NewTOP deployment. In
 // FS-NewTOP the machine is instead handed to a failsignal pair, which
@@ -17,10 +22,8 @@ import (
 type DriverConfig struct {
 	// Machine is the GC state machine to drive.
 	Machine *Machine
-	// Clock drives the tick stream.
+	// Clock drives the tick stream (one tick every TickInterval).
 	Clock clock.Clock
-	// TickInterval paces tick inputs. Default 20ms.
-	TickInterval time.Duration
 	// Send transmits one remote output. Required.
 	Send func(to, kind string, payload []byte)
 	// OnDeliver receives application deliveries. Optional.
@@ -53,9 +56,6 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewReal()
-	}
-	if cfg.TickInterval == 0 {
-		cfg.TickInterval = 20 * time.Millisecond
 	}
 	d := &Driver{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
 	go d.run()
@@ -123,7 +123,7 @@ func (d *Driver) run() {
 		steps []sm.Input // inputs taken over by the loop
 		next  int        // the next of steps to run
 		due   bool       // the tick timer has fired
-		tm    = d.cfg.Clock.NewTimer(d.cfg.TickInterval)
+		tm    = d.cfg.Clock.NewTimer(TickInterval)
 	)
 	defer func() { tm.Stop() }()
 	for {
@@ -145,7 +145,7 @@ func (d *Driver) run() {
 			d.mu.Unlock()
 			if due {
 				due = false
-				tm = d.cfg.Clock.NewTimer(d.cfg.TickInterval)
+				tm = d.cfg.Clock.NewTimer(TickInterval)
 			}
 			if len(steps) == 0 {
 				select {

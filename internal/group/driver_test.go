@@ -42,9 +42,8 @@ func newDriverCluster(t *testing.T, cfg Config, names ...string) *driverCluster 
 		mcfg.Self = n
 		machine := New(mcfg)
 		d, err := NewDriver(DriverConfig{
-			Machine:      machine,
-			Clock:        clock.NewReal(),
-			TickInterval: 5 * time.Millisecond,
+			Machine: machine,
+			Clock:   clock.NewReal(),
 			Send: func(to, kind string, payload []byte) {
 				_ = dc.net.Send(netsim.Addr(n), netsim.Addr(to), kind, payload)
 			},

@@ -60,24 +60,36 @@ func (m *Machine) onJoinExisting(j JoinExistingReq) {
 	m.emit(KindJoinAsk, contacts, JoinAsk{Group: j.Group}.Marshal())
 }
 
-// onJoinAsk records an admission request at a current member; the
-// coordinator additionally answers with a snapshot.
+// onJoinAsk records an admission request at a current member. The
+// coordinator answers with a snapshot; any other member relays the ask to
+// it once, since the joiner's contacts need not include it (the view may
+// have changed since the joiner chose them).
 func (m *Machine) onJoinAsk(from string, j JoinAsk) {
 	g, ok := m.groups[j.Group]
 	if !ok || g.joining || from == "" || from == m.cfg.Self {
 		return
 	}
-	if g.isMember(from) || g.suspects[from] {
+	joiner := from
+	if j.Joiner != "" {
+		if !g.isMember(from) {
+			return // only a member may speak for a joiner
+		}
+		joiner = j.Joiner
+	}
+	if g.isMember(joiner) || g.suspects[joiner] {
 		return // members don't join; suspects must be excluded first
 	}
-	js, tracked := g.joiners[from]
+	js, tracked := g.joiners[joiner]
 	if !tracked {
 		js = &joinerState{}
-		g.joiners[from] = js
-		m.trace.Emit(trace.EvJoinAsk, g.viewID, 0, from)
+		g.joiners[joiner] = js
+		m.trace.Emit(trace.EvJoinAsk, g.viewID, 0, joiner)
 	}
 	js.lastAsk = m.now
-	if g.coordinator() != m.cfg.Self {
+	if coord := g.coordinator(); coord != m.cfg.Self {
+		if j.Joiner == "" && coord != "" {
+			m.emit(KindJoinAsk, []string{coord}, JoinAsk{Group: j.Group, Joiner: joiner}.Marshal())
+		}
 		return
 	}
 	if js.acked && js.sentViewID == g.viewID {
@@ -87,7 +99,7 @@ func (m *Machine) onJoinAsk(from string, j JoinAsk) {
 		return
 	}
 	if js.lastSend.IsZero() || m.now.Sub(js.lastSend) >= viewRetryAfter || js.sentViewID != g.viewID {
-		m.sendSnapshot(g, from, js)
+		m.sendSnapshot(g, joiner, js)
 	}
 }
 

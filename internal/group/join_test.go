@@ -275,6 +275,36 @@ func TestJoinSurvivesCoordinatorHandoff(t *testing.T) {
 	}
 }
 
+// TestJoinThroughNonCoordinatorContacts: a joiner whose contacts leave out
+// the coordinator (a was admitted, or became the least member, after the
+// joiner chose them) is still admitted: a contact that is not the
+// coordinator relays the ask, and the coordinator answers the joiner
+// directly.
+func TestJoinThroughNonCoordinatorContacts(t *testing.T) {
+	for _, mode := range []SuspectorMode{SuspectPing, SuspectFailSignal} {
+		c := newTCluster(t, mode, "a", "b", "c")
+		c.joinAll("g")
+		c.mcast("a", "g", TotalSym, "pre")
+		c.addMachine("d", mode)
+		c.joinExisting("d", "g", []string{"b", "c"})
+		for i := 0; i < 4; i++ {
+			c.tick(100 * time.Millisecond)
+		}
+		want := []string{"a", "b", "c", "d"}
+		for _, n := range want {
+			if v := c.lastView(n); !reflect.DeepEqual(v.Members, want) {
+				t.Fatalf("mode %v: %s view = %+v, want %v", mode, n, v, want)
+			}
+		}
+		c.mcast("d", "g", TotalSym, "from-d")
+		for _, n := range want {
+			if got := c.payloads(n); len(got) == 0 || got[len(got)-1] != "from-d" {
+				t.Fatalf("mode %v: %s delivered %v, want the joiner's multicast last", mode, n, got)
+			}
+		}
+	}
+}
+
 // TestJoinProtocolDeterministic replays both the joiner's and the
 // coordinator's recorded input scripts: the join path runs inside
 // byte-compared pair halves and must satisfy R1 like everything else.

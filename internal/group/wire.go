@@ -438,23 +438,25 @@ func UnmarshalJoinExistingReq(b []byte) (JoinExistingReq, error) {
 	return j, nil
 }
 
-// JoinAsk is the payload of KindJoinAsk; the joiner's identity travels as
-// the transport-level sender.
+// JoinAsk is the payload of KindJoinAsk. A joiner's own ask leaves Joiner
+// empty (its identity is the sender); a member's relay names it.
 type JoinAsk struct {
-	Group string
+	Group  string
+	Joiner string
 }
 
 // Marshal returns the canonical encoding.
 func (j JoinAsk) Marshal() []byte {
-	w := codec.NewWriter(16)
+	w := codec.NewWriter(16 + len(j.Joiner))
 	w.String(j.Group)
+	w.String(j.Joiner)
 	return w.Bytes()
 }
 
 // UnmarshalJoinAsk decodes a JoinAsk.
 func UnmarshalJoinAsk(b []byte) (JoinAsk, error) {
 	r := codec.NewReader(b)
-	j := JoinAsk{Group: r.Name()}
+	j := JoinAsk{Group: r.Name(), Joiner: r.Name()}
 	if err := r.Finish(); err != nil {
 		return JoinAsk{}, fmt.Errorf("group: decoding join ask: %w", err)
 	}

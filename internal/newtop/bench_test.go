@@ -50,14 +50,13 @@ func poolKneeRun(b *testing.B, pool, members int) float64 {
 	nsos := make([]*NSO, members)
 	for i, name := range names {
 		nso, err := New(Config{
-			Name:         name,
-			Net:          net,
-			Naming:       naming,
-			Clock:        clock.NewReal(),
-			PoolSize:     pool,
-			ServiceTime:  300 * time.Microsecond,
-			TickInterval: 5 * time.Millisecond,
-			GC:           group.Config{SuspectAfter: time.Hour},
+			Name:        name,
+			Net:         net,
+			Naming:      naming,
+			Clock:       clock.NewReal(),
+			PoolSize:    pool,
+			ServiceTime: 300 * time.Microsecond,
+			GC:          group.Config{SuspectAfter: time.Hour},
 		})
 		if err != nil {
 			b.Fatal(err)

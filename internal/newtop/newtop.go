@@ -92,8 +92,6 @@ type Config struct {
 	// ServiceTime simulates per-request ORB processing cost (see
 	// orb.Config.ServiceTime).
 	ServiceTime time.Duration
-	// TickInterval paces GC machine ticks. 0 = 20ms.
-	TickInterval time.Duration
 	// GC tunes the protocol machine (suspector intervals etc.). Self and
 	// Mode are set by the NSO.
 	GC group.Config
@@ -169,9 +167,8 @@ func New(cfg Config) (*NSO, error) {
 
 	machine := group.New(gcCfg)
 	driver, err := group.NewDriver(group.DriverConfig{
-		Machine:      machine,
-		Clock:        cfg.Clock,
-		TickInterval: cfg.TickInterval,
+		Machine: machine,
+		Clock:   cfg.Clock,
 		Send: func(to, kind string, payload []byte) {
 			// Peer GC services are plain ORB objects: location-transparent
 			// one-way invocations, method = protocol message kind.

@@ -104,12 +104,11 @@ func newCluster(t *testing.T, n int, gc group.Config) *cluster {
 	}
 	for _, name := range c.members {
 		nso, err := New(Config{
-			Name:         name,
-			Net:          net,
-			Naming:       naming,
-			Clock:        clock.NewReal(),
-			TickInterval: 5 * time.Millisecond,
-			GC:           gc,
+			Name:   name,
+			Net:    net,
+			Naming: naming,
+			Clock:  clock.NewReal(),
+			GC:     gc,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -39,7 +39,6 @@ func deploy(t *testing.T, crashTolerant bool, f int, apps []AppMachine) *deploym
 	}
 	opts := []cluster.Option{
 		cluster.WithMembers(members...),
-		cluster.WithTickInterval(5 * time.Millisecond),
 	}
 	if crashTolerant {
 		opts = append(opts,
@@ -158,7 +157,6 @@ func TestVoterCountsOneVotePerReplica(t *testing.T) {
 		cluster.WithMembers("client", "idle"),
 		cluster.WithCrashTolerance(),
 		cluster.WithPingSuspector(200*time.Millisecond, time.Minute),
-		cluster.WithTickInterval(5*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
