@@ -251,6 +251,9 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 	case opts.Virtual && opts.Transport != TransportNetsim:
 		return Result{}, nil, fmt.Errorf("%w: Virtual requires Transport %q (got %q): virtual time cannot pace real sockets, nor gate members in other OS processes",
 			ErrRefused, TransportNetsim, opts.Transport)
+	case opts.Virtual && opts.System == SystemNewTOP:
+		return Result{}, nil, fmt.Errorf("%w: Virtual runs %v only: crash NewTOP's ORB request pool runs goroutines the virtual clock's driver cannot",
+			ErrRefused, SystemFSNewTOP)
 	}
 	if opts.Transport == TransportTCPProcs {
 		return runProcs(opts, spec)
@@ -270,7 +273,7 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 		return Result{}, nil, err
 	}
 	defer tr.Close()
-	reg := trace.NewRegistry(0, nil)
+	reg := trace.NewRegistry(0, clk.Now)
 	activeTrace.Store(reg)
 
 	names := make([]string, opts.Members)
@@ -312,10 +315,13 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 	// without a delivery while work is outstanding. When it does, snapshot
 	// everything and fail fast with a diagnosis instead of letting the
 	// timeout swallow the evidence.
+	// Progress counts deliveries still queued for a workload loop too:
+	// under a virtual clock, protocol time runs on while a loop waits to be
+	// scheduled, and the watchdog judges the protocol, not the scheduler.
 	progress := func() int {
 		total := 0
 		for i := range delivered {
-			total += int(delivered[i].Load())
+			total += int(delivered[i].Load()) + len(cl.Member(names[i]).Deliveries())
 		}
 		return total
 	}
@@ -323,7 +329,7 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 	stopStall := make(chan struct{})
 	defer close(stopStall)
 	if opts.StallAfter > 0 {
-		go stallMonitor(clk, progress, opts.StallAfter, stopStall, stalled)
+		go stallMonitor(clk, progress, opts.Members*opts.Members*opts.MsgsPerMember, opts.StallAfter, stopStall, stalled)
 	}
 
 	var runErr error

@@ -47,27 +47,31 @@ type ChaosOptions struct {
 }
 
 // toChaos converts to the internal options, building the virtual clock
-// when asked. The returned stop func is non-nil when a clock was built and
-// must be called after the run.
-func (o ChaosOptions) toChaos(reg *trace.Registry) (chaos.Options, func(), error) {
+// when asked and, when traced, a trace registry stamped from the run's
+// clock. The returned stop func is non-nil when a clock was built and must
+// be called after the run.
+func (o ChaosOptions) toChaos(traced bool) (chaos.Options, func(), error) {
 	co := chaos.Options{
 		Seed:      o.Seed,
 		Duration:  o.Duration,
 		Transport: o.Transport,
 		TraceDir:  o.TraceDir,
-		Trace:     reg,
 		Churn:     o.Churn,
 		Skew:      o.Skew,
 	}
 	if o.Skew && !o.Virtual {
 		return co, nil, fmt.Errorf("%w: chaos Skew faults need Virtual: clock skew only exists on the virtual timeline", ErrRefused)
 	}
-	if !o.Virtual {
-		return co, nil, nil
+	var stop func()
+	var now func() time.Time // nil: the wall clock
+	if o.Virtual {
+		v := clock.NewVirtual()
+		co.Clock, stop, now = v, v.Stop, v.Now
 	}
-	v := clock.NewVirtual()
-	co.Clock = v
-	return co, v.Stop, nil
+	if traced {
+		co.Trace = trace.NewRegistry(0, now)
+	}
+	return co, stop, nil
 }
 
 // ChaosViolation is one oracle failure.
@@ -131,12 +135,11 @@ type ChaosReport struct {
 // flight. The error reports harness failures only (refused transport,
 // cluster build); oracle verdicts live in the report.
 func RunChaos(opts ChaosOptions) (ChaosReport, error) {
-	reg := trace.NewRegistry(0, nil)
-	activeTrace.Store(reg)
-	co, stop, err := opts.toChaos(reg)
+	co, stop, err := opts.toChaos(true)
 	if err != nil {
 		return ChaosReport{}, err
 	}
+	activeTrace.Store(co.Trace)
 	if stop != nil {
 		defer stop()
 	}
@@ -185,7 +188,7 @@ func RunChaos(opts ChaosOptions) (ChaosReport, error) {
 // rendered report. Harness errors — including a seed that turns out to
 // pass — come back as the error.
 func MinimizeChaos(opts ChaosOptions) (string, error) {
-	co, stop, err := opts.toChaos(nil)
+	co, stop, err := opts.toChaos(false)
 	if err != nil {
 		return "", err
 	}

@@ -100,6 +100,11 @@ func TestRefusedCombinations(t *testing.T) {
 			run: func() error { _, err := Run(fs(Options{Virtual: true, Transport: TransportTCP})); return err }},
 		{name: "virtual x procs", names: []string{"Virtual", `"tcp-procs"`},
 			run: func() error { _, err := Run(fs(Options{Virtual: true, Transport: TransportTCPProcs})); return err }},
+		{name: "virtual x NewTOP", names: []string{"Virtual", "crash NewTOP", "ORB"},
+			run: func() error {
+				_, err := Run(Options{System: SystemNewTOP, MsgsPerMember: 1, Virtual: true})
+				return err
+			}},
 		{name: "procs x RSA", names: []string{`"tcp-procs"`, "RSA"}, spawns: true,
 			run: func() error { _, err := Run(fs(Options{RSA: true, Transport: TransportTCPProcs})); return err }},
 		{name: "procs x NewTOP", names: []string{`"tcp-procs"`, "crash"}, spawns: true,

@@ -83,10 +83,11 @@ func DumpTrace(dir, label string) (string, error) {
 }
 
 // stallMonitor watches a run's aggregate delivery count and reports on
-// stalled when it stops moving for quiet, on the run's clock — under a
-// virtual clock the watchdog window is protocol time, so an accelerated
-// soak still detects wedges. progress must be monotonic.
-func stallMonitor(clk clock.Clock, progress func() int, quiet time.Duration, stop <-chan struct{}, stalled chan<- struct{}) {
+// stalled when it stops moving for quiet short of want, on the run's
+// clock — under a virtual clock the watchdog window is protocol time, so
+// an accelerated soak still detects wedges. progress need not be
+// monotonic: any change counts as a move.
+func stallMonitor(clk clock.Clock, progress func() int, want int, quiet time.Duration, stop <-chan struct{}, stalled chan<- struct{}) {
 	interval := quiet / 20
 	if interval < time.Millisecond {
 		interval = time.Millisecond // sub-ms polls buy nothing
@@ -100,11 +101,13 @@ func stallMonitor(clk clock.Clock, progress func() int, quiet time.Duration, sto
 			t.Stop()
 			return
 		case <-t.C():
-			if n := progress(); n != last {
+			n := progress()
+			switch {
+			case n >= want:
+				return // every delivery is made; the workload loops finish the run
+			case n != last:
 				last, lastMove = n, clk.Now()
-				continue
-			}
-			if clk.Since(lastMove) >= quiet {
+			case clk.Since(lastMove) >= quiet:
 				close(stalled)
 				return
 			}

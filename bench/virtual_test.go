@@ -53,7 +53,9 @@ func TestVirtualRefusesRealTransport(t *testing.T) {
 }
 
 // TestChaosVirtualLane: one chaos seed on the virtual timeline through
-// the bench facade — verdict green, clock bookkeeping sane.
+// the bench facade — verdict green, clock bookkeeping sane, and the run's
+// trace stamped from its clock: the timeline spans the simulated window,
+// not the wall time the run took.
 func TestChaosVirtualLane(t *testing.T) {
 	rep, err := RunChaos(ChaosOptions{
 		Seed:     1,
@@ -71,6 +73,13 @@ func TestChaosVirtualLane(t *testing.T) {
 	}
 	if !raceDetector && rep.WallElapsed >= rep.Elapsed {
 		t.Fatalf("no acceleration: wall %v vs simulated %v", rep.WallElapsed, rep.Elapsed)
+	}
+	evs := activeTrace.Load().Snapshot()
+	if len(evs) == 0 {
+		t.Fatal("the run traced nothing")
+	}
+	if span := time.Duration(evs[len(evs)-1].At - evs[0].At); span < time.Second {
+		t.Fatalf("the timeline spans %v, not the simulated 1s window (wall %v): stamped from the wall clock?", span, rep.WallElapsed)
 	}
 }
 

@@ -156,9 +156,12 @@ func WithClock(clk clock.Clock) Option {
 // its own per-member clock.Skewed view of v's one timeline, so simulated
 // protocol-hours cost only the protocol's own computation, and the chaos
 // plane's clock-skew faults can step or drift a single member through
-// SkewMember. Requires the simulated transport: virtual time cannot pace
-// real sockets. Member construction holds v's busy gate, so bring-up is
-// never raced by an advancing clock.
+// SkewMember. Every node loop of every member runs on v's driver, so the
+// timeline is exact. Requires the simulated transport: virtual time cannot
+// pace real sockets; and fail-signal members: New refuses it together with
+// WithCrashTolerance, whose ORB request pool runs goroutines the driver
+// cannot. Member construction holds v's busy gate, so bring-up is never
+// raced by an advancing clock.
 func WithVirtualTime(v *clock.Virtual) Option {
 	return func(c *config) { c.clk, c.virtual = v, v }
 }
@@ -321,8 +324,7 @@ type Cluster struct {
 	gen map[string]int
 
 	healEvents chan HealEvent
-	healStop   chan struct{}
-	healDone   chan struct{}
+	healer     clock.Loop // the auto-heal controller (WithAutoHeal)
 }
 
 // New assembles and starts a cluster. Every named member is built,
@@ -341,6 +343,9 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	if cfg.autoHeal && cfg.crash {
 		return nil, fmt.Errorf("cluster: WithAutoHeal refused under WithCrashTolerance: remediation acts only on verified fail-signals, and a crash-stop member's exclusion from a view may be a false suspicion")
+	}
+	if cfg.virtual != nil && cfg.crash {
+		return nil, fmt.Errorf("cluster: WithVirtualTime refused under WithCrashTolerance: a crash-tolerant member's ORB request pool runs on goroutines of its own, which the virtual clock's single driver cannot run, so its timeline would not be exact")
 	}
 	if cfg.virtual != nil {
 		if cfg.tr != nil {
@@ -408,9 +413,7 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	if cfg.autoHeal {
 		c.healEvents = make(chan HealEvent, 256)
-		c.healStop = make(chan struct{})
-		c.healDone = make(chan struct{})
-		go c.healLoop()
+		c.healer = clock.NewLoop(cfg.clk, c.healPass)
 	}
 	built = true
 	return c, nil
@@ -594,22 +597,13 @@ func (c *Cluster) AddMember(name string, groups ...string) (*Member, error) {
 // events.
 func (c *Cluster) HealEvents() <-chan HealEvent { return c.healEvents }
 
-// healLoop is the remediation controller: it scans for failed members
-// every healEvery and replaces each with a fresh-generation pair.
-func (c *Cluster) healLoop() {
-	defer close(c.healDone)
-	for {
-		t := c.cfg.clk.NewTimer(healEvery)
-		select {
-		case <-c.healStop:
-			t.Stop()
-			return
-		case <-t.C():
-		}
-		for _, victim := range c.detectFailures() {
-			c.heal(victim)
-		}
+// healPass is the remediation controller's loop: it scans for failed
+// members every healEvery and replaces each with a fresh-generation pair.
+func (c *Cluster) healPass(now time.Time) time.Time {
+	for _, victim := range c.detectFailures() {
+		c.heal(victim)
 	}
+	return now.Add(healEvery)
 }
 
 // detectFailures returns the live members whose pairs have fail-signalled:
@@ -874,10 +868,8 @@ func (c *Cluster) forEachLink(a, b string, f func(transport.FaultInjector, trans
 // Close stops the auto-heal controller, shuts every member down, then
 // the transport if the cluster created it.
 func (c *Cluster) Close() {
-	if c.healStop != nil {
-		close(c.healStop)
-		<-c.healDone
-		c.healStop = nil
+	if c.healer != nil {
+		c.healer.Stop()
 	}
 	c.mu.Lock()
 	members := make([]*Member, 0, len(c.members))

@@ -137,9 +137,10 @@ func TestClusterBatchedTotalOrder(t *testing.T) {
 
 // TestMemberGoroutineBudget counts what one member adds on a transport the
 // caller owns. An FS member is its pair's two replica loops: 2, with no
-// ORB pool and no loop for the window's backstop (a clock callback). A
-// crash member is the ORB's 10 pool workers (the paper's request pool) and
-// the GC driver's loop: 11.
+// ORB pool and no loop for the window's backstop (a clock callback); on a
+// virtual clock it is 0, every loop a pass on the clock's driver. A crash
+// member is the ORB's 10 pool workers (the paper's request pool) and the
+// GC driver's loop: 11.
 // Nothing stands between an NSO and the application. None outlive Close.
 func TestMemberGoroutineBudget(t *testing.T) {
 	net := netsim.New(clock.NewReal(), netsim.WithShards(1))
@@ -151,17 +152,23 @@ func TestMemberGoroutineBudget(t *testing.T) {
 	for net.Stats().Delivered == 0 {
 		time.Sleep(time.Millisecond)
 	}
+	v := clock.NewVirtual() // its driver is the one goroutine of a virtual run
+	defer v.Stop()
+	vnet := netsim.New(v)
+	defer vnet.Close()
 	base := stableGoroutines()
 	for _, tc := range []struct {
 		name string
+		net  *netsim.Network
 		opts []cluster.Option
 		per  int
 	}{
-		{"fs", nil, 2},
-		{"crash", []cluster.Option{cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, time.Hour)}, 11},
+		{"fs", net, nil, 2},
+		{"crash", net, []cluster.Option{cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, time.Hour)}, 11},
+		{"virtual", vnet, []cluster.Option{cluster.WithVirtualTime(v)}, 0},
 	} {
 		names := []string{tc.name + "0", tc.name + "1", tc.name + "2", tc.name + "3"}
-		c, err := cluster.New(append(tc.opts, cluster.WithTransport(net), cluster.WithMembers(names...))...)
+		c, err := cluster.New(append(tc.opts, cluster.WithTransport(tc.net), cluster.WithMembers(names...))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,6 +204,8 @@ func stableGoroutines() int {
 // fail-signal helpers refuse, a crash member has no fail-signal stream,
 // and auto-heal is refused: a crash member's exclusion from a view may be
 // a false suspicion, and remediation acts only on verified fail-signals.
+// Virtual time is refused too: the ORB pool's goroutines are not loops
+// the virtual clock's driver can run.
 func TestClusterCrashTolerance(t *testing.T) {
 	opts := []cluster.Option{
 		cluster.WithMembers("n1", "n2"),
@@ -207,6 +216,14 @@ func TestClusterCrashTolerance(t *testing.T) {
 		c.Close()
 		t.Fatal("New accepted WithAutoHeal under WithCrashTolerance")
 	} else if !strings.Contains(err.Error(), "fail-signal") {
+		t.Fatalf("refusal does not say why: %v", err)
+	}
+	v := clock.NewVirtual()
+	defer v.Stop()
+	if c, err := cluster.New(append(opts, cluster.WithVirtualTime(v))...); err == nil {
+		c.Close()
+		t.Fatal("New accepted WithVirtualTime under WithCrashTolerance")
+	} else if !strings.Contains(err.Error(), "ORB request pool") {
 		t.Fatalf("refusal does not say why: %v", err)
 	}
 	c, err := cluster.New(opts...)

@@ -1,11 +1,15 @@
 package cluster_test
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"fsnewtop/cluster"
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/trace"
 	"fsnewtop/transport/tcpnet"
 )
 
@@ -119,8 +123,12 @@ func TestAutoHealRespawnVirtualClock(t *testing.T) {
 		t.Fatal("replacement has no skew handle: it was built off the virtual timeline")
 	}
 	// The replacement's clock is a live view of v's timeline — and it must
-	// start unskewed, whatever the victim's skew was.
-	if got, want := sk.Now(), v.Now(); got.Before(want.Add(-time.Millisecond)) || got.After(want.Add(time.Millisecond)) {
+	// start unskewed, whatever the victim's skew was. The busy mark keeps
+	// time still between the two reads.
+	v.Busy()
+	got, want := sk.Now(), v.Now()
+	v.Done()
+	if got.Before(want.Add(-time.Millisecond)) || got.After(want.Add(time.Millisecond)) {
 		t.Fatalf("replacement clock reads %v, virtual timeline is at %v", got, want)
 	}
 	// And it is a working member: admitted, multicasting, delivered.
@@ -151,4 +159,92 @@ func TestClusterVirtualTimeRefusesRealTransport(t *testing.T) {
 	); err == nil {
 		t.Fatal("WithVirtualTime over tcpnet must refuse")
 	}
+}
+
+// virtualTimeline runs one scripted FS cluster on a virtual clock and
+// returns its merged trace timeline. Everything that acts on the cluster
+// is a callback on the clock: bring-up and the joins at the first
+// instant, a multicast every 7 ms round the members, m2's follower
+// crashing at 60 ms, and the timeline rendered at 1 s.
+func virtualTimeline(t *testing.T) string {
+	t.Helper()
+	v := clock.NewVirtual()
+	defer v.Stop()
+	reg := trace.NewRegistry(0, v.Now)
+	names := []string{"m0", "m1", "m2", "m3"}
+	var c *cluster.Cluster
+	out := make(chan string, 1)
+	fail := make(chan error, 1)
+	v.AfterFunc(0, func() {
+		var err error
+		if c, err = cluster.New(cluster.WithMembers(names...), cluster.WithVirtualTime(v), cluster.WithTrace(reg)); err == nil {
+			err = c.JoinAll("g")
+		}
+		if err != nil {
+			fail <- err
+			return
+		}
+		for k := 0; k < 24; k++ {
+			v.AfterFunc(time.Duration(k)*7*time.Millisecond, func() {
+				_ = c.Member(names[k%len(names)]).Multicast("g", cluster.TotalSym, []byte(fmt.Sprintf("x%d", k)))
+			})
+		}
+		v.AfterFunc(60*time.Millisecond, func() { c.CrashFollower("m2") })
+		v.AfterFunc(time.Second, func() {
+			var b strings.Builder
+			if err := reg.WriteTimeline(&b); err != nil {
+				fail <- err
+				return
+			}
+			out <- b.String()
+		})
+	})
+	select {
+	case err := <-fail:
+		t.Fatal(err)
+	case s := <-out:
+		c.Close()
+		return s
+	case <-time.After(30 * time.Second):
+		t.Fatal("the scripted run never reached its end")
+	}
+	return ""
+}
+
+// TestVirtualTimelineIsExact: on a virtual clock the whole stack runs on
+// the clock's one driver, so a scripted run is one exact timeline — the
+// merged trace, every event at its instant and in its order on every node,
+// is byte-identical run after run and whatever GOMAXPROCS is. The run
+// covers multicasts under total order, a follower crash and the
+// fail-signal it converts to.
+func TestVirtualTimelineIsExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first string
+	for _, procs := range []int{1, 4, 1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := virtualTimeline(t)
+		if first == "" {
+			first = got
+			for _, want := range []string{"fail-signal", "compare-match", "rx-output"} {
+				if !strings.Contains(got, want) {
+					t.Fatalf("the timeline has no %s event:\n%s", want, got)
+				}
+			}
+			continue
+		}
+		if got != first {
+			t.Fatalf("GOMAXPROCS %d: the timeline differs from the first run's:\n%s", procs, lineDiff(first, got))
+		}
+	}
+}
+
+// lineDiff renders the first line at which two timelines part.
+func lineDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  first: %s\n  this:  %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("one is a prefix of the other (%d against %d lines)", len(al), len(bl))
 }

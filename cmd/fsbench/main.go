@@ -16,12 +16,13 @@
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of the
 // whole invocation (every exit path flushes them), for go tool pprof.
 //
-// -virtual moves a lane onto the auto-advancing virtual clock: whenever
-// every goroutine is parked on a timer or a simulated delivery, the clock
-// jumps straight to the next deadline, so a simulated protocol-hour costs
+// -virtual moves a lane onto the virtual clock, which runs every node
+// loop of the stack on its one driver and jumps straight to the next
+// deadline once nothing is due now, so a simulated protocol-hour costs
 // only the wall time of the computation in it. It requires the netsim
-// substrate (the library refuses tcp and -procs: quiescence detection
-// cannot span sockets or OS processes). Under -virtual the chaos lane
+// substrate and FS-NewTOP (the library refuses tcp, -procs and crash
+// NewTOP: the driver cannot run sockets, OS processes or an ORB pool's
+// goroutines). Under -virtual the chaos lane
 // accepts -skew, which adds clock-skew faults — bounded per-member steps
 // and rate errors that correct pairs must ride out — and every red seed is
 // automatically shrunk to its minimal violating schedule prefix.

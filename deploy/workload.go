@@ -34,19 +34,16 @@ func RunWorkload(clk clock.Clock, mem *cluster.Member, spec RunSpec, members int
 
 	var mu sync.Mutex // guards sendTime between the sender and this loop
 	sendTime := make(map[int]time.Time, spec.MsgsPerMember)
-	sent := make(chan error, 1)
-	go func() {
-		sent <- paceSends(clk, start, spec.MsgsPerMember, spec.SendInterval, stop, func(k int) error {
-			seq := k + 1
-			mu.Lock()
-			sendTime[seq] = clk.Now()
-			mu.Unlock()
-			if err := mem.Multicast(spec.Group, cluster.TotalSym, encodeSeq(seq, spec.MsgSize)); err != nil {
-				return fmt.Errorf("multicast seq %d: %w", seq, err)
-			}
-			return nil
-		})
-	}()
+	sent := paceSends(clk, start, spec.MsgsPerMember, spec.SendInterval, stop, func(k int) error {
+		seq := k + 1
+		mu.Lock()
+		sendTime[seq] = clk.Now()
+		mu.Unlock()
+		if err := mem.Multicast(spec.Group, cluster.TotalSym, encodeSeq(seq, spec.MsgSize)); err != nil {
+			return fmt.Errorf("multicast seq %d: %w", seq, err)
+		}
+		return nil
+	})
 
 	for stats.Delivered < stats.Expected && stats.SendError == "" {
 		select {
@@ -78,7 +75,7 @@ func RunWorkload(clk clock.Clock, mem *cluster.Member, spec RunSpec, members int
 	if stats.SendError == "" {
 		stats.Window = stats.Elapsed
 		if sent != nil {
-			<-sent // own messages all delivered: the last Multicast is returning
+			<-sent // own messages all delivered: the last send is returning
 		}
 	}
 	return stats
@@ -87,23 +84,35 @@ func RunWorkload(clk clock.Clock, mem *cluster.Member, spec RunSpec, members int
 // paceSends calls send(k) for k = 0..n-1 at a fixed rate: send k is due
 // at start + k·interval on clk, however long the sends before it took. A
 // sender that has fallen behind catches up back to back; it never drifts.
-// It returns the first send error, or nil once all sends were made or
-// stop closed.
-func paceSends(clk clock.Clock, start time.Time, n int, interval time.Duration, stop <-chan struct{}, send func(k int) error) error {
-	for k := 0; k < n; k++ {
-		wait := start.Add(time.Duration(k) * interval).Sub(clk.Now())
-		t := clk.NewTimer(wait) // fires at once when the send is already due
-		select {
-		case <-t.C():
-		case <-stop:
-			t.Stop()
-			return nil
+// The sender is a callback on clk that re-arms itself for the next send,
+// so under a virtual clock each send is made at its instant exactly. The
+// returned channel receives the first send error, or nil once all sends
+// were made or stop closed.
+func paceSends(clk clock.Clock, start time.Time, n int, interval time.Duration, stop <-chan struct{}, send func(k int) error) <-chan error {
+	res := make(chan error, 1)
+	k := 0
+	var next func()
+	next = func() {
+		for ; k < n; k++ {
+			select {
+			case <-stop:
+				res <- nil
+				return
+			default:
+			}
+			if wait := start.Add(time.Duration(k) * interval).Sub(clk.Now()); wait > 0 {
+				clk.AfterFunc(wait, next)
+				return
+			}
+			if err := send(k); err != nil {
+				res <- err
+				return
+			}
 		}
-		if err := send(k); err != nil {
-			return err
-		}
+		res <- nil
 	}
-	return nil
+	clk.AfterFunc(0, next)
+	return res
 }
 
 // encodeSeq writes a message's sequence number into a payload of the

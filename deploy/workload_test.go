@@ -12,13 +12,16 @@ import (
 
 // TestPaceSendsHoldsTheRate pins the one pacing rule: send k is due at
 // start + k·interval whatever the sends before it cost, so n sends occupy
-// exactly (n-1)·interval of clock time. A submit that blocks for part of
-// an interval delays nothing; one that overruns two intervals is caught
-// up back to back and the rate is regained. (A loop that sleeps a full
+// exactly (n-1)·interval of clock time. A submit that takes part of an
+// interval delays nothing; one that overruns two intervals is caught up
+// back to back and the rate is regained. (A loop that sleeps a full
 // interval after every submit drifts by the submit time and fails this.)
+// The sender is a callback on the virtual clock, which runs in no time, so
+// a submit's cost is a step of the sender's own skewed view of it.
 func TestPaceSendsHoldsTheRate(t *testing.T) {
-	clk := clock.NewVirtual()
-	defer clk.Stop()
+	v := clock.NewVirtual()
+	defer v.Stop()
+	clk := clock.NewSkewed(v)
 	const interval = 10 * time.Millisecond
 	ms := time.Millisecond
 	cost := []time.Duration{3 * ms, 3 * ms, 25 * ms, 0, 3 * ms, 3 * ms, 0, 3 * ms}
@@ -26,9 +29,9 @@ func TestPaceSendsHoldsTheRate(t *testing.T) {
 
 	start := clk.Now()
 	var at []time.Duration
-	err := paceSends(clk, start, len(cost), interval, nil, func(k int) error {
+	err := <-paceSends(clk, start, len(cost), interval, nil, func(k int) error {
 		at = append(at, clk.Since(start))
-		<-clk.After(cost[k]) // a submit that takes clock time
+		clk.Step(cost[k]) // a submit that takes clock time
 		return nil
 	})
 	if err != nil {

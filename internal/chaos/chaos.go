@@ -342,7 +342,7 @@ func Run(opts Options) (*Report, error) {
 	// randomness both replay from the one integer.
 	reg := opts.Trace
 	if reg == nil {
-		reg = trace.NewRegistry(0, nil)
+		reg = trace.NewRegistry(0, clk.Now)
 	}
 	net := netsim.New(clk, netsim.WithSeed(opts.Seed), netsim.WithDefaultProfile(transport.Profile{
 		Latency: transport.Fixed(200 * time.Microsecond),
@@ -481,72 +481,70 @@ func Run(opts Options) (*Report, error) {
 	var faultMu sync.Mutex
 	states := make(map[string]*faultState) // member → state (schedule keeps them distinct)
 
+	// Everything that acts on the cluster at an instant of the schedule is a
+	// callback on the run's clock, so under a virtual clock it acts at that
+	// instant exactly: the monitor, the senders, and the executor, which
+	// also restores connectivity and stops the senders at the window's end.
+	// actMu serialises them (a real clock runs each on its own goroutine).
+	var (
+		actMu      sync.Mutex
+		sending    = true // the active window is open
+		running    = true // Run has not returned
+		schedStart time.Time
+		every      func(d time.Duration, f func() bool) // f every d while it says so
+	)
+	defer func() {
+		actMu.Lock()
+		running = false
+		actMu.Unlock()
+	}()
+	every = func(d time.Duration, f func() bool) {
+		clk.AfterFunc(d, func() {
+			actMu.Lock()
+			defer actMu.Unlock()
+			if running && f() {
+				every(d, f)
+			}
+		})
+	}
+
 	// Monitor: polls the local, partition-immune pair health and the
 	// fault-plane counters, timestamping first injection and first
 	// fail-signal per member.
-	stopMonitor := make(chan struct{})
-	var monitorWG sync.WaitGroup
-	monitorWG.Add(1)
-	go func() {
-		defer monitorWG.Done()
-		for {
-			select {
-			case <-stopMonitor:
-				return
-			case <-clk.After(2 * time.Millisecond):
+	monitor := func() bool {
+		now := clk.Now()
+		faultMu.Lock()
+		defer faultMu.Unlock()
+		for name, st := range states {
+			if !st.fired && c.ValueFaultsInjected(name) > 0 {
+				st.fired, st.firedAt = true, now
 			}
-			now := clk.Now()
-			faultMu.Lock()
-			for name, st := range states {
-				if !st.fired && c.ValueFaultsInjected(name) > 0 {
-					st.fired, st.firedAt = true, now
-				}
-				if !st.failed && c.PairFailed(name) {
-					st.failed, st.failAt = true, now
-				}
+			if !st.failed && c.PairFailed(name) {
+				st.failed, st.failAt = true, now
 			}
-			faultMu.Unlock()
 		}
-	}()
-	defer func() {
-		close(stopMonitor)
-		monitorWG.Wait()
-	}()
+		return true
+	}
 
 	// Workload: every member multicasts paced, self-describing payloads
 	// until the active window closes. Members whose pair has failed stop
 	// sending (their svc is gone); errors on a dying member are expected.
-	stopWork := make(chan struct{})
-	var workWG sync.WaitGroup
-	for _, name := range members {
-		m := c.Member(name)
-		workWG.Add(1)
-		go func(name string, m *cluster.Member) {
-			defer workWG.Done()
-			for seq := 0; ; seq++ {
-				select {
-				case <-stopWork:
-					return
-				case <-clk.After(opts.SendEvery):
-				}
-				if c.PairFailed(name) {
-					return
-				}
-				p := fmt.Sprintf("c|%s|%d", name, seq)
-				obs.record(p)
-				if err := m.Multicast(groupName, cluster.TotalSym, []byte(p)); err != nil {
-					return
-				}
+	sender := func(name string, m *cluster.Member) func() bool {
+		seq := 0
+		return func() bool {
+			if !sending || c.PairFailed(name) {
+				return false
 			}
-		}(name, m)
+			p := fmt.Sprintf("c|%s|%d", name, seq)
+			seq++
+			obs.record(p)
+			return m.Multicast(groupName, cluster.TotalSym, []byte(p)) == nil
+		}
 	}
 
-	// Executor: replay the schedule against the live cluster.
-	schedStart := clk.Now()
-	for _, a := range sched.Actions {
-		if wait := a.At - clk.Since(schedStart); wait > 0 {
-			<-clk.After(wait)
-		}
+	// Executor: replay the schedule against the live cluster, re-arming
+	// itself for each action's instant.
+	act := func(a Action) error {
 		switch a.Kind {
 		case ActIsolate:
 			c.Isolate(a.A, a.B)
@@ -575,7 +573,7 @@ func Run(opts Options) (*Report, error) {
 				half = cluster.FollowerHalf
 			}
 			if err := c.InjectValueFault(a.A, half, spec); err != nil {
-				return nil, fmt.Errorf("chaos: arming %v: %w", a, err)
+				return fmt.Errorf("chaos: arming %v: %w", a, err)
 			}
 		case ActSkewStep:
 			if sk := c.SkewMember(a.A); sk != nil {
@@ -586,21 +584,49 @@ func Run(opts Options) (*Report, error) {
 				sk.SetDrift(a.Drift)
 			}
 		}
+		return nil
 	}
-	if wait := sched.Duration - clk.Since(schedStart); wait > 0 {
-		<-clk.After(wait)
-	}
-
-	// Belt and braces: restore full connectivity even if the generator's
-	// heal-by-0.8·D invariant is ever loosened.
-	for i, a := range members {
-		for _, b := range members[i+1:] {
-			c.Heal(a, b)
-			c.ShapeLinks(a, b, transport.Profile{Latency: transport.Fixed(200 * time.Microsecond)})
+	executed := make(chan error, 1)
+	next := 0 // the next action to replay
+	var step func()
+	step = func() {
+		for ; next < len(sched.Actions) && sched.Actions[next].At <= clk.Since(schedStart); next++ {
+			if err := act(sched.Actions[next]); err != nil {
+				executed <- err
+				return
+			}
 		}
+		due := sched.Duration
+		if next < len(sched.Actions) {
+			due = sched.Actions[next].At
+		}
+		if wait := due - clk.Since(schedStart); wait > 0 {
+			clk.AfterFunc(wait, func() { actMu.Lock(); defer actMu.Unlock(); step() })
+			return
+		}
+		// Belt and braces: restore full connectivity even if the
+		// generator's heal-by-0.8·D invariant is ever loosened.
+		for i, a := range members {
+			for _, b := range members[i+1:] {
+				c.Heal(a, b)
+				c.ShapeLinks(a, b, transport.Profile{Latency: transport.Fixed(200 * time.Microsecond)})
+			}
+		}
+		sending = false
+		executed <- nil
 	}
-	close(stopWork)
-	workWG.Wait()
+	every(0, func() bool {
+		schedStart = clk.Now()
+		every(2*time.Millisecond, monitor)
+		for _, name := range members {
+			every(opts.SendEvery, sender(name, c.Member(name)))
+		}
+		step()
+		return false
+	})
+	if err := <-executed; err != nil {
+		return nil, err
+	}
 
 	// Let every owed fail-silence conversion land (or blow its bound).
 	bound := conversionBound(opts.Delta)

@@ -9,6 +9,7 @@
 package clock
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -180,6 +181,14 @@ func (m *Manual) Pending() int {
 		}
 	}
 	return n
+}
+
+// Armed reports whether a timer is armed for exactly at: tests use it to
+// see where a loop has aimed its timer.
+func (m *Manual) Armed(at time.Time) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.ContainsFunc(m.waiters, func(t *manualTimer) bool { return !t.fired && t.when.Equal(at) })
 }
 
 type manualTimer struct {

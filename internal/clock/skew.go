@@ -37,8 +37,10 @@ func NewSkewed(base Clock) *Skewed {
 }
 
 // Now implements Clock: anchorLocal + (1+drift)·(base now − anchorBase).
-func (s *Skewed) Now() time.Time {
-	base := s.base.Now()
+func (s *Skewed) Now() time.Time { return s.localAt(s.base.Now()) }
+
+// localAt is the local instant at base instant base.
+func (s *Skewed) localAt(base time.Time) time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.localAtLocked(base)
@@ -65,13 +67,16 @@ func (s *Skewed) AfterFunc(d time.Duration, f func()) Timer {
 	return s.base.AfterFunc(s.baseDuration(d), f)
 }
 
-// baseDuration is local duration d on the base timeline at the current drift.
+// baseDuration is local duration d on the base timeline at the current
+// drift. A positive d stays positive: rounded to zero, a deadline a
+// nanosecond ahead would fire at once, at the same local instant, and a
+// loop or callback re-arming for it would never let time move.
 func (s *Skewed) baseDuration(d time.Duration) time.Duration {
 	s.mu.Lock()
 	drift := s.drift
 	s.mu.Unlock()
 	if d > 0 && drift != 0 {
-		d = time.Duration(float64(d) / (1 + drift))
+		d = max(time.Duration(float64(d)/(1+drift)), 1)
 	}
 	return d
 }

@@ -87,3 +87,42 @@ func TestSkewedOverVirtualAutoFires(t *testing.T) {
 		t.Fatalf("fast clock's 1m should cost < 1m of base time, elapsed %v", v.Elapsed())
 	}
 }
+
+// TestSkewedTinyDeadlineMovesTime: on a skewed view of a virtual clock, a
+// loop or a callback that waits out the last nanoseconds of its deadline
+// must see time move. A local nanosecond must not convert to zero base
+// time, or the wait fires at once at the same instant, forever.
+func TestSkewedTinyDeadlineMovesTime(t *testing.T) {
+	for _, drift := range []float64{500e-6, -500e-6} {
+		v := NewVirtual()
+		s := NewSkewed(v)
+		s.SetDrift(drift)
+		due := s.Now().Add(3 * time.Nanosecond)
+		reached := make(chan struct{}, 2)
+		l := NewLoop(s, func(now time.Time) time.Time {
+			if now.Before(due) {
+				return now.Add(time.Nanosecond)
+			}
+			reached <- struct{}{}
+			return time.Time{}
+		})
+		var wait func()
+		wait = func() {
+			if now := s.Now(); now.Before(due) {
+				s.AfterFunc(time.Nanosecond, wait)
+				return
+			}
+			reached <- struct{}{}
+		}
+		s.AfterFunc(0, wait)
+		for i := 0; i < 2; i++ {
+			select {
+			case <-reached:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("drift %v: a nanosecond deadline never let time move", drift)
+			}
+		}
+		l.Stop()
+		v.Stop()
+	}
+}

@@ -1,110 +1,55 @@
 package clock
 
 import (
+	"container/heap"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Virtual is an auto-advancing Clock: whenever every participating
-// goroutine is parked waiting on the clock (a protocol timer, a netsim
-// delivery deadline), it jumps time straight to the next earliest armed
-// deadline and fires every timer due at that instant. Nothing ever sleeps
-// on the wall, so an hour of protocol time costs only as much wall time as
-// the protocol's own computation.
+// Virtual is a discrete-event Clock: the executor of everything that runs
+// on it. One driver goroutine owns the timeline. It runs every callback
+// armed on the clock — AfterFunc callbacks and the passes of every Loop
+// built on it — one at a time, in (deadline, arm order), and moves time
+// only when no callback is due now and no busy mark is held; it then jumps
+// straight to the earliest deadline. Nothing sleeps on the wall, so an
+// hour of protocol time costs only the protocol's own computation.
 //
-// Advancing is gated on quiescence, detected from two signals:
-//
-//   - the busy gate: a counter of "runnable participants". Components
-//     bracket non-clock work with Busy/Done (netsim brackets every Send and
-//     every dispatcher delivery batch; cluster brackets member
-//     construction; the driver brackets every AfterFunc callback). Time
-//     cannot move while the counter is non-zero.
-//   - idle gates: registered predicates that report whether a subsystem's
-//     internal queues are drained *and* covered by an armed timer (netsim
-//     registers one per Network: every shard's earliest pending delivery
-//     must have a live timer armed for exactly that deadline).
-//
-// Between the counter reaching zero and a parked goroutine actually
-// blocking on its timer channel there is an unavoidable scheduling window;
-// the driver closes it heuristically by yielding the processor several
-// times and requiring the activity version (bumped by every timer
-// operation and every busy transition) to hold still across the yields.
-// That proof only holds on one P: on a second one, a worker that took a
-// hand-off from a netsim handler is mid-step while the yields come back
-// quiet, time leaps to its peer's compare deadline, and the pair
-// fail-signals a fault nobody injected. So a live Virtual pins
-// GOMAXPROCS to 1 (pinProcs) — a stopgap; ROADMAP item 1 replaces the
-// heuristic. Advances are always bounded by the next armed deadline.
+// Every node loop of a stack built on a Virtual is a pass on its driver,
+// so virtual time is exact by construction, whatever GOMAXPROCS is. Code
+// outside the driver that acts on the stack at the instant it read from
+// Now brackets the act with Busy/Done, as netsim's Send and cluster
+// bring-up do. A channel timer (After, NewTimer) only notifies a goroutine
+// outside; time does not wait for it. A callback must not block on the
+// clock's own progress (a channel timer, another callback).
 //
 // The zero value is not usable; call NewVirtual, and Stop when done.
 type Virtual struct {
-	mu   sync.Mutex
-	now  time.Time
-	heap []*VirtualTimer // indexed min-heap on (when, seq)
-	seq  uint64
+	mu       sync.Mutex
+	now      time.Time
+	heap     queue
+	seq      uint64
+	busy     int
+	advances uint64
+	stopped  bool
 
-	epoch    time.Time
-	busy     atomic.Int64
-	version  atomic.Uint64
-	advances atomic.Uint64
-
-	gatesMu  sync.Mutex
-	gates    map[int]func() bool
-	nextGate int
-
-	kick     chan struct{} // cap 1: "quiescence may have been reached"
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	epoch time.Time
+	wake  chan struct{} // cap 1: the heap, the busy count or stopped changed
+	done  chan struct{} // closed when the driver has returned
 }
-
-// settleRounds is how many scheduler yields the driver performs, requiring
-// the activity version to hold still throughout, before trusting that
-// every participant is parked.
-const settleRounds = 4
 
 // NewVirtual returns a running virtual clock positioned at the same fixed
 // epoch as NewManual. The caller must Stop it to release the driver
 // goroutine.
 func NewVirtual() *Virtual {
 	v := &Virtual{
-		now:    time.Date(2003, 6, 23, 0, 0, 0, 0, time.UTC),
-		gates:  make(map[int]func() bool),
-		kick:   make(chan struct{}, 1),
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
+		now:  time.Date(2003, 6, 23, 0, 0, 0, 0, time.UTC),
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	v.epoch = v.now
-	pinProcs()
 	go v.drive()
 	return v
-}
-
-// procs serialises the process while any Virtual is live: the first live
-// clock sets GOMAXPROCS to 1, the last Stop restores what it found.
-var procs struct {
-	mu   sync.Mutex
-	live int
-	prev int
-}
-
-func pinProcs() {
-	procs.mu.Lock()
-	defer procs.mu.Unlock()
-	if procs.live == 0 {
-		procs.prev = runtime.GOMAXPROCS(1)
-	}
-	procs.live++
-}
-
-func unpinProcs() {
-	procs.mu.Lock()
-	defer procs.mu.Unlock()
-	if procs.live--; procs.live == 0 {
-		runtime.GOMAXPROCS(procs.prev)
-	}
 }
 
 // Now implements Clock.
@@ -120,265 +65,255 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 // After implements Clock.
 func (v *Virtual) After(d time.Duration) <-chan time.Time { return v.NewTimer(d).C() }
 
-// NewTimer implements Clock.
+// NewTimer implements Clock. The channel receives the instant at which the
+// timer fired; the goroutine that receives it is not waited for.
 func (v *Virtual) NewTimer(d time.Duration) Timer {
-	t := &VirtualTimer{clock: v, ch: make(chan time.Time, 1)}
+	t := &vtimer{clock: v, pos: -1, ch: make(chan time.Time, 1)}
 	if d <= 0 {
-		v.mu.Lock()
-		t.fired = true
-		t.ch <- v.now
-		v.mu.Unlock()
+		t.ch <- v.Now()
 		return t
 	}
 	return v.arm(t, d)
 }
 
-// AfterFunc implements Clock: f runs on the driver goroutine with the busy
-// gate held, so time cannot move until it returns. A d ≤ 0 is due now.
+// AfterFunc implements Clock: f runs on the driver goroutine, and time
+// does not move until it returns. A d ≤ 0 is due now.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
-	return v.arm(&VirtualTimer{clock: v, f: f}, max(d, 0))
+	return v.arm(&vtimer{clock: v, pos: -1, f: f}, max(d, 0))
 }
 
-// arm pushes t onto the heap, due d from now, and nudges the driver.
-func (v *Virtual) arm(t *VirtualTimer, d time.Duration) *VirtualTimer {
+// arm queues t, due d from now.
+func (v *Virtual) arm(t *vtimer, d time.Duration) *vtimer {
 	v.mu.Lock()
-	v.seq++
-	t.when, t.seq, t.pos = v.now.Add(d), v.seq, len(v.heap)
-	v.heap = append(v.heap, t)
-	v.siftUp(t.pos)
+	v.aimLocked(t, v.now.Add(d))
 	v.mu.Unlock()
-	v.bump()
+	v.poke()
 	return t
 }
 
-// Busy marks one participant runnable: time will not advance until the
-// matching Done. Nestable and safe for concurrent use.
-func (v *Virtual) Busy() { v.busy.Add(1) }
+// Busy marks one participant busy: time will not advance until the
+// matching Done, though callbacks due now still run. Nestable and safe for
+// concurrent use.
+func (v *Virtual) Busy() {
+	v.mu.Lock()
+	v.busy++
+	v.mu.Unlock()
+}
 
 // Done releases a Busy mark.
 func (v *Virtual) Done() {
-	if v.busy.Add(-1) == 0 {
-		v.bump()
+	v.mu.Lock()
+	v.busy--
+	idle := v.busy == 0
+	v.mu.Unlock()
+	if idle {
+		v.poke()
 	}
 }
 
-// AddGate registers an idleness predicate consulted before every advance:
-// time moves only while every gate reports true. The predicate must be
-// safe to call from the driver goroutine at any moment. The returned
-// function unregisters it.
-func (v *Virtual) AddGate(idle func() bool) (remove func()) {
-	v.gatesMu.Lock()
-	id := v.nextGate
-	v.nextGate++
-	v.gates[id] = idle
-	v.gatesMu.Unlock()
-	return func() {
-		v.gatesMu.Lock()
-		delete(v.gates, id)
-		v.gatesMu.Unlock()
-	}
-}
-
-// Stop halts the driver. Armed timers never fire afterwards and Now is
-// frozen. Safe to call multiple times.
+// Stop halts the driver once the callback it is running, if any, returns.
+// Armed timers never fire afterwards and Now is frozen. Safe to call more
+// than once; not from a callback.
 func (v *Virtual) Stop() {
-	v.stopOnce.Do(func() {
-		close(v.stopCh)
-		<-v.done
-		unpinProcs()
-	})
+	v.mu.Lock()
+	v.stopped = true
+	v.mu.Unlock()
+	v.poke()
+	<-v.done
 }
 
 // Advances reports how many time jumps the driver has performed.
-func (v *Virtual) Advances() uint64 { return v.advances.Load() }
+func (v *Virtual) Advances() uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.advances
+}
 
 // Elapsed reports how much virtual time has passed since the epoch.
 func (v *Virtual) Elapsed() time.Duration { return v.Now().Sub(v.epoch) }
 
-// Pending reports how many timers are armed but not yet fired.
-func (v *Virtual) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.heap)
-}
-
-// bump records instrumented activity and nudges the driver.
-func (v *Virtual) bump() {
-	v.version.Add(1)
+// poke wakes the driver; a wake already pending covers this one.
+func (v *Virtual) poke() {
 	select {
-	case v.kick <- struct{}{}:
+	case v.wake <- struct{}{}:
 	default:
 	}
 }
 
-// drive is the advancement loop. It reacts to kicks (busy count reaching
-// zero, timers being armed) and keeps a short wall ticker as a backstop
-// against any missed wakeup, so a quiescent system can never hang.
+// drive is the executor: it runs the earliest entry once it is due, moving
+// time to its deadline first when nothing is due now and no busy mark is
+// held, and parks until poked otherwise. Callbacks run without the lock.
+// Before it moves time it yields the processor once, so that on one P the
+// goroutines outside it (an application draining deliveries, a test
+// polling a condition) are not starved; nothing on the timeline depends
+// on the yield.
 func (v *Virtual) drive() {
 	defer close(v.done)
-	tick := time.NewTicker(200 * time.Microsecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-v.stopCh:
-			return
-		case <-v.kick:
-		case <-tick.C:
-		}
-		v.tryAdvance()
-	}
-}
-
-// quiet reports whether the busy gate and every registered idle gate agree
-// that all participants are parked on the clock.
-func (v *Virtual) quiet() bool {
-	if v.busy.Load() != 0 {
-		return false
-	}
-	v.gatesMu.Lock()
-	defer v.gatesMu.Unlock()
-	for _, idle := range v.gates {
-		if !idle() {
-			return false
-		}
-	}
-	return true
-}
-
-// tryAdvance performs one settle-check-advance attempt. On success it
-// jumps time to the earliest armed deadline and fires every timer due at
-// that instant, in arm order; an AfterFunc callback runs on this
-// goroutine, without the lock and holding the busy gate.
-func (v *Virtual) tryAdvance() {
-	ver := v.version.Load()
-	for i := 0; i < settleRounds; i++ {
-		if v.busy.Load() != 0 {
-			return
-		}
-		runtime.Gosched()
-	}
-	if v.version.Load() != ver || !v.quiet() {
-		return // activity observed; a kick or the backstop retries
-	}
+	yielded := false
 	v.mu.Lock()
-	if len(v.heap) == 0 {
-		v.mu.Unlock()
-		return
-	}
-	target := v.heap[0].when
-	v.now = target
-	for len(v.heap) > 0 && !v.heap[0].when.After(target) {
-		t := v.heap[0]
-		v.removeLocked(t)
-		t.fired = true
-		if t.f == nil {
-			t.ch <- target
+	for !v.stopped {
+		if len(v.heap) == 0 || (v.heap[0].when.After(v.now) && v.busy > 0) {
+			v.mu.Unlock()
+			<-v.wake
+			v.mu.Lock()
 			continue
 		}
-		v.Busy()
-		v.mu.Unlock()
-		t.f()
-		v.Done()
-		v.mu.Lock()
+		t := v.heap[0]
+		if t.when.After(v.now) {
+			if !yielded {
+				yielded = true
+				v.mu.Unlock()
+				runtime.Gosched()
+				v.mu.Lock()
+				continue
+			}
+			v.now = t.when
+			v.advances++
+		}
+		yielded = false
+		v.removeLocked(t)
+		now := v.now
+		switch {
+		case t.ch != nil:
+			t.ch <- now
+		case t.loop != nil:
+			v.runPassLocked(t.loop, now)
+		default:
+			v.mu.Unlock()
+			t.f()
+			v.mu.Lock()
+		}
 	}
 	v.mu.Unlock()
-	v.advances.Add(1)
-	v.bump() // the fired timers' owners are waking; re-examine soon
 }
 
-// VirtualTimer is the Timer implementation of Virtual.
-type VirtualTimer struct {
+// vtimer is one entry on a Virtual's queue: a channel timer, an AfterFunc
+// callback, or a Loop's next pass.
+type vtimer struct {
 	clock *Virtual
 	when  time.Time
 	seq   uint64
-	pos   int            // heap index, -1 once fired/stopped
-	ch    chan time.Time // nil for an AfterFunc timer
+	pos   int            // heap index, -1 while not queued
+	ch    chan time.Time // a channel timer's channel
 	f     func()         // an AfterFunc timer's callback
-	fired bool
+	loop  *virtualLoop   // the Loop this entry runs a pass of
 }
 
 // C implements Timer.
-func (t *VirtualTimer) C() <-chan time.Time { return t.ch }
+func (t *vtimer) C() <-chan time.Time { return t.ch }
 
 // Stop implements Timer.
-func (t *VirtualTimer) Stop() bool {
-	t.clock.mu.Lock()
-	if t.fired {
-		t.clock.mu.Unlock()
+func (t *vtimer) Stop() bool {
+	v := t.clock
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if t.pos < 0 {
 		return false
 	}
-	t.fired = true
-	t.clock.removeLocked(t)
-	t.clock.mu.Unlock()
-	t.clock.bump()
+	v.removeLocked(t)
 	return true
 }
 
-// Pending reports whether the timer is armed and has not yet fired or been
-// stopped. netsim's idle gate uses it to check that a shard's earliest
-// delivery deadline is still covered by a live timer.
-func (t *VirtualTimer) Pending() bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	return !t.fired
+// virtualLoop is a Loop on a Virtual: an entry on its queue, no goroutine.
+// Its fields are guarded by the clock's mu.
+type virtualLoop struct {
+	pass    func(now time.Time) time.Time
+	entry   vtimer
+	running bool // its pass is on the driver now
+	kicked  bool // kicked while running: run again at once
+	stopped bool
 }
 
-// --- timer min-heap on (when, seq), with position indexes for O(log n)
-// removal so a stopped timer cannot linger at the root and draw a
-// pointless advance to its dead deadline.
-
-func (v *Virtual) less(i, j int) bool {
-	a, b := v.heap[i], v.heap[j]
-	if !a.when.Equal(b.when) {
-		return a.when.Before(b.when)
+// Kick implements Loop: the pass is queued now, behind whatever is
+// already due now.
+func (l *virtualLoop) Kick() {
+	v := l.entry.clock
+	v.mu.Lock()
+	switch {
+	case l.stopped:
+	case l.running:
+		l.kicked = true
+	case l.entry.pos >= 0 && !l.entry.when.After(v.now):
+	default:
+		v.aimLocked(&l.entry, v.now)
 	}
-	return a.seq < b.seq
+	v.mu.Unlock()
+	v.poke()
 }
 
-func (v *Virtual) swap(i, j int) {
-	v.heap[i], v.heap[j] = v.heap[j], v.heap[i]
-	v.heap[i].pos, v.heap[j].pos = i, j
+// Stop implements Loop. It never waits: a pass running on the driver
+// finishes there, and none starts after it.
+func (l *virtualLoop) Stop() {
+	v := l.entry.clock
+	v.mu.Lock()
+	l.stopped = true
+	if l.entry.pos >= 0 {
+		v.removeLocked(&l.entry)
+	}
+	v.mu.Unlock()
 }
 
-func (v *Virtual) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !v.less(i, parent) {
-			break
-		}
-		v.swap(i, parent)
-		i = parent
+// runPassLocked runs one pass of l at now, unlocked, and queues the next
+// one the pass asked for (or a kick that came in meanwhile demands).
+func (v *Virtual) runPassLocked(l *virtualLoop, now time.Time) {
+	l.running = true
+	v.mu.Unlock()
+	next := l.pass(now)
+	v.mu.Lock()
+	l.running = false
+	switch {
+	case l.stopped:
+	case l.kicked || (!next.IsZero() && !next.After(now)):
+		l.kicked = false
+		v.aimLocked(&l.entry, now)
+	case !next.IsZero():
+		v.aimLocked(&l.entry, next)
 	}
 }
 
-func (v *Virtual) siftDown(i int) {
-	n := len(v.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && v.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && v.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		v.swap(i, smallest)
-		i = smallest
+// queue is a Virtual's entries: a min-heap on (when, seq) whose entries
+// know their index, so a stopped timer leaves at once and never draws an
+// advance to its dead deadline.
+type queue []*vtimer
+
+func (q queue) Len() int { return len(q) }
+
+func (q queue) Less(i, j int) bool {
+	if !q[i].when.Equal(q[j].when) {
+		return q[i].when.Before(q[j].when)
 	}
+	return q[i].seq < q[j].seq
 }
 
-func (v *Virtual) removeLocked(t *VirtualTimer) {
-	i := t.pos
-	last := len(v.heap) - 1
-	v.swap(i, last)
-	v.heap[last] = nil
-	v.heap = v.heap[:last]
+func (q queue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].pos, q[j].pos = i, j
+}
+
+func (q *queue) Push(x any) {
+	t := x.(*vtimer)
+	t.pos = len(*q)
+	*q = append(*q, t)
+}
+
+func (q *queue) Pop() any {
+	old := *q
+	t := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
 	t.pos = -1
-	if i < last {
-		v.siftDown(i)
-		v.siftUp(i)
+	return t
+}
+
+// aimLocked (re)queues t at when, in a new arm order.
+func (v *Virtual) aimLocked(t *vtimer, when time.Time) {
+	v.seq++
+	t.when, t.seq = when, v.seq
+	if t.pos >= 0 {
+		heap.Fix(&v.heap, t.pos)
+	} else {
+		heap.Push(&v.heap, t)
 	}
 }
+
+func (v *Virtual) removeLocked(t *vtimer) { heap.Remove(&v.heap, t.pos) }

@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -102,30 +101,13 @@ func TestVirtualBusyGateBlocksAdvance(t *testing.T) {
 	defer v.Stop()
 	v.Busy()
 	ch := v.After(time.Millisecond)
-	time.Sleep(20 * time.Millisecond) // driver ticks every 200µs; ample chances to misfire
+	time.Sleep(20 * time.Millisecond) // ample time for the driver to misfire
 	select {
 	case <-ch:
 		t.Fatal("clock advanced while a participant was busy")
 	default:
 	}
 	v.Done()
-	waitFired(t, ch)
-}
-
-func TestVirtualIdleGateBlocksAdvance(t *testing.T) {
-	v := NewVirtual()
-	defer v.Stop()
-	var idle atomic.Bool
-	remove := v.AddGate(idle.Load)
-	defer remove()
-	ch := v.After(time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-ch:
-		t.Fatal("clock advanced while a gate reported busy")
-	default:
-	}
-	idle.Store(true)
 	waitFired(t, ch)
 }
 

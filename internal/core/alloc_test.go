@@ -22,12 +22,13 @@ func (m *replyMachine) Step(in sm.Input) []sm.Output {
 	return m.out
 }
 
-// inputBudget is what TestInputAllocBudget allows one round: 31 measured
+// inputBudget is what TestInputAllocBudget allows one round: 13 measured
 // (60 before kinds, sources and signers decoded against the name table,
 // outputs were read without their destinations, watches and ICMP entries
-// were reused), plus 2 for the simulated network, whose per-message waits
-// depend on timing. Of the 31, ~18 are the simulated network's timers.
-const inputBudget = 33
+// were reused; 31 before every loop re-aimed one timer instead of
+// allocating one per wait, ~18 of them in the simulated network), plus 2
+// for the simulated network, whose per-message waits depend on timing.
+const inputBudget = 15
 
 // TestInputAllocBudget fences what one 16-byte FS input costs a pair end
 // to end: the leader and the follower each take a copy (decode, verify,

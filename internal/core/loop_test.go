@@ -346,7 +346,8 @@ func (rig *silenceRig) crashLeader() {
 
 // settle waits until the follower's loop has stepped every accepted fwd,
 // closed the pass that stepped the last, taken the expired watch at
-// taken (0: none), and aimed its timer at the watch's next expiry.
+// taken (0: none), and aimed its timer at the watch's next expiry (no
+// other timer on the rig's clock is due at that instant).
 func (rig *silenceRig) settle(taken int64) {
 	rig.t.Helper()
 	f := rig.pair.Follower
@@ -354,7 +355,7 @@ func (rig *silenceRig) settle(taken int64) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		next := f.wd.next()
-		return f.failed || rig.steps.n.Load() == f.stats.Ordered && f.passStart.IsZero() && next != taken && f.aim == next
+		return f.failed || rig.steps.n.Load() == f.stats.Ordered && f.passStart.IsZero() && next != taken && rig.clk.Armed(time.Unix(0, next))
 	})
 }
 

@@ -3,6 +3,7 @@ package failsignal
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -160,13 +161,18 @@ type irmpEntry struct {
 }
 
 // Replica is one half of a fail-signal process: the wrapped state-machine
-// replica plus its FSO (Order and Compare roles). It runs on one goroutine,
-// its loop (see run); transport handlers only order, pool and match under
-// mu and wake the loop.
+// replica plus its FSO (Order and Compare roles). It runs on one
+// clock.Loop (see pass); transport handlers only order, pool and match
+// under mu and kick the loop.
 type Replica struct {
 	cfg  ReplicaConfig
-	wake chan struct{} // cap 1: new DMQ input, an earlier deadline, or a stop
-	done chan struct{} // closed when the loop has returned
+	loop clock.Loop
+
+	// Owned by the loop's passes, never touched elsewhere.
+	steps  []orderedInput // DMQ inputs taken over by the loop
+	next   int            // the next of steps to run
+	outSeq uint64
+	fired  *watch // handled on the last pass, released on this one
 
 	mu sync.Mutex
 	// dmq is the Delivered Message Queue: ordered inputs the loop has not
@@ -175,7 +181,6 @@ type Replica struct {
 	// bound the Compare deadlines are computed from).
 	dmq      []orderedInput
 	wd       watchdog  // fail-signal deadlines, popped by the loop
-	aim      int64     // what the loop's timer is set for, Unix nanos; 0 when none
 	nextTick time.Time // leader with TickInterval: when the next tick is due
 	// maxPass is the longest pass the loop has taken to step one input and
 	// compare its outputs, timed from the pass's start (passStart, zero
@@ -229,8 +234,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	r := &Replica{
 		cfg:  cfg,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
 		wd:   watchdog{clk: cfg.Clock, ring: cfg.Trace},
 		gate: newGate(),
 		icmp: make(map[uint64]icmpEntry),
@@ -248,111 +251,71 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if t, ok := cfg.Machine.(trace.Traceable); ok && cfg.Trace != nil {
 		t.SetTrace(cfg.Trace)
 	}
+	r.loop = clock.NewLoop(cfg.Clock, r.pass)
 	cfg.Net.Register(cfg.Self, r.handle)
-	go r.run()
 	return r, nil
 }
 
-// run is the replica's one goroutine, the target thread of the paper. It
-// owns the DMQ, the deadline heap and (leader) the tick. Each pass orders
-// a tick if one is due, then handles one due deadline, else steps the
-// machine once and hands its outputs to Compare, so a backlog delays a due
-// deadline by at most one Step. With nothing ready it parks on the wake
-// channel and one clock timer, re-aimed only when the earliest deadline or
-// tick moves earlier (a stale timer costs one empty pass). A replica that
-// has failed or closed stops: its backlog is dropped, not stepped.
-func (r *Replica) run() {
-	defer close(r.done)
-	var (
-		tm     clock.Timer
-		steps  []orderedInput // DMQ inputs taken over by the loop
-		next   int            // the next of steps to run
-		outSeq uint64
-		fired  *watch // handled on the last pass, released on this one
-	)
-	defer func() {
-		if tm != nil {
-			tm.Stop()
-		}
-	}()
-	for {
-		r.mu.Lock()
-		if r.failed || r.closed {
-			r.mu.Unlock()
-			return
-		}
-		if fired != nil {
-			r.wd.release(fired)
-			fired = nil
-		}
-		if tm == nil {
-			r.aim = 0
-		}
-		now := r.cfg.Clock.Now()
-		if !r.passStart.IsZero() {
-			r.maxPass = max(r.maxPass, now.Sub(r.passStart))
-			r.passStart = time.Time{}
-		}
-		r.tickLocked(now)
-		if w := r.wd.popDue(now.UnixNano()); w != nil {
-			r.mu.Unlock()
-			r.watchFired(w)
-			fired = w
-			continue
-		}
-		if next == len(steps) {
-			clear(steps)
-			steps, r.dmq, next = r.dmq, steps[:0], 0
-		}
-		if next < len(steps) {
-			r.passStart = now
-			r.mu.Unlock()
-			oi := steps[next]
-			next++
-			outs := r.cfg.Machine.Step(oi.in)
-			pi := r.cfg.Clock.Since(oi.submitted)
-			for _, out := range outs {
-				outSeq++
-				r.compareOutput(outSeq, out, pi)
-			}
-			continue
-		}
-		at := r.wd.next()
-		if tick := r.nextTick.UnixNano(); !r.nextTick.IsZero() && (at == 0 || tick < at) {
-			at = tick
-		}
-		if at != 0 && (r.aim == 0 || at < r.aim) {
-			if tm != nil {
-				tm.Stop()
-			}
-			tm = r.cfg.Clock.NewTimer(time.Duration(at - now.UnixNano()))
-			r.aim = at
-		}
+// pass is one step of the replica's loop, the target thread of the
+// paper. The loop owns the DMQ, the deadline heap and (leader) the tick.
+// Each pass orders a tick if one is due, then handles one due deadline,
+// else steps the machine once and hands its outputs to Compare, so a
+// backlog delays a due deadline by at most one Step. With nothing ready it
+// aims the loop at the earliest deadline or tick. A replica that has
+// failed or closed parks for good: its backlog is dropped, not stepped.
+func (r *Replica) pass(now time.Time) time.Time {
+	r.mu.Lock()
+	if r.failed || r.closed {
 		r.mu.Unlock()
-		var fire <-chan time.Time
-		if tm != nil {
-			fire = tm.C()
-		}
-		select {
-		case <-r.wake:
-		case <-fire:
-			tm = nil
-		}
+		return time.Time{}
 	}
-}
-
-// kick wakes the loop; a wake already pending covers this one.
-func (r *Replica) kick() {
-	select {
-	case r.wake <- struct{}{}:
-	default:
+	if r.fired != nil {
+		r.wd.release(r.fired)
+		r.fired = nil
 	}
+	if !r.passStart.IsZero() {
+		r.maxPass = max(r.maxPass, now.Sub(r.passStart))
+		r.passStart = time.Time{}
+	}
+	r.tickLocked(now)
+	if w := r.wd.popDue(now.UnixNano()); w != nil {
+		r.mu.Unlock()
+		r.watchFired(w)
+		r.fired = w
+		return now
+	}
+	if r.next == len(r.steps) {
+		clear(r.steps)
+		r.steps, r.dmq, r.next = r.dmq, r.steps[:0], 0
+	}
+	if r.next < len(r.steps) {
+		r.passStart = now
+		r.mu.Unlock()
+		oi := r.steps[r.next]
+		r.next++
+		outs := r.cfg.Machine.Step(oi.in)
+		pi := r.cfg.Clock.Since(oi.submitted)
+		for _, out := range outs {
+			r.outSeq++
+			r.compareOutput(r.outSeq, out, pi)
+		}
+		return now
+	}
+	at := r.wd.next()
+	if tick := r.nextTick.UnixNano(); !r.nextTick.IsZero() && (at == 0 || tick < at) {
+		at = tick
+	}
+	r.mu.Unlock()
+	if at == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, at)
 }
 
 // submitLocked appends an ordered input to the DMQ. Caller holds r.mu.
 func (r *Replica) submitLocked(in sm.Input, submitted time.Time) {
 	r.dmq = append(r.dmq, orderedInput{in: in, submitted: submitted})
-	r.kick()
+	r.loop.Kick()
 }
 
 // Stats returns a snapshot of the replica's counters.
@@ -411,12 +374,12 @@ func (r *Replica) Crash() {
 	r.shutdown()
 }
 
-// Close stops the replica's loop, waits for it, and deregisters the
-// replica.
+// Close stops the replica's loop (see clock.Loop's Stop) and deregisters
+// the replica.
 func (r *Replica) Close() {
 	r.cfg.Net.Deregister(r.cfg.Self)
 	r.shutdown()
-	<-r.done
+	r.loop.Stop()
 }
 
 func (r *Replica) shutdown() {
@@ -425,7 +388,7 @@ func (r *Replica) shutdown() {
 	if !r.closed {
 		r.closed = true
 		r.dropPoolsLocked()
-		r.kick()
+		r.loop.Kick() // the pass parks for good and the loop drops its timer
 	}
 }
 
@@ -436,16 +399,16 @@ func (r *Replica) shutdown() {
 func (r *Replica) dropPoolsLocked() map[string]bool {
 	dests := make(map[string]bool)
 	for _, e := range r.icmp {
-		r.wd.cancel(e.w)
 		for _, d := range e.dests {
 			dests[d] = true
 		}
 	}
+	for _, w := range r.wd.h { // every deadline at once, untraced
+		r.wd.release(w)
+	}
+	r.wd.h = r.wd.h[:0]
 	r.icmp = map[uint64]icmpEntry{}
 	r.icmpOrder = nil
-	for _, e := range r.irmp {
-		r.wd.cancel(e.w)
-	}
 	r.irmp = map[inputKey]*irmpEntry{}
 	r.dmq = nil
 	return dests
@@ -590,8 +553,8 @@ func (r *Replica) followerAccept(k wireKey, e *irmpEntry) {
 	r.stats.Relayed++
 	traceKey(r.cfg.Trace, trace.EvRelaySent, 0, 0, key)
 	_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgRelay, e.raw)
-	if r.aim == 0 || e.w.at < r.aim {
-		r.kick() // the loop's timer must come forward to this deadline
+	if e.w.pos == 0 {
+		r.loop.Kick() // the earliest deadline: the loop must aim at it
 	}
 }
 
@@ -1076,7 +1039,7 @@ func (r *Replica) failSignal(reason string) {
 		return
 	}
 	r.failed = true
-	r.kick()
+	r.loop.Kick()
 	r.cfg.Trace.Emit(trace.EvFailSignal, 0, 0, reason)
 	destSet := r.dropPoolsLocked()
 	for _, w := range r.cfg.Watchers {
@@ -1098,7 +1061,12 @@ func (r *Replica) failSignal(reason string) {
 	r.mu.Unlock()
 
 	payload := encodeFSPayload(dbl)
+	dests := make([]string, 0, len(destSet))
 	for dest := range destSet {
+		dests = append(dests, dest)
+	}
+	sort.Strings(dests) // one send order every run
+	for _, dest := range dests {
 		r.sendToDest(dest, payload)
 	}
 	if hook != nil {

@@ -46,17 +46,21 @@ func TestBatchMsgRejectsUnknownVersion(t *testing.T) {
 }
 
 // TestBatchCountSizesNoAllocation: a 6-byte batch claiming 2^20 items
-// fails to decode without allocating the 40 MiB its count asks for.
+// fails to decode without allocating the 40 MiB its count asks for. The
+// bytes are averaged over many decodes: TotalAlloc is process-wide, and
+// one decode's share cannot be told from a busy neighbour's.
 func TestBatchCountSizesNoAllocation(t *testing.T) {
 	b := []byte{batchWireVersion, 0, 0x10, 0, 0, 0xFF}
+	const decodes = 1000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := UnmarshalBatchMsg(b)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("decoded a 6-byte batch claiming 2^20 items")
+	for i := 0; i < decodes; i++ {
+		if _, err := UnmarshalBatchMsg(b); err == nil {
+			t.Fatal("decoded a 6-byte batch claiming 2^20 items")
+		}
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / decodes; got >= 1<<10 {
 		t.Fatalf("a failed batch decode allocated %d bytes", got)
 	}
 }

@@ -32,18 +32,21 @@ type DriverConfig struct {
 	OnView func(ViewNote)
 }
 
-// Driver runs a GC machine as a standalone process on one goroutine, its
-// loop (see run): external submissions and its own ticks are stepped in
-// arrival order, never concurrently.
+// Driver runs a GC machine as a standalone process on one clock.Loop (see
+// pass): external submissions and its own ticks are stepped in arrival
+// order, never concurrently.
 type Driver struct {
 	cfg  DriverConfig
-	wake chan struct{} // cap 1: a new input or a stop
-	done chan struct{} // closed when the loop has returned
+	loop clock.Loop
 	// closed is set once, under mu; the loop reads it before every step.
 	closed atomic.Bool
 
 	mu    sync.Mutex
 	inbox []sm.Input // inputs the loop has not taken yet
+
+	// Owned by the loop's passes.
+	steps    []sm.Input // inputs taken over by the loop
+	nextTick time.Time
 }
 
 // NewDriver starts a driver.
@@ -57,8 +60,8 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewReal()
 	}
-	d := &Driver{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
-	go d.run()
+	d := &Driver{cfg: cfg, nextTick: cfg.Clock.Now().Add(TickInterval)}
+	d.loop = clock.NewLoop(cfg.Clock, d.pass)
 	return d, nil
 }
 
@@ -70,7 +73,7 @@ func (d *Driver) Submit(in sm.Input) {
 		d.inbox = append(d.inbox, in)
 	}
 	d.mu.Unlock()
-	d.kick()
+	d.loop.Kick()
 }
 
 // Join creates a group with a static initial membership.
@@ -96,70 +99,40 @@ func (d *Driver) Close() {
 	if !d.closed.Load() {
 		d.closed.Store(true)
 		d.inbox = nil
-		d.kick()
 	}
 	d.mu.Unlock()
-	<-d.done
+	d.loop.Stop()
 }
 
-// kick wakes the loop; a wake already pending covers this one.
-func (d *Driver) kick() {
-	select {
-	case d.wake <- struct{}{}:
-	default:
+// pass is one step of the driver's loop. The inbox is double buffered:
+// each pass takes the whole backlog in one swap and steps it without the
+// lock, checking for Close before every step. Once the tick is due, the
+// swap queues a tick behind the inputs already waiting — the order a
+// separate ticker feeding the same queue gave — and sets the next one a
+// TickInterval on; a busy loop checks the tick at each swap, not per
+// input. An idle loop is aimed at the tick.
+func (d *Driver) pass(now time.Time) time.Time {
+	due := !now.Before(d.nextTick)
+	d.mu.Lock()
+	if due {
+		d.inbox = append(d.inbox, sm.Tick(now))
 	}
-}
-
-// run is the driver's one goroutine. The inbox is double buffered: the
-// loop takes the whole backlog in one swap and steps it without the lock,
-// checking for Close before every pass. One clock timer paces the ticks:
-// once it has fired, the next swap queues a tick behind the inputs already
-// waiting — the order a separate ticker feeding the same queue gave — and
-// re-arms it. A busy loop polls the timer at each swap; an idle one parks
-// on the wake channel and the timer.
-func (d *Driver) run() {
-	defer close(d.done)
-	var (
-		steps []sm.Input // inputs taken over by the loop
-		next  int        // the next of steps to run
-		due   bool       // the tick timer has fired
-		tm    = d.cfg.Clock.NewTimer(TickInterval)
-	)
-	defer func() { tm.Stop() }()
-	for {
+	clear(d.steps)
+	d.steps, d.inbox = d.inbox, d.steps[:0]
+	d.mu.Unlock()
+	if due {
+		d.nextTick = now.Add(TickInterval)
+	}
+	if len(d.steps) == 0 {
+		return d.nextTick
+	}
+	for _, in := range d.steps {
 		if d.closed.Load() {
-			return
+			return time.Time{}
 		}
-		if next == len(steps) {
-			select {
-			case <-tm.C():
-				due = true
-			default:
-			}
-			d.mu.Lock()
-			if due {
-				d.inbox = append(d.inbox, sm.Tick(d.cfg.Clock.Now()))
-			}
-			clear(steps)
-			steps, d.inbox, next = d.inbox, steps[:0], 0
-			d.mu.Unlock()
-			if due {
-				due = false
-				tm = d.cfg.Clock.NewTimer(TickInterval)
-			}
-			if len(steps) == 0 {
-				select {
-				case <-d.wake:
-				case <-tm.C():
-					due = true
-				}
-				continue
-			}
-		}
-		in := steps[next]
-		next++
 		d.dispatch(d.cfg.Machine.Step(in))
 	}
+	return now
 }
 
 // dispatch routes one step's outputs: local deliveries to the callbacks,

@@ -58,30 +58,21 @@ func (lq *linkQueue) popFront() pending {
 // shard owns one slice of the network's links: their FIFO queues, an
 // indexed min-heap of the non-empty ones keyed on front-entry deadline, a
 // private seeded RNG for their latency/loss draws, and private stats
-// counters. One dispatcher goroutine per shard (started lazily on first
-// send) delivers queue entries in deadline order, arming a single clock
-// timer for the earliest deadline — so the steady-state goroutine count is
-// O(shards), independent of how many links exist.
+// counters. One dispatcher loop per shard (a clock.Loop, started lazily on
+// first send) delivers queue entries in deadline order, aimed at the
+// earliest deadline — so the steady-state goroutine count is O(shards),
+// independent of how many links exist, and zero on a virtual clock.
 type shard struct {
 	net *Network
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	links   map[linkKey]*linkQueue
-	heap    []*linkQueue // indexed min-heap of non-empty queues
-	seq     uint64
-	running bool
-	stopped bool
+	mu    sync.Mutex
+	rng   *rand.Rand
+	links map[linkKey]*linkQueue
+	heap  []*linkQueue // indexed min-heap of non-empty queues
+	seq   uint64
+	loop  clock.Loop // nil until the first send
 
-	// Under a virtual clock, the dispatcher records the timer it parked on
-	// and the deadline that timer covers; the network's advance gate
-	// requires armedAt to match the heap front, proving the earliest
-	// pending delivery has a live timer and time may safely jump to it.
-	armed   *clock.VirtualTimer
-	armedAt int64
-
-	wake chan struct{} // cap 1: "the earliest deadline changed"
-	done chan struct{}
+	batch []pending // the loop's due deliveries, reused across passes
 
 	sent, delivered, dropped, blocked, bytes atomic.Uint64
 }
@@ -91,8 +82,6 @@ func newShard(n *Network, seed int64) *shard {
 		net:   n,
 		rng:   rand.New(rand.NewSource(seed)),
 		links: make(map[linkKey]*linkQueue),
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
 	}
 }
 
@@ -179,109 +168,62 @@ func (sh *shard) scheduleLocked(key linkKey, msg Message, now int64, delay time.
 	if wasEmpty {
 		sh.heapPush(lq)
 	}
-	if !sh.running {
-		sh.running = true
-		sh.net.wg.Add(1)
-		go sh.run()
+	if sh.loop == nil {
+		sh.loop = clock.NewLoop(sh.net.clk, sh.pass) // its first pass runs at once
+		return false
 	}
 	// Only a link whose new front reached the heap root can move the
 	// shard's earliest deadline; a message behind existing traffic cannot.
 	return wasEmpty && lq.pos == 0
 }
 
-// wakeup nudges the dispatcher without blocking; a token already in the
-// channel means a wakeup is pending anyway.
-func (sh *shard) wakeup() {
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// stop shuts the dispatcher down. Safe to call multiple times and on
-// shards that never started.
+// stop shuts the dispatcher down, waiting for a pass in progress off a
+// virtual clock. Safe to call multiple times and on shards that never
+// started; the network is closed, so no send starts one after.
 func (sh *shard) stop() {
 	sh.mu.Lock()
-	if !sh.stopped {
-		sh.stopped = true
-		close(sh.done)
-	}
+	l := sh.loop
 	sh.mu.Unlock()
+	if l != nil {
+		l.Stop()
+	}
 }
 
-// run is the dispatcher loop: drain every due delivery in one locked
-// batch, hand the batch to handlers outside the lock, then arm a single
-// timer for the next deadline and sleep until it fires or the earliest
-// deadline changes. Batching amortizes the lock round-trip and the clock
-// read over all messages that became due together — at high send rates
-// that is almost all of them.
-func (sh *shard) run() {
-	defer sh.net.wg.Done()
-	vt := sh.net.vt
-	if vt != nil {
-		vt.Busy() // the send that started this dispatcher is in flight
-	}
-	var batch []pending
-	for {
-		sh.mu.Lock()
-		now := sh.net.clk.Now().UnixNano()
-		for len(sh.heap) > 0 && sh.heap[0].front().at <= now {
-			lq := sh.heap[0]
-			batch = append(batch, lq.popFront())
-			if lq.count == 0 {
-				sh.heapPopRoot()
-			} else {
-				sh.siftDown(0) // front deadline grew
-			}
-		}
-		var tm clock.Timer
-		if len(batch) == 0 && len(sh.heap) > 0 {
-			tm = sh.net.clk.NewTimer(time.Duration(sh.heap[0].front().at - now))
-			if vt != nil {
-				sh.armed, _ = tm.(*clock.VirtualTimer)
-				sh.armedAt = sh.heap[0].front().at
-			}
-		}
-		sh.mu.Unlock()
-
-		if len(batch) > 0 {
-			for i := range batch {
-				if sh.net.closed.Load() {
-					break // Close abandons in-flight deliveries
-				}
-				sh.deliver(batch[i].msg)
-			}
-			clear(batch) // release payloads for GC
-			batch = batch[:0]
-			continue
-		}
-
-		// The busy mark drops only while parked; the armed timer (or an
-		// empty heap) keeps the advance gate honest across the gap between
-		// Done and the actual channel block.
-		if vt != nil {
-			vt.Done()
-		}
-		if tm != nil {
-			select {
-			case <-tm.C():
-			case <-sh.wake:
-				tm.Stop()
-			case <-sh.done:
-				tm.Stop()
-				return
-			}
+// pass is one step of the dispatcher loop: drain every due delivery in
+// one locked batch and hand it to handlers outside the lock, then run
+// again at once; with nothing due, aim the loop at the next deadline.
+// Batching amortizes the lock round-trip and the clock read over all
+// messages that became due together — at high send rates that is almost
+// all of them.
+func (sh *shard) pass(now time.Time) time.Time {
+	sh.mu.Lock()
+	at := now.UnixNano()
+	for len(sh.heap) > 0 && sh.heap[0].front().at <= at {
+		lq := sh.heap[0]
+		sh.batch = append(sh.batch, lq.popFront())
+		if lq.count == 0 {
+			sh.heapPopRoot()
 		} else {
-			select {
-			case <-sh.wake:
-			case <-sh.done:
-				return
-			}
-		}
-		if vt != nil {
-			vt.Busy()
+			sh.siftDown(0) // front deadline grew
 		}
 	}
+	var next time.Time
+	if len(sh.batch) == 0 && len(sh.heap) > 0 {
+		next = time.Unix(0, sh.heap[0].front().at)
+	}
+	sh.mu.Unlock()
+	if len(sh.batch) == 0 {
+		return next
+	}
+	for i := range sh.batch {
+		if sh.net.closed.Load() {
+			break // Close abandons in-flight deliveries
+		}
+		sh.deliver(sh.batch[i].msg)
+	}
+	clear(sh.batch) // release payloads for GC
+	sh.batch = sh.batch[:0]
+	return now
 }
 
 // deliver hands msg to its destination handler, if still registered.

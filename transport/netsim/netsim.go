@@ -16,9 +16,10 @@
 // # Delivery scheduling
 //
 // Delivery is driven by a small fixed pool of dispatcher shards (default
-// GOMAXPROCS; see WithShards). Each link direction hashes to one shard,
-// which owns a min-heap of pending deliveries keyed on delivery deadline
-// and arms a single clock timer for the earliest one. Per-link FIFO is
+// GOMAXPROCS, and one under a virtual clock; see WithShards). Each link
+// direction hashes to one shard, which owns a min-heap of pending
+// deliveries keyed on delivery deadline and runs one clock.Loop aimed at
+// the earliest one. Per-link FIFO is
 // enforced by clamping each message's deadline to be no earlier than its
 // link's previous message — the Order protocol in internal/core depends on
 // the leader→follower link never reordering. Steady-state goroutine count
@@ -122,14 +123,6 @@ func (r *registry) clone() *registry {
 type Network struct {
 	clk clock.Clock
 
-	// vt is set when clk is a *clock.Virtual: the network then
-	// participates in quiescence detection — Send and the dispatcher's
-	// delivery batches hold a busy mark, and virtualIdle (registered as an
-	// advance gate) refuses to let time jump while any shard has pending
-	// traffic not covered by an armed timer.
-	vt         *clock.Virtual
-	removeGate func()
-
 	reg   atomic.Pointer[registry]
 	regMu sync.Mutex // serializes registry clone-and-swap
 
@@ -138,7 +131,6 @@ type Network struct {
 	nshards int
 
 	closed atomic.Bool
-	wg     sync.WaitGroup
 }
 
 // Option configures a Network.
@@ -158,8 +150,10 @@ func WithSeed(seed int64) Option {
 }
 
 // WithShards fixes the dispatcher shard count. Zero or negative selects
-// the default (GOMAXPROCS). Determinism tests use WithShards(1) to force a
-// single total delivery order.
+// the default: GOMAXPROCS, or one under a virtual clock, whose single
+// driver has no parallelism to shard for (and a count that followed
+// GOMAXPROCS would change the schedule). Determinism tests use
+// WithShards(1) to force a single total delivery order.
 func WithShards(count int) Option {
 	return func(n *Network) { n.nshards = count }
 }
@@ -180,37 +174,15 @@ func New(clk clock.Clock, opts ...Option) *Network {
 	}
 	if n.nshards <= 0 {
 		n.nshards = runtime.GOMAXPROCS(0)
+		if _, virtual := clk.(*clock.Virtual); virtual {
+			n.nshards = 1
+		}
 	}
 	n.shards = make([]*shard, n.nshards)
 	for i := range n.shards {
 		n.shards[i] = newShard(n, splitmix64(uint64(n.seed)+uint64(i)))
 	}
-	if v, ok := clk.(*clock.Virtual); ok {
-		n.vt = v
-		n.removeGate = v.AddGate(n.virtualIdle)
-	}
 	return n
-}
-
-// virtualIdle is the network's advance gate under a virtual clock: the
-// clock may only jump when every shard is drained or parked with a live
-// timer armed for exactly its earliest pending deadline, and no wakeup
-// token is still in flight. Anything else means a delivery could still be
-// scheduled "now", and advancing would stamp it late.
-func (n *Network) virtualIdle() bool {
-	for _, sh := range n.shards {
-		if len(sh.wake) > 0 {
-			return false
-		}
-		sh.mu.Lock()
-		idle := len(sh.heap) == 0 ||
-			(sh.armed != nil && sh.armedAt == sh.heap[0].front().at && sh.armed.Pending())
-		sh.mu.Unlock()
-		if !idle {
-			return false
-		}
-	}
-	return true
 }
 
 // splitmix64 whitens shard seeds so that shard i and shard i+1 do not
@@ -343,12 +315,12 @@ func (n *Network) Send(from, to Addr, kind string, payload []byte) error {
 	if n.closed.Load() {
 		return ErrClosed
 	}
-	if n.vt != nil {
-		// Hold the busy mark until after the wakeup token is posted, so the
-		// virtual clock cannot advance between "message scheduled" and
-		// "dispatcher knows about it".
-		n.vt.Busy()
-		defer n.vt.Done()
+	if v, ok := n.clk.(*clock.Virtual); ok {
+		// A send from outside the virtual clock's driver holds time still
+		// from reading Now until the shard's loop is kicked: the message
+		// is then delivered at exactly its deadline.
+		v.Busy()
+		defer v.Done()
 	}
 	reg := n.reg.Load()
 	if _, ok := reg.handlers[to]; !ok {
@@ -387,7 +359,7 @@ func (n *Network) Send(from, to Addr, kind string, payload []byte) error {
 	wake := sh.scheduleLocked(key, Message{From: from, To: to, Kind: kind, Payload: payload}, now, delay)
 	sh.mu.Unlock()
 	if wake {
-		sh.wakeup()
+		sh.loop.Kick()
 	}
 	return nil
 }
@@ -397,9 +369,5 @@ func (n *Network) Close() {
 	n.closed.Store(true)
 	for _, sh := range n.shards {
 		sh.stop()
-	}
-	n.wg.Wait()
-	if n.removeGate != nil {
-		n.removeGate()
 	}
 }
