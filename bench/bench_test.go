@@ -58,13 +58,18 @@ func TestRunFSNewTOP(t *testing.T) {
 // every multicast is its own order/sign/compare/counter-sign round, so the
 // two results compare the paper's per-message costs. (Under backlog the
 // accumulation window legitimately amortises the FS round over several
-// multicasts, which is a different claim.)
+// multicasts, which is a different claim.) The FS lane runs on virtual
+// time, which is exact: on a loaded host a wall-clock round can outlast
+// the pacing and let a batch form, while a virtual round takes the same
+// protocol time however busy the host is. Crash NewTOP cannot run
+// virtual (its ORB pool), and needs no such care: it never batches.
 func pacedRuns(t *testing.T) (nt, fs Result) {
 	t.Helper()
 	paced := func(sys System) Options {
 		o := quickOpts(sys, 4)
 		o.MsgsPerMember = 8
 		o.SendInterval = 25 * time.Millisecond
+		o.Virtual = sys == SystemFSNewTOP
 		return o
 	}
 	nt, err := Run(paced(SystemNewTOP))

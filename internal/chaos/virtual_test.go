@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/faults"
 )
 
 // shortVirtual is short() on an auto-advancing virtual clock. The caller
@@ -216,4 +217,42 @@ func TestMinimizeShrinksDoubleCrash(t *testing.T) {
 			t.Fatalf("shrink report missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// coordinatorFailsMidProposalSchedule is chaos seed 165 (10s window),
+// shrunk to its 7-action violating prefix. m0, the coordinator, proposes
+// the view that drops the fail-signalled m3 while m1 is cut off from it,
+// so m2 and m4 hold m0's proposal and m1 never sees it; then m0's leader
+// duplicates an output and the pair fail-signals. m1, the new coordinator,
+// proposes the same epoch m0 did, which sorted after m0's tie, so m2 and
+// m4 refused it forever and the survivors never installed a view.
+func coordinatorFailsMidProposalSchedule() Schedule {
+	ms := time.Millisecond
+	return Schedule{
+		Seed:     165,
+		Members:  []string{"m0", "m1", "m2", "m3", "m4"},
+		Duration: 10 * time.Second,
+		Actions: []Action{
+			{At: 613359039, Kind: ActIsolate, A: "m1", B: "m0"},
+			{At: 956042019, Kind: ActValueFault, A: "m3", Half: FollowerHalf, Spec: faults.Spec{Mode: faults.ModeCorrupt, After: 3}},
+			{At: 1409811423, Kind: ActShapeLink, A: "m1", B: "m2", Latency: 5 * ms},
+			{At: 1805058237, Kind: ActIsolate, A: "m3", B: "m2"},
+			{At: 3038837149, Kind: ActShapeLink, A: "m3", B: "m4", Latency: ms},
+			{At: 3065600762, Kind: ActHeal, A: "m1", B: "m0"},
+			{At: 3296700731, Kind: ActValueFault, A: "m0", Half: LeaderHalf, Spec: faults.Spec{Mode: faults.ModeDuplicate, After: 1}},
+		},
+	}
+}
+
+// TestChaosCorpusVirtualCoordinatorFailsMidProposal pins seed 165's
+// minimal schedule: the survivors of a coordinator that fail-signals
+// mid-proposal must install a view and deliver the liveness probes.
+func TestChaosCorpusVirtualCoordinatorFailsMidProposal(t *testing.T) {
+	sched := coordinatorFailsMidProposalSchedule()
+	opts, v := shortVirtual(165)
+	defer v.Stop()
+	opts.Schedule = &sched
+	opts.Delta = 0 // the schedule was found at the lane's default δ
+	opts.TraceDir = t.TempDir()
+	runCorpusSeed(t, opts)
 }

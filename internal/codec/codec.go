@@ -32,7 +32,8 @@ const MaxBytes = 64 << 20
 
 // Writer accumulates an encoded message. The zero value is ready to use.
 type Writer struct {
-	buf []byte
+	buf    []byte
+	bodies []Region // see Body32
 }
 
 // NewWriter returns a Writer with capacity hint n.
@@ -45,7 +46,7 @@ func (w *Writer) Bytes() []byte { return w.buf }
 func (w *Writer) Len() int { return len(w.buf) }
 
 // Reset truncates the writer for reuse.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
+func (w *Writer) Reset() { w.buf, w.bodies = w.buf[:0], nil }
 
 // U8 appends a single byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }

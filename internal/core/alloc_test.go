@@ -22,13 +22,15 @@ func (m *replyMachine) Step(in sm.Input) []sm.Output {
 	return m.out
 }
 
-// inputBudget is what TestInputAllocBudget allows one round: 13 measured
+// inputBudget is what TestInputAllocBudget allows one round: 9 measured
 // (60 before kinds, sources and signers decoded against the name table,
 // outputs were read without their destinations, watches and ICMP entries
 // were reused; 31 before every loop re-aimed one timer instead of
-// allocating one per wait, ~18 of them in the simulated network), plus 2
-// for the simulated network, whose per-message waits depend on timing.
-const inputBudget = 15
+// allocating one per wait, ~18 of them in the simulated network; 13
+// before each output was encoded once, straight into its wire form, and
+// a client request signed in the buffer it is sent in), plus 2 for the
+// simulated network, whose per-message waits depend on timing.
+const inputBudget = 11
 
 // TestInputAllocBudget fences what one 16-byte FS input costs a pair end
 // to end: the leader and the follower each take a copy (decode, verify,
@@ -69,7 +71,7 @@ func TestInputAllocBudget(t *testing.T) {
 	inputs := make([]input, warm+runs+1) // AllocsPerRun runs once more to warm up
 	for i := range inputs {
 		full := sm.MarshalOutput(sm.Output{Kind: kind, To: []string{"p"}, Payload: make([]byte, 16)})
-		d := sig.Digest(full)
+		d := formOf(full)
 		inputs[i].viaL, inputs[i].viaF = src.copies(t, OutputBody{Source: src.name, Seq: uint64(i + 1), DigestOnly: true, Output: d[:]}, full)
 	}
 	next := 0

@@ -33,9 +33,11 @@ func (m *syncLinkMeter) Send(from, to transport.Addr, kind string, payload []byt
 // request once (the t1 = 0 relay a second time when it wins its race with
 // the forward) and the two candidates a digest each. Whole-output compare
 // made it 24,984 synclink-B, 304,437 B and 91 allocs per round; it reads
-// 16,750, ~96,400 and 33 (53 while names and destination lists were
-// decoded as copies). Run with -benchtime=1x as a smoke test,
-// -benchtime=2000x for the figures.
+// 16,750, ~58,500 and 30 (~96,400 and 33 while each output was encoded and
+// then copied twice more into its wire form, the client's request likewise;
+// 53 allocs while names and destination lists were decoded as copies).
+// Run with -benchtime=1x as a smoke test, -benchtime=2000x for the
+// figures.
 func BenchmarkPairRound8K(b *testing.B) {
 	clk := clock.NewReal()
 	fabric := netsim.New(clk)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/codec"
 	"fsnewtop/internal/sig"
 	"fsnewtop/internal/sm"
 	"fsnewtop/transport/netsim"
@@ -69,10 +70,51 @@ func (m *corruptingMachine) Step(in sm.Input) []sm.Output {
 // for tests that inspect one decode.
 func decodeNewPayload(b []byte) (newPayload, error) {
 	var p newPayload
-	if err := p.decode(b); err != nil {
+	if err := p.decode(b, nil, nil); err != nil {
 		return newPayload{}, err
 	}
 	return p, nil
+}
+
+// outputOf returns the output bytes of a tagFSD payload.
+func outputOf(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	p, err := decodeNewPayload(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.full
+}
+
+// formOf is the digest form of an output encoding with no body regions
+// (taken over its tagFSD payload up to the end of the encoding), what a
+// signed digest body carries for it.
+func formOf(full []byte) [32]byte {
+	w := codec.NewWriter(5 + len(full))
+	w.U8(tagFSD)
+	w.Bytes32(full)
+	return (*sig.BodyMemo)(nil).Form(w.Bytes(), nil)
+}
+
+// encodeFSDigestPayload assembles the tagFSD payload of full, with no
+// region table, beside dbl: how a test mints a copy a pair never built.
+func encodeFSDigestPayload(dbl sig.Double, full []byte) []byte {
+	w := codec.NewWriter(1 + 4 + len(full) + 4 + len(dbl.Marshal()))
+	w.U8(tagFSD)
+	w.Bytes32(full)
+	w.RegionTable(nil)
+	dbl.Encode(w)
+	return w.Bytes()
+}
+
+// encodeClientPayload wraps an envelope a test signed (or forged) as a
+// tagClient payload with no region table.
+func encodeClientPayload(env sig.Envelope) []byte {
+	w := codec.NewWriter(1 + len(env.Marshal()) + 4)
+	w.U8(tagClient)
+	env.Encode(w)
+	w.RegionTable(nil)
+	return w.Bytes()
 }
 
 // env bundles the common test fixture.
@@ -295,11 +337,10 @@ func TestDuplicateSubmissionsSuppressed(t *testing.T) {
 	e.dir.RegisterPlain("dup-client", "dup-client")
 	e.net.Register("dup-client", func(netsim.Message) {})
 	ci := ClientInput{Client: "dup-client", Seq: 9, Kind: "req", Body: []byte("once")}
-	envl, err := sig.SignEnvelope(signer, ci.Marshal())
+	payload, err := signClientPayload(signer, ci, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeClientPayload(envl)
 	for i := 0; i < 3; i++ {
 		for _, a := range []netsim.Addr{LeaderAddr("p"), FollowerAddr("p")} {
 			if err := e.net.Send("dup-client", a, MsgNew, payload); err != nil {
@@ -594,8 +635,8 @@ func TestFollowerDetectsOrderGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	ci := ClientInput{Client: "c2", Seq: 1, Kind: "req", Body: []byte("x")}
-	envl, _ := sig.SignEnvelope(signer, ci.Marshal())
-	fp := fwdPayload{Index: 7, Raw: encodeClientPayload(envl)}
+	raw, _ := signClientPayload(signer, ci, nil)
+	fp := fwdPayload{Index: 7, Raw: raw}
 	if err := e.net.Send(LeaderAddr("p"), FollowerAddr("p"), MsgFwd, fp.marshal()); err != nil {
 		t.Fatal(err)
 	}

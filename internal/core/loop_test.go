@@ -24,11 +24,11 @@ import (
 func clientInput(t *testing.T, signer sig.Signer, seq uint64, body []byte) []byte {
 	t.Helper()
 	ci := ClientInput{Client: string(signer.ID()), Seq: seq, Kind: "req", Body: body}
-	env, err := sig.SignEnvelope(signer, ci.Marshal())
+	raw, err := signClientPayload(signer, ci, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeClientPayload(env)
+	return raw
 }
 
 // newClientSigner registers and returns a client signing key.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/codec"
 	"fsnewtop/internal/sig"
 	"fsnewtop/internal/sm"
 	"fsnewtop/internal/trace"
@@ -237,26 +238,27 @@ func NewClient(name string, addr transport.Addr, signer sig.Signer, net transpor
 
 // Send signs and submits one input to every replica of dest.
 func (c *Client) Send(dest, kind string, body []byte) error {
-	_, err := c.SendSeq(dest, kind, body)
+	_, err := c.SendSeq(dest, kind, body, nil)
 	return err
 }
 
 // SendSeq is Send returning the per-client sequence the input was
 // submitted under — the number that appears in the replicas' dedupe keys
 // (traced as "c|<client>|<seq>"), so callers can correlate a submission with the
-// order/compare trace events it produces.
-func (c *Client) SendSeq(dest, kind string, body []byte) (uint64, error) {
+// order/compare trace events it produces. bodies are the body regions of
+// body (see sm.Output.Bodies): the replicas that verify the input
+// remember their digests for the outputs that carry them on.
+func (c *Client) SendSeq(dest, kind string, body []byte, bodies []codec.Region) (uint64, error) {
 	c.mu.Lock()
 	c.seq++
 	seq := c.seq
 	c.mu.Unlock()
 
 	ci := ClientInput{Client: c.name, Seq: seq, Kind: kind, Body: body}
-	env, err := sig.SignEnvelope(c.signer, ci.Marshal())
+	payload, err := signClientPayload(c.signer, ci, bodies)
 	if err != nil {
 		return seq, fmt.Errorf("failsignal: client %q signing input: %w", c.name, err)
 	}
-	payload := encodeClientPayload(env)
 	addrs, err := c.dir.DestAddrs(dest)
 	if err != nil {
 		return seq, err
@@ -282,9 +284,13 @@ type Receiver struct {
 	onOutput func(source string, out sm.Output)
 	onFail   func(source string)
 	ring     *trace.Ring
+	// hashed counts the payload bytes this node hashes; it has nothing to
+	// reuse, so it remembers nothing.
+	hashed sig.BodyMemo
 
-	mu   sync.Mutex // guards gate; acceptance order is the order it is taken in
-	gate gate
+	mu       sync.Mutex // guards gate and rejected; acceptance order is the order it is taken in
+	gate     gate
+	rejected uint64
 	// handoff serialises the callbacks. An accepting goroutine takes it
 	// before releasing mu, so two links' handler goroutines hand their
 	// outputs to the application in acceptance order, while duplicates
@@ -318,7 +324,11 @@ func (rc *Receiver) Handle(msg transport.Message) {
 		return
 	}
 	k, ok := peekKey(msg.Payload)
-	if !ok || k.kind == keyClient {
+	if !ok {
+		rc.reject(0, "")
+		return
+	}
+	if k.kind == keyClient {
 		return
 	}
 	rc.mu.Lock()
@@ -328,11 +338,12 @@ func (rc *Receiver) Handle(msg transport.Message) {
 		return
 	}
 	var p newPayload
-	if err := p.decode(msg.Payload); err != nil {
+	if err := p.decode(msg.Payload, &rc.hashed, nil); err != nil {
+		rc.reject(k.seq, string(k.source))
 		return
 	}
 	if err := rc.dir.VerifyFromFS(p.body.Source, p.dbl, rc.verifier); err != nil {
-		rc.ring.Emit(trace.EvReject, p.body.Seq, 0, p.body.Source)
+		rc.reject(p.body.Seq, p.body.Source)
 		return
 	}
 	var (
@@ -348,12 +359,18 @@ func (rc *Receiver) Handle(msg transport.Message) {
 		rc.mu.Unlock()
 		return
 	}
+	// A verified output the machine's decoder refuses is marked all the
+	// same: every copy of it carries the same signed bytes.
 	rc.gate.mark(k)
 	// Accept events are emitted under the lock so the ring's order
 	// matches acceptance order across concurrent link deliveries.
-	if p.body.FailSignal {
+	switch {
+	case p.body.FailSignal:
 		rc.ring.Emit(trace.EvRxFail, 0, 0, p.body.Source)
-	} else {
+	case err != nil:
+		rc.rejected++
+		rc.ring.Emit(trace.EvReject, p.body.Seq, 0, p.body.Source)
+	default:
 		rc.ring.Emit(trace.EvRxOutput, p.body.Seq, 0, p.body.Source)
 	}
 	rc.handoff.Lock()
@@ -368,6 +385,29 @@ func (rc *Receiver) Handle(msg transport.Message) {
 	case err == nil && rc.onOutput != nil:
 		rc.onOutput(p.body.Source, sm.Output{Kind: in.Kind, Payload: in.Payload})
 	}
+}
+
+// reject counts and traces a copy refused before it reached the gate.
+func (rc *Receiver) reject(seq uint64, source string) {
+	rc.mu.Lock()
+	rc.rejected++
+	rc.ring.Emit(trace.EvReject, seq, 0, source)
+	rc.mu.Unlock()
+}
+
+// ReceiverStats counts a receiving endpoint's refused copies and the
+// payload bytes it hashed. It keeps no memo, so it reuses no digest.
+type ReceiverStats struct {
+	Rejected  uint64 // copies refused: undecodable, unverified, or an output the machine cannot read
+	BodyBytes uint64 // payload bytes hashed
+}
+
+// Stats returns the receiver's counters.
+func (rc *Receiver) Stats() ReceiverStats {
+	bodyBytes := rc.hashed.Stats().Bytes
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return ReceiverStats{Rejected: rc.rejected, BodyBytes: bodyBytes}
 }
 
 // dupLocked reports whether k was already accepted, tracing the suppressed

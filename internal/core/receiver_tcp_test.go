@@ -42,7 +42,7 @@ func TestReceiverDedupAcrossTCPReconnect(t *testing.T) {
 	// One double-signed output of FS process P, as both its FSOs (and a
 	// restarted one) would emit it.
 	full := sm.MarshalOutput(sm.Output{Kind: "res", Payload: []byte("x")})
-	d := sig.Digest(full)
+	d := formOf(full)
 	body := OutputBody{Source: "P", Seq: 7, DigestOnly: true, Output: d[:]}
 	env, err := sig.SignEnvelope(fSigner, body.Marshal())
 	if err != nil {

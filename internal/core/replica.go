@@ -124,6 +124,8 @@ type ReplicaStats struct {
 	Relayed     uint64 // follower inputs relayed to the leader
 	FailSignals uint64 // fail-signal messages emitted
 	StallRearms uint64 // silence windows restarted after a host stall (follower)
+	BodyBytes   uint64 // application-payload bytes hashed
+	BodyReuses  uint64 // application-payload digests reused from the memo
 }
 
 // icmpEntry is an Internal Candidate Message Pool entry: one locally
@@ -132,10 +134,10 @@ type ReplicaStats struct {
 type icmpEntry struct {
 	digest [32]byte
 	dests  []string
-	// full retains the output bytes the signed digest body pins: the
-	// peer's candidate carries only the digest, so dispatch must supply
-	// the bytes from the local copy.
-	full []byte
+	// head is the output's tagFSD payload up to its double signature (see
+	// encodeFSDigestHead): the peer's candidate carries only the digest,
+	// so dispatch appends the double to the local copy of the bytes.
+	head []byte
 	w    *watch
 }
 
@@ -167,6 +169,9 @@ type irmpEntry struct {
 type Replica struct {
 	cfg  ReplicaConfig
 	loop clock.Loop
+	// memo remembers the payload digests this node took, so the outputs
+	// that carry a payload on reuse the hash its input paid for.
+	memo *sig.BodyMemo
 
 	// Owned by the loop's passes, never touched elsewhere.
 	steps  []orderedInput // DMQ inputs taken over by the loop
@@ -234,6 +239,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	r := &Replica{
 		cfg:  cfg,
+		memo: sig.NewBodyMemo(),
 		wd:   watchdog{clk: cfg.Clock, ring: cfg.Trace},
 		gate: newGate(),
 		icmp: make(map[uint64]icmpEntry),
@@ -320,9 +326,12 @@ func (r *Replica) submitLocked(in sm.Input, submitted time.Time) {
 
 // Stats returns a snapshot of the replica's counters.
 func (r *Replica) Stats() ReplicaStats {
+	h := r.memo.Stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	st := r.stats
+	st.BodyBytes, st.BodyReuses = h.Bytes, h.Reuses
+	return st
 }
 
 // Failed reports whether this replica has started fail-signalling.
@@ -440,7 +449,10 @@ func (r *Replica) verifyPayload(p *newPayload) error {
 		if p.client.Client != string(p.env.Signer) {
 			return fmt.Errorf("failsignal: client %q signed by %q", p.client.Client, p.env.Signer)
 		}
-		return p.env.Verify(r.cfg.Verifier)
+		// A copy of the form: slicing p's own array for the verifier
+		// would move every decoded payload to the heap.
+		form := p.form
+		return r.cfg.Verifier.Verify(p.env.Signer, form[:], p.env.Sig)
 	case tagFS, tagFSD:
 		return r.cfg.Dir.VerifyFromFS(p.body.Source, p.dbl, r.cfg.Verifier)
 	default:
@@ -484,7 +496,7 @@ func (r *Replica) onNew(msg transport.Message) {
 // admit decodes raw into p and verifies it, counting a copy that fails
 // either as rejected.
 func (r *Replica) admit(raw []byte, p *newPayload) bool {
-	err := p.decode(raw)
+	err := p.decode(raw, r.memo, nil)
 	if err == nil {
 		err = r.verifyPayload(p)
 	}
@@ -562,7 +574,9 @@ func (r *Replica) followerAccept(k wireKey, e *irmpEntry) {
 // (receiveDouble). The follower decodes and re-verifies the input — by A5 a
 // faulty leader cannot forge client or FS signatures — unless the forwarded
 // bytes are the very bytes it verified itself on direct receipt and still
-// holds in the IRMP, in which case that decode stands. It then checks
+// holds in the IRMP, in which case that decode stands; a forward of the
+// other sender half's copy of the same output is read from the held copy,
+// so its payloads are not hashed again. It then checks
 // order-index continuity, admits the input to its gate exactly as the
 // leader did, cancels any pending IRMP escalation, and submits the input.
 func (r *Replica) onFwd(msg transport.Message) {
@@ -582,7 +596,7 @@ func (r *Replica) onFwd(msg transport.Message) {
 	if !ok {
 		// Only a tick carries no identity.
 		var p newPayload
-		switch err := p.decode(fp.Raw); {
+		switch err := p.decode(fp.Raw, r.memo, nil); {
 		case err != nil:
 			r.failSignal(fmt.Sprintf("undecodable ordered input from leader: %v", err))
 		case p.tag != tagTick:
@@ -607,7 +621,11 @@ func (r *Replica) onFwd(msg transport.Message) {
 		p = &held.p
 	} else {
 		p = &fresh
-		if err = p.decode(fp.Raw); err != nil {
+		var prior []byte
+		if held != nil {
+			prior = held.raw
+		}
+		if err = p.decode(fp.Raw, r.memo, prior); err != nil {
 			r.failSignal(fmt.Sprintf("undecodable ordered input from leader: %v", err))
 			return
 		}
@@ -705,18 +723,20 @@ func (r *Replica) compareDeadline(pi, tau time.Duration) time.Duration {
 	return base + kappa*pi + sigma*tau
 }
 
-// compareOutput implements the Compare send side for one output: hash it,
+// compareOutput implements the Compare send side for one output: encode it
+// once, straight into the head of its wire form, take its digest form,
 // sign the digest body, forward that to the remote Compare, and either
 // match it against an already-received peer candidate or pool it in the
-// ICMP under a deadline. The signed body carries sig.Digest(output) and
-// never the output, so the sync link and the peer's verification handle a
-// fixed 32 bytes whatever the payload size; digests are equal iff the
-// outputs are, so the comparison is exactly as discriminating. The
-// candidate is sent under r.mu after the failed/closed check, so a replica
-// that has fail-signalled or crashed never hands its peer another one.
+// ICMP under a deadline. The signed body carries the output's digest form
+// and never the output, so the sync link and the peer's verification
+// handle a fixed 32 bytes whatever the payload size; digests are equal iff
+// the outputs are, so the comparison is exactly as discriminating, and a
+// payload this node hashed on input is not hashed again. The candidate is
+// sent under r.mu after the failed/closed check, so a replica that has
+// fail-signalled or crashed never hands its peer another one.
 func (r *Replica) compareOutput(seq uint64, out sm.Output, pi time.Duration) {
-	full := sm.MarshalOutput(out)
-	d := sig.Digest(full)
+	head, signed, bodies := encodeFSDigestHead(out, doubleSize(r.cfg.Signer, r.cfg.Name))
+	d := r.memo.Form(signed, bodies)
 	body := OutputBody{Source: r.cfg.Name, Seq: seq, DigestOnly: true, Output: d[:]}
 	bb := body.Marshal()
 	digest := sig.Digest(bb)
@@ -749,18 +769,27 @@ func (r *Replica) compareOutput(seq uint64, out sm.Output, pi time.Duration) {
 			r.failSignal(fmt.Sprintf("output %d content mismatch", seq))
 			return
 		}
-		r.dispatchMatched(peer.env, out.To, full)
+		r.dispatchMatched(peer.env, out.To, head)
 		return
 	}
 	r.icmp[seq] = icmpEntry{
 		digest: digest,
 		dests:  out.To,
-		full:   full,
+		head:   head,
 		w:      r.wd.arm(watchCompare, inputKey{}, seq, deadline, r.cmpProgress),
 	}
 	r.icmpOrder = append(r.icmpOrder, seq)
 	r.cfg.Trace.Emit(trace.EvCompareArm, seq, uint64(deadline), "")
 	r.mu.Unlock()
+}
+
+// doubleSize is the length of the double an FS process named source
+// appends to an output's head: the peer's envelope over the digest body,
+// then the counter-signature of s. Both halves' identities have one
+// length and one scheme.
+func doubleSize(s sig.Signer, source string) int {
+	id, sigLen := len(s.ID()), sig.SignatureSize(s)
+	return 4 + id + 4 + outputBodySize(source) + 4 + sigLen + 4 + id + 4 + sigLen
 }
 
 // watchFired handles an expired deadline on the loop. It re-validates the
@@ -938,13 +967,13 @@ func (r *Replica) onSingle(msg transport.Message) {
 		if match {
 			r.cfg.Trace.Emit(trace.EvCompareMatch, body.Seq, 0, "")
 		}
-		dests, full := e.dests, e.full
+		dests, head := e.dests, e.head
 		r.mu.Unlock()
 		if !match {
 			r.failSignal(fmt.Sprintf("output %d content mismatch", body.Seq))
 			return
 		}
-		r.dispatchMatched(env, dests, full)
+		r.dispatchMatched(env, dests, head)
 		return
 	}
 	r.ecmp[body.Seq] = ecmpEntry{env: env, digest: digest}
@@ -991,16 +1020,16 @@ const maxECMP = 1 << 16
 
 // dispatchMatched counter-signs the peer's candidate — producing the
 // double-signed output that is the valid output form of the FS process —
-// and sends it to every destination. full is the output encoding whose
-// digest the signed body carries; it rides beside the double signature in
-// a tagFSD payload, encoded once and shared by every destination.
-func (r *Replica) dispatchMatched(peerEnv sig.Envelope, dests []string, full []byte) {
-	dbl, err := sig.CounterSign(r.cfg.Signer, peerEnv)
+// and sends it to every destination. head is the output's tagFSD payload
+// up to the double (see encodeFSDigestHead): the double is appended to it
+// in place, so the output is encoded once and the one buffer is shared by
+// every destination.
+func (r *Replica) dispatchMatched(peerEnv sig.Envelope, dests []string, head []byte) {
+	payload, err := sig.AppendCounterSign(head, r.cfg.Signer, peerEnv)
 	if err != nil {
 		r.failSignal(fmt.Sprintf("cannot counter-sign matched output: %v", err))
 		return
 	}
-	payload := encodeFSDigestPayload(dbl, full)
 	for _, dest := range dests {
 		r.sendToDest(dest, payload)
 	}

@@ -1,6 +1,7 @@
 package failsignal
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -35,7 +36,7 @@ const (
 	tagClient byte = iota + 1 // single-signed ClientInput
 	tagFS                     // double-signed fail-signal of an FS process (no output travels bare)
 	tagTick                   // leader-generated tick (only on the fwd link)
-	tagFSD                    // double-signed digest body plus the output bytes it pins
+	tagFSD                    // the output bytes plus the double-signed digest body that pins them
 )
 
 // ClientInput is a request submitted to an FS process by a plain endpoint.
@@ -48,13 +49,22 @@ type ClientInput struct {
 	Body   []byte // sm.Input payload
 }
 
-// Marshal returns the canonical encoding of c.
-func (c ClientInput) Marshal() []byte {
-	w := codec.NewWriter(4 + len(c.Client) + 8 + 4 + len(c.Kind) + 4 + len(c.Body))
+// size is the exact length of c's encoding.
+func (c ClientInput) size() int { return 4 + len(c.Client) + 8 + 4 + len(c.Kind) + 4 + len(c.Body) }
+
+// encode appends c's encoding to w, recording bodies, the body regions of
+// c.Body (see sm.Output.Bodies), at their place in it.
+func (c ClientInput) encode(w *codec.Writer, bodies []codec.Region) {
 	w.String(c.Client)
 	w.U64(c.Seq)
 	w.String(c.Kind)
-	w.Bytes32(c.Body)
+	w.Nested32(c.Body, bodies)
+}
+
+// Marshal returns the canonical encoding of c.
+func (c ClientInput) Marshal() []byte {
+	w := codec.NewWriter(c.size())
+	c.encode(w, nil)
 	return w.Bytes()
 }
 
@@ -75,16 +85,21 @@ type OutputBody struct {
 	Source     string // logical name of the producing FS process
 	Seq        uint64 // output sequence number (0 for fail-signals)
 	FailSignal bool
-	// DigestOnly is set on every output body: Output holds
-	// sig.Digest(sm.MarshalOutput bytes), never the bytes themselves, so
-	// what the pair compares, signs, exchanges and counter-signs is a fixed
-	// size whatever the payload. The bytes travel once, beside the double
-	// signature (see tagFSD), and are checked against this digest on
-	// receipt, which preserves fail-silence: a valid output still requires
-	// both Compare signatures over content that pins every byte of it.
+	// DigestOnly is set on every output body: Output holds the digest
+	// form (sig.BodyMemo.Form) of the sm.MarshalOutput bytes over their
+	// body regions, never the bytes themselves, so what the pair compares,
+	// signs, exchanges and counter-signs is a fixed size whatever the
+	// payload. The bytes and the region table travel once, beside the
+	// double signature (see tagFSD), and are checked against this digest
+	// on receipt, which preserves fail-silence: a valid output still
+	// requires both Compare signatures over content that pins every byte
+	// of it.
 	DigestOnly bool
 	Output     []byte // the 32-byte digest; empty for fail-signals
 }
+
+// outputBodySize is the length of a digest body's encoding for source.
+func outputBodySize(source string) int { return 4 + len(source) + 8 + 1 + 4 + 32 }
 
 // OutputBody flag bits. The flags byte occupies the slot the encoding
 // historically spent on a single FailSignal bool (written as u8 0/1), so
@@ -139,15 +154,30 @@ type newPayload struct {
 	dbl    sig.Double   // tagFS, tagFSD
 	body   OutputBody   // tagFS, tagFSD
 	full   []byte       // tagFSD: the output bytes the body's digest pins
+	form   [32]byte     // tagClient: the digest form the client signed
 	tick   time.Time    // tagTick
 }
 
-// encodeClientPayload wraps a signed client envelope as a MsgNew payload.
-func encodeClientPayload(env sig.Envelope) []byte {
-	w := codec.NewWriter(1 + len(env.Marshal()))
+// signClientPayload signs ci as s and returns it as a MsgNew payload, built
+// in one buffer: the tag, the client envelope — ci's encoding as its body,
+// then a signature over the digest form of the payload up to there
+// (hash-then-MAC, so the replica that verifies it hashes each application
+// payload once and remembers the digest) — and the region table the form
+// was taken over: bodies, the body regions of ci.Body, at their place in
+// the payload.
+func signClientPayload(s sig.Signer, ci ClientInput, bodies []codec.Region) ([]byte, error) {
+	n := ci.size()
+	w := codec.NewWriter(1 + 4 + len(s.ID()) + 4 + n + 4 + sig.SignatureSize(s) + 4 + 8*len(bodies))
 	w.U8(tagClient)
-	env.Encode(w)
-	return w.Bytes()
+	w.String(string(s.ID()))
+	w.U32(uint32(n))
+	ci.encode(w, bodies)
+	form := (*sig.BodyMemo)(nil).Form(w.Bytes(), w.Bodies())
+	wire, err := sig.AppendSign(w.Bytes(), s, form[:])
+	if err != nil {
+		return nil, err
+	}
+	return codec.AppendRegionTable(wire, w.Bodies()), nil
 }
 
 // encodeFSPayload wraps a double-signed fail-signal as a MsgNew payload.
@@ -158,17 +188,25 @@ func encodeFSPayload(dbl sig.Double) []byte {
 	return w.Bytes()
 }
 
-// encodeFSDigestPayload wraps a double-signed digest body plus the output
-// bytes its digest pins — the one form an FS output travels in. The
-// signatures cover only the small digest body; the receiver rehashes full
-// and refuses a mismatch, so the bytes are exactly as tamper-evident as if
-// they were signed directly.
-func encodeFSDigestPayload(dbl sig.Double, full []byte) []byte {
-	w := codec.NewWriter(1 + len(dbl.Marshal()) + 4 + len(full))
+// encodeFSDigestHead writes the head of out's tagFSD payload — the one
+// form an FS output travels in: the tag, the output's encoding (full) and
+// the region table of its payloads (offsets from the payload's start), in
+// a buffer with room bytes to spare for the double signature the pair
+// appends on match (sig.AppendCounterSign), so the output is encoded
+// once, straight into its wire form. signed is the head up to the end of
+// full, what the digest form covers. The signatures cover only the small
+// digest body; the receiver recomputes the digest form of signed over the
+// table and refuses a mismatch, so the bytes are exactly as
+// tamper-evident as if they were signed directly.
+func encodeFSDigestHead(out sm.Output, room int) (head, signed []byte, bodies []codec.Region) {
+	n := sm.OutputSize(out)
+	w := codec.NewWriter(1 + 4 + n + 4 + 8*len(out.Bodies) + room)
 	w.U8(tagFSD)
-	dbl.Encode(w)
-	w.Bytes32(full)
-	return w.Bytes()
+	w.U32(uint32(n))
+	sm.EncodeOutput(w, out)
+	signed, bodies = w.Bytes(), w.Bodies()
+	w.RegionTable(bodies)
+	return w.Bytes(), signed[:len(signed):len(signed)], bodies
 }
 
 // encodeTickPayload wraps a tick instant as a payload for the fwd link.
@@ -181,13 +219,23 @@ func encodeTickPayload(now time.Time) []byte {
 
 // decode parses a MsgNew (or fwd-link) payload into p, which it
 // overwrites whole, without verifying signatures; callers verify according
-// to the tag. The result aliases b. On an error p holds no meaning.
-func (p *newPayload) decode(b []byte) error {
+// to the tag. It takes the digest form of what carries body regions
+// through memo (nil: hash and remember nothing), and refuses output bytes
+// that miss their signed digest. prior, if non-nil, is the payload of a
+// verified copy of the same input this node holds: output bytes equal to
+// prior's are read from prior, so their payloads cost a memcmp, not a
+// second hash, and what the machine steps is the slice the memo
+// remembers. The result aliases b (or prior). On an error p holds no
+// meaning.
+func (p *newPayload) decode(b []byte, memo *sig.BodyMemo, prior []byte) error {
 	r := codec.NewReader(b)
 	*p = newPayload{tag: r.U8()}
 	switch p.tag {
 	case tagClient:
-		p.env = sig.DecodeEnvelope(r)
+		p.env.Signer, p.env.Body = sig.ID(r.Name()), r.Bytes32()
+		signed := b[:r.Pos()]
+		p.env.Sig = r.Bytes32()
+		bodies := r.RegionTable(signed)
 		if err := r.Finish(); err != nil {
 			return fmt.Errorf("failsignal: decoding client payload: %w", err)
 		}
@@ -195,6 +243,7 @@ func (p *newPayload) decode(b []byte) error {
 		if p.client, err = UnmarshalClientInput(p.env.Body); err != nil {
 			return err
 		}
+		p.form = memo.Form(signed, bodies)
 	case tagFS:
 		p.dbl = sig.DecodeDouble(r)
 		if err := r.Finish(); err != nil {
@@ -215,8 +264,16 @@ func (p *newPayload) decode(b []byte) error {
 			return fmt.Errorf("failsignal: decoding tick payload: %w", err)
 		}
 	case tagFSD:
-		p.dbl = sig.DecodeDouble(r)
 		p.full = r.Bytes32()
+		signed := b[:r.Pos()]
+		if len(prior) >= len(signed) && bytes.Equal(signed, prior[:len(signed)]) {
+			// The same output bytes as the copy this node holds: read them,
+			// and the payloads the table marks, from that copy.
+			signed = prior[:len(signed):len(signed)]
+			p.full = signed[5:]
+		}
+		bodies := r.RegionTable(signed)
+		p.dbl = sig.DecodeDouble(r)
 		if err := r.Finish(); err != nil {
 			return fmt.Errorf("failsignal: decoding FS digest payload: %w", err)
 		}
@@ -227,7 +284,7 @@ func (p *newPayload) decode(b []byte) error {
 		if !p.body.DigestOnly || p.body.FailSignal {
 			return fmt.Errorf("failsignal: digest payload with non-digest body")
 		}
-		if d := sig.Digest(p.full); string(d[:]) != string(p.body.Output) {
+		if d := memo.Form(signed, bodies); string(d[:]) != string(p.body.Output) {
 			return fmt.Errorf("failsignal: digest payload body does not match its digest")
 		}
 	default:
@@ -237,7 +294,8 @@ func (p *newPayload) decode(b []byte) error {
 }
 
 // peekKey reads an input's identity straight out of a MsgNew payload: the
-// tag, then the first fields of the signed body (ClientInput and OutputBody
+// tag, then (past an output's bytes and region table) the first fields of
+// the signed body (ClientInput and OutputBody
 // both open with the source name and its sequence number). It touches a few
 // header bytes, copies nothing, and reads the very bytes newPayload.decode
 // decodes, so the key probed before verification is the key of the input
@@ -248,8 +306,12 @@ func peekKey(b []byte) (wireKey, bool) {
 	switch r.U8() {
 	case tagClient:
 		k.kind = keyClient
-	case tagFS, tagFSD:
+	case tagFS:
 		k.kind = keyOutput
+	case tagFSD:
+		k.kind = keyOutput
+		r.Bytes32() // the output bytes
+		r.SkipRegionTable()
 	default:
 		return wireKey{}, false // a tick: no body to read (or fail on)
 	}

@@ -42,6 +42,10 @@ type CorruptOutput struct {
 	// Every corrupts one output out of Every after the skip (0 = only the
 	// single output right after After).
 	Every uint64
+	// At is the payload byte flipped: 0 is the first, a negative At counts
+	// from the end (-1 is the last byte, which in a message that ends in
+	// its application payload lies inside it).
+	At int
 
 	produced uint64
 	injected atomic.Uint64
@@ -58,7 +62,11 @@ func (c *CorruptOutput) Step(in sm.Input) []sm.Output {
 			// healthy half — a fault that rewrote it would corrupt both
 			// halves alike and compare equal.
 			bad := bytes.Clone(outs[i].Payload)
-			bad[0] ^= 0xA5
+			at := c.At
+			if at < 0 {
+				at += len(bad)
+			}
+			bad[min(max(at, 0), len(bad)-1)] ^= 0xA5
 			outs[i].Payload = bad
 			c.injected.Add(1)
 		}

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/codec"
 	failsignal "fsnewtop/internal/core"
 	"fsnewtop/internal/group"
 	"fsnewtop/internal/newtop"
@@ -177,6 +178,7 @@ type NSO struct {
 	fab        *Fabric
 	pair       *failsignal.Pair
 	client     *failsignal.Client
+	receiver   *failsignal.Receiver
 	verifiers  []*sig.CachedVerifier // this member's node verifiers, released on Close
 	invRing    *trace.Ring
 	deliveries chan newtop.Delivery
@@ -271,9 +273,9 @@ func New(cfg Config) (*NSO, error) {
 	}
 	n.invRing = invRing
 	// The invocation layer runs on the application node: its own verifier.
-	receiver := failsignal.NewReceiver(fab.Dir, newVerifier(), n.onOutput, n.onFailSignal)
-	receiver.SetTrace(invRing)
-	fab.Net.Register(invAddr, receiver.Handle)
+	n.receiver = failsignal.NewReceiver(fab.Dir, newVerifier(), n.onOutput, n.onFailSignal)
+	n.receiver.SetTrace(invRing)
+	fab.Net.Register(invAddr, n.receiver.Handle)
 	fab.Dir.RegisterPlain(inv, invAddr)
 
 	invSigner, err := newSigner(sig.ID(inv))
@@ -320,8 +322,8 @@ func New(cfg Config) (*NSO, error) {
 // the submission in the invocation trace. The window calls it, holding its
 // lock — which is what keeps the client's sequence numbers in submission
 // order.
-func (n *NSO) reissue(kind string, payload []byte) error {
-	seq, err := n.client.SendSeq(n.name, kind, payload)
+func (n *NSO) reissue(kind string, payload []byte, bodies []codec.Region) error {
+	seq, err := n.client.SendSeq(n.name, kind, payload, bodies)
 	if err != nil {
 		// No reissue event: recording a submission that never reached the
 		// pair would point a stall post-mortem at the replicas when the
@@ -384,7 +386,7 @@ func (n *NSO) Name() string { return n.name }
 // Join implements newtop.Service. The request is the one crash NewTOP
 // sends its GC object; it is re-issued into the FS pair instead.
 func (n *NSO) Join(groupName string, members []string) error {
-	return n.win.submit(group.KindJoin, group.JoinReq{Group: groupName, Members: members}.Marshal())
+	return n.win.submit(group.KindJoin, group.JoinReq{Group: groupName, Members: members}.Marshal(), nil)
 }
 
 // JoinExisting implements newtop.Service: dynamic admission through the
@@ -392,7 +394,7 @@ func (n *NSO) Join(groupName string, members []string) error {
 // input, so the whole join protocol — ask, snapshot install, admission
 // view — runs inside the byte-compared replicas.
 func (n *NSO) JoinExisting(groupName string, contacts []string) error {
-	return n.win.submit(group.KindJoinExisting, group.JoinExistingReq{Group: groupName, Contacts: contacts}.Marshal())
+	return n.win.submit(group.KindJoinExisting, group.JoinExistingReq{Group: groupName, Contacts: contacts}.Marshal(), nil)
 }
 
 // AddPeer registers one more member as a watcher of this pair's
@@ -402,7 +404,8 @@ func (n *NSO) AddPeer(name string) { n.pair.AddWatcher(name) }
 
 // Multicast implements newtop.Service.
 func (n *NSO) Multicast(groupName string, svc group.Service, payload []byte) error {
-	return n.win.submit(group.KindMcast, group.McastReq{Group: groupName, Service: svc, Payload: payload}.Marshal())
+	req, bodies := group.McastReq{Group: groupName, Service: svc, Payload: payload}.MarshalBodies()
+	return n.win.submit(group.KindMcast, req, bodies)
 }
 
 // Deliveries implements newtop.Service.
@@ -429,3 +432,7 @@ func (n *NSO) Close() {
 		n.fab.dropVerifiers(n.verifiers)
 	})
 }
+
+// Receiver exposes the member's invocation-layer receiver (its counters,
+// in tests).
+func (n *NSO) Receiver() *failsignal.Receiver { return n.receiver }

@@ -575,7 +575,7 @@ func TestGCObeysOnlyItsOwnInvocationLayer(t *testing.T) {
 
 	// m01's invocation identity asks m00's pair to multicast.
 	forged := group.McastReq{Group: "g", Service: group.TotalSym, Payload: []byte("forged-by-m01")}.Marshal()
-	fseq, err := c.nsos["m01"].client.SendSeq("m00", group.KindMcast, forged)
+	fseq, err := c.nsos["m01"].client.SendSeq("m00", group.KindMcast, forged, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/codec"
 	"fsnewtop/internal/group"
 	"fsnewtop/internal/sm"
 	"fsnewtop/internal/trace"
@@ -43,13 +44,14 @@ var errClosed = fmt.Errorf("fsnewtop: member closed: %w", transport.ErrClosed)
 // flight: a multicast waits only behind one, and every path that ends the
 // last one in flight flushes the window.
 type window struct {
-	// send signs and submits one input to both pair halves.
-	send  func(kind string, payload []byte) error
+	// send signs and submits one input to both pair halves; bodies are
+	// the body regions of payload.
+	send  func(kind string, payload []byte, bodies []codec.Region) error
 	clk   clock.Clock
 	delta time.Duration
 
 	mu      sync.Mutex
-	pending []group.BatchItem
+	pending []sm.Output // the window's multicasts: kind, payload and its body regions
 	bytes   int
 	opened  time.Time // when the open window's first message arrived
 	// inflight counts this member's own multicasts submitted to the pair
@@ -64,7 +66,7 @@ type window struct {
 }
 
 // newWindow returns an empty window; it runs no goroutine of its own.
-func newWindow(clk clock.Clock, delta time.Duration, send func(kind string, payload []byte) error) *window {
+func newWindow(clk clock.Clock, delta time.Duration, send func(kind string, payload []byte, bodies []codec.Region) error) *window {
 	return &window{send: send, clk: clk, delta: delta}
 }
 
@@ -74,8 +76,9 @@ func newWindow(clk clock.Clock, delta time.Duration, send func(kind string, payl
 // multicasts queued before it, nor vice versa). A submission after close
 // fails with an error wrapping transport.ErrClosed, and one after a failed
 // background flush fails with that flush's error: a lost multicast is
-// always reported to the next caller.
-func (w *window) submit(kind string, payload []byte) error {
+// always reported to the next caller. bodies are the body regions of
+// payload.
+func (w *window) submit(kind string, payload []byte, bodies []codec.Region) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -89,16 +92,16 @@ func (w *window) submit(kind string, payload []byte) error {
 		if err := w.flushLocked(); err != nil {
 			return err
 		}
-		return w.sendLocked(kind, payload)
+		return w.sendLocked(kind, payload, bodies)
 	}
 	if len(w.pending) == 0 && w.inflight == 0 {
-		return w.sendLocked(kind, payload)
+		return w.sendLocked(kind, payload, bodies)
 	}
 	if len(w.pending) == 0 {
 		w.opened = w.clk.Now()
 		w.backstop = w.clk.AfterFunc(w.delta, w.expire)
 	}
-	w.pending = append(w.pending, group.BatchItem{Kind: kind, Payload: payload})
+	w.pending = append(w.pending, sm.Output{Kind: kind, Payload: payload, Bodies: bodies})
 	w.bytes += len(payload)
 	if len(w.pending) >= maxBatchMsgs || w.bytes >= maxBatchBytes {
 		return w.flushLocked()
@@ -117,9 +120,10 @@ func (w *window) flushLocked() error {
 	items := w.pending
 	w.pending, w.bytes = nil, 0
 	if len(items) == 1 {
-		return w.sendLocked(items[0].Kind, items[0].Payload)
+		return w.sendLocked(items[0].Kind, items[0].Payload, items[0].Bodies)
 	}
-	if err := w.send(group.KindBatch, group.BatchMsg{Items: items}.Marshal()); err != nil {
+	batch, bodies := group.MarshalBatch(items)
+	if err := w.send(group.KindBatch, batch, bodies); err != nil {
 		return err
 	}
 	w.inflight += len(items)
@@ -137,8 +141,8 @@ func (w *window) keepFlushLocked() {
 
 // sendLocked submits one input. Caller holds w.mu, which is what keeps
 // the client's sequence numbers in submission order.
-func (w *window) sendLocked(kind string, payload []byte) error {
-	if err := w.send(kind, payload); err != nil {
+func (w *window) sendLocked(kind string, payload []byte, bodies []codec.Region) error {
+	if err := w.send(kind, payload, bodies); err != nil {
 		return err
 	}
 	if kind == group.KindMcast {
@@ -243,11 +247,8 @@ func coalesceOutputs(outs []sm.Output) []sm.Output {
 			i++
 			continue
 		}
-		items := make([]group.BatchItem, run)
-		for j := range items {
-			items[j] = group.BatchItem{Kind: outs[i+j].Kind, Payload: outs[i+j].Payload}
-		}
-		merged = append(merged, sm.Output{Kind: group.KindBatch, To: outs[i].To, Payload: group.BatchMsg{Items: items}.Marshal()})
+		batch, bodies := group.MarshalBatch(outs[i : i+run])
+		merged = append(merged, sm.Output{Kind: group.KindBatch, To: outs[i].To, Payload: batch, Bodies: bodies})
 		i += run
 	}
 	return merged

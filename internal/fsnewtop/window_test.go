@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/codec"
 	"fsnewtop/internal/faults"
 	"fsnewtop/internal/group"
 	"fsnewtop/internal/sm"
@@ -26,7 +27,7 @@ type submissions struct {
 	fail error      // returned (and nothing recorded) while set
 }
 
-func (s *submissions) send(kind string, payload []byte) error {
+func (s *submissions) send(kind string, payload []byte, _ []codec.Region) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fail != nil {
@@ -74,7 +75,7 @@ func newTestWindow(t *testing.T, delta time.Duration) (*window, *submissions, *c
 
 func mcast(t *testing.T, w *window, payload []byte) {
 	t.Helper()
-	if err := w.submit(group.KindMcast, payload); err != nil {
+	if err := w.submit(group.KindMcast, payload, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -235,10 +236,10 @@ func TestWindowOpenOnlyBehindARound(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 50:
 				op = "multicast"
-				_ = w.submit(group.KindMcast, make([]byte, rng.Intn(64)))
+				_ = w.submit(group.KindMcast, make([]byte, rng.Intn(64)), nil)
 			case r < 55:
 				op = "join"
-				_ = w.submit(group.KindJoin, nil)
+				_ = w.submit(group.KindJoin, nil, nil)
 			case r < 80:
 				op = "own delivery"
 				w.ownDelivered()
@@ -304,14 +305,14 @@ func TestWindowReportsFailures(t *testing.T) {
 	subs.setFail(broken)
 	w.ownDelivered()
 	subs.setFail(nil)
-	if err := w.submit(group.KindMcast, []byte("next")); !errors.Is(err, broken) {
+	if err := w.submit(group.KindMcast, []byte("next"), nil); !errors.Is(err, broken) {
 		t.Fatalf("submission after a failed flush returned %v, want %v", err, broken)
 	}
-	if err := w.submit(group.KindMcast, []byte("after")); err != nil {
+	if err := w.submit(group.KindMcast, []byte("after"), nil); err != nil {
 		t.Fatalf("the failure was reported twice: %v", err)
 	}
 	w.close()
-	if err := w.submit(group.KindMcast, []byte("closed")); !errors.Is(err, transport.ErrClosed) {
+	if err := w.submit(group.KindMcast, []byte("closed"), nil); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("submission after close returned %v, want transport.ErrClosed", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fsnewtop/internal/codec"
+	"fsnewtop/internal/sm"
 )
 
 // KindBatch is the batch envelope: its payload is a BatchMsg, a versioned
@@ -35,18 +36,33 @@ type BatchMsg struct {
 
 // Marshal returns the canonical encoding.
 func (b BatchMsg) Marshal() []byte {
-	n := 8
-	for _, it := range b.Items {
-		n += len(it.Kind) + len(it.Payload) + 8
+	outs := make([]sm.Output, len(b.Items))
+	for i, it := range b.Items {
+		outs[i] = sm.Output{Kind: it.Kind, Payload: it.Payload}
+	}
+	enc, _ := MarshalBatch(outs)
+	return enc
+}
+
+// MarshalBatch returns the canonical encoding of the BatchMsg whose items
+// are outs' kinds and payloads, and the body regions of those payloads at
+// their place in it (see sm.Output.Bodies): FS-NewTOP's window and
+// coalescer batch what they hold this way, with no item list between.
+func MarshalBatch(outs []sm.Output) ([]byte, []codec.Region) {
+	n, regions := 8, 0
+	for _, o := range outs {
+		n += len(o.Kind) + len(o.Payload) + 8
+		regions += len(o.Bodies)
 	}
 	w := codec.NewWriter(n)
+	w.GrowBodies(regions)
 	w.U8(batchWireVersion)
-	w.U32(uint32(len(b.Items)))
-	for _, it := range b.Items {
-		w.String(it.Kind)
-		w.Bytes32(it.Payload)
+	w.U32(uint32(len(outs)))
+	for _, o := range outs {
+		w.String(o.Kind)
+		w.Nested32(o.Payload, o.Bodies)
 	}
-	return w.Bytes()
+	return w.Bytes(), w.Bodies()
 }
 
 // UnmarshalBatchMsg decodes a BatchMsg, rejecting unknown wire versions.

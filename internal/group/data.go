@@ -18,7 +18,7 @@ func (m *Machine) onMcast(req McastReq) {
 
 	if req.Service == Unreliable {
 		d := DataMsg{Group: g.name, Origin: m.cfg.Self, Service: Unreliable, Payload: req.Payload}
-		m.emit(KindData, others, d.Marshal())
+		m.emitData(others, d)
 		m.deliver(g, m.cfg.Self, Unreliable, req.Payload)
 		return
 	}
@@ -34,13 +34,13 @@ func (m *Machine) onMcast(req McastReq) {
 
 	switch req.Service {
 	case Reliable:
-		m.emit(KindData, others, d.Marshal())
+		m.emitData(others, d)
 		m.deliver(g, m.cfg.Self, Reliable, req.Payload)
 
 	case Causal:
 		g.causalD[m.cfg.Self]++
 		d.VC = encodeVC(g.causalD)
-		m.emit(KindData, others, d.Marshal())
+		m.emitData(others, d)
 		// Own causal messages are delivered at send: nothing we sent can
 		// causally precede them.
 		m.deliver(g, m.cfg.Self, Causal, req.Payload)
@@ -49,12 +49,12 @@ func (m *Machine) onMcast(req McastReq) {
 		g.clock++
 		d.TS = g.clock
 		m.trace.Emit(trace.EvRoundOpen, d.TS, d.SenderSeq, m.cfg.Self)
-		m.emit(KindData, others, d.Marshal())
+		m.emitData(others, d)
 		g.insertPendingSym(d)
 		m.drainSym(g)
 
 	case TotalAsym:
-		m.emit(KindData, others, d.Marshal())
+		m.emitData(others, d)
 		g.asymData[asymKey{m.cfg.Self, d.SenderSeq}] = d
 		if g.sequencer() == m.cfg.Self {
 			m.assignGlobals(g, []asymKey{{m.cfg.Self, d.SenderSeq}})
@@ -222,7 +222,7 @@ func (m *Machine) onNack(from string, n NackMsg) {
 	sort.Slice(n.Missing, func(i, j int) bool { return n.Missing[i] < n.Missing[j] })
 	for _, seq := range n.Missing {
 		if d, have := g.sent.find(seq); have {
-			m.emit(KindData, []string{from}, d.Marshal())
+			m.emitData([]string{from}, d)
 		}
 	}
 	ack := g.promise()

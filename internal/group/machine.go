@@ -143,6 +143,16 @@ func (m *Machine) emit(kind string, to []string, payload []byte) {
 	m.outs = append(m.outs, sm.Output{Kind: kind, To: to, Payload: payload})
 }
 
+// emitData queues one DataMsg for the current step, its application
+// payload marked as a body region.
+func (m *Machine) emitData(to []string, d DataMsg) {
+	if len(to) == 0 {
+		return
+	}
+	b, bodies := d.marshalBodies()
+	m.outs = append(m.outs, sm.Output{Kind: KindData, To: to, Payload: b, Bodies: bodies})
+}
+
 // localTo is the destination list of every local output, shared: an
 // output's To is never written.
 var localTo = []string{sm.LocalDelivery}
@@ -154,7 +164,8 @@ func (m *Machine) emitLocal(kind string, payload []byte) {
 
 // deliver emits one application delivery.
 func (m *Machine) deliver(g *groupState, origin string, svc Service, payload []byte) {
-	m.emitLocal(KindDeliver, Deliver{Group: g.name, Origin: origin, Service: svc, Payload: payload}.Marshal())
+	b, bodies := Deliver{Group: g.name, Origin: origin, Service: svc, Payload: payload}.marshalBodies()
+	m.outs = append(m.outs, sm.Output{Kind: KindDeliver, To: localTo, Payload: b, Bodies: bodies})
 }
 
 // Step implements sm.Machine.

@@ -96,6 +96,14 @@ func (m *Machine) onViewProp(from string, v ViewProp) {
 	if v.Epoch > g.lastEpoch {
 		g.lastEpoch = v.Epoch
 	}
+	// A proposal held from a coordinator this member already suspects can
+	// never install: that coordinator has fail-signalled or been given up.
+	// Its successor may never have seen it (it was cut off when it was
+	// sent), so the successor's first proposal can tie its epoch while
+	// sorting after it — and would be refused forever, the successor
+	// re-sending the same epoch for the same candidate set. Any proposal
+	// from the new coordinator supersedes a stale one.
+	stale := g.change != nil && g.change.acks == nil && g.suspects[coordinatorOf(g.change.members, g.change.joins)]
 	// Adopt the proposer's exclusions (suspicion sharing — this is what
 	// propagates a false suspicion through a partitionable system).
 	for _, mem := range g.members {
@@ -109,7 +117,7 @@ func (m *Machine) onViewProp(from string, v ViewProp) {
 	switch {
 	case g.change != nil && v.Epoch == g.change.epoch && from == coordinatorOf(g.change.members, g.change.joins) && sameMembers(v.Members, g.change.members):
 		// re-ack below
-	case g.change == nil || v.Epoch > g.change.epoch ||
+	case g.change == nil || stale || v.Epoch > g.change.epoch ||
 		(v.Epoch == g.change.epoch && from < coordinatorOf(g.change.members, g.change.joins)):
 		g.change = &viewChange{viewID: v.ViewID, epoch: v.Epoch, members: v.Members, joins: v.Joins, startedAt: m.now}
 		m.trace.Emit(trace.EvViewPropose, v.ViewID, v.Epoch, from)

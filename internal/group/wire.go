@@ -92,11 +92,18 @@ type McastReq struct {
 
 // Marshal returns the canonical encoding.
 func (m McastReq) Marshal() []byte {
+	b, _ := m.MarshalBodies()
+	return b
+}
+
+// MarshalBodies returns the canonical encoding and the body region of its
+// application payload.
+func (m McastReq) MarshalBodies() ([]byte, []codec.Region) {
 	w := codec.NewWriter(4 + len(m.Group) + 1 + 4 + len(m.Payload))
 	w.String(m.Group)
 	w.U8(uint8(m.Service))
-	w.Bytes32(m.Payload)
-	return w.Bytes()
+	w.Body32(m.Payload)
+	return w.Bytes(), w.Bodies()
 }
 
 // UnmarshalMcastReq decodes a McastReq.
@@ -148,7 +155,7 @@ func (d DataMsg) encode(w *codec.Writer) {
 		w.String(e.Member)
 		w.U64(e.Count)
 	}
-	w.Bytes32(d.Payload)
+	w.Body32(d.Payload)
 }
 
 func decodeDataMsg(r *codec.Reader) DataMsg {
@@ -172,9 +179,16 @@ func decodeDataMsg(r *codec.Reader) DataMsg {
 
 // Marshal returns the canonical encoding.
 func (d DataMsg) Marshal() []byte {
+	b, _ := d.marshalBodies()
+	return b
+}
+
+// marshalBodies returns the canonical encoding and the body region of its
+// application payload.
+func (d DataMsg) marshalBodies() ([]byte, []codec.Region) {
 	w := codec.NewWriter(d.size())
 	d.encode(w)
-	return w.Bytes()
+	return w.Bytes(), w.Bodies()
 }
 
 // UnmarshalDataMsg decodes a DataMsg.
@@ -627,12 +641,19 @@ type Deliver struct {
 
 // Marshal returns the canonical encoding.
 func (d Deliver) Marshal() []byte {
+	b, _ := d.marshalBodies()
+	return b
+}
+
+// marshalBodies returns the canonical encoding and the body region of its
+// application payload.
+func (d Deliver) marshalBodies() ([]byte, []codec.Region) {
 	w := codec.NewWriter(4 + len(d.Group) + 4 + len(d.Origin) + 1 + 4 + len(d.Payload))
 	w.String(d.Group)
 	w.String(d.Origin)
 	w.U8(uint8(d.Service))
-	w.Bytes32(d.Payload)
-	return w.Bytes()
+	w.Body32(d.Payload)
+	return w.Bytes(), w.Bodies()
 }
 
 // UnmarshalDeliver decodes a Deliver.

@@ -79,6 +79,15 @@ func sigSize(s Signer) int {
 // result plus a view of the signature inside it. The result is cached and
 // shared, so an append by any holder reallocates.
 func appendSig(s Signer, wire, data []byte) (out, sigBytes []byte, err error) {
+	if wire, sigBytes, err = appendSigField(s, wire, data); err != nil {
+		return nil, nil, err
+	}
+	return wire[:len(wire):len(wire)], sigBytes, nil
+}
+
+// appendSigField is appendSig without the clip, for a writer that goes on
+// appending after the signature.
+func appendSigField(s Signer, wire, data []byte) (out, sigBytes []byte, err error) {
 	at := len(wire)
 	wire = append(wire, 0, 0, 0, 0)
 	if as, ok := s.(AppendSigner); ok {
@@ -93,8 +102,20 @@ func appendSig(s Signer, wire, data []byte) (out, sigBytes []byte, err error) {
 		return nil, nil, err
 	}
 	binary.BigEndian.PutUint32(wire[at:], uint32(len(wire)-at-4))
-	wire = wire[:len(wire):len(wire)]
 	return wire, wire[at+4:], nil
+}
+
+// SignatureSize is the length of the signatures s makes, exact for both
+// schemes: what a caller building a wire form reserves for one.
+func SignatureSize(s Signer) int { return sigSize(s) }
+
+// AppendSign appends s's signature over data to dst as a length-prefixed
+// field (the encoding of codec.Writer.Bytes32) and returns the extended
+// slice, so a wire form that carries a signature over something other
+// than its own bytes is built in one buffer.
+func AppendSign(dst []byte, s Signer, data []byte) ([]byte, error) {
+	out, _, err := appendSigField(s, dst, data)
+	return out, err
 }
 
 // Verify checks the envelope's signature.
@@ -210,6 +231,24 @@ func CounterSign(s Signer, e Envelope) (Double, error) {
 	}
 	d.SecondSig, d.dblWire = second, wire
 	return d, nil
+}
+
+// AppendCounterSign is CounterSign writing the double's wire form at the
+// end of dst rather than into a buffer of its own: an FS output's payload
+// is its output bytes with the double appended, so the pair encodes the
+// output once, into the buffer that goes on the wire. It returns the
+// extended slice, clipped: it is sent to every destination and shared.
+func AppendCounterSign(dst []byte, s Signer, e Envelope) ([]byte, error) {
+	inner := e.Marshal()
+	wireEncodes.Add(1)
+	dst = append(dst, inner...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.ID())))
+	dst = append(dst, s.ID()...)
+	dst, _, err := appendSig(s, dst, inner)
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // ErrSamePair is returned when a double signature's two signers are the

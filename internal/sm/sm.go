@@ -40,6 +40,12 @@ type Output struct {
 	To []string
 	// Payload is the message body.
 	Payload []byte
+	// Bodies marks the application payloads inside Payload (offsets
+	// relative to Payload), as the encoder recorded them through
+	// codec.Writer: a side table, never part of the encoding, which a
+	// fail-signal pair reads to hash each payload once per node. Empty for
+	// an output that carries none.
+	Bodies []codec.Region
 }
 
 // LocalDelivery is the reserved destination meaning "deliver to the local
@@ -109,15 +115,26 @@ func UnmarshalInput(b []byte) (Input, error) {
 // comparison is byte equality over this encoding, so it must be canonical:
 // equal outputs always encode to equal bytes.
 func MarshalOutput(out Output) []byte {
+	w := codec.NewWriter(OutputSize(out))
+	EncodeOutput(w, out)
+	return w.Bytes()
+}
+
+// OutputSize is the exact length of MarshalOutput(out).
+func OutputSize(out Output) int {
 	size := 4 + len(out.Kind) + 4 + 4 + len(out.Payload)
 	for _, to := range out.To {
 		size += 4 + len(to)
 	}
-	w := codec.NewWriter(size)
+	return size
+}
+
+// EncodeOutput appends the encoding MarshalOutput returns to w, recording
+// out's body regions at their place in it (see codec.Writer.Bodies).
+func EncodeOutput(w *codec.Writer, out Output) {
 	w.String(out.Kind)
 	w.StringSlice(out.To)
-	w.Bytes32(out.Payload)
-	return w.Bytes()
+	w.Nested32(out.Payload, out.Bodies)
 }
 
 // UnmarshalOutput decodes an output encoded by MarshalOutput.
