@@ -6,7 +6,7 @@
 // messages for symmetric total ordering at a regular interval — and
 // measures ordering latency and throughput. Every lane brings its members
 // up through cluster.New (cluster.NewSolo in a worker process) and drives
-// each with deploy.RunWorkload, so the lanes differ in substrate only.
+// each with a deploy.Workload, so the lanes differ in substrate only.
 //
 // Three experiment drivers regenerate the figures:
 //
@@ -232,7 +232,7 @@ type Result struct {
 }
 
 // Run executes one experiment: bring the members up through the cluster
-// facade, join them into one group, drive each with deploy.RunWorkload,
+// facade, join them into one group, drive each with a deploy.Workload,
 // fold the per-member measurements.
 func Run(opts Options) (Result, error) {
 	res, _, err := run(opts)
@@ -251,9 +251,6 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 	case opts.Virtual && opts.Transport != TransportNetsim:
 		return Result{}, nil, fmt.Errorf("%w: Virtual requires Transport %q (got %q): virtual time cannot pace real sockets, nor gate members in other OS processes",
 			ErrRefused, TransportNetsim, opts.Transport)
-	case opts.Virtual && opts.System == SystemNewTOP:
-		return Result{}, nil, fmt.Errorf("%w: Virtual runs %v only: crash NewTOP's ORB request pool runs goroutines the virtual clock's driver cannot",
-			ErrRefused, SystemFSNewTOP)
 	}
 	if opts.Transport == TransportTCPProcs {
 		return runProcs(opts, spec)
@@ -261,9 +258,10 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 
 	wall := clock.NewReal()
 	var clk clock.Clock = wall
+	var vt *clock.Virtual
 	copts := spec.Options()
 	if opts.Virtual {
-		vt := clock.NewVirtual()
+		vt = clock.NewVirtual()
 		defer vt.Stop()
 		clk = vt
 		copts = append(copts, cluster.WithVirtualTime(vt))
@@ -288,57 +286,107 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 		// network ignores it and the wire's own latency applies.
 		cluster.WithSyncLinkProfile(transport.Profile{Latency: transport.Fixed(lanLatency)}),
 	)
-	cl, err := cluster.New(copts...)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	defer cl.Close()
-	if err := cl.JoinAll(spec.Group); err != nil {
-		return Result{}, nil, err
-	}
 
-	// One workload loop per member, all on the run's clock. ran carries the
-	// index of each member as its loop returns.
-	stats := make([]deploy.WorkerStats, len(names))
-	delivered := make([]atomic.Int64, len(names))
-	stop := make(chan struct{})
-	ran := make(chan int, len(names))
-	start, wallStart := clk.Now(), wall.Now()
-	for i, name := range names {
-		go func() {
-			stats[i] = deploy.RunWorkload(clk, cl.Member(name), spec, opts.Members, &delivered[i], stop)
-			ran <- i
-		}()
-	}
+	// Each member's workload takes its deliveries until it ends; end
+	// records it, and the last to end reads the traffic counters. On the
+	// wall clock a goroutine drains each workload; on a virtual clock the
+	// Settle hook polls them on the driver at the end of every instant, so
+	// deliveries, the run's end and the counters are taken at their
+	// instant, not whenever a goroutine the driver outran got scheduled.
+	var (
+		cl        *cluster.Cluster
+		start     time.Time
+		loads     = make([]*deploy.Workload, len(names))
+		stats     = make([]deploy.WorkerStats, len(names))
+		delivered = make([]atomic.Int64, len(names))
+		ended     = make(chan int, len(names))
+		stop      = make(chan struct{})
+		stalled   = make(chan struct{})
+		timeout   clock.Timer
 
+		ends     atomic.Int64
+		endAt    time.Time
+		counters transport.Stats // zero on a transport that counts nothing
+	)
+	end := func(i int, st deploy.WorkerStats) {
+		stats[i] = st
+		if ends.Add(1) == int64(len(names)) {
+			endAt = clk.Now()
+			counters, _ = cl.Stats()
+		}
+		ended <- i
+	}
+	// poll ends, on the virtual driver, each workload that has ended (all
+	// that are left, once the run is stopped).
+	var poll func(all bool)
+	if vt != nil {
+		done := make([]bool, len(names))
+		poll = func(all bool) {
+			for i, w := range loads {
+				if !done[i] && (w.Poll(&delivered[i]) || all) {
+					done[i] = true
+					end(i, w.Stats())
+				}
+			}
+		}
+	}
 	// Round-progress watchdog: the protocol should never go StallAfter
 	// without a delivery while work is outstanding. When it does, snapshot
 	// everything and fail fast with a diagnosis instead of letting the
 	// timeout swallow the evidence.
-	// Progress counts deliveries still queued for a workload loop too:
-	// under a virtual clock, protocol time runs on while a loop waits to be
-	// scheduled, and the watchdog judges the protocol, not the scheduler.
 	progress := func() int {
 		total := 0
 		for i := range delivered {
-			total += int(delivered[i].Load()) + len(cl.Member(names[i]).Deliveries())
+			total += int(delivered[i].Load())
 		}
 		return total
 	}
-	stalled := make(chan struct{})
-	stopStall := make(chan struct{})
-	defer close(stopStall)
-	if opts.StallAfter > 0 {
-		go stallMonitor(clk, progress, opts.Members*opts.Members*opts.MsgsPerMember, opts.StallAfter, stopStall, stalled)
+
+	// Bring-up, the joins, the start of every member's workload and of the
+	// run's watchdogs are one callback on the run's clock: on a virtual
+	// clock they share one instant, at which every workload's first send
+	// is due.
+	up := make(chan error, 1)
+	wallStart := wall.Now()
+	clk.AfterFunc(0, func() {
+		var err error
+		if cl, err = cluster.New(copts...); err == nil {
+			err = cl.JoinAll(spec.Group)
+		}
+		if err != nil {
+			up <- err
+			return
+		}
+		start = clk.Now()
+		for i, name := range names {
+			loads[i] = deploy.StartWorkload(clk, start, cl.Member(name), spec, opts.Members, stop)
+			if poll == nil {
+				go func() { end(i, loads[i].Drain(&delivered[i], stop)) }()
+			}
+		}
+		if poll != nil {
+			vt.Settle(func(time.Time) { poll(false) })
+		}
+		if opts.StallAfter > 0 {
+			stallMonitor(clk, progress, opts.Members*opts.Members*opts.MsgsPerMember, opts.StallAfter, stop, stalled)
+		}
+		timeout = clk.NewTimer(opts.Timeout)
+		up <- nil
+	})
+	err = <-up
+	if cl != nil {
+		defer cl.Close()
 	}
+	if err != nil {
+		return Result{}, nil, err
+	}
+	defer timeout.Stop()
 
 	var runErr error
-	timeout := clk.NewTimer(opts.Timeout)
-	defer timeout.Stop()
 	returned := 0
 	for returned < len(names) && runErr == nil {
 		select {
-		case i := <-ran:
+		case i := <-ended:
 			returned++
 			if stats[i].SendError != "" {
 				runErr = fmt.Errorf("bench: %v/%s run (%d members): %s: %s",
@@ -374,22 +422,25 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 				opts.System, opts.Members, opts.Timeout, progress(), opts.Members*opts.Members*opts.MsgsPerMember, failed)
 		}
 	}
-	elapsed := clk.Since(start)
 	close(stop)
+	if poll != nil {
+		vt.AfterFunc(0, func() {
+			vt.Settle(nil)
+			poll(true)
+		})
+	}
 	for ; returned < len(names); returned++ {
-		<-ran
+		<-ended
 	}
 
 	res := aggregate(opts, stats)
 	res.Virtual = opts.Virtual
-	res.Elapsed = elapsed
+	res.Elapsed = endAt.Sub(start)
 	res.WallElapsed = wall.Since(wallStart)
 	if opts.OrderCheck {
 		res.OrderMismatch = checkOrder(stats)
 	}
-	if ts, ok := cl.Stats(); ok {
-		res.NetMessages, res.NetBytes = ts.Sent, ts.Bytes
-	}
+	res.NetMessages, res.NetBytes = counters.Sent, counters.Bytes
 	res.SigCacheHits, res.SigCacheMisses = cl.SigCacheStats()
 	return res, stats, runErr
 }

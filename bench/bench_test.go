@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -58,18 +59,17 @@ func TestRunFSNewTOP(t *testing.T) {
 // every multicast is its own order/sign/compare/counter-sign round, so the
 // two results compare the paper's per-message costs. (Under backlog the
 // accumulation window legitimately amortises the FS round over several
-// multicasts, which is a different claim.) The FS lane runs on virtual
-// time, which is exact: on a loaded host a wall-clock round can outlast
-// the pacing and let a batch form, while a virtual round takes the same
-// protocol time however busy the host is. Crash NewTOP cannot run
-// virtual (its ORB pool), and needs no such care: it never batches.
+// multicasts, which is a different claim.) Both run on virtual time,
+// which is exact: a round takes the same protocol time however busy the
+// host is — so no batch forms behind a slow round — and each run's
+// latency and traffic are the same every time.
 func pacedRuns(t *testing.T) (nt, fs Result) {
 	t.Helper()
 	paced := func(sys System) Options {
 		o := quickOpts(sys, 4)
 		o.MsgsPerMember = 8
 		o.SendInterval = 25 * time.Millisecond
-		o.Virtual = sys == SystemFSNewTOP
+		o.Virtual = true
 		return o
 	}
 	nt, err := Run(paced(SystemNewTOP))
@@ -97,13 +97,41 @@ func TestFSCostsMoreThanCrash(t *testing.T) {
 	}
 	nt, fs := pacedRuns(t)
 	if fs.Latency.Mean <= nt.Latency.Mean {
-		t.Logf("warning: FS mean %v <= NewTOP mean %v (scheduling noise?)", fs.Latency.Mean, nt.Latency.Mean)
+		t.Fatalf("FS mean latency %v <= NewTOP mean %v: on one exact clock the pair's order/compare/counter-sign round must cost time", fs.Latency.Mean, nt.Latency.Mean)
 	}
 	// The robust claim: FS moves at least 2x the network traffic (dual
 	// submission, pair forwarding, output exchange, dual dispatch).
 	if fs.NetMessages < 2*nt.NetMessages {
 		t.Fatalf("FS traffic %d not >= 2x NewTOP traffic %d", fs.NetMessages, nt.NetMessages)
 	}
+}
+
+// TestPacedRunsAreExact: on virtual time a run is one exact timeline —
+// every workload starts at one instant, latency is taken at each
+// delivery's hand-off, and the traffic counters at the instant of the last
+// delivery — so repeated paced runs of either system read the same
+// traffic, latency and throughput to the nanosecond and the message.
+func TestPacedRunsAreExact(t *testing.T) {
+	runs := 20
+	if testing.Short() {
+		runs = 3
+	}
+	type reading struct {
+		msgs, bytes uint64
+		lat         string
+		tput        float64
+	}
+	read := func(r Result) reading {
+		return reading{r.NetMessages, r.NetBytes, fmt.Sprint(r.Latency), r.Throughput}
+	}
+	nt0, fs0 := pacedRuns(t)
+	for i := 1; i < runs; i++ {
+		nt, fs := pacedRuns(t)
+		if read(nt) != read(nt0) || read(fs) != read(fs0) {
+			t.Fatalf("run %d differs from the first:\n NewTOP %+v\n  first %+v\n FS     %+v\n  first %+v", i, read(nt), read(nt0), read(fs), read(fs0))
+		}
+	}
+	t.Logf("%d runs each: NewTOP %d msgs, mean %v; FS %d msgs, mean %v", runs, nt0.NetMessages, nt0.Latency.Mean, fs0.NetMessages, fs0.Latency.Mean)
 }
 
 func TestRunLargeMessages(t *testing.T) {

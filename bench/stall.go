@@ -82,35 +82,34 @@ func DumpTrace(dir, label string) (string, error) {
 	return reg.Dump(dir, label)
 }
 
-// stallMonitor watches a run's aggregate delivery count and reports on
+// stallMonitor watches a run's aggregate delivery count and closes
 // stalled when it stops moving for quiet short of want, on the run's
-// clock — under a virtual clock the watchdog window is protocol time, so
-// an accelerated soak still detects wedges. progress need not be
-// monotonic: any change counts as a move.
+// clock. It is a chain of clock callbacks, so under a virtual clock the
+// watchdog window is protocol time, and every check runs on the driver at
+// its instant: the verdict is exact, and an accelerated soak still detects
+// wedges. progress need not be monotonic: any change counts as a move.
+// Closing stop ends the chain.
 func stallMonitor(clk clock.Clock, progress func() int, want int, quiet time.Duration, stop <-chan struct{}, stalled chan<- struct{}) {
-	interval := quiet / 20
-	if interval < time.Millisecond {
-		interval = time.Millisecond // sub-ms polls buy nothing
-	}
-	last := progress()
-	lastMove := clk.Now()
-	for {
-		t := clk.NewTimer(interval)
+	interval := max(quiet/20, time.Millisecond) // sub-ms polls buy nothing
+	last, lastMove := progress(), clk.Now()
+	var check func()
+	check = func() {
 		select {
 		case <-stop:
-			t.Stop()
 			return
-		case <-t.C():
-			n := progress()
-			switch {
-			case n >= want:
-				return // every delivery is made; the workload loops finish the run
-			case n != last:
-				last, lastMove = n, clk.Now()
-			case clk.Since(lastMove) >= quiet:
-				close(stalled)
-				return
-			}
+		default:
 		}
+		n := progress()
+		switch {
+		case n >= want:
+			return // every delivery is made; the workloads finish the run
+		case n != last:
+			last, lastMove = n, clk.Now()
+		case clk.Since(lastMove) >= quiet:
+			close(stalled)
+			return
+		}
+		clk.AfterFunc(interval, check)
 	}
+	clk.AfterFunc(interval, check)
 }

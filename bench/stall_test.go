@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -75,5 +76,39 @@ func TestRunStallDumpSuppressed(t *testing.T) {
 	}
 	if stalled.DumpPath != "" {
 		t.Fatalf("dump written despite NoStallDump: %s", stalled.DumpPath)
+	}
+}
+
+// TestVirtualStallVerdictIsExact pins the cause of false "stalled"
+// verdicts on virtual time: progress was counted by goroutines draining
+// the members' deliveries, and a drain holding a delivery it had taken but
+// not yet counted was outrun by the clock's driver, whose idle ticks carry
+// protocol time past the watchdog window in a few wall milliseconds. The
+// workloads now take deliveries, and the watchdog checks progress, on the
+// driver. So with a window just above the send interval — the largest gap
+// between deliveries in a paced run — both systems complete, at the same
+// end instant every time, whatever GOMAXPROCS is.
+func TestVirtualStallVerdictIsExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, sys := range []System{SystemNewTOP, SystemFSNewTOP} {
+		var first time.Duration
+		for i := 0; i < 20; i++ {
+			runtime.GOMAXPROCS(1 + i%4)
+			o := quickOpts(sys, 4)
+			o.MsgsPerMember = 8
+			o.SendInterval = 25 * time.Millisecond
+			o.StallAfter = 30 * time.Millisecond
+			o.Virtual = true
+			o.NoStallDump = true
+			res, err := Run(o)
+			if err != nil {
+				t.Fatalf("%v run %d: %v", sys, i, err)
+			}
+			if i == 0 {
+				first = res.Elapsed
+			} else if res.Elapsed != first {
+				t.Fatalf("%v run %d ended at %v, the first at %v", sys, i, res.Elapsed, first)
+			}
+		}
 	}
 }

@@ -156,12 +156,12 @@ func WithClock(clk clock.Clock) Option {
 // its own per-member clock.Skewed view of v's one timeline, so simulated
 // protocol-hours cost only the protocol's own computation, and the chaos
 // plane's clock-skew faults can step or drift a single member through
-// SkewMember. Every node loop of every member runs on v's driver, so the
-// timeline is exact. Requires the simulated transport: virtual time cannot
-// pace real sockets; and fail-signal members: New refuses it together with
-// WithCrashTolerance, whose ORB request pool runs goroutines the driver
-// cannot. Member construction holds v's busy gate, so bring-up is never
-// raced by an advancing clock.
+// SkewMember. Every node loop of every member — an FS pair's two replica
+// loops, a crash member's GC driver, whose ORB serves requests on netsim's
+// callbacks and the clock's — runs on v's driver, so the timeline is exact
+// for both kinds of member. Requires the simulated transport: virtual time
+// cannot pace real sockets. Member construction holds v's busy gate, so
+// bring-up is never raced by an advancing clock.
 func WithVirtualTime(v *clock.Virtual) Option {
 	return func(c *config) { c.clk, c.virtual = v, v }
 }
@@ -343,9 +343,6 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	if cfg.autoHeal && cfg.crash {
 		return nil, fmt.Errorf("cluster: WithAutoHeal refused under WithCrashTolerance: remediation acts only on verified fail-signals, and a crash-stop member's exclusion from a view may be a false suspicion")
-	}
-	if cfg.virtual != nil && cfg.crash {
-		return nil, fmt.Errorf("cluster: WithVirtualTime refused under WithCrashTolerance: a crash-tolerant member's ORB request pool runs on goroutines of its own, which the virtual clock's single driver cannot run, so its timeline would not be exact")
 	}
 	if cfg.virtual != nil {
 		if cfg.tr != nil {

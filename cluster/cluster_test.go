@@ -137,11 +137,12 @@ func TestClusterBatchedTotalOrder(t *testing.T) {
 
 // TestMemberGoroutineBudget counts what one member adds on a transport the
 // caller owns. An FS member is its pair's two replica loops: 2, with no
-// ORB pool and no loop for the window's backstop (a clock callback); on a
-// virtual clock it is 0, every loop a pass on the clock's driver. A crash
-// member is the ORB's 10 pool workers (the paper's request pool) and the
-// GC driver's loop: 11.
-// Nothing stands between an NSO and the application. None outlive Close.
+// ORB and no loop for the window's backstop (a clock callback). A crash
+// member is its GC driver's loop: 1, its ORB serving requests on the
+// transport's callbacks and the clock's (the paper's request pool is
+// service slots, not workers). On a virtual clock either is 0, every loop
+// a pass on the clock's driver. Nothing stands between an NSO and the
+// application. None outlive Close.
 func TestMemberGoroutineBudget(t *testing.T) {
 	net := netsim.New(clock.NewReal(), netsim.WithShards(1))
 	defer net.Close()
@@ -164,8 +165,9 @@ func TestMemberGoroutineBudget(t *testing.T) {
 		per  int
 	}{
 		{"fs", net, nil, 2},
-		{"crash", net, []cluster.Option{cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, time.Hour)}, 11},
+		{"crash", net, []cluster.Option{cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, time.Hour)}, 1},
 		{"virtual", vnet, []cluster.Option{cluster.WithVirtualTime(v)}, 0},
+		{"crash-virtual", vnet, []cluster.Option{cluster.WithVirtualTime(v), cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, time.Hour)}, 0},
 	} {
 		names := []string{tc.name + "0", tc.name + "1", tc.name + "2", tc.name + "3"}
 		c, err := cluster.New(append(tc.opts, cluster.WithTransport(tc.net), cluster.WithMembers(names...))...)
@@ -204,8 +206,8 @@ func stableGoroutines() int {
 // fail-signal helpers refuse, a crash member has no fail-signal stream,
 // and auto-heal is refused: a crash member's exclusion from a view may be
 // a false suspicion, and remediation acts only on verified fail-signals.
-// Virtual time is refused too: the ORB pool's goroutines are not loops
-// the virtual clock's driver can run.
+// Virtual time is accepted: a crash member is one loop, which the virtual
+// clock's driver runs.
 func TestClusterCrashTolerance(t *testing.T) {
 	opts := []cluster.Option{
 		cluster.WithMembers("n1", "n2"),
@@ -220,11 +222,14 @@ func TestClusterCrashTolerance(t *testing.T) {
 	}
 	v := clock.NewVirtual()
 	defer v.Stop()
-	if c, err := cluster.New(append(opts, cluster.WithVirtualTime(v))...); err == nil {
-		c.Close()
-		t.Fatal("New accepted WithVirtualTime under WithCrashTolerance")
-	} else if !strings.Contains(err.Error(), "ORB request pool") {
-		t.Fatalf("refusal does not say why: %v", err)
+	vc, err := cluster.New(append(opts, cluster.WithVirtualTime(v))...)
+	if err != nil {
+		t.Fatalf("New refused WithVirtualTime under WithCrashTolerance: %v", err)
+	}
+	runTotalOrder(t, vc)
+	vc.Close()
+	if v.Elapsed() <= 0 {
+		t.Fatal("the virtual crash cluster never moved its clock")
 	}
 	c, err := cluster.New(opts...)
 	if err != nil {

@@ -161,23 +161,31 @@ func TestClusterVirtualTimeRefusesRealTransport(t *testing.T) {
 	}
 }
 
-// virtualTimeline runs one scripted FS cluster on a virtual clock and
+// virtualTimeline runs one scripted cluster on a virtual clock and
 // returns its merged trace timeline. Everything that acts on the cluster
 // is a callback on the clock: bring-up and the joins at the first
-// instant, a multicast every 7 ms round the members, m2's follower
-// crashing at 60 ms, and the timeline rendered at 1 s.
-func virtualTimeline(t *testing.T) string {
+// instant, a multicast every 7 ms round the members, m2 failing at 60 ms,
+// and the timeline rendered at 1 s. An FS m2 loses its follower, which
+// its pair converts to a fail-signal; a crash m2 is killed, and the ping
+// suspector excludes it.
+func virtualTimeline(t *testing.T, crash bool) string {
 	t.Helper()
 	v := clock.NewVirtual()
 	defer v.Stop()
 	reg := trace.NewRegistry(0, v.Now)
 	names := []string{"m0", "m1", "m2", "m3"}
+	opts := []cluster.Option{cluster.WithMembers(names...), cluster.WithVirtualTime(v), cluster.WithTrace(reg)}
+	fault := func(c *cluster.Cluster) { c.CrashFollower("m2") }
+	if crash {
+		opts = append(opts, cluster.WithCrashTolerance(), cluster.WithPingSuspector(20*time.Millisecond, 100*time.Millisecond))
+		fault = func(c *cluster.Cluster) { c.KillMember("m2") }
+	}
 	var c *cluster.Cluster
 	out := make(chan string, 1)
 	fail := make(chan error, 1)
 	v.AfterFunc(0, func() {
 		var err error
-		if c, err = cluster.New(cluster.WithMembers(names...), cluster.WithVirtualTime(v), cluster.WithTrace(reg)); err == nil {
+		if c, err = cluster.New(opts...); err == nil {
 			err = c.JoinAll("g")
 		}
 		if err != nil {
@@ -189,7 +197,7 @@ func virtualTimeline(t *testing.T) string {
 				_ = c.Member(names[k%len(names)]).Multicast("g", cluster.TotalSym, []byte(fmt.Sprintf("x%d", k)))
 			})
 		}
-		v.AfterFunc(60*time.Millisecond, func() { c.CrashFollower("m2") })
+		v.AfterFunc(60*time.Millisecond, func() { fault(c) })
 		v.AfterFunc(time.Second, func() {
 			var b strings.Builder
 			if err := reg.WriteTimeline(&b); err != nil {
@@ -214,27 +222,39 @@ func virtualTimeline(t *testing.T) string {
 // TestVirtualTimelineIsExact: on a virtual clock the whole stack runs on
 // the clock's one driver, so a scripted run is one exact timeline — the
 // merged trace, every event at its instant and in its order on every node,
-// is byte-identical run after run and whatever GOMAXPROCS is. The run
+// is byte-identical run after run and whatever GOMAXPROCS is. The FS run
 // covers multicasts under total order, a follower crash and the
-// fail-signal it converts to.
+// fail-signal it converts to; the crash run, multicasts through the ORB
+// and a killed member that the ping suspector excludes.
 func TestVirtualTimelineIsExact(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var first string
-	for _, procs := range []int{1, 4, 1, 4} {
-		runtime.GOMAXPROCS(procs)
-		got := virtualTimeline(t)
-		if first == "" {
-			first = got
-			for _, want := range []string{"fail-signal", "compare-match", "rx-output"} {
-				if !strings.Contains(got, want) {
-					t.Fatalf("the timeline has no %s event:\n%s", want, got)
+	for _, tc := range []struct {
+		name  string
+		crash bool
+		want  []string
+	}{
+		{"fs", false, []string{"fail-signal", "compare-match", "rx-output"}},
+		{"crash", true, []string{"round-close", "suspect", "view-install"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first string
+			for _, procs := range []int{1, 4, 1, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := virtualTimeline(t, tc.crash)
+				if first == "" {
+					first = got
+					for _, want := range tc.want {
+						if !strings.Contains(got, want) {
+							t.Fatalf("the timeline has no %s event:\n%s", want, got)
+						}
+					}
+					continue
+				}
+				if got != first {
+					t.Fatalf("GOMAXPROCS %d: the timeline differs from the first run's:\n%s", procs, lineDiff(first, got))
 				}
 			}
-			continue
-		}
-		if got != first {
-			t.Fatalf("GOMAXPROCS %d: the timeline differs from the first run's:\n%s", procs, lineDiff(first, got))
-		}
+		})
 	}
 }
 

@@ -20,9 +20,8 @@
 // loop of the stack on its one driver and jumps straight to the next
 // deadline once nothing is due now, so a simulated protocol-hour costs
 // only the wall time of the computation in it. It requires the netsim
-// substrate and FS-NewTOP (the library refuses tcp, -procs and crash
-// NewTOP: the driver cannot run sockets, OS processes or an ORB pool's
-// goroutines). Under -virtual the chaos lane
+// substrate (the library refuses tcp and -procs: the driver cannot run
+// sockets or OS processes). Under -virtual the chaos lane
 // accepts -skew, which adds clock-skew faults — bounded per-member steps
 // and rate errors that correct pairs must ride out — and every red seed is
 // automatically shrunk to its minimal violating schedule prefix.

@@ -20,7 +20,7 @@
 // workload, streaming progress so the controller's stall watchdog has a
 // pulse to monitor.
 //
-// RunSpec, RunWorkload and WorkerStats are the one description, loop and
+// RunSpec, Workload and WorkerStats are the one description, loop and
 // measurement record of the paper's workload: a worker runs the loop for
 // its member, bench.Run runs it once per member in process, over members
 // cluster.New brought up from the same RunSpec.
@@ -45,7 +45,7 @@ import (
 
 // RunSpec describes one run of the paper's workload (Section 4) and the
 // member stacks it runs on: every lane deploys what Options returns and
-// drives it with RunWorkload. The controller ships it to every worker in
+// drives it with a Workload. The controller ships it to every worker in
 // the configure message; durations travel as nanoseconds (Go's JSON
 // encoding of time.Duration), fine since both ends are this package.
 type RunSpec struct {
@@ -130,7 +130,7 @@ func (s RunSpec) Options() []cluster.Option {
 	return opts
 }
 
-// WorkerStats is one member's measurements from RunWorkload: shipped in a
+// WorkerStats is one member's measurements from its Workload: shipped in a
 // worker's done message or returned in process, folded by bench.
 type WorkerStats struct {
 	// Member is the member's name.
@@ -143,8 +143,6 @@ type WorkerStats struct {
 	// member (the per-member throughput denominator); zero when the run
 	// ended short of it.
 	Window time.Duration `json:"window"`
-	// Elapsed is run start → stats snapshot.
-	Elapsed time.Duration `json:"elapsed"`
 	// LatencyNS are the raw sender-observed ordering latency samples
 	// (multicast → own delivery), in nanoseconds. Raw samples — not a
 	// pre-digested summary — so the aggregator can merge the cluster-wide

@@ -183,7 +183,8 @@ func RunWorker() error {
 				go func(mem *cluster.Member, spec RunSpec, self string, members int) {
 					quiet := make(chan struct{})
 					go pulse(out, self, &delivered, quiet)
-					stats := RunWorkload(clock.NewReal(), mem, spec, members, &delivered, stopRun)
+					clk := clock.NewReal()
+					stats := StartWorkload(clk, clk.Now(), mem, spec, members, stopRun).Drain(&delivered, stopRun)
 					close(quiet)
 					ran <- stats
 				}(mem, spec, self, len(roster))

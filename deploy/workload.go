@@ -10,75 +10,135 @@ import (
 	"fsnewtop/internal/clock"
 )
 
-// RunWorkload drives the paper's workload (Section 4) at one member, on
-// clk: it multicasts spec.MsgsPerMember messages into spec.Group for
-// symmetric total ordering at the regular interval, counts deliveries
-// until every member's messages have arrived here, and returns the
-// measurements. Ordering latency is send instant → own delivery. Every
-// lane runs this loop once per member: bench.Run in process on the run's
-// clock, a deploy worker on the wall clock.
-//
-// delivered counts this member's deliveries as they happen: the pulse
-// both stall watchdogs read (bench.Run's directly, the controller's via
-// progress messages). The function never times out on its own: closing
-// stop ends it early, Window left zero; so does a failed multicast,
-// recorded as SendError — the run cannot complete without its messages.
-func RunWorkload(clk clock.Clock, mem *cluster.Member, spec RunSpec, members int, delivered *atomic.Int64, stop <-chan struct{}) WorkerStats {
-	self := mem.Name()
-	stats := WorkerStats{
-		Member:    self,
-		Expected:  members * spec.MsgsPerMember,
-		LatencyNS: make([]int64, 0, spec.MsgsPerMember),
-	}
-	start := clk.Now()
+// Workload is the paper's workload (Section 4) at one member: it
+// multicasts spec.MsgsPerMember messages into spec.Group for symmetric
+// total ordering at the regular interval from a start instant, and takes
+// deliveries until every member's messages have arrived here. Ordering
+// latency is send instant → own delivery, the delivery's At: the instant
+// the NSO handed it over, however late the workload takes it. Every lane
+// runs one per member: bench.Run in process on the run's clock, a deploy
+// worker on the wall clock.
+type Workload struct {
+	mem   *cluster.Member
+	start time.Time
+	sent  <-chan error // the sender's verdict (paceSends); nil once read
+	stats WorkerStats
+	last  time.Time // At of the latest delivery taken
 
-	var mu sync.Mutex // guards sendTime between the sender and this loop
-	sendTime := make(map[int]time.Time, spec.MsgsPerMember)
-	sent := paceSends(clk, start, spec.MsgsPerMember, spec.SendInterval, stop, func(k int) error {
+	mu       sync.Mutex // guards sendTime between the sender and the taker
+	sendTime map[int]time.Time
+}
+
+// StartWorkload arms mem's paced sends on clk, the first due at start; the
+// caller then takes its deliveries with Drain or Poll. clk must read as
+// mem's clock does, which stamps the deliveries. Closing stop ends the
+// sends.
+func StartWorkload(clk clock.Clock, start time.Time, mem *cluster.Member, spec RunSpec, members int, stop <-chan struct{}) *Workload {
+	w := &Workload{
+		mem:   mem,
+		start: start,
+		stats: WorkerStats{
+			Member:    mem.Name(),
+			Expected:  members * spec.MsgsPerMember,
+			LatencyNS: make([]int64, 0, spec.MsgsPerMember),
+		},
+		sendTime: make(map[int]time.Time, spec.MsgsPerMember),
+	}
+	w.sent = paceSends(clk, start, spec.MsgsPerMember, spec.SendInterval, stop, func(k int) error {
 		seq := k + 1
-		mu.Lock()
-		sendTime[seq] = clk.Now()
-		mu.Unlock()
+		w.mu.Lock()
+		w.sendTime[seq] = clk.Now()
+		w.mu.Unlock()
 		if err := mem.Multicast(spec.Group, cluster.TotalSym, encodeSeq(seq, spec.MsgSize)); err != nil {
 			return fmt.Errorf("multicast seq %d: %w", seq, err)
 		}
 		return nil
 	})
+	return w
+}
 
-	for stats.Delivered < stats.Expected && stats.SendError == "" {
+// ended reports whether every expected delivery is taken or a multicast
+// failed: the run cannot complete without its messages.
+func (w *Workload) ended() bool {
+	return w.stats.Delivered >= w.stats.Expected || w.stats.SendError != ""
+}
+
+// take records one delivery and counts it in delivered, the pulse both
+// stall watchdogs read (bench.Run's directly, the controller's through
+// progress messages).
+func (w *Workload) take(d cluster.Delivery, delivered *atomic.Int64) {
+	w.stats.Delivered++
+	delivered.Add(1)
+	seq := decodeSeq(d.Payload)
+	w.stats.Order = append(w.stats.Order, OrderEntry{Origin: d.Origin, Seq: seq})
+	w.last = d.At
+	if d.Origin != w.stats.Member {
+		return
+	}
+	w.mu.Lock()
+	if t0, ok := w.sendTime[seq]; ok {
+		w.stats.LatencyNS = append(w.stats.LatencyNS, d.At.Sub(t0).Nanoseconds())
+		delete(w.sendTime, seq)
+	}
+	w.mu.Unlock()
+}
+
+// onSent records the sender's verdict.
+func (w *Workload) onSent(err error) {
+	w.sent = nil // a nil channel never fires again
+	if err != nil {
+		w.stats.SendError = err.Error()
+	}
+}
+
+// Drain takes the member's deliveries as they come until the workload
+// ends or stop closes, and returns the measurements.
+func (w *Workload) Drain(delivered *atomic.Int64, stop <-chan struct{}) WorkerStats {
+	for !w.ended() {
 		select {
 		case <-stop:
-			stats.Elapsed = clk.Since(start)
-			return stats
-		case err := <-sent:
-			sent = nil // the sender is done; a nil channel never fires again
-			if err != nil {
-				stats.SendError = err.Error()
-			}
-		case d := <-mem.Deliveries():
-			stats.Delivered++
-			delivered.Add(1)
-			seq := decodeSeq(d.Payload)
-			stats.Order = append(stats.Order, OrderEntry{Origin: d.Origin, Seq: seq})
-			if d.Origin == self {
-				mu.Lock()
-				if t0, ok := sendTime[seq]; ok {
-					stats.LatencyNS = append(stats.LatencyNS, clk.Since(t0).Nanoseconds())
-					delete(sendTime, seq)
-				}
-				mu.Unlock()
-			}
-		case <-mem.Views():
+			return w.Stats()
+		case err := <-w.sent:
+			w.onSent(err)
+		case d := <-w.mem.Deliveries():
+			w.take(d, delivered)
+		case <-w.mem.Views():
 		}
 	}
-	stats.Elapsed = clk.Since(start)
-	if stats.SendError == "" {
-		stats.Window = stats.Elapsed
-		if sent != nil {
-			<-sent // own messages all delivered: the last send is returning
+	if w.stats.SendError == "" && w.sent != nil {
+		<-w.sent // own messages all delivered: the last send is returning
+	}
+	return w.Stats()
+}
+
+// Poll takes whatever the member has queued, without waiting, and reports
+// whether the workload has ended. Called on a virtual clock's driver at
+// the end of every instant (clock.Virtual.Settle), it takes each delivery
+// at the instant it was made.
+func (w *Workload) Poll(delivered *atomic.Int64) bool {
+	for !w.ended() {
+		select {
+		case err := <-w.sent:
+			w.onSent(err)
+		case d := <-w.mem.Deliveries():
+			w.take(d, delivered)
+		case <-w.mem.Views():
+		default:
+			return false
 		}
 	}
-	return stats
+	return true
+}
+
+// Stats returns the measurements so far. Window, the per-member
+// throughput denominator, runs from start to the delivery that completed
+// the workload; it stays zero on a workload that did not complete.
+func (w *Workload) Stats() WorkerStats {
+	st := w.stats
+	if st.SendError == "" && st.Delivered >= st.Expected {
+		st.Window = w.last.Sub(w.start)
+	}
+	return st
 }
 
 // paceSends calls send(k) for k = 0..n-1 at a fixed rate: send k is due

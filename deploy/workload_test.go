@@ -69,7 +69,8 @@ func TestRunWorkloadRecordsSendError(t *testing.T) {
 	var delivered atomic.Int64
 	done := make(chan WorkerStats, 1)
 	go func() {
-		done <- RunWorkload(clock.NewReal(), cl.Member("a"), spec, 2, &delivered, nil)
+		clk := clock.NewReal()
+		done <- StartWorkload(clk, clk.Now(), cl.Member("a"), spec, 2, nil).Drain(&delivered, nil)
 	}()
 	select {
 	case stats := <-done:
@@ -80,7 +81,7 @@ func TestRunWorkloadRecordsSendError(t *testing.T) {
 			t.Fatalf("Window = %v on a run that never completed, want 0", stats.Window)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunWorkload did not return after its member's multicast failed")
+		t.Fatal("the workload did not end after its member's multicast failed")
 	}
 }
 

@@ -266,13 +266,6 @@ func (o *observed) admittedAt(member string) time.Time {
 	return o.admitted[member]
 }
 
-// deliveredCount returns len(logs[member]) under the lock.
-func (o *observed) deliveredCount(member string) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.logs[member])
-}
-
 // deliveredAll reports whether member has delivered every payload in want.
 func (o *observed) deliveredAll(member string, want []string) bool {
 	o.mu.Lock()

@@ -32,6 +32,7 @@ type Virtual struct {
 	busy     int
 	advances uint64
 	stopped  bool
+	settle   func(now time.Time) // see Settle
 
 	epoch time.Time
 	wake  chan struct{} // cap 1: the heap, the busy count or stopped changed
@@ -122,6 +123,16 @@ func (v *Virtual) Stop() {
 	<-v.done
 }
 
+// Settle makes f run on the driver whenever time is about to move: every
+// callback due now has run and no busy mark is held. f reads a stack on
+// the clock as that instant left it, however far a goroutine outside has
+// fallen behind; what f arms runs before time moves. Nil removes f.
+func (v *Virtual) Settle(f func(now time.Time)) {
+	v.mu.Lock()
+	v.settle = f
+	v.mu.Unlock()
+}
+
 // Advances reports how many time jumps the driver has performed.
 func (v *Virtual) Advances() uint64 {
 	v.mu.Lock()
@@ -143,10 +154,10 @@ func (v *Virtual) poke() {
 // drive is the executor: it runs the earliest entry once it is due, moving
 // time to its deadline first when nothing is due now and no busy mark is
 // held, and parks until poked otherwise. Callbacks run without the lock.
-// Before it moves time it yields the processor once, so that on one P the
-// goroutines outside it (an application draining deliveries, a test
-// polling a condition) are not starved; nothing on the timeline depends
-// on the yield.
+// Before it moves time it runs the Settle hook, then yields the processor
+// once, so that on one P the goroutines outside it (an application
+// draining deliveries, a test polling a condition) are not starved;
+// nothing on the timeline depends on the yield.
 func (v *Virtual) drive() {
 	defer close(v.done)
 	yielded := false
@@ -162,7 +173,11 @@ func (v *Virtual) drive() {
 		if t.when.After(v.now) {
 			if !yielded {
 				yielded = true
+				settle, now := v.settle, v.now
 				v.mu.Unlock()
+				if settle != nil {
+					settle(now)
+				}
 				runtime.Gosched()
 				v.mu.Lock()
 				continue

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -141,5 +142,42 @@ func TestVirtualImmediateTimer(t *testing.T) {
 	case <-v.After(0):
 	default:
 		t.Fatal("non-positive timer did not fire immediately")
+	}
+}
+
+// TestVirtualSettle pins the Settle hook: it runs on the driver once an
+// instant's callbacks have all run and before time moves, so it sees each
+// instant's end state; a callback it arms for now runs before time moves,
+// and the hook runs again after it; nil removes it.
+func TestVirtualSettle(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	var log []string // written by callbacks and the hook, all on the driver
+	note := func(s string) func() { return func() { log = append(log, s) } }
+	done := make(chan struct{})
+	v.AfterFunc(0, func() {
+		t0 := v.Now()
+		v.Settle(func(now time.Time) {
+			log = append(log, "settle@"+now.Sub(t0).String())
+			if now.Sub(t0) == time.Second && len(log) < 5 {
+				v.AfterFunc(0, note("armed-by-settle"))
+			}
+		})
+		v.AfterFunc(time.Second, note("a"))
+		v.AfterFunc(time.Second, note("b"))
+		v.AfterFunc(2*time.Second, note("c"))
+		v.AfterFunc(3*time.Second, func() {
+			v.Settle(nil)
+			v.AfterFunc(time.Second, func() { close(done) })
+		})
+	})
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the scripted run never ended")
+	}
+	want := "[settle@0s a b settle@1s armed-by-settle settle@1s c settle@2s]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("log = %s\nwant  %s", got, want)
 	}
 }

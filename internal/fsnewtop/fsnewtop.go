@@ -175,6 +175,7 @@ type Config struct {
 // NSO — which is the point.
 type NSO struct {
 	name       string
+	clk        clock.Clock // stamps each delivery's hand-off
 	fab        *Fabric
 	pair       *failsignal.Pair
 	client     *failsignal.Client
@@ -242,6 +243,7 @@ func New(cfg Config) (*NSO, error) {
 
 	n := &NSO{
 		name:       cfg.Name,
+		clk:        clk,
 		fab:        fab,
 		deliveries: make(chan newtop.Delivery, newtop.ChannelBuffer),
 		views:      make(chan newtop.View, newtop.ChannelBuffer),
@@ -350,7 +352,7 @@ func (n *NSO) onEvent(kind string, payload []byte, depth int) {
 			if d.Origin == n.name {
 				n.win.ownDelivered()
 			}
-			newtop.HandOff(n.deliveries, newtop.NewDelivery(d), n.stop)
+			newtop.HandOff(n.deliveries, newtop.NewDelivery(d, n.clk.Now()), n.stop)
 		}
 	case group.KindView:
 		if v, err := group.UnmarshalViewNote(payload); err == nil {

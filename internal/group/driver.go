@@ -76,22 +76,6 @@ func (d *Driver) Submit(in sm.Input) {
 	d.loop.Kick()
 }
 
-// Join creates a group with a static initial membership.
-func (d *Driver) Join(group string, members []string) {
-	d.Submit(sm.Input{Kind: KindJoin, Payload: JoinReq{Group: group, Members: members}.Marshal()})
-}
-
-// JoinExisting seeks admission into a running group through the given
-// contacts (current members).
-func (d *Driver) JoinExisting(group string, contacts []string) {
-	d.Submit(sm.Input{Kind: KindJoinExisting, Payload: JoinExistingReq{Group: group, Contacts: contacts}.Marshal()})
-}
-
-// Multicast requests a multicast with the given service.
-func (d *Driver) Multicast(group string, svc Service, payload []byte) {
-	d.Submit(sm.Input{Kind: KindMcast, Payload: McastReq{Group: group, Service: svc, Payload: payload}.Marshal()})
-}
-
 // Close stops the loop after the current step and waits for it to return.
 // Queued inputs are discarded. Idempotent.
 func (d *Driver) Close() {

@@ -101,12 +101,12 @@ func TestDriverSymmetricOrderOverNetwork(t *testing.T) {
 	names := []string{"n1", "n2", "n3"}
 	dc := newDriverCluster(t, Config{Mode: SuspectPing, SuspectAfter: 10 * time.Second}, names...)
 	for _, n := range names {
-		dc.drivers[n].Join("g", names)
+		join(dc.drivers[n], "g", names)
 	}
 	const per = 20
 	for i := 0; i < per; i++ {
 		for _, n := range names {
-			dc.drivers[n].Multicast("g", TotalSym, []byte(fmt.Sprintf("%s-%d", n, i)))
+			mcast(dc.drivers[n], "g", TotalSym, []byte(fmt.Sprintf("%s-%d", n, i)))
 		}
 	}
 	ref := dc.waitDelivered("n1", per*len(names), 15*time.Second)
@@ -126,7 +126,7 @@ func TestDriverSuspectsSilentMember(t *testing.T) {
 		SuspectAfter: 60 * time.Millisecond,
 	}, names...)
 	for _, n := range names {
-		dc.drivers[n].Join("g", names)
+		join(dc.drivers[n], "g", names)
 	}
 	// Wait for liveness to settle, then silence n3.
 	time.Sleep(50 * time.Millisecond)
@@ -157,7 +157,7 @@ func soloDriver(t *testing.T, onDeliver func(Deliver)) *Driver {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	d.Join("g", []string{"solo"})
+	join(d, "g", []string{"solo"})
 	return d
 }
 
@@ -173,7 +173,7 @@ func TestDriverProcessesInOrder(t *testing.T) {
 	})
 	const n = 500
 	for i := 0; i < n; i++ {
-		d.Multicast("g", Reliable, []byte(fmt.Sprint(i)))
+		mcast(d, "g", Reliable, []byte(fmt.Sprint(i)))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -212,15 +212,15 @@ func TestDriverCloseStopsProcessing(t *testing.T) {
 			<-release
 		}
 	})
-	d.Multicast("g", Reliable, []byte("first"))
-	d.Multicast("g", Reliable, []byte("queued"))
+	mcast(d, "g", Reliable, []byte("first"))
+	mcast(d, "g", Reliable, []byte("queued"))
 	<-entered
 	closed := make(chan struct{})
 	go func() { d.Close(); close(closed) }()
 	for !d.closed.Load() {
 		time.Sleep(time.Millisecond)
 	}
-	d.Multicast("g", Reliable, []byte("after-close"))
+	mcast(d, "g", Reliable, []byte("after-close"))
 	close(release)
 	select {
 	case <-closed:
@@ -242,4 +242,14 @@ func TestDriverValidation(t *testing.T) {
 	if _, err := NewDriver(DriverConfig{Machine: New(Config{Self: "x"})}); err == nil {
 		t.Fatal("driver without send accepted")
 	}
+}
+
+// join submits a static-membership join to d, as an invocation layer does.
+func join(d *Driver, group string, members []string) {
+	d.Submit(sm.Input{Kind: KindJoin, Payload: JoinReq{Group: group, Members: members}.Marshal()})
+}
+
+// mcast submits a multicast request to d, as an invocation layer does.
+func mcast(d *Driver, group string, svc Service, payload []byte) {
+	d.Submit(sm.Input{Kind: KindMcast, Payload: McastReq{Group: group, Service: svc, Payload: payload}.Marshal()})
 }

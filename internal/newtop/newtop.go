@@ -13,9 +13,10 @@
 //     group.Driver loop) with a ping-based failure suspector.
 //
 // NSO-to-NSO traffic travels as ORB one-way invocations on each member's
-// "<name>/gc" object, so inbound protocol messages flow through the ORB's
-// server request pool (default 10 workers) — the concurrency structure
-// whose saturation produces the Figure 7 throughput knee.
+// "<name>/gc" object, so inbound protocol messages pass the ORB's request
+// pool (default 10 service slots) — the model whose saturation produces
+// the Figure 7 throughput knee. A member is its driver's one loop: the ORB
+// serves requests on the transport's callbacks and the clock's.
 package newtop
 
 import (
@@ -40,6 +41,9 @@ type Delivery struct {
 	Origin   string // logical name of the sending member
 	Ordering group.Service
 	Payload  []byte
+	// At is the instant the NSO handed the message over, on the member's
+	// clock: when it was delivered, however late the application drains.
+	At time.Time
 }
 
 // View is one installed membership view.
@@ -87,7 +91,8 @@ type Config struct {
 	Naming *orb.Naming
 	// Clock drives timers.
 	Clock clock.Clock
-	// PoolSize is the ORB request pool size (0 = the paper's default 10).
+	// PoolSize is the ORB request pool's service slots (0 = the paper's
+	// default 10).
 	PoolSize int
 	// ServiceTime simulates per-request ORB processing cost (see
 	// orb.Config.ServiceTime).
@@ -124,11 +129,6 @@ func GCRef(name string) orb.ObjectRef { return orb.ObjectRef(name + "/gc") }
 
 // InvRef returns the ORB object reference of a member's invocation layer.
 func InvRef(name string) orb.ObjectRef { return orb.ObjectRef(name + "/inv") }
-
-// memberOfGCRef recovers the member name from a "<name>/gc" reference.
-func memberOfGCRef(ref orb.ObjectRef) string {
-	return strings.TrimSuffix(string(ref), "/gc")
-}
 
 // New builds and starts a crash-tolerant NSO.
 func New(cfg Config) (*NSO, error) {
@@ -175,7 +175,7 @@ func New(cfg Config) (*NSO, error) {
 			_ = o.OneWay(GCRef(cfg.Name), GCRef(to), kind, orb.BytesAny(payload))
 		},
 		OnDeliver: func(d group.Deliver) {
-			HandOff(n.deliveries, NewDelivery(d), n.stop)
+			HandOff(n.deliveries, NewDelivery(d, cfg.Clock.Now()), n.stop)
 		},
 		OnView: func(v group.ViewNote) {
 			HandOff(n.views, View{Group: v.Group, ViewID: v.ViewID, Members: v.Members}, n.stop)
@@ -190,14 +190,14 @@ func New(cfg Config) (*NSO, error) {
 	return n, nil
 }
 
-// NewDelivery converts a machine delivery into the application's, making
-// the one copy out of the stack. Below this line a payload is a view of the
+// NewDelivery converts a machine delivery, handed over at at, into the
+// application's, making the one copy out of the stack. Below this line a payload is a view of the
 // message it arrived in — which the machine may keep for retransmission —
 // and the rule that makes views safe is that nobody writes to one. The
 // application is outside that rule: it owns what it is handed, so it is
 // handed bytes nothing below can reach.
-func NewDelivery(d group.Deliver) Delivery {
-	return Delivery{Group: d.Group, Origin: d.Origin, Ordering: d.Service, Payload: bytes.Clone(d.Payload)}
+func NewDelivery(d group.Deliver, at time.Time) Delivery {
+	return Delivery{Group: d.Group, Origin: d.Origin, Ordering: d.Service, Payload: bytes.Clone(d.Payload), At: at}
 }
 
 // HandOff sends v to the application, giving up once stop is closed, so a
@@ -232,17 +232,17 @@ func (s gcServant) Invoke(method string, arg orb.Any) (orb.Any, error) {
 
 // InvokeRequest implements orb.RequestServant, preserving the caller
 // identity the protocol machine needs.
-func (s gcServant) InvokeRequest(req *orb.Request) orb.Reply {
+func (s gcServant) InvokeRequest(req *orb.Request) error {
 	s.driver.Submit(sm.Input{Kind: req.Method, From: callerMember(req.From), Payload: req.Arg.Bytes()})
-	return orb.Reply{}
+	return nil
 }
 
 // callerMember attributes a request to a member only when it comes from a
 // GC object reference; anything else (invocation layers, strangers) is
 // unattributed, so the protocol machine's origin checks reject spoofing.
 func callerMember(from orb.ObjectRef) string {
-	if strings.HasSuffix(string(from), "/gc") {
-		return memberOfGCRef(from)
+	if name, ok := strings.CutSuffix(string(from), "/gc"); ok {
+		return name
 	}
 	return ""
 }
@@ -275,9 +275,6 @@ func (n *NSO) Deliveries() <-chan Delivery { return n.deliveries }
 
 // Views implements Service.
 func (n *NSO) Views() <-chan View { return n.views }
-
-// ORB exposes the member's ORB (interceptor installation, diagnostics).
-func (n *NSO) ORB() *orb.ORB { return n.orb }
 
 // Close implements Service: it releases a hand-off parked on the
 // application, then stops the driver and the ORB. Idempotent.

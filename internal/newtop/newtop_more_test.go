@@ -98,27 +98,25 @@ func TestNewTOPMultipleGroups(t *testing.T) {
 	}
 }
 
+// TestGCServantPlainInvoke: the plain Servant path (Invoke, no caller
+// identity) submits its input to the driver, which steps it — the input
+// comes from the member's own invocation layer, so the machine obeys a
+// join and a multicast made that way.
 func TestGCServantPlainInvoke(t *testing.T) {
 	c := newCluster(t, 1, group.Config{SuspectAfter: time.Minute})
 	nso := c.nsos["m00"]
-	// The plain Servant path (no RequestServant) still submits the input.
-	s := gcServant{driver: nil}
-	_ = s // compile check of the type; the real instance needs a driver:
-	if err := nso.Join("g", []string{"m00"}); err != nil {
+	s := gcServant{driver: nso.driver}
+	if _, err := s.Invoke(group.KindJoin, orb.BytesAny(group.JoinReq{Group: "g", Members: []string{"m00"}}.Marshal())); err != nil {
 		t.Fatal(err)
 	}
-	if err := nso.Multicast("g", group.TotalSym, []byte("solo")); err != nil {
+	if _, err := s.Invoke(group.KindMcast, orb.BytesAny(group.McastReq{Group: "g", Service: group.TotalSym, Payload: []byte("solo")}.Marshal())); err != nil {
 		t.Fatal(err)
 	}
-	got := c.cols["m00"].waitN(t, 1, 10*time.Second)
-	if got[0] != "solo" {
+	if got := c.cols["m00"].waitN(t, 1, 10*time.Second); got[0] != "solo" {
 		t.Fatalf("delivered %v", got)
 	}
 	if nso.Name() != "m00" {
 		t.Fatalf("Name = %q", nso.Name())
-	}
-	if nso.ORB() == nil {
-		t.Fatal("nil ORB")
 	}
 }
 

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/codec"
 	"fsnewtop/internal/group"
 	"fsnewtop/internal/orb"
+	"fsnewtop/transport"
 	"fsnewtop/transport/netsim"
 )
 
@@ -94,8 +95,19 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, gc group.Config) *cluster {
 	t.Helper()
+	return newClusterOver(t, n, gc, nil)
+}
+
+// newClusterOver is newCluster with the members' transport decorated by
+// wrap (nil: the bare network).
+func newClusterOver(t *testing.T, n int, gc group.Config, wrap func(transport.Transport) transport.Transport) *cluster {
+	t.Helper()
 	net := netsim.New(clock.NewReal(), netsim.WithDefaultProfile(netsim.Profile{Latency: netsim.Fixed(100 * time.Microsecond)}))
 	t.Cleanup(net.Close)
+	var tr transport.Transport = net
+	if wrap != nil {
+		tr = wrap(net)
+	}
 	naming := orb.NewNaming()
 	c := &cluster{net: net, nsos: make(map[string]*NSO), cols: make(map[string]*collector)}
 	for i := 0; i < n; i++ {
@@ -105,7 +117,7 @@ func newCluster(t *testing.T, n int, gc group.Config) *cluster {
 	for _, name := range c.members {
 		nso, err := New(Config{
 			Name:   name,
-			Net:    net,
+			Net:    tr,
 			Naming: naming,
 			Clock:  clock.NewReal(),
 			GC:     gc,
@@ -151,24 +163,38 @@ func TestNewTOPSymmetricTotalOrder(t *testing.T) {
 	}
 }
 
+// methodCounter is a transport decorator that reads the method of every
+// ORB request on its way out — a GC-to-GC invocation's method is the
+// protocol message's kind.
+type methodCounter struct {
+	transport.Transport
+	mu      sync.Mutex
+	methods map[string]int
+}
+
+func (m *methodCounter) Send(from, to transport.Addr, kind string, payload []byte) error {
+	if kind == "orb.req" {
+		r := codec.NewReader(payload)
+		_, _ = r.String(), r.String() // caller, target
+		method := r.String()
+		m.mu.Lock()
+		m.methods[method]++
+		m.mu.Unlock()
+	}
+	return m.Transport.Send(from, to, kind, payload)
+}
+
 // TestNewTOPNeverSeesBatch: batching is FS-NewTOP's alone. A
 // crash-tolerant member under a burst sends every protocol message on its
 // own — no KindBatch ever leaves a NewTOP GC, since it runs the bare
-// machine, which only consumes batches.
+// machine, which only consumes batches. The count is taken on the wire,
+// where the requests' data messages must be seen too.
 func TestNewTOPNeverSeesBatch(t *testing.T) {
-	c := newCluster(t, 3, group.Config{SuspectAfter: time.Minute})
-	var calls, batches atomic.Int64
-	for _, m := range c.members {
-		c.nsos[m].ORB().AddClientInterceptor(func(next orb.Handler) orb.Handler {
-			return func(req *orb.Request) orb.Reply {
-				calls.Add(1)
-				if req.Method == group.KindBatch {
-					batches.Add(1)
-				}
-				return next(req)
-			}
-		})
-	}
+	counter := &methodCounter{methods: make(map[string]int)}
+	c := newClusterOver(t, 3, group.Config{SuspectAfter: time.Minute}, func(tr transport.Transport) transport.Transport {
+		counter.Transport = tr
+		return counter
+	})
 	c.joinAll(t, "g")
 	const per = 15
 	for i := 0; i < per; i++ {
@@ -181,8 +207,10 @@ func TestNewTOPNeverSeesBatch(t *testing.T) {
 	for _, m := range c.members {
 		c.cols[m].waitN(t, per*len(c.members), 20*time.Second)
 	}
-	if n := batches.Load(); n != 0 || calls.Load() == 0 {
-		t.Fatalf("NewTOP sent %d KindBatch invocations among %d", n, calls.Load())
+	counter.mu.Lock()
+	defer counter.mu.Unlock()
+	if n := counter.methods[group.KindBatch]; n != 0 || counter.methods[group.KindData] == 0 {
+		t.Fatalf("NewTOP sent %d KindBatch invocations; methods on the wire: %v", n, counter.methods)
 	}
 }
 
@@ -300,7 +328,7 @@ func TestRefHelpers(t *testing.T) {
 	if GCRef("x") != "x/gc" || InvRef("x") != "x/inv" || NodeAddr("x") != "node:x" {
 		t.Fatal("ref helpers changed")
 	}
-	if memberOfGCRef(GCRef("abc")) != "abc" {
-		t.Fatal("memberOfGCRef broken")
+	if callerMember(GCRef("abc")) != "abc" {
+		t.Fatal("a GC reference does not name its member")
 	}
 }

@@ -1,33 +1,23 @@
 // Package orb is the CORBA-like substrate of Section 3: location-
-// transparent one-way object invocation, request interceptors, a generic
-// value container (the CORBA "any"), and a bounded server-side request
-// pool.
+// transparent one-way object invocation, a generic value container (the
+// CORBA "any"), and the server's request pool.
 //
 // Only crash-tolerant NewTOP runs on it: an FS-NewTOP member re-issues its
 // GC-bound calls into its fail-signal pair directly (package fsnewtop), so
-// it has no ORB. Every call is one-way: GC traffic is a stream of protocol
-// messages, and nothing waits for a result. So the ORB has no reply path —
-// a remote invocation is one request message, and a servant's return
-// value is discarded.
+// it has no ORB, and nothing here intercepts a call. Every call is one-way:
+// nothing waits for a result, so a remote invocation is one request
+// message, and a servant's return value is discarded.
 //
-// The paper relies on four ORB mechanisms, all reproduced here:
-//
-//   - location transparency — an NSO's client "need not reside on the same
-//     host";
-//   - interceptors — "a call to NewTOP GC ... is intercepted on the fly"
-//     (the Eternal-style technique of [NMM99, NMM00]) — modelled as
-//     middleware chains on both the client and server sides;
-//   - any marshaling — the invocation service marshals application
-//     messages into a generic container;
-//   - a configurable server thread pool "with a default of 10 threads to
-//     handle incoming requests", whose exhaustion produces the Figure 7
-//     throughput knee.
+// The paper's prototype handles incoming requests on "a configurable
+// thread pool with a default of 10 threads", whose exhaustion produces the
+// Figure 7 throughput knee. Here the pool is a model, not threads:
+// PoolSize service slots, each busy for ServiceTime per request. The ORB
+// starts no goroutine. A remote request is served on the transport's
+// delivery callback or, while it waits for a slot, on a clock callback —
+// on a virtual clock, a step of the clock's driver.
 package orb
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -37,54 +27,27 @@ import (
 	"fsnewtop/transport"
 )
 
-// Any is the generic value container (CORBA any): a self-contained gob
-// encoding of an arbitrary value.
+// Any is the generic value container (CORBA any): the bytes of a value
+// that already has a wire form.
 type Any struct {
 	data []byte
 }
 
-// MarshalAny encodes v into an Any.
-func MarshalAny(v any) (Any, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return Any{}, fmt.Errorf("orb: marshaling any: %w", err)
-	}
-	return Any{data: buf.Bytes()}, nil
-}
-
-// BytesAny wraps raw bytes without re-encoding (the common case for
-// middleware payloads that already have a wire form).
+// BytesAny wraps raw bytes without re-encoding.
 func BytesAny(b []byte) Any { return Any{data: b} }
 
-// Unmarshal decodes the Any into v (a pointer).
-func (a Any) Unmarshal(v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(a.data)).Decode(v); err != nil {
-		return fmt.Errorf("orb: unmarshaling any: %w", err)
-	}
-	return nil
-}
-
-// Bytes returns the raw contents for BytesAny round trips.
+// Bytes returns the contents.
 func (a Any) Bytes() []byte { return a.data }
 
-// Len returns the encoded size.
-func (a Any) Len() int { return len(a.data) }
-
-// ObjectRef names an object in the deployment, e.g. "nso-1/gc".
+// ObjectRef names an object in the deployment, e.g. "m00/gc".
 type ObjectRef string
 
-// Request is one invocation as seen by interceptors and servants.
+// Request is one invocation as a RequestServant sees it.
 type Request struct {
 	From   ObjectRef
 	Target ObjectRef
 	Method string
 	Arg    Any
-}
-
-// Reply is what an interceptor chain makes of a request: a non-empty Err
-// is returned to OneWay's caller as an error.
-type Reply struct {
-	Err string
 }
 
 // Servant is a server-side object.
@@ -94,27 +57,12 @@ type Servant interface {
 	Invoke(method string, arg Any) (Any, error)
 }
 
-// ServantFunc adapts a function to Servant.
-type ServantFunc func(method string, arg Any) (Any, error)
-
-// Invoke implements Servant.
-func (f ServantFunc) Invoke(method string, arg Any) (Any, error) { return f(method, arg) }
-
 // RequestServant is an optional richer servant interface for objects that
 // need the full request (caller identity). When a servant implements it,
 // dispatch prefers it over Invoke.
 type RequestServant interface {
-	InvokeRequest(*Request) Reply
+	InvokeRequest(*Request) error
 }
-
-// Handler processes a request to a reply; interceptors wrap handlers.
-type Handler func(*Request) Reply
-
-// Interceptor is request middleware. Client interceptors run before a
-// request leaves the caller's ORB; server interceptors run before the
-// servant dispatch. Either may short-circuit by not calling next — the hook
-// the paper's FS-NewTOP uses to wrap GC transparently (Section 3.1).
-type Interceptor func(next Handler) Handler
 
 // Naming is the deployment-wide object locator (the naming service). All
 // ORBs of one deployment share it. Safe for concurrent use; the zero value
@@ -145,9 +93,8 @@ func (n *Naming) Resolve(ref ObjectRef) (transport.Addr, bool) {
 	return a, ok
 }
 
-// Errors returned by invocation. They wrap the transport error taxonomy,
-// so errors.Is(err, transport.ErrUnknownAddr) and
-// errors.Is(err, transport.ErrClosed) hold across the whole stack.
+// Errors returned by invocation. They wrap the transport error taxonomy
+// (transport.ErrUnknownAddr, transport.ErrClosed) for errors.Is.
 var (
 	ErrNoSuchObject = fmt.Errorf("orb: object not found: %w", transport.ErrUnknownAddr)
 	ErrClosed       = fmt.Errorf("orb: ORB closed: %w", transport.ErrClosed)
@@ -165,30 +112,40 @@ type Config struct {
 	Net transport.Transport
 	// Naming is the shared naming service.
 	Naming *Naming
-	// PoolSize bounds concurrent server-side request processing.
-	// Zero selects DefaultPoolSize.
+	// PoolSize is the number of service slots of the request pool: at
+	// most PoolSize requests are in service at once. Zero selects
+	// DefaultPoolSize.
 	PoolSize int
-	// ServiceTime simulates per-request processing cost inside a pool
-	// worker (the 2003 ORB's unmarshal/demultiplex work). Zero disables.
-	// With it set, a node's request capacity is PoolSize/ServiceTime —
-	// the mechanism behind the paper's Figure 7 thread-pool knee.
+	// ServiceTime models the per-request processing cost of the 2003 ORB
+	// (unmarshal, demultiplex): each request holds a slot for it, so a
+	// node serves at most PoolSize/ServiceTime requests a second — the
+	// mechanism behind the paper's Figure 7 thread-pool knee. Zero serves
+	// every request the moment it arrives.
 	ServiceTime time.Duration
-	// Clock drives the simulated service time. Nil selects the wall clock
-	// (the package clock contract: no protocol code calls
-	// time.Now/time.After directly).
+	// Clock times the service slots. Nil selects the wall clock.
 	Clock clock.Clock
 }
 
 // ORB is one node's object request broker.
 type ORB struct {
-	cfg    Config
-	pool   *Pool
-	client []Interceptor
-	server []Interceptor
+	cfg Config
 
 	mu       sync.Mutex
 	servants map[ObjectRef]Servant
 	closed   bool
+	// The request pool: each slot's busy-until instant, and the requests
+	// admitted but not yet served, in arrival order — which is due order,
+	// since a later request never takes a slot that frees sooner.
+	slots []time.Time
+	queue []queued
+	drain clock.Timer // armed for queue[0]; nil while none waits
+}
+
+// queued is one admitted request and the instant its service ends.
+type queued struct {
+	due time.Time
+	s   Servant
+	req *Request
 }
 
 // New creates and attaches an ORB at cfg.Addr.
@@ -196,7 +153,7 @@ func New(cfg Config) (*ORB, error) {
 	if cfg.Addr == "" || cfg.Net == nil || cfg.Naming == nil {
 		return nil, fmt.Errorf("orb: Addr, Net and Naming are required")
 	}
-	if cfg.PoolSize == 0 {
+	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = DefaultPoolSize
 	}
 	if cfg.Clock == nil {
@@ -204,14 +161,14 @@ func New(cfg Config) (*ORB, error) {
 	}
 	o := &ORB{
 		cfg:      cfg,
-		pool:     NewPool(cfg.PoolSize),
 		servants: make(map[ObjectRef]Servant),
+		slots:    make([]time.Time, cfg.PoolSize),
 	}
 	cfg.Net.Register(cfg.Addr, o.onMessage)
 	return o, nil
 }
 
-// Close detaches the ORB and stops its pool.
+// Close detaches the ORB and drops the requests waiting for a slot.
 func (o *ORB) Close() {
 	o.mu.Lock()
 	if o.closed {
@@ -219,9 +176,13 @@ func (o *ORB) Close() {
 		return
 	}
 	o.closed = true
+	o.queue = nil
+	if o.drain != nil {
+		o.drain.Stop()
+		o.drain = nil
+	}
 	o.mu.Unlock()
 	o.cfg.Net.Deregister(o.cfg.Addr)
-	o.pool.Close()
 }
 
 // Register exposes a servant under ref and binds it in naming.
@@ -232,79 +193,51 @@ func (o *ORB) Register(ref ObjectRef, s Servant) {
 	o.cfg.Naming.Bind(ref, o.cfg.Addr)
 }
 
-// AddClientInterceptor appends client-side middleware (outermost first).
-func (o *ORB) AddClientInterceptor(i Interceptor) { o.client = append(o.client, i) }
-
-// AddServerInterceptor appends server-side middleware (outermost first).
-func (o *ORB) AddServerInterceptor(i Interceptor) { o.server = append(o.server, i) }
-
-// chain composes interceptors around a base handler.
-func chain(is []Interceptor, base Handler) Handler {
-	h := base
-	for i := len(is) - 1; i >= 0; i-- {
-		h = is[i](h)
-	}
-	return h
-}
-
 // OneWay invokes target.method(arg) without waiting for a result.
 // Location is transparent: a collocated object is dispatched directly, in
-// the caller's goroutine and still through both interceptor chains, and
-// its error is returned; a remote object is sent one request message, and
-// only a failure to resolve or send it is returned.
+// the caller's goroutine, and its error is returned; a remote object is
+// sent one request message, and only a failure to resolve or send it is
+// returned.
 func (o *ORB) OneWay(from, target ObjectRef, method string, arg Any) error {
-	req := &Request{From: from, Target: target, Method: method, Arg: arg}
-	rep := chain(o.client, o.transmit)(req)
-	if rep.Err != "" {
-		return errors.New(rep.Err)
-	}
-	return nil
-}
-
-// transmit is the innermost client handler: route to a collocated servant
-// or marshal onto the wire.
-func (o *ORB) transmit(req *Request) Reply {
 	o.mu.Lock()
-	s, local := o.servants[req.Target]
+	s, local := o.servants[target]
 	closed := o.closed
 	o.mu.Unlock()
-	if closed {
-		return Reply{Err: ErrClosed.Error()}
+	switch {
+	case closed:
+		return ErrClosed
+	case local:
+		return serve(s, &Request{From: from, Target: target, Method: method, Arg: arg})
 	}
-	if local {
-		return chain(o.server, o.dispatch(s))(req)
-	}
-	addr, ok := o.cfg.Naming.Resolve(req.Target)
+	addr, ok := o.cfg.Naming.Resolve(target)
 	if !ok {
-		return Reply{Err: fmt.Sprintf("%v: %q", ErrNoSuchObject, req.Target)}
+		return fmt.Errorf("%w: %q", ErrNoSuchObject, target)
 	}
-	if err := o.cfg.Net.Send(o.cfg.Addr, addr, msgRequest, encodeRequest(req)); err != nil {
-		return Reply{Err: err.Error()}
-	}
-	return Reply{}
+	return o.cfg.Net.Send(o.cfg.Addr, addr, msgRequest, encodeRequest(from, target, method, arg))
 }
 
-// dispatch builds the innermost server handler around a servant.
-func (o *ORB) dispatch(s Servant) Handler {
-	return func(req *Request) Reply {
-		if rs, ok := s.(RequestServant); ok {
-			return rs.InvokeRequest(req)
-		}
-		if _, err := s.Invoke(req.Method, req.Arg); err != nil {
-			return Reply{Err: err.Error()}
-		}
-		return Reply{}
+// serve hands one request to its servant.
+func serve(s Servant, req *Request) error {
+	if rs, ok := s.(RequestServant); ok {
+		return rs.InvokeRequest(req)
 	}
+	_, err := s.Invoke(req.Method, req.Arg)
+	return err
 }
 
 // msgRequest is the network message kind of a remote invocation.
 const msgRequest = "orb.req"
 
-// onMessage handles inbound requests. They are queued to the worker pool —
-// the paper's "thread pool ... to handle incoming requests" — so at most
-// PoolSize requests are processed concurrently per node. A request for an
-// object this ORB does not serve is dropped: there is no caller waiting to
-// be told.
+// onMessage admits an inbound request to the pool — the paper's "thread
+// pool ... to handle incoming requests". A request for an object this ORB
+// does not serve is dropped: there is no caller waiting to be told.
+//
+// The one admission rule: a request takes the slot that frees first and
+// is served ServiceTime after it gets it, at max(arrival, slot free) +
+// ServiceTime, in arrival order. A request due at its arrival (always,
+// when ServiceTime is zero) is served at once, on the transport's delivery
+// callback, so requests keep their link's FIFO order; a later one waits in
+// the queue for the drain callback.
 func (o *ORB) onMessage(msg transport.Message) {
 	if msg.Kind != msgRequest {
 		return
@@ -313,25 +246,70 @@ func (o *ORB) onMessage(msg transport.Message) {
 	if err != nil {
 		return
 	}
-	o.pool.Submit(func() {
-		if o.cfg.ServiceTime > 0 {
-			<-o.cfg.Clock.After(o.cfg.ServiceTime)
-		}
-		o.mu.Lock()
-		s, ok := o.servants[req.Target]
+	o.mu.Lock()
+	s, ok := o.servants[req.Target]
+	if !ok || o.closed {
 		o.mu.Unlock()
-		if ok {
-			chain(o.server, o.dispatch(s))(req)
+		return
+	}
+	now := o.cfg.Clock.Now()
+	slot := 0
+	for i, free := range o.slots {
+		if free.Before(o.slots[slot]) {
+			slot = i
 		}
-	})
+	}
+	due := o.slots[slot]
+	if due.Before(now) {
+		due = now
+	}
+	due = due.Add(o.cfg.ServiceTime)
+	o.slots[slot] = due
+	if !due.After(now) && len(o.queue) == 0 {
+		o.mu.Unlock()
+		_ = serve(s, req)
+		return
+	}
+	o.queue = append(o.queue, queued{due: due, s: s, req: req})
+	if o.drain == nil {
+		o.drain = o.cfg.Clock.AfterFunc(due.Sub(now), o.serveDue)
+	}
+	o.mu.Unlock()
 }
 
-func encodeRequest(req *Request) []byte {
-	w := codec.NewWriter(len(req.Arg.data) + 64)
-	w.String(string(req.From))
-	w.String(string(req.Target))
-	w.String(req.Method)
-	w.Bytes32(req.Arg.data)
+// serveDue is the drain callback: it serves every waiting request whose
+// service has ended, in order, and re-arms itself for the next one.
+func (o *ORB) serveDue() {
+	for {
+		o.mu.Lock()
+		if o.closed {
+			o.mu.Unlock()
+			return
+		}
+		if len(o.queue) == 0 {
+			o.drain = nil
+			o.mu.Unlock()
+			return
+		}
+		q := o.queue[0]
+		if now := o.cfg.Clock.Now(); q.due.After(now) {
+			o.drain = o.cfg.Clock.AfterFunc(q.due.Sub(now), o.serveDue)
+			o.mu.Unlock()
+			return
+		}
+		o.queue[0] = queued{}
+		o.queue = o.queue[1:]
+		o.mu.Unlock()
+		_ = serve(q.s, q.req)
+	}
+}
+
+func encodeRequest(from, target ObjectRef, method string, arg Any) []byte {
+	w := codec.NewWriter(len(arg.data) + 64)
+	w.String(string(from))
+	w.String(string(target))
+	w.String(method)
+	w.Bytes32(arg.data)
 	return w.Bytes()
 }
 

@@ -68,27 +68,14 @@ func waitCalls(t *testing.T, e *echoServant, n int64) {
 }
 
 func TestAnyRoundTrip(t *testing.T) {
-	type record struct {
-		Name string
-		N    int
-	}
-	a, err := MarshalAny(record{Name: "x", N: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out record
-	if err := a.Unmarshal(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Name != "x" || out.N != 42 {
-		t.Fatalf("round trip = %+v", out)
-	}
-	if a.Len() == 0 {
-		t.Fatal("Len = 0")
-	}
 	raw := BytesAny([]byte{1, 2, 3})
 	if string(raw.Bytes()) != "\x01\x02\x03" {
 		t.Fatal("BytesAny mangled contents")
+	}
+	req := encodeRequest("a", "b", "m", raw)
+	got, err := decodeRequest(req)
+	if err != nil || string(got.Arg.Bytes()) != "\x01\x02\x03" {
+		t.Fatalf("any did not survive the wire: %v %v", got, err)
 	}
 }
 
@@ -152,163 +139,172 @@ func TestOneWayInvocation(t *testing.T) {
 	waitCalls(t, srv, 1)
 }
 
-func TestClientInterceptorShortCircuits(t *testing.T) {
-	net := testNet(t)
-	naming := NewNaming()
-	o := newORB(t, net, naming, "node1", 4)
-	var hijacked []string
-	o.AddClientInterceptor(func(next Handler) Handler {
-		return func(req *Request) Reply {
-			if req.Target == "gc" {
-				// The FS-NewTOP pattern: hijack calls to the GC object, which
-				// no ORB serves, and report the re-issue's failure back.
-				hijacked = append(hijacked, string(req.Arg.Bytes()))
-				if req.Method == "refuse" {
-					return Reply{Err: "window closed"}
-				}
-				return Reply{}
-			}
-			return next(req)
-		}
-	})
-	srv := &echoServant{}
-	o.Register("other", srv)
-	if err := o.OneWay("caller", "gc", "submit", BytesAny([]byte("m1"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.OneWay("caller", "gc", "refuse", BytesAny([]byte("m2"))); err == nil || err.Error() != "window closed" {
-		t.Fatalf("err = %v, want the interceptor's error", err)
-	}
-	if fmt.Sprint(hijacked) != "[m1 m2]" {
-		t.Fatalf("interceptor saw %q", hijacked)
-	}
-	// Other targets flow through untouched.
-	if err := o.OneWay("caller", "other", "echo", BytesAny([]byte("pass"))); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.received(); fmt.Sprint(got) != "[echo:pass]" {
-		t.Fatalf("pass-through failed: servant got %q", got)
-	}
+// slotRig is an ORB on clk whose requests reach it as they would from
+// the network: admit hands it one request, as the transport's delivery
+// callback does. served records each call as "method@offset", the offset
+// being the clock's time since the rig was built.
+type slotRig struct {
+	o      *ORB
+	clk    clock.Clock
+	t0     time.Time
+	mu     sync.Mutex
+	served []string
 }
 
-func TestServerInterceptorObservesAndSuppresses(t *testing.T) {
-	net := testNet(t)
-	naming := NewNaming()
-	o1 := newORB(t, net, naming, "node1", 4)
-	// One pool worker: requests are served in arrival order, so once the
-	// second has reached the servant the first has been fully handled.
-	o2 := newORB(t, net, naming, "node2", 1)
-	srv := &echoServant{}
-	o2.Register("obj", srv)
-	var seen atomic.Int64
-	o2.AddServerInterceptor(func(next Handler) Handler {
-		return func(req *Request) Reply {
-			seen.Add(1)
-			if req.Method == "drop" {
-				return Reply{} // suppressed: servant never sees it
-			}
-			return next(req)
-		}
-	})
-	if err := o1.OneWay("c", "obj", "drop", Any{}); err != nil {
+func newSlotRig(t *testing.T, clk clock.Clock, slots int, service time.Duration) *slotRig {
+	t.Helper()
+	net := netsim.New(clk)
+	t.Cleanup(net.Close)
+	o, err := New(Config{Addr: "node", Net: net, Naming: NewNaming(), PoolSize: slots, ServiceTime: service, Clock: clk})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o1.OneWay("c", "obj", "echo", Any{}); err != nil {
-		t.Fatal(err)
-	}
-	waitCalls(t, srv, 1)
-	if got := srv.received(); fmt.Sprint(got) != "[echo:]" || seen.Load() != 2 {
-		t.Fatalf("servant got %q, interceptor saw %d", got, seen.Load())
-	}
+	t.Cleanup(o.Close)
+	r := &slotRig{o: o, clk: clk, t0: clk.Now()}
+	o.Register("obj", r)
+	return r
 }
 
-func TestInterceptorOrdering(t *testing.T) {
-	net := testNet(t)
-	naming := NewNaming()
-	o := newORB(t, net, naming, "node1", 4)
-	var order []string
-	var mu sync.Mutex
-	mk := func(name string) Interceptor {
-		return func(next Handler) Handler {
-			return func(req *Request) Reply {
-				mu.Lock()
-				order = append(order, name)
-				mu.Unlock()
-				return next(req)
-			}
-		}
-	}
-	o.AddClientInterceptor(mk("c1"))
-	o.AddClientInterceptor(mk("c2"))
-	o.AddServerInterceptor(mk("s1"))
-	o.Register("obj", &echoServant{})
-	if err := o.OneWay("caller", "obj", "echo", Any{}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []string{"c1", "c2", "s1"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
+func (r *slotRig) Invoke(method string, _ Any) (Any, error) {
+	r.mu.Lock()
+	r.served = append(r.served, fmt.Sprintf("%s@%v", method, r.clk.Since(r.t0)))
+	r.mu.Unlock()
+	return Any{}, nil
 }
 
+func (r *slotRig) admit(method string) {
+	r.o.onMessage(netsim.Message{Kind: msgRequest, Payload: encodeRequest("c", "obj", method, Any{})})
+}
+
+func (r *slotRig) log() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.served...)
+}
+
+// slotSchedule is what k service slots of service time s make of n
+// requests that arrive together: the i-th (from 1) is served at
+// ceil(i/k)·s, in arrival order.
+func slotSchedule(n, k int, s time.Duration) []string {
+	var want []string
+	for i := 1; i <= n; i++ {
+		want = append(want, fmt.Sprintf("r%d@%v", i, time.Duration((i+k-1)/k)*s))
+	}
+	return want
+}
+
+// TestPoolBoundsConcurrency: the request pool is PoolSize service slots.
+// N requests that arrive at one instant are served in arrival order, the
+// i-th at ceil(i/k)·ServiceTime, on a manual clock (stepped one service
+// time at a time: no request is served early) and on a virtual one (the
+// drain callback is a step of its driver).
 func TestPoolBoundsConcurrency(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 30; i++ {
-		wg.Add(1)
-		p.Submit(func() {
-			defer wg.Done()
-			n := cur.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
+	const n, k, s = 10, 3, 300 * time.Microsecond
+	want := slotSchedule(n, k, s)
+	t.Run("manual", func(t *testing.T) {
+		m := clock.NewManual()
+		r := newSlotRig(t, m, k, s)
+		for i := 1; i <= n; i++ {
+			r.admit(fmt.Sprintf("r%d", i))
+		}
+		for step := 0; step <= (n+k-1)/k; step++ {
+			if got, served := r.log(), min(step*k, n); fmt.Sprint(got) != fmt.Sprint(want[:served]) {
+				t.Fatalf("after %v: served %v, want %v", time.Duration(step)*s, got, want[:served])
 			}
-			time.Sleep(2 * time.Millisecond)
-			cur.Add(-1)
+			m.Advance(s)
+		}
+	})
+	t.Run("virtual", func(t *testing.T) {
+		v := clock.NewVirtual()
+		defer v.Stop()
+		r := newSlotRig(t, v, k, s)
+		v.AfterFunc(0, func() {
+			for i := 1; i <= n; i++ {
+				r.admit(fmt.Sprintf("r%d", i))
+			}
 		})
+		deadline := time.Now().Add(5 * time.Second)
+		for len(r.log()) < n && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := r.log(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("served %v, want %v", got, want)
+		}
+	})
+}
+
+// TestPoolServesConcurrentArrivals: requests that reach one ORB from
+// several delivery goroutines at once, on the wall clock, are each served
+// exactly once.
+func TestPoolServesConcurrentArrivals(t *testing.T) {
+	const senders, each, k = 4, 25, 3
+	r := newSlotRig(t, clock.NewReal(), k, 100*time.Microsecond)
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.admit(fmt.Sprintf("g%d-%d", g, i))
+			}
+		}()
 	}
 	wg.Wait()
-	if got := peak.Load(); got > 3 {
-		t.Fatalf("peak concurrency %d exceeds pool size 3", got)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(r.log()) < senders*each && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	if p.Size() != 3 {
-		t.Fatalf("Size = %d", p.Size())
+	seen := make(map[string]bool)
+	for _, call := range r.log() {
+		seen[strings.SplitN(call, "@", 2)[0]] = true
+	}
+	if len(r.log()) != senders*each || len(seen) != senders*each {
+		t.Fatalf("served %d calls, %d distinct, want %d once each", len(r.log()), len(seen), senders*each)
 	}
 }
 
+// TestPoolCloseDiscardsQueue: Close drops the requests waiting for a slot,
+// and a request that arrives after Close is never served.
 func TestPoolCloseDiscardsQueue(t *testing.T) {
-	p := NewPool(1)
-	block := make(chan struct{})
-	started := make(chan struct{})
-	p.Submit(func() { close(started); <-block })
-	<-started
-	var ran atomic.Bool
-	p.Submit(func() { ran.Store(true) })
-	close(block)
-	p.Close()
-	if ran.Load() {
-		t.Fatal("queued task ran after Close")
+	const s = time.Millisecond
+	m := clock.NewManual()
+	r := newSlotRig(t, m, 1, s)
+	for i := 1; i <= 3; i++ {
+		r.admit(fmt.Sprintf("r%d", i))
 	}
-	p.Submit(func() { ran.Store(true) }) // dropped
-	p.mu.Lock()
-	queued := len(p.tasks)
-	p.mu.Unlock()
-	if queued != 0 {
-		t.Fatal("submit after close queued a task")
+	m.Advance(s)
+	r.o.Close()
+	r.admit("late")
+	m.Advance(10 * s)
+	if got := r.log(); fmt.Sprint(got) != fmt.Sprint(slotSchedule(1, 1, s)) {
+		t.Fatalf("served %v: the queue outlived Close", got)
+	}
+	if m.Pending() != 0 {
+		t.Fatalf("%d timers still armed after Close", m.Pending())
+	}
+}
+
+// TestZeroServiceTimeServesOnDelivery: with no service time every request
+// is due at its arrival, so it is served on the delivery callback itself —
+// which keeps the order a link delivers in — and no timer is armed.
+func TestZeroServiceTimeServesOnDelivery(t *testing.T) {
+	m := clock.NewManual()
+	r := newSlotRig(t, m, 1, 0)
+	for i := 1; i <= 3; i++ {
+		r.admit(fmt.Sprintf("r%d", i))
+		if got := r.log(); len(got) != i || got[i-1] != fmt.Sprintf("r%d@0s", i) {
+			t.Fatalf("after request %d the servant has %v", i, got)
+		}
+	}
+	if m.Pending() != 0 {
+		t.Fatalf("%d timers armed with no service time", m.Pending())
 	}
 }
 
 // TestRequestReplyWireRoundTrip covers the one message the ORB puts on
 // the wire: a request round-trips, and garbage does not decode.
 func TestRequestReplyWireRoundTrip(t *testing.T) {
-	req := &Request{From: "a", Target: "b", Method: "m", Arg: BytesAny([]byte("zz"))}
-	got, err := decodeRequest(encodeRequest(req))
+	got, err := decodeRequest(encodeRequest("a", "b", "m", BytesAny([]byte("zz"))))
 	if err != nil || got.From != "a" || got.Target != "b" || got.Method != "m" || string(got.Arg.Bytes()) != "zz" {
 		t.Fatalf("request round trip: %+v %v", got, err)
 	}
