@@ -458,7 +458,7 @@ func runProcs(opts Options, spec deploy.RunSpec) (Result, []deploy.WorkerStats, 
 }
 
 // markRefused turns a worker's report that cluster.NewSolo refused the
-// spec (RSA, crash tolerance: neither spans processes) into ErrRefused —
+// spec (RSA: its keys do not span processes) into ErrRefused —
 // nothing ran. The refusal crossed a process boundary, so its text is all
 // there is to recognise it by; any other configure failure stays a failure.
 func markRefused(err error) error {

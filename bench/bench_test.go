@@ -172,8 +172,23 @@ func TestSweepAndFormat(t *testing.T) {
 	fig8.MsgsPerMember = 3
 	rows = RunFig8(fig8, []int{3})
 	out = FormatFig8(rows)
-	if !strings.Contains(out, "Figure 8") {
+	if !strings.Contains(out, "Figure 8") || !strings.Contains(out, "(10 members") {
 		t.Fatalf("Fig8 table:\n%s", out)
+	}
+
+	// A multi-process sweep renders through the same table, both columns,
+	// under the group size it ran at.
+	procs := func(sys System, tput float64) Result {
+		return Result{System: sys, Transport: TransportTCPProcs, Members: 4, Throughput: tput}
+	}
+	out = FormatFig8([]Row{
+		{X: 1024, NewTOP: procs(SystemNewTOP, 1968), FSNewTOP: procs(SystemFSNewTOP, 1405)},
+		{X: 2048, NewTOP: procs(SystemNewTOP, 0), FSNewTOPErr: "deploy: worker m03 failed during run phase"},
+	})
+	for _, want := range []string{"(4 members", "NewTOP", "FS-NewTOP", "1968", "1405", "563", "run error: deploy: worker m03"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("tcp-procs Fig8 table lacks %q:\n%s", want, out)
+		}
 	}
 }
 

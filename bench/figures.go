@@ -17,18 +17,9 @@ type Row struct {
 	// Refused reports that a run at this point was refused before anything
 	// was deployed (ErrRefused): a usage error, not a measurement.
 	Refused bool
-	// NewTOPSkipped reports that the lane has no NewTOP column, so
-	// NewTOPErr is a note for the series file and not a failed run.
-	NewTOPSkipped bool
 }
 
-// procsNewTOPSkip is the Row.NewTOPErr note every multi-process sweep
-// point carries: the crash-tolerant baseline cannot run in this lane.
-const procsNewTOPSkip = "skipped: crash-tolerant NewTOP cannot span processes (in-process ORB naming)"
-
-// sweep runs both systems at every point. On "tcp-procs" cluster.NewSolo
-// refuses the crash baseline in every worker, so the sweep records the
-// skip instead of spawning a fleet per point to be told so.
+// sweep runs both systems at every point, on every lane.
 func sweep(base Options, xs []int, apply func(*Options, int)) []Row {
 	rows := make([]Row, 0, len(xs))
 	for _, x := range xs {
@@ -44,11 +35,7 @@ func sweep(base Options, xs []int, apply func(*Options, int)) []Row {
 			row.Refused = row.Refused || errors.Is(err, ErrRefused)
 			return res, err.Error()
 		}
-		if base.Transport == TransportTCPProcs {
-			row.NewTOPSkipped, row.NewTOPErr = true, procsNewTOPSkip
-		} else {
-			row.NewTOP, row.NewTOPErr = run(SystemNewTOP)
-		}
+		row.NewTOP, row.NewTOPErr = run(SystemNewTOP)
 		row.FSNewTOP, row.FSNewTOPErr = run(SystemFSNewTOP)
 		rows = append(rows, row)
 		if row.Refused {
@@ -129,11 +116,15 @@ func FormatFig7(rows []Row) string {
 	return b.String()
 }
 
-// FormatFig8 renders the Figure 8 table: throughput per message size at 10
-// members.
+// FormatFig8 renders the Figure 8 table: throughput per message size at
+// the group size the rows were run at.
 func FormatFig8(rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 8 — throughput vs message size (10 members, msgs/second)\n")
+	members := 0
+	for _, r := range rows {
+		members = max(members, r.NewTOP.Members, r.FSNewTOP.Members)
+	}
+	fmt.Fprintf(&b, "Figure 8 — throughput vs message size (%d members, msgs/second)\n", members)
 	fmt.Fprintf(&b, "%-8s %14s %14s %12s\n", "size", "NewTOP", "FS-NewTOP", "difference")
 	for _, r := range rows {
 		if r.NewTOPErr != "" || r.FSNewTOPErr != "" {
@@ -143,33 +134,6 @@ func FormatFig8(rows []Row) string {
 		fmt.Fprintf(&b, "%-8s %14.0f %14.0f %12.0f\n",
 			sizeLabel(r.X), r.NewTOP.Throughput, r.FSNewTOP.Throughput,
 			r.NewTOP.Throughput-r.FSNewTOP.Throughput)
-	}
-	return b.String()
-}
-
-// FormatFig8Procs renders the multi-process Figure 8 table. Unlike
-// FormatFig8 it has no NewTOP column to compare against — that baseline
-// is structurally absent here, not merely errored.
-func FormatFig8Procs(rows []Row) string {
-	var b strings.Builder
-	members := 0
-	for _, r := range rows {
-		if r.FSNewTOP.Members > 0 {
-			members = r.FSNewTOP.Members
-			break
-		}
-	}
-	fmt.Fprintf(&b, "Figure 8 (multi-process) — FS-NewTOP throughput vs message size (%d worker processes, msgs/second)\n", members)
-	fmt.Fprintf(&b, "%-8s %14s %16s %12s\n", "size", "throughput", "latency mean", "delivered")
-	for _, r := range rows {
-		if r.FSNewTOPErr != "" {
-			fmt.Fprintf(&b, "%-8s run error: %s\n", sizeLabel(r.X), r.FSNewTOPErr)
-			continue
-		}
-		fmt.Fprintf(&b, "%-8s %14.0f %16v %6d/%d\n",
-			sizeLabel(r.X), r.FSNewTOP.Throughput,
-			r.FSNewTOP.Latency.Mean.Round(time.Microsecond),
-			r.FSNewTOP.Delivered, r.FSNewTOP.Expected)
 	}
 	return b.String()
 }

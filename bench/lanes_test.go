@@ -29,11 +29,13 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestLaneParity runs one spec through the in-process tcp lane and
-// through the multi-process lane. Both are the same bring-up and the same
-// workload loop, so both must hand the same fold the same shape of
-// measurements: one WorkerStats per member, every delivery made, one
-// latency sample per own message, a completion window.
+// TestLaneParity runs one spec of each system through the in-process tcp
+// lane and through the multi-process lane. Both are the same bring-up and
+// the same workload loop, so both must hand the same fold the same shape
+// of measurements: one WorkerStats per member, every delivery made, one
+// latency sample per own message, a completion window — and signature
+// checks only where something is signed: FS-NewTOP's pairs, never crash
+// NewTOP.
 func TestLaneParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes")
@@ -41,41 +43,48 @@ func TestLaneParity(t *testing.T) {
 	t.Setenv(workerEnvVar, "1")
 	for _, lane := range []string{TransportTCP, TransportTCPProcs} {
 		t.Run(lane, func(t *testing.T) {
-			opts := Options{
-				System:        SystemFSNewTOP,
-				Transport:     lane,
-				Members:       4,
-				MsgsPerMember: 5,
-				MsgSize:       64,
-				SendInterval:  5 * time.Millisecond,
-				TraceDir:      t.TempDir(),
-			}
-			res, stats, err := run(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(stats) != opts.Members {
-				t.Fatalf("%d member stats, want %d", len(stats), opts.Members)
-			}
-			for _, ws := range stats {
-				if ws.Delivered != ws.Expected || ws.Expected != opts.Members*opts.MsgsPerMember {
-					t.Errorf("%s: delivered %d of %d", ws.Member, ws.Delivered, ws.Expected)
-				}
-				if len(ws.LatencyNS) != opts.MsgsPerMember {
-					t.Errorf("%s: %d latency samples, want %d (one per own message)", ws.Member, len(ws.LatencyNS), opts.MsgsPerMember)
-				}
-				if ws.Window <= 0 || ws.SendError != "" {
-					t.Errorf("%s: window %v, send error %q", ws.Member, ws.Window, ws.SendError)
-				}
-			}
-			if res.Transport != lane || res.Delivered != res.Expected {
-				t.Errorf("folded result: substrate %q, delivered %d of %d", res.Transport, res.Delivered, res.Expected)
-			}
-			if res.Latency.Count != opts.Members*opts.MsgsPerMember || res.Throughput <= 0 {
-				t.Errorf("folded result: %d latency samples, throughput %v", res.Latency.Count, res.Throughput)
-			}
-			if res.NetMessages == 0 || res.SigCacheMisses == 0 {
-				t.Errorf("folded result: %d net messages, %d signature checks", res.NetMessages, res.SigCacheMisses)
+			for _, sys := range []System{SystemNewTOP, SystemFSNewTOP} {
+				t.Run(sys.String(), func(t *testing.T) {
+					opts := Options{
+						System:        sys,
+						Transport:     lane,
+						Members:       4,
+						MsgsPerMember: 5,
+						MsgSize:       64,
+						SendInterval:  5 * time.Millisecond,
+						TraceDir:      t.TempDir(),
+					}
+					res, stats, err := run(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(stats) != opts.Members {
+						t.Fatalf("%d member stats, want %d", len(stats), opts.Members)
+					}
+					for _, ws := range stats {
+						if ws.Delivered != ws.Expected || ws.Expected != opts.Members*opts.MsgsPerMember {
+							t.Errorf("%s: delivered %d of %d", ws.Member, ws.Delivered, ws.Expected)
+						}
+						if len(ws.LatencyNS) != opts.MsgsPerMember {
+							t.Errorf("%s: %d latency samples, want %d (one per own message)", ws.Member, len(ws.LatencyNS), opts.MsgsPerMember)
+						}
+						if ws.Window <= 0 || ws.SendError != "" {
+							t.Errorf("%s: window %v, send error %q", ws.Member, ws.Window, ws.SendError)
+						}
+					}
+					if res.System != sys || res.Transport != lane || res.Delivered != res.Expected {
+						t.Errorf("folded result: %v on %q, delivered %d of %d", res.System, res.Transport, res.Delivered, res.Expected)
+					}
+					if res.Latency.Count != opts.Members*opts.MsgsPerMember || res.Throughput <= 0 {
+						t.Errorf("folded result: %d latency samples, throughput %v", res.Latency.Count, res.Throughput)
+					}
+					if res.NetMessages == 0 {
+						t.Error("folded result: no net messages")
+					}
+					if signs := sys == SystemFSNewTOP; (res.SigCacheMisses > 0) != signs {
+						t.Errorf("folded result: %d signature checks (%v signs: %v)", res.SigCacheMisses, sys, signs)
+					}
+				})
 			}
 		})
 	}
@@ -102,11 +111,6 @@ func TestRefusedCombinations(t *testing.T) {
 			run: func() error { _, err := Run(fs(Options{Virtual: true, Transport: TransportTCPProcs})); return err }},
 		{name: "procs x RSA", names: []string{`"tcp-procs"`, "RSA"}, spawns: true,
 			run: func() error { _, err := Run(fs(Options{RSA: true, Transport: TransportTCPProcs})); return err }},
-		{name: "procs x NewTOP", names: []string{`"tcp-procs"`, "crash"}, spawns: true,
-			run: func() error {
-				_, err := Run(Options{System: SystemNewTOP, MsgsPerMember: 1, Transport: TransportTCPProcs})
-				return err
-			}},
 		{name: "procs x one worker", names: []string{`"tcp-procs"`, "Members 1"},
 			run: func() error { _, err := Run(fs(Options{Members: 1, Transport: TransportTCPProcs})); return err }},
 		{name: "skew without virtual", names: []string{"Skew", "Virtual"},

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"fsnewtop/deploy"
-	"fsnewtop/internal/metrics"
 )
 
 // TestAggregateProcs checks the fold from per-worker measurements into
@@ -67,28 +65,5 @@ func TestAggregateProcsEmpty(t *testing.T) {
 	}
 	if res.Expected != 45 {
 		t.Errorf("Expected = %d, want 45 (members² × msgs)", res.Expected)
-	}
-}
-
-// TestFormatFig8Procs: the multi-process table renders FS-NewTOP rows
-// and run errors, and never shows a NewTOP column.
-func TestFormatFig8Procs(t *testing.T) {
-	rows := []Row{
-		{X: 1024, FSNewTOP: Result{Members: 10, Throughput: 123, Delivered: 500, Expected: 500,
-			Latency: metrics.Summary{Count: 500, Mean: 2 * time.Millisecond}}, NewTOPSkipped: true, NewTOPErr: procsNewTOPSkip},
-		{X: 2048, FSNewTOPErr: "deploy: worker m03 failed during run phase", NewTOPSkipped: true, NewTOPErr: procsNewTOPSkip},
-	}
-	out := FormatFig8Procs(rows)
-	if !strings.Contains(out, "10 worker processes") {
-		t.Errorf("header missing member count:\n%s", out)
-	}
-	if !strings.Contains(out, "1k") || !strings.Contains(out, "123") {
-		t.Errorf("data row missing:\n%s", out)
-	}
-	if !strings.Contains(out, "run error: deploy: worker m03") {
-		t.Errorf("error row missing:\n%s", out)
-	}
-	if strings.Contains(out, "NewTOP ") && !strings.Contains(out, "FS-NewTOP") {
-		t.Errorf("unexpected NewTOP column:\n%s", out)
 	}
 }

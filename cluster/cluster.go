@@ -357,23 +357,7 @@ func New(opts ...Option) (*Cluster, error) {
 		defer cfg.virtual.Done()
 	}
 
-	c := &Cluster{
-		tr:      cfg.tr,
-		crash:   cfg.crash,
-		cfg:     cfg,
-		names:   append([]string(nil), cfg.members...),
-		members: make(map[string]*Member, len(cfg.members)),
-		groups:  make(map[string]bool),
-		gen:     make(map[string]int),
-		skews:   make(map[string]*clock.Skewed),
-	}
-	if c.tr == nil {
-		c.tr = netsim.New(cfg.clk, netsim.WithDefaultProfile(transport.Profile{
-			Latency: transport.Fixed(200 * time.Microsecond),
-		}))
-		c.ownsTr = true
-	}
-
+	c := newCluster(cfg, cfg.members)
 	built := false
 	defer func() {
 		if !built {
@@ -381,20 +365,6 @@ func New(opts ...Option) (*Cluster, error) {
 		}
 	}()
 
-	if cfg.crash {
-		c.naming = orb.NewNaming()
-	} else {
-		c.fab = fsnewtop.NewFabric(c.tr, cfg.clk)
-		c.fab.Trace = cfg.traceReg
-		if cfg.rsa {
-			c.fab.NewSigner = func(id sig.ID) (sig.Signer, error) {
-				return sig.NewRSASigner(id, sig.RSAKeySize, nil)
-			}
-		}
-		if cfg.faultPlan {
-			c.switches = make(map[string]map[Half]*faults.Switch, len(c.names))
-		}
-	}
 	for _, name := range c.names {
 		peers := make([]string, 0, len(c.names)-1)
 		for _, p := range c.names {
@@ -414,6 +384,44 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	built = true
 	return c, nil
+}
+
+// newCluster assembles the state New and NewSolo share for the named
+// roster over cfg's transport (a private simulator when cfg has none):
+// crash mode's ORB naming, or the FS fabric with its signer and the fault
+// plane's switches. Members are built after it.
+func newCluster(cfg *config, names []string) *Cluster {
+	c := &Cluster{
+		tr:      cfg.tr,
+		crash:   cfg.crash,
+		cfg:     cfg,
+		names:   append([]string(nil), names...),
+		members: make(map[string]*Member, len(names)),
+		groups:  make(map[string]bool),
+		gen:     make(map[string]int),
+		skews:   make(map[string]*clock.Skewed),
+	}
+	if c.tr == nil {
+		c.tr = netsim.New(cfg.clk, netsim.WithDefaultProfile(transport.Profile{
+			Latency: transport.Fixed(200 * time.Microsecond),
+		}))
+		c.ownsTr = true
+	}
+	if cfg.crash {
+		c.naming = orb.NewNaming()
+		return c
+	}
+	c.fab = fsnewtop.NewFabric(c.tr, cfg.clk)
+	c.fab.Trace = cfg.traceReg
+	if cfg.rsa {
+		c.fab.NewSigner = func(id sig.ID) (sig.Signer, error) {
+			return sig.NewRSASigner(id, sig.RSAKeySize, nil)
+		}
+	}
+	if cfg.faultPlan {
+		c.switches = make(map[string]map[Half]*faults.Switch, len(names))
+	}
+	return c
 }
 
 // buildMember spawns one member's full middleware stack on the cluster's
@@ -816,15 +824,6 @@ func (c *Cluster) CanInjectFaults() bool {
 	return ok
 }
 
-// addrsOf enumerates every transport address member name occupies: its
-// ORB node if it is crash-tolerant, MemberAddrs otherwise.
-func (c *Cluster) addrsOf(name string) []transport.Addr {
-	if c.crash {
-		return []transport.Addr{newtop.NodeAddr(name)}
-	}
-	return MemberAddrs(name)
-}
-
 // Isolate blocks all traffic between members a and b (every address either
 // occupies, both directions). It reports whether the transport supports
 // partitions; callers demonstrating failure semantics must check it.
@@ -854,8 +853,8 @@ func (c *Cluster) forEachLink(a, b string, f func(transport.FaultInjector, trans
 	if !ok {
 		return false
 	}
-	for _, x := range c.addrsOf(a) {
-		for _, y := range c.addrsOf(b) {
+	for _, x := range MemberAddrs(a) {
+		for _, y := range MemberAddrs(b) {
 			f(fi, x, y)
 		}
 	}

@@ -4,33 +4,35 @@ import (
 	"fmt"
 
 	failsignal "fsnewtop/internal/core"
-	"fsnewtop/internal/faults"
 	"fsnewtop/internal/fsnewtop"
 	"fsnewtop/internal/newtop"
 	"fsnewtop/internal/sig"
 	"fsnewtop/transport"
 )
 
-// MemberAddrs enumerates every transport address a fail-signal member
-// occupies on the wire: its pair's leader and follower FSOs and its
-// invocation-layer endpoint. Deployment tooling uses it to
+// MemberAddrs is the one address plan of a member, whichever stack it
+// runs: every transport address it may occupy on the wire — a crash
+// member's ORB node, or a fail-signal member's pair leader and follower
+// FSOs and its invocation-layer endpoint. Deployment tooling uses it to
 // expand a member-level placement manifest ("m03 lives at host:port")
-// into the address-book entries a transport needs.
+// into the address-book entries a transport needs, and the cluster's
+// link faults walk it.
 func MemberAddrs(name string) []transport.Addr {
 	return []transport.Addr{
+		newtop.NodeAddr(name),
 		failsignal.LeaderAddr(name),
 		failsignal.FollowerAddr(name),
 		fsnewtop.InvAddr(name),
 	}
 }
 
-// NewSolo assembles a cluster hosting exactly ONE local fail-signal
-// member, whose peers live in other processes (or other transports). It
-// is the single-member bring-up of the deploy plane: one worker process
-// calls NewSolo for the member it hosts, and every remote peer is seeded
-// into the local fail-signal directory and key directory so the member
-// can exchange verified protocol traffic with pairs it shares no memory
-// with.
+// NewSolo assembles a cluster hosting exactly ONE local member, whose
+// peers live in other processes (or other transports). It is the
+// single-member bring-up of the deploy plane: one worker process calls
+// NewSolo for the member it hosts, and every remote peer is seeded into
+// the local stack's directories — a fail-signal member's fail-signal and
+// key directories, a crash member's ORB naming — so the member exchanges
+// protocol traffic with peers it shares no memory with.
 //
 // peers names the remote members (watchers of this member's fail-signal
 // and vice versa); the roster is the deployment's full membership minus
@@ -46,9 +48,6 @@ func MemberAddrs(name string) []transport.Addr {
 //     The caller keeps transport ownership and must have seeded its
 //     address resolution (e.g. tcpnet's AddrBook) with the peers'
 //     endpoints — see tcpnet.AddrBook.LoadPeers.
-//   - Fail-signal mode only: the crash baseline's ORB naming is an
-//     in-process object with no remote resolution, so crash-tolerant
-//     members cannot span processes.
 //   - HMAC signing only (no WithRSA): cross-process verification relies
 //     on the deterministic key derivation fsnewtop.DerivedHMACKey; RSA
 //     keys are minted at signer construction and would need a real
@@ -62,9 +61,6 @@ func NewSolo(name string, peers []string, opts ...Option) (*Cluster, error) {
 	}
 	if cfg.tr == nil {
 		return nil, fmt.Errorf("cluster: solo bring-up needs WithTransport (the deployment's shared network)")
-	}
-	if cfg.crash {
-		return nil, fmt.Errorf("cluster: solo bring-up refused: fail-signal only (the crash baseline's ORB naming cannot span processes)")
 	}
 	if cfg.rsa {
 		return nil, fmt.Errorf("cluster: solo bring-up refused: HMAC-only (RSA keys cannot be derived cross-process; see fsnewtop.DerivedHMACKey)")
@@ -80,20 +76,8 @@ func NewSolo(name string, peers []string, opts ...Option) (*Cluster, error) {
 		seen[p] = true
 	}
 
-	c := &Cluster{
-		tr:      cfg.tr,
-		cfg:     cfg,
-		names:   []string{name},
-		members: make(map[string]*Member, 1),
-		groups:  make(map[string]bool),
-		gen:     make(map[string]int),
-	}
-	c.fab = fsnewtop.NewFabric(c.tr, cfg.clk)
-	c.fab.Trace = cfg.traceReg
-	if cfg.faultPlan {
-		c.switches = make(map[string]map[Half]*faults.Switch, 1)
-	}
-	if err := seedRemotePeers(c.fab, peers); err != nil {
+	c := newCluster(cfg, []string{name})
+	if err := c.seedRemotePeers(peers); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
@@ -105,18 +89,23 @@ func NewSolo(name string, peers []string, opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
-// seedRemotePeers registers each remote member's deployment records into
-// a local fabric: its FS pair (addresses + compare identities) and its
-// invocation endpoint in the fail-signal directory, and the derived HMAC
-// verification keys for all three identities in the key directory. After
-// seeding, the local member resolves and verifies remote traffic exactly
-// as if the peers shared its fabric.
-func seedRemotePeers(fab *fsnewtop.Fabric, peers []string) error {
+// seedRemotePeers registers each remote member's deployment records with
+// the local stack, after which the local member resolves (and, fail-signal,
+// verifies) remote traffic exactly as if the peers shared its process. A
+// crash member's ORB naming binds each peer's GC object to its node. A
+// fail-signal member's directory gets each peer's FS pair (addresses and
+// compare identities) and invocation endpoint, and its key directory the
+// derived HMAC verification keys of all three identities.
+func (c *Cluster) seedRemotePeers(peers []string) error {
 	for _, p := range peers {
-		fab.Dir.RegisterFS(p,
+		if c.crash {
+			c.naming.Bind(newtop.GCRef(p), newtop.NodeAddr(p))
+			continue
+		}
+		c.fab.Dir.RegisterFS(p,
 			failsignal.LeaderAddr(p), failsignal.FollowerAddr(p),
 			failsignal.LeaderID(p), failsignal.FollowerID(p))
-		fab.Dir.RegisterPlain(string(newtop.InvRef(p)), fsnewtop.InvAddr(p))
+		c.fab.Dir.RegisterPlain(string(newtop.InvRef(p)), fsnewtop.InvAddr(p))
 		for _, id := range []sig.ID{
 			failsignal.LeaderID(p),
 			failsignal.FollowerID(p),
@@ -125,7 +114,7 @@ func seedRemotePeers(fab *fsnewtop.Fabric, peers []string) error {
 			// Can only fail on a scheme conflict, and the solo constructor
 			// already refuses mixed schemes — but a silent skip here would
 			// surface as an unverifiable peer at runtime.
-			if err := fab.Keys.RegisterHMAC(id, fsnewtop.DerivedHMACKey(id)); err != nil {
+			if err := c.fab.Keys.RegisterHMAC(id, fsnewtop.DerivedHMACKey(id)); err != nil {
 				return fmt.Errorf("seeding peer %q key %q: %w", p, id, err)
 			}
 		}

@@ -17,6 +17,7 @@ import (
 // transport with its OWN address book — the same isolation two OS
 // processes would have — and cross-seeds every book with the peers'
 // endpoints, exactly as the deploy plane's manifest distribution does.
+// opts select the stack; every member is a fail-signal member by default.
 type soloHarness struct {
 	t        *testing.T
 	names    []string
@@ -24,7 +25,7 @@ type soloHarness struct {
 	clusters map[string]*Cluster
 }
 
-func newSoloHarness(t *testing.T, names ...string) *soloHarness {
+func newSoloHarness(t *testing.T, names []string, opts ...Option) *soloHarness {
 	t.Helper()
 	h := &soloHarness{
 		t:        t,
@@ -63,10 +64,10 @@ func newSoloHarness(t *testing.T, names ...string) *soloHarness {
 				peers = append(peers, p)
 			}
 		}
-		c, err := NewSolo(name, peers,
+		c, err := NewSolo(name, peers, append([]Option{
 			WithTransport(h.trs[name]),
-			WithDelta(2*time.Second), // generous: single host multiplexes every pair
-		)
+			WithDelta(2 * time.Second), // generous: single host multiplexes every pair
+		}, opts...)...)
 		if err != nil {
 			t.Fatalf("NewSolo(%s): %v", name, err)
 		}
@@ -114,8 +115,8 @@ func TestSoloMembersOverSeparateTransports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster formation")
 	}
-	h := newSoloHarness(t, "a", "b")
 	roster := []string{"a", "b"}
+	h := newSoloHarness(t, roster)
 	for _, name := range roster {
 		if err := h.member(name).Join("g", roster...); err != nil {
 			t.Fatalf("%s join: %v", name, err)
@@ -128,6 +129,51 @@ func TestSoloMembersOverSeparateTransports(t *testing.T) {
 	awaitDelivery(t, h.member("b"), "from-a", 30*time.Second)
 }
 
+// TestSoloCrashMembersOverSeparateTransports: crash NewTOP members span
+// transports too. Each one's ORB naming is seeded from the roster, so
+// members with no shared memory form a group over real sockets and every
+// member delivers the same total order of everyone's multicasts.
+func TestSoloCrashMembersOverSeparateTransports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster formation")
+	}
+	const perMember = 5
+	roster := []string{"a", "b", "c"}
+	h := newSoloHarness(t, roster, WithCrashTolerance(), WithPingSuspector(0, time.Minute))
+	for _, name := range roster {
+		if err := h.member(name).Join("g", roster...); err != nil {
+			t.Fatalf("%s join: %v", name, err)
+		}
+	}
+	for i := range perMember {
+		for _, name := range roster {
+			if err := h.member(name).Multicast("g", TotalSym, fmt.Appendf(nil, "%s-%d", name, i)); err != nil {
+				t.Fatalf("%s multicast: %v", name, err)
+			}
+		}
+	}
+	var ref []string
+	for _, name := range roster {
+		m := h.member(name)
+		var got []string
+		deadline := time.After(30 * time.Second)
+		for len(got) < perMember*len(roster) {
+			select {
+			case d := <-m.Deliveries():
+				got = append(got, d.Origin+":"+string(d.Payload))
+			case <-m.Views():
+			case <-deadline:
+				t.Fatalf("%s: %d of %d deliveries within 30s: %v", name, len(got), perMember*len(roster), got)
+			}
+		}
+		if ref == nil {
+			ref = got
+		} else if fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Fatalf("%s delivered %v, %s delivered %v", roster[0], ref, name, got)
+		}
+	}
+}
+
 // TestSoloJoinExisting exercises the deploy plane's dynamic path: a third
 // solo member is admitted into an already-running two-member group via
 // JoinExisting — the PR 7 join protocol (ask, state snapshot, admission
@@ -136,7 +182,7 @@ func TestSoloJoinExisting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster formation")
 	}
-	h := newSoloHarness(t, "a", "b", "c")
+	h := newSoloHarness(t, []string{"a", "b", "c"})
 	roster := []string{"a", "b"}
 	for _, name := range roster {
 		if err := h.member(name).Join("g", roster...); err != nil {
@@ -188,7 +234,6 @@ func TestSoloRefusals(t *testing.T) {
 		want string
 	}{
 		{"no transport", nil, "WithTransport"},
-		{"crash mode", []Option{WithTransport(tr), WithCrashTolerance()}, "fail-signal only"},
 		{"rsa", []Option{WithTransport(tr), WithRSA()}, "HMAC-only"},
 		{"auto-heal", []Option{WithTransport(tr), WithAutoHeal()}, "auto-heal"},
 	} {
@@ -212,10 +257,14 @@ func TestSoloRefusals(t *testing.T) {
 	}
 }
 
+// TestMemberAddrs: the one address plan names four distinct addresses per
+// member, each embedding the member's name, and covers what either stack
+// occupies: as many of a live member's plan addresses resolve as its
+// stack registers.
 func TestMemberAddrs(t *testing.T) {
 	addrs := MemberAddrs("m07")
-	if len(addrs) != 3 {
-		t.Fatalf("MemberAddrs returned %d addrs, want 3", len(addrs))
+	if len(addrs) != 4 {
+		t.Fatalf("MemberAddrs returned %d addrs, want 4", len(addrs))
 	}
 	seen := make(map[transport.Addr]bool)
 	for _, a := range addrs {
@@ -227,29 +276,59 @@ func TestMemberAddrs(t *testing.T) {
 			t.Errorf("addr %q does not embed the member name", a)
 		}
 	}
-	_ = fmt.Sprintf("%v", addrs)
+	for _, stack := range memberStacks {
+		t.Run(stack.name, func(t *testing.T) {
+			tr := netsim.New(clock.NewReal())
+			defer tr.Close()
+			c, err := New(append([]Option{WithTransport(tr), WithMembers("m00", "m01")}, stack.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			tr.Register("probe", func(netsim.Message) {})
+			live := 0
+			for _, a := range MemberAddrs("m00") {
+				if tr.Send("probe", a, "probe", nil) == nil {
+					live++
+				}
+			}
+			if live != stack.occupies {
+				t.Errorf("%d of m00's addresses resolve, want %d", live, stack.occupies)
+			}
+		})
+	}
+}
+
+// memberStacks are the two stacks a member runs, with how many of its
+// MemberAddrs each occupies.
+var memberStacks = []struct {
+	name     string
+	opts     []Option
+	occupies int
+}{
+	{"crash", []Option{WithCrashTolerance()}, 1},
+	{"fail-signal", nil, 3},
 }
 
 // TestMemberAddrsGoneAfterClose: a closed member leaves nothing behind on
-// a transport its cluster does not own — every address it occupied
-// refuses traffic as unknown.
+// a transport its cluster does not own — every address of its plan
+// refuses traffic as unknown, whichever stack it ran.
 func TestMemberAddrsGoneAfterClose(t *testing.T) {
-	tr := netsim.New(clock.NewReal())
-	defer tr.Close()
-	c, err := New(WithTransport(tr), WithMembers("m00", "m01"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Register("probe", func(netsim.Message) {})
-	for _, a := range MemberAddrs("m00") {
-		if err := tr.Send("probe", a, "probe", nil); err != nil {
-			t.Fatalf("live member: send to %q: %v", a, err)
-		}
-	}
-	c.Close()
-	for _, a := range MemberAddrs("m00") {
-		if err := tr.Send("probe", a, "probe", nil); !errors.Is(err, transport.ErrUnknownAddr) {
-			t.Errorf("closed member: send to %q returned %v, want transport.ErrUnknownAddr", a, err)
-		}
+	for _, stack := range memberStacks {
+		t.Run(stack.name, func(t *testing.T) {
+			tr := netsim.New(clock.NewReal())
+			defer tr.Close()
+			c, err := New(append([]Option{WithTransport(tr), WithMembers("m00", "m01")}, stack.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Register("probe", func(netsim.Message) {})
+			c.Close()
+			for _, a := range MemberAddrs("m00") {
+				if err := tr.Send("probe", a, "probe", nil); !errors.Is(err, transport.ErrUnknownAddr) {
+					t.Errorf("closed member: send to %q returned %v, want transport.ErrUnknownAddr", a, err)
+				}
+			}
+		})
 	}
 }

@@ -53,12 +53,11 @@
 // With -procs N the fig8 sweep runs on the "tcp-procs" substrate: the
 // same bring-up and workload loop, but fsbench re-executes itself N times
 // with -worker, one OS process per member, driven over stdin/stdout
-// control pipes. That lane is FS-NewTOP with HMAC only — the crash
-// baseline's ORB naming and the RSA key exchange are in-process objects,
-// which cluster.NewSolo refuses in every worker. Its series file is
-// BENCH_fig8_procs.json. Flags map onto bench options one to one; a
-// combination no lane can run is refused by the library (bench.ErrRefused)
-// and exits 2.
+// control pipes, for both NewTOP and FS-NewTOP. It signs with HMAC only:
+// RSA keys are minted in process, and cluster.NewSolo refuses -rsa in
+// every worker. Its series file is BENCH_fig8_procs.json. Flags map onto
+// bench options one to one; a combination no lane can run is refused by
+// the library (bench.ErrRefused) and exits 2.
 package main
 
 import (
@@ -104,7 +103,7 @@ func main() {
 		minutes   = flag.Float64("minutes", 0, "active fault window for -exp chaos/churn, in minutes (0 = 10s)")
 		chaosRuns = flag.Int("chaos-runs", 1, "consecutive seeds to sweep for -exp chaos/churn (seed, seed+1, ...)")
 		churn     = flag.Bool("churn", false, "arm restart churn in -exp chaos (auto-heal + guaranteed crash + replacement oracles)")
-		procs     = flag.Int("procs", 0, "run -exp fig8 with this many worker OS processes, one member each (FS-NewTOP over real TCP)")
+		procs     = flag.Int("procs", 0, "run -exp fig8 with this many worker OS processes, one member each (NewTOP and FS-NewTOP over real TCP)")
 		worker    = flag.Bool("worker", false, "internal: run as a deploy-plane worker, driven over stdin/stdout by a controller")
 		virtual   = flag.Bool("virtual", false, "run soak/chaos/churn on the auto-advancing virtual clock (netsim only): simulated protocol time, wall cost = computation only")
 		simHours  = flag.Float64("sim-hours", 1, "simulated protocol-hours for -exp soak -virtual")
@@ -209,7 +208,7 @@ func main() {
 	figure := func(name, xAxis string, format func([]bench.Row) string, rows []bench.Row) {
 		fmt.Print(format(rows))
 		for _, r := range rows {
-			if r.FSNewTOPErr != "" || (r.NewTOPErr != "" && !r.NewTOPSkipped) {
+			if r.FSNewTOPErr != "" || r.NewTOPErr != "" {
 				failedRows++
 			}
 			refused = refused || r.Refused
@@ -392,11 +391,7 @@ func main() {
 		case "fig7":
 			figure("fig7", "members", bench.FormatFig7, bench.RunFig7(base, parseInts(*members)))
 		case "fig8":
-			format := bench.FormatFig8
-			if substrate == bench.TransportTCPProcs {
-				format = bench.FormatFig8Procs
-			}
-			figure("fig8", "bytes", format, bench.RunFig8(base, parseInts(*sizes)))
+			figure("fig8", "bytes", bench.FormatFig8, bench.RunFig8(base, parseInts(*sizes)))
 		case "soak":
 			runSoak()
 		case "wedge":

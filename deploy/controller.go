@@ -228,11 +228,11 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	// Placement manifest: every member's transport addresses (pair
-	// leader/follower, invocation endpoint), all served by the endpoint
-	// its worker reported.
+	// Placement manifest: every member's transport addresses
+	// (cluster.MemberAddrs, the plan of both stacks), all served by the
+	// endpoint its worker reported.
 	roster := make([]string, 0, len(c.procs))
-	entries := make([]tcpnet.PeerEntry, 0, 3*len(c.procs))
+	entries := make([]tcpnet.PeerEntry, 0, 4*len(c.procs))
 	for _, p := range c.procs {
 		roster = append(roster, p.member)
 		p.mu.Lock()

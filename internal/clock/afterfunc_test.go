@@ -24,6 +24,11 @@ type afterFuncRig struct {
 	// wall: time is the wall clock's, so a callback may be scheduled later
 	// than the next deadline and "not yet" cannot be asserted.
 	wall bool
+	// hold, if set, keeps the clock's time still until the returned
+	// release runs, so the test goroutine can arm several deadlines before
+	// any of them comes due: a virtual clock's driver advances as soon as
+	// nothing is busy.
+	hold func() (release func())
 	stop func()
 }
 
@@ -35,7 +40,8 @@ func afterFuncRigs() map[string]func() afterFuncRig {
 		},
 		"virtual": func() afterFuncRig {
 			v := NewVirtual()
-			return afterFuncRig{clk: v, unit: time.Second, pass: func(d time.Duration) { <-v.After(d) }, stop: v.Stop}
+			return afterFuncRig{clk: v, unit: time.Second, pass: func(d time.Duration) { <-v.After(d) },
+				hold: func() func() { v.Busy(); return v.Done }, stop: v.Stop}
 		},
 		"skewed": func() afterFuncRig {
 			m := NewManual()
@@ -133,6 +139,10 @@ func TestAfterFuncContract(t *testing.T) {
 				// Callbacks at 1, 3 and 5 units, channel timers at 2 and 4:
 				// each callback finds the channel timer before it fired and
 				// (time permitting) the one after it not yet.
+				release := func() {}
+				if rig.hold != nil {
+					release = rig.hold()
+				}
 				start := clk.Now()
 				ch2, ch4 := clk.NewTimer(2*u), clk.NewTimer(4*u)
 				var (
@@ -169,6 +179,7 @@ func TestAfterFuncContract(t *testing.T) {
 				arm(5, ch4, nil)
 				arm(3, ch2, ch4)
 				arm(1, nil, ch2)
+				release()
 				rig.pass(6 * u)
 				recv(t, done, "the last callback")
 				mu.Lock()

@@ -433,9 +433,12 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames off one inbound connection and dispatches them
-// through the per-sender gates, which enforce FIFO even when a sender's
-// broken and fresh connections are read concurrently.
+// readLoop decodes frames off one inbound connection and pushes each onto
+// its (From,To) link's dispatch queue, whose watermarks keep the link FIFO
+// even when a sender's broken and fresh connections are read concurrently.
+// It never runs a handler itself: one connection carries many links, and
+// the link queues' goroutines are what keep them apart (DESIGN.md,
+// "Transport plane").
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
