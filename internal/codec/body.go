@@ -6,7 +6,8 @@ import (
 )
 
 // Region marks one application payload inside an encoding: the bytes at
-// [Off, Off+len(Src)) were copied from Src. A fail-signal node hashes
+// [Off, Off+len(Src)) are Src's, copied from it or, in gather form (see
+// Gather), held by reference to it. A fail-signal node hashes
 // each payload once (DESIGN.md, "Data path: who owns a byte"): the encoders
 // of messages that carry an application payload record where they put it,
 // so the node that signs or checks the encoding can take that payload's
@@ -15,35 +16,65 @@ import (
 // are never part of the encoding itself.
 type Region struct {
 	Off int    // offset of the payload's first byte in the encoding
-	Src []byte // the slice the payload was copied from; its length is the region's
+	Src []byte // the payload's source slice; its length is the region's
 }
 
 // Body32 appends b like Bytes32 and records it as a body region, unless
 // it is no longer than the SHA-256 digest (32 bytes) that would stand for
 // it: such a payload is hashed inline with the rest of its encoding,
 // which is cheaper than hashing it apart, remembering the digest and then
-// hashing the digest.
+// hashing the digest. In gather form a region is kept by reference.
 func (w *Writer) Body32(b []byte) {
 	w.U32(uint32(len(b)))
-	if len(b) > 32 {
-		w.bodies = append(w.bodies, Region{Off: len(w.buf), Src: b})
+	if Held(b) == 0 {
+		w.buf = append(w.buf, b...)
+		return
+	}
+	w.region(b)
+}
+
+// region records b as a body region at the writer's end, copying it in
+// unless the writer is in gather form.
+func (w *Writer) region(b []byte) {
+	w.bodies = append(w.bodies, Region{Off: w.Len(), Src: b})
+	if w.gather {
+		w.held += len(b)
+		return
 	}
 	w.buf = append(w.buf, b...)
 }
 
-// Nested32 appends b like Bytes32, where b is itself an encoding whose
-// body regions are bodies (offsets relative to b): they are recorded at
-// their place in this encoding.
-func (w *Writer) Nested32(b []byte, bodies []Region) {
-	w.U32(uint32(len(b)))
-	for _, r := range bodies {
-		w.bodies = append(w.bodies, Region{Off: len(w.buf) + r.Off, Src: r.Src})
+// Nested32 appends an encoding like Bytes32: b, or g when g is not nil.
+// g's body regions are recorded at their place in this encoding — kept by
+// reference in gather form, copied in otherwise — so a gather encoding
+// nests in another without its payloads being copied.
+func (w *Writer) Nested32(b []byte, g *Gather) {
+	if g == nil {
+		w.Bytes32(b)
+		return
 	}
-	w.buf = append(w.buf, b...)
+	w.U32(uint32(g.size))
+	at := 0 // the next of g's own bytes to append
+	g.segments(func(own []byte, r Region) {
+		w.buf = append(w.buf, own...)
+		at += len(own)
+		w.region(r.Src)
+	})
+	w.buf = append(w.buf, g.own[at:]...)
+}
+
+// Held returns how many of b's bytes a gather-form Writer keeps by
+// reference when b is a body (Body32): all of them when b is longer than
+// the 32-byte digest that stands for it, else none.
+func Held(b []byte) int {
+	if len(b) > 32 {
+		return len(b)
+	}
+	return 0
 }
 
 // Bodies returns the body regions recorded so far, offsets relative to the
-// start of the writer's buffer.
+// start of the encoding (in gather form, of the bytes it stands for).
 func (w *Writer) Bodies() []Region { return w.bodies }
 
 // GrowBodies makes room for n body regions in a writer that has recorded

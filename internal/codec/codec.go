@@ -34,19 +34,26 @@ const MaxBytes = 64 << 20
 type Writer struct {
 	buf    []byte
 	bodies []Region // see Body32
+	// gather is set in gather form (NewGatherWriter): a body region is
+	// kept by reference, not copied, and held counts the bytes so kept.
+	gather bool
+	held   int
 }
 
 // NewWriter returns a Writer with capacity hint n.
 func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
 // Bytes returns the encoded bytes. The slice aliases the writer's buffer.
+// In gather form it holds only the bytes outside the body regions the
+// writer keeps by reference (see Encoding).
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// Len returns the length of the encoding written so far, body regions
+// kept by reference included.
+func (w *Writer) Len() int { return len(w.buf) + w.held }
 
 // Reset truncates the writer for reuse.
-func (w *Writer) Reset() { w.buf, w.bodies = w.buf[:0], nil }
+func (w *Writer) Reset() { w.buf, w.bodies, w.held = w.buf[:0], nil, 0 }
 
 // U8 appends a single byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }

@@ -1,15 +1,18 @@
 package failsignal
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/codec"
 	"fsnewtop/internal/sig"
 	"fsnewtop/internal/sm"
 	"fsnewtop/transport"
 	"fsnewtop/transport/netsim"
+	"fsnewtop/transport/tcpnet"
 )
 
 // syncLinkMeter counts the bytes a pair puts on its synchronous link.
@@ -19,10 +22,21 @@ type syncLinkMeter struct {
 }
 
 func (m *syncLinkMeter) Send(from, to transport.Addr, kind string, payload []byte) error {
-	if kind == MsgFwd || kind == MsgSingle || kind == MsgRelay {
-		m.bytes.Add(int64(len(payload)))
-	}
+	m.count(kind, len(payload))
 	return m.Transport.Send(from, to, kind, payload)
+}
+
+// SendGather passes a payload in pieces on to a transport that takes
+// them, and flattens it for one that does not.
+func (m *syncLinkMeter) SendGather(from, to transport.Addr, kind string, g transport.Gather) error {
+	m.count(kind, g.Len())
+	return transport.SendGather(m.Transport, from, to, kind, g)
+}
+
+func (m *syncLinkMeter) count(kind string, n int) {
+	if kind == MsgFwd || kind == MsgSingle || kind == MsgRelay {
+		m.bytes.Add(int64(n))
+	}
 }
 
 // BenchmarkPairRound8K is the deterministic fence on one pair's bytes path:
@@ -33,66 +47,158 @@ func (m *syncLinkMeter) Send(from, to transport.Addr, kind string, payload []byt
 // request once (the t1 = 0 relay a second time when it wins its race with
 // the forward) and the two candidates a digest each. Whole-output compare
 // made it 24,984 synclink-B, 304,437 B and 91 allocs per round; it reads
-// 16,750, ~58,500 and 30 (~96,400 and 33 while each output was encoded and
+// 16,754, ~58,450 and 30 (~96,400 and 33 while each output was encoded and
 // then copied twice more into its wire form, the client's request likewise;
 // 53 allocs while names and destination lists were decoded as copies).
-// Run with -benchtime=1x as a smoke test, -benchtime=2000x for the
-// figures.
+// This rig sends a contiguous request and its echo machine copies the
+// request into its reply, so carrying payloads by reference left its
+// figures where they were; TestPairRoundBytes8K runs the rig as the FS
+// stack drives a pair, payloads by reference end to end. Run with
+// -benchtime=1x as a smoke test, -benchtime=2000x for the figures.
 func BenchmarkPairRound8K(b *testing.B) {
-	clk := clock.NewReal()
-	fabric := netsim.New(clk)
+	fabric := netsim.New(clock.NewReal())
 	defer fabric.Close()
-	net := &syncLinkMeter{Transport: fabric}
+	rig := newPairRoundRig(b, fabric, false)
+	before := rig.net.bytes.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rig.round()
+	}
+	b.StopTimer()
+	rig.settle()
+	b.ReportMetric(float64(rig.net.bytes.Load()-before)/float64(b.N), "synclink-B/op")
+}
+
+// TestPairRoundBytes8K holds BenchmarkPairRound8K's rig, driven as the FS
+// stack drives a pair — the request's payload in gather form, as
+// fsnewtop's multicast request carries it, and a machine that carries it
+// on by reference into its reply, as group's delivery does — to its bytes
+// per round, counted by the runtime over 500 rounds. Over tcpnet every
+// message goes out in pieces, so a round allocates the request, the five
+// frames the nodes receive and ~7 kB of small objects: ~68–71 kB (a
+// sixth frame, the follower's relay, lands in some rounds; the budget
+// allows it in every one), where encoding every payload into each message
+// that carried it took ~125 kB.
+// netsim takes no pieces: the request, the forward and each half's reply
+// are flattened once each, ~49 kB, where it took ~66.5 kB. Over netsim the
+// sync link carries the forward, the relay and two digests: 16,774 B a
+// round; over tcpnet the relay loses its race more often.
+func TestPairRoundBytes8K(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64 // bytes allocated per round
+		open   func(t *testing.T) transport.Transport
+	}{
+		{"netsim", 51_000, func(t *testing.T) transport.Transport {
+			n := netsim.New(clock.NewReal())
+			t.Cleanup(n.Close)
+			return n
+		}},
+		{"tcpnet", 78_000, func(t *testing.T) transport.Transport {
+			tr, err := tcpnet.New(tcpnet.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tr.Close)
+			return tr
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rig := newPairRoundRig(t, c.open(t), true)
+			const rounds = 500
+			sync0 := rig.net.bytes.Load()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				rig.round()
+			}
+			rig.settle()
+			runtime.ReadMemStats(&after)
+			perRound := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+			syncPer := float64(rig.net.bytes.Load()-sync0) / rounds
+			t.Logf("%.0f B allocated and %.0f synclink-B per round", perRound, syncPer)
+			if perRound > c.budget {
+				t.Errorf("%.0f B allocated per 8 KiB pair round; the budget is %.0f", perRound, c.budget)
+			}
+			if syncPer > 16_800 {
+				t.Errorf("%.0f synclink-B per round; the forward, the relay and two digests take 16,774", syncPer)
+			}
+		})
+	}
+}
+
+// pairRoundRig is one pair over a transport, with a client that submits
+// 8 KiB requests and a receiver that accepts the double-signed replies.
+// The pair runs the echo machine on contiguous requests, or with gather
+// set bodyMachine on requests sent in gather form.
+type pairRoundRig struct {
+	net    *syncLinkMeter
+	round  func() // submits one request and waits for its reply
+	settle func() // waits for every message sent to be delivered
+}
+
+func newPairRoundRig(tb testing.TB, tr transport.Transport, gather bool) *pairRoundRig {
+	clk := clock.NewReal()
+	net := &syncLinkMeter{Transport: tr}
 	dir, keys := NewDirectory(), sig.NewDirectoryCache(0) // no memo: every check is a real one
 
 	got := make(chan struct{}, 1)
 	rc := NewReceiver(dir, keys, func(string, sm.Output) { got <- struct{}{} }, nil)
 	dir.RegisterPlain("app", "app")
 	net.Register("app", rc.Handle)
+	newMachine := func() sm.Machine { return newEchoMachine("resp", sm.LocalDelivery) }
+	if gather {
+		newMachine = func() sm.Machine { return bodyMachine{} }
+	}
 	pair, err := NewPair(PairConfig{
 		Name:       "p",
-		NewMachine: func() sm.Machine { return newEchoMachine("resp", sm.LocalDelivery) },
+		NewMachine: newMachine,
 		Net:        net, Clock: clk, Dir: dir, Keys: keys,
 		Delta: time.Second, LocalName: "app",
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer pair.Close()
+	tb.Cleanup(pair.Close)
 	signer := sig.NewHMACSigner("client", []byte("bench-client"))
 	if err := keys.RegisterSigner(signer); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dir.RegisterPlain("client", "client")
 	net.Register("client", func(transport.Message) {})
 	client := NewClient("client", "client", signer, net, dir)
 
-	round := func() {
-		if err := client.Send("p", "req", make([]byte, 8<<10)); err != nil {
-			b.Fatal(err)
+	rig := &pairRoundRig{net: net}
+	rig.round = func() {
+		body := make([]byte, 8<<10)
+		var err error
+		if gather {
+			_, err = client.SendSeq("p", "req", nil, codec.NewGather(nil, []codec.Region{{Off: 0, Src: body}}))
+		} else {
+			err = client.Send("p", "req", body)
+		}
+		if err != nil {
+			tb.Fatal(err)
 		}
 		select {
 		case <-got:
 		case <-time.After(10 * time.Second):
-			b.Fatalf("no double-signed output (pair failed: %v)", pair.Failed())
+			tb.Fatalf("no double-signed output (pair failed: %v)", pair.Failed())
 		}
 	}
-	round() // first-use allocations are not a round's cost
 	// The round is over when the first copy is accepted; let the second
 	// replica's copy land so it is not billed to the next round.
-	settle := func() {
-		for want := fabric.Stats().Sent; fabric.Stats().Delivered < want; {
+	rig.settle = func() {
+		stats := func() transport.Stats { st, _ := transport.GetStats(tr); return st }
+		for want := stats().Sent; stats().Delivered < want; {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	settle()
-	before := net.bytes.Load()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
-	}
-	b.StopTimer()
-	settle()
-	b.ReportMetric(float64(net.bytes.Load()-before)/float64(b.N), "synclink-B/op")
+	rig.round() // first-use allocations are not a round's cost
+	rig.settle()
+	return rig
 }

@@ -22,10 +22,11 @@ func (bodyMachine) Step(in sm.Input) []sm.Output {
 	if in.Kind != "req" {
 		return nil
 	}
-	w := codec.NewWriter(4 + 3 + 4 + len(in.Payload))
+	w := codec.NewGatherWriter(4 + 3 + 4 + len(in.Payload) - codec.Held(in.Payload))
 	w.String("hdr")
 	w.Body32(in.Payload)
-	return []sm.Output{{Kind: "resp", To: []string{sm.LocalDelivery}, Payload: w.Bytes(), Bodies: w.Bodies()}}
+	b, g := w.Encoding()
+	return []sm.Output{{Kind: "resp", To: []string{sm.LocalDelivery}, Payload: b, Gather: g}}
 }
 
 // mint returns the two valid wire copies of one output of s, its body
@@ -33,7 +34,7 @@ func (bodyMachine) Step(in sm.Input) []sm.Output {
 func (s *fakeFS) mint(t *testing.T, seq uint64, out sm.Output) (viaL, viaF []byte) {
 	t.Helper()
 	head, signed, bodies := encodeFSDigestHead(out, 0)
-	form := (*sig.BodyMemo)(nil).Form(signed, bodies)
+	form := (*sig.BodyMemo)(nil).FormGather(signed, bodies)
 	bb := OutputBody{Source: s.name, Seq: seq, DigestOnly: true, Output: form[:]}.Marshal()
 	copyOf := func(first, second sig.Signer) []byte {
 		env, err := sig.SignEnvelope(first, bb)
@@ -44,7 +45,10 @@ func (s *fakeFS) mint(t *testing.T, seq uint64, out sm.Output) (viaL, viaF []byt
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		if len(bodies) == 0 {
+			return b
+		}
+		return codec.NewGather(b, bodies).Flat()
 	}
 	return copyOf(s.f, s.l), copyOf(s.l, s.f)
 }
@@ -52,14 +56,15 @@ func (s *fakeFS) mint(t *testing.T, seq uint64, out sm.Output) (viaL, viaF []byt
 // twoBodies is an output carrying two application payloads, as a batch of
 // two deliveries does.
 func twoBodies(a, b []byte) sm.Output {
-	w := codec.NewWriter(64 + len(a) + len(b))
+	w := codec.NewGatherWriter(64)
 	w.U8(1) // the batch's wire version
 	w.U32(2)
 	w.String("gc.deliver")
 	w.Body32(a)
 	w.String("gc.deliver")
 	w.Body32(b)
-	return sm.Output{Kind: "gc.batch", To: []string{"x"}, Payload: w.Bytes(), Bodies: w.Bodies()}
+	enc, g := w.Encoding()
+	return sm.Output{Kind: "gc.batch", To: []string{"x"}, Payload: enc, Gather: g}
 }
 
 // regionsOf returns a tagFSD copy's body regions, offsets from its start.
@@ -187,9 +192,8 @@ func bodyPair(t *testing.T, wrap func(sm.Machine) sm.Machine) (*Pair, *appSink, 
 	signer := newClientSigner(t, e, "cl")
 	client := NewClient("cl", "cl", signer, e.net, e.dir)
 	body := bytes.Repeat([]byte("q"), 8<<10)
-	var bodies []codec.Region
-	bodies = append(bodies, codec.Region{Off: 0, Src: body})
-	if _, err := client.SendSeq("p", "req", body, bodies); err != nil {
+	whole := codec.NewGather(nil, []codec.Region{{Off: 0, Src: body}})
+	if _, err := client.SendSeq("p", "req", nil, whole); err != nil {
 		t.Fatal(err)
 	}
 	return pair, sink, failCh

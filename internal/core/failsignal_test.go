@@ -107,6 +107,17 @@ func encodeFSDigestPayload(dbl sig.Double, full []byte) []byte {
 	return w.Bytes()
 }
 
+// signClientPayload signs ci, its payload g in gather form when not nil,
+// as s and returns the MsgNew payload in one slice (signClient, flattened).
+func signClientPayload(s sig.Signer, ci ClientInput, g *codec.Gather) ([]byte, error) {
+	ci.gather = g
+	b, pg, err := signClient(s, ci)
+	if pg != nil {
+		b = pg.Flat()
+	}
+	return b, err
+}
+
 // encodeClientPayload wraps an envelope a test signed (or forged) as a
 // tagClient payload with no region table.
 func encodeClientPayload(env sig.Envelope) []byte {

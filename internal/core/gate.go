@@ -2,6 +2,7 @@ package failsignal
 
 import (
 	"strconv"
+	"sync"
 
 	"fsnewtop/internal/codec"
 	"fsnewtop/internal/trace"
@@ -153,4 +154,43 @@ func (g *gate) mark(k wireKey) {
 		g.streams[gateStream{k.kind, string(k.source)}] = w
 	}
 	w.mark(k.seq)
+}
+
+// reservations holds the keys of the inputs a copy of which a node is
+// decoding and verifying outside its lock, each with that copy's bytes. A
+// copy of the same input that arrives meanwhile on another link waits for
+// the first copy's verdict instead of decoding, hashing and verifying the
+// same input again: once the first is accepted the gate knows the key and
+// the waiting copy is dropped; if the first is refused the waiting copy
+// reserves the key and is decoded in its turn, so a forged copy shadows
+// nothing. It waits rather than standing aside because its link's later
+// messages must not overtake it: acceptance order is link order. The wait
+// is one decode and verification of the other copy — the time the link
+// used to spend decoding its own — and the holder waits on nothing. The
+// owner's lock guards it and is the condition's.
+type reservations struct {
+	held map[inputKey][]byte
+	done *sync.Cond // broadcast whenever a reservation ends
+}
+
+func newReservations(owner *sync.Mutex) reservations {
+	return reservations{held: make(map[inputKey][]byte), done: sync.NewCond(owner)}
+}
+
+// busy reports whether a copy of key is being decoded.
+func (rs reservations) busy(key inputKey) bool {
+	_, ok := rs.held[key]
+	return ok
+}
+
+// wait releases the owner's lock until some reservation ends.
+func (rs reservations) wait() { rs.done.Wait() }
+
+// hold reserves key for raw, the copy about to be decoded.
+func (rs reservations) hold(key inputKey, raw []byte) { rs.held[key] = raw }
+
+// end ends key's reservation and wakes the copies waiting on it.
+func (rs reservations) end(key inputKey) {
+	delete(rs.held, key)
+	rs.done.Broadcast()
 }

@@ -81,7 +81,8 @@ func (s *fakeFS) copies(t *testing.T, body OutputBody, full []byte) (viaL, viaF 
 func (s *fakeFS) output(t *testing.T, seq uint64, payload string) (viaL, viaF []byte) {
 	out := sm.Output{Kind: "k", To: []string{"x"}, Payload: []byte(payload)}
 	if payload != "" {
-		out.Bodies = append(out.Bodies, codec.Region{Off: 0, Src: out.Payload})
+		out.Gather = codec.NewGather(nil, []codec.Region{{Off: 0, Src: out.Payload}})
+		out.Payload = nil
 	}
 	return s.mint(t, seq, out)
 }

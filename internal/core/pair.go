@@ -245,17 +245,18 @@ func (c *Client) Send(dest, kind string, body []byte) error {
 // SendSeq is Send returning the per-client sequence the input was
 // submitted under — the number that appears in the replicas' dedupe keys
 // (traced as "c|<client>|<seq>"), so callers can correlate a submission with the
-// order/compare trace events it produces. bodies are the body regions of
-// body (see sm.Output.Bodies): the replicas that verify the input
+// order/compare trace events it produces. g, when not nil, is the body in
+// gather form instead of body (see sm.Output.Gather): its payloads are
+// signed and sent by reference, and the replicas that verify the input
 // remember their digests for the outputs that carry them on.
-func (c *Client) SendSeq(dest, kind string, body []byte, bodies []codec.Region) (uint64, error) {
+func (c *Client) SendSeq(dest, kind string, body []byte, g *codec.Gather) (uint64, error) {
 	c.mu.Lock()
 	c.seq++
 	seq := c.seq
 	c.mu.Unlock()
 
-	ci := ClientInput{Client: c.name, Seq: seq, Kind: kind, Body: body}
-	payload, err := signClientPayload(c.signer, ci, bodies)
+	ci := ClientInput{Client: c.name, Seq: seq, Kind: kind, Body: body, gather: g}
+	payload, pg, err := signClient(c.signer, ci)
 	if err != nil {
 		return seq, fmt.Errorf("failsignal: client %q signing input: %w", c.name, err)
 	}
@@ -264,11 +265,21 @@ func (c *Client) SendSeq(dest, kind string, body []byte, bodies []codec.Region) 
 		return seq, err
 	}
 	for _, a := range addrs {
-		if err := c.net.Send(c.addr, a, MsgNew, payload); err != nil {
+		if err := sendEncoding(c.net, c.addr, a, MsgNew, payload, pg); err != nil {
 			return seq, err
 		}
 	}
 	return seq, nil
+}
+
+// sendEncoding sends an encoding: b, or its gather form g when not nil,
+// in pieces over a transport.GatherSender and flattened (once, however
+// many destinations it is sent to) over any other transport.
+func sendEncoding(net transport.Transport, from, to transport.Addr, kind string, b []byte, g *codec.Gather) error {
+	if g != nil {
+		return transport.SendGather(net, from, to, kind, g)
+	}
+	return net.Send(from, to, kind, b)
 }
 
 // Receiver is the plain-endpoint counterpart of an FS process's output
@@ -288,9 +299,10 @@ type Receiver struct {
 	// reuse, so it remembers nothing.
 	hashed sig.BodyMemo
 
-	mu       sync.Mutex // guards gate and rejected; acceptance order is the order it is taken in
+	mu       sync.Mutex // guards gate, decoding and rejected; acceptance order is the order it is taken in
 	gate     gate
 	rejected uint64
+	decoding reservations // see Handle
 	// handoff serialises the callbacks. An accepting goroutine takes it
 	// before releasing mu, so two links' handler goroutines hand their
 	// outputs to the application in acceptance order, while duplicates
@@ -302,13 +314,15 @@ type Receiver struct {
 // handed an output's kind and payload; its destinations, of which this
 // endpoint is one, are checked but not decoded (To is nil).
 func NewReceiver(dir *Directory, verifier sig.Verifier, onOutput func(string, sm.Output), onFail func(string)) *Receiver {
-	return &Receiver{
+	rc := &Receiver{
 		dir:      dir,
 		verifier: verifier,
 		onOutput: onOutput,
 		onFail:   onFail,
 		gate:     newGate(),
 	}
+	rc.decoding = newReservations(&rc.mu)
+	return rc
 }
 
 // SetTrace attaches the invocation-layer node's event ring. The receiver
@@ -317,8 +331,10 @@ func NewReceiver(dir *Directory, verifier sig.Verifier, onOutput func(string, sm
 func (rc *Receiver) SetTrace(ring *trace.Ring) { rc.ring = ring }
 
 // Handle is the transport handler for the receiving endpoint. Like
-// Replica.onNew it asks the gate before the verifier; decoding and
-// verification run outside both locks.
+// Replica.onNew it asks the gate before the verifier, and reserves the key
+// of the copy it decodes, so a copy of the same output arriving on another
+// link meanwhile waits for its verdict instead of being decoded again (see
+// reservations). Decoding and verification run outside both locks.
 func (rc *Receiver) Handle(msg transport.Message) {
 	if msg.Kind != MsgOut && msg.Kind != MsgNew {
 		return
@@ -331,19 +347,27 @@ func (rc *Receiver) Handle(msg transport.Message) {
 	if k.kind == keyClient {
 		return
 	}
+	key := k.key()
 	rc.mu.Lock()
-	dup := rc.dupLocked(k)
-	rc.mu.Unlock()
-	if dup {
-		return
+	for {
+		if rc.dupLocked(k) {
+			rc.mu.Unlock()
+			return
+		}
+		if !rc.decoding.busy(key) {
+			break
+		}
+		rc.decoding.wait()
 	}
+	rc.decoding.hold(key, msg.Payload)
+	rc.mu.Unlock()
 	var p newPayload
 	if err := p.decode(msg.Payload, &rc.hashed, nil); err != nil {
-		rc.reject(k.seq, string(k.source))
+		rc.refuse(k.seq, string(k.source), key)
 		return
 	}
 	if err := rc.dir.VerifyFromFS(p.body.Source, p.dbl, rc.verifier); err != nil {
-		rc.reject(p.body.Seq, p.body.Source)
+		rc.refuse(p.body.Seq, p.body.Source, key)
 		return
 	}
 	var (
@@ -355,7 +379,8 @@ func (rc *Receiver) Handle(msg transport.Message) {
 	}
 
 	rc.mu.Lock()
-	if rc.dupLocked(k) { // the other copy was verified and accepted meanwhile
+	rc.decoding.end(key)
+	if rc.dupLocked(k) {
 		rc.mu.Unlock()
 		return
 	}
@@ -392,6 +417,16 @@ func (rc *Receiver) reject(seq uint64, source string) {
 	rc.mu.Lock()
 	rc.rejected++
 	rc.ring.Emit(trace.EvReject, seq, 0, source)
+	rc.mu.Unlock()
+}
+
+// refuse counts and traces a copy refused while it held key's
+// reservation, and ends the reservation.
+func (rc *Receiver) refuse(seq uint64, source string, key inputKey) {
+	rc.mu.Lock()
+	rc.rejected++
+	rc.ring.Emit(trace.EvReject, seq, 0, source)
+	rc.decoding.end(key)
 	rc.mu.Unlock()
 }
 

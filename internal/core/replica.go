@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fsnewtop/internal/clock"
+	"fsnewtop/internal/codec"
 	"fsnewtop/internal/sig"
 	"fsnewtop/internal/sm"
 	"fsnewtop/internal/trace"
@@ -134,11 +135,12 @@ type ReplicaStats struct {
 type icmpEntry struct {
 	digest [32]byte
 	dests  []string
-	// head is the output's tagFSD payload up to its double signature (see
-	// encodeFSDigestHead): the peer's candidate carries only the digest,
-	// so dispatch appends the double to the local copy of the bytes.
-	head []byte
-	w    *watch
+	// head and bodies are the output's tagFSD payload up to its double
+	// signature (see encodeFSDigestHead): the peer's candidate carries only
+	// the digest, so dispatch appends the double to the local head.
+	head   []byte
+	bodies []codec.Region
+	w      *watch
 }
 
 // ecmpEntry is an External Candidate Message Pool entry: a peer candidate
@@ -172,6 +174,10 @@ type Replica struct {
 	// memo remembers the payload digests this node took, so the outputs
 	// that carry a payload on reuse the hash its input paid for.
 	memo *sig.BodyMemo
+	// pieces is set when the transport sends a payload in pieces
+	// (transport.GatherSender), so the leader's forward references the
+	// input it orders instead of copying it.
+	pieces bool
 
 	// Owned by the loop's passes, never touched elsewhere.
 	steps  []orderedInput // DMQ inputs taken over by the loop
@@ -219,6 +225,7 @@ type Replica struct {
 	icmp        map[uint64]icmpEntry
 	ecmp        map[uint64]ecmpEntry
 	irmp        map[inputKey]*irmpEntry
+	decoding    reservations // see onNew
 	failed      bool
 	failDbl     sig.Double // cached double-signed fail-signal, set on failure
 	closed      bool
@@ -246,6 +253,8 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		ecmp: make(map[uint64]ecmpEntry),
 		irmp: make(map[inputKey]*irmpEntry),
 	}
+	r.decoding = newReservations(&r.mu)
+	_, r.pieces = cfg.Net.(transport.GatherSender)
 	if cfg.TickInterval > 0 {
 		if cfg.Role == Leader {
 			r.nextTick = cfg.Clock.Now().Add(cfg.TickInterval)
@@ -366,7 +375,7 @@ func (r *Replica) AddWatcher(name string) {
 	}
 	r.mu.Unlock()
 	if failed {
-		r.sendToDest(name, encodeFSPayload(dbl))
+		r.sendToDest(name, encodeFSPayload(dbl), nil)
 	}
 }
 
@@ -464,7 +473,11 @@ func (r *Replica) verifyPayload(p *newPayload) error {
 // leader receives back from its follower as relays after t1. Identity
 // comes before authenticity: a copy of something this replica already
 // holds is dropped on its key alone, and only a copy that would be
-// admitted pays for decoding and verification.
+// admitted pays for decoding and verification. The copy that does
+// reserves its key while it is decoded and verified, so another copy of
+// the same input arriving on another link meanwhile — over a real network
+// two links deliver at once — waits for its verdict instead of being
+// decoded and hashed a second time (see reservations).
 func (r *Replica) onNew(msg transport.Message) {
 	if r.replyIfFailed(msg.From) {
 		return
@@ -474,23 +487,42 @@ func (r *Replica) onNew(msg transport.Message) {
 		r.countRejected()
 		return
 	}
+	key := k.key()
 	r.mu.Lock()
-	dup := r.dupLocked(k)
-	r.mu.Unlock()
-	if dup {
-		return
+	for {
+		if r.dupLocked(k) {
+			r.mu.Unlock()
+			return
+		}
+		if !r.decoding.busy(key) {
+			break
+		}
+		r.decoding.wait()
 	}
+	r.decoding.hold(key, msg.Payload)
+	r.mu.Unlock()
 	if r.cfg.Role == Leader {
 		var p newPayload
 		if r.admit(msg.Payload, &p) {
-			r.leaderAccept(k, msg.Payload, &p)
+			r.leaderAccept(k, key, msg.Payload, &p)
+			return
 		}
-		return
+	} else {
+		e := &irmpEntry{raw: msg.Payload}
+		if r.admit(msg.Payload, &e.p) {
+			r.followerAccept(k, key, e)
+			return
+		}
 	}
-	e := &irmpEntry{raw: msg.Payload}
-	if r.admit(msg.Payload, &e.p) {
-		r.followerAccept(k, e)
-	}
+	r.endReservation(key)
+}
+
+// endReservation ends the reservation of key without accepting the copy
+// that held it, waking the copies waiting on it.
+func (r *Replica) endReservation(key inputKey) {
+	r.mu.Lock()
+	r.decoding.end(key)
+	r.mu.Unlock()
 }
 
 // admit decodes raw into p and verifies it, counting a copy that fails
@@ -526,11 +558,14 @@ func (r *Replica) dupLocked(k wireKey) bool {
 // leaderAccept orders a verified input: mark it in the gate, forward to
 // the follower, and submit to the local DMQ. The forward and the local
 // submit happen under one critical section so the two replicas observe the
-// same total order. The gate is asked again because another copy may have
-// been verified and ordered while this one was being checked.
-func (r *Replica) leaderAccept(k wireKey, raw []byte, p *newPayload) {
+// same total order. It ends key's reservation, and the copies waiting on
+// it find the key known. The gate is asked again under the lock, as the
+// failed and closed flags are; the reservation already kept every other
+// copy from being ordered meanwhile.
+func (r *Replica) leaderAccept(k wireKey, key inputKey, raw []byte, p *newPayload) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.decoding.end(key)
 	if r.failed || r.closed || r.dupLocked(k) {
 		return
 	}
@@ -539,7 +574,14 @@ func (r *Replica) leaderAccept(k wireKey, raw []byte, p *newPayload) {
 	r.ordIdx++
 	r.stats.Ordered++
 	fp := fwdPayload{Index: idx, Raw: raw}
-	_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgFwd, fp.marshal())
+	if r.pieces {
+		b, g := fp.gather()
+		_ = sendEncoding(r.cfg.Net, r.cfg.Self, r.cfg.Peer, MsgFwd, b, g)
+	} else {
+		// Flattening a gather form would copy raw all the same, and
+		// allocate the gather besides.
+		_ = r.cfg.Net.Send(r.cfg.Self, r.cfg.Peer, MsgFwd, fp.marshal())
+	}
 	r.submitLocked(p.toInput(r.cfg.LocalName), r.cfg.Clock.Now())
 	traceKey(r.cfg.Trace, trace.EvOrder, idx, 0, k)
 }
@@ -551,15 +593,16 @@ func (r *Replica) leaderAccept(k wireKey, raw []byte, p *newPayload) {
 // leaderAccept sends its fwd, so relays leave in the order inputs were
 // pooled: the leader merges the direct and relayed streams, and per-stream
 // FIFO is what orders a client's inputs in submission order (e.g. a group
-// join before the multicasts that follow it). The gate is not marked here:
-// only the leader's order admits an input.
-func (r *Replica) followerAccept(k wireKey, e *irmpEntry) {
+// join before the multicasts that follow it). It ends key's reservation;
+// the copies waiting on it find the input pooled. The gate is not marked
+// here: only the leader's order admits an input.
+func (r *Replica) followerAccept(k wireKey, key inputKey, e *irmpEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.decoding.end(key)
 	if r.failed || r.closed || r.dupLocked(k) {
 		return
 	}
-	key := k.key()
 	e.w = r.wd.arm(watchOrder, key, 0, t2PerDelta*r.cfg.Delta, r.ordProgress)
 	r.irmp[key] = e
 	r.stats.Relayed++
@@ -609,9 +652,20 @@ func (r *Replica) onFwd(msg transport.Message) {
 	key := k.key()
 
 	// A leader that substitutes other bytes under a pending key gets no
-	// credit for the copy this node verified: only identical bytes do.
+	// credit for the copy this node verified: only identical bytes do. A
+	// direct copy still being decoded (its key reserved) is no verified
+	// copy, but the forward is read from its bytes where they are equal,
+	// so the two share one hash of each payload through the memo. With no
+	// such copy the forward reserves the key itself, so a direct copy
+	// arriving while it is decoded waits for it and is then dropped. The
+	// forward itself never waits: the order stream does not.
 	r.mu.Lock()
 	held := r.irmp[key] // raw and p are never written after the entry is pooled
+	prior, busy := r.decoding.held[key]
+	if !busy {
+		r.decoding.hold(key, fp.Raw)
+		defer r.endReservation(key)
+	}
 	r.mu.Unlock()
 	var (
 		p     *newPayload
@@ -621,7 +675,6 @@ func (r *Replica) onFwd(msg transport.Message) {
 		p = &held.p
 	} else {
 		p = &fresh
-		var prior []byte
 		if held != nil {
 			prior = held.raw
 		}
@@ -724,7 +777,8 @@ func (r *Replica) compareDeadline(pi, tau time.Duration) time.Duration {
 }
 
 // compareOutput implements the Compare send side for one output: encode it
-// once, straight into the head of its wire form, take its digest form,
+// once, straight into the head of its wire form with its payloads held by
+// reference, take its digest form,
 // sign the digest body, forward that to the remote Compare, and either
 // match it against an already-received peer candidate or pool it in the
 // ICMP under a deadline. The signed body carries the output's digest form
@@ -736,7 +790,7 @@ func (r *Replica) compareDeadline(pi, tau time.Duration) time.Duration {
 // fail-signalled or crashed never hands its peer another one.
 func (r *Replica) compareOutput(seq uint64, out sm.Output, pi time.Duration) {
 	head, signed, bodies := encodeFSDigestHead(out, doubleSize(r.cfg.Signer, r.cfg.Name))
-	d := r.memo.Form(signed, bodies)
+	d := r.memo.FormGather(signed, bodies)
 	body := OutputBody{Source: r.cfg.Name, Seq: seq, DigestOnly: true, Output: d[:]}
 	bb := body.Marshal()
 	digest := sig.Digest(bb)
@@ -769,13 +823,14 @@ func (r *Replica) compareOutput(seq uint64, out sm.Output, pi time.Duration) {
 			r.failSignal(fmt.Sprintf("output %d content mismatch", seq))
 			return
 		}
-		r.dispatchMatched(peer.env, out.To, head)
+		r.dispatchMatched(peer.env, out.To, head, bodies)
 		return
 	}
 	r.icmp[seq] = icmpEntry{
 		digest: digest,
 		dests:  out.To,
 		head:   head,
+		bodies: bodies,
 		w:      r.wd.arm(watchCompare, inputKey{}, seq, deadline, r.cmpProgress),
 	}
 	r.icmpOrder = append(r.icmpOrder, seq)
@@ -967,13 +1022,13 @@ func (r *Replica) onSingle(msg transport.Message) {
 		if match {
 			r.cfg.Trace.Emit(trace.EvCompareMatch, body.Seq, 0, "")
 		}
-		dests, head := e.dests, e.head
+		dests, head, bodies := e.dests, e.head, e.bodies
 		r.mu.Unlock()
 		if !match {
 			r.failSignal(fmt.Sprintf("output %d content mismatch", body.Seq))
 			return
 		}
-		r.dispatchMatched(env, dests, head)
+		r.dispatchMatched(env, dests, head, bodies)
 		return
 	}
 	r.ecmp[body.Seq] = ecmpEntry{env: env, digest: digest}
@@ -1020,23 +1075,29 @@ const maxECMP = 1 << 16
 
 // dispatchMatched counter-signs the peer's candidate — producing the
 // double-signed output that is the valid output form of the FS process —
-// and sends it to every destination. head is the output's tagFSD payload
-// up to the double (see encodeFSDigestHead): the double is appended to it
-// in place, so the output is encoded once and the one buffer is shared by
-// every destination.
-func (r *Replica) dispatchMatched(peerEnv sig.Envelope, dests []string, head []byte) {
+// and sends it to every destination. head and bodies are the output's
+// tagFSD payload up to the double (see encodeFSDigestHead): the double is
+// appended to the head's own bytes in place, so the output is encoded
+// once, its payloads are sent from where they lie, and the one encoding —
+// flattened at most once — is shared by every destination.
+func (r *Replica) dispatchMatched(peerEnv sig.Envelope, dests []string, head []byte, bodies []codec.Region) {
 	payload, err := sig.AppendCounterSign(head, r.cfg.Signer, peerEnv)
 	if err != nil {
 		r.failSignal(fmt.Sprintf("cannot counter-sign matched output: %v", err))
 		return
 	}
+	var g *codec.Gather
+	if len(bodies) > 0 {
+		g = codec.NewGather(payload, bodies)
+	}
 	for _, dest := range dests {
-		r.sendToDest(dest, payload)
+		r.sendToDest(dest, payload, g)
 	}
 }
 
-// sendToDest routes a double-signed payload to one logical destination.
-func (r *Replica) sendToDest(dest string, payload []byte) {
+// sendToDest routes a double-signed payload to one logical destination:
+// payload, or its gather form g when not nil (see sendEncoding).
+func (r *Replica) sendToDest(dest string, payload []byte, g *codec.Gather) {
 	if dest == sm.LocalDelivery {
 		if r.cfg.LocalName == "" {
 			return
@@ -1048,11 +1109,11 @@ func (r *Replica) sendToDest(dest string, payload []byte) {
 		return
 	}
 	if info.Kind == KindFS {
-		_ = r.cfg.Net.Send(r.cfg.Self, info.Addrs[0], MsgNew, payload)
-		_ = r.cfg.Net.Send(r.cfg.Self, info.Addrs[1], MsgNew, payload)
+		_ = sendEncoding(r.cfg.Net, r.cfg.Self, info.Addrs[0], MsgNew, payload, g)
+		_ = sendEncoding(r.cfg.Net, r.cfg.Self, info.Addrs[1], MsgNew, payload, g)
 		return
 	}
-	_ = r.cfg.Net.Send(r.cfg.Self, info.Addrs[0], MsgOut, payload)
+	_ = sendEncoding(r.cfg.Net, r.cfg.Self, info.Addrs[0], MsgOut, payload, g)
 }
 
 // failSignal transitions the Compare thread into its failure mode: it
@@ -1096,7 +1157,7 @@ func (r *Replica) failSignal(reason string) {
 	}
 	sort.Strings(dests) // one send order every run
 	for _, dest := range dests {
-		r.sendToDest(dest, payload)
+		r.sendToDest(dest, payload, nil)
 	}
 	if hook != nil {
 		hook(reason)

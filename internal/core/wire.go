@@ -47,24 +47,35 @@ type ClientInput struct {
 	Seq    uint64 // per-client sequence number, for duplicate suppression
 	Kind   string // sm.Input kind for the wrapped machine
 	Body   []byte // sm.Input payload
+	// gather, when not nil, is the payload in gather form instead of Body
+	// (see sm.Output.Gather).
+	gather *codec.Gather
+}
+
+// bodyLen is the length of c's payload.
+func (c ClientInput) bodyLen() int {
+	if c.gather != nil {
+		return c.gather.Len()
+	}
+	return len(c.Body)
 }
 
 // size is the exact length of c's encoding.
-func (c ClientInput) size() int { return 4 + len(c.Client) + 8 + 4 + len(c.Kind) + 4 + len(c.Body) }
+func (c ClientInput) size() int { return 4 + len(c.Client) + 8 + 4 + len(c.Kind) + 4 + c.bodyLen() }
 
-// encode appends c's encoding to w, recording bodies, the body regions of
-// c.Body (see sm.Output.Bodies), at their place in it.
-func (c ClientInput) encode(w *codec.Writer, bodies []codec.Region) {
+// encode appends c's encoding to w, nesting the gather form of its
+// payload, if any, by reference in a gather-form writer.
+func (c ClientInput) encode(w *codec.Writer) {
 	w.String(c.Client)
 	w.U64(c.Seq)
 	w.String(c.Kind)
-	w.Nested32(c.Body, bodies)
+	w.Nested32(c.Body, c.gather)
 }
 
 // Marshal returns the canonical encoding of c.
 func (c ClientInput) Marshal() []byte {
 	w := codec.NewWriter(c.size())
-	c.encode(w, nil)
+	c.encode(w)
 	return w.Bytes()
 }
 
@@ -158,26 +169,35 @@ type newPayload struct {
 	tick   time.Time    // tagTick
 }
 
-// signClientPayload signs ci as s and returns it as a MsgNew payload, built
-// in one buffer: the tag, the client envelope — ci's encoding as its body,
-// then a signature over the digest form of the payload up to there
-// (hash-then-MAC, so the replica that verifies it hashes each application
-// payload once and remembers the digest) — and the region table the form
-// was taken over: bodies, the body regions of ci.Body, at their place in
-// the payload.
-func signClientPayload(s sig.Signer, ci ClientInput, bodies []codec.Region) ([]byte, error) {
-	n := ci.size()
-	w := codec.NewWriter(1 + 4 + len(s.ID()) + 4 + n + 4 + sig.SignatureSize(s) + 4 + 8*len(bodies))
+// signClient signs ci as s and returns it as a MsgNew payload, built in
+// one gather-form writer: the tag, the client envelope — ci's encoding as
+// its body, then a signature over the digest form of the payload up to
+// there (hash-then-MAC, so the replica that verifies it hashes each
+// application payload once and remembers the digest) — and the region
+// table the form was taken over: the body regions of ci's gather form, at
+// their place in the payload. The payload is its bytes (g nil), or, when
+// ci carries payloads by reference, its gather form (b nil).
+func signClient(s sig.Signer, ci ClientInput) (b []byte, g *codec.Gather, err error) {
+	n, held, regions := ci.size(), 0, 0
+	if ci.gather != nil {
+		held, regions = ci.gather.Held(), len(ci.gather.Bodies())
+	}
+	w := codec.NewGatherWriter(1 + 4 + len(s.ID()) + 4 + n - held + 4 + sig.SignatureSize(s) + 4 + 8*regions)
 	w.U8(tagClient)
 	w.String(string(s.ID()))
 	w.U32(uint32(n))
-	ci.encode(w, bodies)
-	form := (*sig.BodyMemo)(nil).Form(w.Bytes(), w.Bodies())
-	wire, err := sig.AppendSign(w.Bytes(), s, form[:])
+	ci.encode(w)
+	bodies := w.Bodies()
+	form := (*sig.BodyMemo)(nil).FormGather(w.Bytes(), bodies)
+	own, err := sig.AppendSign(w.Bytes(), s, form[:])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return codec.AppendRegionTable(wire, w.Bodies()), nil
+	own = codec.AppendRegionTable(own, bodies)
+	if len(bodies) == 0 {
+		return own, nil, nil
+	}
+	return nil, codec.NewGather(own, bodies), nil
 }
 
 // encodeFSPayload wraps a double-signed fail-signal as a MsgNew payload.
@@ -189,18 +209,25 @@ func encodeFSPayload(dbl sig.Double) []byte {
 }
 
 // encodeFSDigestHead writes the head of out's tagFSD payload — the one
-// form an FS output travels in: the tag, the output's encoding (full) and
-// the region table of its payloads (offsets from the payload's start), in
-// a buffer with room bytes to spare for the double signature the pair
-// appends on match (sig.AppendCounterSign), so the output is encoded
-// once, straight into its wire form. signed is the head up to the end of
-// full, what the digest form covers. The signatures cover only the small
-// digest body; the receiver recomputes the digest form of signed over the
-// table and refuses a mismatch, so the bytes are exactly as
+// form an FS output travels in: the tag, the output's encoding and the
+// region table of its payloads (offsets from the payload's start), in a
+// gather-form writer whose own bytes have room bytes to spare for the
+// double signature the pair appends on match (sig.AppendCounterSign), so
+// the output is encoded once, straight into its wire form, and the
+// payloads it carries are never copied. head is the own bytes of the whole
+// head and signed those of the part the digest form covers (up to the end
+// of the output's encoding); bodies are the regions, all inside that
+// part: head and bodies are the head's gather form (codec.NewGather), and
+// the head itself when bodies is empty. The signatures cover only the
+// small digest body; the receiver recomputes the digest form of the bytes
+// over the table and refuses a mismatch, so the bytes are exactly as
 // tamper-evident as if they were signed directly.
 func encodeFSDigestHead(out sm.Output, room int) (head, signed []byte, bodies []codec.Region) {
-	n := sm.OutputSize(out)
-	w := codec.NewWriter(1 + 4 + n + 4 + 8*len(out.Bodies) + room)
+	n, held, regions := sm.OutputSize(out), 0, 0
+	if out.Gather != nil {
+		held, regions = out.Gather.Held(), len(out.Gather.Bodies())
+	}
+	w := codec.NewGatherWriter(1 + 4 + n - held + 4 + 8*regions + room)
 	w.U8(tagFSD)
 	w.U32(uint32(n))
 	sm.EncodeOutput(w, out)
@@ -221,13 +248,16 @@ func encodeTickPayload(now time.Time) []byte {
 // overwrites whole, without verifying signatures; callers verify according
 // to the tag. It takes the digest form of what carries body regions
 // through memo (nil: hash and remember nothing), and refuses output bytes
-// that miss their signed digest. prior, if non-nil, is the payload of a
-// verified copy of the same input this node holds: output bytes equal to
-// prior's are read from prior, so their payloads cost a memcmp, not a
-// second hash, and what the machine steps is the slice the memo
-// remembers. The result aliases b (or prior). On an error p holds no
-// meaning.
+// that miss their signed digest. prior, if non-nil, is the payload of
+// another copy of the same input this node holds: a payload equal to
+// prior, or output bytes equal to prior's, are read from prior, so their
+// payloads cost a memcmp, not a second hash, and what the machine steps is
+// the slice the memo remembers. The result aliases b (or prior). On an
+// error p holds no meaning.
 func (p *newPayload) decode(b []byte, memo *sig.BodyMemo, prior []byte) error {
+	if len(prior) == len(b) && bytes.Equal(b, prior) {
+		b = prior
+	}
 	r := codec.NewReader(b)
 	*p = newPayload{tag: r.U8()}
 	switch p.tag {
@@ -375,6 +405,16 @@ func (f fwdPayload) marshal() []byte {
 	w.U64(f.Index)
 	w.Bytes32(f.Raw)
 	return w.Bytes()
+}
+
+// gather returns the encoding marshal returns as a header plus a reference
+// to Raw, the bytes the transport handed in: the bytes (g nil) when Raw is
+// too short to be held, else the gather form (b nil).
+func (f fwdPayload) gather() (b []byte, g *codec.Gather) {
+	w := codec.NewGatherWriter(8 + 4 + len(f.Raw) - codec.Held(f.Raw))
+	w.U64(f.Index)
+	w.Body32(f.Raw)
+	return w.Encoding()
 }
 
 func unmarshalFwdPayload(b []byte) (fwdPayload, error) {

@@ -56,18 +56,18 @@ func (c *CorruptOutput) Step(in sm.Input) []sm.Output {
 	outs := c.Inner.Step(in)
 	for i := range outs {
 		c.produced++
-		if c.shouldCorrupt() && len(outs[i].Payload) > 0 {
+		if c.shouldCorrupt() && outs[i].Size() > 0 {
 			// Flip a copy: the payload may alias the input it was computed
 			// from, and over netsim that input is one slice shared with the
 			// healthy half — a fault that rewrote it would corrupt both
 			// halves alike and compare equal.
-			bad := bytes.Clone(outs[i].Payload)
+			bad := bytes.Clone(outs[i].Body())
 			at := c.At
 			if at < 0 {
 				at += len(bad)
 			}
 			bad[min(max(at, 0), len(bad)-1)] ^= 0xA5
-			outs[i].Payload = bad
+			outs[i].Payload, outs[i].Gather = bad, nil
 			c.injected.Add(1)
 		}
 	}

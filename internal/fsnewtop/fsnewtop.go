@@ -27,6 +27,7 @@
 package fsnewtop
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -324,8 +325,8 @@ func New(cfg Config) (*NSO, error) {
 // the submission in the invocation trace. The window calls it, holding its
 // lock — which is what keeps the client's sequence numbers in submission
 // order.
-func (n *NSO) reissue(kind string, payload []byte, bodies []codec.Region) error {
-	seq, err := n.client.SendSeq(n.name, kind, payload, bodies)
+func (n *NSO) reissue(kind string, payload []byte, g *codec.Gather) error {
+	seq, err := n.client.SendSeq(n.name, kind, payload, g)
 	if err != nil {
 		// No reissue event: recording a submission that never reached the
 		// pair would point a stall post-mortem at the replicas when the
@@ -404,10 +405,16 @@ func (n *NSO) JoinExisting(groupName string, contacts []string) error {
 // started: "all entities expecting a response" must include it.
 func (n *NSO) AddPeer(name string) { n.pair.AddWatcher(name) }
 
-// Multicast implements newtop.Service.
+// Multicast implements newtop.Service. The payload is copied in once, here,
+// when it is long enough to travel by reference: from then on every
+// encoder and the transport reference that copy, which nothing writes,
+// while the application is free to reuse its own buffer.
 func (n *NSO) Multicast(groupName string, svc group.Service, payload []byte) error {
-	req, bodies := group.McastReq{Group: groupName, Service: svc, Payload: payload}.MarshalBodies()
-	return n.win.submit(group.KindMcast, req, bodies)
+	if codec.Held(payload) > 0 {
+		payload = bytes.Clone(payload)
+	}
+	req, g := group.McastReq{Group: groupName, Service: svc, Payload: payload}.MarshalGather()
+	return n.win.submit(group.KindMcast, req, g)
 }
 
 // Deliveries implements newtop.Service.

@@ -44,14 +44,14 @@ var errClosed = fmt.Errorf("fsnewtop: member closed: %w", transport.ErrClosed)
 // flight: a multicast waits only behind one, and every path that ends the
 // last one in flight flushes the window.
 type window struct {
-	// send signs and submits one input to both pair halves; bodies are
-	// the body regions of payload.
-	send  func(kind string, payload []byte, bodies []codec.Region) error
+	// send signs and submits one input to both pair halves: payload, or
+	// its gather form g when not nil (see sm.Output.Gather).
+	send  func(kind string, payload []byte, g *codec.Gather) error
 	clk   clock.Clock
 	delta time.Duration
 
 	mu      sync.Mutex
-	pending []sm.Output // the window's multicasts: kind, payload and its body regions
+	pending []sm.Output // the window's multicasts: kind and payload, or its gather form
 	bytes   int
 	opened  time.Time // when the open window's first message arrived
 	// inflight counts this member's own multicasts submitted to the pair
@@ -66,7 +66,7 @@ type window struct {
 }
 
 // newWindow returns an empty window; it runs no goroutine of its own.
-func newWindow(clk clock.Clock, delta time.Duration, send func(kind string, payload []byte, bodies []codec.Region) error) *window {
+func newWindow(clk clock.Clock, delta time.Duration, send func(kind string, payload []byte, g *codec.Gather) error) *window {
 	return &window{send: send, clk: clk, delta: delta}
 }
 
@@ -76,9 +76,9 @@ func newWindow(clk clock.Clock, delta time.Duration, send func(kind string, payl
 // multicasts queued before it, nor vice versa). A submission after close
 // fails with an error wrapping transport.ErrClosed, and one after a failed
 // background flush fails with that flush's error: a lost multicast is
-// always reported to the next caller. bodies are the body regions of
-// payload.
-func (w *window) submit(kind string, payload []byte, bodies []codec.Region) error {
+// always reported to the next caller. g, when not nil, is the payload in
+// gather form instead of payload.
+func (w *window) submit(kind string, payload []byte, g *codec.Gather) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -92,17 +92,18 @@ func (w *window) submit(kind string, payload []byte, bodies []codec.Region) erro
 		if err := w.flushLocked(); err != nil {
 			return err
 		}
-		return w.sendLocked(kind, payload, bodies)
+		return w.sendLocked(kind, payload, g)
 	}
 	if len(w.pending) == 0 && w.inflight == 0 {
-		return w.sendLocked(kind, payload, bodies)
+		return w.sendLocked(kind, payload, g)
 	}
 	if len(w.pending) == 0 {
 		w.opened = w.clk.Now()
 		w.backstop = w.clk.AfterFunc(w.delta, w.expire)
 	}
-	w.pending = append(w.pending, sm.Output{Kind: kind, Payload: payload, Bodies: bodies})
-	w.bytes += len(payload)
+	item := sm.Output{Kind: kind, Payload: payload, Gather: g}
+	w.pending = append(w.pending, item)
+	w.bytes += item.Size()
 	if len(w.pending) >= maxBatchMsgs || w.bytes >= maxBatchBytes {
 		return w.flushLocked()
 	}
@@ -120,10 +121,10 @@ func (w *window) flushLocked() error {
 	items := w.pending
 	w.pending, w.bytes = nil, 0
 	if len(items) == 1 {
-		return w.sendLocked(items[0].Kind, items[0].Payload, items[0].Bodies)
+		return w.sendLocked(items[0].Kind, items[0].Payload, items[0].Gather)
 	}
-	batch, bodies := group.MarshalBatch(items)
-	if err := w.send(group.KindBatch, batch, bodies); err != nil {
+	batch, g := group.MarshalBatch(items)
+	if err := w.send(group.KindBatch, batch, g); err != nil {
 		return err
 	}
 	w.inflight += len(items)
@@ -141,8 +142,8 @@ func (w *window) keepFlushLocked() {
 
 // sendLocked submits one input. Caller holds w.mu, which is what keeps
 // the client's sequence numbers in submission order.
-func (w *window) sendLocked(kind string, payload []byte, bodies []codec.Region) error {
-	if err := w.send(kind, payload, bodies); err != nil {
+func (w *window) sendLocked(kind string, payload []byte, g *codec.Gather) error {
+	if err := w.send(kind, payload, g); err != nil {
 		return err
 	}
 	if kind == group.KindMcast {
@@ -233,13 +234,13 @@ func coalesceOutputs(outs []sm.Output) []sm.Output {
 	}
 	merged := make([]sm.Output, 0, len(outs))
 	for i := 0; i < len(outs); {
-		run, bytes := 1, len(outs[i].Payload)
+		run, bytes := 1, outs[i].Size()
 		for i+run < len(outs) && run < maxBatchMsgs {
 			next := outs[i+run]
-			if !slices.Equal(outs[i].To, next.To) || bytes+len(next.Payload) > maxBatchBytes {
+			if !slices.Equal(outs[i].To, next.To) || bytes+next.Size() > maxBatchBytes {
 				break
 			}
-			bytes += len(next.Payload)
+			bytes += next.Size()
 			run++
 		}
 		if run == 1 {
@@ -247,8 +248,8 @@ func coalesceOutputs(outs []sm.Output) []sm.Output {
 			i++
 			continue
 		}
-		batch, bodies := group.MarshalBatch(outs[i : i+run])
-		merged = append(merged, sm.Output{Kind: group.KindBatch, To: outs[i].To, Payload: batch, Bodies: bodies})
+		batch, g := group.MarshalBatch(outs[i : i+run])
+		merged = append(merged, sm.Output{Kind: group.KindBatch, To: outs[i].To, Payload: batch, Gather: g})
 		i += run
 	}
 	return merged

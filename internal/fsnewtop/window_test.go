@@ -27,11 +27,14 @@ type submissions struct {
 	fail error      // returned (and nothing recorded) while set
 }
 
-func (s *submissions) send(kind string, payload []byte, _ []codec.Region) error {
+func (s *submissions) send(kind string, payload []byte, g *codec.Gather) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fail != nil {
 		return s.fail
+	}
+	if g != nil {
+		payload = g.Flat()
 	}
 	s.sent = append(s.sent, sm.Input{Kind: kind, Payload: payload})
 	return nil

@@ -40,29 +40,46 @@ func (b BatchMsg) Marshal() []byte {
 	for i, it := range b.Items {
 		outs[i] = sm.Output{Kind: it.Kind, Payload: it.Payload}
 	}
-	enc, _ := MarshalBatch(outs)
-	return enc
+	w := codec.NewWriter(batchSize(outs))
+	encodeBatch(w, outs)
+	return w.Bytes()
 }
 
 // MarshalBatch returns the canonical encoding of the BatchMsg whose items
-// are outs' kinds and payloads, and the body regions of those payloads at
-// their place in it (see sm.Output.Bodies): FS-NewTOP's window and
-// coalescer batch what they hold this way, with no item list between.
-func MarshalBatch(outs []sm.Output) ([]byte, []codec.Region) {
-	n, regions := 8, 0
+// are outs' kinds and bodies, their gather forms nested by reference (see
+// codec.Writer.Nested32): the bytes (g nil), or the gather form (b nil).
+// FS-NewTOP's window and coalescer batch what they hold this way, with no
+// item list between.
+func MarshalBatch(outs []sm.Output) (b []byte, g *codec.Gather) {
+	n, regions := batchSize(outs), 0
 	for _, o := range outs {
-		n += len(o.Kind) + len(o.Payload) + 8
-		regions += len(o.Bodies)
+		if o.Gather != nil {
+			n -= o.Gather.Held()
+			regions += len(o.Gather.Bodies())
+		}
 	}
-	w := codec.NewWriter(n)
+	w := codec.NewGatherWriter(n)
 	w.GrowBodies(regions)
+	encodeBatch(w, outs)
+	return w.Encoding()
+}
+
+// batchSize is the exact length of the batch encoding of outs.
+func batchSize(outs []sm.Output) int {
+	n := 1 + 4
+	for _, o := range outs {
+		n += 4 + len(o.Kind) + 4 + o.Size()
+	}
+	return n
+}
+
+func encodeBatch(w *codec.Writer, outs []sm.Output) {
 	w.U8(batchWireVersion)
 	w.U32(uint32(len(outs)))
 	for _, o := range outs {
 		w.String(o.Kind)
-		w.Nested32(o.Payload, o.Bodies)
+		w.Nested32(o.Payload, o.Gather)
 	}
-	return w.Bytes(), w.Bodies()
 }
 
 // UnmarshalBatchMsg decodes a BatchMsg, rejecting unknown wire versions.

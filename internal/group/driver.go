@@ -125,10 +125,10 @@ func (d *Driver) dispatch(outs []sm.Output) {
 	for _, out := range outs {
 		for _, to := range out.To {
 			if to != sm.LocalDelivery {
-				d.cfg.Send(to, out.Kind, out.Payload)
+				d.cfg.Send(to, out.Kind, out.Body())
 				continue
 			}
-			d.dispatchLocal(out.Kind, out.Payload)
+			d.dispatchLocal(out.Kind, out.Body())
 		}
 	}
 }

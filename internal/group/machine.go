@@ -144,13 +144,13 @@ func (m *Machine) emit(kind string, to []string, payload []byte) {
 }
 
 // emitData queues one DataMsg for the current step, its application
-// payload marked as a body region.
+// payload held by reference as a body region.
 func (m *Machine) emitData(to []string, d DataMsg) {
 	if len(to) == 0 {
 		return
 	}
-	b, bodies := d.marshalBodies()
-	m.outs = append(m.outs, sm.Output{Kind: KindData, To: to, Payload: b, Bodies: bodies})
+	b, g := d.marshalGather()
+	m.outs = append(m.outs, sm.Output{Kind: KindData, To: to, Payload: b, Gather: g})
 }
 
 // localTo is the destination list of every local output, shared: an
@@ -164,8 +164,8 @@ func (m *Machine) emitLocal(kind string, payload []byte) {
 
 // deliver emits one application delivery.
 func (m *Machine) deliver(g *groupState, origin string, svc Service, payload []byte) {
-	b, bodies := Deliver{Group: g.name, Origin: origin, Service: svc, Payload: payload}.marshalBodies()
-	m.outs = append(m.outs, sm.Output{Kind: KindDeliver, To: localTo, Payload: b, Bodies: bodies})
+	b, gb := Deliver{Group: g.name, Origin: origin, Service: svc, Payload: payload}.marshalGather()
+	m.outs = append(m.outs, sm.Output{Kind: KindDeliver, To: localTo, Payload: b, Gather: gb})
 }
 
 // Step implements sm.Machine.

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"fsnewtop/internal/codec"
 	failsignal "fsnewtop/internal/core"
+	"fsnewtop/internal/sig"
 	"fsnewtop/internal/sm"
 )
 
@@ -608,6 +610,77 @@ func TestEncodeHintsAreExact(t *testing.T) {
 		} {
 			if b := encode(); cap(b) != len(b) {
 				t.Errorf("%s at %d B: cap %d, len %d", name, size, cap(b), len(b))
+			}
+		}
+		for name, enc := range map[string]func() ([]byte, *codec.Gather){
+			"Deliver":      Deliver{Group: "g", Origin: "alice", Service: TotalSym, Payload: v}.marshalGather,
+			"DataMsg":      data.marshalGather,
+			"McastReq":     McastReq{Group: "g", Service: TotalSym, Payload: v}.MarshalGather,
+			"MarshalBatch": func() ([]byte, *codec.Gather) { return MarshalBatch(mixedBatch(v)) },
+		} {
+			b, g := enc()
+			if g != nil {
+				b = g.Own()
+			}
+			if cap(b) != len(b) {
+				t.Errorf("%s at %d B in gather form: cap %d, len %d", name, size, cap(b), len(b))
+			}
+		}
+	}
+}
+
+// mixedBatch is a batch's worth of outputs: deliveries of payloads on both
+// sides of the 32-byte rule, in gather form where they hold one, and v.
+func mixedBatch(v []byte) []sm.Output {
+	var outs []sm.Output
+	for _, n := range []int{0, 16, 33, 8 << 10, len(v)} {
+		b, g := Deliver{Group: "g", Origin: "bob", Service: TotalSym, Payload: bytes.Repeat([]byte("m"), n)}.marshalGather()
+		outs = append(outs, sm.Output{Kind: KindDeliver, Payload: b, Gather: g})
+	}
+	return outs
+}
+
+// TestGatherEncodingsMatchContiguous: every group encoder that carries a
+// payload by reference stands for the very bytes, regions and digest form
+// of its contiguous encoding, at body sizes on both sides of the 32-byte
+// rule and in a batch of mixed sizes.
+func TestGatherEncodingsMatchContiguous(t *testing.T) {
+	for _, size := range []int{0, 16, 33, 8 << 10} {
+		v := bytes.Repeat([]byte{byte(size)}, size)
+		data := DataMsg{Group: "g", Origin: "alice", Service: TotalSym, SenderSeq: 7, TS: 9,
+			VC: []VCEntry{{Member: "alice", Count: 3}}, Payload: v}
+		deliver := Deliver{Group: "g", Origin: "alice", Service: TotalSym, Payload: v}
+		mcast := McastReq{Group: "g", Service: TotalSym, Payload: v}
+		batch := mixedBatch(v)
+		for name, c := range map[string]struct {
+			encode func(*codec.Writer)
+			gather func() ([]byte, *codec.Gather)
+		}{
+			"DataMsg":      {data.encode, data.marshalGather},
+			"Deliver":      {deliver.encode, deliver.marshalGather},
+			"McastReq":     {mcast.encode, mcast.MarshalGather},
+			"MarshalBatch": {func(w *codec.Writer) { encodeBatch(w, batch) }, func() ([]byte, *codec.Gather) { return MarshalBatch(batch) }},
+		} {
+			w := codec.NewWriter(0)
+			c.encode(w)
+			want, wantRegions := w.Bytes(), w.Bodies()
+			b, g := c.gather()
+			if (g != nil) != (len(wantRegions) > 0) {
+				t.Errorf("%s at %d B: gather form %v, %d regions", name, size, g != nil, len(wantRegions))
+				continue
+			}
+			if g == nil {
+				if !bytes.Equal(b, want) {
+					t.Errorf("%s at %d B: the encoding differs from the contiguous one", name, size)
+				}
+				continue
+			}
+			if !bytes.Equal(g.Flat(), want) || len(g.Bodies()) != len(wantRegions) {
+				t.Errorf("%s at %d B: the flattened gather form differs from the contiguous encoding", name, size)
+				continue
+			}
+			if (*sig.BodyMemo)(nil).FormGather(g.Own(), g.Bodies()) != (*sig.BodyMemo)(nil).Form(want, wantRegions) {
+				t.Errorf("%s at %d B: the digest form differs from the contiguous one", name, size)
 			}
 		}
 	}

@@ -90,20 +90,30 @@ type McastReq struct {
 	Payload []byte
 }
 
-// Marshal returns the canonical encoding.
-func (m McastReq) Marshal() []byte {
-	b, _ := m.MarshalBodies()
-	return b
-}
+// size is the exact length of m's encoding.
+func (m McastReq) size() int { return 4 + len(m.Group) + 1 + 4 + len(m.Payload) }
 
-// MarshalBodies returns the canonical encoding and the body region of its
-// application payload.
-func (m McastReq) MarshalBodies() ([]byte, []codec.Region) {
-	w := codec.NewWriter(4 + len(m.Group) + 1 + 4 + len(m.Payload))
+func (m McastReq) encode(w *codec.Writer) {
 	w.String(m.Group)
 	w.U8(uint8(m.Service))
 	w.Body32(m.Payload)
-	return w.Bytes(), w.Bodies()
+}
+
+// Marshal returns the canonical encoding.
+func (m McastReq) Marshal() []byte {
+	w := codec.NewWriter(m.size())
+	m.encode(w)
+	return w.Bytes()
+}
+
+// MarshalGather returns the canonical encoding with its application
+// payload held by reference when it is a body region (see
+// codec.Writer.Encoding): the bytes (g nil), or the gather form (b nil).
+// The payload must not be written while the encoding lives.
+func (m McastReq) MarshalGather() (b []byte, g *codec.Gather) {
+	w := codec.NewGatherWriter(m.size() - codec.Held(m.Payload))
+	m.encode(w)
+	return w.Encoding()
 }
 
 // UnmarshalMcastReq decodes a McastReq.
@@ -179,16 +189,18 @@ func decodeDataMsg(r *codec.Reader) DataMsg {
 
 // Marshal returns the canonical encoding.
 func (d DataMsg) Marshal() []byte {
-	b, _ := d.marshalBodies()
-	return b
-}
-
-// marshalBodies returns the canonical encoding and the body region of its
-// application payload.
-func (d DataMsg) marshalBodies() ([]byte, []codec.Region) {
 	w := codec.NewWriter(d.size())
 	d.encode(w)
-	return w.Bytes(), w.Bodies()
+	return w.Bytes()
+}
+
+// marshalGather returns the canonical encoding with its application
+// payload held by reference when it is a body region: the bytes (g nil),
+// or the gather form (b nil).
+func (d DataMsg) marshalGather() (b []byte, g *codec.Gather) {
+	w := codec.NewGatherWriter(d.size() - codec.Held(d.Payload))
+	d.encode(w)
+	return w.Encoding()
 }
 
 // UnmarshalDataMsg decodes a DataMsg.
@@ -639,21 +651,30 @@ type Deliver struct {
 	Payload []byte
 }
 
-// Marshal returns the canonical encoding.
-func (d Deliver) Marshal() []byte {
-	b, _ := d.marshalBodies()
-	return b
-}
+// size is the exact length of d's encoding.
+func (d Deliver) size() int { return 4 + len(d.Group) + 4 + len(d.Origin) + 1 + 4 + len(d.Payload) }
 
-// marshalBodies returns the canonical encoding and the body region of its
-// application payload.
-func (d Deliver) marshalBodies() ([]byte, []codec.Region) {
-	w := codec.NewWriter(4 + len(d.Group) + 4 + len(d.Origin) + 1 + 4 + len(d.Payload))
+func (d Deliver) encode(w *codec.Writer) {
 	w.String(d.Group)
 	w.String(d.Origin)
 	w.U8(uint8(d.Service))
 	w.Body32(d.Payload)
-	return w.Bytes(), w.Bodies()
+}
+
+// Marshal returns the canonical encoding.
+func (d Deliver) Marshal() []byte {
+	w := codec.NewWriter(d.size())
+	d.encode(w)
+	return w.Bytes()
+}
+
+// marshalGather returns the canonical encoding with its application
+// payload held by reference when it is a body region: the bytes (g nil),
+// or the gather form (b nil).
+func (d Deliver) marshalGather() (b []byte, g *codec.Gather) {
+	w := codec.NewGatherWriter(d.size() - codec.Held(d.Payload))
+	d.encode(w)
+	return w.Encoding()
 }
 
 // UnmarshalDeliver decodes a Deliver.

@@ -92,17 +92,35 @@ func BodyBytes() uint64 { return bodyBytes.Load() }
 // ascending order without overlap, as codec.Reader.RegionTable enforces.
 // A nil memo remembers nothing and counts only process-wide (BodyBytes).
 func (m *BodyMemo) Form(enc []byte, bodies []codec.Region) [32]byte {
+	return m.form(enc, bodies, false)
+}
+
+// FormGather returns the digest form of the gather encoding (see
+// codec.Gather) whose own bytes are own and whose body regions are bodies:
+// exactly Form of the bytes it stands for over the same regions. Each
+// region is its source, so the memo answers for a remembered source
+// without a memcmp.
+func (m *BodyMemo) FormGather(own []byte, bodies []codec.Region) [32]byte {
+	return m.form(own, bodies, true)
+}
+
+// form is Form over enc, or FormGather over enc as own bytes when
+// gathered.
+func (m *BodyMemo) form(enc []byte, bodies []codec.Region, gathered bool) [32]byte {
 	n := len(bodies)
 	size := 4 + len(enc)
 	for i := 0; i < n; i++ {
-		size += 8 + 32 - len(bodies[i].Src)
+		size += 8 + 32
+		if !gathered {
+			size -= len(bodies[i].Src)
+		}
 	}
 	if size <= smallForm {
 		var local [smallForm]byte
-		return Digest(m.appendForm(local[:0], enc, bodies))
+		return Digest(m.appendForm(local[:0], enc, bodies, gathered))
 	}
 	f := formers.Get().(*former)
-	f.buf = m.appendForm(f.buf[:0], enc, bodies)
+	f.buf = m.appendForm(f.buf[:0], enc, bodies, gathered)
 	d := Digest(f.buf)
 	formers.Put(f)
 	return d
@@ -119,8 +137,9 @@ type former struct{ buf []byte }
 var formers = sync.Pool{New: func() any { return new(former) }}
 
 // appendForm appends the form's hash input for enc to dst: the region
-// table, then enc with every region replaced by its digest.
-func (m *BodyMemo) appendForm(dst, enc []byte, bodies []codec.Region) []byte {
+// table, then enc with every region replaced by its digest. A gathered
+// enc lacks the regions' bytes: each region is its source.
+func (m *BodyMemo) appendForm(dst, enc []byte, bodies []codec.Region, gathered bool) []byte {
 	n := len(bodies)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
 	for i := 0; i < n; i++ {
@@ -132,12 +151,18 @@ func (m *BodyMemo) appendForm(dst, enc []byte, bodies []codec.Region) []byte {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 	}
-	at := 0
+	at, held := 0, 0 // the next byte of enc to append; region bytes enc lacks before it
 	for i := 0; i < n; i++ {
 		r := bodies[i]
-		end := r.Off + len(r.Src)
-		d := m.bodyLocked(enc[r.Off:end], r.Src)
-		dst = append(append(dst, enc[at:r.Off]...), d[:]...)
+		start := r.Off - held
+		region, end := r.Src, start
+		if gathered {
+			held += len(r.Src)
+		} else {
+			region, end = enc[start:start+len(r.Src)], start+len(r.Src)
+		}
+		d := m.bodyLocked(region, r.Src)
+		dst = append(append(dst, enc[at:start]...), d[:]...)
 		at = end
 	}
 	return append(dst, enc[at:]...)

@@ -116,3 +116,32 @@ func TestBodyMemoZeroValueCountsOnly(t *testing.T) {
 		t.Fatalf("%+v", st)
 	}
 }
+
+// TestFormGatherMatchesForm: the digest form of a gather encoding is the
+// form of the bytes it stands for, with and without a memo, and a gather
+// encoding of a remembered source reuses its digest.
+func TestFormGatherMatchesForm(t *testing.T) {
+	a, b := bytes.Repeat([]byte("a"), 4096), bytes.Repeat([]byte("b"), 33)
+	encode := func(w *codec.Writer) {
+		w.String("hdr")
+		w.Body32(a)
+		w.U64(7)
+		w.Body32(b)
+		w.Body32([]byte("short"))
+	}
+	flat := codec.NewWriter(0)
+	encode(flat)
+	want := formByHand(flat.Bytes(), flat.Bodies())
+	gw := codec.NewGatherWriter(0)
+	encode(gw)
+	if got := (*BodyMemo)(nil).FormGather(gw.Bytes(), gw.Bodies()); got != want {
+		t.Fatal("the gather form's digest differs from the contiguous form's")
+	}
+	m := NewBodyMemo()
+	if m.Form(flat.Bytes(), flat.Bodies()) != want || m.FormGather(gw.Bytes(), gw.Bodies()) != want {
+		t.Fatal("a remembering memo's forms differ")
+	}
+	if st := m.Stats(); st.Bytes != 4096+33 || st.Reuses != 2 {
+		t.Fatalf("%+v: the gather form did not reuse the digests of its sources", st)
+	}
+}

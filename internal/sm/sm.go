@@ -40,12 +40,29 @@ type Output struct {
 	To []string
 	// Payload is the message body.
 	Payload []byte
-	// Bodies marks the application payloads inside Payload (offsets
-	// relative to Payload), as the encoder recorded them through
-	// codec.Writer: a side table, never part of the encoding, which a
-	// fail-signal pair reads to hash each payload once per node. Empty for
-	// an output that carries none.
-	Bodies []codec.Region
+	// Gather, when not nil, is the message body in gather form instead of
+	// Payload (which is then nil): an encoder in gather form
+	// (codec.NewGatherWriter) kept the application payloads it carries by
+	// reference. Its body regions are what a fail-signal pair reads to hash
+	// each payload once per node; Body is the body in one slice.
+	Gather *codec.Gather
+}
+
+// Size returns the length of the output's body.
+func (o Output) Size() int {
+	if o.Gather != nil {
+		return o.Gather.Len()
+	}
+	return len(o.Payload)
+}
+
+// Body returns the output's body in one slice: Payload, or the flattened
+// gather form, built once however often it is asked for.
+func (o Output) Body() []byte {
+	if o.Gather != nil {
+		return o.Gather.Flat()
+	}
+	return o.Payload
 }
 
 // LocalDelivery is the reserved destination meaning "deliver to the local
@@ -122,7 +139,7 @@ func MarshalOutput(out Output) []byte {
 
 // OutputSize is the exact length of MarshalOutput(out).
 func OutputSize(out Output) int {
-	size := 4 + len(out.Kind) + 4 + 4 + len(out.Payload)
+	size := 4 + len(out.Kind) + 4 + 4 + out.Size()
 	for _, to := range out.To {
 		size += 4 + len(to)
 	}
@@ -130,11 +147,12 @@ func OutputSize(out Output) int {
 }
 
 // EncodeOutput appends the encoding MarshalOutput returns to w, recording
-// out's body regions at their place in it (see codec.Writer.Bodies).
+// the body regions of out's gather form at their place in it (see
+// codec.Writer.Nested32).
 func EncodeOutput(w *codec.Writer, out Output) {
 	w.String(out.Kind)
 	w.StringSlice(out.To)
-	w.Nested32(out.Payload, out.Bodies)
+	w.Nested32(out.Payload, out.Gather)
 }
 
 // UnmarshalOutput decodes an output encoded by MarshalOutput.

@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"fsnewtop/transport"
 )
 
 // maxQueuedFrames bounds one peer's outbound queue: past it, new frames
@@ -24,13 +26,21 @@ const redialBackoff = time.Second
 
 // wireFrame is one queued message as the vectored write sees it: head is
 // the frame minus its payload (its seq stamped in place at enqueue), body
-// the sender's own payload, queued by reference. The two are one unit of
-// recovery: a frame is written only when every byte of both went out.
+// the sender's own payload, queued by reference — or, sent in pieces
+// (SendGather), pieces instead. They are one unit of recovery: a frame is
+// written only when every byte of it went out.
 type wireFrame struct {
 	head, body []byte
+	pieces     transport.Gather
 }
 
-func (f wireFrame) size() int64 { return int64(len(f.head) + len(f.body)) }
+func (f wireFrame) size() int64 {
+	n := len(f.head) + len(f.body)
+	if f.pieces != nil {
+		n += f.pieces.Len()
+	}
+	return int64(n)
+}
 
 // peer owns one outbound connection to a remote endpoint: a FIFO frame
 // queue drained by a single writer goroutine over one lazily-dialed TCP
@@ -56,12 +66,12 @@ func newPeer(t *Transport, hostport string) *peer {
 	return p
 }
 
-// enqueue appends one frame — head and the payload it frames — and never
-// blocks on the network. The frame's sequence number is stamped here,
+// enqueue appends one frame — head and the payload it frames, body or
+// pieces — and never blocks on the network. The frame's sequence number is stamped here,
 // under the queue lock, so seq order equals wire order: the receiver
 // relies on that to discard frames replayed out of order across a
 // reconnect.
-func (p *peer) enqueue(head, payload []byte) {
+func (p *peer) enqueue(head, payload []byte, pieces transport.Gather) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -74,7 +84,7 @@ func (p *peer) enqueue(head, payload []byte) {
 	}
 	p.seq++
 	binary.BigEndian.PutUint64(head[seqOffset:], p.seq)
-	p.queue = append(p.queue, wireFrame{head: head, body: payload})
+	p.queue = append(p.queue, wireFrame{head: head, body: payload, pieces: pieces})
 	p.mu.Unlock()
 	p.cond.Signal()
 }
@@ -148,6 +158,9 @@ func (p *peer) writeBatch(batch []wireFrame) int {
 			bufs = append(bufs, f.head)
 			if len(f.body) > 0 {
 				bufs = append(bufs, f.body)
+			}
+			if f.pieces != nil {
+				bufs = f.pieces.AppendPieces(bufs)
 			}
 		}
 		n, err := bufs.WriteTo(conn)

@@ -183,8 +183,9 @@ type Transport struct {
 }
 
 var (
-	_ transport.Transport   = (*Transport)(nil)
-	_ transport.StatsSource = (*Transport)(nil)
+	_ transport.Transport    = (*Transport)(nil)
+	_ transport.StatsSource  = (*Transport)(nil)
+	_ transport.GatherSender = (*Transport)(nil)
 )
 
 // ErrClosed is returned when sending on a closed transport. It wraps
@@ -294,6 +295,20 @@ func (t *Transport) Deregister(addr transport.Addr) {
 // owns it from here on — and reaches the socket in the writer's vectored
 // write without ever being copied into a frame.
 func (t *Transport) Send(from, to transport.Addr, kind string, payload []byte) error {
+	return t.send(from, to, kind, payload, nil)
+}
+
+// SendGather implements transport.GatherSender: Send for a payload in
+// pieces, each queued by reference and written from where it lies — the
+// writer appends them to the iovecs of its vectored write — so the
+// payload is never flattened on this side. The frame on the wire is the
+// one Send would have written for g.Flat().
+func (t *Transport) SendGather(from, to transport.Addr, kind string, g transport.Gather) error {
+	return t.send(from, to, kind, nil, g)
+}
+
+// send queues one frame whose payload is payload, or pieces when not nil.
+func (t *Transport) send(from, to transport.Addr, kind string, payload []byte, pieces transport.Gather) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
@@ -301,11 +316,15 @@ func (t *Transport) Send(from, to transport.Addr, kind string, payload []byte) e
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownAddr, to)
 	}
+	n := len(payload)
+	if pieces != nil {
+		n = pieces.Len()
+	}
 	// Oversized frames must fail loudly here, before anything is queued:
 	// written to the wire they would make the receiver sever the whole
 	// connection, silently losing every unrelated message buffered behind
 	// them.
-	if size := frameSize(from, to, kind, payload); size > t.maxFrame {
+	if size := frameSize(from, to, kind, n); size > t.maxFrame {
 		return fmt.Errorf("tcpnet: frame of %d bytes to %q exceeds the %d-byte frame bound", size, to, t.maxFrame)
 	}
 	p := t.peerFor(hostport, linkShard(from, to, t.conns))
@@ -313,8 +332,8 @@ func (t *Transport) Send(from, to transport.Addr, kind string, payload []byte) e
 		return ErrClosed
 	}
 	t.sent.Add(1)
-	t.bytes.Add(uint64(len(payload)))
-	p.enqueue(t.frameHead(from, to, kind, payload), payload)
+	t.bytes.Add(uint64(n))
+	p.enqueue(t.frameHead(from, to, kind, n), payload, pieces)
 	return nil
 }
 
@@ -609,24 +628,25 @@ const seqOffset = 12
 
 // frameSize returns the frame body size (everything after the length
 // prefix) without encoding anything: epoch + seq + three u32-prefixed
-// strings + the u32-prefixed payload.
-func frameSize(from, to transport.Addr, kind string, payload []byte) int {
-	return 8 + 8 + 4 + len(from) + 4 + len(to) + 4 + len(kind) + 4 + len(payload)
+// strings + the u32-prefixed payload of n bytes.
+func frameSize(from, to transport.Addr, kind string, n int) int {
+	return 8 + 8 + 4 + len(from) + 4 + len(to) + 4 + len(kind) + 4 + n
 }
 
-// frameHead renders everything of one message's frame that is not the
-// payload: the length prefix (which counts the payload), the header, and
-// the payload's own length prefix. Head followed by payload is the frame.
-func (t *Transport) frameHead(from, to transport.Addr, kind string, payload []byte) []byte {
-	size := frameSize(from, to, kind, payload)
-	w := codec.NewWriter(4 + size - len(payload))
+// frameHead renders everything of one message's frame that is not its
+// payload of n bytes: the length prefix (which counts the payload), the
+// header, and the payload's own length prefix. Head followed by payload is
+// the frame.
+func (t *Transport) frameHead(from, to transport.Addr, kind string, n int) []byte {
+	size := frameSize(from, to, kind, n)
+	w := codec.NewWriter(4 + size - n)
 	w.U32(uint32(size))
 	w.U64(t.epoch) // sender incarnation
 	w.U64(0)       // sequence number, patched at enqueue
 	w.String(string(from))
 	w.String(string(to))
 	w.String(kind)
-	w.U32(uint32(len(payload)))
+	w.U32(uint32(n))
 	return w.Bytes()
 }
 

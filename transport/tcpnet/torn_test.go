@@ -87,8 +87,8 @@ func TestTornFrameIsResentWhole(t *testing.T) {
 	// is still in progress when the connection dies.
 	big := bytes.Repeat([]byte("0123456789abcdef"), 8<<20/16)
 	small := func(b byte) []byte { return []byte{b, b, b} }
-	first := int64(4 + frameSize("src", "dst", "k", small(0)))
-	head := int64(len(send.frameHead("src", "dst", "k", big)))
+	first := int64(4 + frameSize("src", "dst", "k", len(small(0))))
+	head := int64(len(send.frameHead("src", "dst", "k", len(big))))
 	book.Set("dst", cuttingProxy(t, recv.Endpoint(), first+head+100))
 
 	for _, p := range [][]byte{small(0), big, small(2)} {

@@ -36,11 +36,12 @@
 //
 // # Capabilities
 //
-// Fault injection and traffic accounting are optional capabilities, not
-// part of Transport: a real network cannot fake partitions, and forcing it
-// to stub them would let tests silently no-op. Deployments discover them
-// by interface assertion (or the Shape/Block/Partition helpers, which
-// report whether the backend complied).
+// Fault injection, traffic accounting and sending a payload in pieces
+// (GatherSender) are optional capabilities, not part of Transport: a real
+// network cannot fake partitions, and forcing it to stub them would let
+// tests silently no-op. Deployments discover them by interface assertion
+// (or the Shape/Block/Partition/SendGather helpers, which report whether
+// the backend complied or fall back).
 package transport
 
 import "errors"
@@ -159,6 +160,40 @@ func Unblock(t Transport, a, b Addr) bool {
 		fi.Unblock(a, b)
 	}
 	return ok
+}
+
+// Gather is a payload held in pieces rather than in one slice: an
+// encoding whose large application payloads are referenced where they
+// already lie (codec.Gather is the one the stack builds). The pieces are
+// immutable, like any payload: a transport may write them to the wire
+// straight from their sources, and hold them until it has.
+type Gather interface {
+	// Len returns the payload's length, the sum of its pieces'.
+	Len() int
+	// AppendPieces appends the pieces, in order, to dst.
+	AppendPieces(dst [][]byte) [][]byte
+	// Flat returns the payload as one slice. It builds the slice at most
+	// once, so a payload sent to k destinations is flattened once.
+	Flat() []byte
+}
+
+// GatherSender is the optional capability of sending a payload in pieces
+// without first copying it into one slice. SendGather is Send for a
+// Gather: same ordering, ownership and accounting (Stats().Bytes counts
+// Len), and the receiver is handed one payload equal to the pieces in
+// order. A backend without it is sent the payload's Flat form (SendGather,
+// the function).
+type GatherSender interface {
+	SendGather(from, to Addr, kind string, g Gather) error
+}
+
+// SendGather sends g through t: in pieces if t is a GatherSender, else as
+// g.Flat().
+func SendGather(t Transport, from, to Addr, kind string, g Gather) error {
+	if gs, ok := t.(GatherSender); ok {
+		return gs.SendGather(from, to, kind, g)
+	}
+	return t.Send(from, to, kind, g.Flat())
 }
 
 // GetStats returns t's counters if it supports accounting.

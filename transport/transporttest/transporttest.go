@@ -17,7 +17,12 @@
 //   - close semantics: Send after Close fails with transport.ErrClosed;
 //     Close is idempotent;
 //   - control/data-plane concurrency: Register and Send race freely (the
-//     suite is expected to run under -race).
+//     suite is expected to run under -race);
+//   - gather sends: a payload sent in pieces (transport.SendGather) arrives
+//     as one payload equal to the pieces in order, in per-link order with
+//     plain sends; the pieces are never written; a payload sent to several
+//     destinations is flattened at most once, and only by a backend that
+//     takes no pieces.
 package transporttest
 
 import (
@@ -28,6 +33,7 @@ import (
 	"testing"
 	"time"
 
+	"fsnewtop/internal/codec"
 	"fsnewtop/transport"
 )
 
@@ -65,6 +71,97 @@ func Run(t *testing.T, factory func(t *testing.T) *Deployment) {
 	sub("DeregisterThenSend", testDeregisterThenSend)
 	sub("CloseSemantics", testCloseSemantics)
 	sub("ConcurrentRegisterSend", testConcurrentRegisterSend)
+	sub("GatherSend", testGatherSend)
+}
+
+// testGatherSend sends one gather encoding — own bytes around an 8 KiB and
+// a 100-byte region — to three destinations, each followed on its link by
+// a plain message.
+func testGatherSend(t *testing.T, d *Deployment) {
+	big, small := bytes.Repeat([]byte("0123456789abcdef"), 512), bytes.Repeat([]byte("s"), 100)
+	encode := func(w *codec.Writer) {
+		w.String("head")
+		w.Body32(big)
+		w.U64(42)
+		w.Body32(small)
+		w.String("tail")
+	}
+	flat := codec.NewWriter(0)
+	encode(flat)
+	gw := codec.NewGatherWriter(0)
+	encode(gw)
+	_, g := gw.Encoding()
+	pieces := g.AppendPieces(nil)
+	before := make([][]byte, len(pieces))
+	for i, p := range pieces {
+		before[i] = bytes.Clone(p)
+	}
+	if !bytes.Equal(bytes.Join(pieces, nil), flat.Bytes()) {
+		t.Fatal("the pieces do not make up the encoding")
+	}
+
+	const k = 3
+	sender := d.Endpoint(0)
+	sender.Register("conf/gather-src", func(transport.Message) {})
+	type rx struct {
+		to      transport.Addr
+		payload []byte
+	}
+	got := make(chan rx, 2*k)
+	for i := 1; i <= k; i++ {
+		to := transport.Addr(fmt.Sprintf("conf/gather-dst%d", i))
+		d.Endpoint(i).Register(to, func(m transport.Message) { got <- rx{m.To, m.Payload} })
+	}
+	stats0, counted := transport.GetStats(sender)
+	flattens := codec.Flattens()
+	for i := 1; i <= k; i++ {
+		to := transport.Addr(fmt.Sprintf("conf/gather-dst%d", i))
+		if err := transport.SendGather(sender, "conf/gather-src", to, "gather", g); err != nil {
+			t.Fatalf("SendGather: %v", err)
+		}
+		if err := sender.Send("conf/gather-src", to, "plain", []byte("after")); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	next := make(map[transport.Addr]int)
+	for n := 0; n < 2*k; n++ {
+		select {
+		case m := <-got:
+			switch next[m.to] {
+			case 0:
+				if !bytes.Equal(m.payload, flat.Bytes()) {
+					t.Fatalf("%s: the gather payload arrived as %d bytes unequal to its pieces", m.to, len(m.payload))
+				}
+			case 1:
+				if string(m.payload) != "after" {
+					t.Fatalf("%s: the plain message overtook the gather one", m.to)
+				}
+			default:
+				t.Fatalf("%s: more than two messages", m.to)
+			}
+			next[m.to]++
+		case <-time.After(waitTimeout):
+			t.Fatalf("%d of %d messages delivered", n, 2*k)
+		}
+	}
+	for i, p := range pieces {
+		if !bytes.Equal(p, before[i]) {
+			t.Fatalf("piece %d was written", i)
+		}
+	}
+	_, pieceWise := sender.(transport.GatherSender)
+	switch n := codec.Flattens() - flattens; {
+	case pieceWise && n != 0:
+		t.Fatalf("a backend that takes pieces flattened %d times", n)
+	case n > 1:
+		t.Fatalf("flattened %d times for %d destinations", n, k)
+	}
+	if counted {
+		stats, _ := transport.GetStats(sender)
+		if want := uint64(k * (g.Len() + len("after"))); stats.Bytes-stats0.Bytes != want {
+			t.Fatalf("Stats().Bytes grew by %d, want %d (the flattened length)", stats.Bytes-stats0.Bytes, want)
+		}
+	}
 }
 
 func testDeliveryFidelity(t *testing.T, d *Deployment) {
