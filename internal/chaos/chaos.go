@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -175,7 +176,8 @@ type Report struct {
 	// of the remediation barrier. Recovery gaps in Heals are offsets into
 	// it; 1 − (union of gaps)/Window is the run's membership availability.
 	Window time.Duration
-	// Elapsed is the wall time of the whole run.
+	// Elapsed is the run-clock time of the whole run, from bring-up to
+	// the last conversion settled: simulated time under a virtual clock.
 	Elapsed time.Duration
 }
 
@@ -201,86 +203,72 @@ func (r *Report) Verdict() string {
 	return "FAIL(" + strings.Join(names, ",") + ")"
 }
 
-// observed is the collectors' shared view of the cluster: per-member
-// ordered delivery logs, fail-signal observations, and the global set of
-// payloads legitimately multicast.
+// observed is the observer pass's record of the cluster: per-member
+// ordered delivery logs, fail-signal observations, admissions, and the
+// global set of payloads legitimately multicast. Only callbacks on the
+// run's clock write it, under Run's actMu, and the oracles read it once
+// the last stage is done, so it has no lock of its own.
 type observed struct {
-	mu       sync.Mutex
-	now      func() time.Time           // harness clock, for admission stamps
 	logs     map[string][]string        // member → payloads in delivery order
+	has      map[string]map[string]bool // member → payloads delivered
 	fail     map[string]map[string]bool // observer → fail-signal sources seen
 	sent     map[string]bool            // every payload handed to Multicast
 	admitted map[string]time.Time       // member → when it saw itself in an installed view
 }
 
-func (o *observed) delivered(member, payload string) {
-	o.mu.Lock()
-	o.logs[member] = append(o.logs[member], payload)
-	o.mu.Unlock()
-}
-
-func (o *observed) failSignal(observer, source string) {
-	o.mu.Lock()
-	if o.fail[observer] == nil {
-		o.fail[observer] = make(map[string]bool)
+// drain records, at now, everything m has handed its application since
+// the last pass. The pass is the only reader of m's channels, so whatever
+// one holds is there to take: a length test finds it without blocking,
+// and costs less than a select at every instant. Once a member sees
+// itself in an installed view it is admitted — the signal the churn
+// barrier waits on before expecting a replacement to multicast (the
+// machine silently refuses multicasts while a join is still
+// provisional). The first admission closes the recovery gap in the heal
+// timeline.
+func (o *observed) drain(m *cluster.Member, now time.Time) {
+	name := m.Name()
+	if o.has[name] == nil {
+		o.has[name] = make(map[string]bool)
 	}
-	o.fail[observer][source] = true
-	o.mu.Unlock()
-}
-
-func (o *observed) record(payload string) {
-	o.mu.Lock()
-	o.sent[payload] = true
-	o.mu.Unlock()
-}
-
-// view records an installed view at member: once a member sees itself in
-// a view it is admitted — the signal the churn harness waits on before
-// expecting a replacement to multicast (the machine silently refuses
-// multicasts while a join is still provisional). The first admission is
-// timestamped; it closes the recovery gap in the heal timeline.
-func (o *observed) view(member string, members []string) {
-	for _, m := range members {
-		if m == member {
-			o.mu.Lock()
-			if o.admitted[member].IsZero() {
-				o.admitted[member] = o.now()
-			}
-			o.mu.Unlock()
-			return
+	for ds := m.Deliveries(); len(ds) > 0; {
+		p := string((<-ds).Payload)
+		o.logs[name] = append(o.logs[name], p)
+		o.has[name][p] = true
+	}
+	for vs := m.Views(); len(vs) > 0; {
+		if v := <-vs; o.admitted[name].IsZero() && slices.Contains(v.Members, name) {
+			o.admitted[name] = now
 		}
 	}
-}
-
-// isAdmitted reports whether member has seen itself in an installed view.
-func (o *observed) isAdmitted(member string) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return !o.admitted[member].IsZero()
-}
-
-// admittedAt returns the first-admission timestamp (zero if never).
-func (o *observed) admittedAt(member string) time.Time {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.admitted[member]
+	for fs := m.FailSignals(); len(fs) > 0; {
+		if o.fail[name] == nil {
+			o.fail[name] = make(map[string]bool)
+		}
+		o.fail[name][<-fs] = true
+	}
 }
 
 // deliveredAll reports whether member has delivered every payload in want.
-func (o *observed) deliveredAll(member string, want []string) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	have := make(map[string]bool, len(o.logs[member]))
-	for _, p := range o.logs[member] {
-		have[p] = true
-	}
+func (o *observed) deliveredAll(member string, want ...string) bool {
 	for _, w := range want {
-		if !have[w] {
+		if !o.has[member][w] {
 			return false
 		}
 	}
 	return true
 }
+
+// stage is one step of a run around its schedule: then acts once cond
+// holds, or once timeout (0 = none) has passed since the stage began, and
+// timedOut says which.
+type stage struct {
+	cond    func(now time.Time) bool
+	timeout time.Duration
+	then    func(now time.Time, timedOut bool)
+}
+
+// always is the condition of a stage that acts as soon as it begins.
+func always(time.Time) bool { return true }
 
 // Run executes one seeded chaos schedule against a live FS-NewTOP cluster
 // and checks the oracles. The returned error reports harness failures
@@ -328,7 +316,6 @@ func Run(opts Options) (*Report, error) {
 	if sched.HasSkew() && vt == nil {
 		return nil, fmt.Errorf("chaos: schedule contains clock-skew actions but the run's clock is not virtual; skew replays need Options.Clock = clock.NewVirtual()")
 	}
-	start := clk.Now()
 	rep := &Report{Schedule: sched}
 
 	// The netsim shares the run's seed: schedule randomness and network
@@ -360,163 +347,142 @@ func Run(opts Options) (*Report, error) {
 	if opts.Churn {
 		clusterOpts = append(clusterOpts, cluster.WithAutoHeal())
 	}
-	c, err := cluster.New(clusterOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: building cluster: %w", err)
-	}
-	defer c.Close()
-	if !c.CanInjectFaults() {
-		return nil, fmt.Errorf("chaos: transport %T refuses fault injection; chaos schedules need transport.FaultInjector", net)
-	}
-	if err := c.JoinAll(groupName); err != nil {
-		return nil, fmt.Errorf("chaos: joining: %w", err)
-	}
 
-	obs := &observed{
-		now:      clk.Now,
-		logs:     make(map[string][]string, len(members)),
-		fail:     make(map[string]map[string]bool, len(members)),
-		sent:     make(map[string]bool),
-		admitted: make(map[string]time.Time, len(members)),
+	// Members with no scheduled fault must stay correct. (A scheduled but
+	// unfired value fault may fire on the probe traffic itself; such members
+	// are judged by the conversion oracle instead.)
+	scheduledFault := make(map[string]bool)
+	for _, m := range append(sched.ValueFaulted(), sched.Crashed()...) {
+		scheduledFault[m] = true
 	}
-
-	// Collectors: one drain per member, recording deliveries, installed
-	// views and fail-signal observations until the run tears down.
-	stopDrain := make(chan struct{})
-	drain := func(wg *sync.WaitGroup, name string, m *cluster.Member) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stopDrain:
-					return
-				case d := <-m.Deliveries():
-					obs.delivered(name, string(d.Payload))
-				case v := <-m.Views():
-					obs.view(name, v.Members)
-				case src := <-m.FailSignals():
-					obs.failSignal(name, src)
-				}
-			}
-		}()
-	}
-	var drainWG sync.WaitGroup
-	for _, name := range members {
-		drain(&drainWG, name, c.Member(name))
-	}
-
-	// Heal watcher (churn runs): record every remediation and attach a
-	// collector to each replacement the moment it exists. Replacement
-	// drains get their own WaitGroup — they are added while the run is in
-	// flight, and the teardown below waits for the watcher to exit before
-	// waiting on them.
-	type healRecord struct {
-		failed, replacement string
-		err                 error
-	}
-	var healMu sync.Mutex
-	var heals []healRecord
-	var healWG, replWG sync.WaitGroup
-	if opts.Churn {
-		healWG.Add(1)
-		go func() {
-			defer healWG.Done()
-			for {
-				select {
-				case <-stopDrain:
-					return
-				case ev := <-c.HealEvents():
-					healMu.Lock()
-					heals = append(heals, healRecord{failed: ev.Failed, replacement: ev.Replacement, err: ev.Err})
-					healMu.Unlock()
-					if ev.Err == nil && ev.Replacement != "" {
-						drain(&replWG, ev.Replacement, c.Member(ev.Replacement))
-					}
-				}
-			}
-		}()
-	}
-	defer func() {
-		c.Close() // stop member pumps (and the heal controller) first
-		close(stopDrain)
-		drainWG.Wait()
-		healWG.Wait() // watcher exited: no further replacement drains start
-		replWG.Wait()
-	}()
-
-	// Warmup: the group is formed once one multicast reaches everyone.
-	warm := "w|0"
-	obs.record(warm)
-	if err := c.Member(members[0]).Multicast(groupName, cluster.TotalSym, []byte(warm)); err != nil {
-		return nil, fmt.Errorf("chaos: warmup multicast: %w", err)
-	}
-	if err := waitUntil(clk, 20*time.Second, func() bool {
-		for _, name := range members {
-			if !obs.deliveredAll(name, []string{warm}) {
-				return false
-			}
+	var correct []string
+	for _, m := range members {
+		if !scheduledFault[m] {
+			correct = append(correct, m)
 		}
-		return true
-	}); err != nil {
-		return nil, fmt.Errorf("chaos: group never formed: %w", err)
 	}
 
-	// Fault accounting, shared between executor, monitor and oracles.
+	// Fault accounting, shared between executor, observer pass and oracles.
 	type faultState struct {
 		action  Action
-		armed   time.Time // crash time for crashes
-		firedAt time.Time // first observed injection (crashes: == armed)
+		firedAt time.Time // first observed injection (crashes: the crash)
 		fired   bool
 		failAt  time.Time
 		failed  bool
 	}
-	var faultMu sync.Mutex
 	states := make(map[string]*faultState) // member → state (schedule keeps them distinct)
+	obs := &observed{
+		logs:     make(map[string][]string, len(members)),
+		has:      make(map[string]map[string]bool, len(members)),
+		fail:     make(map[string]map[string]bool, len(members)),
+		sent:     make(map[string]bool),
+		admitted: make(map[string]time.Time, len(members)),
+	}
+	bound := conversionBound(opts.Delta)
 
-	// Everything that acts on the cluster at an instant of the schedule is a
-	// callback on the run's clock, so under a virtual clock it acts at that
-	// instant exactly: the monitor, the senders, and the executor, which
-	// also restores connectivity and stops the senders at the window's end.
-	// actMu serialises them (a real clock runs each on its own goroutine).
+	// Everything that observes or acts on the cluster is a callback on the
+	// run's clock, serialised by actMu (a real clock runs each on its own
+	// goroutine): bring-up, the senders, the schedule executor, and the
+	// observer pass, which drains every tracked member, stamps the fault
+	// states and advances the stages. Under a virtual clock each acts at
+	// its instant exactly and the pass runs at the end of every instant, so
+	// the whole Report is a function of the seed. Run's goroutine only
+	// waits for the last stage.
 	var (
-		actMu      sync.Mutex
-		sending    = true // the active window is open
-		running    = true // Run has not returned
-		schedStart time.Time
-		every      func(d time.Duration, f func() bool) // f every d while it says so
+		actMu         sync.Mutex
+		c             *cluster.Cluster
+		tracked       []*cluster.Member // the members the pass drains
+		heals         []cluster.HealEvent
+		start         time.Time
+		schedStart    time.Time
+		sending       = true // the active window is open
+		replacements  []string
+		probes        []string
+		probeTimedOut bool
+		pairFailed    = make(map[string]bool) // correct members and replacements, at the end
+		stages        []stage
+		cur           int       // the stage the pass checks
+		done          bool      // the last stage has acted, or the run failed
+		began         time.Time // when stages[cur] began
+		finished      = make(chan error, 1)
+		every         func(d time.Duration, f func() bool) // f every d while it says so
+		pass          func(now time.Time)
 	)
-	defer func() {
-		actMu.Lock()
-		running = false
-		actMu.Unlock()
-	}()
 	every = func(d time.Duration, f func() bool) {
 		clk.AfterFunc(d, func() {
 			actMu.Lock()
 			defer actMu.Unlock()
-			if running && f() {
+			if f() {
 				every(d, f)
 			}
 		})
 	}
+	observe := func() {
+		actMu.Lock()
+		defer actMu.Unlock()
+		pass(clk.Now())
+	}
+	// wake runs a pass d from now: when a stage's timeout or a conversion's
+	// bound falls due, whether or not anything else happens then.
+	wake := func(d time.Duration) { clk.AfterFunc(d, observe) }
+	// finish ends the run, after the last stage or at a harness failure:
+	// no pass acts after it, and the senders stop.
+	finish := func(err error) {
+		if !done {
+			done, sending = true, false
+			finished <- err
+		}
+	}
 
-	// Monitor: polls the local, partition-immune pair health and the
-	// fault-plane counters, timestamping first injection and first
-	// fail-signal per member.
-	monitor := func() bool {
-		now := clk.Now()
-		faultMu.Lock()
-		defer faultMu.Unlock()
+	pass = func(now time.Time) {
+		if done {
+			return
+		}
+		// A select, not a length test: the heal controller drops the
+		// oldest event itself when the buffer is full.
+	heal:
+		for {
+			select {
+			case ev := <-c.HealEvents():
+				heals = append(heals, ev)
+				if ev.Err == nil && ev.Replacement != "" {
+					tracked = append(tracked, c.Member(ev.Replacement))
+				}
+			default:
+				break heal
+			}
+		}
+		for _, m := range tracked {
+			obs.drain(m, now)
+		}
+		// The local, partition-immune pair health and the fault-plane
+		// counters stamp first injection and first fail-signal per member.
 		for name, st := range states {
 			if !st.fired && c.ValueFaultsInjected(name) > 0 {
 				st.fired, st.firedAt = true, now
+				wake(bound)
 			}
 			if !st.failed && c.PairFailed(name) {
 				st.failed, st.failAt = true, now
 			}
 		}
-		return true
+		for !done {
+			s := stages[cur]
+			held := s.cond(now)
+			if !held && (s.timeout == 0 || now.Sub(began) < s.timeout) {
+				return
+			}
+			cur, began = cur+1, now
+			if cur < len(stages) && stages[cur].timeout > 0 {
+				wake(stages[cur].timeout)
+			}
+			if s.then != nil {
+				s.then(now, !held)
+			}
+			if cur == len(stages) {
+				finish(nil)
+			}
+		}
 	}
 
 	// Workload: every member multicasts paced, self-describing payloads
@@ -530,7 +496,7 @@ func Run(opts Options) (*Report, error) {
 			}
 			p := fmt.Sprintf("c|%s|%d", name, seq)
 			seq++
-			obs.record(p)
+			obs.sent[p] = true
 			return m.Multicast(groupName, cluster.TotalSym, []byte(p)) == nil
 		}
 	}
@@ -548,18 +514,15 @@ func Run(opts Options) (*Report, error) {
 		case ActUnshapeLink:
 			c.ShapeLinks(a.A, a.B, transport.Profile{Latency: transport.Fixed(200 * time.Microsecond)})
 		case ActCrashLeader, ActCrashFollower:
-			faultMu.Lock()
-			states[a.A] = &faultState{action: a, armed: clk.Now(), fired: true, firedAt: clk.Now()}
-			faultMu.Unlock()
+			states[a.A] = &faultState{action: a, fired: true, firedAt: clk.Now()}
+			wake(bound)
 			if a.Kind == ActCrashLeader {
 				c.CrashLeader(a.A)
 			} else {
 				c.CrashFollower(a.A)
 			}
 		case ActValueFault:
-			faultMu.Lock()
-			states[a.A] = &faultState{action: a, armed: clk.Now()}
-			faultMu.Unlock()
+			states[a.A] = &faultState{action: a}
 			spec := publicSpec(a.Spec)
 			half := cluster.LeaderHalf
 			if a.Half == FollowerHalf {
@@ -579,13 +542,12 @@ func Run(opts Options) (*Report, error) {
 		}
 		return nil
 	}
-	executed := make(chan error, 1)
 	next := 0 // the next action to replay
 	var step func()
 	step = func() {
 		for ; next < len(sched.Actions) && sched.Actions[next].At <= clk.Since(schedStart); next++ {
 			if err := act(sched.Actions[next]); err != nil {
-				executed <- err
+				finish(err)
 				return
 			}
 		}
@@ -606,41 +568,18 @@ func Run(opts Options) (*Report, error) {
 			}
 		}
 		sending = false
-		executed <- nil
-	}
-	every(0, func() bool {
-		schedStart = clk.Now()
-		every(2*time.Millisecond, monitor)
-		for _, name := range members {
-			every(opts.SendEvery, sender(name, c.Member(name)))
-		}
-		step()
-		return false
-	})
-	if err := <-executed; err != nil {
-		return nil, err
+		wake(0)
 	}
 
-	// Let every owed fail-silence conversion land (or blow its bound).
-	bound := conversionBound(opts.Delta)
-	waitConversions := func() {
-		for {
-			now := clk.Now()
-			pending := false
-			faultMu.Lock()
-			for _, st := range states {
-				if st.fired && !st.failed && now.Sub(st.firedAt) < bound {
-					pending = true
-				}
+	// Every owed fail-silence conversion has landed (or blown its bound).
+	settled := func(now time.Time) bool {
+		for _, st := range states {
+			if st.fired && !st.failed && now.Sub(st.firedAt) < bound {
+				return false
 			}
-			faultMu.Unlock()
-			if !pending {
-				return
-			}
-			<-clk.After(5 * time.Millisecond)
 		}
+		return true
 	}
-	waitConversions()
 
 	// Churn barrier: every member whose pair fail-signalled owes a
 	// completed remediation — a successful heal event and a replacement
@@ -648,37 +587,32 @@ func Run(opts Options) (*Report, error) {
 	// multicast; a provisional joiner's requests are refused). A timeout
 	// here is itself the churn oracle firing.
 	replacementOf := func(failed string) (string, error) {
-		healMu.Lock()
-		defer healMu.Unlock()
 		for _, h := range heals {
-			if h.failed == failed {
-				return h.replacement, h.err
+			if h.Failed == failed {
+				return h.Replacement, h.Err
 			}
 		}
 		return "", nil
 	}
-	var replacements []string
-	if opts.Churn {
-		failedMembers := func() []string {
-			faultMu.Lock()
-			defer faultMu.Unlock()
-			var out []string
-			for _, name := range sortedNames(states) {
-				if states[name].failed {
-					out = append(out, name)
-				}
+	failedMembers := func() []string {
+		var out []string
+		for _, name := range sortedNames(states) {
+			if states[name].failed {
+				out = append(out, name)
 			}
-			return out
 		}
-		healErr := waitUntil(clk, 30*time.Second, func() bool {
-			for _, name := range failedMembers() {
-				r, herr := replacementOf(name)
-				if herr != nil || r == "" || !obs.isAdmitted(r) {
-					return false
-				}
+		return out
+	}
+	healed := func(time.Time) bool {
+		for _, name := range failedMembers() {
+			r, herr := replacementOf(name)
+			if herr != nil || r == "" || obs.admitted[r].IsZero() {
+				return false
 			}
-			return true
-		})
+		}
+		return true
+	}
+	judgeHeals := func(now time.Time, _ bool) {
 		for _, name := range failedMembers() {
 			r, herr := replacementOf(name)
 			switch {
@@ -692,17 +626,14 @@ func Run(opts Options) (*Report, error) {
 					Oracle: "churn",
 					Detail: fmt.Sprintf("%s fail-signalled but the auto-heal controller never replaced it", name),
 				})
-			case !obs.isAdmitted(r):
+			case obs.admitted[r].IsZero():
 				rep.Violations = append(rep.Violations, Violation{
 					Oracle: "churn",
 					Detail: fmt.Sprintf("replacement %s (for %s) was never admitted into a view", r, name),
 				})
 			default:
 				replacements = append(replacements, r)
-				faultMu.Lock()
-				fired, failed := states[name].firedAt, states[name].failAt
-				faultMu.Unlock()
-				admitted := obs.admittedAt(r)
+				fired, failed, admitted := states[name].firedAt, states[name].failAt, obs.admitted[r]
 				rep.Heals = append(rep.Heals, Heal{
 					Failed:       name,
 					Replacement:  r,
@@ -713,7 +644,6 @@ func Run(opts Options) (*Report, error) {
 				})
 			}
 		}
-		_ = healErr // diagnosed member-by-member above
 		if got := len(c.Names()); got != opts.Members && len(rep.Violations) == 0 {
 			rep.Violations = append(rep.Violations, Violation{
 				Oracle: "churn",
@@ -721,61 +651,146 @@ func Run(opts Options) (*Report, error) {
 			})
 		}
 		rep.Replacements = append([]string(nil), replacements...)
-		rep.Window = clk.Since(schedStart)
+		rep.Window = now.Sub(schedStart)
 	}
 
 	// Liveness probe: members with no scheduled fault must still reach
 	// agreement — each multicasts a fresh probe, and every one of them
-	// must deliver all of them. (A scheduled-but-unfired value fault may
-	// fire on the probe traffic itself; such members are excluded here and
-	// judged by the conversion oracle instead.) In churn runs the admitted
-	// replacements probe too: each must deliver its own probe — proving
-	// the fresh pair multicasts into, and delivers from, the healed group
-	// — and every correct original must deliver the replacements' probes.
-	scheduledFault := make(map[string]bool)
-	for _, m := range sched.ValueFaulted() {
-		scheduledFault[m] = true
-	}
-	for _, m := range sched.Crashed() {
-		scheduledFault[m] = true
-	}
-	var correct []string
-	for _, m := range members {
-		if !scheduledFault[m] {
-			correct = append(correct, m)
+	// must deliver all of them. In churn runs the admitted replacements
+	// probe too: each must deliver its own probe — proving the fresh pair
+	// multicasts into, and delivers from, the healed group — and every
+	// correct original must deliver the replacements' probes.
+	sendProbes := func(time.Time, bool) {
+		for _, m := range append(append([]string(nil), correct...), replacements...) {
+			p := "p|" + m
+			probes = append(probes, p)
+			obs.sent[p] = true
+			if err := c.Member(m).Multicast(groupName, cluster.TotalSym, []byte(p)); err != nil {
+				rep.Violations = append(rep.Violations, Violation{
+					Oracle: "liveness",
+					Detail: fmt.Sprintf("correct member %s cannot multicast after heal: %v", m, err),
+				})
+			}
 		}
 	}
-	var probes []string
-	for _, m := range append(append([]string(nil), correct...), replacements...) {
-		p := "p|" + m
-		probes = append(probes, p)
-		obs.record(p)
-		if err := c.Member(m).Multicast(groupName, cluster.TotalSym, []byte(p)); err != nil {
-			rep.Violations = append(rep.Violations, Violation{
-				Oracle: "liveness",
-				Detail: fmt.Sprintf("correct member %s cannot multicast after heal: %v", m, err),
-			})
-		}
-	}
-	probeTimeout := 20 * time.Second
-	probeErr := waitUntil(clk, probeTimeout, func() bool {
+	unprobed := func() []string {
+		var missing []string
 		for _, m := range correct {
-			if !obs.deliveredAll(m, probes) {
-				return false
+			if !obs.deliveredAll(m, probes...) {
+				missing = append(missing, m)
 			}
 		}
 		for _, r := range replacements {
-			if !obs.deliveredAll(r, []string{"p|" + r}) {
-				return false
+			if !obs.deliveredAll(r, "p|"+r) {
+				missing = append(missing, r)
 			}
 		}
-		return true
+		return missing
+	}
+	const probeTimeout = 20 * time.Second
+
+	const warmupTimeout = 20 * time.Second
+	warm := "w|0"
+	stages = []stage{
+		// Warmup: the group is formed once one multicast reaches everyone.
+		// The schedule starts at that instant.
+		{
+			cond: func(time.Time) bool {
+				for _, name := range members {
+					if !obs.deliveredAll(name, warm) {
+						return false
+					}
+				}
+				return true
+			},
+			timeout: warmupTimeout,
+			then: func(now time.Time, timedOut bool) {
+				if timedOut {
+					finish(fmt.Errorf("chaos: group never formed: the warmup multicast did not reach every member within %v", warmupTimeout))
+					return
+				}
+				schedStart = now
+				for _, name := range members {
+					every(opts.SendEvery, sender(name, c.Member(name)))
+				}
+				step()
+			},
+		},
+		// The schedule: its executor closes the active window at its end.
+		{cond: func(time.Time) bool { return !sending }},
+		{cond: settled},
+	}
+	if opts.Churn {
+		stages = append(stages, stage{cond: healed, timeout: 30 * time.Second, then: judgeHeals})
+	}
+	stages = append(stages,
+		stage{cond: always, then: sendProbes},
+		stage{
+			cond:    func(time.Time) bool { return len(unprobed()) == 0 },
+			timeout: probeTimeout,
+			then:    func(_ time.Time, timedOut bool) { probeTimedOut = timedOut },
+		},
+		// A fault that fired on the probe traffic still owes its conversion.
+		stage{cond: settled, then: func(now time.Time, _ bool) {
+			for _, m := range append(append([]string(nil), correct...), replacements...) {
+				pairFailed[m] = c.PairFailed(m)
+			}
+			rep.Elapsed = now.Sub(start)
+		}},
+	)
+
+	// Bring-up, the joins and the warmup multicast are one callback: on a
+	// virtual clock they share the run's first instant. The observer pass
+	// then runs at the end of every instant (clock.Virtual.Settle) or every
+	// 2ms on any other clock.
+	clk.AfterFunc(0, func() {
+		actMu.Lock()
+		defer actMu.Unlock()
+		start = clk.Now()
+		var err error
+		if c, err = cluster.New(clusterOpts...); err != nil {
+			finish(fmt.Errorf("chaos: building cluster: %w", err))
+			return
+		}
+		if !c.CanInjectFaults() {
+			finish(fmt.Errorf("chaos: transport %T refuses fault injection; chaos schedules need transport.FaultInjector", net))
+			return
+		}
+		if err := c.JoinAll(groupName); err != nil {
+			finish(fmt.Errorf("chaos: joining: %w", err))
+			return
+		}
+		for _, name := range members {
+			tracked = append(tracked, c.Member(name))
+		}
+		obs.sent[warm] = true
+		if err := c.Member(members[0]).Multicast(groupName, cluster.TotalSym, []byte(warm)); err != nil {
+			finish(fmt.Errorf("chaos: warmup multicast: %w", err))
+			return
+		}
+		began = start
+		wake(warmupTimeout)
+		if vt != nil {
+			vt.Settle(func(time.Time) { observe() })
+		} else {
+			every(2*time.Millisecond, func() bool {
+				pass(clk.Now())
+				return !done
+			})
+		}
 	})
-	// A fault that fired on the probe traffic still owes its conversion.
-	waitConversions()
+	err := <-finished
+	if vt != nil {
+		vt.Settle(nil)
+	}
+	if c != nil {
+		defer c.Close()
+	}
+	if err != nil {
+		return nil, err
+	}
 
 	// ── Oracle 2: fail-silence conversion ────────────────────────────────
-	faultMu.Lock()
 	for _, name := range append(sched.ValueFaulted(), sched.Crashed()...) {
 		st := states[name]
 		if st == nil {
@@ -799,27 +814,7 @@ func Run(opts Options) (*Report, error) {
 			})
 		}
 	}
-	faultMu.Unlock()
-
-	// Final state snapshot for the remaining oracles.
-	obs.mu.Lock()
-	logs := make(map[string][]string, len(obs.logs))
-	for m, l := range obs.logs {
-		logs[m] = append([]string(nil), l...)
-	}
-	fails := make(map[string]map[string]bool, len(obs.fail))
-	for m, set := range obs.fail {
-		cp := make(map[string]bool, len(set))
-		for s := range set {
-			cp[s] = true
-		}
-		fails[m] = cp
-	}
-	sent := make(map[string]bool, len(obs.sent))
-	for p := range obs.sent {
-		sent[p] = true
-	}
-	obs.mu.Unlock()
+	logs, sent := obs.logs, obs.sent
 	rep.Sent = len(sent)
 
 	// ── Oracle 1: delivery equivalence ───────────────────────────────────
@@ -899,7 +894,7 @@ func Run(opts Options) (*Report, error) {
 	// Un-faulted members never fail-signal and are never the source of a
 	// verified fail-signal observed anywhere.
 	for _, m := range correct {
-		if c.PairFailed(m) {
+		if pairFailed[m] {
 			rep.Violations = append(rep.Violations, Violation{
 				Oracle: "false-suspicion",
 				Detail: fmt.Sprintf("%s has no scheduled fault but its pair fail-signalled", m),
@@ -907,15 +902,15 @@ func Run(opts Options) (*Report, error) {
 		}
 	}
 	for _, r := range replacements {
-		if c.PairFailed(r) {
+		if pairFailed[r] {
 			rep.Violations = append(rep.Violations, Violation{
 				Oracle: "false-suspicion",
 				Detail: fmt.Sprintf("replacement %s has no scheduled fault but its pair fail-signalled", r),
 			})
 		}
 	}
-	for observer, set := range fails {
-		for src := range set {
+	for _, observer := range sortedNames(obs.fail) {
+		for _, src := range sortedNames(obs.fail[observer]) {
 			if !scheduledFault[src] {
 				rep.Violations = append(rep.Violations, Violation{
 					Oracle: "false-suspicion",
@@ -926,25 +921,13 @@ func Run(opts Options) (*Report, error) {
 	}
 
 	// ── Oracle 4: liveness after heal ────────────────────────────────────
-	if probeErr != nil {
-		missing := []string{}
-		for _, m := range correct {
-			if !obs.deliveredAll(m, probes) {
-				missing = append(missing, m)
-			}
-		}
-		for _, r := range replacements {
-			if !obs.deliveredAll(r, []string{"p|" + r}) {
-				missing = append(missing, r)
-			}
-		}
+	if probeTimedOut {
 		rep.Violations = append(rep.Violations, Violation{
 			Oracle: "liveness",
-			Detail: fmt.Sprintf("after all partitions healed, members %v did not deliver all %d probes within %v", missing, len(probes), probeTimeout),
+			Detail: fmt.Sprintf("after all partitions healed, members %v did not deliver all %d probes within %v", unprobed(), len(probes), probeTimeout),
 		})
 	}
 
-	rep.Elapsed = clk.Since(start)
 	if !rep.Passed() && !opts.NoDump {
 		if path, derr := reg.Dump(opts.TraceDir, fmt.Sprintf("chaos-seed%d", opts.Seed)); derr == nil {
 			rep.DumpPath = path
@@ -979,19 +962,4 @@ func sortedNames[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// waitUntil polls cond every few milliseconds until it holds or the
-// timeout expires.
-func waitUntil(clk clock.Clock, timeout time.Duration, cond func() bool) error {
-	deadline := clk.Now().Add(timeout)
-	for {
-		if cond() {
-			return nil
-		}
-		if clk.Now().After(deadline) {
-			return fmt.Errorf("condition not met within %v", timeout)
-		}
-		<-clk.After(5 * time.Millisecond)
-	}
 }

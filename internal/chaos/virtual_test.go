@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -255,4 +256,47 @@ func TestChaosCorpusVirtualCoordinatorFailsMidProposal(t *testing.T) {
 	opts.Delta = 0 // the schedule was found at the lane's default δ
 	opts.TraceDir = t.TempDir()
 	runCorpusSeed(t, opts)
+}
+
+// TestChaosVirtualReportIsExact: on the virtual timeline a run's whole
+// Report — simulated Elapsed and Window, the heal timeline, each
+// conversion's latency, the verdict and the delivery counts — is a
+// function of its seed, whatever GOMAXPROCS is. Every observation and
+// every post-schedule stage runs on the clock's driver, so nothing is
+// stamped at the instant some goroutine happened to be scheduled.
+func TestChaosVirtualReportIsExact(t *testing.T) {
+	cases := []struct {
+		name        string
+		seed        int64
+		skew, churn bool
+	}{
+		{name: "corpus", seed: corpusSeeds[1]},
+		{name: "skew", seed: 3, skew: true},
+		{name: "skew", seed: 4, skew: true},
+		{name: "churn", seed: 2, churn: true},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s-seed%d", tc.name, tc.seed), func(t *testing.T) {
+			var first string
+			for _, procs := range []int{1, 1, 4, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				opts, v := shortVirtual(tc.seed)
+				opts.Skew, opts.Churn, opts.NoDump = tc.skew, tc.churn, true
+				rep, err := Run(opts)
+				v.Stop()
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS %d: harness error: %v", procs, err)
+				}
+				got := fmt.Sprintf("%+v", rep)
+				if first == "" {
+					first = got
+					continue
+				}
+				if got != first {
+					t.Fatalf("GOMAXPROCS %d: report differs from the first run's:\n%s\nvs\n%s", procs, got, first)
+				}
+			}
+		})
+	}
 }

@@ -58,6 +58,10 @@ type peer struct {
 	nextDial time.Time // dials suppressed until then, guarded by mu
 
 	conn net.Conn // writer-goroutine private once dialed
+	// bufs is the writer's iovec list, kept across writes so a vectored
+	// write reuses its backing array; writer-goroutine private, and empty
+	// of entries between writes so an idle peer pins no payload.
+	bufs net.Buffers
 }
 
 func newPeer(t *Transport, hostport string) *peer {
@@ -153,7 +157,7 @@ func (p *peer) writeBatch(batch []wireFrame) int {
 		if conn == nil {
 			continue
 		}
-		bufs := make(net.Buffers, 0, 2*len(batch))
+		bufs := p.bufs[:0]
 		for _, f := range batch {
 			bufs = append(bufs, f.head)
 			if len(f.body) > 0 {
@@ -163,7 +167,10 @@ func (p *peer) writeBatch(batch []wireFrame) int {
 				bufs = f.pieces.AppendPieces(bufs)
 			}
 		}
-		n, err := bufs.WriteTo(conn)
+		p.bufs = bufs
+		w := bufs // WriteTo advances its receiver; p.bufs keeps the array
+		n, err := w.WriteTo(conn)
+		clear(bufs)
 		if err == nil {
 			return 0
 		}
