@@ -258,10 +258,9 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 
 	wall := clock.NewReal()
 	var clk clock.Clock = wall
-	var vt *clock.Virtual
 	copts := spec.Options()
 	if opts.Virtual {
-		vt = clock.NewVirtual()
+		vt := clock.NewVirtual()
 		defer vt.Stop()
 		clk = vt
 		copts = append(copts, cluster.WithVirtualTime(vt))
@@ -287,12 +286,12 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 		cluster.WithSyncLinkProfile(transport.Profile{Latency: transport.Fixed(lanLatency)}),
 	)
 
-	// Each member's workload takes its deliveries until it ends; end
-	// records it, and the last to end reads the traffic counters. On the
-	// wall clock a goroutine drains each workload; on a virtual clock the
-	// Settle hook polls them on the driver at the end of every instant, so
-	// deliveries, the run's end and the counters are taken at their
-	// instant, not whenever a goroutine the driver outran got scheduled.
+	// Each member's workload takes its deliveries until it ends, and the
+	// last to end reads the traffic counters. One observer pass on the
+	// run's clock polls every workload (clock.Observe): on a virtual clock
+	// at the end of every instant, so deliveries, the run's end and the
+	// counters are taken at their instant; on the wall clock every 2 ms.
+	// Once stop is closed, the pass ends the workloads left and stops.
 	var (
 		cl        *cluster.Cluster
 		start     time.Time
@@ -304,31 +303,29 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 		stalled   = make(chan struct{})
 		timeout   clock.Timer
 
-		ends     atomic.Int64
 		endAt    time.Time
 		counters transport.Stats // zero on a transport that counts nothing
 	)
-	end := func(i int, st deploy.WorkerStats) {
-		stats[i] = st
-		if ends.Add(1) == int64(len(names)) {
-			endAt = clk.Now()
-			counters, _ = cl.Stats()
+	done, left := make([]bool, len(names)), len(names)
+	observe := func(now time.Time) bool {
+		stopped := false
+		select {
+		case <-stop:
+			stopped = true
+		default:
 		}
-		ended <- i
-	}
-	// poll ends, on the virtual driver, each workload that has ended (all
-	// that are left, once the run is stopped).
-	var poll func(all bool)
-	if vt != nil {
-		done := make([]bool, len(names))
-		poll = func(all bool) {
-			for i, w := range loads {
-				if !done[i] && (w.Poll(&delivered[i]) || all) {
-					done[i] = true
-					end(i, w.Stats())
-				}
+		for i, w := range loads {
+			if done[i] || !(w.Poll(&delivered[i]) || stopped) {
+				continue
 			}
+			done[i], stats[i] = true, w.Stats()
+			if left--; left == 0 {
+				endAt = now
+				counters, _ = cl.Stats()
+			}
+			ended <- i
 		}
+		return left > 0
 	}
 	// Round-progress watchdog: the protocol should never go StallAfter
 	// without a delivery while work is outstanding. When it does, snapshot
@@ -360,13 +357,8 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 		start = clk.Now()
 		for i, name := range names {
 			loads[i] = deploy.StartWorkload(clk, start, cl.Member(name), spec, opts.Members, stop)
-			if poll == nil {
-				go func() { end(i, loads[i].Drain(&delivered[i], stop)) }()
-			}
 		}
-		if poll != nil {
-			vt.Settle(func(time.Time) { poll(false) })
-		}
+		clock.Observe(clk, observe)
 		if opts.StallAfter > 0 {
 			stallMonitor(clk, progress, opts.Members*opts.Members*opts.MsgsPerMember, opts.StallAfter, stop, stalled)
 		}
@@ -423,12 +415,6 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 		}
 	}
 	close(stop)
-	if poll != nil {
-		vt.AfterFunc(0, func() {
-			vt.Settle(nil)
-			poll(true)
-		})
-	}
 	for ; returned < len(names); returned++ {
 		<-ended
 	}

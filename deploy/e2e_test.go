@@ -156,6 +156,46 @@ func TestDeployWorkerKilledMidRun(t *testing.T) {
 	}
 }
 
+// TestDeployProgressBeat: a running worker reports its delivery count on
+// a beat, which is all the controller's stall watchdog sees of a worker
+// that has not finished. Each member's second message is due 10s after its
+// first and the watchdog window is 1s, so the run stalls after every
+// worker has delivered the four first messages and sent several beats;
+// the verdict must carry those counts, not zeros.
+func TestDeployProgressBeat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real worker processes")
+	}
+	asWorkers(t)
+	cfg := Config{
+		Workers: 4,
+		Command: selfCommand(t),
+		Spec: RunSpec{
+			MsgsPerMember: 2,
+			SendInterval:  10 * time.Second,
+			TraceDir:      t.TempDir(),
+		},
+		StallAfter: time.Second,
+	}
+	_, err := Run(cfg)
+	var st *ErrStalled
+	if !errors.As(err, &st) {
+		t.Fatalf("Run error = %v, want *ErrStalled", err)
+	}
+	if len(st.PerMember) != cfg.Workers {
+		t.Fatalf("stall verdict names %d workers, want %d: %v", len(st.PerMember), cfg.Workers, st)
+	}
+	for _, p := range st.PerMember {
+		if p.Done {
+			t.Errorf("%s reported done on a run that was 10s from its end", p.Member)
+		}
+		if p.Delivered == 0 || p.Delivered > cfg.Workers {
+			t.Errorf("%s: the controller saw %d deliveries, want 1..%d (the members' first messages): its progress beat did not reach the controller",
+				p.Member, p.Delivered, cfg.Workers)
+		}
+	}
+}
+
 // spawnRawWorker starts one worker process outside any controller, with
 // its control stdin held open, and returns the process, its stdin
 // handle, and a channel of decoded control messages.

@@ -76,8 +76,8 @@ type Msg struct {
 }
 
 // msgWriter serialises control messages onto one stream. The mutex makes
-// it safe for the worker's workload goroutine (progress, done) and main
-// loop (ready, joined, dumped) to share the same stdout.
+// it safe for the worker's observer pass (progress) and main loop (ready,
+// joined, done, dumped) to share the same stdout.
 type msgWriter struct {
 	mu  sync.Mutex
 	enc *json.Encoder

@@ -78,12 +78,10 @@ func RunWorker() error {
 		self    string
 		roster  []string
 		running bool
-		// delivered is the workload's delivery counter, read by the progress
-		// pulse; ran carries its measurements back to this loop; stopRun,
-		// closed on the way out, ends a workload still in flight.
-		delivered atomic.Int64
-		ran       = make(chan WorkerStats, 1)
-		stopRun   = make(chan struct{})
+		// ran carries the workload's measurements back to this loop;
+		// stopRun, closed on the way out, ends a workload still in flight.
+		ran     = make(chan WorkerStats, 1)
+		stopRun = make(chan struct{})
 	)
 	defer func() {
 		close(stopRun)
@@ -180,14 +178,7 @@ func RunWorker() error {
 					return fail(fmt.Errorf("deploy: duplicate run"))
 				}
 				running = true
-				go func(mem *cluster.Member, spec RunSpec, self string, members int) {
-					quiet := make(chan struct{})
-					go pulse(out, self, &delivered, quiet)
-					clk := clock.NewReal()
-					stats := StartWorkload(clk, clk.Now(), mem, spec, members, stopRun).Drain(&delivered, stopRun)
-					close(quiet)
-					ran <- stats
-				}(mem, spec, self, len(roster))
+				runWorkload(out, self, mem, spec, len(roster), stopRun, ran)
 			case msgDump:
 				dir, _ := traceDir.Load().(string)
 				rsp := Msg{Type: msgDumped, Member: self}
@@ -207,19 +198,36 @@ func RunWorker() error {
 	}
 }
 
-// pulse reports the workload's delivery count on a fixed wall-clock beat
-// until stop closes, so the controller's stall watchdog can tell a slow
-// run from a wedged one. Run-phase deadlines are the controller's job: a
-// watchdogged worker is still reachable for dump collection.
-func pulse(out *msgWriter, self string, delivered *atomic.Int64, stop <-chan struct{}) {
-	beat := time.NewTicker(250 * time.Millisecond)
-	defer beat.Stop()
-	for {
+// progressBeat is how often a running worker reports its delivery count.
+const progressBeat = 250 * time.Millisecond
+
+// runWorkload starts mem's workload and polls it in one observer pass on
+// the wall clock. The pass reports the delivery count every progressBeat,
+// so the controller's stall watchdog can tell a slow run from a wedged
+// one, and hands ran the measurements once the workload ends or stop
+// closes. Run-phase deadlines are the controller's job: a watchdogged
+// worker is still reachable for dump collection.
+func runWorkload(out *msgWriter, self string, mem *cluster.Member, spec RunSpec, members int, stop <-chan struct{}, ran chan<- WorkerStats) {
+	clk := clock.NewReal()
+	start := clk.Now()
+	w := StartWorkload(clk, start, mem, spec, members, stop)
+	var delivered atomic.Int64
+	beat := start
+	clock.Observe(clk, func(now time.Time) bool {
+		ended := w.Poll(&delivered)
 		select {
 		case <-stop:
-			return
-		case <-beat.C:
+			ended = true
+		default:
+		}
+		if ended {
+			ran <- w.Stats()
+			return false
+		}
+		if now.Sub(beat) >= progressBeat {
+			beat = now
 			_ = out.send(Msg{Type: msgProgress, Member: self, Delivered: int(delivered.Load())})
 		}
-	}
+		return true
+	})
 }

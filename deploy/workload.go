@@ -16,8 +16,8 @@ import (
 // deliveries until every member's messages have arrived here. Ordering
 // latency is send instant → own delivery, the delivery's At: the instant
 // the NSO handed it over, however late the workload takes it. Every lane
-// runs one per member: bench.Run in process on the run's clock, a deploy
-// worker on the wall clock.
+// runs one per member and polls it in one observer pass on the run's clock
+// (clock.Observe): bench.Run in process, a deploy worker on the wall clock.
 type Workload struct {
 	mem   *cluster.Member
 	start time.Time
@@ -30,9 +30,8 @@ type Workload struct {
 }
 
 // StartWorkload arms mem's paced sends on clk, the first due at start; the
-// caller then takes its deliveries with Drain or Poll. clk must read as
-// mem's clock does, which stamps the deliveries. Closing stop ends the
-// sends.
+// caller then takes its deliveries with Poll. clk must read as mem's clock
+// does, which stamps the deliveries. Closing stop ends the sends.
 func StartWorkload(clk clock.Clock, start time.Time, mem *cluster.Member, spec RunSpec, members int, stop <-chan struct{}) *Workload {
 	w := &Workload{
 		mem:   mem,
@@ -57,13 +56,14 @@ func StartWorkload(clk clock.Clock, start time.Time, mem *cluster.Member, spec R
 	return w
 }
 
-// ended reports whether every expected delivery is taken or a multicast
-// failed: the run cannot complete without its messages.
+// ended reports whether a multicast failed, for the run cannot complete
+// without its messages, or every expected delivery is taken and the
+// sender has returned.
 func (w *Workload) ended() bool {
-	return w.stats.Delivered >= w.stats.Expected || w.stats.SendError != ""
+	return w.sent == nil && (w.stats.Delivered >= w.stats.Expected || w.stats.SendError != "")
 }
 
-// take records one delivery and counts it in delivered, the pulse both
+// take records one delivery and counts it in delivered, the count both
 // stall watchdogs read (bench.Run's directly, the controller's through
 // progress messages).
 func (w *Workload) take(d cluster.Delivery, delivered *atomic.Int64) {
@@ -91,30 +91,9 @@ func (w *Workload) onSent(err error) {
 	}
 }
 
-// Drain takes the member's deliveries as they come until the workload
-// ends or stop closes, and returns the measurements.
-func (w *Workload) Drain(delivered *atomic.Int64, stop <-chan struct{}) WorkerStats {
-	for !w.ended() {
-		select {
-		case <-stop:
-			return w.Stats()
-		case err := <-w.sent:
-			w.onSent(err)
-		case d := <-w.mem.Deliveries():
-			w.take(d, delivered)
-		case <-w.mem.Views():
-		}
-	}
-	if w.stats.SendError == "" && w.sent != nil {
-		<-w.sent // own messages all delivered: the last send is returning
-	}
-	return w.Stats()
-}
-
 // Poll takes whatever the member has queued, without waiting, and reports
-// whether the workload has ended. Called on a virtual clock's driver at
-// the end of every instant (clock.Virtual.Settle), it takes each delivery
-// at the instant it was made.
+// whether the workload has ended. Called from a clock.Observe pass on a
+// virtual clock, it takes each delivery at the instant it was made.
 func (w *Workload) Poll(delivered *atomic.Int64) bool {
 	for !w.ended() {
 		select {

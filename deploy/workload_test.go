@@ -66,12 +66,17 @@ func TestRunWorkloadRecordsSendError(t *testing.T) {
 
 	spec := RunSpec{}
 	spec.FillDefaults(2)
+	clk := clock.NewReal()
+	w := StartWorkload(clk, clk.Now(), cl.Member("a"), spec, 2, nil)
 	var delivered atomic.Int64
 	done := make(chan WorkerStats, 1)
-	go func() {
-		clk := clock.NewReal()
-		done <- StartWorkload(clk, clk.Now(), cl.Member("a"), spec, 2, nil).Drain(&delivered, nil)
-	}()
+	clock.Observe(clk, func(time.Time) bool {
+		if !w.Poll(&delivered) {
+			return true
+		}
+		done <- w.Stats()
+		return false
+	})
 	select {
 	case stats := <-done:
 		if !strings.Contains(stats.SendError, "multicast seq 1") {

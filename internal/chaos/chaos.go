@@ -417,14 +417,16 @@ func Run(opts Options) (*Report, error) {
 			}
 		})
 	}
-	observe := func() {
+	// observe runs a pass and reports whether the run goes on.
+	observe := func() bool {
 		actMu.Lock()
 		defer actMu.Unlock()
 		pass(clk.Now())
+		return !done
 	}
 	// wake runs a pass d from now: when a stage's timeout or a conversion's
 	// bound falls due, whether or not anything else happens then.
-	wake := func(d time.Duration) { clk.AfterFunc(d, observe) }
+	wake := func(d time.Duration) { clk.AfterFunc(d, func() { observe() }) }
 	// finish ends the run, after the last stage or at a harness failure:
 	// no pass acts after it, and the senders stop.
 	finish := func(err error) {
@@ -741,8 +743,7 @@ func Run(opts Options) (*Report, error) {
 
 	// Bring-up, the joins and the warmup multicast are one callback: on a
 	// virtual clock they share the run's first instant. The observer pass
-	// then runs at the end of every instant (clock.Virtual.Settle) or every
-	// 2ms on any other clock.
+	// then runs on the run's clock (clock.Observe) until the run is done.
 	clk.AfterFunc(0, func() {
 		actMu.Lock()
 		defer actMu.Unlock()
@@ -770,19 +771,9 @@ func Run(opts Options) (*Report, error) {
 		}
 		began = start
 		wake(warmupTimeout)
-		if vt != nil {
-			vt.Settle(func(time.Time) { observe() })
-		} else {
-			every(2*time.Millisecond, func() bool {
-				pass(clk.Now())
-				return !done
-			})
-		}
+		clock.Observe(clk, func(time.Time) bool { return observe() })
 	})
 	err := <-finished
-	if vt != nil {
-		vt.Settle(nil)
-	}
 	if c != nil {
 		defer c.Close()
 	}

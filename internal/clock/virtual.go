@@ -32,7 +32,7 @@ type Virtual struct {
 	busy     int
 	advances uint64
 	stopped  bool
-	settle   func(now time.Time) // see Settle
+	settle   func(now time.Time) // see onSettle
 
 	epoch time.Time
 	wake  chan struct{} // cap 1: the heap, the busy count or stopped changed
@@ -123,11 +123,12 @@ func (v *Virtual) Stop() {
 	<-v.done
 }
 
-// Settle makes f run on the driver whenever time is about to move: every
-// callback due now has run and no busy mark is held. f reads a stack on
-// the clock as that instant left it, however far a goroutine outside has
-// fallen behind; what f arms runs before time moves. Nil removes f.
-func (v *Virtual) Settle(f func(now time.Time)) {
+// onSettle makes f run on the driver whenever time is about to move:
+// every callback due now has run and no busy mark is held. f reads a
+// stack on the clock as that instant left it, however far a goroutine
+// outside has fallen behind; what f arms runs before time moves. Nil
+// removes f. Observe is its one caller.
+func (v *Virtual) onSettle(f func(now time.Time)) {
 	v.mu.Lock()
 	v.settle = f
 	v.mu.Unlock()
@@ -154,7 +155,7 @@ func (v *Virtual) poke() {
 // drive is the executor: it runs the earliest entry once it is due, moving
 // time to its deadline first when nothing is due now and no busy mark is
 // held, and parks until poked otherwise. Callbacks run without the lock.
-// Before it moves time it runs the Settle hook, then yields the processor
+// Before it moves time it runs the settle hook, then yields the processor
 // once, so that on one P the goroutines outside it (an application
 // draining deliveries, a test polling a condition) are not starved;
 // nothing on the timeline depends on the yield.

@@ -145,7 +145,7 @@ func TestVirtualImmediateTimer(t *testing.T) {
 	}
 }
 
-// TestVirtualSettle pins the Settle hook: it runs on the driver once an
+// TestVirtualSettle pins the settle hook: it runs on the driver once an
 // instant's callbacks have all run and before time moves, so it sees each
 // instant's end state; a callback it arms for now runs before time moves,
 // and the hook runs again after it; nil removes it.
@@ -157,7 +157,7 @@ func TestVirtualSettle(t *testing.T) {
 	done := make(chan struct{})
 	v.AfterFunc(0, func() {
 		t0 := v.Now()
-		v.Settle(func(now time.Time) {
+		v.onSettle(func(now time.Time) {
 			log = append(log, "settle@"+now.Sub(t0).String())
 			if now.Sub(t0) == time.Second && len(log) < 5 {
 				v.AfterFunc(0, note("armed-by-settle"))
@@ -167,7 +167,7 @@ func TestVirtualSettle(t *testing.T) {
 		v.AfterFunc(time.Second, note("b"))
 		v.AfterFunc(2*time.Second, note("c"))
 		v.AfterFunc(3*time.Second, func() {
-			v.Settle(nil)
+			v.onSettle(nil)
 			v.AfterFunc(time.Second, func() { close(done) })
 		})
 	})
