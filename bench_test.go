@@ -65,8 +65,8 @@ func BenchmarkFig6OrderLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7Throughput regenerates Figure 7: throughput vs group size
-// with the paper's default 10-worker request pool. The paper sweeps 2..15;
+// BenchmarkFig7Throughput regenerates Figure 7: throughput vs group size.
+// The paper sweeps 2..15;
 // the sharded netsim dispatcher lets the sweep extend to 25 and 40 members
 // (40 FS members = 80 replica processes, 6320 directed links) within the
 // same per-run timeout.

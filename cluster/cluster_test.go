@@ -139,8 +139,7 @@ func TestClusterBatchedTotalOrder(t *testing.T) {
 // caller owns. An FS member is its pair's two replica loops: 2, with no
 // ORB and no loop for the window's backstop (a clock callback). A crash
 // member is its GC driver's loop: 1, its ORB serving requests on the
-// transport's callbacks and the clock's (the paper's request pool is
-// service slots, not workers). On a virtual clock either is 0, every loop
+// transport's callbacks. On a virtual clock either is 0, every loop
 // a pass on the clock's driver. Nothing stands between an NSO and the
 // application. None outlive Close.
 func TestMemberGoroutineBudget(t *testing.T) {

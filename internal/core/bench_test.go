@@ -21,16 +21,33 @@ type syncLinkMeter struct {
 	bytes atomic.Int64
 }
 
+// newSyncLinkMeter wraps tr in a meter and returns the meter and the
+// transport to hand the stack: one that takes a payload in pieces exactly
+// when tr does, so a stack over the meter sends in the form it would send
+// over tr.
+func newSyncLinkMeter(tr transport.Transport) (*syncLinkMeter, transport.Transport) {
+	m := &syncLinkMeter{Transport: tr}
+	if gs, ok := tr.(transport.GatherSender); ok {
+		return m, gatherLinkMeter{m, gs}
+	}
+	return m, m
+}
+
 func (m *syncLinkMeter) Send(from, to transport.Addr, kind string, payload []byte) error {
 	m.count(kind, len(payload))
 	return m.Transport.Send(from, to, kind, payload)
 }
 
-// SendGather passes a payload in pieces on to a transport that takes
-// them, and flattens it for one that does not.
-func (m *syncLinkMeter) SendGather(from, to transport.Addr, kind string, g transport.Gather) error {
+// gatherLinkMeter is a syncLinkMeter over a transport that takes a
+// payload in pieces; it passes them on.
+type gatherLinkMeter struct {
+	*syncLinkMeter
+	gs transport.GatherSender
+}
+
+func (m gatherLinkMeter) SendGather(from, to transport.Addr, kind string, g transport.Gather) error {
 	m.count(kind, g.Len())
-	return transport.SendGather(m.Transport, from, to, kind, g)
+	return m.gs.SendGather(from, to, kind, g)
 }
 
 func (m *syncLinkMeter) count(kind string, n int) {
@@ -45,11 +62,16 @@ func (m *syncLinkMeter) count(kind string, n int) {
 // netsim. B/op and allocs/op cover all three nodes; synclink-B/op is what
 // the round put on the leader↔follower link: the forward carries the
 // request once (the t1 = 0 relay a second time when it wins its race with
-// the forward) and the two candidates a digest each. Whole-output compare
-// made it 24,984 synclink-B, 304,437 B and 91 allocs per round; it reads
-// 16,754, ~58,450 and 30 (~96,400 and 33 while each output was encoded and
-// then copied twice more into its wire form, the client's request likewise;
-// 53 allocs while names and destination lists were decoded as copies).
+// the forward) and the two candidates a digest each. The meter takes a
+// payload in pieces only over a transport that does, so over netsim the
+// pair sends what it sends over netsim in a cluster: the forward is
+// fwdPayload.marshal. Whole-output compare made it 24,984 synclink-B,
+// 304,437 B and 91 allocs per round; it reads 16,758, ~66,700 and 31 on a
+// 2-vCPU host with go1.24 (~66,800 and 34 while the meter took pieces over
+// netsim and the forward went out in gather form; ~96,400 and 33 while
+// each output was encoded and then copied twice more into its wire form,
+// the client's request likewise; 53 allocs while names and destination
+// lists were decoded as copies).
 // This rig sends a contiguous request and its echo machine copies the
 // request into its reply, so carrying payloads by reference left its
 // figures where they were; TestPairRoundBytes8K runs the rig as the FS
@@ -59,7 +81,7 @@ func BenchmarkPairRound8K(b *testing.B) {
 	fabric := netsim.New(clock.NewReal())
 	defer fabric.Close()
 	rig := newPairRoundRig(b, fabric, false)
-	before := rig.net.bytes.Load()
+	before := rig.meter.bytes.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +89,7 @@ func BenchmarkPairRound8K(b *testing.B) {
 	}
 	b.StopTimer()
 	rig.settle()
-	b.ReportMetric(float64(rig.net.bytes.Load()-before)/float64(b.N), "synclink-B/op")
+	b.ReportMetric(float64(rig.meter.bytes.Load()-before)/float64(b.N), "synclink-B/op")
 }
 
 // TestPairRoundBytes8K holds BenchmarkPairRound8K's rig, driven as the FS
@@ -110,7 +132,7 @@ func TestPairRoundBytes8K(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			rig := newPairRoundRig(t, c.open(t), true)
 			const rounds = 500
-			sync0 := rig.net.bytes.Load()
+			sync0 := rig.meter.bytes.Load()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < rounds; i++ {
@@ -119,7 +141,7 @@ func TestPairRoundBytes8K(t *testing.T) {
 			rig.settle()
 			runtime.ReadMemStats(&after)
 			perRound := float64(after.TotalAlloc-before.TotalAlloc) / rounds
-			syncPer := float64(rig.net.bytes.Load()-sync0) / rounds
+			syncPer := float64(rig.meter.bytes.Load()-sync0) / rounds
 			t.Logf("%.0f B allocated and %.0f synclink-B per round", perRound, syncPer)
 			if perRound > c.budget {
 				t.Errorf("%.0f B allocated per 8 KiB pair round; the budget is %.0f", perRound, c.budget)
@@ -136,14 +158,14 @@ func TestPairRoundBytes8K(t *testing.T) {
 // The pair runs the echo machine on contiguous requests, or with gather
 // set bodyMachine on requests sent in gather form.
 type pairRoundRig struct {
-	net    *syncLinkMeter
+	meter  *syncLinkMeter
 	round  func() // submits one request and waits for its reply
 	settle func() // waits for every message sent to be delivered
 }
 
 func newPairRoundRig(tb testing.TB, tr transport.Transport, gather bool) *pairRoundRig {
 	clk := clock.NewReal()
-	net := &syncLinkMeter{Transport: tr}
+	meter, net := newSyncLinkMeter(tr)
 	dir, keys := NewDirectory(), sig.NewDirectoryCache(0) // no memo: every check is a real one
 
 	got := make(chan struct{}, 1)
@@ -172,7 +194,7 @@ func newPairRoundRig(tb testing.TB, tr transport.Transport, gather bool) *pairRo
 	net.Register("client", func(transport.Message) {})
 	client := NewClient("client", "client", signer, net, dir)
 
-	rig := &pairRoundRig{net: net}
+	rig := &pairRoundRig{meter: meter}
 	rig.round = func() {
 		body := make([]byte, 8<<10)
 		var err error

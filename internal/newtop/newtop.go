@@ -13,10 +13,8 @@
 //     group.Driver loop) with a ping-based failure suspector.
 //
 // NSO-to-NSO traffic travels as ORB one-way invocations on each member's
-// "<name>/gc" object, so inbound protocol messages pass the ORB's request
-// pool (default 10 service slots) — the model whose saturation produces
-// the Figure 7 throughput knee. A member is its driver's one loop: the ORB
-// serves requests on the transport's callbacks and the clock's.
+// "<name>/gc" object. A member is its driver's one loop: the ORB serves
+// each inbound request on the transport's delivery callback.
 package newtop
 
 import (
@@ -91,12 +89,6 @@ type Config struct {
 	Naming *orb.Naming
 	// Clock drives timers.
 	Clock clock.Clock
-	// PoolSize is the ORB request pool's service slots (0 = the paper's
-	// default 10).
-	PoolSize int
-	// ServiceTime simulates per-request ORB processing cost (see
-	// orb.Config.ServiceTime).
-	ServiceTime time.Duration
 	// GC tunes the protocol machine (suspector intervals etc.). Self and
 	// Mode are set by the NSO.
 	GC group.Config
@@ -145,14 +137,7 @@ func New(cfg Config) (*NSO, error) {
 		gcCfg.Trace = cfg.Trace.Ring(cfg.Name)
 	}
 
-	o, err := orb.New(orb.Config{
-		Addr:        NodeAddr(cfg.Name),
-		Net:         cfg.Net,
-		Naming:      cfg.Naming,
-		PoolSize:    cfg.PoolSize,
-		ServiceTime: cfg.ServiceTime,
-		Clock:       cfg.Clock,
-	})
+	o, err := orb.New(orb.Config{Addr: NodeAddr(cfg.Name), Net: cfg.Net, Naming: cfg.Naming})
 	if err != nil {
 		return nil, err
 	}

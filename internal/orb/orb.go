@@ -1,6 +1,6 @@
 // Package orb is the CORBA-like substrate of Section 3: location-
-// transparent one-way object invocation, a generic value container (the
-// CORBA "any"), and the server's request pool.
+// transparent one-way object invocation and a generic value container
+// (the CORBA "any").
 //
 // Only crash-tolerant NewTOP runs on it: an FS-NewTOP member re-issues its
 // GC-bound calls into its fail-signal pair directly (package fsnewtop), so
@@ -8,21 +8,18 @@
 // nothing waits for a result, so a remote invocation is one request
 // message, and a servant's return value is discarded.
 //
-// The paper's prototype handles incoming requests on "a configurable
-// thread pool with a default of 10 threads", whose exhaustion produces the
-// Figure 7 throughput knee. Here the pool is a model, not threads:
-// PoolSize service slots, each busy for ServiceTime per request. The ORB
-// starts no goroutine. A remote request is served on the transport's
-// delivery callback or, while it waits for a slot, on a clock callback —
-// on a virtual clock, a step of the clock's driver.
+// The ORB starts no goroutine and arms no timer: a remote request is
+// served on the transport's delivery callback, in the order its link
+// delivers it. The paper's prototype served requests on "a configurable
+// thread pool with a default of 10 threads" and blames that pool for the
+// Figure 7 throughput knee; that knee is not modelled (DESIGN.md,
+// "Substitutions").
 package orb
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
-	"fsnewtop/internal/clock"
 	"fsnewtop/internal/codec"
 	"fsnewtop/transport"
 )
@@ -100,10 +97,6 @@ var (
 	ErrClosed       = fmt.Errorf("orb: ORB closed: %w", transport.ErrClosed)
 )
 
-// DefaultPoolSize is the server request pool size used by the paper's
-// prototype ("a configurable thread pool with a default of 10 threads").
-const DefaultPoolSize = 10
-
 // Config configures an ORB.
 type Config struct {
 	// Addr is this ORB's network endpoint (one per node).
@@ -112,18 +105,6 @@ type Config struct {
 	Net transport.Transport
 	// Naming is the shared naming service.
 	Naming *Naming
-	// PoolSize is the number of service slots of the request pool: at
-	// most PoolSize requests are in service at once. Zero selects
-	// DefaultPoolSize.
-	PoolSize int
-	// ServiceTime models the per-request processing cost of the 2003 ORB
-	// (unmarshal, demultiplex): each request holds a slot for it, so a
-	// node serves at most PoolSize/ServiceTime requests a second — the
-	// mechanism behind the paper's Figure 7 thread-pool knee. Zero serves
-	// every request the moment it arrives.
-	ServiceTime time.Duration
-	// Clock times the service slots. Nil selects the wall clock.
-	Clock clock.Clock
 }
 
 // ORB is one node's object request broker.
@@ -133,19 +114,6 @@ type ORB struct {
 	mu       sync.Mutex
 	servants map[ObjectRef]Servant
 	closed   bool
-	// The request pool: each slot's busy-until instant, and the requests
-	// admitted but not yet served, in arrival order — which is due order,
-	// since a later request never takes a slot that frees sooner.
-	slots []time.Time
-	queue []queued
-	drain clock.Timer // armed for queue[0]; nil while none waits
-}
-
-// queued is one admitted request and the instant its service ends.
-type queued struct {
-	due time.Time
-	s   Servant
-	req *Request
 }
 
 // New creates and attaches an ORB at cfg.Addr.
@@ -153,22 +121,12 @@ func New(cfg Config) (*ORB, error) {
 	if cfg.Addr == "" || cfg.Net == nil || cfg.Naming == nil {
 		return nil, fmt.Errorf("orb: Addr, Net and Naming are required")
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = DefaultPoolSize
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
-	}
-	o := &ORB{
-		cfg:      cfg,
-		servants: make(map[ObjectRef]Servant),
-		slots:    make([]time.Time, cfg.PoolSize),
-	}
+	o := &ORB{cfg: cfg, servants: make(map[ObjectRef]Servant)}
 	cfg.Net.Register(cfg.Addr, o.onMessage)
 	return o, nil
 }
 
-// Close detaches the ORB and drops the requests waiting for a slot.
+// Close detaches the ORB; a request that arrives after it is dropped.
 func (o *ORB) Close() {
 	o.mu.Lock()
 	if o.closed {
@@ -176,11 +134,6 @@ func (o *ORB) Close() {
 		return
 	}
 	o.closed = true
-	o.queue = nil
-	if o.drain != nil {
-		o.drain.Stop()
-		o.drain = nil
-	}
 	o.mu.Unlock()
 	o.cfg.Net.Deregister(o.cfg.Addr)
 }
@@ -228,16 +181,10 @@ func serve(s Servant, req *Request) error {
 // msgRequest is the network message kind of a remote invocation.
 const msgRequest = "orb.req"
 
-// onMessage admits an inbound request to the pool — the paper's "thread
-// pool ... to handle incoming requests". A request for an object this ORB
-// does not serve is dropped: there is no caller waiting to be told.
-//
-// The one admission rule: a request takes the slot that frees first and
-// is served ServiceTime after it gets it, at max(arrival, slot free) +
-// ServiceTime, in arrival order. A request due at its arrival (always,
-// when ServiceTime is zero) is served at once, on the transport's delivery
-// callback, so requests keep their link's FIFO order; a later one waits in
-// the queue for the drain callback.
+// onMessage serves an inbound request on the transport's delivery
+// callback, so requests keep their link's FIFO order. A request for an
+// object this ORB does not serve is dropped: there is no caller waiting to
+// be told.
 func (o *ORB) onMessage(msg transport.Message) {
 	if msg.Kind != msgRequest {
 		return
@@ -248,59 +195,10 @@ func (o *ORB) onMessage(msg transport.Message) {
 	}
 	o.mu.Lock()
 	s, ok := o.servants[req.Target]
-	if !ok || o.closed {
-		o.mu.Unlock()
-		return
-	}
-	now := o.cfg.Clock.Now()
-	slot := 0
-	for i, free := range o.slots {
-		if free.Before(o.slots[slot]) {
-			slot = i
-		}
-	}
-	due := o.slots[slot]
-	if due.Before(now) {
-		due = now
-	}
-	due = due.Add(o.cfg.ServiceTime)
-	o.slots[slot] = due
-	if !due.After(now) && len(o.queue) == 0 {
-		o.mu.Unlock()
-		_ = serve(s, req)
-		return
-	}
-	o.queue = append(o.queue, queued{due: due, s: s, req: req})
-	if o.drain == nil {
-		o.drain = o.cfg.Clock.AfterFunc(due.Sub(now), o.serveDue)
-	}
+	closed := o.closed
 	o.mu.Unlock()
-}
-
-// serveDue is the drain callback: it serves every waiting request whose
-// service has ended, in order, and re-arms itself for the next one.
-func (o *ORB) serveDue() {
-	for {
-		o.mu.Lock()
-		if o.closed {
-			o.mu.Unlock()
-			return
-		}
-		if len(o.queue) == 0 {
-			o.drain = nil
-			o.mu.Unlock()
-			return
-		}
-		q := o.queue[0]
-		if now := o.cfg.Clock.Now(); q.due.After(now) {
-			o.drain = o.cfg.Clock.AfterFunc(q.due.Sub(now), o.serveDue)
-			o.mu.Unlock()
-			return
-		}
-		o.queue[0] = queued{}
-		o.queue = o.queue[1:]
-		o.mu.Unlock()
-		_ = serve(q.s, q.req)
+	if ok && !closed {
+		_ = serve(s, req)
 	}
 }
 
