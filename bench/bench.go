@@ -98,11 +98,6 @@ type Options struct {
 	// simulated protocol-hours cost only the computation. Requires the
 	// netsim transport — virtual time cannot pace real sockets.
 	Virtual bool
-	// OrderCheck verifies delivery equivalence at the end of the run: all
-	// members must have delivered the identical (origin, seq) sequence. The
-	// soak lanes turn it on; the mismatch, if any, lands in
-	// Result.OrderMismatch. In-process lanes only.
-	OrderCheck bool
 	// Timeout bounds the whole run (in-process lanes; a multi-process run
 	// is bounded by the controller's phase timeouts and StallAfter).
 	Timeout time.Duration
@@ -217,7 +212,9 @@ type Result struct {
 	// virtual run's speedup.
 	WallElapsed time.Duration
 	// OrderMismatch describes the first delivery-equivalence violation
-	// found (Options.OrderCheck); empty when the oracle is green or off.
+	// found: every in-process run checks that all members delivered the
+	// identical (origin, seq) sequence. Empty when the oracle is green, and
+	// on "tcp-procs", whose workers report no order log.
 	OrderMismatch string
 	// Delivered counts total deliveries across members; Expected is
 	// Members² × MsgsPerMember.
@@ -423,9 +420,7 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 	res.Virtual = opts.Virtual
 	res.Elapsed = endAt.Sub(start)
 	res.WallElapsed = wall.Since(wallStart)
-	if opts.OrderCheck {
-		res.OrderMismatch = checkOrder(stats)
-	}
+	res.OrderMismatch = checkOrder(stats)
 	res.NetMessages, res.NetBytes = counters.Sent, counters.Bytes
 	res.SigCacheHits, res.SigCacheMisses = cl.SigCacheStats()
 	return res, stats, runErr

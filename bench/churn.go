@@ -6,40 +6,24 @@ import (
 	"strings"
 	"time"
 
+	"fsnewtop/internal/chaos"
 	"fsnewtop/internal/metrics"
 )
 
-// ChurnOptions parameterises the sustained-churn lane (fsbench -exp
-// churn): consecutive seeded churn schedules — each guaranteed at least
-// one crash, with the auto-heal controller armed — run back to back, and
-// the remediation timelines aggregated into membership availability and
-// recovery-time percentiles. Every seed's fail-silence oracles still
-// apply; the lane is only green when every seed is.
-type ChurnOptions struct {
-	// Seed is the first schedule seed; Runs consecutive seeds are swept.
-	Seed int64
-	// Runs is how many consecutive seeds to sweep (0 = 1).
-	Runs int
-	// Duration is each seed's active fault window (0 = 10s).
-	Duration time.Duration
-	// Transport must be TransportNetsim (fault injection).
-	Transport string
-	// TraceDir receives trace dumps for violated seeds.
-	TraceDir string
-	// Virtual runs every seed on its own auto-advancing virtual clock;
-	// remediation timelines and availability are then simulated time.
-	Virtual bool
-}
-
-// ChurnReport aggregates a churn sweep.
+// ChurnReport aggregates a sustained-churn sweep (fsbench -exp churn):
+// consecutive seeded churn runs — each schedule guaranteed at least one
+// crash, with the auto-heal controller armed — whose remediation
+// timelines add up to membership availability and recovery-time
+// percentiles. Every seed's fail-silence oracles still apply; the sweep
+// is only green when every seed is.
 type ChurnReport struct {
 	// Reports holds the per-seed outcomes in seed order; Failed counts
 	// the seeds whose oracle verdict was not PASS.
-	Reports []ChaosReport
+	Reports []*chaos.Report
 	Failed  int
 	// Heals is every completed remediation across the sweep, in seed
 	// order then remediation order.
-	Heals []ChaosHeal
+	Heals []chaos.Heal
 	// Window is the summed measured churn window across the sweep;
 	// Degraded the time within it that some group ran below full
 	// strength (the union of recovery gaps, so two concurrent failures
@@ -51,30 +35,13 @@ type ChurnReport struct {
 	Recovery metrics.Summary
 }
 
-// RunChurn executes the sustained-churn sweep. The error reports harness
-// failures only; per-seed oracle verdicts live in the report.
-func RunChurn(opts ChurnOptions) (ChurnReport, error) {
-	runs := opts.Runs
-	if runs <= 0 {
-		runs = 1
-	}
-	var out ChurnReport
+// ChurnSweep aggregates the reports of a churn sweep, given in seed order.
+func ChurnSweep(reports []*chaos.Report) ChurnReport {
+	out := ChurnReport{Reports: reports}
 	var hist metrics.Histogram
-	for i := 0; i < runs; i++ {
-		rep, err := RunChaos(ChaosOptions{
-			Seed:      opts.Seed + int64(i),
-			Duration:  opts.Duration,
-			Transport: opts.Transport,
-			TraceDir:  opts.TraceDir,
-			Churn:     true,
-			Virtual:   opts.Virtual,
-		})
-		if err != nil {
-			return out, err
-		}
-		out.Reports = append(out.Reports, rep)
+	for _, rep := range reports {
 		out.Heals = append(out.Heals, rep.Heals...)
-		if !rep.Passed {
+		if !rep.Passed() {
 			out.Failed++
 		}
 		out.Window += rep.Window
@@ -87,14 +54,14 @@ func RunChurn(opts ChurnOptions) (ChurnReport, error) {
 		out.Availability = 1 - float64(out.Degraded)/float64(out.Window)
 	}
 	out.Recovery = hist.Snapshot()
-	return out, nil
+	return out
 }
 
 // degradedTime measures the union of one run's recovery gaps — the time
 // the group ran below full strength — clamped to the measured window.
 // Two overlapping remediations (the fault budget allows concurrent
 // failures) must not double-count the shared stretch.
-func degradedTime(heals []ChaosHeal, window time.Duration) time.Duration {
+func degradedTime(heals []chaos.Heal, window time.Duration) time.Duration {
 	type span struct{ from, to time.Duration }
 	spans := make([]span, 0, len(heals))
 	for _, h := range heals {
@@ -130,7 +97,7 @@ func FormatChurn(r ChurnReport) string {
 	var b strings.Builder
 	for _, rep := range r.Reports {
 		fmt.Fprintf(&b, "churn seed %d: %s (%d heals, window %v, %v)\n",
-			rep.Seed, rep.Verdict, len(rep.Heals),
+			rep.Schedule.Seed, rep.Verdict(), len(rep.Heals),
 			rep.Window.Round(time.Millisecond), rep.Elapsed.Round(time.Millisecond))
 		for _, h := range rep.Heals {
 			fmt.Fprintf(&b, "  %-4s -> %-6s fired t=%v fail-signal t=%v admitted t=%v (recovery %v)\n",

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fsnewtop/internal/chaos"
 )
 
 // TestDegradedTimeUnion: overlapping recovery gaps must not double-count,
@@ -13,29 +15,29 @@ func TestDegradedTimeUnion(t *testing.T) {
 	sec := func(f float64) time.Duration { return time.Duration(f * float64(time.Second)) }
 	cases := []struct {
 		name   string
-		heals  []ChaosHeal
+		heals  []chaos.Heal
 		window time.Duration
 		want   time.Duration
 	}{
-		{"disjoint", []ChaosHeal{
+		{"disjoint", []chaos.Heal{
 			{FiredAt: sec(1), AdmittedAt: sec(2)},
 			{FiredAt: sec(4), AdmittedAt: sec(5)},
 		}, sec(10), sec(2)},
-		{"overlapping", []ChaosHeal{
+		{"overlapping", []chaos.Heal{
 			{FiredAt: sec(1), AdmittedAt: sec(3)},
 			{FiredAt: sec(2), AdmittedAt: sec(4)},
 		}, sec(10), sec(3)},
-		{"contained", []ChaosHeal{
+		{"contained", []chaos.Heal{
 			{FiredAt: sec(1), AdmittedAt: sec(5)},
 			{FiredAt: sec(2), AdmittedAt: sec(3)},
 		}, sec(10), sec(4)},
-		{"clamped to window", []ChaosHeal{
+		{"clamped to window", []chaos.Heal{
 			{FiredAt: sec(8), AdmittedAt: sec(12)},
 		}, sec(10), sec(2)},
-		{"inverted gap ignored", []ChaosHeal{
+		{"inverted gap ignored", []chaos.Heal{
 			{FiredAt: sec(5), AdmittedAt: 0},
 		}, sec(10), 0},
-		{"unsorted input", []ChaosHeal{
+		{"unsorted input", []chaos.Heal{
 			{FiredAt: sec(4), AdmittedAt: sec(6)},
 			{FiredAt: sec(1), AdmittedAt: sec(5)},
 		}, sec(10), sec(5)},
@@ -51,13 +53,13 @@ func TestDegradedTimeUnion(t *testing.T) {
 // timelines, and the availability/recovery aggregates.
 func TestFormatChurn(t *testing.T) {
 	r := ChurnReport{
-		Reports: []ChaosReport{
-			{Seed: 7, Verdict: "PASS", Passed: true, Window: 10 * time.Second,
-				Heals: []ChaosHeal{{Failed: "m2", Replacement: "m2~2",
+		Reports: []*chaos.Report{
+			{Schedule: chaos.Schedule{Seed: 7}, Window: 10 * time.Second,
+				Heals: []chaos.Heal{{Failed: "m2", Replacement: "m2~2",
 					FiredAt: time.Second, FailSignalAt: 1200 * time.Millisecond,
 					AdmittedAt: 1500 * time.Millisecond, Recovery: 500 * time.Millisecond}}},
-			{Seed: 8, Verdict: "FAIL(churn)", Window: 10 * time.Second,
-				Violations: []ChaosViolation{{Oracle: "churn", Detail: "m1 never replaced"}}},
+			{Schedule: chaos.Schedule{Seed: 8}, Window: 10 * time.Second,
+				Violations: []chaos.Violation{{Oracle: "churn", Detail: "m1 never replaced"}}},
 		},
 		Failed:       1,
 		Window:       20 * time.Second,

@@ -113,8 +113,6 @@ func TestRefusedCombinations(t *testing.T) {
 			run: func() error { _, err := Run(fs(Options{RSA: true, Transport: TransportTCPProcs})); return err }},
 		{name: "procs x one worker", names: []string{`"tcp-procs"`, "Members 1"},
 			run: func() error { _, err := Run(fs(Options{Members: 1, Transport: TransportTCPProcs})); return err }},
-		{name: "skew without virtual", names: []string{"Skew", "Virtual"},
-			run: func() error { _, err := RunChaos(ChaosOptions{Seed: 1, Skew: true}); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

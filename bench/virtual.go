@@ -56,7 +56,6 @@ func RunVirtualSoak(opts Options, hours float64) (VirtualSoakResult, error) {
 		opts.Timeout = 2*simFor + 10*time.Minute
 	}
 	opts.Virtual = true
-	opts.OrderCheck = true
 
 	sr, err := RunSoak(opts)
 	vr := VirtualSoakResult{SoakResult: sr, SimElapsed: sr.Elapsed}

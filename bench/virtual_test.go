@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fsnewtop/internal/chaos"
+	"fsnewtop/internal/clock"
 )
 
 // TestVirtualSoakAccelerates runs 36 simulated protocol-seconds and checks
@@ -52,59 +55,32 @@ func TestVirtualRefusesRealTransport(t *testing.T) {
 	}
 }
 
-// TestChaosVirtualLane: one chaos seed on the virtual timeline through
-// the bench facade — verdict green, clock bookkeeping sane, and the run's
-// trace stamped from its clock: the timeline spans the simulated window,
-// not the wall time the run took.
+// TestChaosVirtualLane: one chaos seed on a virtual clock through
+// RunChaos — verdict green, far less wall time than simulated time, and
+// the parked trace stamped from the run's clock: the timeline spans the
+// simulated window, not the wall time the run took.
 func TestChaosVirtualLane(t *testing.T) {
-	rep, err := RunChaos(ChaosOptions{
-		Seed:     1,
-		Duration: time.Second,
-		Virtual:  true,
-	})
+	v := clock.NewVirtual()
+	defer v.Stop()
+	wall := clock.NewReal()
+	wallStart := wall.Now()
+	rep, err := RunChaos(chaos.Options{Seed: 1, Duration: time.Second, Clock: v})
+	wallElapsed := wall.Since(wallStart)
 	if err != nil {
 		t.Fatalf("RunChaos: %v", err)
 	}
-	if !rep.Passed {
-		t.Fatalf("virtual seed 1 red: %s\n%+v", rep.Verdict, rep.Violations)
+	if !rep.Passed() {
+		t.Fatalf("virtual seed 1 red: %s\n%+v", rep.Verdict(), rep.Violations)
 	}
-	if !rep.Virtual {
-		t.Fatal("report does not record the virtual clock")
-	}
-	if !raceDetector && rep.WallElapsed >= rep.Elapsed {
-		t.Fatalf("no acceleration: wall %v vs simulated %v", rep.WallElapsed, rep.Elapsed)
+	if !raceDetector && wallElapsed >= rep.Elapsed {
+		t.Fatalf("no acceleration: wall %v vs simulated %v", wallElapsed, rep.Elapsed)
 	}
 	evs := activeTrace.Load().Snapshot()
 	if len(evs) == 0 {
 		t.Fatal("the run traced nothing")
 	}
 	if span := time.Duration(evs[len(evs)-1].At - evs[0].At); span < time.Second {
-		t.Fatalf("the timeline spans %v, not the simulated 1s window (wall %v): stamped from the wall clock?", span, rep.WallElapsed)
-	}
-}
-
-// TestChaosSkewNeedsVirtual: the bench facade refuses skew off the
-// virtual timeline before reaching the chaos engine.
-func TestChaosSkewNeedsVirtual(t *testing.T) {
-	if _, err := RunChaos(ChaosOptions{Seed: 1, Skew: true}); err == nil {
-		t.Fatal("RunChaos accepted Skew without Virtual")
-	} else if !strings.Contains(err.Error(), "Virtual") {
-		t.Fatalf("refusal should name the Virtual requirement: %v", err)
-	}
-	if _, err := MinimizeChaos(ChaosOptions{Seed: 1, Skew: true}); err == nil {
-		t.Fatal("MinimizeChaos accepted Skew without Virtual")
-	}
-}
-
-// TestMinimizeChaosGreenSeedRefuses: shrinking a passing seed is a usage
-// error, reported as such rather than returning an empty shrink.
-func TestMinimizeChaosGreenSeedRefuses(t *testing.T) {
-	_, err := MinimizeChaos(ChaosOptions{Seed: 1, Duration: time.Second, Virtual: true})
-	if err == nil {
-		t.Fatal("MinimizeChaos shrank a green seed")
-	}
-	if !strings.Contains(err.Error(), "no violation to shrink") {
-		t.Fatalf("unexpected error: %v", err)
+		t.Fatalf("the timeline spans %v, not the simulated 1s window (wall %v): stamped from the wall clock?", span, wallElapsed)
 	}
 }
 

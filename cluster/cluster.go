@@ -251,51 +251,28 @@ func (h Half) String() string {
 	}
 }
 
+// FaultSpec selects one value fault for InjectValueFault. It is the fault
+// plane's own type, so a fault kind is declared once, in internal/faults:
+// Mode picks the perturbation; After skips this many outputs (inputs for
+// MuteInputs) before the fault fires, counted from injection; Every, for
+// CorruptOutputs, perturbs one output out of Every after the skip (0 =
+// only the single output right after After); Kinds, for MuteInputs, lists
+// the input kinds to swallow. String renders it as chaos schedules do.
+type FaultSpec = faults.Spec
+
 // FaultKind enumerates the value faults InjectValueFault can arm.
-type FaultKind uint8
+type FaultKind = faults.Mode
 
 const (
 	// CorruptOutputs flips bytes in the faulted replica's outputs.
-	CorruptOutputs FaultKind = iota + 1
+	CorruptOutputs = faults.ModeCorrupt
 	// DropOutputs silently discards the faulted replica's outputs.
-	DropOutputs
+	DropOutputs = faults.ModeDrop
 	// DuplicateOutputs repeats the faulted replica's outputs.
-	DuplicateOutputs
+	DuplicateOutputs = faults.ModeDuplicate
 	// MuteInputs makes the faulted replica deaf to selected input kinds.
-	MuteInputs
+	MuteInputs = faults.ModeMute
 )
-
-// FaultSpec selects one value fault for InjectValueFault.
-type FaultSpec struct {
-	// Kind picks the perturbation.
-	Kind FaultKind
-	// After skips this many outputs (inputs for MuteInputs) before the
-	// fault fires, counted from injection.
-	After uint64
-	// Every, for CorruptOutputs, perturbs one output out of Every after
-	// the skip (0 = only the single output right after After).
-	Every uint64
-	// InputKinds, for MuteInputs, lists the input kinds to swallow.
-	InputKinds []string
-}
-
-// spec converts to the internal fault plane's form.
-func (f FaultSpec) spec() (faults.Spec, error) {
-	s := faults.Spec{After: f.After, Every: f.Every, Kinds: f.InputKinds}
-	switch f.Kind {
-	case CorruptOutputs:
-		s.Mode = faults.ModeCorrupt
-	case DropOutputs:
-		s.Mode = faults.ModeDrop
-	case DuplicateOutputs:
-		s.Mode = faults.ModeDuplicate
-	case MuteInputs:
-		s.Mode = faults.ModeMute
-	default:
-		return faults.Spec{}, fmt.Errorf("cluster: unknown fault kind %d", f.Kind)
-	}
-	return s, nil
-}
 
 // Cluster is a running deployment of members over one transport. Its
 // membership is dynamic: AddMember (and the auto-heal controller) can
@@ -772,11 +749,7 @@ func (c *Cluster) InjectValueFault(name string, half Half, spec FaultSpec) error
 	if sw == nil {
 		return fmt.Errorf("cluster: %q has no %v half", name, half)
 	}
-	s, err := spec.spec()
-	if err != nil {
-		return err
-	}
-	return sw.Arm(s)
+	return sw.Arm(spec)
 }
 
 // ValueFaultsInjected reports how many value faults have actually fired

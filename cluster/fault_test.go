@@ -44,7 +44,7 @@ func TestInjectValueFaultConverts(t *testing.T) {
 		t.Fatal("default netsim cluster must support fault injection")
 	}
 	if err := c.InjectValueFault("a", cluster.LeaderHalf, cluster.FaultSpec{
-		Kind: cluster.CorruptOutputs, Every: 1,
+		Mode: cluster.CorruptOutputs, Every: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestInjectValueFaultRequiresPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.InjectValueFault("a", cluster.LeaderHalf, cluster.FaultSpec{Kind: cluster.CorruptOutputs})
+	err = c.InjectValueFault("a", cluster.LeaderHalf, cluster.FaultSpec{Mode: cluster.CorruptOutputs})
 	if err == nil {
 		t.Fatal("InjectValueFault succeeded without WithFaultPlan")
 	}
@@ -122,7 +122,7 @@ func TestInjectValueFaultCrashTolerant(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.InjectValueFault("a", cluster.LeaderHalf, cluster.FaultSpec{Kind: cluster.DropOutputs})
+	err = c.InjectValueFault("a", cluster.LeaderHalf, cluster.FaultSpec{Mode: cluster.DropOutputs})
 	if err == nil {
 		t.Fatal("InjectValueFault succeeded on a crash-tolerant cluster")
 	}

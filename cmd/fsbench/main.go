@@ -76,6 +76,8 @@ import (
 
 	"fsnewtop/bench"
 	"fsnewtop/deploy"
+	"fsnewtop/internal/chaos"
+	"fsnewtop/internal/clock"
 )
 
 // experiments lists every -exp value but "all" (which runs the three
@@ -307,49 +309,62 @@ func main() {
 		exitFailed(failed, refused)
 	}
 
+	var dur time.Duration // the chaos/churn active window (0 = chaos's 10s)
+	if *minutes > 0 {
+		dur = time.Duration(*minutes * float64(time.Minute))
+	}
+	// chaosSeed runs one seed through bench.RunChaos, on a fresh virtual
+	// clock under -virtual, and returns its report with the wall time a
+	// virtual run cost (0 on the wall clock). A harness error ends the
+	// process with status 2 under label.
+	chaosSeed := func(label string, opts chaos.Options) (*chaos.Report, time.Duration) {
+		start := time.Now()
+		if *virtual {
+			v := clock.NewVirtual()
+			defer v.Stop()
+			opts.Clock = v
+		}
+		rep, err := bench.RunChaos(opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", label, err)
+			exit(2)
+		}
+		if !*virtual {
+			return rep, 0
+		}
+		return rep, time.Since(start)
+	}
+
 	// runChaos is the seeded fault-schedule fuzz lane. Each seed expands
 	// deterministically into one schedule; a red seed is replayed at once
 	// so the output itself demonstrates the reproducible verdict.
 	runChaos := func() {
-		var dur time.Duration
-		if *minutes > 0 {
-			dur = time.Duration(*minutes * float64(time.Minute))
-		}
 		failed := 0
 		for i := 0; i < *chaosRuns; i++ {
-			opts := bench.ChaosOptions{
-				Seed:      *seed + int64(i),
-				Duration:  dur,
-				Transport: substrate,
-				TraceDir:  *traceDir,
-				Churn:     *churn,
-				Virtual:   *virtual,
-				Skew:      *skew,
+			opts := chaos.Options{Seed: *seed + int64(i), Duration: dur, Transport: substrate,
+				TraceDir: *traceDir, Churn: *churn, Skew: *skew}
+			rep, wall := chaosSeed(fmt.Sprintf("chaos seed %d", opts.Seed), opts)
+			fmt.Print(bench.FormatChaos(rep, wall))
+			if rep.Passed() {
+				continue
 			}
-			rep, err := bench.RunChaos(opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaos seed %d: %v\n", opts.Seed, err)
-				exit(2)
-			}
-			fmt.Print(bench.FormatChaos(rep))
-			if !rep.Passed {
-				failed++
-				replay, err := bench.RunChaos(opts)
+			failed++
+			replay, _ := chaosSeed(fmt.Sprintf("chaos replay of seed %d", opts.Seed), opts)
+			fmt.Printf("chaos seed %d replay: %s (schedule identical: %v, verdict identical: %v)\n",
+				opts.Seed, replay.Verdict(),
+				replay.Schedule.String() == rep.Schedule.String(), replay.Verdict() == rep.Verdict())
+			if *virtual {
+				// Virtual trials are cheap enough to shrink every red seed to
+				// its minimal violating prefix on the spot; Minimize gives each
+				// trial a fresh virtual clock of its own.
+				v := clock.NewVirtual()
+				opts.Clock = v
+				shrink, err := chaos.Minimize(opts)
+				v.Stop()
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "chaos replay of seed %d: %v\n", opts.Seed, err)
-					exit(2)
-				}
-				fmt.Printf("chaos seed %d replay: %s (schedule identical: %v, verdict identical: %v)\n",
-					opts.Seed, replay.Verdict,
-					replay.Schedule == rep.Schedule, replay.Verdict == rep.Verdict)
-				if *virtual {
-					// Virtual trials are cheap enough to shrink every red seed
-					// to its minimal violating prefix on the spot.
-					if shrink, err := bench.MinimizeChaos(opts); err != nil {
-						fmt.Fprintf(os.Stderr, "chaos shrink of seed %d: %v\n", opts.Seed, err)
-					} else {
-						fmt.Print(shrink)
-					}
+					fmt.Fprintf(os.Stderr, "chaos shrink of seed %d: %v\n", opts.Seed, err)
+				} else {
+					fmt.Print(chaos.FormatShrink(shrink))
 				}
 			}
 		}
@@ -364,24 +379,15 @@ func main() {
 	// remediation timelines aggregated into membership availability and
 	// recovery-time percentiles. Exit status is the number of red seeds.
 	runChurn := func() {
-		var dur time.Duration
-		if *minutes > 0 {
-			dur = time.Duration(*minutes * float64(time.Minute))
+		var reps []*chaos.Report
+		for i := 0; i < max(*chaosRuns, 1); i++ {
+			rep, _ := chaosSeed("churn sweep", chaos.Options{Seed: *seed + int64(i), Duration: dur,
+				Transport: substrate, TraceDir: *traceDir, Churn: true})
+			reps = append(reps, rep)
 		}
-		rep, err := bench.RunChurn(bench.ChurnOptions{
-			Seed:      *seed,
-			Runs:      *chaosRuns,
-			Duration:  dur,
-			Transport: substrate,
-			TraceDir:  *traceDir,
-			Virtual:   *virtual,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "churn sweep: %v\n", err)
-			exit(2)
-		}
-		fmt.Print(bench.FormatChurn(rep))
-		exitFailed(rep.Failed, false)
+		sweep := bench.ChurnSweep(reps)
+		fmt.Print(bench.FormatChurn(sweep))
+		exitFailed(sweep.Failed, false)
 	}
 
 	run := func(name string) {

@@ -10,7 +10,6 @@ import (
 
 	"fsnewtop/cluster"
 	"fsnewtop/internal/clock"
-	"fsnewtop/internal/faults"
 	"fsnewtop/internal/trace"
 	"fsnewtop/transport"
 	"fsnewtop/transport/netsim"
@@ -101,6 +100,19 @@ func (o Options) withDefaults() Options {
 		o.Clock = clock.NewReal()
 	}
 	return o
+}
+
+// schedule is the schedule a run plays: the Schedule override, or the
+// one Seed expands into.
+func (o Options) schedule() Schedule {
+	if o.Schedule != nil {
+		return *o.Schedule
+	}
+	members := make([]string, o.Members)
+	for i := range members {
+		members[i] = fmt.Sprintf("m%d", i)
+	}
+	return Generate(GenConfig{Seed: o.Seed, Members: members, Duration: o.Duration, Churn: o.Churn, Skew: o.Skew, Delta: o.Delta})
 }
 
 // conversionBound is the oracle deadline: a pair converts divergence into
@@ -291,21 +303,13 @@ func Run(opts Options) (*Report, error) {
 				"pass Options.Clock = clock.NewVirtual() (fsbench: -virtual)")
 	}
 
-	// Resolve the schedule: a replayed override, or the seed's generated one.
-	var sched Schedule
-	var members []string
+	// A replayed schedule brings its own members, window and churn mark.
+	sched := opts.schedule()
+	members := append([]string(nil), sched.Members...)
 	if opts.Schedule != nil {
-		sched = *opts.Schedule
-		members = append([]string(nil), sched.Members...)
 		opts.Members = len(members)
 		opts.Duration = sched.Duration
 		opts.Churn = sched.Churn
-	} else {
-		members = make([]string, opts.Members)
-		for i := range members {
-			members[i] = fmt.Sprintf("m%d", i)
-		}
-		sched = Generate(GenConfig{Seed: opts.Seed, Members: members, Duration: opts.Duration, Churn: opts.Churn, Skew: opts.Skew, Delta: opts.Delta})
 	}
 	if opts.Members < 4 {
 		return nil, fmt.Errorf("chaos: need at least 4 members (got %d): the fault budget ⌊(n−1)/2⌋ must leave a correct majority", opts.Members)
@@ -525,12 +529,7 @@ func Run(opts Options) (*Report, error) {
 			}
 		case ActValueFault:
 			states[a.A] = &faultState{action: a}
-			spec := publicSpec(a.Spec)
-			half := cluster.LeaderHalf
-			if a.Half == FollowerHalf {
-				half = cluster.FollowerHalf
-			}
-			if err := c.InjectValueFault(a.A, half, spec); err != nil {
+			if err := c.InjectValueFault(a.A, a.Half, a.Spec); err != nil {
 				return fmt.Errorf("chaos: arming %v: %w", a, err)
 			}
 		case ActSkewStep:
@@ -925,23 +924,6 @@ func Run(opts Options) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// publicSpec converts the schedule's internal fault spec to the cluster
-// facade's form.
-func publicSpec(s faults.Spec) cluster.FaultSpec {
-	out := cluster.FaultSpec{After: s.After, Every: s.Every, InputKinds: s.Kinds}
-	switch s.Mode {
-	case faults.ModeCorrupt:
-		out.Kind = cluster.CorruptOutputs
-	case faults.ModeDrop:
-		out.Kind = cluster.DropOutputs
-	case faults.ModeDuplicate:
-		out.Kind = cluster.DuplicateOutputs
-	case faults.ModeMute:
-		out.Kind = cluster.MuteInputs
-	}
-	return out
 }
 
 // sortedNames returns m's keys sorted — deterministic iteration for

@@ -64,16 +64,7 @@ func Minimize(opts Options) (*ShrinkResult, error) {
 	}
 
 	// Confirm red on the full schedule, resolved exactly as Run would.
-	var full Schedule
-	if opts.Schedule != nil {
-		full = *opts.Schedule
-	} else {
-		members := make([]string, opts.Members)
-		for i := range members {
-			members[i] = fmt.Sprintf("m%d", i)
-		}
-		full = Generate(GenConfig{Seed: opts.Seed, Members: members, Duration: opts.Duration, Churn: opts.Churn, Skew: opts.Skew, Delta: opts.Delta})
-	}
+	full := opts.schedule()
 	fullRep, err := trial(full)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: minimize: confirming run: %w", err)

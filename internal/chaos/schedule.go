@@ -29,26 +29,8 @@ import (
 	"strings"
 	"time"
 
-	"fsnewtop/internal/faults"
+	"fsnewtop/cluster"
 )
-
-// Half selects which node of a pair a value fault lands on.
-type Half uint8
-
-const (
-	// LeaderHalf faults the order-deciding FSO.
-	LeaderHalf Half = iota + 1
-	// FollowerHalf faults the order-checking FSO.
-	FollowerHalf
-)
-
-// String implements fmt.Stringer.
-func (h Half) String() string {
-	if h == LeaderHalf {
-		return "leader"
-	}
-	return "follower"
-}
 
 // ActionKind enumerates schedule actions.
 type ActionKind uint8
@@ -86,9 +68,9 @@ type Action struct {
 	// A is the (first) member acted on; B the second for link actions.
 	A, B string
 	// Half, for ActValueFault, selects the faulted pair node.
-	Half Half
+	Half cluster.Half
 	// Spec, for ActValueFault, is the fault to arm.
-	Spec faults.Spec
+	Spec cluster.FaultSpec
 	// Latency, for ActShapeLink, is the fixed one-way link latency.
 	Latency time.Duration
 	// Offset, for ActSkewStep, is the forward jump applied to A's clock.
@@ -279,28 +261,28 @@ func Generate(cfg GenConfig) Schedule {
 	// Value faults land early (workload must still be running for the
 	// fault to fire) on a random half.
 	for i := 0; i < nValue; i++ {
-		half := LeaderHalf
+		half := cluster.LeaderHalf
 		if rng.Intn(2) == 1 {
-			half = FollowerHalf
+			half = cluster.FollowerHalf
 		}
-		spec := faults.Spec{After: uint64(rng.Intn(4))}
+		spec := cluster.FaultSpec{After: uint64(rng.Intn(4))}
 		switch w := rng.Intn(8); {
 		case w < 3:
-			spec.Mode = faults.ModeCorrupt
+			spec.Mode = cluster.CorruptOutputs
 			if rng.Intn(2) == 1 {
 				spec.Every = uint64(1 + rng.Intn(4))
 			}
 		case w < 5:
-			spec.Mode = faults.ModeDrop
+			spec.Mode = cluster.DropOutputs
 		case w < 7:
-			spec.Mode = faults.ModeDuplicate
+			spec.Mode = cluster.DuplicateOutputs
 		default:
 			// Mute data inputs only: swallowing a gc.data input makes the
 			// faulted half's outputs (deliveries, acks) visibly diverge from
 			// its peer's on that very step, so the conversion oracle's
 			// deadline is owed from the first swallowed input. Muting
 			// ack-only kinds can stay output-silent far longer.
-			spec.Mode = faults.ModeMute
+			spec.Mode = cluster.MuteInputs
 			spec.Kinds = []string{"gc.data"}
 		}
 		s.Actions = append(s.Actions, Action{

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"fsnewtop/cluster"
 	"fsnewtop/internal/clock"
-	"fsnewtop/internal/faults"
 )
 
 // shortVirtual is short() on an auto-advancing virtual clock. The caller
@@ -135,7 +135,8 @@ func TestChaosSkewCorpus(t *testing.T) {
 }
 
 // TestSkewRefusedWithoutVirtual: skew faults only exist on the virtual
-// timeline; asking for them on the wall clock must refuse loudly.
+// timeline; asking for them on the wall clock must refuse loudly, whether
+// the seed is run or shrunk.
 func TestSkewRefusedWithoutVirtual(t *testing.T) {
 	opts := short(3)
 	opts.Skew = true
@@ -143,6 +144,23 @@ func TestSkewRefusedWithoutVirtual(t *testing.T) {
 		t.Fatal("chaos accepted Skew on the wall clock")
 	} else if !strings.Contains(err.Error(), "virtual") {
 		t.Fatalf("refusal should name the virtual-clock requirement, got: %v", err)
+	}
+	if _, err := Minimize(opts); err == nil {
+		t.Fatal("Minimize accepted Skew on the wall clock")
+	} else if !strings.Contains(err.Error(), "virtual") {
+		t.Fatalf("refusal should name the virtual-clock requirement, got: %v", err)
+	}
+}
+
+// TestMinimizeGreenSeedRefuses: shrinking a passing seed is a usage
+// error, reported as such rather than returning an empty shrink.
+func TestMinimizeGreenSeedRefuses(t *testing.T) {
+	v := clock.NewVirtual()
+	defer v.Stop()
+	if _, err := Minimize(Options{Seed: 1, Duration: time.Second, Clock: v}); err == nil {
+		t.Fatal("Minimize shrank a green seed")
+	} else if !strings.Contains(err.Error(), "no violation to shrink") {
+		t.Fatalf("unexpected error: %v", err)
 	}
 }
 
@@ -235,12 +253,12 @@ func coordinatorFailsMidProposalSchedule() Schedule {
 		Duration: 10 * time.Second,
 		Actions: []Action{
 			{At: 613359039, Kind: ActIsolate, A: "m1", B: "m0"},
-			{At: 956042019, Kind: ActValueFault, A: "m3", Half: FollowerHalf, Spec: faults.Spec{Mode: faults.ModeCorrupt, After: 3}},
+			{At: 956042019, Kind: ActValueFault, A: "m3", Half: cluster.FollowerHalf, Spec: cluster.FaultSpec{Mode: cluster.CorruptOutputs, After: 3}},
 			{At: 1409811423, Kind: ActShapeLink, A: "m1", B: "m2", Latency: 5 * ms},
 			{At: 1805058237, Kind: ActIsolate, A: "m3", B: "m2"},
 			{At: 3038837149, Kind: ActShapeLink, A: "m3", B: "m4", Latency: ms},
 			{At: 3065600762, Kind: ActHeal, A: "m1", B: "m0"},
-			{At: 3296700731, Kind: ActValueFault, A: "m0", Half: LeaderHalf, Spec: faults.Spec{Mode: faults.ModeDuplicate, After: 1}},
+			{At: 3296700731, Kind: ActValueFault, A: "m0", Half: cluster.LeaderHalf, Spec: cluster.FaultSpec{Mode: cluster.DuplicateOutputs, After: 1}},
 		},
 	}
 }

@@ -85,14 +85,14 @@ type counting interface {
 // half at the scheduled instant — the paper's "value fault in one node of
 // a self-checking pair", injectable mid-run.
 //
-// Step is single-threaded (the replica's run loop); Arm, Disarm, Armed
-// and Injected may be called concurrently from the scheduler.
+// Step is single-threaded (the replica's run loop); Arm, Armed and
+// Injected may be called concurrently from the scheduler.
 type Switch struct {
 	inner sm.Machine
 
 	mu       sync.Mutex
 	active   counting
-	retired  uint64 // Injected() sums from previously disarmed injectors
+	retired  uint64 // Injected() sums from previously replaced injectors
 	everArmd bool
 }
 
@@ -135,16 +135,6 @@ func (s *Switch) Arm(spec Spec) error {
 	s.everArmd = true
 	s.mu.Unlock()
 	return nil
-}
-
-// Disarm removes the active injector; subsequent steps pass through.
-func (s *Switch) Disarm() {
-	s.mu.Lock()
-	if s.active != nil {
-		s.retired += s.active.Injected()
-		s.active = nil
-	}
-	s.mu.Unlock()
 }
 
 // Armed reports whether a fault has ever been armed on this switch.

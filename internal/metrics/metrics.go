@@ -1,7 +1,6 @@
-// Package metrics provides the measurement primitives for the benchmark
-// harness: latency histograms and throughput windows, matching what the
-// paper reports (ordering latency in Figure 6, messages/second in
-// Figures 7 and 8).
+// Package metrics provides the measurement primitive for the benchmark
+// harness: a latency histogram and its percentile summary, as the paper
+// reports ordering latency in Figure 6.
 package metrics
 
 import (
@@ -92,58 +91,4 @@ func (s Summary) String() string {
 		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
 		s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond),
 		s.Min.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-}
-
-// Throughput measures completed operations over a wall-clock window.
-type Throughput struct {
-	mu    sync.Mutex
-	count uint64
-	start time.Time
-	end   time.Time
-}
-
-// Start marks the beginning of the window.
-func (t *Throughput) Start(now time.Time) {
-	t.mu.Lock()
-	t.start = now
-	t.end = time.Time{}
-	t.count = 0
-	t.mu.Unlock()
-}
-
-// Add counts n completed operations.
-func (t *Throughput) Add(n uint64) {
-	t.mu.Lock()
-	t.count += n
-	t.mu.Unlock()
-}
-
-// Stop marks the end of the window.
-func (t *Throughput) Stop(now time.Time) {
-	t.mu.Lock()
-	t.end = now
-	t.mu.Unlock()
-}
-
-// Count returns operations recorded so far.
-func (t *Throughput) Count() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
-
-// PerSecond returns the rate over the window (operations per second).
-// If Stop has not been called, now is used as the window end.
-func (t *Throughput) PerSecond(now time.Time) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	end := t.end
-	if end.IsZero() {
-		end = now
-	}
-	window := end.Sub(t.start)
-	if window <= 0 {
-		return 0
-	}
-	return float64(t.count) / window.Seconds()
 }

@@ -73,33 +73,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	var tp Throughput
-	start := time.Unix(0, 0)
-	tp.Start(start)
-	tp.Add(500)
-	tp.Stop(start.Add(2 * time.Second))
-	if got := tp.PerSecond(time.Time{}); got != 250 {
-		t.Fatalf("PerSecond = %v", got)
-	}
-	if tp.Count() != 500 {
-		t.Fatalf("Count = %d", tp.Count())
-	}
-}
-
-func TestThroughputOpenWindow(t *testing.T) {
-	var tp Throughput
-	start := time.Unix(100, 0)
-	tp.Start(start)
-	tp.Add(100)
-	if got := tp.PerSecond(start.Add(time.Second)); got != 100 {
-		t.Fatalf("open-window PerSecond = %v", got)
-	}
-	if got := tp.PerSecond(start); got != 0 {
-		t.Fatalf("zero-window PerSecond = %v", got)
-	}
-}
-
 // Property: percentiles are monotone and bounded by min/max.
 func TestQuickPercentileMonotone(t *testing.T) {
 	f := func(raw []uint32) bool {

@@ -79,16 +79,6 @@ func (b *AddrBook) Set(addr transport.Addr, hostport string) {
 	b.mu.Unlock()
 }
 
-// SetAll records a batch of addresses served by hostport (deployment
-// bootstrap: seed the remote half of the book before starting traffic).
-func (b *AddrBook) SetAll(hostport string, addrs ...transport.Addr) {
-	b.mu.Lock()
-	for _, a := range addrs {
-		b.m[a] = hostport
-	}
-	b.mu.Unlock()
-}
-
 // Lookup resolves addr to its endpoint.
 func (b *AddrBook) Lookup(addr transport.Addr) (string, bool) {
 	b.mu.RLock()
