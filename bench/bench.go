@@ -221,11 +221,9 @@ type Result struct {
 	Delivered, Expected int
 	// NetMessages and NetBytes are fabric-level traffic totals.
 	NetMessages, NetBytes uint64
-	// SigCacheHits and SigCacheMisses are the FS deployment's
-	// verification counters (zero for NewTOP, which signs nothing): misses
-	// are real signature checks, hits the ones a memo answered — zero,
-	// since no node memoises.
-	SigCacheHits, SigCacheMisses uint64
+	// SigChecks is the FS deployment's signature-check count (zero for
+	// NewTOP, which signs nothing).
+	SigChecks uint64
 }
 
 // Run executes one experiment: bring the members up through the cluster
@@ -422,7 +420,7 @@ func run(opts Options) (Result, []deploy.WorkerStats, error) {
 	res.WallElapsed = wall.Since(wallStart)
 	res.OrderMismatch = checkOrder(stats)
 	res.NetMessages, res.NetBytes = counters.Sent, counters.Bytes
-	res.SigCacheHits, res.SigCacheMisses = cl.SigCacheStats()
+	res.SigChecks = cl.SigChecks()
 	return res, stats, runErr
 }
 
@@ -479,8 +477,7 @@ func aggregate(opts Options, stats []deploy.WorkerStats) Result {
 		}
 		res.NetMessages += ws.NetMessages
 		res.NetBytes += ws.NetBytes
-		res.SigCacheHits += ws.SigCacheHits
-		res.SigCacheMisses += ws.SigCacheMisses
+		res.SigChecks += ws.SigChecks
 	}
 	res.Latency = lat.Snapshot()
 	if counted > 0 {

@@ -26,13 +26,12 @@ type SeriesPoint struct {
 	NetMessages   uint64  `json:"net_messages"`
 	NetBytes      uint64  `json:"net_bytes"`
 	ElapsedMS     float64 `json:"elapsed_ms"`
-	// Verification-memo counters summed across the FS deployment's
-	// per-node verifiers (both zero for NewTOP runs, which sign
-	// nothing). Not omitempty: a measured zero must stay distinguishable
-	// in the series from a field a reader would otherwise assume absent.
-	SigCacheHits   uint64 `json:"sig_cache_hits"`
-	SigCacheMisses uint64 `json:"sig_cache_misses"`
-	Err            string `json:"err,omitempty"`
+	// Signature checks summed across the FS deployment's per-node
+	// verifiers (zero for NewTOP runs, which sign nothing). Not
+	// omitempty: a measured zero must stay distinguishable in the series
+	// from a field a reader would otherwise assume absent.
+	SigChecks uint64 `json:"sig_checks"`
+	Err       string `json:"err,omitempty"`
 }
 
 // Series is one figure's machine-readable output, written as
@@ -54,21 +53,20 @@ type Series struct {
 func toPoint(x int, r Result, errStr string) SeriesPoint {
 	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	return SeriesPoint{
-		X:              x,
-		MsgsPerMember:  r.MsgsPerMember,
-		LatencyMeanUS:  us(r.Latency.Mean),
-		LatencyP50US:   us(r.Latency.P50),
-		LatencyP95US:   us(r.Latency.P95),
-		LatencyP99US:   us(r.Latency.P99),
-		ThroughputMPS:  r.Throughput,
-		Delivered:      r.Delivered,
-		Expected:       r.Expected,
-		NetMessages:    r.NetMessages,
-		NetBytes:       r.NetBytes,
-		ElapsedMS:      float64(r.Elapsed.Nanoseconds()) / 1e6,
-		SigCacheHits:   r.SigCacheHits,
-		SigCacheMisses: r.SigCacheMisses,
-		Err:            errStr,
+		X:             x,
+		MsgsPerMember: r.MsgsPerMember,
+		LatencyMeanUS: us(r.Latency.Mean),
+		LatencyP50US:  us(r.Latency.P50),
+		LatencyP95US:  us(r.Latency.P95),
+		LatencyP99US:  us(r.Latency.P99),
+		ThroughputMPS: r.Throughput,
+		Delivered:     r.Delivered,
+		Expected:      r.Expected,
+		NetMessages:   r.NetMessages,
+		NetBytes:      r.NetBytes,
+		ElapsedMS:     float64(r.Elapsed.Nanoseconds()) / 1e6,
+		SigChecks:     r.SigChecks,
+		Err:           errStr,
 	}
 }
 

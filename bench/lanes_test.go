@@ -81,8 +81,8 @@ func TestLaneParity(t *testing.T) {
 					if res.NetMessages == 0 {
 						t.Error("folded result: no net messages")
 					}
-					if signs := sys == SystemFSNewTOP; (res.SigCacheMisses > 0) != signs {
-						t.Errorf("folded result: %d signature checks (%v signs: %v)", res.SigCacheMisses, sys, signs)
+					if signs := sys == SystemFSNewTOP; (res.SigChecks > 0) != signs {
+						t.Errorf("folded result: %d signature checks (%v signs: %v)", res.SigChecks, sys, signs)
 					}
 				})
 			}

@@ -18,14 +18,14 @@ func TestAggregateProcs(t *testing.T) {
 			Window:      2 * time.Second,
 			LatencyNS:   []int64{int64(time.Millisecond), int64(3 * time.Millisecond)},
 			NetMessages: 10, NetBytes: 1000,
-			SigCacheHits: 4, SigCacheMisses: 2,
+			SigChecks: 2,
 		},
 		{
 			Member: "m01", Delivered: 6, Expected: 6,
 			Window:      4 * time.Second,
 			LatencyNS:   []int64{int64(5 * time.Millisecond)},
 			NetMessages: 20, NetBytes: 3000,
-			SigCacheHits: 1, SigCacheMisses: 7,
+			SigChecks: 7,
 		},
 	}
 	res := aggregate(opts, stats)
@@ -39,8 +39,8 @@ func TestAggregateProcs(t *testing.T) {
 	if res.NetMessages != 30 || res.NetBytes != 4000 {
 		t.Errorf("traffic = %d msgs / %d bytes, want 30 / 4000", res.NetMessages, res.NetBytes)
 	}
-	if res.SigCacheHits != 5 || res.SigCacheMisses != 9 {
-		t.Errorf("sig cache = %d hits / %d misses, want 5 / 9", res.SigCacheHits, res.SigCacheMisses)
+	if res.SigChecks != 9 {
+		t.Errorf("sig checks = %d, want 9", res.SigChecks)
 	}
 	// expectedPerMember = 6; windows 2s and 4s → (6/2 + 6/4)/2 = 2.25 msgs/s.
 	if got, want := res.Throughput, 2.25; got != want {

@@ -21,10 +21,10 @@
 // deadline once nothing is due now, so a simulated protocol-hour costs
 // only the wall time of the computation in it. It requires the netsim
 // substrate (the library refuses tcp and -procs: the driver cannot run
-// sockets or OS processes). Under -virtual the chaos lane
-// accepts -skew, which adds clock-skew faults — bounded per-member steps
-// and rate errors that correct pairs must ride out — and every red seed is
-// automatically shrunk to its minimal violating schedule prefix.
+// sockets or OS processes). Under -virtual the chaos and churn lanes
+// accept -skew, which adds clock-skew faults — bounded per-member steps
+// and rate errors that correct pairs must ride out — and every red chaos
+// seed is automatically shrunk to its minimal violating schedule prefix.
 // -sim-hours sets the accelerated soak's span of simulated protocol time.
 //
 // The chaos lane expands -seed into a deterministic fault schedule
@@ -109,7 +109,7 @@ func main() {
 		worker    = flag.Bool("worker", false, "internal: run as a deploy-plane worker, driven over stdin/stdout by a controller")
 		virtual   = flag.Bool("virtual", false, "run soak/chaos/churn on the auto-advancing virtual clock (netsim only): simulated protocol time, wall cost = computation only")
 		simHours  = flag.Float64("sim-hours", 1, "simulated protocol-hours for -exp soak -virtual")
-		skew      = flag.Bool("skew", false, "schedule clock-skew faults (per-member steps and drift) in -exp chaos; needs -virtual")
+		skew      = flag.Bool("skew", false, "schedule clock-skew faults (per-member steps and drift) in -exp chaos/churn; needs -virtual")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the invocation ends")
 	)
@@ -382,7 +382,7 @@ func main() {
 		var reps []*chaos.Report
 		for i := 0; i < max(*chaosRuns, 1); i++ {
 			rep, _ := chaosSeed("churn sweep", chaos.Options{Seed: *seed + int64(i), Duration: dur,
-				Transport: substrate, TraceDir: *traceDir, Churn: true})
+				Transport: substrate, TraceDir: *traceDir, Churn: true, Skew: *skew})
 			reps = append(reps, rep)
 		}
 		sweep := bench.ChurnSweep(reps)

@@ -154,13 +154,12 @@ type WorkerStats struct {
 	// Order is the member's delivery log, for the delivery-equivalence
 	// check. It stays in the process that recorded it.
 	Order []OrderEntry `json:"-"`
-	// NetMessages/NetBytes and SigCacheHits/SigCacheMisses are the worker
-	// process's transport and verification counters. In process the members
+	// NetMessages/NetBytes and SigChecks are the worker process's
+	// transport and signature-check counters. In process the members
 	// share one transport and fabric, and bench.Run reads the cluster's.
-	NetMessages    uint64 `json:"net_messages"`
-	NetBytes       uint64 `json:"net_bytes"`
-	SigCacheHits   uint64 `json:"sig_cache_hits"`
-	SigCacheMisses uint64 `json:"sig_cache_misses"`
+	NetMessages uint64 `json:"net_messages"`
+	NetBytes    uint64 `json:"net_bytes"`
+	SigChecks   uint64 `json:"sig_checks"`
 }
 
 // OrderEntry is one delivery in a member's order log.

@@ -85,7 +85,7 @@ func TestDeployFourWorkers(t *testing.T) {
 		if ws.NetMessages == 0 {
 			t.Errorf("%s: no transport traffic counted", ws.Member)
 		}
-		if ws.SigCacheMisses == 0 {
+		if ws.SigChecks == 0 {
 			t.Errorf("%s: no signature verifications counted — cross-process verification cannot have happened", ws.Member)
 		}
 	}

@@ -110,7 +110,7 @@ func RunWorker() error {
 			}
 			ts := tr.Stats()
 			stats.NetMessages, stats.NetBytes = ts.Sent, ts.Bytes
-			stats.SigCacheHits, stats.SigCacheMisses = cl.SigCacheStats()
+			stats.SigChecks = cl.SigChecks()
 			if err := out.send(Msg{Type: msgDone, Member: self, Stats: &stats}); err != nil {
 				return err
 			}

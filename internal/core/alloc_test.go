@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fsnewtop/internal/codec"
-	"fsnewtop/internal/sig"
 	"fsnewtop/internal/sm"
 )
 
@@ -50,7 +49,6 @@ func TestInputAllocBudget(t *testing.T) {
 	const kind = "core-alloc-test.kind" // a protocol interns its kinds; so does this test
 	codec.Intern(kind)
 	e := newEnv(t)
-	e.keys = sig.NewDirectoryCache(0) // no memo, as on an FS node: every check is a real one
 	src := e.addFakeFS("src")
 	got := make(chan struct{}, 4)
 	rc := NewReceiver(e.dir, e.keys, func(string, sm.Output) { got <- struct{}{} }, nil)

@@ -166,7 +166,7 @@ type pairRoundRig struct {
 func newPairRoundRig(tb testing.TB, tr transport.Transport, gather bool) *pairRoundRig {
 	clk := clock.NewReal()
 	meter, net := newSyncLinkMeter(tr)
-	dir, keys := NewDirectory(), sig.NewDirectoryCache(0) // no memo: every check is a real one
+	dir, keys := NewDirectory(), sig.NewDirectory()
 
 	got := make(chan struct{}, 1)
 	rc := NewReceiver(dir, keys, func(string, sm.Output) { got <- struct{}{} }, nil)

@@ -42,7 +42,7 @@ type PairConfig struct {
 	NewSigner func(id sig.ID) (sig.Signer, error)
 	// NewVerifier, if set, builds each replica's inbound verifier; it is
 	// called once per replica, so a deployment can count (see
-	// sig.CachedVerifier) every modeled node's checks apart over the
+	// sig.NodeVerifier) every modeled node's checks apart over the
 	// shared key material. Nil means both replicas verify directly
 	// against Keys.
 	NewVerifier func() sig.Verifier

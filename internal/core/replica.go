@@ -976,11 +976,9 @@ func (r *Replica) onSingle(msg transport.Message) {
 		r.failSignal(fmt.Sprintf("undecodable single from peer: %v", err))
 		return
 	}
-	// The candidate's content digest doubles as the comparison key below,
-	// so computing it first lets a memoising verifier skip its own content
-	// hash.
+	// The candidate's content digest is its comparison key below.
 	digest := sig.Digest(env.Body)
-	if err := env.VerifyDigest(r.cfg.Verifier, digest); err != nil {
+	if err := env.Verify(r.cfg.Verifier); err != nil {
 		r.failSignal(fmt.Sprintf("peer single-signature invalid: %v", err))
 		return
 	}

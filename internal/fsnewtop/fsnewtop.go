@@ -74,31 +74,29 @@ type Fabric struct {
 	Trace *trace.Registry
 
 	mu        sync.Mutex
-	verifiers []*sig.CachedVerifier
+	verifiers []*sig.NodeVerifier
 }
 
 // NewFabric assembles a fabric over one network. The shared key directory
 // is the deployment's verification plane: its copy-on-write snapshot makes
-// registration of new members safe against in-flight verifies. Nothing
-// memoises: every modeled node (each FSO, each invocation-layer endpoint)
-// gets a private counting verifier over the shared material, so the
-// in-process figures pay — and report — the paper's per-node crypto cost.
+// registration of new members safe against in-flight verifies. Every
+// modeled node (each FSO, each invocation-layer endpoint) gets a private
+// counting verifier over the shared material, so the in-process figures
+// pay — and report — the paper's per-node crypto cost.
 func NewFabric(net transport.Transport, clk clock.Clock) *Fabric {
 	return &Fabric{
 		Net:   net,
 		Clock: clk,
 		Dir:   failsignal.NewDirectory(),
-		Keys:  sig.NewDirectoryCache(0),
+		Keys:  sig.NewDirectory(),
 	}
 }
 
 // newVerifier builds one modeled node's verifier and tracks it for
-// SigCacheStats. It carries no memo (capacity 0): core's admission gate
-// drops every copy of an input a node already holds before verification,
-// so nothing a node verifies repeats and a memo would only be probed,
-// filled and never hit — at several times the cost of the HMAC it guards.
-func (f *Fabric) newVerifier() *sig.CachedVerifier {
-	v := sig.NewCachedVerifier(f.Keys, 0)
+// SigChecks. Core's admission gate drops every copy of an input a node
+// already holds before verification, so nothing a node verifies repeats.
+func (f *Fabric) newVerifier() *sig.NodeVerifier {
+	v := sig.NewNodeVerifier(f.Keys)
 	f.mu.Lock()
 	f.verifiers = append(f.verifiers, v)
 	f.mu.Unlock()
@@ -107,9 +105,9 @@ func (f *Fabric) newVerifier() *sig.CachedVerifier {
 
 // dropVerifiers releases a closed member's verifiers so a long-lived
 // fabric with membership churn does not accumulate dead nodes' counters
-// in SigCacheStats.
-func (f *Fabric) dropVerifiers(vs []*sig.CachedVerifier) {
-	drop := make(map[*sig.CachedVerifier]bool, len(vs))
+// in SigChecks.
+func (f *Fabric) dropVerifiers(vs []*sig.NodeVerifier) {
+	drop := make(map[*sig.NodeVerifier]bool, len(vs))
 	for _, v := range vs {
 		drop[v] = true
 	}
@@ -127,19 +125,14 @@ func (f *Fabric) dropVerifiers(vs []*sig.CachedVerifier) {
 	f.mu.Unlock()
 }
 
-// SigCacheStats sums the verification counters across every live node's
-// verifier. Experiments use it to attribute FS overhead to crypto: Misses
-// is the number of real signature checks made; Hits is zero, since no node
-// memoises.
-func (f *Fabric) SigCacheStats() sig.CacheStats {
+// SigChecks sums the signature checks made by every live node's
+// verifier. Experiments use it to attribute FS overhead to crypto.
+func (f *Fabric) SigChecks() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var total sig.CacheStats
+	var total uint64
 	for _, v := range f.verifiers {
-		cs := v.CacheStats()
-		total.Hits += cs.Hits
-		total.Misses += cs.Misses
-		total.Evictions += cs.Evictions
+		total += v.Checks()
 	}
 	return total
 }
@@ -181,7 +174,7 @@ type NSO struct {
 	pair       *failsignal.Pair
 	client     *failsignal.Client
 	receiver   *failsignal.Receiver
-	verifiers  []*sig.CachedVerifier // this member's node verifiers, released on Close
+	verifiers  []*sig.NodeVerifier // this member's node verifiers, released on Close
 	invRing    *trace.Ring
 	deliveries chan newtop.Delivery
 	views      chan newtop.View
@@ -252,7 +245,7 @@ func New(cfg Config) (*NSO, error) {
 		stop:       make(chan struct{}),
 	}
 	n.win = newWindow(clk, cfg.Delta, n.reissue)
-	newVerifier := func() *sig.CachedVerifier {
+	newVerifier := func() *sig.NodeVerifier {
 		v := fab.newVerifier()
 		n.verifiers = append(n.verifiers, v)
 		return v

@@ -123,17 +123,6 @@ func (e Envelope) Verify(v Verifier) error {
 	return v.Verify(e.Signer, e.Body, e.Sig)
 }
 
-// VerifyDigest checks the envelope's signature using a caller-precomputed
-// digest = Digest(e.Body), exploiting the verifier's memo when it has one.
-// The FS compare path computes that digest for output matching anyway, so
-// the verify side gets it for free.
-func (e Envelope) VerifyDigest(v Verifier, digest [32]byte) error {
-	if dv, ok := v.(DigestVerifier); ok {
-		return dv.VerifyDigest(e.Signer, digest, e.Body, e.Sig)
-	}
-	return v.Verify(e.Signer, e.Body, e.Sig)
-}
-
 // Encode appends the envelope's wire form to w.
 func (e Envelope) Encode(w *codec.Writer) {
 	if e.wire != nil {

@@ -19,9 +19,8 @@
 // The package is the hottest part of the FS output path — every output is
 // double-signed and every receiver re-verifies both signatures — so it is
 // built as a verification plane rather than a convenience wrapper: the
-// Directory's verify path is lock-free over a copy-on-write snapshot and
-// memoises successful checks by content digest (see directory.go and
-// cache.go), HMAC signing restores precomputed pad states from a pool
+// Directory's verify path is lock-free over a copy-on-write snapshot
+// (directory.go), HMAC signing restores precomputed pad states from a pool
 // instead of rebuilding the transform per message (hmac.go), and
 // envelopes carry their wire form so counter-signing and verification
 // never re-marshal (envelope.go).

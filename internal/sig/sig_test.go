@@ -1,7 +1,11 @@
 package sig
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +34,18 @@ func TestHMACSignVerify(t *testing.T) {
 	}
 	if err := dir.Verify(a.ID(), data, sigBytes); err != nil {
 		t.Fatalf("valid signature rejected: %v", err)
+	}
+	// A bad signature never verifies, on any retry, before or after the
+	// good one over the same bytes has.
+	bad := append([]byte(nil), sigBytes...)
+	bad[0] ^= 1
+	for i := 0; i < 3; i++ {
+		if err := dir.Verify(a.ID(), data, bad); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("bad signature attempt %d: %v", i, err)
+		}
+		if err := dir.Verify(a.ID(), data, sigBytes); err != nil {
+			t.Fatalf("valid signature rejected after a bad one: %v", err)
+		}
 	}
 }
 
@@ -79,6 +95,87 @@ func TestRSASignVerify(t *testing.T) {
 	sigBytes[0] ^= 0x01
 	if err := dir.Verify(s.ID(), data, sigBytes); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("corrupt RSA signature verified: %v", err)
+	}
+}
+
+// TestKeyRotation: re-registering an identity under the same scheme
+// replaces its material at once, for the directory and for every node
+// verifier over it. The old key's signature is refused, the new one's
+// verifies, and other identities are unaffected.
+func TestKeyRotation(t *testing.T) {
+	for _, scheme := range []struct {
+		name      string
+		newSigner func(key string) (Signer, error)
+	}{
+		{"hmac", func(key string) (Signer, error) { return NewHMACSigner("rotating", []byte(key)), nil }},
+		{"rsa", func(string) (Signer, error) { return NewRSASigner("rotating", 1024, nil) }},
+	} {
+		t.Run(scheme.name, func(t *testing.T) {
+			oldSigner, err := scheme.newSigner("old-key")
+			if err != nil {
+				t.Fatal(err)
+			}
+			newSigner, err := scheme.newSigner("new-key")
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := NewHMACSigner("other", []byte("other-key"))
+			dir := NewDirectory()
+			for _, s := range []Signer{oldSigner, other} {
+				if err := dir.RegisterSigner(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			node := NewNodeVerifier(dir)
+			data := []byte("signed across a rotation")
+			oldSig, _ := oldSigner.Sign(data)
+			newSig, _ := newSigner.Sign(data)
+			otherSig, _ := other.Sign(data)
+			for _, v := range []Verifier{dir, node} {
+				if err := v.Verify("rotating", data, oldSig); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if err := dir.RegisterSigner(newSigner); err != nil {
+				t.Fatalf("same-scheme re-registration should be allowed: %v", err)
+			}
+			for _, v := range []Verifier{dir, node} {
+				if err := v.Verify("rotating", data, oldSig); !errors.Is(err, ErrBadSignature) {
+					t.Fatalf("%T accepted the old key's signature after rotation: %v", v, err)
+				}
+				if err := v.Verify("rotating", data, newSig); err != nil {
+					t.Fatalf("%T refused the new key's signature: %v", v, err)
+				}
+				if err := v.Verify("other", data, otherSig); err != nil {
+					t.Fatalf("%T: rotation disturbed another identity: %v", v, err)
+				}
+			}
+		})
+	}
+}
+
+// TestNodeVerifierCounts: node verifiers over one directory share its
+// material but count apart, and every call is a check — a repeat, and a
+// bad signature, included.
+func TestNodeVerifierCounts(t *testing.T) {
+	a, _, dir := testSigners(t)
+	node1, node2 := NewNodeVerifier(dir), NewNodeVerifier(dir)
+	data := []byte("broadcast")
+	sigBytes, _ := a.Sign(data)
+	for i := 0; i < 2; i++ {
+		if err := node1.Verify(a.ID(), data, sigBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := node1.Verify(a.ID(), data, []byte("bad")); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("node verifier accepted a bad signature: %v", err)
+	}
+	if err := node2.Verify(a.ID(), data, sigBytes); err != nil {
+		t.Fatal(err)
+	}
+	if c1, c2 := node1.Checks(), node2.Checks(); c1 != 3 || c2 != 1 {
+		t.Fatalf("checks = %d and %d, want 3 and 1", c1, c2)
 	}
 }
 
@@ -277,5 +374,236 @@ func TestWireSizesAreExact(t *testing.T) {
 		if got := len(dbl.Marshal()); got != dbl.dblWireSize() {
 			t.Errorf("double of a %d B body: wire form %d B, hint %d", size, got, dbl.dblWireSize())
 		}
+	}
+}
+
+// TestSchemeConflict: registering the same identity under both schemes is
+// an explicit error, in either order; the original material stays active.
+func TestSchemeConflict(t *testing.T) {
+	rsaSigner, err := NewRSASigner("both", 1024, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hmacSigner := NewHMACSigner("both", []byte("k"))
+
+	dir := NewDirectory()
+	if err := dir.RegisterSigner(rsaSigner); err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.RegisterSigner(hmacSigner); !errors.Is(err, ErrSchemeConflict) {
+		t.Fatalf("HMAC over RSA: want ErrSchemeConflict, got %v", err)
+	}
+	data := []byte("still RSA")
+	rs, _ := rsaSigner.Sign(data)
+	if err := dir.Verify("both", data, rs); err != nil {
+		t.Fatalf("RSA material lost after rejected registration: %v", err)
+	}
+
+	dir2 := NewDirectory()
+	if err := dir2.RegisterSigner(hmacSigner); err != nil {
+		t.Fatal(err)
+	}
+	if err := dir2.RegisterSigner(rsaSigner); !errors.Is(err, ErrSchemeConflict) {
+		t.Fatalf("RSA over HMAC: want ErrSchemeConflict, got %v", err)
+	}
+}
+
+// TestConcurrentRegistrationAndVerify drives registrations, verifies of a
+// stable identity, and directory reads concurrently. Run with -race: the
+// COW snapshot is exactly the code race detection exists for.
+func TestConcurrentRegistrationAndVerify(t *testing.T) {
+	dir := NewDirectory()
+	stable := NewHMACSigner("stable", []byte("sk"))
+	if err := dir.RegisterSigner(stable); err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("steady traffic")
+	sigBytes, _ := stable.Sign(data)
+
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				switch w % 3 {
+				case 0: // register fresh identities
+					id := ID(fmt.Sprintf("dyn-%d-%d", w, i))
+					if err := dir.RegisterHMAC(id, []byte(id)); err != nil {
+						t.Error(err)
+						return
+					}
+				case 1: // verify the stable identity throughout
+					if err := dir.Verify("stable", data, sigBytes); err != nil {
+						t.Error(err)
+						return
+					}
+				case 2: // read the registry
+					_ = dir.IDs()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestHMACMatchesReference: the pooled precomputed-pad implementation must
+// produce byte-identical MACs to crypto/hmac for all key-length regimes
+// (short, block-sized, and longer-than-block keys get different
+// normalisation).
+func TestHMACMatchesReference(t *testing.T) {
+	keys := [][]byte{
+		{},
+		[]byte("short"),
+		make([]byte, sha256.BlockSize),
+		make([]byte, sha256.BlockSize+37),
+	}
+	for i := range keys[2] {
+		keys[2][i] = byte(i)
+	}
+	for i := range keys[3] {
+		keys[3][i] = byte(255 - i)
+	}
+	bodies := [][]byte{nil, []byte("x"), make([]byte, 1024)}
+	for _, key := range keys {
+		tmpl := newHMACTemplate(key)
+		for _, body := range bodies {
+			ref := hmac.New(sha256.New, key)
+			ref.Write(body)
+			want := ref.Sum(nil)
+			got := tmpl.appendMAC(nil, body)
+			if !hmac.Equal(got, want) {
+				t.Fatalf("key len %d body len %d: template MAC diverges from crypto/hmac", len(key), len(body))
+			}
+			if !tmpl.verify(body, want) {
+				t.Fatalf("key len %d body len %d: template rejects reference MAC", len(key), len(body))
+			}
+		}
+	}
+}
+
+// TestAppendSign: the append path signs into caller storage and matches
+// Sign.
+func TestAppendSign(t *testing.T) {
+	s := NewHMACSigner("a", []byte("k"))
+	data := []byte("payload")
+	want, _ := s.Sign(data)
+	buf := make([]byte, 0, sha256.Size)
+	got, err := s.AppendSign(buf, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hmac.Equal(got, want) {
+		t.Fatal("AppendSign diverges from Sign")
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("AppendSign reallocated despite sufficient capacity")
+	}
+}
+
+// TestWireEncodeFence asserts the cached-wire-form promise: at most one
+// wire encoding per counter-sign, and none per verification of a signed
+// or decoded double.
+func TestWireEncodeFence(t *testing.T) {
+	a := NewHMACSigner("a", []byte("ka"))
+	b := NewHMACSigner("b", []byte("kb"))
+	dir := NewDirectory()
+	if err := dir.RegisterSigner(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.RegisterSigner(b); err != nil {
+		t.Fatal(err)
+	}
+
+	env, err := SignEnvelope(a, []byte("an FS output body"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	base := WireEncodes()
+	dbl, err := CounterSign(b, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := WireEncodes() - base; d > 1 {
+		t.Fatalf("counter-sign performed %d wire encodings, want <= 1", d)
+	}
+
+	base = WireEncodes()
+	for i := 0; i < 3; i++ {
+		if err := dbl.Verify(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := WireEncodes() - base; d != 0 {
+		t.Fatalf("verifying a counter-signed double performed %d wire encodings, want 0", d)
+	}
+
+	// A decoded double must also verify without re-encoding: its wire
+	// forms are views of the received bytes.
+	wire := dbl.Marshal()
+	got, err := UnmarshalDouble(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base = WireEncodes()
+	if err := got.Verify(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got.Marshal(); WireEncodes() != base {
+		t.Fatal("decoded double re-encoded on verify/marshal")
+	}
+}
+
+// TestZeroAllocFences pins the allocation behaviour the crypto plane is
+// built around: signing into capacity, pooled HMAC verification and
+// double-signature verification all run allocation-free.
+func TestZeroAllocFences(t *testing.T) {
+	a := NewHMACSigner("a", []byte("ka"))
+	b := NewHMACSigner("b", []byte("kb"))
+	body := make([]byte, 1024)
+
+	dir := NewDirectory()
+	if err := dir.RegisterSigner(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.RegisterSigner(b); err != nil {
+		t.Fatal(err)
+	}
+	sigBytes, _ := a.Sign(body)
+	buf := make([]byte, 0, 64)
+
+	if allocs := testing.AllocsPerRun(200, func() {
+		buf, _ = a.AppendSign(buf[:0], body)
+	}); allocs != 0 {
+		t.Errorf("AppendSign: %v allocs/op, want 0", allocs)
+	}
+
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := dir.Verify(a.ID(), body, sigBytes); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("HMAC Verify: %v allocs/op, want 0", allocs)
+	}
+
+	env, _ := SignEnvelope(a, body)
+	dbl, _ := CounterSign(b, env)
+	if err := dbl.Verify(dir); err != nil {
+		t.Fatal(err)
+	}
+	if raceDetector {
+		// The race runtime drops pooled HMAC runners at random, and two
+		// checks per op lose one often enough to count.
+		return
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := dbl.Verify(dir); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Double.Verify: %v allocs/op, want 0", allocs)
 	}
 }
