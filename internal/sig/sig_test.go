@@ -35,16 +35,29 @@ func TestHMACSignVerify(t *testing.T) {
 	if err := dir.Verify(a.ID(), data, sigBytes); err != nil {
 		t.Fatalf("valid signature rejected: %v", err)
 	}
-	// A bad signature never verifies, on any retry, before or after the
-	// good one over the same bytes has.
+}
+
+// TestBadSignatureNeverCached: a bad signature never verifies, on any
+// retry, before or after the good one over the same bytes has, on the
+// directory and on a node verifier. (The name predates the deletion of
+// the verification memo; every call is now a full check.)
+func TestBadSignatureNeverCached(t *testing.T) {
+	a, _, dir := testSigners(t)
+	data := []byte("ordered message 42")
+	sigBytes, err := a.Sign(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := append([]byte(nil), sigBytes...)
 	bad[0] ^= 1
-	for i := 0; i < 3; i++ {
-		if err := dir.Verify(a.ID(), data, bad); !errors.Is(err, ErrBadSignature) {
-			t.Fatalf("bad signature attempt %d: %v", i, err)
-		}
-		if err := dir.Verify(a.ID(), data, sigBytes); err != nil {
-			t.Fatalf("valid signature rejected after a bad one: %v", err)
+	for _, v := range []Verifier{dir, NewNodeVerifier(dir)} {
+		for i := 0; i < 3; i++ {
+			if err := v.Verify(a.ID(), data, bad); !errors.Is(err, ErrBadSignature) {
+				t.Fatalf("%T: bad signature attempt %d: %v", v, i, err)
+			}
+			if err := v.Verify(a.ID(), data, sigBytes); err != nil {
+				t.Fatalf("%T: valid signature rejected after a bad one: %v", v, err)
+			}
 		}
 	}
 }
@@ -98,55 +111,85 @@ func TestRSASignVerify(t *testing.T) {
 	}
 }
 
-// TestKeyRotation: re-registering an identity under the same scheme
-// replaces its material at once, for the directory and for every node
-// verifier over it. The old key's signature is refused, the new one's
-// verifies, and other identities are unaffected.
-func TestKeyRotation(t *testing.T) {
-	for _, scheme := range []struct {
-		name      string
-		newSigner func(key string) (Signer, error)
-	}{
-		{"hmac", func(key string) (Signer, error) { return NewHMACSigner("rotating", []byte(key)), nil }},
-		{"rsa", func(string) (Signer, error) { return NewRSASigner("rotating", 1024, nil) }},
-	} {
-		t.Run(scheme.name, func(t *testing.T) {
-			oldSigner, err := scheme.newSigner("old-key")
-			if err != nil {
-				t.Fatal(err)
-			}
-			newSigner, err := scheme.newSigner("new-key")
-			if err != nil {
-				t.Fatal(err)
-			}
-			other := NewHMACSigner("other", []byte("other-key"))
-			dir := NewDirectory()
-			for _, s := range []Signer{oldSigner, other} {
-				if err := dir.RegisterSigner(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			node := NewNodeVerifier(dir)
-			data := []byte("signed across a rotation")
-			oldSig, _ := oldSigner.Sign(data)
-			newSig, _ := newSigner.Sign(data)
-			otherSig, _ := other.Sign(data)
-			for _, v := range []Verifier{dir, node} {
-				if err := v.Verify("rotating", data, oldSig); err != nil {
-					t.Fatal(err)
-				}
-			}
+// rotationSchemes builds a signer for the identity "rotating" under each
+// scheme; the HMAC one keys on its argument, the RSA one draws a fresh key.
+var rotationSchemes = []struct {
+	name      string
+	newSigner func(key string) (Signer, error)
+}{
+	{"hmac", func(key string) (Signer, error) { return NewHMACSigner("rotating", []byte(key)), nil }},
+	{"rsa", func(string) (Signer, error) { return NewRSASigner("rotating", 1024, nil) }},
+}
 
-			if err := dir.RegisterSigner(newSigner); err != nil {
-				t.Fatalf("same-scheme re-registration should be allowed: %v", err)
-			}
-			for _, v := range []Verifier{dir, node} {
+// rotate registers an old signer for "rotating" and a bystander "other",
+// checks the old key verifies on the directory and on a node verifier,
+// then re-registers "rotating" under the new key. It returns both
+// verifiers, the signed bytes and the old, new and bystander signatures.
+func rotate(t *testing.T, newSigner func(string) (Signer, error)) (verifiers []Verifier, data, oldSig, newSig, otherSig []byte) {
+	t.Helper()
+	oldSigner, err := newSigner("old-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotated, err := newSigner("new-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := NewHMACSigner("other", []byte("other-key"))
+	dir := NewDirectory()
+	for _, s := range []Signer{oldSigner, other} {
+		if err := dir.RegisterSigner(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verifiers = []Verifier{dir, NewNodeVerifier(dir)}
+	data = []byte("signed across a rotation")
+	oldSig, _ = oldSigner.Sign(data)
+	newSig, _ = rotated.Sign(data)
+	otherSig, _ = other.Sign(data)
+	for _, v := range verifiers {
+		if err := v.Verify("rotating", data, oldSig); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Verify("other", data, otherSig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dir.RegisterSigner(rotated); err != nil {
+		t.Fatalf("same-scheme re-registration should be allowed: %v", err)
+	}
+	return verifiers, data, oldSig, newSig, otherSig
+}
+
+// TestCacheInvalidatedByReRegistration: re-registering an identity under
+// the same scheme replaces its material at once, for the directory and
+// for every node verifier over it: the old key's signature is refused and
+// the new one's verifies. (The name predates the deletion of the
+// verification memo; this is now a key-rotation test for both schemes.)
+func TestCacheInvalidatedByReRegistration(t *testing.T) {
+	for _, scheme := range rotationSchemes {
+		t.Run(scheme.name, func(t *testing.T) {
+			verifiers, data, oldSig, newSig, _ := rotate(t, scheme.newSigner)
+			for _, v := range verifiers {
 				if err := v.Verify("rotating", data, oldSig); !errors.Is(err, ErrBadSignature) {
 					t.Fatalf("%T accepted the old key's signature after rotation: %v", v, err)
 				}
 				if err := v.Verify("rotating", data, newSig); err != nil {
 					t.Fatalf("%T refused the new key's signature: %v", v, err)
 				}
+			}
+		})
+	}
+}
+
+// TestRegistrationKeepsOtherEntriesWarm: re-registering one identity
+// leaves every other identity verifying as before, on the directory and
+// on a node verifier.
+func TestRegistrationKeepsOtherEntriesWarm(t *testing.T) {
+	for _, scheme := range rotationSchemes {
+		t.Run(scheme.name, func(t *testing.T) {
+			verifiers, data, _, _, otherSig := rotate(t, scheme.newSigner)
+			for _, v := range verifiers {
 				if err := v.Verify("other", data, otherSig); err != nil {
 					t.Fatalf("%T: rotation disturbed another identity: %v", v, err)
 				}
